@@ -17,7 +17,7 @@ column operations, so no other pivot choice closes.
 
 from __future__ import annotations
 
-from .errors import InsufficientPrecision, ZeroInput
+from .errors import InsufficientPrecision, LLCError, ZeroInput
 from .laurent import LocalField
 from .matrices import MatG
 
@@ -186,7 +186,11 @@ def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, Ma
             if e.is_zero_at_prec():
                 continue
             c = e / pe
-            assert c.has_val_at_least(1 if j < piv else 0)
+            if not c.has_val_at_least(1 if j < piv else 0):
+                raise LLCError(
+                    f"internal: clearing column {j} against pivot column {piv} "
+                    "needs a factor outside the Iwahori subgroup"
+                )
             for r2 in range(n):
                 A[r2][j] = A[r2][j] - c * A[r2][piv]
             # column op was R = I - c E(piv,j); fold R^-1 into k from the left

@@ -87,6 +87,9 @@ class RootOfUnity:
         return cls(1, 2)
 
     def __mul__(self, other: RootOfUnity) -> RootOfUnity:
+        if not isinstance(other, RootOfUnity):
+            # sums and graded values scale by a root through their __rmul__
+            return NotImplemented
         n = _lcm(self.order, other.order)
         return RootOfUnity(self.num * (n // self.order) + other.num * (n // other.order), n)
 
@@ -272,7 +275,10 @@ class CycloNumber:
     def __mul__(self, other) -> CycloNumber:
         if isinstance(other, RootOfUnity):
             return self._rotate(other)
-        if not isinstance(other, CycloNumber) and isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycloNumber):
+            if not isinstance(other, (int, Fraction)):
+                # graded values scale by a sum through their __rmul__
+                return NotImplemented
             if other == 0:
                 return CycloNumber.zero(self.order)
             return CycloNumber._from_clean(

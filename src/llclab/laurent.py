@@ -11,6 +11,19 @@ Precision is absolute and explicit.  An element knows its coefficients at
 all exponents below ``prec``; ``prec=None`` means exact.  Any operation
 that would have to read an unknown coefficient raises
 InsufficientPrecision instead of guessing.
+
+Representation and kernels.  An element stores the dense tuple of its
+coefficients from its valuation ``val`` up to its last nonzero term, with
+no zero at either end and nothing at or beyond ``prec``.  Sums and
+products work on one mutable list over the exponent window of the result,
+[lo, hi), sized from the operands and cut at the result's precision
+before any coefficient is computed.  Residue arithmetic reads the
+FiniteField lookup tables directly: a product takes the row
+``_mul[a]`` once per coefficient a of the left factor and adds it along
+the right factor through ``_add``; a difference reads ``_neg``.  The
+result is normalized once, by scanning the list ends for zeros.
+``dot`` accumulates several products into one list the same way, which is
+what a matrix entry needs.
 """
 
 from __future__ import annotations
@@ -41,6 +54,65 @@ def _shift_prec(p: int | None, k: int | None) -> int | None:
     return p + k
 
 
+def _product_prec(x: LaurentElem, y: LaurentElem) -> int | None:
+    """Precision of x*y: each factor's prec shifted by the other's
+    val_bound(), the smaller of the two."""
+    xp, yp = x.prec, y.prec
+    if xp is None:
+        if yp is None or not x.coeffs:
+            return None
+        return yp + x.val
+    p = None if not y.coeffs and yp is None else xp + (y.val if y.coeffs else yp)
+    if yp is None:
+        return p
+    r = yp + (x.val if x.coeffs else xp)
+    return r if p is None or r < p else p
+
+
+def _raw(field: LocalField, val: int, coeffs: tuple, prec: int | None) -> LaurentElem:
+    """Wrap a coefficient tuple that is already normalized."""
+    out = object.__new__(LaurentElem)
+    out.field = field
+    out.val = val
+    out.coeffs = coeffs
+    out.prec = prec
+    return out
+
+
+def _pack(field: LocalField, lo: int, out: list, prec: int | None) -> LaurentElem:
+    """Element whose coefficient at lo + i is out[i]; out is already cut
+    at prec, zeros at either end are stripped here."""
+    i, j = 0, len(out)
+    while i < j and not out[i]:
+        i += 1
+    if i == j:
+        return _raw(field, 0, (), prec)
+    while not out[j - 1]:
+        j -= 1
+    return _raw(field, lo + i, tuple(out[i:j]), prec)
+
+
+def _convolve_into(out: list, start: int, a: tuple, b: tuple, mul, add) -> None:
+    """Add the product of coefficient tuples a and b into out, with a[0]*b[0]
+    landing at out[start]; terms at or beyond len(out) are dropped.
+
+    Plain loops on purpose: at these lengths a comprehension per row costs
+    more than it saves.
+    """
+    n = len(out)
+    for s, x in enumerate(a, start):
+        if s >= n:
+            break
+        if x:
+            row = mul[x]
+            k = s
+            for y in b:
+                if k >= n:
+                    break
+                out[k] = add[out[k]][row[y]]
+                k += 1
+
+
 class LaurentElem:
     """One Laurent series, normalized so coeffs has no leading or trailing
     zeros and stores nothing at or beyond prec."""
@@ -48,19 +120,18 @@ class LaurentElem:
     __slots__ = ("field", "val", "coeffs", "prec")
 
     def __init__(self, field: LocalField, val: int, coeffs, prec: int | None = None):
-        cs = list(coeffs)
-        if prec is not None:
-            keep = prec - val
-            if keep < len(cs):
-                cs = cs[: max(keep, 0)]
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            val += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = tuple(coeffs)
+        hi = len(cs)
+        if prec is not None and prec - val < hi:
+            hi = max(prec - val, 0)
+        lo = 0
+        while lo < hi and cs[lo] == 0:
+            lo += 1
+        while hi > lo and cs[hi - 1] == 0:
+            hi -= 1
         self.field = field
-        self.val = val if cs else 0
-        self.coeffs = tuple(cs)
+        self.val = val + lo if lo < hi else 0
+        self.coeffs = cs[lo:hi]
         self.prec = prec
 
     # ----- inspection ---------------------------------------------------
@@ -115,51 +186,82 @@ class LaurentElem:
         if not isinstance(other, LaurentElem) or other.field is not self.field:
             raise TypeError("operands live in different fields")
 
-    def __add__(self, other: LaurentElem) -> LaurentElem:
+    def _add_mapped(self, other: LaurentElem, bmap: list | None) -> LaurentElem:
+        """self + bmap(other) coefficientwise; bmap None is the identity,
+        the negation table gives the difference."""
         self._require_same(other)
-        ff = self.field.residue
+        field = self.field
         prec = _min_prec(self.prec, other.prec)
-        terms: dict[int, int] = {}
-        for x in (self, other):
-            for i, c in enumerate(x.coeffs):
-                e = x.val + i
-                if prec is not None and e >= prec:
-                    continue
-                terms[e] = ff.add(terms.get(e, 0), c)
-        return self.field._from_dict(terms, prec)
+        a, b = self.coeffs, other.coeffs
+        av, bv = self.val, other.val
+        if a:
+            lo, hi = av, av + len(a)
+            if b:
+                if bv < lo:
+                    lo = bv
+                if bv + len(b) > hi:
+                    hi = bv + len(b)
+        elif b:
+            lo, hi = bv, bv + len(b)
+        else:
+            return _raw(field, 0, (), prec)
+        if prec is not None and hi > prec:
+            hi = prec
+            if hi <= lo:
+                return _raw(field, 0, (), prec)
+        n = hi - lo
+        out = [0] * n
+        i = av - lo
+        if a and i < n:
+            out[i : i + len(a)] = a[: n - i]
+        add = field.residue._add
+        i = bv - lo
+        if bmap is None:
+            for c in b:
+                if i >= n:
+                    break
+                out[i] = add[out[i]][c]
+                i += 1
+        else:
+            for c in b:
+                if i >= n:
+                    break
+                out[i] = add[out[i]][bmap[c]]
+                i += 1
+        return _pack(field, lo, out, prec)
 
-    def __neg__(self) -> LaurentElem:
-        ff = self.field.residue
-        return LaurentElem(self.field, self.val, [ff.neg(c) for c in self.coeffs], self.prec)
+    def __add__(self, other: LaurentElem) -> LaurentElem:
+        return self._add_mapped(other, None)
 
     def __sub__(self, other: LaurentElem) -> LaurentElem:
-        return self + (-other)
+        return self._add_mapped(other, self.field.residue._neg)
+
+    def __neg__(self) -> LaurentElem:
+        neg = self.field.residue._neg
+        return _raw(self.field, self.val, tuple([neg[c] for c in self.coeffs]), self.prec)
 
     def __mul__(self, other: LaurentElem) -> LaurentElem:
         self._require_same(other)
-        ff = self.field.residue
-        prec = _min_prec(
-            _shift_prec(self.prec, other.val_bound()),
-            _shift_prec(other.prec, self.val_bound()),
-        )
-        terms: dict[int, int] = {}
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            ea = self.val + i
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                e = ea + other.val + j
-                if prec is not None and e >= prec:
-                    continue
-                terms[e] = ff.add(terms.get(e, 0), ff.mul(a, b))
-        return self.field._from_dict(terms, prec)
+        field = self.field
+        prec = _product_prec(self, other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _raw(field, 0, (), prec)
+        lo = self.val + other.val
+        n = len(a) + len(b) - 1
+        if prec is not None and prec - lo < n:
+            n = prec - lo
+            if n <= 0:
+                return _raw(field, 0, (), prec)
+        out = [0] * n
+        ff = field.residue
+        _convolve_into(out, 0, a, b, ff._mul, ff._add)
+        return _pack(field, lo, out, prec)
 
     def scale(self, c: int) -> LaurentElem:
         """Multiply by the residue element c."""
-        ff = self.field.residue
-        return LaurentElem(self.field, self.val, [ff.mul(c, a) for a in self.coeffs], self.prec)
+        row = self.field.residue._mul[c]
+        return LaurentElem(self.field, self.val, [row[a] for a in self.coeffs], self.prec)
 
     def shift(self, k: int) -> LaurentElem:
         """Multiply by the k-th power of the series variable."""
@@ -182,16 +284,19 @@ class LaurentElem:
         else:
             rel = rel_prec if rel_prec is not None else DEFAULT_REL_PREC
         # write self = c0 * var^v * (1 + w), invert the one-unit by the
-        # recurrence b_0 = 1, b_k = -sum_{j>=1} w_j b_{k-j}
-        w = [ff.mul(self.coeff_at(v + i), inv0) for i in range(rel)]
-        b = [1] + [0] * (rel - 1)
+        # recurrence b_0 = 1, b_k = -sum_{j>=1} w_j b_{k-j}; w_j = 0 past
+        # the stored coefficients, so the sum stops at the last of them
+        mul, add, neg = ff._mul, ff._add, ff._neg
+        row0 = mul[inv0]
+        w_rows = [mul[row0[c]] for c in self.coeffs[:rel]]
+        top = len(w_rows) - 1
+        b = [1]
         for k in range(1, rel):
             acc = 0
-            for j in range(1, k + 1):
-                acc = ff.add(acc, ff.mul(w[j], b[k - j]))
-            b[k] = ff.neg(acc)
-        coeffs = [ff.mul(inv0, bk) for bk in b]
-        return LaurentElem(self.field, -v, coeffs, -v + rel)
+            for j in range(1, min(k, top) + 1):
+                acc = add[acc][w_rows[j][b[k - j]]]
+            b.append(neg[acc])
+        return LaurentElem(self.field, -v, [row0[x] for x in b], -v + rel)
 
     def __truediv__(self, other: LaurentElem) -> LaurentElem:
         self._require_same(other)
@@ -229,15 +334,7 @@ class LaurentElem:
 
     def agrees(self, other: LaurentElem) -> bool:
         """Equality of every coefficient both sides claim to know."""
-        self._require_same(other)
-        prec = _min_prec(self.prec, other.prec)
-        exps = set()
-        for x in (self, other):
-            for i in range(len(x.coeffs)):
-                e = x.val + i
-                if prec is None or e < prec:
-                    exps.add(e)
-        return all(self.coeff_at(e) == other.coeff_at(e) for e in exps)
+        return (self - other).is_zero_at_prec()
 
     def __repr__(self) -> str:
         var = self.field.var
@@ -258,6 +355,39 @@ class LaurentElem:
             body = " + ".join(parts)
         tail = "" if self.prec is None else f" + O({var}^{self.prec})"
         return f"<{body}{tail}>"
+
+
+def dot(field: LocalField, xs, ys) -> LaurentElem:
+    """Sum of x*y over the pairs of xs and ys, all in field.
+
+    The result carries the precision a chain of additions of the products
+    would give, the minimum of the products' precisions, and is built in
+    one coefficient list over the window of all products.
+    """
+    prec = None
+    terms = []
+    for x, y in zip(xs, ys):
+        if x.field is not field or y.field is not field:
+            raise TypeError("operands live in different fields")
+        p = _product_prec(x, y)
+        if p is not None and (prec is None or p < prec):
+            prec = p
+        if x.coeffs and y.coeffs:
+            terms.append((x.val + y.val, x.coeffs, y.coeffs))
+    if not terms:
+        return _raw(field, 0, (), prec)
+    lo = min(v for v, _, _ in terms)
+    hi = max(v + len(a) + len(b) - 1 for v, a, b in terms)
+    if prec is not None and hi > prec:
+        hi = prec
+    if hi <= lo:
+        return _raw(field, 0, (), prec)
+    out = [0] * (hi - lo)
+    ff = field.residue
+    mul, add = ff._mul, ff._add
+    for v, a, b in terms:
+        _convolve_into(out, v - lo, a, b, mul, add)
+    return _pack(field, lo, out, prec)
 
 
 class LocalField:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ZeroInput
-from .laurent import LaurentElem, LocalField
+from .laurent import LaurentElem, LocalField, dot
 
 
 class MatG:
@@ -45,19 +45,11 @@ class MatG:
     def __mul__(self, other: MatG) -> MatG:
         if not isinstance(other, MatG) or other.field is not self.field:
             raise TypeError("matrix product requires matching fields")
-        n = self.n
-        if other.n != n:
+        if other.n != self.n:
             raise ValueError("size mismatch")
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.field.zero()
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatG(self.field, out)
+        field = self.field
+        cols = list(zip(*other.rows))
+        return MatG(field, [[dot(field, row, col) for col in cols] for row in self.rows])
 
     def scale(self, x: LaurentElem) -> MatG:
         return MatG(self.field, [[x * e for e in row] for row in self.rows])

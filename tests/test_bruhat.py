@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import llclab
 from llclab.bruhat import MonomialClass, decompose
 from llclab.errors import InsufficientPrecision, ZeroInput
 from llclab.laurent import LocalField
@@ -260,3 +264,34 @@ def test_pivot_search_and_operation_order_independence():
             assert _flipped_order_class(F, g) == mono
             if trial % 97 == 0:
                 assert (u * (mono.as_matrix() * k)).agrees(g)
+
+
+OPTIMIZED_IWAHORI_CHECK = """
+from llclab.bruhat import decompose
+from llclab.errors import LLCError
+from llclab.laurent import LaurentElem, LocalField
+from llclab.matrices import MatG
+
+assert False, "assert statements must be stripped in this interpreter"
+F = LocalField.base_field(5)
+g = MatG(F, [[F.one(), F.one()], [F.one(), F.variable()]])
+LaurentElem.has_val_at_least = lambda self, k: False
+try:
+    decompose(g)
+except LLCError as exc:
+    print("raised", type(exc).__name__, exc)
+else:
+    print("returned")
+"""
+
+
+def test_iwahori_check_on_column_factors_survives_optimize():
+    # under python -O an assert would vanish and the bad factor would pass
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_IWAHORI_CHECK],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised LLCError internal: clearing column"), out.stdout

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from llclab.cyclotomic import CycloNumber, RootOfUnity, cyclotomic_polynomial, euler_phi
+from llclab.monomials import LambdaGraded
 
 
 def test_cyclotomic_polynomials_small():
@@ -164,3 +165,16 @@ def test_same_order_equality_matches_generic():
         other = disguised + CycloNumber(n, {rng.randrange(n): 1})
         assert (other == x) == _generic_equal(other, x)
         assert (other == x) == (abs(other.complex_value() - x.complex_value()) < 1e-9)
+
+
+def test_mixed_products_match_reflected_order():
+    z = RootOfUnity(5, 12)
+    c = CycloNumber(6, {0: 2, 1: -1, 5: Fraction(1, 3)})
+    assert z * c == c * z
+    assert (z * c).complex_value() == pytest.approx(z.complex_value() * c.complex_value())
+    g = LambdaGraded({0: c, 2: RootOfUnity(1, 4).as_cyclo()})
+    assert z * g == g * z
+    assert c * g == g * c
+    for x in (z, c):
+        with pytest.raises(TypeError):
+            x * "not a number"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from llclab.errors import InsufficientPrecision, ZeroInput
-from llclab.laurent import LocalField
+from llclab.laurent import DEFAULT_REL_PREC, LocalField
 
 
 # dict-based polynomial arithmetic, written independently of the series
@@ -46,6 +46,109 @@ def test_exact_ring_ops_match_dict_oracle():
             assert d_of(x * y) == d_mul(ff, d_of(x), d_of(y))
             assert d_of(x + y) == d_add(ff, d_of(x), d_of(y))
             assert d_of(x - y) == d_add(ff, d_of(x), d_of(-y))
+
+
+INF = float("inf")
+
+
+def o_prec(x):
+    return INF if x.prec is None else x.prec
+
+
+def o_val_bound(x):
+    d = d_of(x)
+    return min(d) if d else o_prec(x)
+
+
+def o_result(terms, prec):
+    """Oracle terms cut at prec, and prec in the series' None-for-exact form."""
+    cut = {e: c for e, c in terms.items() if e < prec}
+    return cut, (None if prec == INF else prec)
+
+
+def o_add(ff, x, y):
+    return o_result(d_add(ff, d_of(x), d_of(y)), min(o_prec(x), o_prec(y)))
+
+
+def o_sub(ff, x, y):
+    neg_y = {e: ff.neg(c) for e, c in d_of(y).items()}
+    return o_result(d_add(ff, d_of(x), neg_y), min(o_prec(x), o_prec(y)))
+
+
+def o_mul(ff, x, y):
+    # an unknown tail O(var^p) times a factor of valuation >= v is O(var^(p+v))
+    prec = min(o_prec(x) + o_val_bound(y), o_prec(y) + o_val_bound(x))
+    return o_result(d_mul(ff, d_of(x), d_of(y)), prec)
+
+
+def o_agrees(x, y):
+    prec = min(o_prec(x), o_prec(y))
+    dx, dy = d_of(x), d_of(y)
+    return all(dx.get(e, 0) == dy.get(e, 0) for e in set(dx) | set(dy) if e < prec)
+
+
+def random_series(rng, field):
+    """Exact or truncated, possibly zero at its precision, negative
+    valuations included, with zeros sprinkled inside."""
+    q = field.residue.q
+    val = rng.randrange(-5, 4)
+    coeffs = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(rng.randrange(7))]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return field.elem(val, coeffs)
+    if kind == 1:
+        return field.zero(val + rng.randrange(-2, 4))
+    return field.elem(val, coeffs, val + rng.randrange(-2, 9))
+
+
+def oracle_fields():
+    for q in (3, 5, 9):
+        yield LocalField.base_field(q)
+    yield LocalField.base_field(5).extension(3, 2)
+    yield LocalField.base_field(9).extension(2, 7)
+
+
+def test_ring_ops_with_precision_match_dict_oracle():
+    rng = random.Random(2718)
+    seen = {"finite_both": 0, "finite_one": 0, "zero_at_prec": 0, "negative_val": 0}
+    for F in oracle_fields():
+        ff = F.residue
+        for _ in range(300):
+            x = random_series(rng, F)
+            y = random_series(rng, F)
+            for got, (terms, prec) in (
+                (x + y, o_add(ff, x, y)),
+                (x - y, o_sub(ff, x, y)),
+                (x * y, o_mul(ff, x, y)),
+            ):
+                assert (d_of(got), got.prec) == (terms, prec), (x, y, got)
+                # the stored form is normalized: no zero at either end
+                assert not got.coeffs or (got.coeffs[0] and got.coeffs[-1])
+            assert x.agrees(y) == o_agrees(x, y)
+            finite = (x.prec is not None) + (y.prec is not None)
+            seen["finite_both"] += finite == 2
+            seen["finite_one"] += finite == 1
+            seen["zero_at_prec"] += any(z.prec is not None and not z.coeffs for z in (x, y))
+            seen["negative_val"] += any(z.coeffs and z.val < 0 for z in (x, y))
+    assert min(seen.values()) >= 100, seen
+
+
+def test_inverse_times_self_is_one_at_the_product_precision():
+    rng = random.Random(3141)
+    for F in oracle_fields():
+        for _ in range(60):
+            x = random_series(rng, F)
+            if not x.coeffs:
+                continue
+            prod = x * x.inverse()
+            # every digit the product claims to know is that of 1
+            assert d_of(prod) == {0: 1}, (x, prod)
+            if x.prec is not None:
+                assert prod.prec == x.prec - x.val
+            elif len(x.coeffs) > 1:
+                assert prod.prec == DEFAULT_REL_PREC
+            else:
+                assert prod.prec is None
 
 
 def test_normalization_strips_zeros():
