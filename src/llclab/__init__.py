@@ -14,7 +14,6 @@ from .errors import (
     InconsistentTable,
     InsufficientPrecision,
     LLCError,
-    NotInIPlus,
     NotMonomial,
     NotNonBarycenter,
     PrecisionNotStabilized,
@@ -110,7 +109,6 @@ __all__ = [
     "MonomialClass",
     "NoStableDimGap",
     "NoStableJordanWitness",
-    "NotInIPlus",
     "NotMonomial",
     "NotNonBarycenter",
     "PairConfig",

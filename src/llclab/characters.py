@@ -23,8 +23,9 @@ from .monomials import LambdaGraded
 
 
 @lru_cache(maxsize=None)
-def _norm_of_variable(efield: LocalField) -> LaurentElem:
-    return efield.norm_to_base(efield.variable())
+def _norm_of_variable(efield: LocalField) -> tuple[int, int]:
+    """(valuation, leading residue) of the norm of u down to the base."""
+    return efield.norm_to_base(efield.variable()).leading()
 
 
 class AdditiveCharPsi:
@@ -34,6 +35,12 @@ class AdditiveCharPsi:
         if field.base is not None:
             raise ValueError("the additive character lives on the base field")
         self.field = field
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def of_field(field: LocalField) -> AdditiveCharPsi:
+        """The one shared instance for a base field."""
+        return AdditiveCharPsi(field)
 
     def of_residue(self, c: int) -> RootOfUnity:
         ff = self.field.residue
@@ -83,7 +90,10 @@ class TameChar:
     def __call__(self, x: LaurentElem) -> RootOfUnity:
         if x.field is not self.field:
             raise TypeError("argument does not live on the base field")
-        v, c = x.leading()
+        return self.of_leading(*x.leading())
+
+    def of_leading(self, v: int, c: int) -> RootOfUnity:
+        """Value at an element of valuation v with leading residue c."""
         return self.at_var**v * self.of_unit(c)
 
     def at_minus_one(self) -> RootOfUnity:
@@ -136,7 +146,7 @@ class LevelOneCharE:
         self.efield = efield
         self.at_pi = at_pi
         self.exp_unit = exp_unit % (efield.residue.q - 1)
-        self.psi = AdditiveCharPsi(efield.base)
+        self.psi = AdditiveCharPsi.of_field(efield.base)
 
     def __call__(self, x: LaurentElem) -> LambdaGraded:
         if x.field is not self.efield:
@@ -163,8 +173,7 @@ class LevelOneCharE:
         """Multiply by lam composed with the norm down to the base field."""
         if lam.field is not self.efield.base:
             raise TypeError("twisting character must live on the base field")
-        norm_u = _norm_of_variable(self.efield)
-        at_pi = self.at_pi * lam(norm_u)
+        at_pi = self.at_pi * lam.of_leading(*_norm_of_variable(self.efield))
         exp_unit = self.exp_unit + self.efield.degree * lam.exp_unit
         return LevelOneCharE(self.efield, at_pi, exp_unit)
 

@@ -332,7 +332,7 @@ def _add_datum_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--u0", type=int, default=1, help="uniformizer unit (default 1)")
     sp.add_argument("--omega-exp", type=int, default=0, dest="omega_exp",
                     help="central character exponent on residue units")
-    sp.add_argument("--zeta", default="0/1", help='root of unity "a/N" with N | n^2')
+    sp.add_argument("--zeta", default="0/1", help='root of unity "a/N", an n-th root of the central value at pi')
     sp.add_argument("--omega-at-pi", default=None, dest="omega_at_pi",
                     help='central value at the uniformizer, "a/N"; default zeta^n')
 

@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import LLCError
+
 Rational = int | Fraction
 
 
@@ -23,25 +25,32 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n // 2 + 1) if n % d == 0]
-    out.append(n)
-    return out
+def _largest_prime_factor(n: int) -> int:
+    p, out = 2, 1
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out = p
+        p += 1
+    return n if n > 1 else out
 
 
 def _poly_divmod_int(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Exact division of integer polynomials, ascending coefficients."""
     num = list(num)
     dd = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
+    if den[-1] != 1:
+        raise LLCError("divisor must be monic")
+    live = [(j, c) for j, c in enumerate(den) if c]
     quot = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c == 0:
             continue
         quot[i - dd] = c
-        for j, p in enumerate(den):
-            num[i - dd + j] -= c * p
+        base = i - dd
+        for j, pc in live:
+            num[base + j] -= c * pc
     while num and num[-1] == 0:
         num.pop()
     return quot, num
@@ -49,15 +58,27 @@ def _poly_divmod_int(num: list[int], den: tuple[int, ...]) -> tuple[list[int], l
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, computed by exact division
-    of x^n - 1 by the cyclotomic polynomials of the proper divisors."""
+    """Coefficients of Phi_n, ascending degree.
+
+    With p the largest prime factor of n = m p: Phi_n(x) = Phi_m(x^p)
+    when p | m, and Phi_n(x) = Phi_m(x^p) / Phi_m(x) otherwise, an exact
+    division whose divisor has the smallest degree on offer."""
+    if n < 1:
+        raise ValueError("order must be positive")
     if n == 1:
         return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n)[:-1]:
-        num, rem = _poly_divmod_int(num, cyclotomic_polynomial(d))
-        assert not rem, f"x^{n}-1 not divisible by Phi_{d}"
-    return tuple(num)
+    p = _largest_prime_factor(n)
+    m = n // p
+    inner = cyclotomic_polynomial(m)
+    spread = [0] * (p * (len(inner) - 1) + 1)
+    for i, c in enumerate(inner):
+        spread[p * i] = c
+    if m % p == 0:
+        return tuple(spread)
+    quot, rem = _poly_divmod_int(spread, inner)
+    if rem:
+        raise LLCError(f"Phi_{m}(x^{p}) is not divisible by Phi_{m}")
+    return tuple(quot)
 
 
 @lru_cache(maxsize=None)
@@ -392,16 +413,6 @@ class CycloNumber:
     def complex_value(self) -> complex:
         z = 2j * cmath.pi / self.order
         return sum((float(c) * cmath.exp(z * e) for e, c in self.terms.items()), 0j)
-
-    def as_root_of_unity(self) -> RootOfUnity | None:
-        """Recognize the value as a root of unity, else None.  Only checks
-        against the roots living in the stored order, which is all the
-        package ever needs."""
-        for k in range(self.order):
-            cand = RootOfUnity(k, self.order)
-            if self == cand:
-                return cand
-        return None
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -25,10 +25,6 @@ class ZeroInput(LLCError):
     """A multiplicative character was evaluated at zero."""
 
 
-class NotInIPlus(LLCError):
-    """A matrix expected in the pro-unipotent Iwahori radical is not there."""
-
-
 class EmptyFacet(LLCError):
     """The facet parameters describe the empty facet (t = 1 with one block)."""
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd
 
 from .characters import AdditiveCharPsi, LevelOneCharE, TameChar
 from .cyclotomic import CycloNumber, RootOfUnity
@@ -101,25 +102,59 @@ def build_parameter(d: SSCDatum, lambda_mode: str = "formal") -> ParameterDatum:
 
 
 @functools.lru_cache(maxsize=None)
+def _gauss_rows(q: int, n: int, pi_unit: int, m: int) -> tuple[int, ...]:
+    """The part of the depth-m Gauss sum that no tame exponent changes.
+
+    A unit coset x = a0 (1 + c1 pi_E + ...) contributes
+    unitchar^-1(a0) * psi(Tr(x/pi_E)) / psi(n c1) to the inner sum, the
+    last quotient being the wild factor of every depth-one character.
+    Entry dlog(a0) * p + e counts the cosets whose quotient is zeta_p^e.
+    """
+    E = LocalField.base_field(q).extension(n, pi_unit)
+    ff = E.residue
+    p = ff.p
+    psi = AdditiveCharPsi.of_field(E.base)
+    counts = [0] * ((q - 1) * p)
+    for x in E.unit_reps(m):
+        y = x.shift(-1)
+        v, a0 = y.leading()
+        c1 = ff.mul(y.coeff_at(v + 1), ff.inv(a0))
+        wild = psi(E.trace_to_base(y)) * psi.of_residue(ff.scalar_mul(n, c1)).inverse()
+        counts[ff.dlog(a0) * p + wild.num * (p // wild.order)] += 1
+    return tuple(counts)
+
+
+@functools.lru_cache(maxsize=None)
 def _gauss_inner(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> CycloNumber:
     """Sum of unitchar^-1(x) psi(Tr(x/pi_E)) over unit cosets of depth m.
 
     Every term of the full Gauss sum carries the same at_pi^-1 factor, so
     that factor is pulled out by the caller and the remaining sum depends
     only on the residue data, which is what this cache is keyed on.
+
+    Each coset's term is zeta_(q-1)^(-exp_unit dlog a0) zeta_p^e with its
+    (dlog a0, e) counted in _gauss_rows; the terms collect in one
+    exponent histogram over the p(q-1)-th roots of unity.  The result has
+    the order the term-by-term sum would reach: the lcm of the orders of
+    the roots that occur.
     """
+    counts = _gauss_rows(q, n, pi_unit, m)
     E = LocalField.base_field(q).extension(n, pi_unit)
     unitchar = LevelOneCharE(E, LambdaGraded.one(), exp_unit)
-    psi = AdditiveCharPsi(E.base)
     ff = E.residue
-    total = CycloNumber.zero()
-    for x in E.unit_reps(m):
-        y = x.shift(-1)
-        v, a0 = y.leading()
-        c1 = ff.mul(y.coeff_at(v + 1), ff.inv(a0))
-        term = unitchar.of_unit_part(a0, c1).inverse() * psi(E.trace_to_base(y))
-        total = total + term.as_cyclo()
-    return total.compact()
+    p = ff.p
+    big = p * (q - 1)  # lcm(p, q - 1): p does not divide q - 1
+    hist = [0] * big
+    for dlog in range(q - 1):
+        tame = unitchar.of_unit_part(ff.exp[dlog], 0).inverse()
+        shift = tame.num * (big // tame.order)
+        for e in range(p):
+            c = counts[dlog * p + e]
+            if c:
+                hist[(shift + e * (q - 1)) % big] += c
+    step = gcd(big, *(k for k, c in enumerate(hist) if c))
+    terms = {k // step: c for k, c in enumerate(hist) if c}
+    return CycloNumber._from_clean(big // step, terms).compact()
 
 
 def gauss_sum_bruteforce(xi: LevelOneCharE, m: int = 2) -> LambdaGraded:

@@ -11,10 +11,12 @@ e = 1 column exposes the uniformizer's residue class.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
+from math import lcm
 
 from .characters import TameChar
-from .cyclotomic import RootOfUnity
+from .cyclotomic import CycloNumber, RootOfUnity
 from .errors import InconsistentTable
 from .galois import build_parameter, det_parameter, epsilon_galois
 from .monomials import EpsMonomial, LambdaGraded
@@ -138,7 +140,7 @@ def verify_matching(d: SSCDatum, twists=None, include_integral: bool | None = No
     }
 
 
-def _entry_coefficient(entry: EpsMonomial) -> "CycloNumber":
+def _entry_coefficient(entry: EpsMonomial) -> CycloNumber:
     """Shape-check an entry and return its cyclotomic coefficient."""
     if entry.s_coeff != -1 or entry.q_const != Fraction(1, 2):
         raise InconsistentTable(f"q-monomial {entry.q_const}, {entry.s_coeff} is off-shape")
@@ -147,25 +149,36 @@ def _entry_coefficient(entry: EpsMonomial) -> "CycloNumber":
     return entry.unit.constant_part()
 
 
-def _match_root(c, order: int) -> RootOfUnity:
-    """The root of unity of the given order equal to c, else InconsistentTable."""
+def _match_root(c: CycloNumber, order: int) -> RootOfUnity:
+    """The root of unity of order dividing ``order`` equal to c, else
+    InconsistentTable.
+
+    The numerator is read off the complex value and confirmed with one
+    exact ==; only when that check fails are all candidates compared
+    exactly, so no verdict rests on floating point."""
+    turns = cmath.phase(c.complex_value()) / (2 * cmath.pi)
+    guess = RootOfUnity(round(turns * order), order)
+    if guess.as_cyclo() == c:
+        return guess
     for num in range(order):
         if RootOfUnity(num, order).as_cyclo() == c:
             return RootOfUnity(num, order)
-    raise InconsistentTable(f"coefficient is not a root of unity of order {order}")
+    raise InconsistentTable(f"coefficient is not a root of unity of order dividing {order}")
 
 
 def determine_from_table(T: EpsilonTable, omega: TameChar, n: int, q: int) -> DeterminationResult:
     """Recover (zeta, uniformizer class) from a twisted-epsilon table.
 
-    The trivial entry gives zeta.  The e = 1, t-trivial entry divided by
+    The trivial entry gives zeta, of whatever order: a root of unity in
+    Q(zeta_N) lies in mu_lcm(2, N).  The e = 1, t-trivial entry divided by
     the trivial one gives lam(-1)^(n-1) lam(pi), whose discrete log
     exposes the residue class of the uniformizer.  Every other entry is
     then checked against the closed form; any mismatch, or any entry off
     the monomial shape, raises InconsistentTable.
     """
     ff = omega.field.residue
-    zeta = _match_root(_entry_coefficient(T.entries[(0, 0)]), n * n)
+    trivial = _entry_coefficient(T.entries[(0, 0)])
+    zeta = _match_root(trivial, lcm(2, trivial.order))
     if (1, 0) not in T.entries:
         return DeterminationResult(zeta, None, False, None)
     ratio_c = _entry_coefficient(T.entries[(1, 0)]) * zeta.inverse().as_cyclo()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .cyclotomic import CycloNumber, Rational, RootOfUnity
-from .errors import NotMonomial
+from .errors import LLCError, NotMonomial
 
 _CoeffLike = int | Fraction | RootOfUnity | CycloNumber
 
@@ -150,7 +150,8 @@ class LambdaGraded:
 
     def reduce_lambda(self, n: int, kappa_pi: int) -> LambdaGraded:
         """Rewrite Lambda^n -> kappa_pi (+-1), folding exponents into 0..n-1."""
-        assert kappa_pi in (1, -1)
+        if kappa_pi not in (1, -1):
+            raise LLCError(f"kappa(pi) must be 1 or -1, not {kappa_pi!r}")
         out: dict[int, CycloNumber] = {}
         for a, c in self.terms.items():
             r = a % n
@@ -169,6 +170,11 @@ class LambdaGraded:
         return {"terms": {str(a): c.to_json() for a, c in sorted(self.terms.items())}}
 
 
+def _same_q(x, y) -> None:
+    if x.q != y.q:
+        raise LLCError(f"monomials over different residue sizes {x.q} and {y.q}")
+
+
 class EpsMonomial:
     """unit * q^(q_const + s_coeff * s) for a fixed residue size q."""
 
@@ -183,12 +189,12 @@ class EpsMonomial:
         self.s_coeff = s_coeff
 
     def __mul__(self, other: EpsMonomial) -> EpsMonomial:
-        assert self.q == other.q
+        _same_q(self, other)
         return EpsMonomial(self.q, self.unit * other.unit,
                            self.q_const + other.q_const, self.s_coeff + other.s_coeff)
 
     def __truediv__(self, other: EpsMonomial) -> EpsMonomial:
-        assert self.q == other.q
+        _same_q(self, other)
         return EpsMonomial(self.q, self.unit * other.unit.inverse(),
                            self.q_const - other.q_const, self.s_coeff - other.s_coeff)
 
@@ -284,7 +290,8 @@ class EpsPolynomial:
             ca, ea = a[key]
             cb, eb = b[key]
             delta = ea - eb
-            assert delta.denominator == 1
+            if delta.denominator != 1:
+                raise LLCError(f"q-exponents of one term differ by {delta}")
             if ca * (Fraction(self.q) ** delta.numerator) != cb:
                 return False
         return True

@@ -28,7 +28,6 @@ reduces to, and each has an independent verifier:
 from __future__ import annotations
 
 import itertools
-import random
 
 from .building import (
     ApartmentPoint,
@@ -38,7 +37,7 @@ from .building import (
     is_barycenter,
     r_of_x,
 )
-from .errors import EmptyFacet, NotNonBarycenter, SizeGuardExceeded
+from .errors import EmptyFacet, LLCError, NotNonBarycenter, SizeGuardExceeded
 from .finitefield import field_of_size
 
 BRUTE_FORCE_GUARD = 500_000
@@ -181,31 +180,6 @@ def enumerate_functionals(gq: GradedQuotient, q: int, cap: int = BRUTE_FORCE_GUA
                 tuple(entries[pos + r * cols + c] for c in range(cols)) for r in range(rows)
             )
             pos += rows * cols
-        yield FunctionalOverFq(gq, q, mats)
-
-
-def basis_functionals(gq: GradedQuotient, q: int):
-    """The coordinate functionals, one nonzero entry each."""
-    for a in gq.arrows:
-        rows, cols = gq.arrow_shape(a)
-        for i in range(rows):
-            for j in range(cols):
-                E = tuple(
-                    tuple(1 if (r, c) == (i, j) else 0 for c in range(cols))
-                    for r in range(rows)
-                )
-                yield FunctionalOverFq(gq, q, {a: E})
-
-
-def random_functionals(gq: GradedQuotient, q: int, count: int, seed: int):
-    rng = random.Random(seed)
-    shapes = [(a, *gq.arrow_shape(a)) for a in gq.arrows]
-    for _ in range(count):
-        mats = {}
-        for a, rows, cols in shapes:
-            mats[a] = tuple(
-                tuple(rng.randrange(q) for _ in range(cols)) for _ in range(rows)
-            )
         yield FunctionalOverFq(gq, q, mats)
 
 
@@ -510,61 +484,84 @@ def root_count_dims(x: ApartmentPoint) -> tuple[int, int]:
     return g, v
 
 
+def _require(ok: bool, what: str) -> None:
+    """One certificate check, raised explicitly so that python -O keeps it."""
+    if not ok:
+        raise LLCError(f"certificate rejected: {what}")
+
+
 def verify_certificate(cert, recheck_brute_force: bool = True) -> bool:
-    """Independent recheck of any certificate; returns True or raises."""
+    """Independent recheck of any certificate; returns True or raises LLCError."""
     if cert.kind == "stable-exists":
         f = cert.facet
-        assert f.is_alcove(), "StableExists is only claimed on alcoves"
+        _require(f.is_alcove(), "StableExists is only claimed on alcoves")
         gq = graded_quotient(f.barycenter())
         values = [cert.functional.arrow_matrix(a)[0][0] for a in gq.arrows]
-        assert len(values) == f.n and all(v != 0 for v in values), "functional must be nonzero on every arrow"
+        _require(
+            len(values) == f.n and all(v != 0 for v in values),
+            "functional must be nonzero on every arrow",
+        )
         if recheck_brute_force:
-            assert _torus_stabilizer_count(cert.q, values) == cert.stab_count_q
-            assert _torus_stabilizer_count(cert.q * cert.q, values) == cert.stab_count_q2
-        assert cert.stab_count_q == cert.q - 1, "stabilizer over F_q must be the scalars"
-        assert cert.stab_count_q2 == cert.q * cert.q - 1, "stabilizer must not grow beyond scalars"
+            _require(
+                _torus_stabilizer_count(cert.q, values) == cert.stab_count_q,
+                "stabilizer count over F_q is off",
+            )
+            _require(
+                _torus_stabilizer_count(cert.q * cert.q, values) == cert.stab_count_q2,
+                "stabilizer count over F_q^2 is off",
+            )
+        _require(cert.stab_count_q == cert.q - 1, "stabilizer over F_q must be the scalars")
+        _require(
+            cert.stab_count_q2 == cert.q * cert.q - 1, "stabilizer must not grow beyond scalars"
+        )
         return True
     if cert.kind == "no-stable-dim-gap":
         g, v = root_count_dims(cert.facet.barycenter())
-        assert (g, v) == (cert.dim_g, cert.dim_v), "claimed dimensions are off"
-        assert g - v > 0, "no gap, certificate invalid"
-        assert cert.facet.dim_gap() == g - v
+        _require((g, v) == (cert.dim_g, cert.dim_v), "claimed dimensions are off")
+        _require(g - v > 0, "no gap, certificate invalid")
+        _require(cert.facet.dim_gap() == g - v, "facet dimension gap is off")
         return True
     if cert.kind == "no-stable-jordan":
         ff = field_of_size(cert.q)
         gq = graded_quotient(cert.facet.barycenter())
         sizes = gq.sizes
         m = sizes[0]
-        assert gq.dim_g == gq.dim_v, "witness only applies at zero gap"
-        assert all(s == m for s in sizes) and m > 1
-        assert len(cert.x_blocks) == len(cert.w_blocks) == gq.num_nodes
+        _require(gq.dim_g == gq.dim_v, "witness only applies at zero gap")
+        _require(all(s == m for s in sizes) and m > 1, "blocks must share one size above 1")
+        _require(
+            len(cert.x_blocks) == len(cert.w_blocks) == gq.num_nodes,
+            "one witness block per node",
+        )
         px = cert.x_blocks[0]
         pw = cert.w_blocks[0]
         for X in cert.x_blocks[1:]:
             px = _mmul(ff, px, X)
         for W in cert.w_blocks[1:]:
             pw = _mmul(ff, pw, W)
-        assert _det(ff, px) == _det(ff, pw), "products must share the determinant"
+        _require(_det(ff, px) == _det(ff, pw), "products must share the determinant")
         prof_x = _rank_profile(ff, px)
         prof_w = _rank_profile(ff, pw)
-        assert prof_x[-1] == prof_w[-1] == 0, "witness products must be nilpotent"
-        assert prof_x != prof_w, "products must have different Jordan type"
+        _require(prof_x[-1] == prof_w[-1] == 0, "witness products must be nilpotent")
+        _require(prof_x != prof_w, "products must have different Jordan type")
         return True
     if cert.kind == "unstable-cocharacter":
         x = cert.point
-        assert not is_barycenter(x), "point must not be a barycenter"
+        _require(not is_barycenter(x), "point must not be a barycenter")
         gq = graded_quotient(x)
-        assert cert.missing_arrow in gq.missing_arrows(), "cited arrow is present"
+        _require(cert.missing_arrow in gq.missing_arrows(), "cited arrow is present")
         K = gq.num_nodes
         b = cert.weights
         for (a, bb) in gq.arrows:
-            assert b[a] - b[bb] > 0, f"arrow {(a, bb)} does not contract"
+            if b[a] - b[bb] <= 0:
+                raise LLCError(f"certificate rejected: arrow {(a, bb)} does not contract")
         return True
     if cert.kind == "kernel-is-scalars":
         gq = graded_quotient(cert.point)
-        assert _probe_nullity(gq, cert.q) == cert.probe_nullity == 1
-        assert cert.kernel_size == cert.q - 1, "kernel must be exactly the scalars"
-        assert cert.group_size == group_size(gq.sizes, cert.q)
+        _require(
+            _probe_nullity(gq, cert.q) == cert.probe_nullity == 1, "probe nullity must be 1"
+        )
+        _require(cert.kernel_size == cert.q - 1, "kernel must be exactly the scalars")
+        _require(cert.group_size == group_size(gq.sizes, cert.q), "group size is off")
         return True
     raise ValueError(f"unknown certificate kind {cert.kind}")
 

@@ -157,6 +157,17 @@ def test_match_round_trip(capsys):
     assert payload["determination"]["matches_input"] is True
 
 
+def test_match_zeta_of_order_n_times_q_minus_one(capsys):
+    code, payload = run_json(
+        capsys,
+        ["match", "--q", "7", "--n", "3", "--u0", "3", "--zeta", "1/18",
+         "--omega-exp", "1", "--omega-at-pi", "1/6"],
+    )
+    assert code == 0
+    assert payload["all_equal"] is True
+    assert payload["determination"]["matches_input"] is True
+
+
 def test_pair_shared_central_character(capsys):
     code, payload = run_json(
         capsys,

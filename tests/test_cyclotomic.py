@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -178,3 +179,49 @@ def test_mixed_products_match_reflected_order():
     for x in (z, c):
         with pytest.raises(TypeError):
             x * "not a number"
+
+
+@lru_cache(maxsize=None)
+def _phi_by_divisor_division(n):
+    """Oracle: x^n - 1 divided exactly by Phi_d for every proper divisor d."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = _phi_by_divisor_division(d)
+        deg = len(den) - 1
+        quot = [0] * (len(num) - deg)
+        for i in range(len(num) - 1, deg - 1, -1):
+            c = num[i]
+            quot[i - deg] = c
+            for j, p in enumerate(den):
+                num[i - deg + j] -= c * p
+        assert not any(num), f"x^{n}-1 not divisible by Phi_{d}"
+        num = quot
+    return tuple(num)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomial_matches_divisor_division():
+    for n in list(range(1, 401)) + [1950, 3900]:
+        phi = cyclotomic_polynomial(n)
+        assert phi == _phi_by_divisor_division(n), n
+        assert all(type(c) is int for c in phi)
+        assert euler_phi(n) == len(phi) - 1 == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
+    for n in list(range(1, 121)) + [210, 360, 1950]:
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n

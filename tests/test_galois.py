@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from llclab.characters import AdditiveCharPsi, TameChar
+from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import ZeroInput
 from llclab.galois import (
     DetCharacter,
     ParameterDatum,
+    _gauss_inner,
     build_parameter,
     det_parameter,
     disc_unit_residue,
@@ -257,6 +258,65 @@ def test_gauss_sum_twist_ratio():
         ff = d.F.residue
         signed_pi = d.F.elem(1, (u0 if (n - 1) % 2 == 0 else ff.neg(u0),))
         assert tw == base * lam(signed_pi)
+
+
+def _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m):
+    """Oracle: the inner Gauss sum built one CycloNumber term per coset,
+    every term read from the character and psi directly."""
+    E = LocalField.base_field(q).extension(n, pi_unit)
+    unitchar = LevelOneCharE(E, LambdaGraded.one(), exp_unit)
+    psi = AdditiveCharPsi(E.base)
+    ff = E.residue
+    total = CycloNumber.zero()
+    for x in E.unit_reps(m):
+        y = x.shift(-1)
+        v, a0 = y.leading()
+        c1 = ff.mul(y.coeff_at(v + 1), ff.inv(a0))
+        term = unitchar.of_unit_part(a0, c1).inverse() * psi(E.trace_to_base(y))
+        total = total + term.as_cyclo()
+    return total.compact()
+
+
+def _check_inner_against_oracle(q, n, pi_unit, exp_unit, m):
+    got = _gauss_inner(q, n, pi_unit, exp_unit, m)
+    want = _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m)
+    key = (q, n, pi_unit, exp_unit, m)
+    assert got.order == want.order, key
+    assert got.canonical() == want.canonical(), key
+    assert got.terms == want.terms, key
+
+
+def _degrees(q):
+    p = LocalField.base_field(q).residue.p
+    return [n for n in range(2, 6) if n % p]
+
+
+def test_gauss_inner_matches_term_by_term_sum():
+    # every degree, uniformizer unit and unit exponent, depths 1 to 3
+    for q in (3, 5, 7, 9):
+        for n in _degrees(q):
+            for u0 in range(1, q):
+                for k in range(q - 1):
+                    for m in (1, 2, 3):
+                        _check_inner_against_oracle(q, n, u0, k, m)
+
+
+def test_gauss_inner_matches_term_by_term_sum_q25():
+    # at q = 25 the oracle's full grid is 27M terms at depth 3, so depth 1
+    # is covered completely and the deeper depths on a seeded sample that
+    # still reaches every uniformizer unit and every unit exponent
+    q = 25
+    rng = random.Random(25)
+    for n in _degrees(q):
+        for u0 in range(1, q):
+            for k in range(q - 1):
+                _check_inner_against_oracle(q, n, u0, k, 1)
+            for k in rng.sample(range(q - 1), 2):
+                _check_inner_against_oracle(q, n, u0, k, 2)
+        u0 = rng.randrange(1, q)
+        for k in range(q - 1):
+            _check_inner_against_oracle(q, n, u0, k, 2)
+        _check_inner_against_oracle(q, n, rng.randrange(1, q), rng.randrange(q - 1), 3)
 
 
 # ----- epsilon and determinant -------------------------------------------

@@ -1,13 +1,15 @@
 import json
+from fractions import Fraction
+from math import gcd
 
 import pytest
-from fractions import Fraction
 
 from llclab.characters import TameChar
-from llclab.cyclotomic import RootOfUnity
+from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import InconsistentTable
 from llclab.matching import (
     EpsilonTable,
+    _match_root,
     determine_from_table,
     twist_char,
     verify_matching,
@@ -149,3 +151,49 @@ def test_table_json_shape():
     assert blob["q"] == 5 and blob["n"] == 2
     assert len(blob["entries"]) == 4
     json.dumps(blob)
+
+
+def test_round_trip_zeta_of_order_n_times_q_minus_one():
+    # zeta of order n(q-1) = 18: matching holds, and determination once
+    # looked for zeta among the 9th roots of unity only
+    d = SSCDatum(7, 3, RootOfUnity(1, 18), omega_exp=1, omega_at_pi=RootOfUnity(1, 6), pi_unit=3)
+    assert verify_matching(d)["all_equal"]
+    res = determine_from_table(EpsilonTable.of_datum(d), d.omega, 3, 7)
+    assert res.complete
+    assert (res.zeta, res.pi_unit) == (RootOfUnity(1, 18), 3)
+    assert res.datum.omega_exp == 1 and res.datum.omega_at_pi == RootOfUnity(1, 6)
+
+
+def test_round_trip_every_zeta_order():
+    # every divisor order of n^2 and of n(q-1), every primitive numerator
+    for q, n in [(7, 3), (5, 4), (11, 5)]:
+        orders = sorted({k for m in (n * n, n * (q - 1)) for k in range(1, m + 1) if m % k == 0})
+        i = 0
+        for order in orders:
+            for num in range(order):
+                if gcd(num, order) != 1:
+                    continue
+                zeta = RootOfUnity(num, order)
+                u0 = 1 + i % (q - 1)
+                d = SSCDatum(q, n, zeta, omega_exp=i, omega_at_pi=zeta**n, pi_unit=u0)
+                at_t = (0, 1) if i % 3 == 0 else (0,)
+                res = determine_from_table(EpsilonTable.of_datum(d, at_t), d.omega, n, q)
+                assert res.complete, (q, n, zeta)
+                assert (res.zeta, res.pi_unit) == (zeta, u0), (q, n, zeta)
+                assert res.datum.omega_at_pi == d.omega_at_pi
+                assert res.datum.omega_exp == d.omega_exp
+                i += 1
+
+
+def test_root_recognition_does_not_rest_on_floating_point():
+    # zeta_6 plus a huge multiple of 1 + zeta_3 + zeta_3^2 = 0: the complex
+    # value is noise, so the exact scan has to find the root
+    big = 10**20
+    c = CycloNumber(6, {1: 1, 0: big, 2: big, 4: big})
+    assert abs(c.complex_value() - RootOfUnity(1, 6).complex_value()) > 1
+    assert _match_root(c, 6) == RootOfUnity(1, 6)
+    assert _match_root(c, 12) == RootOfUnity(1, 6)
+    with pytest.raises(InconsistentTable):
+        _match_root(c, 4)
+    with pytest.raises(InconsistentTable):
+        _match_root(c * 2, 6)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from llclab.cyclotomic import CycloNumber, RootOfUnity
-from llclab.errors import NotMonomial
+from llclab.errors import LLCError, NotMonomial
 from llclab.monomials import EpsMonomial, EpsPolynomial, LambdaGraded
 
 
@@ -38,6 +38,16 @@ def test_lambda_arithmetic():
     assert (a - a).is_zero()
     with pytest.raises(ValueError):
         a.constant_part()
+
+
+def test_malformed_operands_raise_llc_errors():
+    # explicit raises, so the checks hold under python -O as well
+    with pytest.raises(LLCError):
+        LambdaGraded.lambda_power(3).reduce_lambda(3, 0)
+    with pytest.raises(LLCError):
+        mono(5, 1, Fraction(1, 2), -1) * mono(7, 1, Fraction(1, 2), -1)
+    with pytest.raises(LLCError):
+        mono(5, 1, Fraction(1, 2), -1) / mono(7, 1, Fraction(1, 2), -1)
 
 
 def test_eps_monomial_equality_folds_q_powers():

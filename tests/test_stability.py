@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import llclab
 from llclab.building import (
     ApartmentPoint,
     FacetSpec,
@@ -10,7 +14,7 @@ from llclab.building import (
     graded_quotient,
     sample_alcove_points,
 )
-from llclab.errors import EmptyFacet, NotNonBarycenter, SizeGuardExceeded
+from llclab.errors import EmptyFacet, LLCError, NotNonBarycenter, SizeGuardExceeded
 from llclab.finitefield import field_of_size
 from llclab.stability import (
     FunctionalOverFq,
@@ -195,15 +199,50 @@ def test_verifier_rejects_tampered_weights():
     x = ApartmentPoint.parse("0,-1/3")
     cert = destabilizing_cocharacter(x)
     bad = type(cert)(cert.point, cert.missing_arrow, (0, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(LLCError):
         verify_certificate(bad)
 
 
 def test_verifier_rejects_tampered_witness():
     cert = stability_certificate(FacetSpec(0, (2, 2)), 3)
     bad = type(cert)(cert.facet, cert.q, cert.x_blocks, cert.x_blocks)
-    with pytest.raises(AssertionError):
+    with pytest.raises(LLCError):
         verify_certificate(bad)
+
+
+OPTIMIZED_VERIFIER = """
+from llclab.building import ApartmentPoint, FacetSpec
+from llclab.errors import LLCError
+from llclab.stability import NoStableDimGap, destabilizing_cocharacter, verify_certificate
+
+assert False, "assert statements must be stripped in this interpreter"
+good = destabilizing_cocharacter(ApartmentPoint.parse("0,-1/3"))
+zero_weights = type(good)(good.point, good.missing_arrow, (0,) * len(good.weights))
+no_gap = NoStableDimGap(FacetSpec.parse("t=0;m=2,1"), dim_g=99, dim_v=1)
+for cert in (zero_weights, no_gap):
+    try:
+        verify_certificate(cert)
+    except LLCError as exc:
+        print("rejected", cert.kind, exc)
+    else:
+        print("verified", cert.kind)
+"""
+
+
+def test_verifier_survives_optimize():
+    # under python -O the assert statements of a verifier would vanish
+    # and both tampered certificates would come back verified
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_VERIFIER],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2, out.stdout
+    assert lines[0].startswith("rejected unstable-cocharacter"), out.stdout
+    assert lines[1].startswith("rejected no-stable-dim-gap"), out.stdout
 
 
 def test_group_size_formula():
