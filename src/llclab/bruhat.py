@@ -13,9 +13,17 @@ larger valuation (integral coefficient), clearing to the left divides by
 one of strictly larger valuation (coefficient in the maximal ideal);
 those are precisely the constraints Iwahori membership of k puts on the
 column operations, so no other pivot choice closes.
+
+On its support the Whittaker value is psi(residue) zeta^r omega(s t^d).
+WhittakerInvariant reads what that needs off a factorization once, for
+every datum; solve() then fits M = rotation^r * central(s, d) for one
+uniformizer through a per-(field, n, pi_unit) table of rotation powers.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from functools import lru_cache
 
 from .errors import InsufficientPrecision, LLCError, ZeroInput
 from .laurent import LocalField
@@ -109,18 +117,17 @@ class MonomialClass:
 
     def match_rotation_times_central(self, pi_unit: int) -> tuple[int, int, int] | None:
         """Solve self = rotation^r * central(s, d); None when impossible."""
-        ff = self.field.residue
-        n = self.n
-        for r in range(n):
-            rot = MonomialClass.rotation(self.field, n, pi_unit) ** r
-            if rot.cols != self.cols:
-                continue
-            ds = {self.exps[i] - rot.exps[i] for i in range(n)}
-            ss = {ff.mul(self.units[i], ff.inv(rot.units[i])) for i in range(n)}
-            if len(ds) == 1 and len(ss) == 1:
-                return r, ss.pop(), ds.pop()
+        hit = _rotation_table(self.field, self.n, pi_unit).get(self.cols)
+        if hit is None:
             return None
-        return None
+        r, exps, units = hit
+        ff = self.field.residue
+        d = self.exps[0] - exps[0]
+        s = ff.mul(self.units[0], ff.inv(units[0]))
+        for i in range(1, self.n):
+            if self.exps[i] - exps[i] != d or ff.mul(s, units[i]) != self.units[i]:
+                return None
+        return r, s, d
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialClass):
@@ -132,13 +139,72 @@ class MonomialClass:
             and self.units == other.units
         )
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash((self.cols, self.exps, self.units))
 
     def __repr__(self) -> str:
         return f"MonomialClass(cols={self.cols}, exps={self.exps}, units={self.units})"
 
     def to_json(self) -> dict:
         return {"perm": list(self.cols), "exps": list(self.exps), "units": list(self.units)}
+
+
+@lru_cache(maxsize=None)
+def _rotation_table(field: LocalField, n: int, pi_unit: int) -> dict:
+    """cols of rotation^r -> (r, exps, units), for 0 <= r < n; the n
+    powers shift the columns by distinct amounts."""
+    rot = MonomialClass.rotation(field, n, pi_unit)
+    cur = MonomialClass.identity(field, n)
+    table = {}
+    for r in range(n):
+        table[cur.cols] = (r, cur.exps, cur.units)
+        cur = cur.compose(rot)
+    return table
+
+
+# (r, s, d, residue): the Whittaker value there is psi(residue) zeta^r omega(s t^d)
+SolvedInvariant = namedtuple("SolvedInvariant", "rot central_unit central_val residue")
+
+
+class WhittakerInvariant(namedtuple("WhittakerInvariant", "mono residue corner")):
+    """What the Whittaker value of any datum reads off g = u * M * k: the
+    monomial class M, the summed superdiagonal residues of u and k, and
+    the digit of k[n-1][0] at t^1.  It does not see the uniformizer, so
+    one invariant serves data with different pi_unit.
+
+    M is an invariant of the double coset U g I+; the two digits are read
+    off this factorization and can move under another one, but on the
+    support of a datum their combination affine_residue(pi_unit) cannot.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, u: MatG | None, mono: MonomialClass, k: MatG | None) -> WhittakerInvariant:
+        """Read the invariant of u * mono * k; None stands for the identity."""
+        ff = mono.field.residue
+        total = 0
+        for m in (u, k):
+            if m is not None:
+                for r in m.superdiagonal_residues():
+                    total = ff.add(total, r)
+        corner = 0 if k is None else k.entry(mono.n - 1, 0).coeff_at(1)
+        return cls(mono, total, corner)
+
+    def affine_residue(self, pi_unit: int) -> int:
+        """The residue psi reads once the corner is divided by pi_unit."""
+        ff = self.mono.field.residue
+        return ff.add(self.residue, ff.mul(self.corner, ff.inv(pi_unit)))
+
+    def solve(self, pi_unit: int) -> SolvedInvariant | None:
+        """The invariant for one uniformizer; None off the Whittaker support."""
+        hit = self.mono.match_rotation_times_central(pi_unit)
+        if hit is None:
+            return None
+        return SolvedInvariant(*hit, self.affine_residue(pi_unit))
+
+    def to_json(self) -> dict:
+        return {"class": self.mono.to_json(), "residue": self.residue, "corner": self.corner}
 
 
 def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, MatG]:

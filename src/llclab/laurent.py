@@ -390,6 +390,25 @@ def dot(field: LocalField, xs, ys) -> LaurentElem:
     return _pack(field, lo, out, prec)
 
 
+def leibniz_det(field: LocalField, rows) -> LaurentElem:
+    """Determinant of a square matrix of series in field, as the signed sum
+    over permutations of the products of its entries, in the order and
+    with the precision that chain of products and sums gives."""
+    n = len(rows)
+    total = field.zero()
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = field.one()
+        for i in range(n):
+            prod = prod * rows[i][perm[i]]
+        total = total + (prod if sign == 1 else -prod)
+    return total
+
+
 class LocalField:
     """Either the Laurent series field over F_q or one fixed totally
     ramified extension of it.
@@ -538,20 +557,7 @@ class LocalField:
         """Norm to the base field: determinant of the regular representation."""
         if self.base is None:
             return x
-        mat = self.mult_matrix(x)
-        n = self.degree
-        total = self.base.zero()
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            prod = self.base.one()
-            for i in range(n):
-                prod = prod * mat[i][perm[i]]
-            total = total + (prod if sign == 1 else -prod)
-        return total
+        return leibniz_det(self.base, self.mult_matrix(x))
 
     # ----- coset representatives ----------------------------------------
     def unit_reps(self, m: int) -> list[LaurentElem]:

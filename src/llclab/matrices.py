@@ -7,10 +7,8 @@ is the naive one.  Precision rides along on the entries.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import ZeroInput
-from .laurent import LaurentElem, LocalField, dot
+from .laurent import LaurentElem, LocalField, dot, leibniz_det
 
 
 class MatG:
@@ -61,19 +59,7 @@ class MatG:
         return MatG(self.field, list(zip(*self.rows)))
 
     def det(self) -> LaurentElem:
-        n = self.n
-        total = self.field.zero()
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            prod = self.field.one()
-            for i in range(n):
-                prod = prod * self.rows[i][perm[i]]
-            total = total + (prod if sign == 1 else -prod)
-        return total
+        return leibniz_det(self.field, self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatG):

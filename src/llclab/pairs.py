@@ -11,12 +11,16 @@ sample.  Membership of a word in the group is constructive: the word is
 its own witness, no decision procedure for arbitrary matrices is
 attempted.
 
-The mirabolic comparison decomposes each enumerated point once; the
-decomposition does not see zeta, omega or the uniformizer unit, so one
-table serves every pair over the same residue field.  Enumeration covers
-the coordinates the value actually reads (polar digits of the unipotent
-coset, superdiagonal residues, the last column's leading digits) and
-spot-checks that deeper digits leave the decomposition invariants alone.
+Both checks keep, per word or per point, the WhittakerInvariant of
+bruhat: the monomial class, the summed superdiagonal residues and the
+corner digit.  It does not see zeta, omega or the uniformizer unit, so
+one walk serves both data of a pair and one mirabolic table serves every
+pair over the same residue field; each datum solves the rotation for its
+own uniformizer and reads its value off the solved invariant.  The
+mirabolic enumeration covers the coordinates the value actually reads
+(polar digits of the unipotent coset, superdiagonal residues, the last
+column's leading digits) and spot-checks that deeper digits leave the
+invariant alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import random
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .bruhat import MonomialClass, decompose
+from .bruhat import MonomialClass, WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
 from .errors import ZeroInput
 from .laurent import LocalField
@@ -55,7 +59,6 @@ class PairConfig:
 
 # ----- words in the joint compact group --------------------------------
 
-StateInv = namedtuple("StateInv", "cols exps units sdsum corner")
 KWord = namedtuple("KWord", "length uses1 uses2 fwd inv fwd_mat")
 WalkSamples = namedtuple("WalkSamples", "q n u1 u2 precision tags words")
 
@@ -192,16 +195,9 @@ class KWalk:
         else:
             self.push_random_iplus()
 
-    def _state_inv(self, M: MonomialClass, kmat: MatG) -> StateInv:
-        ff = self.F.residue
-        sd = 0
-        for r in kmat.superdiagonal_residues():
-            sd = ff.add(sd, r)
-        return StateInv(M.cols, M.exps, M.units, sd, kmat.entry(self.n - 1, 0).coeff_at(1))
-
     def snapshot(self, with_matrix: bool = False) -> KWord:
-        fwd = self._state_inv(self.M, self.k)
-        inv = self._state_inv(self.Mi, self.ki)
+        fwd = WhittakerInvariant.of(None, self.M, self.k)
+        inv = WhittakerInvariant.of(None, self.Mi, self.ki)
         mat = (self.M.as_matrix() * self.k) if with_matrix else None
         return KWord(len(self.tags), self.used1, self.used2, fwd, inv, mat)
 
@@ -238,44 +234,6 @@ def cached_k_words(
     return sample_k_words(q, n, u1, u2, steps, precision, seed)
 
 
-@lru_cache(maxsize=None)
-def _rotation_powers(q: int, n: int, pi_unit: int):
-    F = LocalField.base_field(q)
-    rot = MonomialClass.rotation(F, n, pi_unit)
-    out = []
-    cur = MonomialClass.identity(F, n)
-    for _ in range(n):
-        out.append((cur.cols, cur.exps, cur.units))
-        cur = cur.compose(rot)
-    return tuple(out)
-
-
-def _match_ints(cols, exps, units, rots, ff):
-    # same invariant solve as MonomialClass.match_rotation_times_central,
-    # inlined over plain tuples so bulk evaluation stays cheap
-    for r, (rc, re, ru) in enumerate(rots):
-        if rc != cols:
-            continue
-        ds = {exps[i] - re[i] for i in range(len(cols))}
-        if len(ds) != 1:
-            return None
-        ss = {ff.mul(units[i], ff.inv(ru[i])) for i in range(len(cols))}
-        if len(ss) != 1:
-            return None
-        return r, ss.pop(), ds.pop()
-    return None
-
-
-def _assemble_value(d: SSCDatum, st: StateInv, rots) -> RootOfUnity | None:
-    ff = d.F.residue
-    hit = _match_ints(st.cols, st.exps, st.units, rots, ff)
-    if hit is None:
-        return None
-    r, s, dv = hit
-    total = ff.add(st.sdsum, ff.mul(st.corner, ff.inv(d.pi_unit)))
-    return d.zeta**r * d.omega(d.F.elem(dv, (s,))) * d.psi.of_residue(total)
-
-
 def k_special_check(d: SSCDatum, samples: WalkSamples) -> dict:
     """Conjugation symmetry W(k^-1) = conj(W(k)) over the sampled words.
 
@@ -285,21 +243,19 @@ def k_special_check(d: SSCDatum, samples: WalkSamples) -> dict:
         raise ValueError("datum does not match the sampled group")
     if d.pi_unit not in (samples.u1, samples.u2):
         raise ValueError("datum's uniformizer is not one of the walk's")
-    ff = d.F.residue
-    rots = _rotation_powers(d.q, d.n, d.pi_unit)
     one = RootOfUnity.one()
-    # words repeat few distinct state pairs; memoize the per-pair verdict
-    verdicts: dict[tuple[StateInv, StateInv], str | None] = {}
+    # the words' digits differ far more often than their solved invariants
+    # do, so the per-pair verdict is memoized on the solved pair
+    verdicts: dict[tuple, str | None] = {}
     violations = []
     nonzero = zero = mixed_zero = audited = 0
     pure_nonzero = True
     for idx, w in enumerate(samples.words):
-        key = (w.fwd, w.inv)
+        key = (w.fwd.solve(d.pi_unit), w.inv.solve(d.pi_unit))
         if key in verdicts:
             verdict = verdicts[key]
         else:
-            a = _assemble_value(d, w.fwd, rots)
-            b = _assemble_value(d, w.inv, rots)
+            a, b = d.invariant_root(key[0]), d.invariant_root(key[1])
             if (a is None) != (b is None):
                 verdict = "support asymmetry"
             elif a is not None and a * b != one:
@@ -323,8 +279,7 @@ def k_special_check(d: SSCDatum, samples: WalkSamples) -> dict:
             violations.append({"word": idx, "reason": verdict})
         if w.fwd_mat is not None:
             direct = d.whittaker_root(w.fwd_mat)
-            got = _assemble_value(d, w.fwd, rots)
-            if (direct is None) != (got is None) or (direct is not None and direct != got):
+            if direct != d.invariant_root(key[0]):
                 violations.append({"word": idx, "reason": "state evaluation disagrees"})
             audited += 1
     return {
@@ -344,9 +299,6 @@ def k_special_check(d: SSCDatum, samples: WalkSamples) -> dict:
 
 # ----- mirabolic agreement ---------------------------------------------
 
-MirClass = namedtuple("MirClass", "u_res cols exps units k_res corner")
-
-
 class MirabolicTable:
     """Decomposed points of the mirabolic subgroup, aggregated by the
     invariants the Whittaker value reads."""
@@ -356,24 +308,10 @@ class MirabolicTable:
         self.n = n
         self.precision = precision
         self.shell_bound = shell_bound
-        self.classes = classes  # Counter over MirClass: enumerated + member extras
-        self.nonmember_classes = nonmember_classes  # Counter over MirClass
+        self.classes = classes  # Counter over WhittakerInvariant: enumerated + member extras
+        self.nonmember_classes = nonmember_classes  # Counter over WhittakerInvariant
         self.row_count = row_count
         self.spot_checks = spot_checks
-
-
-def _point_class(F: LocalField, p: MatG) -> MirClass:
-    n = p.n
-    u, mono, k = decompose(p)
-    ff = F.residue
-    ures = 0
-    for i in range(n - 1):
-        ures = ff.add(ures, u.entry(i, i + 1).coeff_at(0))
-    kres = 0
-    for r in k.superdiagonal_residues():
-        kres = ff.add(kres, r)
-    corner = k.entry(n - 1, 0).coeff_at(1)
-    return MirClass(ures, mono.cols, mono.exps, mono.units, kres, corner)
 
 
 def _embed(F: LocalField, g: MatG) -> MatG:
@@ -450,7 +388,7 @@ def mirabolic_table(
             for x_last in x_reps:
                 xs = [F.zero()] * (m - 1) + [x_last] if m >= 1 else []
                 point = _mirabolic_point(F, n, polar, k_res, xs)
-                classes[_point_class(F, point)] += 1
+                classes[WhittakerInvariant.of(*decompose(point))] += 1
                 base_points.append((polar, k_res, x_last))
                 rows += 1
 
@@ -483,7 +421,7 @@ def mirabolic_table(
         polar, k_res, x_last = base_points[rng.randrange(len(base_points))]
         base = _mirabolic_point(F, n, polar, k_res, [F.zero()] * (m - 1) + [x_last])
         refined = _deep_left() * base * _deep_right()
-        if _point_class(F, refined) != _point_class(F, base):
+        if WhittakerInvariant.of(*decompose(refined)) != WhittakerInvariant.of(*decompose(base)):
             raise AssertionError("mirabolic invariants moved under a deep refinement")
 
     # dense blocks for the support containment claim
@@ -502,7 +440,7 @@ def mirabolic_table(
             except ZeroInput:
                 continue
             break
-        cls = _point_class(F, _embed(F, g))
+        cls = WhittakerInvariant.of(*decompose(_embed(F, g)))
         rows += 1
         if member:
             classes[cls] += 1
@@ -512,43 +450,28 @@ def mirabolic_table(
     return MirabolicTable(q, n, precision, shell_bound, classes, nonmember, rows, spot_checks)
 
 
-def _mirabolic_value(d: SSCDatum, cls: MirClass, rots) -> RootOfUnity | None:
-    ff = d.F.residue
-    hit = _match_ints(cls.cols, cls.exps, cls.units, rots, ff)
-    if hit is None:
-        return None
-    r, s, dv = hit
-    total = ff.add(cls.u_res, ff.add(cls.k_res, ff.mul(cls.corner, ff.inv(d.pi_unit))))
-    return d.zeta**r * d.omega(d.F.elem(dv, (s,))) * d.psi.of_residue(total)
-
-
 def mirabolic_agreement(cfg: PairConfig) -> dict:
     """Both Whittaker functions, compared point by point on the mirabolic
     enumeration; also witnesses the support containment for dense blocks."""
     d1, d2 = cfg.d1, cfg.d2
     T = mirabolic_table(d1.q, d1.n, cfg.precision, cfg.shell_bound)
-    rots1 = _rotation_powers(d1.q, d1.n, d1.pi_unit)
-    rots2 = _rotation_powers(d2.q, d2.n, d2.pi_unit)
     mismatches = []
     support_violations = []
     nonzero = zero = 0
-    for cls, count in T.classes.items():
-        v1 = _mirabolic_value(d1, cls, rots1)
-        v2 = _mirabolic_value(d2, cls, rots2)
-        if (v1 is None) != (v2 is None) or (v1 is not None and v1 != v2):
-            mismatches.append({"class": cls._asdict(), "count": count})
-        elif v1 is None:
-            zero += count
-        else:
-            nonzero += count
-    for cls, count in T.nonmember_classes.items():
-        for d, rots in ((d1, rots1), (d2, rots2)):
-            if _mirabolic_value(d, cls, rots) is not None:
-                support_violations.append({"class": cls._asdict(), "pi_unit": d.pi_unit})
-        v1 = _mirabolic_value(d1, cls, rots1)
-        v2 = _mirabolic_value(d2, cls, rots2)
-        if (v1 is None) != (v2 is None) or (v1 is not None and v1 != v2):
-            mismatches.append({"class": cls._asdict(), "count": count})
+    for member, classes in ((True, T.classes), (False, T.nonmember_classes)):
+        for cls, count in classes.items():
+            v1, v2 = (d.invariant_root(cls.solve(d.pi_unit)) for d in (d1, d2))
+            if v1 != v2:
+                mismatches.append({"class": cls.to_json(), "count": count})
+            if not member:
+                for d, v in ((d1, v1), (d2, v2)):
+                    if v is not None:
+                        support_violations.append({"class": cls.to_json(), "pi_unit": d.pi_unit})
+            elif v1 == v2:
+                if v1 is None:
+                    zero += count
+                else:
+                    nonzero += count
     return {
         "q": d1.q,
         "n": d1.n,

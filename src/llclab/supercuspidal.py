@@ -10,7 +10,7 @@ the Iwahori, and the Whittaker function supported on U times that group.
 
 from __future__ import annotations
 
-from .bruhat import MonomialClass, decompose
+from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from .characters import AdditiveCharPsi, TameChar
 from .cyclotomic import CycloNumber, RootOfUnity
 from .laurent import LocalField
@@ -69,36 +69,31 @@ class SSCDatum:
     # ----- characters ----------------------------------------------------
     def affine_generic(self, k: MatG) -> RootOfUnity:
         """psi of the sum of the n affine simple residues of k in I+."""
-        ff = self.F.residue
-        total = 0
-        for r in k.superdiagonal_residues():
-            total = ff.add(total, r)
-        corner = k.entry(self.n - 1, 0).coeff_at(1)
-        total = ff.add(total, ff.mul(corner, ff.inv(self.pi_unit)))
-        return self.psi.of_residue(total)
+        return self.extended_char(0, 1, 0, k)
 
     def extended_char(self, r: int, s: int, d: int, k: MatG) -> RootOfUnity:
         """Value at rotation^r * (s t^d) * k of the extension by zeta."""
-        z = self.F.elem(d, (s,))
-        return self.zeta**r * self.omega(z) * self.affine_generic(k)
+        inv = WhittakerInvariant.of(None, MonomialClass.identity(self.F, self.n), k)
+        return self.invariant_root(SolvedInvariant(r, s, d, inv.affine_residue(self.pi_unit)))
 
     # ----- the Whittaker function ----------------------------------------
     def psi_u(self, u: MatG) -> RootOfUnity:
         """The generic character of the upper unipotent group."""
-        ff = self.F.residue
-        total = 0
-        for i in range(self.n - 1):
-            total = ff.add(total, u.entry(i, i + 1).coeff_at(0))
-        return self.psi.of_residue(total)
+        inv = WhittakerInvariant.of(u, MonomialClass.identity(self.F, self.n), None)
+        return self.psi.of_residue(inv.residue)
+
+    def invariant_root(self, solved: SolvedInvariant | None) -> RootOfUnity | None:
+        """psi(residue) zeta^r omega(s t^d) at a solved invariant (r, s, d,
+        residue); None, which stands for off the support, maps to None."""
+        if solved is None:
+            return None
+        r, s, d, residue = solved
+        return self.zeta**r * self.omega(self.F.elem(d, (s,))) * self.psi.of_residue(residue)
 
     def whittaker_root(self, g: MatG, prec: int | None = None) -> RootOfUnity | None:
         """The Whittaker value as a root of unity, or None off the support."""
-        u, mono, k = decompose(g, prec)
-        hit = mono.match_rotation_times_central(self.pi_unit)
-        if hit is None:
-            return None
-        r, s, d = hit
-        return self.psi_u(u) * self.extended_char(r, s, d, k)
+        inv = WhittakerInvariant.of(*decompose(g, prec))
+        return self.invariant_root(inv.solve(self.pi_unit))
 
     def whittaker(self, g: MatG, prec: int | None = None) -> CycloNumber:
         w = self.whittaker_root(g, prec)

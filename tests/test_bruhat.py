@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -112,6 +113,67 @@ def test_match_rotation_rejects_off_support_classes():
         MonomialClass(F, (1, 2, 0), (0, 0, 1), (1, 2, 1)).match_rotation_times_central(1)
         is None
     )
+
+
+def _compose_loop_solve(M, pi_unit):
+    # reference solve without the table: rebuild rotation^r by repeated
+    # composition for every r and compare exponents and units
+    ff = M.field.residue
+    n = M.n
+    for r in range(n):
+        rot = MonomialClass.rotation(M.field, n, pi_unit) ** r
+        if rot.cols != M.cols:
+            continue
+        ds = {M.exps[i] - rot.exps[i] for i in range(n)}
+        ss = {ff.mul(M.units[i], ff.inv(rot.units[i])) for i in range(n)}
+        if len(ds) == 1 and len(ss) == 1:
+            return r, ss.pop(), ds.pop()
+        return None
+    return None
+
+
+def test_rotation_solve_table_matches_compose_loop():
+    hits = misses = 0
+    for q in (5, 7):
+        F = LocalField.base_field(q)
+        ff = F.residue
+        for n in range(2, 6):
+            classes = [
+                MonomialClass(F, perm, [0] * n, [1] * n)
+                for perm in itertools.permutations(range(n))
+            ]
+            for built_u0, r, s, d in itertools.product(range(1, q), range(n), (1, 2), (-1, 1)):
+                M = (MonomialClass.rotation(F, n, built_u0) ** r).compose(
+                    MonomialClass.central(F, n, s, d)
+                )
+                classes.append(M)
+                # off the support: one exponent or one unit out of step
+                for i in range(n):
+                    exps = list(M.exps)
+                    exps[i] += 1
+                    units = list(M.units)
+                    units[i] = ff.mul(units[i], ff.gen)
+                    classes.append(MonomialClass(F, M.cols, exps, M.units))
+                    classes.append(MonomialClass(F, M.cols, M.exps, units))
+            for M in classes:
+                twin = MonomialClass(F, list(M.cols), list(M.exps), list(M.units))
+                assert twin == M and hash(twin) == hash(M)
+                for u0 in range(1, q):
+                    want = _compose_loop_solve(M, u0)
+                    assert M.match_rotation_times_central(u0) == want
+                    hits += want is not None
+                    misses += want is None
+    assert hits > 0 and misses > 0
+
+
+def test_monomial_class_hash_follows_equality():
+    F = LocalField.base_field(7)
+    for n, u0 in [(2, 3), (3, 5), (4, 2)]:
+        rot = MonomialClass.rotation(F, n, u0)
+        a, b = rot**n, MonomialClass.central(F, n, u0, 1)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "hit"}[b] == "hit"
+        assert len({rot**r for r in range(2 * n)}) == 2 * n
 
 
 def test_decompose_identity_and_hand_case():

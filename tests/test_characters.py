@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar
+from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar, _norm_of_variable
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import InsufficientPrecision, ZeroInput
 from llclab.laurent import LocalField
@@ -192,6 +192,22 @@ def test_twist_by_base_character():
         # the wild part is untouched: one-units of the base are in ker(lam)
         for c1 in range(q):
             assert tw(E.elem(0, (1, c1))) == xi(E.elem(0, (1, c1)))
+
+
+def test_norm_of_variable_closed_form_matches_determinant():
+    # every extension of degree 2..5 prime to p over these residue fields,
+    # for every uniformizer unit: the closed form against the Leibniz norm
+    seen = 0
+    for q in (3, 5, 7, 9, 11, 13, 25):
+        F = LocalField.base_field(q)
+        for n in range(2, 6):
+            if n % F.residue.p == 0:
+                continue
+            for u0 in range(1, q):
+                E = F.extension(n, u0)
+                assert _norm_of_variable(E) == E.norm_to_base(E.variable()).leading()
+                seen += 1
+    assert seen == 226
 
 
 def test_level_one_char_needs_two_digits():

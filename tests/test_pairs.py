@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from llclab.bruhat import decompose
+from llclab.bruhat import WhittakerInvariant, decompose
 from llclab.cyclotomic import RootOfUnity
 from llclab.matrices import MatG
 from llclab.pairs import (
@@ -87,6 +87,32 @@ def test_tracked_inverse_is_exact():
         assert k.entry(2, 0).coeff_at(1) == 0
         d = _datum(5, 3, zeta_num=1, u0=1)
         assert d.whittaker_root(prod) == RootOfUnity.one()
+
+
+def test_walk_invariants_match_decomposition():
+    # every prefix, forward and inverse: the invariant the walk keeps and
+    # the one read off decompose() share the monomial class and solve to
+    # the same (r, s, d, residue) for both walk units.  The two digits
+    # alone may differ, since another factorization of the same matrix
+    # may move them; where the class is on the support of every unit
+    # they are pinned, and there the whole invariant agrees
+    q, n, u1, u2 = 5, 3, 1, 2
+    supported = pinned = 0
+    for seed in (0, 1):
+        walk = KWalk(q, n, u1, u2, seed=seed)
+        for _ in range(120):
+            walk.random_step()
+            word = walk.snapshot()
+            for kept, mat in ((word.fwd, walk.forward_matrix()), (word.inv, walk.inverse_matrix())):
+                read = WhittakerInvariant.of(*decompose(mat))
+                assert kept.mono == read.mono
+                for u0 in (u1, u2):
+                    assert kept.solve(u0) == read.solve(u0)
+                    supported += kept.solve(u0) is not None
+                if all(kept.solve(u0) is not None for u0 in range(1, q)):
+                    assert kept == read
+                    pinned += 1
+    assert supported > 0 and pinned > 0
 
 
 def test_sampler_shapes():

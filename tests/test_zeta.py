@@ -9,6 +9,7 @@ from llclab.cyclotomic import RootOfUnity
 from llclab.monomials import EpsMonomial, EpsPolynomial, LambdaGraded
 from llclab.supercuspidal import SSCDatum
 from llclab.zeta import (
+    FULL_ENUM_CAP,
     cached_dual_table,
     closed_form_epsilon,
     dual_matrix,
@@ -71,8 +72,6 @@ def test_depth_and_mode_guards():
         zeta_psi(d, lam, m=1)
     with pytest.raises(ValueError):
         zeta_psi(d, lam, shell_bound=0)
-    with pytest.raises(ValueError):
-        zeta_psi_tilde(d, lam, mode="approximate")
 
 
 # ----- dual integral -----------------------------------------------------
@@ -144,12 +143,15 @@ def test_dual_integral_tame_twist():
 
 
 def test_dual_full_and_pruned_agree():
+    # at shell bound 1 and depth 2 the direct integrator enumerates every
+    # point; the tables at shell bounds 1 and 2 must reproduce it
     d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
     lam = TameChar(d.F, 1, RootOfUnity(1, 4))
-    full = zeta_psi_tilde(d, lam, shell_bound=1, mode="full")
-    pruned = zeta_psi_tilde(d, lam, shell_bound=1, mode="pruned")
-    wider = zeta_psi_tilde(d, lam, shell_bound=2, mode="pruned")
-    assert full == pruned == wider
+    assert 3 * 20 * 5**3 <= FULL_ENUM_CAP  # shells x unit cosets x x-points
+    full = zeta_psi_tilde(d, lam, shell_bound=1)
+    narrow = dual_support_table(5, 3, 2, shell_bound=1).assemble(d, lam)
+    wider = dual_support_table(5, 3, 2, shell_bound=2).assemble(d, lam)
+    assert full == narrow == wider
     assert full == _dual_expected(d, lam)
 
 
