@@ -285,5 +285,5 @@ def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, Ma
     k2 = mono.inverse_matrix() * MatG(field, A)
     k_total = k2 * MatG(field, k_rows)
     if not k_total.in_pro_unipotent_iwahori():
-        raise AssertionError("internal: k factor left the Iwahori subgroup")
+        raise LLCError("internal: k factor left the Iwahori subgroup")
     return MatG(field, u_rows), mono, k_total

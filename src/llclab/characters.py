@@ -52,10 +52,6 @@ class AdditiveCharPsi:
             raise TypeError("argument does not live on the base field")
         return self.of_residue(x.coeff_at(0))
 
-    def on_extension(self, x: LaurentElem) -> RootOfUnity:
-        """Composition with the trace from the extension."""
-        return self(x.field.trace_to_base(x))
-
 
 class TameChar:
     """Depth-zero character of the base field units extended by a chosen
@@ -179,4 +175,4 @@ class LevelOneCharE:
         return LevelOneCharE(self.efield, at_pi, exp_unit)
 
     def __repr__(self) -> str:
-        return f"LevelOneCharE(exp_unit={self.exp_unit}, at_pi={self.at_pi.terms})"
+        return f"LevelOneCharE(exp_unit={self.exp_unit}, at_pi={self.at_pi!r})"

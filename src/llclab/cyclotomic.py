@@ -366,10 +366,6 @@ class CycloNumber:
         out._canon = self._canon
         return out
 
-    def is_rational(self) -> bool:
-        canon = self.canonical()
-        return not canon or (len(canon) == 1 and canon[0][0] == 0)
-
     def rational_value(self) -> Fraction:
         canon = self.canonical()
         if not canon:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import LLCError
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -44,7 +46,7 @@ class FiniteField:
             for c0 in range(p):
                 if all((x * x + c1 * x + c0) % p for x in range(p)):
                     return (c0, c1)
-        raise AssertionError("no irreducible quadratic found")
+        raise LLCError("no irreducible quadratic found")
 
     def _digits(self, a: int) -> tuple[int, int]:
         return a % self.p, a // self.p
@@ -100,7 +102,7 @@ class FiniteField:
                 order += 1
             if order == q - 1:
                 return g
-        raise AssertionError("no generator found")
+        raise LLCError("no generator found")
 
     # element operations -------------------------------------------------
     def add(self, a: int, b: int) -> int:

@@ -7,8 +7,8 @@ quadratic discriminant character of E/F, brute-force Gauss sums over
 unit cosets of E, and the resulting epsilon factor.
 
 The constant attached to the induction step is never given a numeric
-value; it enters as the formal unit Lambda, with the single optional
-rewriting rule Lambda^n = kappa(pi) available in reduced mode.  Every
+value; it enters as the formal unit Lambda, with the single rewriting
+rule Lambda^n = kappa(pi), which the determinant applies.  Every
 identity in scope holds at the level of Lambda-graded coefficients, and
 the epsilon factor itself comes out Lambda-free.
 """
@@ -69,36 +69,23 @@ def kappa_char(efield: LocalField) -> TameChar:
 
 class ParameterDatum:
     """Everything the Galois side needs: the ramified extension, its
-    quadratic character, and the depth-one character being induced.
+    quadratic character, and the depth-one character being induced."""
 
-    lambda_mode selects whether powers of the formal induction constant
-    are kept (formal) or folded through Lambda^n = kappa(pi) (reduced).
-    """
+    __slots__ = ("ssc", "efield", "kappa", "xi")
 
-    __slots__ = ("ssc", "efield", "kappa", "xi", "lambda_mode")
-
-    def __init__(self, ssc: SSCDatum, lambda_mode: str = "formal"):
-        if lambda_mode not in ("formal", "reduced"):
-            raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
+    def __init__(self, ssc: SSCDatum):
         self.ssc = ssc
         self.efield = ssc.extension_field()
         self.kappa = kappa_char(self.efield)
         e_xi = (ssc.omega_exp - self.kappa.exp_unit) % (ssc.q - 1)
         self.xi = LevelOneCharE(self.efield, LambdaGraded.lambda_power(-1, ssc.zeta), e_xi)
-        self.lambda_mode = lambda_mode
-
-    def kappa_at_pi(self) -> int:
-        return 1 if self.kappa(self.ssc.pi_elem()).is_one() else -1
 
     def __repr__(self) -> str:
-        return (
-            f"ParameterDatum(q={self.ssc.q}, n={self.ssc.n}, "
-            f"zeta={self.ssc.zeta}, lambda_mode={self.lambda_mode})"
-        )
+        return f"ParameterDatum(q={self.ssc.q}, n={self.ssc.n}, zeta={self.ssc.zeta})"
 
 
-def build_parameter(d: SSCDatum, lambda_mode: str = "formal") -> ParameterDatum:
-    return ParameterDatum(d, lambda_mode)
+def build_parameter(d: SSCDatum) -> ParameterDatum:
+    return ParameterDatum(d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,12 +194,10 @@ class DetCharacter:
 
 def det_parameter(P: ParameterDatum) -> DetCharacter:
     """Determinant of the induced parameter: the restriction of xi to the
-    base field times kappa.  In reduced mode its value at pi is exactly
-    the central character there."""
+    base field times kappa.  Its value at pi folds Lambda^n = kappa(pi),
+    so it is exactly the central character there."""
     d = P.ssc
     kp = P.kappa(d.pi_elem())
-    at_pi = (P.xi.at_pi ** d.n) * kp
-    if P.lambda_mode == "reduced":
-        at_pi = at_pi.reduce_lambda(d.n, 1 if kp.is_one() else -1)
+    at_pi = ((P.xi.at_pi ** d.n) * kp).reduce_lambda(d.n, 1 if kp.is_one() else -1)
     e = P.xi.exp_unit + P.kappa.exp_unit
     return DetCharacter(d.F, e, at_pi, d.pi_unit)

@@ -126,7 +126,7 @@ def verify_matching(d: SSCDatum, twists=None, include_integral: bool | None = No
         row["equal"] = equal
         all_equal = all_equal and equal
         rows.append(row)
-    det = det_parameter(build_parameter(d, "reduced"))
+    det = det_parameter(P)
     central_ok = (
         det.exp_unit == d.omega_exp % (d.q - 1)
         and det.at_pi == LambdaGraded.from_cyclo(d.omega(d.pi_elem()))

@@ -55,9 +55,6 @@ class MatG:
     def truncate(self, prec: int) -> MatG:
         return MatG(self.field, [[e.truncate(prec) for e in row] for row in self.rows])
 
-    def transpose(self) -> MatG:
-        return MatG(self.field, list(zip(*self.rows)))
-
     def det(self) -> LaurentElem:
         return leibniz_det(self.field, self.rows)
 

@@ -1,12 +1,13 @@
 """Epsilon-factor values as exact symbolic monomials.
 
 An epsilon factor here is a unit times an exact power q^(a + b*s).  The unit
-may carry a formal power of the Langlands constant Lambda attached to the
-ramified degree-n extension: we never evaluate Lambda numerically, we only
-track its exponent, and an opt-in rewrite collapses Lambda^n to the value
-kappa(pi) = +-1 of the quadratic discriminant character at the uniformizer.
-Zeta integrals produce polynomials in q^(-s) with such units as coefficients;
-the closed forms assert they collapse back to a single monomial.
+is one grade per value: a cyclotomic number times a single formal power of
+the Langlands constant Lambda attached to the ramified degree-n extension.
+We never evaluate Lambda numerically, we only track its exponent;
+reduce_lambda collapses Lambda^n to the value kappa(pi) = +-1 of the
+quadratic discriminant character at the uniformizer.  Zeta integrals
+produce polynomials in q^(-s) with such units as coefficients; the closed
+forms assert they collapse back to a single monomial.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import CycloNumber, Rational, RootOfUnity
+from .cyclotomic import CycloNumber, RootOfUnity
 from .errors import LLCError, NotMonomial
 
 _CoeffLike = int | Fraction | RootOfUnity | CycloNumber
@@ -29,145 +30,108 @@ def _as_cyclo(c: _CoeffLike) -> CycloNumber:
 
 
 class LambdaGraded:
-    """Finite sum of terms c * Lambda^a with exact cyclotomic c."""
+    """One term c * Lambda^a: an exact cyclotomic coefficient at one grade.
 
-    __slots__ = ("terms",)
+    Every value on the Galois side is a single power of Lambda times a
+    cyclotomic number, so a product adds grades and multiplies coefficients
+    once.  Zero is zero at every grade; a sum of nonzero values at two
+    different grades is outside the theory and raises LLCError.
+    """
 
-    def __init__(self, terms: dict[int, CycloNumber] | None = None):
-        clean: dict[int, CycloNumber] = {}
-        if terms:
-            for a, c in terms.items():
-                if not c.is_zero():
-                    clean[a] = c
-        self.terms = clean
+    __slots__ = ("grade", "coeff")
 
-    @classmethod
-    def _from_clean(cls, terms: dict[int, CycloNumber]) -> LambdaGraded:
-        """Wrap grades whose coefficients are all nonzero, skipping the
-        zero-cleaning pass."""
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
+    def __init__(self, grade: int, coeff: CycloNumber):
+        self.grade = grade
+        self.coeff = coeff
 
     @classmethod
     def from_cyclo(cls, c: _CoeffLike) -> LambdaGraded:
-        return cls({0: _as_cyclo(c)})
+        return cls(0, _as_cyclo(c))
 
     @classmethod
     def lambda_power(cls, a: int, coeff: _CoeffLike = 1) -> LambdaGraded:
-        return cls({a: _as_cyclo(coeff)})
+        return cls(a, _as_cyclo(coeff))
 
     @classmethod
     def zero(cls) -> LambdaGraded:
-        return cls({})
+        return cls(0, CycloNumber.zero())
 
     @classmethod
     def one(cls) -> LambdaGraded:
-        return cls.from_cyclo(1)
+        return cls(0, CycloNumber.one())
+
+    @property
+    def terms(self) -> dict[int, CycloNumber]:
+        """Read-only {grade: coeff} view, empty for zero; perfbench's
+        microbench reads its values."""
+        return {} if self.is_zero() else {self.grade: self.coeff}
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
+        return self.coeff.is_zero()
 
     def is_lambda_free(self) -> bool:
-        return all(a == 0 or c.is_zero() for a, c in self.terms.items())
+        return self.grade == 0 or self.is_zero()
 
     def constant_part(self) -> CycloNumber:
-        """The Lambda^0 coefficient; errors if other grades survive."""
-        extra = [a for a, c in self.terms.items() if a != 0 and not c.is_zero()]
-        if extra:
-            raise ValueError(f"value still carries Lambda^{extra}")
-        return self.terms.get(0, CycloNumber.zero())
+        """The Lambda^0 coefficient; errors if the value carries Lambda."""
+        if not self.is_lambda_free():
+            raise ValueError(f"value still carries Lambda^{self.grade}")
+        return self.coeff
 
     def __add__(self, other: LambdaGraded) -> LambdaGraded:
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out[a] + c if a in out else c
-        return LambdaGraded(out)
+        if self.grade == other.grade:
+            return LambdaGraded(self.grade, self.coeff + other.coeff)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        raise LLCError(f"sum of Lambda^{self.grade} and Lambda^{other.grade} terms")
 
     def __neg__(self) -> LambdaGraded:
-        return LambdaGraded({a: -c for a, c in self.terms.items()})
+        return LambdaGraded(self.grade, -self.coeff)
 
     def __sub__(self, other: LambdaGraded) -> LambdaGraded:
         return self + (-other)
 
     def __mul__(self, other) -> LambdaGraded:
         if isinstance(other, LambdaGraded):
-            out: dict[int, CycloNumber] = {}
-            for a1, c1 in self.terms.items():
-                for a2, c2 in other.terms.items():
-                    a = a1 + a2
-                    c = c1 * c2
-                    out[a] = out[a] + c if a in out else c
-            return LambdaGraded(out)
-        if isinstance(other, CycloNumber):
-            if other.is_zero():
-                return LambdaGraded.zero()
-        elif isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LambdaGraded.zero()
-        elif not isinstance(other, RootOfUnity):
-            return NotImplemented
-        # a product of nonzero field elements is nonzero: no grade clears
-        return LambdaGraded._from_clean({a: c * other for a, c in self.terms.items()})
+            return LambdaGraded(self.grade + other.grade, self.coeff * other.coeff)
+        if isinstance(other, (CycloNumber, RootOfUnity, int, Fraction)):
+            return LambdaGraded(self.grade, self.coeff * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LambdaGraded):
             return NotImplemented
-        mine, theirs = self.terms, other.terms
-        for a, c in mine.items():
-            d = theirs.get(a)
-            if d is None:
-                if not c.is_zero():
-                    return False
-            elif c != d:
-                return False
-        return all(a in mine or c.is_zero() for a, c in theirs.items())
+        if self.grade == other.grade:
+            return self.coeff == other.coeff
+        return self.is_zero() and other.is_zero()
 
     __hash__ = None
 
     def inverse(self) -> LambdaGraded:
-        live = [(a, c) for a, c in self.terms.items() if not c.is_zero()]
-        if len(live) != 1:
-            raise ValueError("only graded monomials are invertible here")
-        a, c = live[0]
-        return LambdaGraded({-a: c.inverse()})
+        if self.is_zero():
+            raise ValueError("zero has no inverse")
+        return LambdaGraded(-self.grade, self.coeff.inverse())
 
     def __pow__(self, k: int) -> LambdaGraded:
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        out = LambdaGraded.one()
-        acc = base
-        while k:
-            if k & 1:
-                out = out * acc
-            acc = acc * acc
-            k >>= 1
-        return out
+        base = self.inverse() if k < 0 else self
+        return LambdaGraded(base.grade * abs(k), base.coeff ** abs(k))
 
     def reduce_lambda(self, n: int, kappa_pi: int) -> LambdaGraded:
-        """Rewrite Lambda^n -> kappa_pi (+-1), folding exponents into 0..n-1."""
+        """Rewrite Lambda^n -> kappa_pi (+-1), folding the grade into 0..n-1."""
         if kappa_pi not in (1, -1):
             raise LLCError(f"kappa(pi) must be 1 or -1, not {kappa_pi!r}")
-        out: dict[int, CycloNumber] = {}
-        for a, c in self.terms.items():
-            r = a % n
-            sign = 1 if kappa_pi == 1 or ((a - r) // n) % 2 == 0 else -1
-            c = c * sign
-            out[r] = out[r] + c if r in out else c
-        return LambdaGraded(out)
+        folds, r = divmod(self.grade, n)
+        return LambdaGraded(r, self.coeff * (kappa_pi if folds % 2 else 1))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "LambdaGraded(0)"
-        body = " + ".join(f"({c!r})*L^{a}" for a, c in sorted(self.terms.items()))
-        return f"LambdaGraded({body})"
+        return f"LambdaGraded(({self.coeff!r})*L^{self.grade})"
 
     def to_json(self) -> dict:
-        return {"terms": {str(a): c.to_json() for a, c in sorted(self.terms.items())}}
+        return {"unit": self.coeff.to_json(), "lambda": self.grade}
 
 
 def _same_q(x, y) -> None:
@@ -221,22 +185,11 @@ class EpsMonomial:
 
     __hash__ = None
 
-    def reduce_lambda(self, n: int, kappa_pi: int) -> EpsMonomial:
-        return EpsMonomial(self.q, self.unit.reduce_lambda(n, kappa_pi),
-                           self.q_const, self.s_coeff)
-
     def __repr__(self) -> str:
         return f"EpsMonomial({self.unit!r} * {self.q}^({self.q_const} + {self.s_coeff}*s))"
 
     def to_json(self) -> dict:
-        live = [(a, c) for a, c in self.unit.terms.items() if not c.is_zero()]
-        qexp = {"const": str(self.q_const), "s": self.s_coeff}
-        if not live:
-            return {"unit": CycloNumber.zero().to_json(), "lambda": 0, "q_exp": qexp}
-        if len(live) == 1:
-            a, c = live[0]
-            return {"unit": c.to_json(), "lambda": a, "q_exp": qexp}
-        return {"unit_terms": self.unit.to_json(), "q_exp": qexp}
+        return {**self.unit.to_json(), "q_exp": {"const": str(self.q_const), "s": self.s_coeff}}
 
 
 class EpsPolynomial:

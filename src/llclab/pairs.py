@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .bruhat import MonomialClass, WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
-from .errors import ZeroInput
+from .errors import LLCError, ZeroInput
 from .laurent import LocalField
 from .matrices import MatG
 from .supercuspidal import SSCDatum
@@ -95,7 +95,7 @@ class KWalk:
 
     def _check_iwahori(self) -> None:
         if not self.k.in_pro_unipotent_iwahori() or not self.ki.in_pro_unipotent_iwahori():
-            raise AssertionError("walk state left the Iwahori subgroup")
+            raise LLCError("walk state left the Iwahori subgroup")
 
     def _conj_by(self, cls: MonomialClass, A: MatG) -> MatG:
         """cls^-1 A cls in O(n^2): entry (i,j) moves to (cols_i, cols_j)
@@ -352,16 +352,15 @@ def _is_member(g: MatG) -> bool:
     )
 
 
+# dense GL_{n-1} blocks per table, deep refinements checked per table,
+# and the seed of both draws
+MIRABOLIC_EXTRAS = 40
+MIRABOLIC_SPOT_CHECKS = 30
+MIRABOLIC_SEED = 9
+
+
 @lru_cache(maxsize=None)
-def mirabolic_table(
-    q: int,
-    n: int,
-    precision: int = 2,
-    shell_bound: int = 1,
-    extras: int = 40,
-    spot_checks: int = 30,
-    seed: int = 9,
-) -> MirabolicTable:
+def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) -> MirabolicTable:
     """Enumerate and decompose mirabolic points once per residue field.
 
     The value-relevant coordinates run in full: polar digits of the
@@ -370,7 +369,7 @@ def mirabolic_table(
     Deeper digits are checked to leave the invariants unchanged on random
     refinements, and random dense GL_{n-1} blocks feed the support claim.
     """
-    rng = random.Random(seed)
+    rng = random.Random(MIRABOLIC_SEED)
     F = LocalField.base_field(q)
     m = n - 1
     polar_slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -417,15 +416,15 @@ def mirabolic_table(
                     rows[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(precision)])
         return MatG(F, rows)
 
-    for _ in range(spot_checks):
+    for _ in range(MIRABOLIC_SPOT_CHECKS):
         polar, k_res, x_last = base_points[rng.randrange(len(base_points))]
         base = _mirabolic_point(F, n, polar, k_res, [F.zero()] * (m - 1) + [x_last])
         refined = _deep_left() * base * _deep_right()
         if WhittakerInvariant.of(*decompose(refined)) != WhittakerInvariant.of(*decompose(base)):
-            raise AssertionError("mirabolic invariants moved under a deep refinement")
+            raise LLCError("mirabolic invariants moved under a deep refinement")
 
     # dense blocks for the support containment claim
-    for _ in range(extras):
+    for _ in range(MIRABOLIC_EXTRAS):
         while True:
             g_rows = [
                 [
@@ -447,7 +446,7 @@ def mirabolic_table(
         else:
             nonmember[cls] += 1
 
-    return MirabolicTable(q, n, precision, shell_bound, classes, nonmember, rows, spot_checks)
+    return MirabolicTable(q, n, precision, shell_bound, classes, nonmember, rows, MIRABOLIC_SPOT_CHECKS)
 
 
 def mirabolic_agreement(cfg: PairConfig) -> dict:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from .bruhat import WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
 from .characters import TameChar
-from .errors import PrecisionNotStabilized
+from .errors import LLCError, PrecisionNotStabilized
 from .laurent import LaurentElem, LocalField
 from .matrices import MatG, diagonal
 from .monomials import EpsMonomial, EpsPolynomial, LambdaGraded
@@ -217,7 +217,7 @@ def _audit_table(F: LocalField, n: int, pi_unit: int, m: int, B: int, delta: int
         h = rng.choice(unit_rs).shift(v)
         xs = [_random_elem(rng, F, -B, m) for _ in range(n - 2)]
         if _solved_point(F, pi_unit, xs, h) is not None:
-            raise AssertionError(f"table audit failed: val(h) = {v} contributed")
+            raise LLCError(f"table audit failed: val(h) = {v} contributed")
     if n > 2:
         for _ in range(SPOT_CHECKS):
             h = rng.choice(unit_rs).shift(-1)
@@ -229,14 +229,14 @@ def _audit_table(F: LocalField, n: int, pi_unit: int, m: int, B: int, delta: int
                 [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)],
             )
             if _solved_point(F, pi_unit, xs, h) is not None:
-                raise AssertionError("table audit failed: non-integral x contributed")
+                raise LLCError("table audit failed: non-integral x contributed")
         for _ in range(SPOT_CHECKS // 2):
             # digits below the class depth must not move the invariants
             h = rng.choice(unit_rs).shift(-1)
             base = [_random_elem(rng, F, 0, delta) if delta else F.zero() for _ in range(n - 2)]
             refined = [b + _random_elem(rng, F, delta, m) for b in base]
             if _solved_point(F, pi_unit, base, h) != _solved_point(F, pi_unit, refined, h):
-                raise AssertionError("table audit failed: invariants moved inside an x-class")
+                raise LLCError("table audit failed: invariants moved inside an x-class")
 
 
 def _aggregate(rows: list[DualRow]) -> dict[DualRow, int]:

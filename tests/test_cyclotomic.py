@@ -173,9 +173,11 @@ def test_mixed_products_match_reflected_order():
     c = CycloNumber(6, {0: 2, 1: -1, 5: Fraction(1, 3)})
     assert z * c == c * z
     assert (z * c).complex_value() == pytest.approx(z.complex_value() * c.complex_value())
-    g = LambdaGraded({0: c, 2: RootOfUnity(1, 4).as_cyclo()})
-    assert z * g == g * z
-    assert c * g == g * c
+    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})  # a zero with three terms
+    for g in (LambdaGraded.lambda_power(2, c), LambdaGraded.lambda_power(-1, RootOfUnity(1, 4))):
+        for f in (z, c, w_sum, 0, Fraction(-3, 2), 7):
+            assert f * g == g * f
+            assert (f * g).grade == g.grade
     for x in (z, c):
         with pytest.raises(TypeError):
             x * "not a number"

@@ -351,7 +351,7 @@ def test_epsilon_galois_matches_closed_form():
 def test_det_parameter_reduced_is_central_character():
     for q, n, znum, e_om, u0 in [(5, 2, 1, 2, 2), (7, 3, 4, 3, 1), (3, 4, 5, 1, 2)]:
         d = _datum(q, n, znum, e_om, u0)
-        det = det_parameter(build_parameter(d, "reduced"))
+        det = det_parameter(build_parameter(d))
         assert det.exp_unit == d.omega_exp % (q - 1)
         assert det.at_pi == LambdaGraded.from_cyclo(d.omega(d.pi_elem()))
         ff = d.F.residue
@@ -359,12 +359,3 @@ def test_det_parameter_reduced_is_central_character():
             assert det.of_unit(a) == d.omega.of_unit(a)
         x = d.F.elem(-2, (2, 1, 2))
         assert det(x) == LambdaGraded.from_cyclo(d.omega(x))
-
-
-def test_det_parameter_formal_keeps_lambda():
-    d = _datum(5, 2, zeta_num=1, omega_exp=2, u0=2)
-    P = build_parameter(d)
-    det = det_parameter(P)
-    kp = P.kappa(d.pi_elem())
-    want = LambdaGraded.lambda_power(-2, d.omega(d.pi_elem()) * kp)
-    assert det.at_pi == want

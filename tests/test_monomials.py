@@ -118,52 +118,111 @@ def test_monomial_json_shape():
     assert data["lambda"] == -1
     assert data["q_exp"] == {"const": "1/2", "s": -1}
     assert data["unit"]["order"] == 3
-
-
-def _graded(grades):
-    out = LambdaGraded.zero()
-    for a, c in grades.items():
-        out = out + LambdaGraded.lambda_power(a, c)
-    return out
+    for unit in (LambdaGraded.one(), LambdaGraded.zero(), LambdaGraded.lambda_power(2, 5)):
+        assert set(EpsMonomial(7, unit, Fraction(0), 0).to_json()) == {"unit", "lambda", "q_exp"}
 
 
 def _assert_same_value(fast, generic):
     assert fast == generic and generic == fast
     assert (fast - generic).is_zero()
-    assert set(fast.terms) == set(generic.terms)
-    for a, c in fast.terms.items():
-        assert c.order == generic.terms[a].order
-        assert abs(c.complex_value() - generic.terms[a].complex_value()) < 1e-9
+    assert fast.grade == generic.grade
+    assert fast.coeff.order == generic.coeff.order
+    assert abs(fast.coeff.complex_value() - generic.coeff.complex_value()) < 1e-9
 
 
 def test_graded_scaling_matches_generic_product():
     w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})  # a zero with three terms
-    g = _graded({0: CycloNumber(6, {1: 2, 5: Fraction(-1, 3)}),
-                 -1: RootOfUnity(1, 9), 2: CycloNumber(10, {7: 10**20})})
+    values = [LambdaGraded.lambda_power(0, CycloNumber(6, {1: 2, 5: Fraction(-1, 3)})),
+              LambdaGraded.lambda_power(-1, RootOfUnity(1, 9)),
+              LambdaGraded.lambda_power(2, CycloNumber(10, {7: 10**20}))]
     factors = [RootOfUnity(-1, 4), RootOfUnity(10**12 + 1, 7), RootOfUnity.one(),
                CycloNumber(4, {0: 1, 3: -2}), w_sum, CycloNumber.zero(5),
                Fraction(-3, 2), 0, 7]
-    for f in factors:
-        generic = g * LambdaGraded.from_cyclo(f)  # convolution with init cleaning
-        fast_products = [g * f, f * g] if isinstance(f, (int, Fraction)) else [g * f]
-        for fast in fast_products:
-            _assert_same_value(fast, generic)
-            assert all(not c.is_zero() for c in fast.terms.values())
-    assert (g * w_sum).terms == {} and (g * 0).terms == {}
+    for g in values:
+        for f in factors:
+            generic = g * LambdaGraded.from_cyclo(f)  # the graded product
+            for fast in (g * f, f * g):
+                _assert_same_value(fast, generic)
+                assert fast.is_zero() == (f == 0)
+        assert (g * w_sum).is_zero() and (g * 0).is_zero()
+        assert g * w_sum == LambdaGraded.zero() and LambdaGraded.zero() == 0 * g
 
 
 def test_graded_equality_grade_on_one_side_only():
     z = RootOfUnity(1, 6).as_cyclo()
-    one_grade = _graded({0: 1})
-    two_grades = _graded({0: 1, 1: z})
-    for a, b in ((one_grade, two_grades), (two_grades, one_grade)):
+    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})
+    one = LambdaGraded.one()
+    other = LambdaGraded.lambda_power(1, z)
+    for a, b in ((one, other), (other, one)):
         assert a != b and not (a == b)
-        assert not (a - b).is_zero()
-    # the extra grade is zero in disguise: construction clears it
-    assert _graded({0: 1, 1: CycloNumber(3, {0: 1, 1: 1, 2: 1})}) == one_grade
+        with pytest.raises(LLCError):
+            a - b
+    # a zero in disguise at another grade is zero, and adds as zero
+    hidden = LambdaGraded.lambda_power(1, w_sum)
+    assert hidden == LambdaGraded.zero() and LambdaGraded.zero() == hidden
+    assert hidden != one and one != hidden
+    assert one + hidden == one and hidden + one == one
     # equal grades stored at different orders compare through the lcm route
     z3 = RootOfUnity(2, 3).as_cyclo()
-    assert _graded({-1: z}) == _graded({-1: z3 * -1})
-    assert (_graded({-1: z}) - _graded({-1: z3 * -1})).is_zero()
-    assert _graded({-1: z}) != _graded({-1: z3})
-    assert _graded({2: z}) != _graded({-2: z})
+    lp = LambdaGraded.lambda_power
+    assert lp(-1, z) == lp(-1, z3 * -1)
+    assert (lp(-1, z) - lp(-1, z3 * -1)).is_zero()
+    assert lp(-1, z) != lp(-1, z3)
+    assert lp(2, z) != lp(-2, z) and lp(0, z) != lp(1, z)
+
+
+def test_sum_across_two_grades_raises():
+    c = CycloNumber(6, {1: 2, 5: Fraction(-1, 3)})
+    with pytest.raises(LLCError):
+        LambdaGraded.from_cyclo(c) + LambdaGraded.lambda_power(1, RootOfUnity(1, 4))
+    with pytest.raises(LLCError):
+        LambdaGraded.lambda_power(-2, 1) - LambdaGraded.lambda_power(3, c)
+    assert (LambdaGraded.lambda_power(2, c) + LambdaGraded.lambda_power(2, c)
+            == LambdaGraded.lambda_power(2, c * 2))
+
+
+def test_zero_equals_zero_at_every_grade():
+    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})
+    zeros = [LambdaGraded.lambda_power(2, 0), LambdaGraded.lambda_power(-1, CycloNumber.zero(7)),
+             LambdaGraded.lambda_power(-1, w_sum), LambdaGraded.zero()]
+    for a in zeros:
+        assert a.is_zero() and a.is_lambda_free()
+        assert a.constant_part().is_zero()
+        for b in zeros:
+            assert a == b
+        assert a != LambdaGraded.lambda_power(2, 1) and a != LambdaGraded.lambda_power(-1, 1)
+
+
+def test_inverse_of_zero_raises_value_error():
+    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})
+    for z in (LambdaGraded.zero(), LambdaGraded.lambda_power(3, w_sum)):
+        with pytest.raises(ValueError):
+            z.inverse()
+        with pytest.raises(ValueError):
+            z ** -1
+    g = LambdaGraded.lambda_power(2, RootOfUnity(1, 5))
+    assert g ** -3 == LambdaGraded.lambda_power(-6, RootOfUnity(-3, 5))
+    assert g ** 0 == LambdaGraded.one()
+
+
+def _dict_fold(terms, n, kappa_pi):
+    """Oracle: the grade-by-grade fold of a dict {grade: coeff}."""
+    out = {}
+    for a, c in terms.items():
+        r = a % n
+        sign = 1 if kappa_pi == 1 or ((a - r) // n) % 2 == 0 else -1
+        c = c * sign
+        out[r] = out[r] + c if r in out else c
+    return out
+
+
+def test_reduce_lambda_matches_dict_fold():
+    c = CycloNumber(6, {1: 2, 5: Fraction(-1, 3)})
+    for n in range(2, 7):
+        for kappa_pi in (1, -1):
+            for a in range(-2 * n, 2 * n + 1):
+                got = LambdaGraded.lambda_power(a, c).reduce_lambda(n, kappa_pi)
+                ((want_grade, want_coeff),) = _dict_fold({a: c}, n, kappa_pi).items()
+                assert 0 <= got.grade < n
+                assert got.grade == want_grade and got.coeff == want_coeff, (n, kappa_pi, a)
+                assert got == LambdaGraded.lambda_power(want_grade, want_coeff)

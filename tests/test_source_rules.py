@@ -6,13 +6,31 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "llclab"
 
 
+def _library_nodes():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
 def test_no_assert_statements_in_library():
     # python -O strips assert statements; every check that guards a
     # result must raise explicitly so it survives optimized runs
-    files = sorted(SRC.glob("*.py"))
-    assert files
-    found = []
-    for path in files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_assertion_errors_raised_in_library():
+    # the command line turns LLCError into a JSON error record and exit
+    # code 2; an AssertionError would escape it as a bare traceback
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _raises_assertion_error(node)]
     assert found == []
