@@ -2,25 +2,21 @@
 
 Words in the group generated by both affine rotations, the center and
 the pro-unipotent Iwahori are kept in the form M * k with M a monomial
-class and k an Iwahori matrix truncated at the working precision; this
-is exact arithmetic in the congruence quotient, and the Whittaker value
-only reads residues at depths 0 and 1, so precision 2 already evaluates
-every word faithfully.  The inverse word is carried along in the same
-form, which turns the conjugation-symmetry check into integer work per
-sample.  Membership of a word in the group is constructive: the word is
-its own witness, no decision procedure for arbitrary matrices is
-attempted.
+class and k an Iwahori matrix truncated at precision 2, which is exact
+in the congruence quotient the Whittaker value reads; the inverse word
+is carried along in the same form, and each word is its own witness of
+membership.
 
-Both checks keep, per word or per point, the WhittakerInvariant of
-bruhat: the monomial class, the summed superdiagonal residues and the
-corner digit.  It does not see zeta, omega or the uniformizer unit, so
-one walk serves both data of a pair and one mirabolic table serves every
-pair over the same residue field; each datum solves the rotation for its
-own uniformizer and reads its value off the solved invariant.  The
-mirabolic enumeration covers the coordinates the value actually reads
-(polar digits of the unipotent coset, superdiagonal residues, the last
-column's leading digits) and spot-checks that deeper digits leave the
-invariant alone.
+Both checks read the WhittakerInvariant of bruhat, which does not see
+zeta, omega or the uniformizer unit, and on the support the value
+psi(residue) zeta^r omega(s t^d) is a character of the solved tuple
+(r, s, d, residue).  So each check sums over a few keys computed once:
+a walk counts its prefixes per unit under (fwd on support, inv on
+support, product of the two solved tuples, uses the other unit, uses
+both), and W(k) W(k^-1) is a datum's value at the product; a mirabolic
+point embed(h) u(x) equals u(h x) embed(h), so one decomposition per
+GL_{n-1} block serves every last column, whose t^0 digit only shifts the
+residue.  Deeper digits are spot-checked to leave the invariant alone.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import random
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .bruhat import MonomialClass, WhittakerInvariant, decompose
+from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
 from .errors import LLCError, ZeroInput
 from .laurent import LocalField
@@ -59,8 +55,14 @@ class PairConfig:
 
 # ----- words in the joint compact group --------------------------------
 
-KWord = namedtuple("KWord", "length uses1 uses2 fwd inv fwd_mat")
-WalkSamples = namedtuple("WalkSamples", "q n u1 u2 precision tags words")
+KWord = namedtuple("KWord", "uses1 uses2 fwd inv")
+# tables: pi-unit -> ((fwd on support, inv on support, product of the two
+# solved invariants, uses the other unit, uses both), (words, first word))
+# pairs; audit_misses: pi-unit -> audited words whose decomposition solves
+# apart from the kept invariant
+WalkSamples = namedtuple(
+    "WalkSamples", "q n u1 u2 precision seed steps audited tables audit_misses"
+)
 
 
 class KWalk:
@@ -89,7 +91,6 @@ class KWalk:
         self.k = ident
         self.Mi = MonomialClass.identity(self.F, n)
         self.ki = ident
-        self.tags: list[str] = []
         self.used1 = False
         self.used2 = False
 
@@ -112,16 +113,15 @@ class KWalk:
                 rows[cols[i]][cols[j]] = e.scale(c).shift(exps[j] - exps[i]).truncate(N)
         return MatG(F, rows)
 
-    def _push_monomial(self, cls: MonomialClass, tag: str, conj_is_trivial: bool = False) -> None:
+    def _push_monomial(self, cls: MonomialClass, conj_is_trivial: bool = False) -> None:
         if not conj_is_trivial:
             self.k = self._conj_by(cls, self.k)
         self.M = self.M.compose(cls)
         self.Mi = cls.inverse().compose(self.Mi)
-        self.tags.append(tag)
         self._check_iwahori()
 
     def push_rotation(self, which: int) -> None:
-        self._push_monomial(self.rot[which], f"g{which}")
+        self._push_monomial(self.rot[which])
         if which == 1:
             self.used1 = True
         else:
@@ -129,7 +129,7 @@ class KWalk:
 
     def push_central(self, s: int, d: int) -> None:
         # scalars commute: the k-part conjugation is the identity map
-        self._push_monomial(MonomialClass.central(self.F, self.n, s, d), "z", conj_is_trivial=True)
+        self._push_monomial(MonomialClass.central(self.F, self.n, s, d), conj_is_trivial=True)
 
     def push_elementary(self, a: int, b: int, x) -> None:
         """Append I + x E_ab (a != b); x must respect the Iwahori shape."""
@@ -146,7 +146,6 @@ class KWalk:
         for j in range(n):
             kirows[ap][j] = (kirows[ap][j] + xi * kirows[bp][j]).truncate(N)
         self.ki = MatG(self.F, kirows)
-        self.tags.append("ip-elem")
         self._check_iwahori()
 
     def push_one_unit_diag(self, a: int, e) -> None:
@@ -163,7 +162,6 @@ class KWalk:
         for j in range(n):
             kirows[ap][j] = (kirows[ap][j] * einv).truncate(N)
         self.ki = MatG(self.F, kirows)
-        self.tags.append("ip-diag")
         self._check_iwahori()
 
     def push_random_iplus(self) -> None:
@@ -195,17 +193,28 @@ class KWalk:
         else:
             self.push_random_iplus()
 
-    def snapshot(self, with_matrix: bool = False) -> KWord:
+    def snapshot(self) -> KWord:
         fwd = WhittakerInvariant.of(None, self.M, self.k)
         inv = WhittakerInvariant.of(None, self.Mi, self.ki)
-        mat = (self.M.as_matrix() * self.k) if with_matrix else None
-        return KWord(len(self.tags), self.used1, self.used2, fwd, inv, mat)
+        return KWord(self.used1, self.used2, fwd, inv)
 
     def forward_matrix(self) -> MatG:
         return self.M.as_matrix() * self.k
 
     def inverse_matrix(self) -> MatG:
         return self.Mi.as_matrix() * self.ki
+
+
+def solved_product(ff, a: SolvedInvariant, b: SolvedInvariant) -> SolvedInvariant:
+    """The solved invariant at which every datum's value is its value at a
+    times its value at b: psi(residue) zeta^r omega(s t^d) is a character
+    of (r, s, d, residue)."""
+    return SolvedInvariant(
+        a.rot + b.rot,
+        ff.mul(a.central_unit, b.central_unit),
+        a.central_val + b.central_val,
+        ff.add(a.residue, b.residue),
+    )
 
 
 def sample_k_words(
@@ -218,13 +227,41 @@ def sample_k_words(
     seed: int = 2024,
     audit_stride: int = 503,
 ) -> WalkSamples:
-    """Every prefix of one long random word, as evaluation-ready samples."""
+    """Every prefix of one long random word, tabulated per pi-unit.
+
+    Each prefix is solved once for each unit of the walk and counted under
+    its key; every audit_stride-th prefix is also decomposed afresh, and
+    the prefixes whose fresh invariant solves apart from the kept one are
+    listed per unit.
+    """
     walk = KWalk(q, n, u1, u2, precision, seed)
-    words = []
-    for i in range(1, steps + 1):
+    ff = walk.F.residue
+    units = sorted({u1, u2})
+    tables: dict[int, dict] = {u: {} for u in units}
+    misses: dict[int, list] = {u: [] for u in units}
+    for idx in range(steps):
         walk.random_step()
-        words.append(walk.snapshot(with_matrix=(i % audit_stride == 0)))
-    return WalkSamples(q, n, u1, u2, precision, tuple(walk.tags), tuple(words))
+        w = walk.snapshot()
+        read = None
+        if (idx + 1) % audit_stride == 0:
+            read = WhittakerInvariant.of(*decompose(walk.forward_matrix()))
+        for u in units:
+            a, b = w.fwd.solve(u), w.inv.solve(u)
+            key = (
+                a is not None,
+                b is not None,
+                None if a is None or b is None else solved_product(ff, a, b),
+                (w.uses1 and u1 != u) or (w.uses2 and u2 != u),
+                w.uses1 and w.uses2,
+            )
+            count, first = tables[u].get(key, (0, idx))
+            tables[u][key] = (count + 1, first)
+            if read is not None and read.solve(u) != a:
+                misses[u].append(idx)
+    # frozen, since cached walks are shared by every datum that reads them
+    tables = {u: tuple(t.items()) for u, t in tables.items()}
+    misses = {u: tuple(v) for u, v in misses.items()}
+    return WalkSamples(q, n, u1, u2, precision, seed, steps, steps // audit_stride, tables, misses)
 
 
 @lru_cache(maxsize=None)
@@ -237,61 +274,51 @@ def cached_k_words(
 def k_special_check(d: SSCDatum, samples: WalkSamples) -> dict:
     """Conjugation symmetry W(k^-1) = conj(W(k)) over the sampled words.
 
-    Violations land in the report rather than raising; none are expected.
+    W(k) W(k^-1) is the datum's value at the product of the two solved
+    invariants, so one value per key of the walk's table for the datum's
+    unit decides every word under that key.  Violations land in the
+    report, one per key with its word count and first word; none are
+    expected.
     """
     if (d.q, d.n) != (samples.q, samples.n):
         raise ValueError("datum does not match the sampled group")
     if d.pi_unit not in (samples.u1, samples.u2):
         raise ValueError("datum's uniformizer is not one of the walk's")
     one = RootOfUnity.one()
-    # the words' digits differ far more often than their solved invariants
-    # do, so the per-pair verdict is memoized on the solved pair
-    verdicts: dict[tuple, str | None] = {}
     violations = []
-    nonzero = zero = mixed_zero = audited = 0
+    nonzero = zero = mixed_zero = 0
     pure_nonzero = True
-    for idx, w in enumerate(samples.words):
-        key = (w.fwd.solve(d.pi_unit), w.inv.solve(d.pi_unit))
-        if key in verdicts:
-            verdict = verdicts[key]
-        else:
-            a, b = d.invariant_root(key[0]), d.invariant_root(key[1])
-            if (a is None) != (b is None):
-                verdict = "support asymmetry"
-            elif a is not None and a * b != one:
-                verdict = "conjugation mismatch"
+    table = samples.tables[d.pi_unit]
+    for (fwd_on, inv_on, product, uses_other, uses_both), (count, first) in table:
+        reason = None
+        if fwd_on != inv_on:
+            reason = "support asymmetry"
+        elif fwd_on:
+            if d.invariant_root(product) == one:
+                nonzero += count
             else:
-                verdict = None if a is not None else "zero"
-            verdicts[key] = verdict
-        if verdict == "zero":
-            zero += 1
-            uses_other = (w.uses1 and samples.u1 != d.pi_unit) or (
-                w.uses2 and samples.u2 != d.pi_unit
-            )
-            if w.uses1 and w.uses2:
-                mixed_zero += 1
+                reason = "conjugation mismatch"
+        else:
+            zero += count
+            if uses_both:
+                mixed_zero += count
             if not uses_other:
                 pure_nonzero = False
-                violations.append({"word": idx, "reason": "vanished inside the datum's own group"})
-        elif verdict is None:
-            nonzero += 1
-        else:
-            violations.append({"word": idx, "reason": verdict})
-        if w.fwd_mat is not None:
-            direct = d.whittaker_root(w.fwd_mat)
-            if direct != d.invariant_root(key[0]):
-                violations.append({"word": idx, "reason": "state evaluation disagrees"})
-            audited += 1
+                reason = "vanished inside the datum's own group"
+        if reason is not None:
+            violations.append({"word": first, "reason": reason, "count": count})
+    for idx in samples.audit_misses[d.pi_unit]:
+        violations.append({"word": idx, "reason": "state evaluation disagrees", "count": 1})
     return {
         "q": d.q,
         "n": d.n,
         "pi_unit": d.pi_unit,
-        "words": len(samples.words),
+        "words": samples.steps,
         "nonzero": nonzero,
         "zero": zero,
         "mixed_zero": mixed_zero,
         "pure_words_all_nonzero": pure_nonzero,
-        "audited": audited,
+        "audited": samples.audited,
         "ok": not violations,
         "violations": violations,
     }
@@ -299,19 +326,12 @@ def k_special_check(d: SSCDatum, samples: WalkSamples) -> dict:
 
 # ----- mirabolic agreement ---------------------------------------------
 
-class MirabolicTable:
-    """Decomposed points of the mirabolic subgroup, aggregated by the
-    invariants the Whittaker value reads."""
-
-    def __init__(self, q, n, precision, shell_bound, classes, nonmember_classes, row_count, spot_checks):
-        self.q = q
-        self.n = n
-        self.precision = precision
-        self.shell_bound = shell_bound
-        self.classes = classes  # Counter over WhittakerInvariant: enumerated + member extras
-        self.nonmember_classes = nonmember_classes  # Counter over WhittakerInvariant
-        self.row_count = row_count
-        self.spot_checks = spot_checks
+# decomposed points of the mirabolic subgroup, counted by the invariants
+# the Whittaker value reads: classes holds the enumeration and the member
+# dense blocks, nonmember_classes the other dense blocks
+MirabolicTable = namedtuple(
+    "MirabolicTable", "q n precision shell_bound classes nonmember_classes row_count spot_checks"
+)
 
 
 def _embed(F: LocalField, g: MatG) -> MatG:
@@ -331,25 +351,13 @@ def _column_unipotent(F: LocalField, n: int, xs) -> MatG:
     return MatG(F, rows)
 
 
-def _mirabolic_point(F: LocalField, n: int, polar, k_res, x_elems) -> MatG:
-    m = n - 1
-    g_rows = [[F.one() if i == j else F.zero() for j in range(m)] for i in range(m)]
+def _polar_block(F: LocalField, m: int, polar, k_res) -> MatG:
+    rows = [[F.one() if i == j else F.zero() for j in range(m)] for i in range(m)]
     for (i, j), c in polar.items():
-        g_rows[i][j] = F.elem(-1, (c,))
+        rows[i][j] = F.elem(-1, (c,))
     for i, c in enumerate(k_res):
-        g_rows[i][i + 1] = g_rows[i][i + 1] + F.scalar(c)
-    return _embed(F, MatG(F, g_rows)) * _column_unipotent(F, n, x_elems)
-
-
-def _is_member(g: MatG) -> bool:
-    # g in U I+ of its own size iff its monomial invariant is trivial
-    _, mono, _ = decompose(g)
-    n = g.n
-    return (
-        mono.cols == tuple(range(n))
-        and mono.exps == (0,) * n
-        and mono.units == (1,) * n
-    )
+        rows[i][i + 1] = rows[i][i + 1] + F.scalar(c)
+    return MatG(F, rows)
 
 
 # dense GL_{n-1} blocks per table, deep refinements checked per table,
@@ -361,35 +369,39 @@ MIRABOLIC_SEED = 9
 
 @lru_cache(maxsize=None)
 def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) -> MirabolicTable:
-    """Enumerate and decompose mirabolic points once per residue field.
+    """Count the invariants of mirabolic points once per residue field.
 
     The value-relevant coordinates run in full: polar digits of the
     GL_{n-1} unipotent coset, superdiagonal residues of its Iwahori
-    factor, and the last column's digits down to shell -shell_bound.
+    factor, and the last column's digits down to shell -shell_bound; one
+    decomposition per GL_{n-1} block serves all its last columns.
     Deeper digits are checked to leave the invariants unchanged on random
     refinements, and random dense GL_{n-1} blocks feed the support claim.
     """
     rng = random.Random(MIRABOLIC_SEED)
     F = LocalField.base_field(q)
+    ff = F.residue
     m = n - 1
     polar_slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
     classes: Counter = Counter()
     nonmember: Counter = Counter()
-    rows = 0
 
+    # a point is embed(h) u(x) = u(h x) embed(h) with h unipotent, and the
+    # one superdiagonal entry of u(h x) is x_last: its invariant is that of
+    # embed(h) with the t^0 digit of x_last added to the residue
     x_reps = F.integer_reps(-shell_bound, 1)
-    base_points = []
+    shifts = Counter(x.coeff_at(0) for x in x_reps)
+    blocks = []
     for polar_digits in itertools.product(range(q), repeat=len(polar_slots)):
         polar = {
             slot: c for slot, c in zip(polar_slots, polar_digits) if c
         }
-        for k_res in itertools.product(range(q), repeat=max(m - 1, 0)):
-            for x_last in x_reps:
-                xs = [F.zero()] * (m - 1) + [x_last] if m >= 1 else []
-                point = _mirabolic_point(F, n, polar, k_res, xs)
-                classes[WhittakerInvariant.of(*decompose(point))] += 1
-                base_points.append((polar, k_res, x_last))
-                rows += 1
+        for k_res in itertools.product(range(q), repeat=m - 1):
+            inv = WhittakerInvariant.of(*decompose(_embed(F, _polar_block(F, m, polar, k_res))))
+            for digit, count in shifts.items():
+                classes[inv._replace(residue=ff.add(inv.residue, digit))] += count
+            blocks.append((polar, k_res))
+    rows = len(blocks) * len(x_reps)
 
     # the reps stand for double cosets: multiplying on the left by a
     # unipotent with zero superdiagonal residues, or on the right by an
@@ -417,8 +429,10 @@ def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) ->
         return MatG(F, rows)
 
     for _ in range(MIRABOLIC_SPOT_CHECKS):
-        polar, k_res, x_last = base_points[rng.randrange(len(base_points))]
-        base = _mirabolic_point(F, n, polar, k_res, [F.zero()] * (m - 1) + [x_last])
+        block, x_index = divmod(rng.randrange(rows), len(x_reps))
+        polar, k_res = blocks[block]
+        x_elems = [F.zero()] * (m - 1) + [x_reps[x_index]]
+        base = _embed(F, _polar_block(F, m, polar, k_res)) * _column_unipotent(F, n, x_elems)
         refined = _deep_left() * base * _deep_right()
         if WhittakerInvariant.of(*decompose(refined)) != WhittakerInvariant.of(*decompose(base)):
             raise LLCError("mirabolic invariants moved under a deep refinement")
@@ -433,15 +447,15 @@ def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) ->
                 ]
                 for _ in range(m)
             ]
-            g = MatG(F, g_rows)
             try:
-                member = _is_member(g)
+                cls = WhittakerInvariant.of(*decompose(_embed(F, MatG(F, g_rows))))
             except ZeroInput:
                 continue
             break
-        cls = WhittakerInvariant.of(*decompose(_embed(F, g)))
         rows += 1
-        if member:
+        # the block lies in U I+ of its own size iff the embedding's class
+        # is trivial, since decompose settles the last row first and alone
+        if cls.mono == MonomialClass.identity(F, n):
             classes[cls] += 1
         else:
             nonmember[cls] += 1
@@ -525,14 +539,14 @@ def support_check(
             krows[i][i] = F.one() + F.elem(1, [rng.randrange(q) for _ in range(depth)])
         g = u * mono.as_matrix() * MatG(F, krows)
         planted += 1
-        w = d.whittaker_root(g)
-        if w is None:
+        solved = WhittakerInvariant.of(*decompose(g)).solve(d.pi_unit)
+        if solved is None:
             violations.append({"reason": "constructed support point valued zero", "power": r})
             continue
         planted_located += 1
         if len(witnesses) < 5:
-            hit = decompose(g)[1].match_rotation_times_central(d.pi_unit)
-            witnesses.append({"rotation_power": hit[0], "central": [hit[1], hit[2]]})
+            witnesses.append({"rotation_power": solved.rot,
+                              "central": [solved.central_unit, solved.central_val]})
     for _ in range(samples - samples // 4):
         while True:
             rows = [
@@ -542,24 +556,19 @@ def support_check(
                 ]
                 for _ in range(n)
             ]
-            g = MatG(F, rows)
             try:
-                u, mono, k = decompose(g)
+                solved = WhittakerInvariant.of(*decompose(MatG(F, rows))).solve(d.pi_unit)
             except ZeroInput:
                 continue
             break
-        w = d.whittaker_root(g)
-        hit = mono.match_rotation_times_central(d.pi_unit)
-        if w is None:
+        # the value is nonzero exactly where the solve locates a coset
+        if solved is None:
             zero += 1
-            if hit is not None:
-                violations.append({"reason": "located but valued zero", "hit": hit})
         else:
             nonzero += 1
-            if hit is None:
-                violations.append({"reason": "nonzero value without a located coset"})
-            elif len(witnesses) < 5:
-                witnesses.append({"rotation_power": hit[0], "central": [hit[1], hit[2]]})
+            if len(witnesses) < 5:
+                witnesses.append({"rotation_power": solved.rot,
+                                  "central": [solved.central_unit, solved.central_val]})
     return {
         "q": q,
         "n": n,

@@ -436,9 +436,6 @@ def criterion_pairs(scale: str | None = None) -> dict:
             len(v) < n for v in groups.values()
         ):
             failures.append({"q": q, "n": n, "reason": "grid does not partition into classes"})
-        # conjugation reports depend only on the datum and the sampled
-        # word list, so they are shared across the pairs touching them
-        k_memo: dict[tuple, dict] = {}
         for ds in groups.values():
             for i in range(len(ds)):
                 for j in range(i + 1, len(ds)):
@@ -448,20 +445,19 @@ def criterion_pairs(scale: str | None = None) -> dict:
                     if not (rep["all_equal"] and rep["support_ok"]):
                         failures.append(
                             {"first": _datum_key(d1), "second": _datum_key(d2),
-                             "reason": "mirabolic disagreement"}
+                             "reason": "mirabolic disagreement",
+                             "first_class": (rep["mismatches"] + rep["support_violations"])[0]}
                         )
                     ulo, uhi = sorted((d1.pi_unit, d2.pi_unit))
                     words = cached_k_words(q, n, ulo, uhi, steps=steps)
                     for d in (d1, d2):
-                        mk = (d.pi_unit, d.omega_exp, d.zeta.num, ulo, uhi)
-                        krep = k_memo.get(mk)
-                        if krep is None:
-                            krep = k_special_check(d, words)
-                            k_memo[mk] = krep
-                            k_runs += 1
+                        krep = k_special_check(d, words)
+                        k_runs += 1
                         if not krep["ok"]:
                             failures.append(
                                 {"datum": _datum_key(d), "walk_units": [ulo, uhi],
+                                 "seed": words.seed, "steps": words.steps,
+                                 "first_violation": krep["violations"][0],
                                  "reason": "conjugation symmetry violated"}
                             )
     return _report(

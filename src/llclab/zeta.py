@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -140,7 +140,7 @@ def _tilde_at_depth(d: SSCDatum, lam: TameChar, m: int, B: int, seed: int) -> Ep
     F, n = d.F, d.n
     if not _enumerates_fully(F, n, m, B):
         # this depth's audited, class-pruned table rows
-        return _assemble_rows(d, lam, _aggregate(_table_rows(F, n, d.pi_unit, m, B, seed)))
+        return _assemble_rows(d, lam, Counter(_table_rows(F, n, d.pi_unit, m, B, seed)))
     # the independent oracle: evaluate the Whittaker function at every point
     out = EpsPolynomial(d.q)
     x_reps = F.integer_reps(-B, m)
@@ -239,14 +239,7 @@ def _audit_table(F: LocalField, n: int, pi_unit: int, m: int, B: int, delta: int
                 raise LLCError("table audit failed: invariants moved inside an x-class")
 
 
-def _aggregate(rows: list[DualRow]) -> dict[DualRow, int]:
-    agg: dict[DualRow, int] = {}
-    for row in rows:
-        agg[row] = agg.get(row, 0) + 1
-    return agg
-
-
-def _assemble_rows(d: SSCDatum, lam: TameChar, agg: dict[DualRow, int]) -> EpsPolynomial:
+def _assemble_rows(d: SSCDatum, lam: TameChar, agg: Counter) -> EpsPolynomial:
     F = d.F
     out = EpsPolynomial(d.q)
     for row, count in agg.items():
@@ -301,7 +294,7 @@ def dual_support_table(
     rows = _table_rows(F, n, pi_unit, m, shell_bound, AUDIT_SEED)
     rows_next = _table_rows(F, n, pi_unit, m + 1, shell_bound, AUDIT_SEED + 1)
     return DualSupportTable(
-        q, n, pi_unit, m, shell_bound, _aggregate(rows), _aggregate(rows_next), len(rows)
+        q, n, pi_unit, m, shell_bound, Counter(rows), Counter(rows_next), len(rows)
     )
 
 

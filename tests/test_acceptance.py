@@ -55,7 +55,7 @@ def test_criterion_6_facets_and_stability():
 
 
 def test_criterion_7_whittaker_pair_invariance():
-    rep = _gate(selftest.criterion_pairs, budget=300)
+    rep = _gate(selftest.criterion_pairs, budget=120)
     assert rep["checked"] == 2688
 
 

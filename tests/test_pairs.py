@@ -1,13 +1,18 @@
 """Two data sharing a central character: conjugation symmetry on walk
 words and pointwise agreement on the mirabolic slice."""
 
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from llclab.bruhat import WhittakerInvariant, decompose
+from llclab import pairs, selftest
+from llclab.bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from llclab.cyclotomic import RootOfUnity
+from llclab.errors import ZeroInput
+from llclab.laurent import LocalField
 from llclab.matrices import MatG
 from llclab.pairs import (
     KWalk,
@@ -15,6 +20,7 @@ from llclab.pairs import (
     k_special_check,
     mirabolic_agreement,
     sample_k_words,
+    solved_product,
     support_check,
 )
 from llclab.supercuspidal import SSCDatum
@@ -117,10 +123,86 @@ def test_walk_invariants_match_decomposition():
 
 def test_sampler_shapes():
     samples = sample_k_words(3, 2, 1, 2, steps=300, seed=7, audit_stride=97)
-    assert len(samples.words) == 300 == len(samples.tags)
-    assert samples.words[-1].length == 300
-    with_mat = [w for w in samples.words if w.fwd_mat is not None]
-    assert len(with_mat) == 3
+    assert (samples.steps, samples.seed, samples.audited) == (300, 7, 3)
+    assert sorted(samples.tables) == sorted(samples.audit_misses) == [1, 2]
+    for table in samples.tables.values():
+        assert sum(count for _, (count, _) in table) == 300
+        assert all(0 <= first < 300 for _, (_, first) in table)
+    # one table when both rotations share the uniformizer unit
+    same = sample_k_words(3, 2, 2, 2, steps=100, seed=7)
+    assert list(same.tables) == [2] and same.audited == 0
+    assert sum(count for _, (count, _) in same.tables[2]) == 100
+
+
+def _k_check_per_word(d, words, u1, u2):
+    """The per-word conjugation check: every word solved for the datum,
+    its verdict taken from the two values, and each audited word's stored
+    value compared with the value of its decomposed matrix."""
+    one = RootOfUnity.one()
+    nonzero = zero = mixed_zero = audited = 0
+    pure_nonzero, ok = True, True
+    for w, fwd_mat in words:
+        a = d.invariant_root(w.fwd.solve(d.pi_unit))
+        b = d.invariant_root(w.inv.solve(d.pi_unit))
+        if (a is None) != (b is None) or (a is not None and a * b != one):
+            ok = False
+        elif a is None:
+            zero += 1
+            mixed_zero += w.uses1 and w.uses2
+            if not ((w.uses1 and u1 != d.pi_unit) or (w.uses2 and u2 != d.pi_unit)):
+                pure_nonzero = ok = False
+        else:
+            nonzero += 1
+        if fwd_mat is not None:
+            audited += 1
+            ok = ok and d.whittaker_root(fwd_mat) == a
+    return {
+        "q": d.q, "n": d.n, "pi_unit": d.pi_unit, "words": len(words),
+        "nonzero": nonzero, "zero": zero, "mixed_zero": mixed_zero,
+        "pure_words_all_nonzero": pure_nonzero, "audited": audited, "ok": ok,
+    }
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (5, 3), (3, 4)])
+def test_k_check_matches_per_word_loop(q, n):
+    # every unordered unit pair, u1 = u2 included, several data per unit
+    steps, seed = 2000, 11
+    rng = random.Random(q * 10 + n)
+    for u1 in range(1, q):
+        for u2 in range(u1, q):
+            walk = KWalk(q, n, u1, u2, seed=seed)
+            words = []
+            for i in range(1, steps + 1):
+                walk.random_step()
+                words.append((walk.snapshot(), walk.forward_matrix() if i % 503 == 0 else None))
+            samples = sample_k_words(q, n, u1, u2, steps=steps, seed=seed)
+            for u0 in {u1, u2}:
+                for _ in range(3):
+                    d = _datum(q, n, zeta_num=rng.randrange(n * n),
+                               omega_exp=rng.randrange(q - 1), u0=u0)
+                    rep = k_special_check(d, samples)
+                    assert rep.pop("violations") == []
+                    assert rep == _k_check_per_word(d, words, u1, u2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_solved_product_is_a_character(q):
+    rng = random.Random(q)
+    for n in (2, 3, 4):
+        if n % q == 0:
+            continue
+        ff = LocalField.base_field(q).residue
+        for _ in range(40):
+            d = _datum(q, n, zeta_num=rng.randrange(n * n),
+                       omega_exp=rng.randrange(q - 1), u0=rng.randrange(1, q))
+            a, b = (
+                SolvedInvariant(rng.randrange(2 * n), rng.randrange(1, q),
+                                rng.randrange(-2, 3), rng.randrange(q))
+                for _ in range(2)
+            )
+            assert d.invariant_root(solved_product(ff, a, b)) == (
+                d.invariant_root(a) * d.invariant_root(b)
+            )
 
 
 @pytest.mark.parametrize(
@@ -198,6 +280,97 @@ def test_mirabolic_agreement_distinct_roots(q, n):
 def test_mirabolic_agreement_distinct_uniformizers():
     rep = mirabolic_agreement(PairConfig(_datum(5, 4, zeta_num=1, u0=2), _datum(5, 4, zeta_num=1, u0=3)))
     assert rep["all_equal"] and rep["support_ok"]
+
+
+def _mirabolic_point(F, n, polar, k_res, x_last):
+    m = n - 1
+    x_elems = [F.zero()] * (m - 1) + [x_last]
+    return pairs._embed(F, pairs._polar_block(F, m, polar, k_res)) * pairs._column_unipotent(F, n, x_elems)
+
+
+def _mirabolic_table_per_point(q, n, precision=2, shell_bound=1):
+    """The mirabolic table with every enumerated point decomposed on its
+    own, and each dense block's membership read off its own decomposition;
+    the audits and dense blocks draw from the same seeded stream."""
+    rng = random.Random(pairs.MIRABOLIC_SEED)
+    F = LocalField.base_field(q)
+    m = n - 1
+    slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    classes, nonmember, base_points = Counter(), Counter(), []
+    for digits in itertools.product(range(q), repeat=len(slots)):
+        polar = {slot: c for slot, c in zip(slots, digits) if c}
+        for k_res in itertools.product(range(q), repeat=m - 1):
+            for x_last in F.integer_reps(-shell_bound, 1):
+                point = _mirabolic_point(F, n, polar, k_res, x_last)
+                classes[WhittakerInvariant.of(*decompose(point))] += 1
+                base_points.append((polar, k_res, x_last))
+    rows = len(base_points)
+
+    def deep(lower):
+        out = [[F.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    out[i][j] = F.one() + (
+                        F.elem(1, [rng.randrange(q) for _ in range(precision)]) if lower else F.zero()
+                    )
+                elif i < j:
+                    lo = 1 if j == i + 1 else 0
+                    out[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(precision)])
+                elif lower:
+                    lo = 2 if (i, j) == (n - 1, 0) else 1
+                    out[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(precision)])
+        return MatG(F, out)
+
+    for _ in range(pairs.MIRABOLIC_SPOT_CHECKS):
+        polar, k_res, x_last = base_points[rng.randrange(rows)]
+        base = _mirabolic_point(F, n, polar, k_res, x_last)
+        left = deep(False)
+        refined = left * base * deep(True)
+        assert WhittakerInvariant.of(*decompose(refined)) == WhittakerInvariant.of(*decompose(base))
+    for _ in range(pairs.MIRABOLIC_EXTRAS):
+        while True:
+            g = MatG(F, [[F.elem(-shell_bound, [rng.randrange(q) for _ in range(precision + shell_bound)])
+                          for _ in range(m)] for _ in range(m)])
+            try:
+                mono = decompose(g)[1]
+            except ZeroInput:
+                continue
+            break
+        member = mono == MonomialClass.identity(F, m)
+        (classes if member else nonmember)[WhittakerInvariant.of(*decompose(pairs._embed(F, g)))] += 1
+        rows += 1
+    return classes, nonmember, rows
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (5, 3), (3, 4)])
+def test_mirabolic_table_matches_per_point_loop(q, n):
+    T = pairs.mirabolic_table(q, n)
+    assert (T.classes, T.nonmember_classes, T.row_count) == _mirabolic_table_per_point(q, n)
+
+
+def test_pair_failure_records_replay(monkeypatch):
+    # a failing report must carry what reruns it: the walk's seed and
+    # steps with the first violation, and the first mismatching class
+    violation = {"word": 7, "reason": "conjugation mismatch", "count": 3}
+    mismatch = {"class": {"perm": [0, 1]}, "count": 2}
+    monkeypatch.setattr(
+        selftest, "k_special_check", lambda d, words: {"ok": False, "violations": [violation]}
+    )
+    monkeypatch.setattr(
+        selftest, "mirabolic_agreement",
+        lambda cfg: {"all_equal": False, "support_ok": True,
+                     "mismatches": [mismatch], "support_violations": []},
+    )
+    rep = selftest.criterion_pairs("small")
+    assert not rep["ok"] and rep["conjugation_runs"] == 2 * rep["checked"]
+    mira = [f for f in rep["failures"] if f["reason"] == "mirabolic disagreement"]
+    conj = [f for f in rep["failures"] if f["reason"] == "conjugation symmetry violated"]
+    assert mira and all(f["first_class"] == mismatch for f in mira)
+    assert conj and all(
+        (f["seed"], f["steps"], f["first_violation"]) == (2024, 2000, violation) for f in conj
+    )
+    json.dumps(rep)
 
 
 def test_support_report_random_and_planted():
