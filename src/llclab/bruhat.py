@@ -237,7 +237,11 @@ def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, Ma
             elif e.prec is not None:
                 fuzzy.append((e.prec, j))
         if piv is None:
-            raise ZeroInput(f"row {i} has no visible entry; not invertible here")
+            if fuzzy:
+                raise InsufficientPrecision(
+                    f"row {i} has no visible entry below O(t^{min(fuzzy)[0]})"
+                )
+            raise ZeroInput(f"row {i} is exactly zero; not invertible here")
         for bound, j in fuzzy:
             if bound <= best_val:
                 raise InsufficientPrecision(

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
-from .errors import LLCError, ZeroInput
+from .errors import InsufficientPrecision, LLCError, ZeroInput
 from .laurent import LocalField
 from .matrices import MatG
 from .supercuspidal import SSCDatum
@@ -449,7 +449,8 @@ def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) ->
             ]
             try:
                 cls = WhittakerInvariant.of(*decompose(_embed(F, MatG(F, g_rows))))
-            except ZeroInput:
+            # a singular draw, exactly or at the precision of its entries
+            except (ZeroInput, InsufficientPrecision):
                 continue
             break
         rows += 1
@@ -558,7 +559,8 @@ def support_check(
             ]
             try:
                 solved = WhittakerInvariant.of(*decompose(MatG(F, rows))).solve(d.pi_unit)
-            except ZeroInput:
+            # a singular draw, exactly or at the precision of its entries
+            except (ZeroInput, InsufficientPrecision):
                 continue
             break
         # the value is nonzero exactly where the solve locates a coset

@@ -7,14 +7,22 @@ depth m is fixed: multiplicative cosets h(1 + p^m) carry volume q^-m
 q^(1/2 - m) (so the integers have volume sqrt(q)).  Every evaluation is
 repeated at depth m+1; a mismatch raises instead of averaging away.
 
-The dual integral runs over the matrices with superdiagonal identity
-block and bottom row (1/h, 0, -x_{n-2}/h, ..., -x_1/h).  Its integrand
-vanishes unless every x_i is integral and 1/h is in pi(1+p).  Up to a
-size cap the direct integrator enumerates every point and evaluates the
-Whittaker function there, which checks this pointwise.  Above the cap
-it assembles the rows of the shared support table, which sums the
-surviving region in coarse x-classes and spot-checks both the claimed
-vanishing and the claimed class-constancy on fixed-seed random points.
+The points of an integral, their Bruhat invariants and whether they lie
+on the Whittaker support depend only on (q, n, pi_unit, depth, shell
+bound).  Both integrals are therefore cached as aggregated rows, solved
+invariants with multiplicities, and one assembly routine evaluates a
+datum's character of the invariants and the twist on them.
+
+The principal integral runs over diag(h, 1, ..., 1); its rows are the
+points of the support at each depth.  The dual integral runs over the
+matrices with superdiagonal identity block and bottom row
+(1/h, 0, -x_{n-2}/h, ..., -x_1/h).  Its integrand vanishes unless every
+x_i is integral and 1/h is in pi(1+p).  Up to a size cap the direct
+integrator enumerates every point and evaluates the Whittaker function
+there, which checks this pointwise.  Above the cap it assembles the rows
+of the shared support table, which sums the surviving region in coarse
+x-classes and spot-checks both the claimed vanishing and the claimed
+class-constancy on fixed-seed random points.
 """
 
 from __future__ import annotations
@@ -56,20 +64,29 @@ def zeta_psi(
     """
     if m < 2 or shell_bound < 1:
         raise ValueError("need depth m >= 2 and a positive shell bound")
-    out = _psi_at_depth(d, lam, m, shell_bound)
-    again = _psi_at_depth(d, lam, m + 1, shell_bound)
-    if out != again:
-        raise PrecisionNotStabilized(f"psi integral moved between depths {m} and {m + 1}")
+    return _two_depths(
+        lambda k: _assemble_rows(d, lam, _psi_rows(d.q, d.n, d.pi_unit, k, shell_bound)),
+        m,
+        "psi integral",
+        measure_scale,
+    )
+
+
+def _two_depths(at_depth, m: int, what: str, measure_scale: Fraction) -> EpsPolynomial:
+    """at_depth(m), scaled, once it equals at_depth(m + 1)."""
+    out = at_depth(m)
+    if out != at_depth(m + 1):
+        raise PrecisionNotStabilized(f"{what} moved between depths {m} and {m + 1}")
     return out.scale(measure_scale)
 
 
 @lru_cache(maxsize=None)
 def _psi_points(q: int, n: int, m: int, B: int):
-    """Integration points of the principal integral with their invariants.
+    """Integration points (v, h, invariant) of the principal integral.
 
-    The invariant of diag(h, 1, ..., 1) never sees the datum, so it is
-    shared across data and twists; only the rotation solve and the
-    character values are redone per assembly."""
+    The invariant of diag(h, 1, ..., 1) sees neither the datum nor the
+    uniformizer, so one decomposition per point serves every pi_unit;
+    _psi_rows solves it once per pi_unit."""
     F = LocalField.base_field(q)
     one = F.one()
     out = []
@@ -81,16 +98,20 @@ def _psi_points(q: int, n: int, m: int, B: int):
     return tuple(out)
 
 
-def _psi_at_depth(d: SSCDatum, lam: TameChar, m: int, B: int) -> EpsPolynomial:
-    n = d.n
-    out = EpsPolynomial(d.q)
-    for v, h, inv in _psi_points(d.q, n, m, B):
-        wv = d.invariant_root(inv.solve(d.pi_unit))
-        if wv is None:
-            continue
-        coeff = LambdaGraded.from_cyclo(wv * lam(h))
-        out.add_term(v, coeff, Fraction(v * (n - 1), 2) - m)
-    return out
+@lru_cache(maxsize=None)
+def _psi_rows(q: int, n: int, pi_unit: int, m: int, B: int) -> Counter:
+    """The principal integral's support rows for one uniformizer at depth m.
+
+    The twist enters as lam(h) = lam(1/h)^-1, so the rows carry 1/h and
+    assemble exactly like the dual integral's."""
+    ff = LocalField.base_field(q).residue
+    rows = Counter()
+    for v, h, inv in _psi_points(q, n, m, B):
+        solved = inv.solve(pi_unit)
+        if solved is not None:
+            q_exp = Fraction(v * (n - 1), 2) - m
+            rows[ZetaRow(v, q_exp, -v, ff.inv(h.coeff_at(v)), solved)] += 1
+    return rows
 
 
 def dual_matrix(F: LocalField, xs, h: LaurentElem) -> MatG:
@@ -119,11 +140,12 @@ def zeta_psi_tilde(
     """
     if m < 2 or shell_bound < 1:
         raise ValueError("need depth m >= 2 and a positive shell bound")
-    out = _tilde_at_depth(d, lam, m, shell_bound, AUDIT_SEED)
-    again = _tilde_at_depth(d, lam, m + 1, shell_bound, AUDIT_SEED + 1)
-    if out != again:
-        raise PrecisionNotStabilized(f"dual integral moved between depths {m} and {m + 1}")
-    return out.scale(measure_scale)
+    return _two_depths(
+        lambda k: _tilde_at_depth(d, lam, k, shell_bound, AUDIT_SEED + k - m),
+        m,
+        "dual integral",
+        measure_scale,
+    )
 
 
 def _point_weight(n: int, m: int, v: int) -> Fraction:
@@ -159,22 +181,26 @@ def _tilde_at_depth(d: SSCDatum, lam: TameChar, m: int, B: int, seed: int) -> Ep
 
 # ----- shared-decomposition tables ------------------------------------
 #
-# The Bruhat decomposition of a dual-integral point, and whether it lies
+# The Bruhat decomposition of an integration point, and whether it lies
 # on the Whittaker support at all, depend only on (q, n, pi_unit).  The
 # choices of zeta, omega and the twist enter afterwards, as characters of
 # the decomposition invariants.  A table decomposes every contributing
 # point once and solves its invariant for the table's uniformizer;
 # assembling the integral for a particular datum and twist is then a
 # quick pass of root-of-unity arithmetic over the rows.
+#
+# A row contributes q^(-s x_power) q^q_exp times the datum's root at
+# `solved` times lam(t^arg_val arg_lead)^-1.  arg is h in the dual
+# integral and 1/h in the principal one.
 
-DualRow = namedtuple("DualRow", "x_power q_exp h_val h_lead solved")
+ZetaRow = namedtuple("ZetaRow", "x_power q_exp arg_val arg_lead solved")
 
 
 def _solved_point(F: LocalField, pi_unit: int, xs, h: LaurentElem):
     return WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h))).solve(pi_unit)
 
 
-def _table_rows(F: LocalField, n: int, pi_unit: int, m: int, B: int, seed: int) -> list[DualRow]:
+def _table_rows(F: LocalField, n: int, pi_unit: int, m: int, B: int, seed: int) -> list[ZetaRow]:
     unit_rs = F.unit_reps(m)
     rows = []
     if _enumerates_fully(F, n, m, B):
@@ -185,7 +211,7 @@ def _table_rows(F: LocalField, n: int, pi_unit: int, m: int, B: int, seed: int) 
                 for xs in itertools.product(x_reps, repeat=n - 2):
                     solved = _solved_point(F, pi_unit, xs, h)
                     if solved is not None:
-                        rows.append(DualRow(-v, _point_weight(n, m, v), v, h.coeff_at(v), solved))
+                        rows.append(ZetaRow(-v, _point_weight(n, m, v), v, h.coeff_at(v), solved))
         return rows
     delta = 1 if m <= 2 else 0
     class_reps = F.integer_reps(0, delta)
@@ -195,7 +221,7 @@ def _table_rows(F: LocalField, n: int, pi_unit: int, m: int, B: int, seed: int) 
         for xs in itertools.product(class_reps, repeat=n - 2):
             solved = _solved_point(F, pi_unit, xs, h)
             if solved is not None:
-                rows.append(DualRow(1, q_exp, -1, h.coeff_at(-1), solved))
+                rows.append(ZetaRow(1, q_exp, -1, h.coeff_at(-1), solved))
     _audit_table(F, n, pi_unit, m, B, delta, seed)
     return rows
 
@@ -240,11 +266,10 @@ def _audit_table(F: LocalField, n: int, pi_unit: int, m: int, B: int, delta: int
 
 
 def _assemble_rows(d: SSCDatum, lam: TameChar, agg: Counter) -> EpsPolynomial:
-    F = d.F
     out = EpsPolynomial(d.q)
     for row, count in agg.items():
-        lam_h = lam(F.elem(row.h_val, (row.h_lead,))).inverse()
-        coeff = LambdaGraded.from_cyclo(d.invariant_root(row.solved) * lam_h) * count
+        lam_arg = lam.of_leading(row.arg_val, row.arg_lead).inverse()
+        coeff = LambdaGraded.from_cyclo(d.invariant_root(row.solved) * lam_arg) * count
         out.add_term(row.x_power, coeff, row.q_exp)
     return out
 
@@ -273,13 +298,10 @@ class DualSupportTable:
         """The dual integral for d twisted by lam, from the cached rows."""
         if (d.q, d.n, d.pi_unit) != (self.q, self.n, self.pi_unit):
             raise ValueError("table was built for a different residue field or uniformizer")
-        out = _assemble_rows(d, lam, self.agg)
-        again = _assemble_rows(d, lam, self.agg_next)
-        if out != again:
-            raise PrecisionNotStabilized(
-                f"dual integral moved between depths {self.m} and {self.m + 1}"
-            )
-        return out.scale(measure_scale)
+        by_depth = {self.m: self.agg, self.m + 1: self.agg_next}
+        return _two_depths(
+            lambda k: _assemble_rows(d, lam, by_depth[k]), self.m, "dual integral", measure_scale
+        )
 
 
 def dual_support_table(
@@ -306,8 +328,8 @@ def cached_dual_table(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int
 def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2, shell_bound: int = 2) -> EpsMonomial:
     """lam(-1)^(n-1) times the ratio of the dual to the principal integral.
 
-    With the L-factor identically 1 this is also the epsilon factor.  The
-    dual side assembles from the shared decomposition table.
+    With the L-factor identically 1 this is also the epsilon factor.  Both
+    integrals assemble from cached support rows.
     """
     num = cached_dual_table(d.q, d.n, d.pi_unit, m, shell_bound).assemble(d, lam)
     den = zeta_psi(d, lam, m, shell_bound)

@@ -32,7 +32,7 @@ def test_criterion_2_twisted_gauss_ratio():
 
 
 def test_criterion_3_zeta_integral_collapse():
-    rep = _gate(selftest.criterion_zeta_collapse, budget=300)
+    rep = _gate(selftest.criterion_zeta_collapse, budget=60)
     assert rep["checked"] == 936
 
 

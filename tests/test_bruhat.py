@@ -8,9 +8,11 @@ import pytest
 
 import llclab
 from llclab.bruhat import MonomialClass, decompose
+from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InsufficientPrecision, ZeroInput
 from llclab.laurent import LocalField
-from llclab.matrices import MatG, upper_unipotent
+from llclab.matrices import MatG, diagonal, upper_unipotent
+from llclab.supercuspidal import SSCDatum
 
 
 def random_unipotent(rng, F, n):
@@ -254,6 +256,28 @@ def test_decompose_rejects_visibly_singular():
     g = MatG(F, [[F.one(), F.one()], [F.one(), F.one()]])
     with pytest.raises(ZeroInput):
         decompose(g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_decompose_row_zero_only_at_precision_is_undecidable(n):
+    # a diagonal t^k cut below t^k leaves a row that reads zero only to
+    # the working precision: the matrix is invertible, its pivot unknown
+    F = LocalField.base_field(5)
+    zeta = RootOfUnity(1, n * n)
+    d = SSCDatum(5, n, zeta, omega_exp=0, omega_at_pi=zeta**n, pi_unit=1)
+    for i in range(n):
+        for prec in (1, 2, 3):
+            for k in (prec, prec + 1):
+                entries = [F.one()] * n
+                entries[i] = F.elem(k, (1,))
+                g = diagonal(F, entries)
+                with pytest.raises(InsufficientPrecision):
+                    decompose(g, prec)
+                with pytest.raises(InsufficientPrecision):
+                    d.whittaker_root(g, prec)
+                assert decompose(g, k + 1)[1] == MonomialClass(
+                    F, range(n), [k if j == i else 0 for j in range(n)], [1] * n
+                )
 
 
 def random_invertible(rng, F, n):

@@ -146,6 +146,14 @@ def test_bruhat_singular_rejected(capsys):
     assert cli.main(["bruhat", "--q", "3", "--matrix", "[[0,0],[0,0]]"]) == 2
 
 
+def test_bruhat_precision_cut_reports_precision(capsys):
+    # diag(t^3, 1) is invertible; cut to O(t^2) its first row is undecidable
+    mat = json.dumps([[[3, [1]], 0], [0, 1]])
+    assert cli.main(["bruhat", "--q", "5", "--matrix", mat, "--prec", "2"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "O(t^2)" in err and "not invertible" not in err
+
+
 def test_bruhat_malformed_json_rejected(capsys):
     assert cli.main(["bruhat", "--q", "3", "--matrix", "[[0,1],["]) == 2
 

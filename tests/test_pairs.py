@@ -11,7 +11,7 @@ import pytest
 from llclab import pairs, selftest
 from llclab.bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from llclab.cyclotomic import RootOfUnity
-from llclab.errors import ZeroInput
+from llclab.errors import InsufficientPrecision, ZeroInput
 from llclab.laurent import LocalField
 from llclab.matrices import MatG
 from llclab.pairs import (
@@ -334,7 +334,7 @@ def _mirabolic_table_per_point(q, n, precision=2, shell_bound=1):
                           for _ in range(m)] for _ in range(m)])
             try:
                 mono = decompose(g)[1]
-            except ZeroInput:
+            except (ZeroInput, InsufficientPrecision):
                 continue
             break
         member = mono == MonomialClass.identity(F, m)

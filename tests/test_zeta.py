@@ -1,12 +1,19 @@
 """Integral factors: principal and dual integrals, gamma, closed form."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from llclab import zeta
+from llclab.bruhat import MonomialClass, WhittakerInvariant
 from llclab.characters import TameChar
 from llclab.cyclotomic import RootOfUnity
+from llclab.errors import PrecisionNotStabilized
+from llclab.laurent import LocalField
 from llclab.monomials import EpsMonomial, EpsPolynomial, LambdaGraded
+from llclab.selftest import ZETA_TWISTS, integral_cells
 from llclab.supercuspidal import SSCDatum
 from llclab.zeta import (
     FULL_ENUM_CAP,
@@ -72,6 +79,98 @@ def test_depth_and_mode_guards():
         zeta_psi(d, lam, m=1)
     with pytest.raises(ValueError):
         zeta_psi(d, lam, shell_bound=0)
+
+
+def _psi_per_point(d, lam, m, B=2):
+    """The principal integral at one depth, point by point: solve every
+    cached invariant for the datum's uniformizer and twist by lam(h)."""
+    n = d.n
+    out = EpsPolynomial(d.q)
+    for v, h, inv in zeta._psi_points(d.q, n, m, B):
+        wv = d.invariant_root(inv.solve(d.pi_unit))
+        if wv is None:
+            continue
+        coeff = LambdaGraded.from_cyclo(wv * lam(h))
+        out.add_term(v, coeff, Fraction(v * (n - 1), 2) - m)
+    return out
+
+
+def _oracle_twists(F, q):
+    # the selftest twists, plus one with a value at t of order q - 1
+    out = [TameChar(F, e, RootOfUnity(b, q - 1)) for e, b in ZETA_TWISTS]
+    return out + [TameChar(F, 1, RootOfUnity(1, q - 1))]
+
+
+def _assert_matches_oracle(d, lam, m):
+    got = zeta_psi(d, lam, m=m)
+    want = _psi_per_point(d, lam, m)
+    assert got == want and got.to_json() == want.to_json()
+    c = Fraction(2, 7)
+    scaled = zeta_psi(d, lam, m=m, measure_scale=c)
+    assert scaled == want.scale(c) and scaled.to_json() == want.scale(c).to_json()
+
+
+@pytest.mark.parametrize("q,n", integral_cells("full"))
+def test_principal_rows_match_per_point_oracle(q, n):
+    for u0 in range(1, q):
+        for zeta_num, e_om in [(0, 0), (1, 1), (n + 1, 0)]:
+            d = _datum(q, n, zeta_num=zeta_num, omega_exp=e_om, u0=u0)
+            for lam in _oracle_twists(d.F, q):
+                for m in (2, 3):
+                    _assert_matches_oracle(d, lam, m)
+
+
+def _synthetic_points(q, n, m, B):
+    """A stand-in point family for the principal integral whose support
+    depends on val(h), on the leading digit of h and on the uniformizer:
+    the point h is given the invariant of h * rotation(u) for one unit u
+    that moves with h, with a corner digit the solve divides by u.  On
+    the genuine support h is a one-unit and every uniformizer sees the
+    same points, so there these three readings cannot be told apart."""
+    F = LocalField.base_field(q)
+    out = []
+    for v in range(-B, B + 1):
+        for w in F.unit_reps(m):
+            h = w.shift(v)
+            u = 1 + (len(out) + v) % (q - 1)
+            lead = h.coeff_at(v)
+            mono = MonomialClass.central(F, n, lead, v).compose(MonomialClass.rotation(F, n, u))
+            out.append((v, h, WhittakerInvariant(mono, len(out) % q, lead)))
+    return tuple(out)
+
+
+def test_principal_rows_match_oracle_on_synthetic_support(monkeypatch):
+    # fresh caches for the stand-in points; the real ones stay untouched
+    monkeypatch.setattr(zeta, "_psi_points", lru_cache(maxsize=None)(_synthetic_points))
+    monkeypatch.setattr(zeta, "_psi_rows", lru_cache(maxsize=None)(zeta._psi_rows.__wrapped__))
+    for q, n in [(5, 2), (5, 3), (3, 4)]:
+        for u0 in range(1, q):
+            d = _datum(q, n, zeta_num=1, omega_exp=1, u0=u0)
+            assert zeta._psi_rows(q, n, u0, 2, 2)  # every uniformizer has support
+            for lam in _oracle_twists(d.F, q):
+                want = _psi_per_point(d, lam, 2)
+                got = zeta._assemble_rows(d, lam, zeta._psi_rows(q, n, u0, 2, 2))
+                assert got == want and got.to_json() == want.to_json()
+
+
+def test_principal_two_depth_check_fires(monkeypatch):
+    real = zeta._psi_rows
+
+    def drop_one_row_above(q, n, pi_unit, m, B):
+        rows = real(q, n, pi_unit, m, B)
+        if m == 2:
+            return rows
+        thinner = Counter(rows)
+        thinner[next(iter(rows))] -= 1
+        return +thinner
+
+    monkeypatch.setattr(zeta, "_psi_rows", drop_one_row_above)
+    d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
+    lam = TameChar(d.F, 1, RootOfUnity(1, 4))
+    with pytest.raises(PrecisionNotStabilized):
+        zeta_psi(d, lam)
+    with pytest.raises(PrecisionNotStabilized):
+        gamma_automorphic(d, lam)
 
 
 # ----- dual integral -----------------------------------------------------
