@@ -1,12 +1,15 @@
 """Exact arithmetic in cyclotomic fields.
 
-Values of all characters in this package are roots of unity, and the
-character sums we care about (Gauss sums, Whittaker averages) live in
-Q(zeta_N) for a modest N.  Elements are stored as integer combinations of
-powers of a fixed primitive N-th root of unity; the canonical form is the
-remainder modulo the N-th cyclotomic polynomial, so equality is decidable
-and exact.  No floating point is used anywhere except in the optional
-numerical cross-check helpers.
+Values of all characters in this package are roots of unity, kept as
+RootOfUnity.  Genuine sums of them (a Gauss sum's coset histogram, the
+coefficients of a zeta integral) live in Q(zeta_N) for a modest N and are
+kept as CycloNumber: rational combinations of powers of a fixed primitive
+N-th root of unity, whose canonical form is the remainder modulo the N-th
+cyclotomic polynomial, so equality is decidable and exact.
+
+match_root turns a sum that is a root of unity times a rational back into
+that pair.  Its guess of the root is the only use of floating point in the
+package, and one exact == confirms it before it is returned.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import LLCError
 
@@ -120,9 +123,6 @@ class RootOfUnity:
     def inverse(self) -> RootOfUnity:
         return RootOfUnity(-self.num, self.order)
 
-    def conj(self) -> RootOfUnity:
-        return self.inverse()
-
     def is_one(self) -> bool:
         return self.num == 0
 
@@ -137,11 +137,8 @@ class RootOfUnity:
     def __repr__(self) -> str:
         return f"RootOfUnity({self.num}/{self.order})"
 
-    def as_cyclo(self, order: int | None = None) -> CycloNumber:
-        n = self.order if order is None else order
-        if n % self.order:
-            raise ValueError(f"order {n} does not contain a {self.order}-th root")
-        return CycloNumber(n, {self.num * (n // self.order): 1})
+    def as_cyclo(self) -> CycloNumber:
+        return CycloNumber(self.order, {self.num: 1})
 
     def complex_value(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.num / self.order)
@@ -289,10 +286,6 @@ class CycloNumber:
         a, b = self._pair(other)
         return a + (-b)
 
-    def __rsub__(self, other) -> CycloNumber:
-        a, b = self._pair(other)
-        return b + (-a)
-
     def __mul__(self, other) -> CycloNumber:
         if isinstance(other, RootOfUnity):
             return self._rotate(other)
@@ -320,26 +313,8 @@ class CycloNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> CycloNumber:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycloNumber.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def conj(self) -> CycloNumber:
         return CycloNumber(self.order, {-e: c for e, c in self.terms.items()})
-
-    def galois_image(self, k: int) -> CycloNumber:
-        """Image under zeta_N -> zeta_N^k; k must be prime to N."""
-        if gcd(k, self.order) != 1:
-            raise ValueError("not an automorphism")
-        return CycloNumber(self.order, {e * k: c for e, c in self.terms.items()})
 
     def canonical(self) -> tuple:
         """Tuple of (exponent, coefficient) pairs in the power basis
@@ -385,27 +360,6 @@ class CycloNumber:
 
     __hash__ = None  # mixed-order representatives make hashing a trap
 
-    def inverse(self) -> CycloNumber:
-        """Inverse via the product of all nontrivial Galois conjugates over
-        the rational norm.  Adequate for the occasional exact division."""
-        if self.is_zero():
-            raise ZeroDivisionError("cyclotomic zero has no inverse")
-        n = self.order
-        prod = CycloNumber.one(n)
-        for k in range(2, n + 1):
-            if gcd(k, n) == 1:
-                prod = prod * self.galois_image(k)
-        norm = (self * prod).rational_value()
-        return prod * (Fraction(1) / norm)
-
-    def __truediv__(self, other) -> CycloNumber:
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        a, b = self._pair(other)
-        return a * b.inverse()
-
     def complex_value(self) -> complex:
         z = 2j * cmath.pi / self.order
         return sum((float(c) * cmath.exp(z * e) for e, c in self.terms.items()), 0j)
@@ -432,3 +386,35 @@ def _norm_rat(c: Rational) -> Rational:
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+def match_root(c: CycloNumber) -> tuple[RootOfUnity, Fraction]:
+    """c as (root, r) with c = root * r and r a positive rational, else
+    LLCError.
+
+    |c|^2 = c * conj(c) must be the rational square r^2, and a root of unity
+    in Q(zeta_N) lies in mu_lcm(2, N).  The root is read off the phase of
+    c's canonical form and confirmed with one exact ==; only when that check fails are all
+    candidates compared exactly, so no verdict rests on floating point."""
+    reduced = c.compact()
+    try:
+        sq = (reduced * reduced.conj()).rational_value()
+    except ValueError:
+        raise LLCError("|c|^2 is not rational, so c is no root times a rational") from None
+    if sq == 0:
+        raise LLCError("zero is not a root times a rational")
+    num, den = isqrt(sq.numerator), isqrt(sq.denominator)
+    if num * num != sq.numerator or den * den != sq.denominator:
+        raise LLCError(f"|c|^2 = {sq} is not a rational square")
+    r = Fraction(num, den)
+    order = _lcm(2, c.order)
+    want = reduced.lift(order).canonical()
+    try:
+        guess = round(cmath.phase(reduced.complex_value()) / (2 * cmath.pi) * order)
+    except (OverflowError, ValueError):
+        # r beyond float range: no phase to read, only the exact scan
+        guess = 0
+    for k in (guess, *range(order)):
+        if CycloNumber(order, {k: r}).canonical() == want:
+            return RootOfUnity(k, order), r
+    raise LLCError("c is not a root of unity times a rational")

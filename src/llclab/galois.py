@@ -111,13 +111,12 @@ def _gauss_rows(q: int, n: int, pi_unit: int, m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_inner(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> CycloNumber:
+def _gauss_histogram(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> CycloNumber:
     """Sum of unitchar^-1(x) psi(Tr(x/pi_E)) over unit cosets of depth m.
 
     Every term of the full Gauss sum carries the same at_pi^-1 factor, so
     that factor is pulled out by the caller and the remaining sum depends
-    only on the residue data, which is what this cache is keyed on.
+    only on the residue data.
 
     Each coset's term is zeta_(q-1)^(-exp_unit dlog a0) zeta_p^e with its
     (dlog a0, e) counted in _gauss_rows; the terms collect in one
@@ -144,9 +143,19 @@ def _gauss_inner(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> CycloNu
     return CycloNumber._from_clean(big // step, terms).compact()
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_inner(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> LambdaGraded:
+    """The histogram of _gauss_histogram as a unit, recognised once per key."""
+    return LambdaGraded.from_cyclo(_gauss_histogram(q, n, pi_unit, exp_unit, m))
+
+
 def gauss_sum_bruteforce(xi: LevelOneCharE, m: int = 2) -> LambdaGraded:
     """The exact sum of xi^-1(x/pi_E) psi(Tr(x/pi_E)) over units of E
-    modulo depth-m one-units: q^(m-1)(q-1) cyclotomic terms."""
+    modulo depth-m one-units: q^(m-1)(q-1) cyclotomic terms.
+
+    xi has conductor p_E^2, so below depth 2 the sum is no Gauss sum."""
+    if m < 2:
+        raise ValueError("need depth m >= 2: below the conductor of xi it is no Gauss sum")
     E = xi.efield
     inner = _gauss_inner(E.residue.q, E.degree, E.pi_unit, xi.exp_unit, m)
     # xi(x/pi_E) = at_pi^-1 * unitchar(x) uniformly over the summation range

@@ -6,17 +6,16 @@ residue exponent e against the stored generator together with its value
 at t (a root of unity of order dividing q-1).  Tables keyed by those two
 integers are what the determination procedure consumes: the trivial
 entry exposes the third root-of-unity invariant of the datum, and the
-e = 1 column exposes the uniformizer's residue class.
+e = 1 column exposes the uniformizer's residue class.  Both are read
+straight off the root of unity that each entry's unit carries.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
-from math import lcm
 
 from .characters import TameChar
-from .cyclotomic import CycloNumber, RootOfUnity
+from .cyclotomic import RootOfUnity
 from .errors import InconsistentTable
 from .galois import build_parameter, det_parameter, epsilon_galois
 from .monomials import EpsMonomial, LambdaGraded
@@ -140,50 +139,34 @@ def verify_matching(d: SSCDatum, twists=None, include_integral: bool | None = No
     }
 
 
-def _entry_coefficient(entry: EpsMonomial) -> CycloNumber:
-    """Shape-check an entry and return its cyclotomic coefficient."""
+def _entry_root(entry: EpsMonomial) -> RootOfUnity:
+    """Shape-check an entry and return the root of unity it carries."""
     if entry.s_coeff != -1 or entry.q_const != Fraction(1, 2):
         raise InconsistentTable(f"q-monomial {entry.q_const}, {entry.s_coeff} is off-shape")
     if not entry.unit.is_lambda_free():
         raise InconsistentTable("entry carries the formal induction constant")
-    return entry.unit.constant_part()
-
-
-def _match_root(c: CycloNumber, order: int) -> RootOfUnity:
-    """The root of unity of order dividing ``order`` equal to c, else
-    InconsistentTable.
-
-    The numerator is read off the complex value and confirmed with one
-    exact ==; only when that check fails are all candidates compared
-    exactly, so no verdict rests on floating point."""
-    turns = cmath.phase(c.complex_value()) / (2 * cmath.pi)
-    guess = RootOfUnity(round(turns * order), order)
-    if guess.as_cyclo() == c:
-        return guess
-    for num in range(order):
-        if RootOfUnity(num, order).as_cyclo() == c:
-            return RootOfUnity(num, order)
-    raise InconsistentTable(f"coefficient is not a root of unity of order dividing {order}")
+    if entry.unit.rational != 1:
+        raise InconsistentTable(f"coefficient carries the rational {entry.unit.rational}")
+    return entry.unit.root
 
 
 def determine_from_table(T: EpsilonTable, omega: TameChar, n: int, q: int) -> DeterminationResult:
     """Recover (zeta, uniformizer class) from a twisted-epsilon table.
 
-    The trivial entry gives zeta, of whatever order: a root of unity in
-    Q(zeta_N) lies in mu_lcm(2, N).  The e = 1, t-trivial entry divided by
-    the trivial one gives lam(-1)^(n-1) lam(pi), whose discrete log
-    exposes the residue class of the uniformizer.  Every other entry is
-    then checked against the closed form; any mismatch, or any entry off
-    the monomial shape, raises InconsistentTable.
+    The trivial entry gives zeta, of whatever order.  The e = 1, t-trivial
+    entry divided by the trivial one gives lam(-1)^(n-1) lam(pi), whose
+    discrete log exposes the residue class of the uniformizer.  Every
+    other entry is then checked against the closed form; any mismatch, or
+    any entry off the monomial shape, raises InconsistentTable.
     """
     ff = omega.field.residue
-    trivial = _entry_coefficient(T.entries[(0, 0)])
-    zeta = _match_root(trivial, lcm(2, trivial.order))
+    zeta = _entry_root(T.entries[(0, 0)])
     if (1, 0) not in T.entries:
         return DeterminationResult(zeta, None, False, None)
-    ratio_c = _entry_coefficient(T.entries[(1, 0)]) * zeta.inverse().as_cyclo()
     # ratio = zeta_{q-1}^((n-1) dlog(-1) + dlog u0), all through exponent e=1
-    ratio = _match_root(ratio_c, q - 1)
+    ratio = _entry_root(T.entries[(1, 0)]) * zeta.inverse()
+    if (q - 1) % ratio.order:
+        raise InconsistentTable(f"coefficient is not a root of unity of order dividing {q - 1}")
     num = ratio.num * ((q - 1) // ratio.order)
     dlog_u0 = (num - (n - 1) * ff.dlog(ff.minus_one())) % (q - 1)
     u0 = ff.exp[dlog_u0 % (q - 1)]

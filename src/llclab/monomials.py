@@ -1,13 +1,15 @@
 """Epsilon-factor values as exact symbolic monomials.
 
 An epsilon factor here is a unit times an exact power q^(a + b*s).  The unit
-is one grade per value: a cyclotomic number times a single formal power of
-the Langlands constant Lambda attached to the ramified degree-n extension.
-We never evaluate Lambda numerically, we only track its exponent;
-reduce_lambda collapses Lambda^n to the value kappa(pi) = +-1 of the
-quadratic discriminant character at the uniformizer.  Zeta integrals
-produce polynomials in q^(-s) with such units as coefficients; the closed
-forms assert they collapse back to a single monomial.
+is a root of unity times a positive rational times a single formal power of
+the Langlands constant Lambda attached to the ramified degree-n extension,
+the shape lam(-1)^(n-1) lam(pi) zeta q^(1/2-s) of every epsilon factor in
+the theory.  We never evaluate Lambda numerically, we only track its
+exponent; reduce_lambda collapses Lambda^n to the value kappa(pi) = +-1 of
+the quadratic discriminant character at the uniformizer.  Zeta integrals
+produce polynomials in q^(-s) whose coefficients are genuine cyclotomic
+sums; the closed forms assert they collapse back to a single monomial,
+whose coefficient match_root splits into a root and a rational.
 """
 
 from __future__ import annotations
@@ -15,89 +17,67 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import CycloNumber, RootOfUnity
+from .cyclotomic import CycloNumber, RootOfUnity, match_root
 from .errors import LLCError, NotMonomial
 
-_CoeffLike = int | Fraction | RootOfUnity | CycloNumber
-
-
-def _as_cyclo(c: _CoeffLike) -> CycloNumber:
-    if isinstance(c, CycloNumber):
-        return c
-    if isinstance(c, RootOfUnity):
-        return c.as_cyclo()
-    return CycloNumber.from_rational(c)
+_Scalar = int | Fraction | RootOfUnity | CycloNumber
 
 
 class LambdaGraded:
-    """One term c * Lambda^a: an exact cyclotomic coefficient at one grade.
+    """The unit root * rational * Lambda^grade, immutable and in normal form.
 
-    Every value on the Galois side is a single power of Lambda times a
-    cyclotomic number, so a product adds grades and multiplies coefficients
-    once.  Zero is zero at every grade; a sum of nonzero values at two
-    different grades is outside the theory and raises LLCError.
+    The rational is a positive Fraction, its sign folded into the root, so
+    equal values have equal fields: == and hash compare them directly, and
+    products, inverses and powers never touch a cyclotomic sum.  Zero is
+    not a unit and building it raises LLCError.
     """
 
-    __slots__ = ("grade", "coeff")
+    __slots__ = ("grade", "root", "rational")
 
-    def __init__(self, grade: int, coeff: CycloNumber):
-        self.grade = grade
-        self.coeff = coeff
-
-    @classmethod
-    def from_cyclo(cls, c: _CoeffLike) -> LambdaGraded:
-        return cls(0, _as_cyclo(c))
-
-    @classmethod
-    def lambda_power(cls, a: int, coeff: _CoeffLike = 1) -> LambdaGraded:
-        return cls(a, _as_cyclo(coeff))
+    def __init__(self, grade: int, root: RootOfUnity, rational: int | Fraction = 1):
+        rational = Fraction(rational)
+        if rational.numerator <= 0:
+            if rational.numerator == 0:
+                raise LLCError("zero is not a unit")
+            root, rational = root * RootOfUnity.minus_one(), -rational
+        _unit(grade, root, rational, self)
 
     @classmethod
-    def zero(cls) -> LambdaGraded:
-        return cls(0, CycloNumber.zero())
+    def from_cyclo(cls, c: _Scalar) -> LambdaGraded:
+        return cls.lambda_power(0, c)
+
+    @classmethod
+    def lambda_power(cls, a: int, coeff: _Scalar = 1) -> LambdaGraded:
+        if isinstance(coeff, CycloNumber):
+            return cls(a, *match_root(coeff))
+        if isinstance(coeff, RootOfUnity):
+            return cls(a, coeff)
+        return cls(a, RootOfUnity.one(), coeff)
 
     @classmethod
     def one(cls) -> LambdaGraded:
-        return cls(0, CycloNumber.one())
+        return cls(0, RootOfUnity.one())
 
     @property
     def terms(self) -> dict[int, CycloNumber]:
-        """Read-only {grade: coeff} view, empty for zero; perfbench's
-        microbench reads its values."""
-        return {} if self.is_zero() else {self.grade: self.coeff}
-
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
+        """Read-only {grade: root * rational} view, the coefficient as a
+        one-term sum; perfbench's microbench multiplies its values."""
+        return {self.grade: CycloNumber(self.root.order, {self.root.num: self.rational})}
 
     def is_lambda_free(self) -> bool:
-        return self.grade == 0 or self.is_zero()
+        return self.grade == 0
 
-    def constant_part(self) -> CycloNumber:
-        """The Lambda^0 coefficient; errors if the value carries Lambda."""
-        if not self.is_lambda_free():
-            raise ValueError(f"value still carries Lambda^{self.grade}")
-        return self.coeff
-
-    def __add__(self, other: LambdaGraded) -> LambdaGraded:
-        if self.grade == other.grade:
-            return LambdaGraded(self.grade, self.coeff + other.coeff)
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        raise LLCError(f"sum of Lambda^{self.grade} and Lambda^{other.grade} terms")
-
-    def __neg__(self) -> LambdaGraded:
-        return LambdaGraded(self.grade, -self.coeff)
-
-    def __sub__(self, other: LambdaGraded) -> LambdaGraded:
-        return self + (-other)
+    def __setattr__(self, name, value):
+        raise AttributeError("LambdaGraded is immutable")
 
     def __mul__(self, other) -> LambdaGraded:
         if isinstance(other, LambdaGraded):
-            return LambdaGraded(self.grade + other.grade, self.coeff * other.coeff)
-        if isinstance(other, (CycloNumber, RootOfUnity, int, Fraction)):
-            return LambdaGraded(self.grade, self.coeff * other)
+            return _unit(self.grade + other.grade, self.root * other.root,
+                         self.rational * other.rational)
+        if isinstance(other, RootOfUnity):
+            return _unit(self.grade, self.root * other, self.rational)
+        if isinstance(other, (int, Fraction)):
+            return LambdaGraded(self.grade, self.root, self.rational * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -105,33 +85,45 @@ class LambdaGraded:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LambdaGraded):
             return NotImplemented
-        if self.grade == other.grade:
-            return self.coeff == other.coeff
-        return self.is_zero() and other.is_zero()
+        return (self.grade, self.root, self.rational) == (other.grade, other.root, other.rational)
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash((self.grade, self.root, self.rational))
 
     def inverse(self) -> LambdaGraded:
-        if self.is_zero():
-            raise ValueError("zero has no inverse")
-        return LambdaGraded(-self.grade, self.coeff.inverse())
+        return _unit(-self.grade, self.root.inverse(), 1 / self.rational)
 
     def __pow__(self, k: int) -> LambdaGraded:
-        base = self.inverse() if k < 0 else self
-        return LambdaGraded(base.grade * abs(k), base.coeff ** abs(k))
+        return _unit(self.grade * k, self.root**k, self.rational**k)
 
     def reduce_lambda(self, n: int, kappa_pi: int) -> LambdaGraded:
         """Rewrite Lambda^n -> kappa_pi (+-1), folding the grade into 0..n-1."""
         if kappa_pi not in (1, -1):
             raise LLCError(f"kappa(pi) must be 1 or -1, not {kappa_pi!r}")
         folds, r = divmod(self.grade, n)
-        return LambdaGraded(r, self.coeff * (kappa_pi if folds % 2 else 1))
+        return LambdaGraded(r, self.root, self.rational * (kappa_pi if folds % 2 else 1))
 
     def __repr__(self) -> str:
-        return f"LambdaGraded(({self.coeff!r})*L^{self.grade})"
+        return f"LambdaGraded({self.rational}*{self.root!r}*L^{self.grade})"
 
     def to_json(self) -> dict:
-        return {"unit": self.coeff.to_json(), "lambda": self.grade}
+        return {"unit": self.terms[self.grade].to_json(), "lambda": self.grade}
+
+
+_SET_GRADE = LambdaGraded.grade.__set__
+_SET_ROOT = LambdaGraded.root.__set__
+_SET_RATIONAL = LambdaGraded.rational.__set__
+
+
+def _unit(grade: int, root: RootOfUnity, rational: Fraction, out=None) -> LambdaGraded:
+    """Fill out, or a fresh LambdaGraded, with fields already in normal
+    form, past the immutability guard."""
+    if out is None:
+        out = object.__new__(LambdaGraded)
+    _SET_GRADE(out, grade)
+    _SET_ROOT(out, root)
+    _SET_RATIONAL(out, rational)
+    return out
 
 
 def _same_q(x, y) -> None:
@@ -168,19 +160,16 @@ class EpsMonomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EpsMonomial):
             return NotImplemented
-        if self.q != other.q:
-            return False
-        if self.unit.is_zero() and other.unit.is_zero():
-            return True
-        if self.s_coeff != other.s_coeff:
+        if self.q != other.q or self.s_coeff != other.s_coeff:
             return False
         delta = self.q_const - other.q_const
         if delta.denominator == 1:
-            return self.unit * (Fraction(self.q) ** delta.numerator) == other.unit
+            return self.unit * Fraction(self.q) ** delta.numerator == other.unit
         root = isqrt(self.q)
         if root * root == self.q:
             # q^(1/2) is the honest integer root, so half-integer offsets fold
             return self.unit * (Fraction(root) ** (2 * delta).numerator) == other.unit
+        # root * rational * q^(1/2) is never root * rational for non-square q
         return False
 
     __hash__ = None
@@ -193,24 +182,29 @@ class EpsMonomial:
 
 
 class EpsPolynomial:
-    """Exact polynomial in X = q^(-s) with LambdaGraded q-power coefficients.
+    """Exact polynomial in X = q^(-s) with cyclotomic q-power coefficients.
 
-    Terms are keyed by the power of X together with the fractional class of
-    the accompanying q-exponent; like terms merge by rebasing to the smaller
-    exponent.  For square q the half powers of q are integers and fold away
-    at insertion, so canonical forms stay comparable across all grid sizes.
+    Coefficients are genuine sums at grade 0, so they are kept as
+    CycloNumber.  Terms are keyed by the power of X together with the
+    fractional class of the accompanying q-exponent; like terms merge by
+    rebasing to the smaller exponent.  For square q the half powers of q are
+    integers and fold away at insertion, so canonical forms stay comparable
+    across all grid sizes.
     """
 
     __slots__ = ("q", "terms")
 
     def __init__(self, q: int):
         self.q = q
-        self.terms: dict[tuple[int, Fraction], tuple[LambdaGraded, Fraction]] = {}
+        self.terms: dict[tuple[int, Fraction], tuple[CycloNumber, Fraction]] = {}
 
-    def add_term(self, x_power: int, coeff: LambdaGraded, q_exp: Fraction) -> None:
+    def add_term(self, x_power: int, coeff: _Scalar, q_exp: Fraction) -> None:
+        """Add coeff * q^q_exp * X^x_power."""
         q_exp = Fraction(q_exp)
         if 2 % q_exp.denominator:
             raise ValueError("q-exponents are half-integers in this theory")
+        if not isinstance(coeff, CycloNumber):
+            coeff = CycloNumber.one() * coeff
         root = isqrt(self.q)
         if root * root == self.q and q_exp.denominator == 2:
             coeff = coeff * root
@@ -222,10 +216,9 @@ class EpsPolynomial:
             return
         c0, e0 = self.terms[key]
         e = min(e0, q_exp)
-        c = c0 * (Fraction(self.q) ** int(e0 - e)) + coeff * (Fraction(self.q) ** int(q_exp - e))
-        self.terms[key] = (c, e)
+        self.terms[key] = (c0 * self.q ** int(e0 - e) + coeff * self.q ** int(q_exp - e), e)
 
-    def cleaned(self) -> dict[tuple[int, Fraction], tuple[LambdaGraded, Fraction]]:
+    def cleaned(self) -> dict[tuple[int, Fraction], tuple[CycloNumber, Fraction]]:
         return {k: v for k, v in self.terms.items() if not v[0].is_zero()}
 
     def is_zero(self) -> bool:
@@ -263,7 +256,7 @@ class EpsPolynomial:
         if len(live) != 1:
             raise NotMonomial(f"{len(live)} surviving terms")
         (v, _), (coeff, e) = next(iter(live.items()))
-        return EpsMonomial(self.q, coeff, e, -v)
+        return EpsMonomial(self.q, LambdaGraded.from_cyclo(coeff), e, -v)
 
     def __repr__(self) -> str:
         body = ", ".join(f"X^{v}: {c!r}*q^{e}" for (v, _), (c, e) in sorted(self.terms.items()))

@@ -38,7 +38,7 @@ from .galois import build_parameter, gauss_sum_bruteforce
 from .laurent import LocalField
 from .matching import EpsilonTable, determine_from_table, verify_matching
 from .matrices import MatG
-from .monomials import EpsPolynomial, LambdaGraded
+from .monomials import EpsPolynomial
 from .pairs import PairConfig, cached_k_words, k_special_check, mirabolic_agreement
 from .stability import (
     BRUTE_FORCE_GUARD,
@@ -219,13 +219,9 @@ def criterion_zeta_collapse(scale: str | None = None) -> dict:
                     for e, b in ZETA_TWISTS:
                         lam = TameChar(F, e, RootOfUnity(b, q - 1))
                         principal = EpsPolynomial(q)
-                        principal.add_term(0, LambdaGraded.one(), Fraction(-1))
+                        principal.add_term(0, 1, Fraction(-1))
                         dual = EpsPolynomial(q)
-                        dual.add_term(
-                            1,
-                            LambdaGraded.from_cyclo(d.zeta * lam(pi)),
-                            Fraction(-1, 2),
-                        )
+                        dual.add_term(1, d.zeta * lam(pi), Fraction(-1, 2))
                         checked += 1
                         bad = []
                         if zeta_psi(d, lam) != principal:

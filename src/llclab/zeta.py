@@ -19,8 +19,8 @@ matrices with superdiagonal identity block and bottom row
 (1/h, 0, -x_{n-2}/h, ..., -x_1/h).  Its integrand vanishes unless every
 x_i is integral and 1/h is in pi(1+p).  Up to a size cap the direct
 integrator enumerates every point and evaluates the Whittaker function
-there, which checks this pointwise.  Above the cap it assembles the rows
-of the shared support table, which sums the surviving region in coarse
+there, which checks this pointwise.  Above the cap it assembles the
+cached shared support table, which sums the surviving region in coarse
 x-classes and spot-checks both the claimed vanishing and the claimed
 class-constancy on fixed-seed random points.
 """
@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bruhat import WhittakerInvariant, decompose
-from .cyclotomic import RootOfUnity
+from .cyclotomic import CycloNumber, RootOfUnity
 from .characters import TameChar
 from .errors import LLCError, PrecisionNotStabilized
 from .laurent import LaurentElem, LocalField
@@ -140,12 +140,17 @@ def zeta_psi_tilde(
     """
     if m < 2 or shell_bound < 1:
         raise ValueError("need depth m >= 2 and a positive shell bound")
-    return _two_depths(
-        lambda k: _tilde_at_depth(d, lam, k, shell_bound, AUDIT_SEED + k - m),
-        m,
-        "dual integral",
-        measure_scale,
-    )
+    F, n, B = d.F, d.n, shell_bound
+    if not _enumerates_fully(F, n, m, B):
+        return cached_dual_table(d.q, n, d.pi_unit, m, B).assemble(d, lam, measure_scale)
+
+    def at_depth(k: int) -> EpsPolynomial:
+        if _enumerates_fully(F, n, k, B):
+            return _tilde_points(d, lam, k, B)
+        # depth m enumerates but m + 1 does not: audited, class-pruned rows
+        return _assemble_rows(d, lam, Counter(_table_rows(F, n, d.pi_unit, k, B, AUDIT_SEED + 1)))
+
+    return _two_depths(at_depth, m, "dual integral", measure_scale)
 
 
 def _point_weight(n: int, m: int, v: int) -> Fraction:
@@ -158,12 +163,9 @@ def _enumerates_fully(F: LocalField, n: int, m: int, B: int) -> bool:
     return count <= FULL_ENUM_CAP
 
 
-def _tilde_at_depth(d: SSCDatum, lam: TameChar, m: int, B: int, seed: int) -> EpsPolynomial:
+def _tilde_points(d: SSCDatum, lam: TameChar, m: int, B: int) -> EpsPolynomial:
+    """The independent oracle: the Whittaker function at every point."""
     F, n = d.F, d.n
-    if not _enumerates_fully(F, n, m, B):
-        # this depth's audited, class-pruned table rows
-        return _assemble_rows(d, lam, Counter(_table_rows(F, n, d.pi_unit, m, B, seed)))
-    # the independent oracle: evaluate the Whittaker function at every point
     out = EpsPolynomial(d.q)
     x_reps = F.integer_reps(-B, m)
     for v in range(-B, B + 1):
@@ -174,8 +176,7 @@ def _tilde_at_depth(d: SSCDatum, lam: TameChar, m: int, B: int, seed: int) -> Ep
                 wv = d.whittaker_root(dual_matrix(F, xs, h))
                 if wv is None:
                     continue
-                coeff = LambdaGraded.from_cyclo(wv * lam_h)
-                out.add_term(-v, coeff, _point_weight(n, m, v))
+                out.add_term(-v, wv * lam_h, _point_weight(n, m, v))
     return out
 
 
@@ -269,8 +270,8 @@ def _assemble_rows(d: SSCDatum, lam: TameChar, agg: Counter) -> EpsPolynomial:
     out = EpsPolynomial(d.q)
     for row, count in agg.items():
         lam_arg = lam.of_leading(row.arg_val, row.arg_lead).inverse()
-        coeff = LambdaGraded.from_cyclo(d.invariant_root(row.solved) * lam_arg) * count
-        out.add_term(row.x_power, coeff, row.q_exp)
+        root = d.invariant_root(row.solved) * lam_arg
+        out.add_term(row.x_power, CycloNumber(root.order, {root.num: count}), row.q_exp)
     return out
 
 

@@ -79,6 +79,13 @@ def test_gauss_p_divides_n_rejected(capsys):
     assert cli.main(["gauss", "--q", "5", "--n", "5"]) == 2
 
 
+def test_gauss_below_conductor_depth_rejected(capsys):
+    # at depth 1 the sum is no Gauss sum: a precondition, not a mismatch
+    argv = ["gauss", "--q", "7", "--n", "2", "--u0", "3", "--zeta", "1/4", "--depth", "1"]
+    assert cli.main(argv) == 2
+    assert "depth m >= 2" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_facet_list(capsys):
     code, payload = run_json(capsys, ["facet", "--n", "4", "--list"])
     assert code == 0

@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from llclab.cyclotomic import CycloNumber, RootOfUnity, cyclotomic_polynomial, euler_phi
+from llclab.cyclotomic import CycloNumber, RootOfUnity, cyclotomic_polynomial, euler_phi, match_root
+from llclab.errors import LLCError
 from llclab.monomials import LambdaGraded
 
 
@@ -77,20 +78,23 @@ def test_reduction_mod_phi_nontrivial():
 
 
 def test_inverse_random():
+    # a unit root * r inverts as root^-1 / r; the sum representation agrees
     rng = random.Random(11)
     for _ in range(10):
         n = rng.choice([4, 5, 12])
-        x = CycloNumber(n, {rng.randrange(n): rng.randint(-3, 3) for _ in range(3)})
-        if x.is_zero():
-            continue
-        assert x * x.inverse() == CycloNumber.one()
+        r = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        x = RootOfUnity(rng.randrange(n), n).as_cyclo().lift(n) * r * rng.choice([-1, 1])
+        root, rat = match_root(x)
+        assert x * (root.inverse().as_cyclo() * (1 / rat)) == CycloNumber.one()
 
 
 def test_galois_and_conj():
+    # complex conjugation is the Galois automorphism zeta_12 -> zeta_12^11
     z = CycloNumber(12, {1: 1, 5: 2})
-    assert z.galois_image(11) == z.conj()
-    with pytest.raises(ValueError):
-        z.galois_image(4)
+    assert CycloNumber(12, {11: 1, 55: 2}) == z.conj()
+    assert z.conj().conj() == z
+    root, r = match_root(RootOfUnity(5, 12).as_cyclo() * 3)
+    assert match_root((RootOfUnity(5, 12).as_cyclo() * 3).conj()) == (root.inverse(), r)
 
 
 def test_json_round_trip():
@@ -173,14 +177,63 @@ def test_mixed_products_match_reflected_order():
     c = CycloNumber(6, {0: 2, 1: -1, 5: Fraction(1, 3)})
     assert z * c == c * z
     assert (z * c).complex_value() == pytest.approx(z.complex_value() * c.complex_value())
-    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})  # a zero with three terms
-    for g in (LambdaGraded.lambda_power(2, c), LambdaGraded.lambda_power(-1, RootOfUnity(1, 4))):
-        for f in (z, c, w_sum, 0, Fraction(-3, 2), 7):
+    for g in (LambdaGraded.lambda_power(2, RootOfUnity(1, 6).as_cyclo() * 3),
+              LambdaGraded.lambda_power(-1, RootOfUnity(1, 4))):
+        for f in (z, Fraction(-3, 2), 7):
             assert f * g == g * f
             assert (f * g).grade == g.grade
+        with pytest.raises(TypeError):
+            c * g
     for x in (z, c):
         with pytest.raises(TypeError):
             x * "not a number"
+
+
+# ----- the recogniser: a sum as root * rational --------------------------
+
+
+def test_root_recognition_does_not_rest_on_floating_point():
+    # zeta_6 plus a huge multiple of 1 + zeta_3 + zeta_3^2 = 0: the complex
+    # value of the raw input is noise, so the root must come from exact work
+    big = 10**20
+    c = CycloNumber(6, {1: 1, 0: big, 2: big, 4: big})
+    assert abs(c.complex_value() - RootOfUnity(1, 6).complex_value()) > 1
+    assert match_root(c) == (RootOfUnity(1, 6), 1)
+    assert match_root(c.lift(12)) == (RootOfUnity(1, 6), 1)
+    assert match_root(c * 2) == (RootOfUnity(1, 6), 2)
+    with pytest.raises(LLCError):
+        match_root(c + 1)
+    # the same disguised zero beyond float range
+    huge = 10**400
+    c = CycloNumber(6, {1: 1, 0: huge, 2: huge, 4: huge})
+    with pytest.raises(OverflowError):
+        c.complex_value()
+    assert match_root(c) == (RootOfUnity(1, 6), 1)
+    # a rational beyond float range leaves no phase to read: the exact scan
+    # finds the root
+    assert match_root(CycloNumber(6, {5: -huge})) == (RootOfUnity(1, 3), huge)
+
+
+def test_recogniser_cases():
+    # a root whose canonical form has several terms: Phi_9 has degree 6
+    z97 = RootOfUnity(7, 9).as_cyclo()
+    assert len(z97.canonical()) > 1
+    assert match_root(z97) == (RootOfUnity(7, 9), 1)
+    # a negative non-integral rational folds its sign into the root
+    root, r = match_root(RootOfUnity(5, 12).as_cyclo() * Fraction(-3, 2))
+    assert (root, r) == (RootOfUnity(11, 12), Fraction(3, 2))
+    assert type(r) is Fraction
+    # a rational alone lives at order 2
+    assert match_root(CycloNumber.from_rational(-7)) == (RootOfUnity.minus_one(), 7)
+    # zero and non-units are refused
+    sqrt5 = CycloNumber(5, {1: 1, 2: -1, 3: -1, 4: 1})
+    for c in (CycloNumber.zero(6), CycloNumber(3, {0: 1, 1: 1, 2: 1}),
+              CycloNumber(5, {0: 1, 1: 1}), sqrt5, CycloNumber(4, {0: 3, 1: 4})):
+        with pytest.raises(LLCError):
+            match_root(c)
+    # (3 + 4i)/5 has |c|^2 = 1 and still is no root of unity
+    with pytest.raises(LLCError):
+        match_root(CycloNumber(4, {0: Fraction(3, 5), 1: Fraction(4, 5)}))
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from llclab.errors import ZeroInput
 from llclab.galois import (
     DetCharacter,
     ParameterDatum,
+    _gauss_histogram,
     _gauss_inner,
     build_parameter,
     det_parameter,
@@ -192,12 +193,13 @@ def test_gauss_sum_twenty_term_oracle():
     assert P.xi.exp_unit == 0
     ff = d.F.residue
     psi = AdditiveCharPsi(d.F)
-    oracle = LambdaGraded.zero()
+    total = CycloNumber.zero()
     for a0 in ff.units():
         for c1 in range(5):
             inv_unit = psi.of_residue(ff.scalar_mul(-3, c1))
             tr = psi.of_residue(ff.scalar_mul(3, ff.mul(a0, c1)))
-            oracle = oracle + P.xi.at_pi * (inv_unit * tr)
+            total = total + (inv_unit * tr).as_cyclo()
+    oracle = P.xi.at_pi * LambdaGraded.from_cyclo(total)
     assert oracle == LambdaGraded.lambda_power(-1, 5)
     assert gauss_sum_bruteforce(P.xi) == oracle
 
@@ -223,6 +225,20 @@ def test_gauss_sum_deeper_depth_scales():
     d = _datum(5, 2, zeta_num=1, u0=2)
     P = build_parameter(d)
     assert gauss_sum_bruteforce(P.xi, m=3) == gauss_sum_bruteforce(P.xi) * 5
+
+
+def test_gauss_sum_below_the_conductor_is_rejected():
+    # xi has conductor p_E^2: summed over depth-1 cosets its wild part
+    # averages out, leaving q - 1 at one unit exponent and 0 at the others
+    for q, n, u0 in [(7, 2, 3), (5, 3, 2), (9, 2, 1)]:
+        for znum in (0, 1):
+            P = build_parameter(_datum(q, n, zeta_num=znum, u0=u0))
+            for lam in (TameChar.trivial(P.ssc.F), TameChar(P.ssc.F, 1)):
+                with pytest.raises(ValueError, match="depth m >= 2"):
+                    gauss_sum_bruteforce(P.xi.twist_by_base(lam), m=1)
+                with pytest.raises(ValueError, match="depth m >= 2"):
+                    gauss_sum_bruteforce(P.xi.twist_by_base(lam), m=0)
+    assert [_gauss_histogram(7, 2, 3, e, 1) for e in range(6)] == [6, 0, 0, 0, 0, 0]
 
 
 def test_inner_sum_vanishing():
@@ -278,12 +294,15 @@ def _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m):
 
 
 def _check_inner_against_oracle(q, n, pi_unit, exp_unit, m):
-    got = _gauss_inner(q, n, pi_unit, exp_unit, m)
+    got = _gauss_histogram(q, n, pi_unit, exp_unit, m)
     want = _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m)
     key = (q, n, pi_unit, exp_unit, m)
     assert got.order == want.order, key
     assert got.canonical() == want.canonical(), key
     assert got.terms == want.terms, key
+    if m >= 2:
+        # at and above the conductor the cached unit is the same value
+        assert _gauss_inner(q, n, pi_unit, exp_unit, m) == LambdaGraded.from_cyclo(want), key
 
 
 def _degrees(q):

@@ -5,11 +5,10 @@ from math import gcd
 import pytest
 
 from llclab.characters import TameChar
-from llclab.cyclotomic import CycloNumber, RootOfUnity
+from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InconsistentTable
 from llclab.matching import (
     EpsilonTable,
-    _match_root,
     determine_from_table,
     twist_char,
     verify_matching,
@@ -75,6 +74,12 @@ def test_corrupted_entry_raises():
     bad = dict(T.entries)
     bad[(0, 0)] = bad[(0, 0)].scale(2)
     with pytest.raises(InconsistentTable):
+        determine_from_table(EpsilonTable(5, 2, bad), d.omega, 2, 5)
+
+    # the twisted ratio must be a root of unity of order dividing q - 1
+    bad = dict(T.entries)
+    bad[(1, 0)] = bad[(1, 0)].scale(RootOfUnity(1, 3))
+    with pytest.raises(InconsistentTable, match="order dividing 4"):
         determine_from_table(EpsilonTable(5, 2, bad), d.omega, 2, 5)
 
 
@@ -183,17 +188,3 @@ def test_round_trip_every_zeta_order():
                 assert res.datum.omega_at_pi == d.omega_at_pi
                 assert res.datum.omega_exp == d.omega_exp
                 i += 1
-
-
-def test_root_recognition_does_not_rest_on_floating_point():
-    # zeta_6 plus a huge multiple of 1 + zeta_3 + zeta_3^2 = 0: the complex
-    # value is noise, so the exact scan has to find the root
-    big = 10**20
-    c = CycloNumber(6, {1: 1, 0: big, 2: big, 4: big})
-    assert abs(c.complex_value() - RootOfUnity(1, 6).complex_value()) > 1
-    assert _match_root(c, 6) == RootOfUnity(1, 6)
-    assert _match_root(c, 12) == RootOfUnity(1, 6)
-    with pytest.raises(InconsistentTable):
-        _match_root(c, 4)
-    with pytest.raises(InconsistentTable):
-        _match_root(c * 2, 6)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,9 +36,8 @@ def test_lambda_arithmetic():
     b = LambdaGraded.lambda_power(-1, RootOfUnity(3, 4))
     assert a * b == LambdaGraded.one()
     assert a * a.inverse() == LambdaGraded.one()
-    assert (a - a).is_zero()
-    with pytest.raises(ValueError):
-        a.constant_part()
+    assert a ** 2 == LambdaGraded.lambda_power(2, -1)
+    assert not a.is_lambda_free() and (a * b).is_lambda_free()
 
 
 def test_malformed_operands_raise_llc_errors():
@@ -77,8 +77,8 @@ def test_eps_monomial_mul_div():
 
 def test_eps_polynomial_merge_and_collapse():
     p = EpsPolynomial(5)
-    p.add_term(1, LambdaGraded.from_cyclo(1), Fraction(1, 2))
-    p.add_term(1, LambdaGraded.from_cyclo(4), Fraction(-1, 2))
+    p.add_term(1, 1, Fraction(1, 2))
+    p.add_term(1, 4, Fraction(-1, 2))
     # 1*q^(1/2) + 4*q^(-1/2) at the same X-power merge into one coefficient
     m = p.collapse_to_monomial()
     assert m == mono(5, 9, Fraction(-1, 2), -1)
@@ -86,8 +86,8 @@ def test_eps_polynomial_merge_and_collapse():
 
 def test_eps_polynomial_not_monomial():
     p = EpsPolynomial(5)
-    p.add_term(0, LambdaGraded.one(), Fraction(0))
-    p.add_term(1, LambdaGraded.one(), Fraction(0))
+    p.add_term(0, 1, Fraction(0))
+    p.add_term(1, RootOfUnity.one(), Fraction(0))
     with pytest.raises(NotMonomial):
         p.collapse_to_monomial()
     empty = EpsPolynomial(5)
@@ -98,17 +98,17 @@ def test_eps_polynomial_not_monomial():
 def test_eps_polynomial_cancellation():
     p = EpsPolynomial(3)
     z = RootOfUnity(1, 3)
-    p.add_term(2, LambdaGraded.from_cyclo(z), Fraction(1))
-    p.add_term(2, LambdaGraded.from_cyclo(z.as_cyclo() * -1), Fraction(1))
-    p.add_term(0, LambdaGraded.one(), Fraction(1, 2))
+    p.add_term(2, z, Fraction(1))
+    p.add_term(2, z.as_cyclo() * -1, Fraction(1))
+    p.add_term(0, Fraction(1), Fraction(1, 2))
     assert p.collapse_to_monomial() == mono(3, 1, Fraction(1, 2), 0)
 
 
 def test_eps_polynomial_square_q_folding():
     p = EpsPolynomial(9)
-    p.add_term(1, LambdaGraded.one(), Fraction(1, 2))
+    p.add_term(1, 1, Fraction(1, 2))
     q = EpsPolynomial(9)
-    q.add_term(1, LambdaGraded.from_cyclo(3), Fraction(0))
+    q.add_term(1, 3, Fraction(0))
     assert p == q
 
 
@@ -118,91 +118,177 @@ def test_monomial_json_shape():
     assert data["lambda"] == -1
     assert data["q_exp"] == {"const": "1/2", "s": -1}
     assert data["unit"]["order"] == 3
-    for unit in (LambdaGraded.one(), LambdaGraded.zero(), LambdaGraded.lambda_power(2, 5)):
+    for unit in (LambdaGraded.one(), LambdaGraded.from_cyclo(Fraction(-3, 2)),
+                 LambdaGraded.lambda_power(2, 5)):
         assert set(EpsMonomial(7, unit, Fraction(0), 0).to_json()) == {"unit", "lambda", "q_exp"}
 
 
 def _assert_same_value(fast, generic):
-    assert fast == generic and generic == fast
-    assert (fast - generic).is_zero()
-    assert fast.grade == generic.grade
-    assert fast.coeff.order == generic.coeff.order
-    assert abs(fast.coeff.complex_value() - generic.coeff.complex_value()) < 1e-9
+    assert fast == generic and generic == fast and hash(fast) == hash(generic)
+    assert (fast.grade, fast.root, fast.rational) == (generic.grade, generic.root, generic.rational)
+    assert type(fast.rational) is Fraction and fast.rational > 0
 
 
 def test_graded_scaling_matches_generic_product():
-    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})  # a zero with three terms
-    values = [LambdaGraded.lambda_power(0, CycloNumber(6, {1: 2, 5: Fraction(-1, 3)})),
+    values = [LambdaGraded.lambda_power(0, CycloNumber(3, {0: Fraction(-2, 3), 2: Fraction(-2, 3)})),
               LambdaGraded.lambda_power(-1, RootOfUnity(1, 9)),
               LambdaGraded.lambda_power(2, CycloNumber(10, {7: 10**20}))]
     factors = [RootOfUnity(-1, 4), RootOfUnity(10**12 + 1, 7), RootOfUnity.one(),
-               CycloNumber(4, {0: 1, 3: -2}), w_sum, CycloNumber.zero(5),
-               Fraction(-3, 2), 0, 7]
+               Fraction(-3, 2), 7, -1]
     for g in values:
         for f in factors:
             generic = g * LambdaGraded.from_cyclo(f)  # the graded product
             for fast in (g * f, f * g):
                 _assert_same_value(fast, generic)
-                assert fast.is_zero() == (f == 0)
-        assert (g * w_sum).is_zero() and (g * 0).is_zero()
-        assert g * w_sum == LambdaGraded.zero() and LambdaGraded.zero() == 0 * g
+        # sums are no units: scaling by one, or by zero, is refused
+        for bad in (CycloNumber(4, {0: 1, 3: -2}), CycloNumber.one()):
+            with pytest.raises(TypeError):
+                g * bad
+            with pytest.raises(TypeError):
+                bad * g
+        for zero in (0, Fraction(0)):
+            with pytest.raises(LLCError):
+                g * zero
 
 
 def test_graded_equality_grade_on_one_side_only():
     z = RootOfUnity(1, 6).as_cyclo()
-    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})
     one = LambdaGraded.one()
     other = LambdaGraded.lambda_power(1, z)
     for a, b in ((one, other), (other, one)):
         assert a != b and not (a == b)
-        with pytest.raises(LLCError):
-            a - b
-    # a zero in disguise at another grade is zero, and adds as zero
-    hidden = LambdaGraded.lambda_power(1, w_sum)
-    assert hidden == LambdaGraded.zero() and LambdaGraded.zero() == hidden
-    assert hidden != one and one != hidden
-    assert one + hidden == one and hidden + one == one
-    # equal grades stored at different orders compare through the lcm route
+    # equal grades stored at different orders meet in one normal form
     z3 = RootOfUnity(2, 3).as_cyclo()
     lp = LambdaGraded.lambda_power
-    assert lp(-1, z) == lp(-1, z3 * -1)
-    assert (lp(-1, z) - lp(-1, z3 * -1)).is_zero()
+    assert lp(-1, z) == lp(-1, z3 * -1) and hash(lp(-1, z)) == hash(lp(-1, z3 * -1))
     assert lp(-1, z) != lp(-1, z3)
     assert lp(2, z) != lp(-2, z) and lp(0, z) != lp(1, z)
 
 
 def test_sum_across_two_grades_raises():
-    c = CycloNumber(6, {1: 2, 5: Fraction(-1, 3)})
-    with pytest.raises(LLCError):
-        LambdaGraded.from_cyclo(c) + LambdaGraded.lambda_power(1, RootOfUnity(1, 4))
-    with pytest.raises(LLCError):
-        LambdaGraded.lambda_power(-2, 1) - LambdaGraded.lambda_power(3, c)
-    assert (LambdaGraded.lambda_power(2, c) + LambdaGraded.lambda_power(2, c)
-            == LambdaGraded.lambda_power(2, c * 2))
+    # sums live in EpsPolynomial's cyclotomic coefficients, never in a unit
+    a, b = LambdaGraded.one(), LambdaGraded.lambda_power(1, RootOfUnity(1, 4))
+    for x, y in ((a, b), (b, a), (b, b)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
 
 
 def test_zero_equals_zero_at_every_grade():
-    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})
-    zeros = [LambdaGraded.lambda_power(2, 0), LambdaGraded.lambda_power(-1, CycloNumber.zero(7)),
-             LambdaGraded.lambda_power(-1, w_sum), LambdaGraded.zero()]
-    for a in zeros:
-        assert a.is_zero() and a.is_lambda_free()
-        assert a.constant_part().is_zero()
-        for b in zeros:
-            assert a == b
-        assert a != LambdaGraded.lambda_power(2, 1) and a != LambdaGraded.lambda_power(-1, 1)
+    """Every spelling of zero is the same cyclotomic zero and vanishes from a
+    polynomial, while at every grade it is refused as a unit."""
+    w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})  # a zero with three terms
+    zeros = (0, Fraction(0), CycloNumber.zero(7), w_sum)
+    p = EpsPolynomial(5)
+    for v, zero in enumerate(zeros):
+        assert CycloNumber.one() * zero == CycloNumber.zero(5) == CycloNumber.one() * zero
+        p.add_term(v, zero, Fraction(1, 2))
+        for a in (2, -1, 0):
+            with pytest.raises(LLCError):
+                LambdaGraded.lambda_power(a, zero)
+    assert p.is_zero() and p == EpsPolynomial(5) and EpsPolynomial(5) == p
+    for a in (2, -1, 0):
+        with pytest.raises(LLCError):
+            LambdaGraded(a, RootOfUnity(1, 3), 0)
 
 
 def test_inverse_of_zero_raises_value_error():
+    """A zero unit is refused where it would be built, so no inverse of zero
+    is ever reached; the inverse and powers of units stay exact."""
     w_sum = CycloNumber(3, {0: 1, 1: 1, 2: 1})
-    for z in (LambdaGraded.zero(), LambdaGraded.lambda_power(3, w_sum)):
-        with pytest.raises(ValueError):
-            z.inverse()
-        with pytest.raises(ValueError):
-            z ** -1
     g = LambdaGraded.lambda_power(2, RootOfUnity(1, 5))
+    for build in (lambda: LambdaGraded.lambda_power(3, w_sum), lambda: g * 0,
+                  lambda: Fraction(0) * g, lambda: LambdaGraded(-1, RootOfUnity.one(), 0)):
+        with pytest.raises(LLCError):
+            build()
     assert g ** -3 == LambdaGraded.lambda_power(-6, RootOfUnity(-3, 5))
+    assert g ** -1 == g.inverse() and g * g.inverse() == LambdaGraded.one()
     assert g ** 0 == LambdaGraded.one()
+
+
+def test_sign_folds_into_the_root():
+    a = LambdaGraded(1, RootOfUnity(1, 3), Fraction(-2, 5))
+    assert (a.root, a.rational) == (RootOfUnity(5, 6), Fraction(2, 5))
+    assert a == LambdaGraded.lambda_power(1, RootOfUnity(5, 6).as_cyclo() * Fraction(2, 5))
+    with pytest.raises(AttributeError):
+        a.rational = Fraction(1)
+
+
+def test_root_times_rational_unit_oracle():
+    """Product, inverse, power and == of units against the same arithmetic
+    on root.as_cyclo() * rational, the cyclotomic-sum representation."""
+    rng = random.Random(2015)
+
+    def draw():
+        order = rng.randint(1, 60)
+        rational = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+        return LambdaGraded(rng.randint(-3, 3), RootOfUnity(rng.randrange(order), order), rational)
+
+    def old(x):
+        return x.grade, x.root.as_cyclo() * x.rational
+
+    def old_eq(x, y):
+        return x[0] == y[0] and x[1] == y[1]
+
+    units = [draw() for _ in range(80)]
+    # the same values again, with the sign moved out of the root
+    units += [LambdaGraded(x.grade, x.root * RootOfUnity.minus_one(), -x.rational) for x in units[:20]]
+    one = (0, CycloNumber.one())
+    for _ in range(300):
+        x, y = rng.choice(units), rng.choice(units)
+        ox, oy = old(x), old(y)
+        assert old_eq(old(x * y), (ox[0] + oy[0], ox[1] * oy[1]))
+        assert old_eq((ox[0] + old(x.inverse())[0], ox[1] * old(x.inverse())[1]), one)
+        k = rng.randint(-3, 3)
+        want = one
+        for _ in range(abs(k)):
+            step = ox if k > 0 else old(x.inverse())
+            want = (want[0] + step[0], want[1] * step[1])
+        assert old_eq(old(x ** k), want)
+        assert (x == y) == old_eq(ox, oy)
+        if x == y:
+            assert hash(x) == hash(y)
+    assert sum(x == y for x in units for y in units) > len(units)
+
+
+def test_epsilon_values_are_root_times_rational():
+    # every unit the engines hand out carries a root and a positive
+    # rational, and no cyclotomic sum
+    from llclab.galois import build_parameter, det_parameter, epsilon_galois, gauss_sum_bruteforce
+    from llclab.matching import twist_char
+    from llclab.supercuspidal import SSCDatum
+    from llclab.zeta import closed_form_epsilon, gamma_automorphic
+
+    zeta = RootOfUnity(2, 9)
+    d = SSCDatum(5, 3, zeta, omega_exp=1, omega_at_pi=zeta**3, pi_unit=2)
+    P = build_parameter(d)
+    lam = twist_char(d.F, 1, 1)
+    units = [
+        gauss_sum_bruteforce(P.xi),
+        gauss_sum_bruteforce(P.xi.twist_by_base(lam), m=3),
+        epsilon_galois(P, lam).unit,
+        closed_form_epsilon(d, lam).unit,
+        gamma_automorphic(d, lam).unit,
+        det_parameter(P).at_pi,
+    ]
+    for u in units:
+        assert type(u) is LambdaGraded
+        assert type(u.root) is RootOfUnity
+        assert type(u.rational) is Fraction and u.rational > 0
+        assert not any(isinstance(getattr(u, f), CycloNumber) for f in LambdaGraded.__slots__)
+
+
+def test_sqrt_q_is_not_a_unit():
+    # the quadratic Gauss sum of F_5 is sqrt(5): no root times a rational,
+    # so it cannot pose as one and break the half-integer branch of ==
+    sqrt5 = CycloNumber(5, {1: 1, 2: -1, 3: -1, 4: 1})
+    assert sqrt5 * sqrt5 == CycloNumber.from_rational(5)
+    with pytest.raises(LLCError):
+        LambdaGraded.from_cyclo(sqrt5)
+    assert EpsMonomial(5, LambdaGraded.one(), Fraction(1, 2), -1) != EpsMonomial(
+        5, LambdaGraded.one(), Fraction(0), -1
+    )
 
 
 def _dict_fold(terms, n, kappa_pi):
@@ -217,12 +303,13 @@ def _dict_fold(terms, n, kappa_pi):
 
 
 def test_reduce_lambda_matches_dict_fold():
-    c = CycloNumber(6, {1: 2, 5: Fraction(-1, 3)})
+    c = RootOfUnity(1, 6).as_cyclo() * Fraction(-1, 3)
     for n in range(2, 7):
         for kappa_pi in (1, -1):
             for a in range(-2 * n, 2 * n + 1):
                 got = LambdaGraded.lambda_power(a, c).reduce_lambda(n, kappa_pi)
                 ((want_grade, want_coeff),) = _dict_fold({a: c}, n, kappa_pi).items()
                 assert 0 <= got.grade < n
-                assert got.grade == want_grade and got.coeff == want_coeff, (n, kappa_pi, a)
+                assert got.grade == want_grade, (n, kappa_pi, a)
+                assert got.root.as_cyclo() * got.rational == want_coeff, (n, kappa_pi, a)
                 assert got == LambdaGraded.lambda_power(want_grade, want_coeff)

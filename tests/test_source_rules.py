@@ -34,3 +34,18 @@ def test_no_assertion_errors_raised_in_library():
     # code 2; an AssertionError would escape it as a bare traceback
     found = [f"{name}:{node.lineno}" for name, node in _library_nodes() if _raises_assertion_error(node)]
     assert found == []
+
+
+def _imports(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module]
+    return []
+
+
+def test_only_the_recogniser_module_imports_cmath():
+    # floating point serves one purpose: match_root's guess of a root,
+    # which an exact == confirms before anything is returned
+    found = sorted({name for name, node in _library_nodes() if "cmath" in _imports(node)})
+    assert found == ["cyclotomic.py"]

@@ -34,14 +34,14 @@ def _datum(q, n, zeta_num=0, omega_exp=0, u0=1):
 
 def _const_poly(q, value_exp):
     out = EpsPolynomial(q)
-    out.add_term(0, LambdaGraded.one(), Fraction(value_exp))
+    out.add_term(0, 1, Fraction(value_exp))
     return out
 
 
 def _dual_expected(d, lam):
     # zeta * lam(pi) * q^(-1/2) * q^(-s)
     out = EpsPolynomial(d.q)
-    out.add_term(1, LambdaGraded.from_cyclo(d.zeta * lam(d.pi_elem())), Fraction(-1, 2))
+    out.add_term(1, d.zeta * lam(d.pi_elem()), Fraction(-1, 2))
     return out
 
 
@@ -90,8 +90,7 @@ def _psi_per_point(d, lam, m, B=2):
         wv = d.invariant_root(inv.solve(d.pi_unit))
         if wv is None:
             continue
-        coeff = LambdaGraded.from_cyclo(wv * lam(h))
-        out.add_term(v, coeff, Fraction(v * (n - 1), 2) - m)
+        out.add_term(v, wv * lam(h), Fraction(v * (n - 1), 2) - m)
     return out
 
 
@@ -211,8 +210,7 @@ def _rank2_shell_oracle(d, lam, m, B):
             if w.coeff_at(0) != want_res:
                 continue
             h = w.shift(-1)
-            coeff = LambdaGraded.from_cyclo(d.zeta * lam(h).inverse())
-            out.add_term(1, coeff, Fraction(1, 2) - m)
+            out.add_term(1, d.zeta * lam(h).inverse(), Fraction(1, 2) - m)
     return out
 
 
@@ -314,6 +312,20 @@ def test_table_cache_is_shared():
     a = cached_dual_table(5, 2, 1)
     b = cached_dual_table(5, 2, 1)
     assert a is b
+
+
+def test_dual_integral_above_cap_reads_the_cached_table(monkeypatch):
+    # above FULL_ENUM_CAP the dual integral assembles the cached table:
+    # once it is built, no call decomposes a point again
+    T = cached_dual_table(3, 4, 2)
+    calls = []
+    real = zeta._table_rows
+    monkeypatch.setattr(zeta, "_table_rows", lambda *a: calls.append(a) or real(*a))
+    d = _datum(3, 4, zeta_num=5, omega_exp=1, u0=2)
+    for lam in (TameChar.trivial(d.F), TameChar(d.F, 1, RootOfUnity(1, 2))):
+        got = zeta_psi_tilde(d, lam)
+        assert got == T.assemble(d, lam) == _dual_expected(d, lam)
+    assert calls == []
 
 
 def test_table_measure_scale():
