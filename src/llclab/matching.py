@@ -141,12 +141,9 @@ def verify_matching(d: SSCDatum, twists=None, include_integral: bool | None = No
 
 def _entry_root(entry: EpsMonomial) -> RootOfUnity:
     """Shape-check an entry and return the root of unity it carries."""
-    if entry.s_coeff != -1 or entry.q_const != Fraction(1, 2):
-        raise InconsistentTable(f"q-monomial {entry.q_const}, {entry.s_coeff} is off-shape")
-    if not entry.unit.is_lambda_free():
-        raise InconsistentTable("entry carries the formal induction constant")
-    if entry.unit.rational != 1:
-        raise InconsistentTable(f"coefficient carries the rational {entry.unit.rational}")
+    shape = EpsMonomial(entry.q, LambdaGraded(0, entry.unit.root), Fraction(1, 2), -1)
+    if entry != shape:
+        raise InconsistentTable(f"entry {entry!r} is not a root of unity times q^(1/2 - s)")
     return entry.unit.root
 
 

@@ -19,6 +19,7 @@ from math import isqrt
 
 from .cyclotomic import CycloNumber, RootOfUnity, match_root
 from .errors import LLCError, NotMonomial
+from .finitefield import field_of_size
 
 _Scalar = int | Fraction | RootOfUnity | CycloNumber
 
@@ -131,17 +132,47 @@ def _same_q(x, y) -> None:
         raise LLCError(f"monomials over different residue sizes {x.q} and {y.q}")
 
 
+def _normal_q_power(q: int, unit: LambdaGraded, q_const: Fraction) -> tuple[LambdaGraded, Fraction]:
+    """unit * q^q_const rewritten in EpsMonomial's normal form."""
+    ff = field_of_size(q)
+    p, f = ff.p, ff.f
+    num, den = unit.rational.numerator, unit.rational.denominator
+    # work on twice the exponent, an integer since q_const is a half-integer
+    twice = q_const.numerator * (2 // q_const.denominator)
+    folded = f == 2 and twice % 2
+    if folded:
+        num, twice = num * p, twice - 1
+    elif num % p and den % p:
+        return unit, q_const
+    v = 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    shift, rest = divmod(v, f)
+    if not (shift or folded):
+        return unit, q_const
+    rational = Fraction(num * p**rest, den)
+    return _unit(unit.grade, unit.root, rational), Fraction(twice + 2 * shift, 2)
+
+
 class EpsMonomial:
-    """unit * q^(q_const + s_coeff * s) for a fixed residue size q."""
+    """unit * q^(q_const + s_coeff * s) for a fixed residue size q.
+
+    Normal form, q = p^f: the unit's rational has p-adic valuation in
+    0..f-1, every whole power of q moved into q_const, and for square q
+    a half-integer q_const is folded into the rational through the
+    integer q^(1/2) = p first.  Equal values then have equal fields.
+    """
 
     __slots__ = ("q", "unit", "q_const", "s_coeff")
 
     def __init__(self, q: int, unit: LambdaGraded, q_const: Fraction, s_coeff: int):
-        self.q = q
-        self.unit = unit
-        self.q_const = Fraction(q_const)
-        if 2 % self.q_const.denominator:
+        q_const = Fraction(q_const)
+        if 2 % q_const.denominator:
             raise ValueError("q-exponents are half-integers in this theory")
+        self.q = q
+        self.unit, self.q_const = _normal_q_power(q, unit, q_const)
         self.s_coeff = s_coeff
 
     def __mul__(self, other: EpsMonomial) -> EpsMonomial:
@@ -160,17 +191,9 @@ class EpsMonomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EpsMonomial):
             return NotImplemented
-        if self.q != other.q or self.s_coeff != other.s_coeff:
-            return False
-        delta = self.q_const - other.q_const
-        if delta.denominator == 1:
-            return self.unit * Fraction(self.q) ** delta.numerator == other.unit
-        root = isqrt(self.q)
-        if root * root == self.q:
-            # q^(1/2) is the honest integer root, so half-integer offsets fold
-            return self.unit * (Fraction(root) ** (2 * delta).numerator) == other.unit
-        # root * rational * q^(1/2) is never root * rational for non-square q
-        return False
+        return (self.q, self.s_coeff, self.q_const, self.unit) == (
+            other.q, other.s_coeff, other.q_const, other.unit
+        )
 
     __hash__ = None
 

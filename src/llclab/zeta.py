@@ -7,11 +7,13 @@ depth m is fixed: multiplicative cosets h(1 + p^m) carry volume q^-m
 q^(1/2 - m) (so the integers have volume sqrt(q)).  Every evaluation is
 repeated at depth m+1; a mismatch raises instead of averaging away.
 
-The points of an integral, their Bruhat invariants and whether they lie
-on the Whittaker support depend only on (q, n, pi_unit, depth, shell
-bound).  Both integrals are therefore cached as aggregated rows, solved
-invariants with multiplicities, and one assembly routine evaluates a
-datum's character of the invariants and the twist on them.
+The points of an integral and their Bruhat invariants depend only on
+(q, n, depth, shell bound); the uniformizer enters when an invariant is
+solved.  Each integral's points are therefore decomposed once per
+(q, n, depth, shell bound) and cached as unsolved rows with
+multiplicities.  One solver turns them into the rows of a pi_unit,
+solved invariants with multiplicities, and one assembly routine
+evaluates a datum's character of the invariants and the twist on them.
 
 The principal integral runs over diag(h, 1, ..., 1); its rows are the
 points of the support at each depth.  The dual integral runs over the
@@ -22,7 +24,7 @@ integrator enumerates every point and evaluates the Whittaker function
 there, which checks this pointwise.  Above the cap it assembles the
 cached shared support table, which sums the surviving region in coarse
 x-classes and spot-checks both the claimed vanishing and the claimed
-class-constancy on fixed-seed random points.
+class-constancy on fixed-seed random points, for every pi_unit.
 """
 
 from __future__ import annotations
@@ -81,37 +83,29 @@ def _two_depths(at_depth, m: int, what: str, measure_scale: Fraction) -> EpsPoly
 
 
 @lru_cache(maxsize=None)
-def _psi_points(q: int, n: int, m: int, B: int):
-    """Integration points (v, h, invariant) of the principal integral.
+def _psi_points(q: int, n: int, m: int, B: int) -> Counter:
+    """The principal integral's unsolved rows at depth m.
 
     The invariant of diag(h, 1, ..., 1) sees neither the datum nor the
-    uniformizer, so one decomposition per point serves every pi_unit;
-    _psi_rows solves it once per pi_unit."""
+    uniformizer, so one decomposition per point serves every pi_unit.
+    The twist enters as lam(h) = lam(1/h)^-1, so the rows carry 1/h and
+    assemble exactly like the dual integral's."""
     F = LocalField.base_field(q)
-    one = F.one()
-    out = []
+    ff, one = F.residue, F.one()
+    points = Counter()
     for v in range(-B, B + 1):
+        q_exp = Fraction(v * (n - 1), 2) - m
         for w in F.unit_reps(m):
             h = w.shift(v)
-            g = diagonal(F, [h] + [one] * (n - 1))
-            out.append((v, h, WhittakerInvariant.of(*decompose(g))))
-    return tuple(out)
+            inv = WhittakerInvariant.of(*decompose(diagonal(F, [h] + [one] * (n - 1))))
+            points[ZetaPoint(v, q_exp, -v, ff.inv(h.coeff_at(v)), inv)] += 1
+    return points
 
 
 @lru_cache(maxsize=None)
 def _psi_rows(q: int, n: int, pi_unit: int, m: int, B: int) -> Counter:
-    """The principal integral's support rows for one uniformizer at depth m.
-
-    The twist enters as lam(h) = lam(1/h)^-1, so the rows carry 1/h and
-    assemble exactly like the dual integral's."""
-    ff = LocalField.base_field(q).residue
-    rows = Counter()
-    for v, h, inv in _psi_points(q, n, m, B):
-        solved = inv.solve(pi_unit)
-        if solved is not None:
-            q_exp = Fraction(v * (n - 1), 2) - m
-            rows[ZetaRow(v, q_exp, -v, ff.inv(h.coeff_at(v)), solved)] += 1
-    return rows
+    """The principal integral's support rows for one uniformizer at depth m."""
+    return _solve_rows(_psi_points(q, n, m, B), pi_unit)
 
 
 def dual_matrix(F: LocalField, xs, h: LaurentElem) -> MatG:
@@ -148,7 +142,7 @@ def zeta_psi_tilde(
         if _enumerates_fully(F, n, k, B):
             return _tilde_points(d, lam, k, B)
         # depth m enumerates but m + 1 does not: audited, class-pruned rows
-        return _assemble_rows(d, lam, Counter(_table_rows(F, n, d.pi_unit, k, B, AUDIT_SEED + 1)))
+        return _assemble_rows(d, lam, _table_rows(d.q, n, d.pi_unit, k, B, AUDIT_SEED + 1))
 
     return _two_depths(at_depth, m, "dual integral", measure_scale)
 
@@ -182,69 +176,86 @@ def _tilde_points(d: SSCDatum, lam: TameChar, m: int, B: int) -> EpsPolynomial:
 
 # ----- shared-decomposition tables ------------------------------------
 #
-# The Bruhat decomposition of an integration point, and whether it lies
-# on the Whittaker support at all, depend only on (q, n, pi_unit).  The
-# choices of zeta, omega and the twist enter afterwards, as characters of
-# the decomposition invariants.  A table decomposes every contributing
-# point once and solves its invariant for the table's uniformizer;
-# assembling the integral for a particular datum and twist is then a
-# quick pass of root-of-unity arithmetic over the rows.
+# The Bruhat decomposition of an integration point depends only on
+# (q, n), the depth and the shell bound; whether the point lies on the
+# Whittaker support depends on pi_unit too.  The choices of zeta, omega
+# and the twist enter afterwards, as characters of the solved
+# invariants.  Every point is decomposed once per (q, n, depth, shell
+# bound) and kept as an unsolved row; _solve_rows solves each distinct
+# one for a uniformizer, and assembling the integral for a particular
+# datum and twist is then a quick pass of root-of-unity arithmetic over
+# the rows.
 #
 # A row contributes q^(-s x_power) q^q_exp times the datum's root at
 # `solved` times lam(t^arg_val arg_lead)^-1.  arg is h in the dual
 # integral and 1/h in the principal one.
 
+ZetaPoint = namedtuple("ZetaPoint", "x_power q_exp arg_val arg_lead inv")
 ZetaRow = namedtuple("ZetaRow", "x_power q_exp arg_val arg_lead solved")
 
 
-def _solved_point(F: LocalField, pi_unit: int, xs, h: LaurentElem):
-    return WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h))).solve(pi_unit)
-
-
-def _table_rows(F: LocalField, n: int, pi_unit: int, m: int, B: int, seed: int) -> list[ZetaRow]:
-    unit_rs = F.unit_reps(m)
-    rows = []
-    if _enumerates_fully(F, n, m, B):
-        x_reps = F.integer_reps(-B, m)
-        for v in range(-B, B + 1):
-            for w in unit_rs:
-                h = w.shift(v)
-                for xs in itertools.product(x_reps, repeat=n - 2):
-                    solved = _solved_point(F, pi_unit, xs, h)
-                    if solved is not None:
-                        rows.append(ZetaRow(-v, _point_weight(n, m, v), v, h.coeff_at(v), solved))
-        return rows
-    delta = 1 if m <= 2 else 0
-    class_reps = F.integer_reps(0, delta)
-    q_exp = _point_weight(n, m, -1) + (m - delta) * (n - 2)
-    for w in unit_rs:
-        h = w.shift(-1)
-        for xs in itertools.product(class_reps, repeat=n - 2):
-            solved = _solved_point(F, pi_unit, xs, h)
-            if solved is not None:
-                rows.append(ZetaRow(1, q_exp, -1, h.coeff_at(-1), solved))
-    _audit_table(F, n, pi_unit, m, B, delta, seed)
+def _solve_rows(points: Counter, pi_unit: int) -> Counter:
+    """The rows of one uniformizer: each distinct unsolved row solved once,
+    the points off its support dropped."""
+    rows = Counter()
+    for p, count in points.items():
+        solved = p.inv.solve(pi_unit)
+        if solved is not None:
+            rows[ZetaRow(p.x_power, p.q_exp, p.arg_val, p.arg_lead, solved)] += count
     return rows
+
+
+# the dual integral's unsolved rows at one depth, and the invariants of
+# its audit points: (val(h), invariant) off shell -1, invariants with a
+# non-integral x, and (base, refined) pairs inside one x-class
+DualPoints = namedtuple("DualPoints", "points off_shell non_integral class_pairs")
 
 
 def _random_elem(rng: random.Random, F: LocalField, lo: int, hi: int) -> LaurentElem:
     return F.elem(lo, [rng.randrange(F.residue.q) for _ in range(hi - lo)])
 
 
-def _audit_table(F: LocalField, n: int, pi_unit: int, m: int, B: int, delta: int, seed: int) -> None:
-    """Spot-check the two facts the pruned rows rest on, vanishing off the
-    proven support and x-class constancy on it, on the solved invariants
-    themselves, so they certify the rows for every datum and twist at once."""
-    rng = random.Random(seed)
-    q = F.residue.q
+@lru_cache(maxsize=None)
+def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
+    """Decompose the dual integral's points at depth m once for every pi_unit.
+
+    Up to FULL_ENUM_CAP these are all the points and there is no audit.
+    Above it they are the x-class representatives on shell -1, and the
+    audit points drawn from random.Random(seed)."""
+    F = LocalField.base_field(q)
+
+    def invariant(xs, h: LaurentElem) -> WhittakerInvariant:
+        return WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))
+
     unit_rs = F.unit_reps(m)
+    points = Counter()
+    if _enumerates_fully(F, n, m, B):
+        x_reps = F.integer_reps(-B, m)
+        for v in range(-B, B + 1):
+            q_exp = _point_weight(n, m, v)
+            for w in unit_rs:
+                h = w.shift(v)
+                for xs in itertools.product(x_reps, repeat=n - 2):
+                    points[ZetaPoint(-v, q_exp, v, h.coeff_at(v), invariant(xs, h))] += 1
+        return DualPoints(points, (), (), ())
+    delta = 1 if m <= 2 else 0
+    class_reps = F.integer_reps(0, delta)
+    q_exp = _point_weight(n, m, -1) + (m - delta) * (n - 2)
+    for w in unit_rs:
+        h = w.shift(-1)
+        for xs in itertools.product(class_reps, repeat=n - 2):
+            points[ZetaPoint(1, q_exp, -1, h.coeff_at(-1), invariant(xs, h))] += 1
+
+    # the audit points: off shell -1, a non-integral x, and pairs whose
+    # digits differ only below the class depth
+    rng = random.Random(seed)
     other_shells = [v for v in range(-B, B + 1) if v != -1]
+    off_shell, non_integral, class_pairs = [], [], []
     for _ in range(SPOT_CHECKS):
         v = rng.choice(other_shells)
         h = rng.choice(unit_rs).shift(v)
         xs = [_random_elem(rng, F, -B, m) for _ in range(n - 2)]
-        if _solved_point(F, pi_unit, xs, h) is not None:
-            raise LLCError(f"table audit failed: val(h) = {v} contributed")
+        off_shell.append((v, invariant(xs, h)))
     if n > 2:
         for _ in range(SPOT_CHECKS):
             h = rng.choice(unit_rs).shift(-1)
@@ -255,15 +266,31 @@ def _audit_table(F: LocalField, n: int, pi_unit: int, m: int, B: int, delta: int
                 bad_val,
                 [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)],
             )
-            if _solved_point(F, pi_unit, xs, h) is not None:
-                raise LLCError("table audit failed: non-integral x contributed")
+            non_integral.append(invariant(xs, h))
         for _ in range(SPOT_CHECKS // 2):
-            # digits below the class depth must not move the invariants
             h = rng.choice(unit_rs).shift(-1)
             base = [_random_elem(rng, F, 0, delta) if delta else F.zero() for _ in range(n - 2)]
             refined = [b + _random_elem(rng, F, delta, m) for b in base]
-            if _solved_point(F, pi_unit, base, h) != _solved_point(F, pi_unit, refined, h):
-                raise LLCError("table audit failed: invariants moved inside an x-class")
+            class_pairs.append((invariant(base, h), invariant(refined, h)))
+    return DualPoints(points, tuple(off_shell), tuple(non_integral), tuple(class_pairs))
+
+
+def _table_rows(q: int, n: int, pi_unit: int, m: int, B: int, seed: int) -> Counter:
+    """The dual integral's rows for one uniformizer at depth m.
+
+    Above the cap the pruned rows rest on two facts, vanishing off the
+    proven support and x-class constancy on it.  The audit checks both on
+    the invariants solved for this pi_unit, so it certifies the rows for
+    every datum and twist at once."""
+    pts = _dual_points(q, n, m, B, seed)
+    for v, inv in pts.off_shell:
+        if inv.solve(pi_unit) is not None:
+            raise LLCError(f"table audit failed: val(h) = {v} contributed")
+    if any(inv.solve(pi_unit) is not None for inv in pts.non_integral):
+        raise LLCError("table audit failed: non-integral x contributed")
+    if any(base.solve(pi_unit) != refined.solve(pi_unit) for base, refined in pts.class_pairs):
+        raise LLCError("table audit failed: invariants moved inside an x-class")
+    return _solve_rows(pts.points, pi_unit)
 
 
 def _assemble_rows(d: SSCDatum, lam: TameChar, agg: Counter) -> EpsPolynomial:
@@ -276,7 +303,7 @@ def _assemble_rows(d: SSCDatum, lam: TameChar, agg: Counter) -> EpsPolynomial:
 
 
 class DualSupportTable:
-    """Decomposed support of the dual integral for one (q, n, pi_unit).
+    """Solved support of the dual integral for one (q, n, pi_unit).
 
     Holds aggregated rows at the working depth and at depth + 1; every
     assembly replays the two-depth stabilization contract of the direct
@@ -308,17 +335,16 @@ class DualSupportTable:
 def dual_support_table(
     q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2
 ) -> DualSupportTable:
-    """Decompose the dual integral's support once for a uniformizer choice."""
+    """The dual integral's rows for one uniformizer choice, solved from
+    points decomposed once for every uniformizer."""
     if m < 2 or shell_bound < 1:
         raise ValueError("need depth m >= 2 and a positive shell bound")
     # support and invariants do not see zeta or omega, so a throwaway
     # datum with trivial choices only validates (q, n, pi_unit)
-    F = SSCDatum(q, n, RootOfUnity.one(), 0, None, pi_unit).F
-    rows = _table_rows(F, n, pi_unit, m, shell_bound, AUDIT_SEED)
-    rows_next = _table_rows(F, n, pi_unit, m + 1, shell_bound, AUDIT_SEED + 1)
-    return DualSupportTable(
-        q, n, pi_unit, m, shell_bound, Counter(rows), Counter(rows_next), len(rows)
-    )
+    SSCDatum(q, n, RootOfUnity.one(), 0, None, pi_unit)
+    rows = _table_rows(q, n, pi_unit, m, shell_bound, AUDIT_SEED)
+    rows_next = _table_rows(q, n, pi_unit, m + 1, shell_bound, AUDIT_SEED + 1)
+    return DualSupportTable(q, n, pi_unit, m, shell_bound, rows, rows_next, sum(rows.values()))
 
 
 @lru_cache(maxsize=None)

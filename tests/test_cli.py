@@ -27,6 +27,19 @@ def test_epsilon_all_engines_agree(capsys):
     assert sorted(payload["sides"]) == ["automorphic", "closed", "galois"]
 
 
+@pytest.mark.parametrize("q,n,zeta", [("7", "3", "0/1"), ("9", "2", "1/4")])
+def test_epsilon_sides_print_one_normal_form(capsys, q, n, zeta):
+    # equal values print equal fields: the automorphic ratio comes out as
+    # q * q^(-1/2 - s), which must print as q^(1/2 - s) like the other
+    # sides, and at square q as q^(1/2) = 3 folded into the unit
+    code, payload = run_json(
+        capsys, ["epsilon", "--q", q, "--n", n, "--zeta", zeta, "--side", "all"]
+    )
+    assert code == 0 and payload["equal"] is True
+    shown = [(side["unit"], side["q_exp"]) for side in payload["sides"].values()]
+    assert len(shown) == 3 and shown.count(shown[0]) == 3
+
+
 def test_epsilon_single_engine(capsys):
     code, payload = run_json(
         capsys, ["epsilon", "--q", "5", "--n", "2", "--u0", "3", "--zeta", "1/4", "--side", "closed"]

@@ -56,6 +56,11 @@ def test_eps_monomial_equality_folds_q_powers():
     assert a == b
     assert a != mono(5, 1, Fraction(1, 2), -1)
     assert a != mono(5, 1, Fraction(3, 2), 0)
+    # normal form: every factor of a prime q leaves the rational
+    for unit, const in [(5, Fraction(1, 2)), (Fraction(1, 25), Fraction(7, 2)), (Fraction(2, 5), Fraction(5, 2))]:
+        c = mono(5, unit, const, -1)
+        assert (c.unit.rational, c.q_const) == (unit * 5 ** (const - Fraction(3, 2)), Fraction(3, 2))
+        assert c.to_json() == mono(5, c.unit.rational, Fraction(3, 2), -1).to_json()
 
 
 def test_eps_monomial_square_q_half_powers():
@@ -65,6 +70,17 @@ def test_eps_monomial_square_q_half_powers():
     assert a == b
     c = mono(7, 1, Fraction(1, 2), -1)
     assert c != mono(7, 3, Fraction(0), -1)
+    # normal form: the half power folds into the rational through p = 3,
+    # then whole powers of 9 leave it, so 3^0 or 3^1 stays behind
+    for unit, const, rational, q_const in [
+        (1, Fraction(1, 2), 3, 0),
+        (27, Fraction(1, 2), 1, 2),
+        (Fraction(1, 3), Fraction(1, 2), 1, 0),
+        (Fraction(2, 27), Fraction(-1), 6, -3),
+    ]:
+        m = mono(9, unit, const, -1)
+        assert (m.unit.rational, m.q_const) == (rational, q_const)
+        assert m == mono(9, rational, q_const, -1)
 
 
 def test_eps_monomial_mul_div():

@@ -49,3 +49,24 @@ def test_only_the_recogniser_module_imports_cmath():
     # which an exact == confirms before anything is returned
     found = sorted({name for name, node in _library_nodes() if "cmath" in _imports(node)})
     assert found == ["cyclotomic.py"]
+
+
+def test_zeta_decomposes_no_point_per_uniformizer():
+    # a point's decomposition does not see the uniformizer: zeta decomposes
+    # once per (q, n, depth, shell bound) and solves per pi_unit, so no
+    # function that takes a pi_unit may call decompose
+    tree = ast.parse((SRC / "zeta.py").read_text())
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if "pi_unit" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs]:
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if callee == "decompose":
+                found.append(f"zeta.py:{node.lineno}")
+    assert found == []

@@ -1,5 +1,6 @@
 """Integral factors: principal and dual integrals, gamma, closed form."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -7,11 +8,12 @@ from functools import lru_cache
 import pytest
 
 from llclab import zeta
-from llclab.bruhat import MonomialClass, WhittakerInvariant
+from llclab.bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from llclab.characters import TameChar
 from llclab.cyclotomic import RootOfUnity
-from llclab.errors import PrecisionNotStabilized
+from llclab.errors import LLCError, PrecisionNotStabilized
 from llclab.laurent import LocalField
+from llclab.matrices import diagonal
 from llclab.monomials import EpsMonomial, EpsPolynomial, LambdaGraded
 from llclab.selftest import ZETA_TWISTS, integral_cells
 from llclab.supercuspidal import SSCDatum
@@ -81,12 +83,26 @@ def test_depth_and_mode_guards():
         zeta_psi(d, lam, shell_bound=0)
 
 
-def _psi_per_point(d, lam, m, B=2):
+@lru_cache(maxsize=None)
+def _principal_points(q, n, m, B=2):
+    """The principal integral's points (v, h, invariant), each decomposed
+    here, independently of the library's cached rows."""
+    F = LocalField.base_field(q)
+    one = F.one()
+    out = []
+    for v in range(-B, B + 1):
+        for w in F.unit_reps(m):
+            h = w.shift(v)
+            out.append((v, h, WhittakerInvariant.of(*decompose(diagonal(F, [h] + [one] * (n - 1))))))
+    return tuple(out)
+
+
+def _psi_per_point(d, lam, m, points):
     """The principal integral at one depth, point by point: solve every
-    cached invariant for the datum's uniformizer and twist by lam(h)."""
+    invariant for the datum's uniformizer and twist by lam(h)."""
     n = d.n
     out = EpsPolynomial(d.q)
-    for v, h, inv in zeta._psi_points(d.q, n, m, B):
+    for v, h, inv in points:
         wv = d.invariant_root(inv.solve(d.pi_unit))
         if wv is None:
             continue
@@ -102,7 +118,7 @@ def _oracle_twists(F, q):
 
 def _assert_matches_oracle(d, lam, m):
     got = zeta_psi(d, lam, m=m)
-    want = _psi_per_point(d, lam, m)
+    want = _psi_per_point(d, lam, m, _principal_points(d.q, d.n, m))
     assert got == want and got.to_json() == want.to_json()
     c = Fraction(2, 7)
     scaled = zeta_psi(d, lam, m=m, measure_scale=c)
@@ -119,6 +135,7 @@ def test_principal_rows_match_per_point_oracle(q, n):
                     _assert_matches_oracle(d, lam, m)
 
 
+@lru_cache(maxsize=None)
 def _synthetic_points(q, n, m, B):
     """A stand-in point family for the principal integral whose support
     depends on val(h), on the leading digit of h and on the uniformizer:
@@ -138,16 +155,26 @@ def _synthetic_points(q, n, m, B):
     return tuple(out)
 
 
+def _synthetic_unsolved_rows(q, n, m, B):
+    # the stand-in points as the library caches principal points
+    ff = LocalField.base_field(q).residue
+    points = Counter()
+    for v, h, inv in _synthetic_points(q, n, m, B):
+        lead_inv = ff.inv(h.coeff_at(v))
+        points[zeta.ZetaPoint(v, Fraction(v * (n - 1), 2) - m, -v, lead_inv, inv)] += 1
+    return points
+
+
 def test_principal_rows_match_oracle_on_synthetic_support(monkeypatch):
     # fresh caches for the stand-in points; the real ones stay untouched
-    monkeypatch.setattr(zeta, "_psi_points", lru_cache(maxsize=None)(_synthetic_points))
+    monkeypatch.setattr(zeta, "_psi_points", lru_cache(maxsize=None)(_synthetic_unsolved_rows))
     monkeypatch.setattr(zeta, "_psi_rows", lru_cache(maxsize=None)(zeta._psi_rows.__wrapped__))
     for q, n in [(5, 2), (5, 3), (3, 4)]:
         for u0 in range(1, q):
             d = _datum(q, n, zeta_num=1, omega_exp=1, u0=u0)
             assert zeta._psi_rows(q, n, u0, 2, 2)  # every uniformizer has support
             for lam in _oracle_twists(d.F, q):
-                want = _psi_per_point(d, lam, 2)
+                want = _psi_per_point(d, lam, 2, _synthetic_points(q, n, 2, 2))
                 got = zeta._assemble_rows(d, lam, zeta._psi_rows(q, n, u0, 2, 2))
                 assert got == want and got.to_json() == want.to_json()
 
@@ -326,6 +353,101 @@ def test_dual_integral_above_cap_reads_the_cached_table(monkeypatch):
         got = zeta_psi_tilde(d, lam)
         assert got == T.assemble(d, lam) == _dual_expected(d, lam)
     assert calls == []
+
+
+def _per_unit_dual_rows(q, n, pi_unit, m, B):
+    """The dual table's rows built point by point for one uniformizer,
+    every point decomposed again and solved for pi_unit."""
+    F = LocalField.base_field(q)
+
+    def solved(xs, h):
+        return WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h))).solve(pi_unit)
+
+    rows = []
+    if zeta._enumerates_fully(F, n, m, B):
+        x_reps = F.integer_reps(-B, m)
+        for v in range(-B, B + 1):
+            for w in F.unit_reps(m):
+                h = w.shift(v)
+                for xs in itertools.product(x_reps, repeat=n - 2):
+                    s = solved(xs, h)
+                    if s is not None:
+                        rows.append(zeta.ZetaRow(-v, zeta._point_weight(n, m, v), v, h.coeff_at(v), s))
+        return rows
+    delta = 1 if m <= 2 else 0
+    q_exp = zeta._point_weight(n, m, -1) + (m - delta) * (n - 2)
+    for w in F.unit_reps(m):
+        h = w.shift(-1)
+        for xs in itertools.product(F.integer_reps(0, delta), repeat=n - 2):
+            s = solved(xs, h)
+            if s is not None:
+                rows.append(zeta.ZetaRow(1, q_exp, -1, h.coeff_at(-1), s))
+    return rows
+
+
+def _per_unit_psi_rows(q, n, pi_unit, m, B=2):
+    """The principal rows built point by point for one uniformizer."""
+    ff = LocalField.base_field(q).residue
+    rows = Counter()
+    for v, h, inv in _principal_points(q, n, m, B):
+        s = inv.solve(pi_unit)
+        if s is not None:
+            rows[zeta.ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, ff.inv(h.coeff_at(v)), s)] += 1
+    return rows
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2), (5, 3), (7, 3), (3, 5)])
+def test_rows_match_per_uniformizer_oracle(q, n):
+    # both sides of the cap: n = 2 enumerates fully at depths 2 and 3,
+    # the other cells are class-pruned at both
+    F = LocalField.base_field(q)
+    assert zeta._enumerates_fully(F, n, 2, 2) == zeta._enumerates_fully(F, n, 3, 2) == (n == 2)
+    for u in range(1, q):
+        T = dual_support_table(q, n, u)
+        want = _per_unit_dual_rows(q, n, u, 2, 2)
+        assert T.agg == Counter(want) and T.row_count == len(want)
+        assert T.agg_next == Counter(_per_unit_dual_rows(q, n, u, 3, 2))
+        for m in (2, 3):
+            assert zeta._psi_rows(q, n, u, m, 2) == _per_unit_psi_rows(q, n, u, m)
+
+
+def test_each_dual_point_decomposes_once(monkeypatch):
+    # fresh caches: the first uniformizer decomposes every point, table
+    # and audit, of both depths once; the other three only solve them
+    monkeypatch.setattr(zeta, "_dual_points", lru_cache(maxsize=None)(zeta._dual_points.__wrapped__))
+    fresh_table = lru_cache(maxsize=None)(zeta.cached_dual_table.__wrapped__)
+    monkeypatch.setattr(zeta, "cached_dual_table", fresh_table)
+    calls = []
+    real = zeta.decompose
+    monkeypatch.setattr(zeta, "decompose", lambda *a: calls.append(a) or real(*a))
+    per_unit = []
+    for u in range(1, 5):
+        before = len(calls)
+        fresh_table(5, 3, u)
+        per_unit.append(len(calls) - before)
+    points = 0
+    for m, seed in ((2, zeta.AUDIT_SEED), (3, zeta.AUDIT_SEED + 1)):
+        P = zeta._dual_points(5, 3, m, 2, seed)
+        points += sum(P.points.values()) + len(P.off_shell) + len(P.non_integral)
+        points += 2 * len(P.class_pairs)
+    assert per_unit == [points, 0, 0, 0]
+
+
+def test_table_audit_runs_per_uniformizer(monkeypatch):
+    # an off-shell audit point that contributes at pi_unit 2 only must
+    # fail that uniformizer's table and leave pi_unit 1's alone
+    v, planted = zeta._dual_points(5, 3, 2, 2, zeta.AUDIT_SEED).off_shell[0]
+    real = WhittakerInvariant.solve
+
+    def solve(self, pi_unit):
+        if pi_unit == 2 and self == planted:
+            return SolvedInvariant(0, 1, 0, 0)
+        return real(self, pi_unit)
+
+    monkeypatch.setattr(WhittakerInvariant, "solve", solve)
+    with pytest.raises(LLCError, match=rf"table audit failed: val\(h\) = {v} contributed"):
+        dual_support_table(5, 3, 2)
+    assert dual_support_table(5, 3, 1).row_count == 5 * 5
 
 
 def test_table_measure_scale():
