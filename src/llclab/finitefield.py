@@ -167,8 +167,8 @@ def finite_field(p: int, f: int = 1) -> FiniteField:
 
 
 @lru_cache(maxsize=None)
-def field_of_size(q: int) -> FiniteField:
-    """F_q from its size, factoring q as an odd prime power."""
+def odd_prime_power(q: int) -> tuple[int, int]:
+    """(p, f) with q = p^f for an odd prime p, for any f >= 1."""
     for p in range(3, q + 1, 2):
         if is_prime(p):
             f = 0
@@ -177,5 +177,11 @@ def field_of_size(q: int) -> FiniteField:
                 m //= p
                 f += 1
             if m == 1 and f >= 1:
-                return finite_field(p, f)
+                return p, f
     raise ValueError(f"q = {q} is not an odd prime power")
+
+
+@lru_cache(maxsize=None)
+def field_of_size(q: int) -> FiniteField:
+    """F_q from its size, factoring q as an odd prime power."""
+    return finite_field(*odd_prime_power(q))

@@ -15,11 +15,12 @@ whose coefficient match_root splits into a root and a rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .cyclotomic import CycloNumber, RootOfUnity, match_root
 from .errors import LLCError, NotMonomial
-from .finitefield import field_of_size
+from .finitefield import odd_prime_power
 
 _Scalar = int | Fraction | RootOfUnity | CycloNumber
 
@@ -132,16 +133,24 @@ def _same_q(x, y) -> None:
         raise LLCError(f"monomials over different residue sizes {x.q} and {y.q}")
 
 
+@lru_cache(maxsize=None)
+def _half_power(q: int) -> int | None:
+    """q^(1/2) as an integer, or None when q is not a square; the one rule
+    for which half powers of q fold into a rational coefficient."""
+    root = isqrt(q)
+    return root if root * root == q else None
+
+
 def _normal_q_power(q: int, unit: LambdaGraded, q_const: Fraction) -> tuple[LambdaGraded, Fraction]:
     """unit * q^q_const rewritten in EpsMonomial's normal form."""
-    ff = field_of_size(q)
-    p, f = ff.p, ff.f
+    p, f = odd_prime_power(q)
     num, den = unit.rational.numerator, unit.rational.denominator
     # work on twice the exponent, an integer since q_const is a half-integer
     twice = q_const.numerator * (2 // q_const.denominator)
-    folded = f == 2 and twice % 2
+    half = _half_power(q)
+    folded = half is not None and twice % 2
     if folded:
-        num, twice = num * p, twice - 1
+        num, twice = num * half, twice - 1
     elif num % p and den % p:
         return unit, q_const
     v = 0
@@ -161,8 +170,9 @@ class EpsMonomial:
 
     Normal form, q = p^f: the unit's rational has p-adic valuation in
     0..f-1, every whole power of q moved into q_const, and for square q
-    a half-integer q_const is folded into the rational through the
-    integer q^(1/2) = p first.  Equal values then have equal fields.
+    (f even) a half-integer q_const is folded into the rational through
+    the integer q^(1/2) = p^(f/2) first.  Equal values then have equal
+    fields.
     """
 
     __slots__ = ("q", "unit", "q_const", "s_coeff")
@@ -228,9 +238,9 @@ class EpsPolynomial:
             raise ValueError("q-exponents are half-integers in this theory")
         if not isinstance(coeff, CycloNumber):
             coeff = CycloNumber.one() * coeff
-        root = isqrt(self.q)
-        if root * root == self.q and q_exp.denominator == 2:
-            coeff = coeff * root
+        half = _half_power(self.q)
+        if half is not None and q_exp.denominator == 2:
+            coeff = coeff * half
             q_exp = q_exp - Fraction(1, 2)
         frac = q_exp - (q_exp.numerator // q_exp.denominator)
         key = (x_power, frac)

@@ -98,7 +98,7 @@ def _psi_points(q: int, n: int, m: int, B: int) -> Counter:
         for w in F.unit_reps(m):
             h = w.shift(v)
             inv = WhittakerInvariant.of(*decompose(diagonal(F, [h] + [one] * (n - 1))))
-            points[ZetaPoint(v, q_exp, -v, ff.inv(h.coeff_at(v)), inv)] += 1
+            points[ZetaRow(v, q_exp, -v, ff.inv(h.coeff_at(v)), inv)] += 1
     return points
 
 
@@ -186,12 +186,12 @@ def _tilde_points(d: SSCDatum, lam: TameChar, m: int, B: int) -> EpsPolynomial:
 # datum and twist is then a quick pass of root-of-unity arithmetic over
 # the rows.
 #
-# A row contributes q^(-s x_power) q^q_exp times the datum's root at
-# `solved` times lam(t^arg_val arg_lead)^-1.  arg is h in the dual
-# integral and 1/h in the principal one.
+# A row contributes q^(-s x_power) q^q_exp times the datum's root at the
+# solved `invariant` times lam(t^arg_val arg_lead)^-1.  arg is h in the
+# dual integral and 1/h in the principal one.  An unsolved row holds the
+# WhittakerInvariant itself; the rows of one pi_unit hold what it solves to.
 
-ZetaPoint = namedtuple("ZetaPoint", "x_power q_exp arg_val arg_lead inv")
-ZetaRow = namedtuple("ZetaRow", "x_power q_exp arg_val arg_lead solved")
+ZetaRow = namedtuple("ZetaRow", "x_power q_exp arg_val arg_lead invariant")
 
 
 def _solve_rows(points: Counter, pi_unit: int) -> Counter:
@@ -199,9 +199,9 @@ def _solve_rows(points: Counter, pi_unit: int) -> Counter:
     the points off its support dropped."""
     rows = Counter()
     for p, count in points.items():
-        solved = p.inv.solve(pi_unit)
+        solved = p.invariant.solve(pi_unit)
         if solved is not None:
-            rows[ZetaRow(p.x_power, p.q_exp, p.arg_val, p.arg_lead, solved)] += count
+            rows[p._replace(invariant=solved)] += count
     return rows
 
 
@@ -236,7 +236,7 @@ def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
             for w in unit_rs:
                 h = w.shift(v)
                 for xs in itertools.product(x_reps, repeat=n - 2):
-                    points[ZetaPoint(-v, q_exp, v, h.coeff_at(v), invariant(xs, h))] += 1
+                    points[ZetaRow(-v, q_exp, v, h.coeff_at(v), invariant(xs, h))] += 1
         return DualPoints(points, (), (), ())
     delta = 1 if m <= 2 else 0
     class_reps = F.integer_reps(0, delta)
@@ -244,7 +244,7 @@ def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
     for w in unit_rs:
         h = w.shift(-1)
         for xs in itertools.product(class_reps, repeat=n - 2):
-            points[ZetaPoint(1, q_exp, -1, h.coeff_at(-1), invariant(xs, h))] += 1
+            points[ZetaRow(1, q_exp, -1, h.coeff_at(-1), invariant(xs, h))] += 1
 
     # the audit points: off shell -1, a non-integral x, and pairs whose
     # digits differ only below the class depth
@@ -297,7 +297,7 @@ def _assemble_rows(d: SSCDatum, lam: TameChar, agg: Counter) -> EpsPolynomial:
     out = EpsPolynomial(d.q)
     for row, count in agg.items():
         lam_arg = lam.of_leading(row.arg_val, row.arg_lead).inverse()
-        root = d.invariant_root(row.solved) * lam_arg
+        root = d.invariant_root(row.invariant) * lam_arg
         out.add_term(row.x_power, CycloNumber(root.order, {root.num: count}), row.q_exp)
     return out
 

@@ -81,6 +81,31 @@ def test_eps_monomial_square_q_half_powers():
         m = mono(9, unit, const, -1)
         assert (m.unit.rational, m.q_const) == (rational, q_const)
         assert m == mono(9, rational, q_const, -1)
+    # every even f folds through q^(1/2) = p^(f/2): 81^(1/2) = 9 and
+    # 729^(1/2) = 27, while 9 = 3^2 is a valid remainder at q = 81
+    assert mono(81, 9, Fraction(0), -1) == mono(81, 1, Fraction(1, 2), -1)
+    assert mono(729, 27, Fraction(0), -1) == mono(729, 1, Fraction(1, 2), -1)
+    for q, unit, const, rational, q_const in [
+        (81, 1, Fraction(1, 2), 9, 0),
+        (81, 3, Fraction(1, 2), 27, 0),
+        (81, 81, Fraction(1, 2), 9, 1),
+        (729, 1, Fraction(-1, 2), 27, -1),
+        (729, 81, Fraction(1, 2), 3, 1),
+        # odd f keeps its half power: 27^(1/2) is not rational
+        (27, 1, Fraction(1, 2), 1, Fraction(1, 2)),
+        (27, 81, Fraction(1, 2), 3, Fraction(3, 2)),
+    ]:
+        m = mono(q, unit, const, -1)
+        assert (m.unit.rational, m.q_const) == (rational, q_const)
+        assert m == mono(q, rational, q_const, -1)
+    # a polynomial folds its half powers the same way, so what it
+    # collapses to equals the monomial built directly
+    for q in (9, 81, 729, 27):
+        p = EpsPolynomial(q)
+        p.add_term(1, 1, Fraction(1, 2))
+        got = p.collapse_to_monomial()
+        want = mono(q, 1, Fraction(1, 2), -1)
+        assert got == want and got.to_json() == want.to_json()
 
 
 def test_eps_monomial_mul_div():

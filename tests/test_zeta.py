@@ -161,7 +161,7 @@ def _synthetic_unsolved_rows(q, n, m, B):
     points = Counter()
     for v, h, inv in _synthetic_points(q, n, m, B):
         lead_inv = ff.inv(h.coeff_at(v))
-        points[zeta.ZetaPoint(v, Fraction(v * (n - 1), 2) - m, -v, lead_inv, inv)] += 1
+        points[zeta.ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, lead_inv, inv)] += 1
     return points
 
 
