@@ -172,7 +172,7 @@ class EpsMonomial:
     0..f-1, every whole power of q moved into q_const, and for square q
     (f even) a half-integer q_const is folded into the rational through
     the integer q^(1/2) = p^(f/2) first.  Equal values then have equal
-    fields.
+    fields, which == and hash compare.
     """
 
     __slots__ = ("q", "unit", "q_const", "s_coeff")
@@ -205,7 +205,8 @@ class EpsMonomial:
             other.q, other.s_coeff, other.q_const, other.unit
         )
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash((self.q, self.s_coeff, self.q_const, self.unit))
 
     def __repr__(self) -> str:
         return f"EpsMonomial({self.unit!r} * {self.q}^({self.q_const} + {self.s_coeff}*s))"

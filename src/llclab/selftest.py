@@ -14,7 +14,6 @@ seconds.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -281,7 +280,7 @@ def criterion_determination(scale: str | None = None) -> dict:
     t0 = time.perf_counter()
     cells = gauss_cells(scale)
     checked, failures = 0, []
-    blobs: dict[tuple, set] = defaultdict(set)
+    tables: dict[tuple, set] = defaultdict(set)
     sizes: dict[tuple, int] = defaultdict(int)
     for q, n in cells:
         for d in datum_grid(q, n):
@@ -308,13 +307,13 @@ def criterion_determination(scale: str | None = None) -> dict:
             at_t = d.omega.at_var
             ckey = (q, n, d.omega_exp, at_t.num, at_t.order)
             sizes[ckey] += 1
-            blobs[ckey].add(json.dumps(T.to_json(), sort_keys=True))
+            tables[ckey].add(tuple(sorted(T.entries.items())))
     classes = 0
     per_cell: dict[tuple, int] = defaultdict(int)
     for ckey, count in sizes.items():
         classes += 1
         per_cell[(ckey[0], ckey[1])] += count
-        distinct = len(blobs[ckey])
+        distinct = len(tables[ckey])
         if distinct != count:
             failures.append(
                 {"class": list(ckey), "data": count, "distinct_tables": distinct}

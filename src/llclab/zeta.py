@@ -7,24 +7,28 @@ depth m is fixed: multiplicative cosets h(1 + p^m) carry volume q^-m
 q^(1/2 - m) (so the integers have volume sqrt(q)).  Every evaluation is
 repeated at depth m+1; a mismatch raises instead of averaging away.
 
-The points of an integral and their Bruhat invariants depend only on
-(q, n, depth, shell bound); the uniformizer enters when an invariant is
-solved.  Each integral's points are therefore decomposed once per
-(q, n, depth, shell bound) and cached as unsolved rows with
-multiplicities.  One solver turns them into the rows of a pi_unit,
-solved invariants with multiplicities, and one assembly routine
-evaluates a datum's character of the invariants and the twist on them.
+The principal integral runs over diag(h, 1, ..., 1), the dual integral
+over the matrices with superdiagonal identity block and bottom row
+(1/h, 0, -x_{n-2}/h, ..., -x_1/h).  Write h = a0 t^v w with a0 a
+residue unit and w a one-unit.  Then diag(h, 1, ..., 1) is
+diag(a0 t^v, 1, ..., 1) diag(w, 1, ..., 1), and the dual variable is
+A(a0 t^v) diag(1/w, 1, ..., 1) N(x), where A(h) is its value at x = 0
+and N(x) is upper unipotent with first row (1, 0, -x_{n-2}, ..., -x_1).
+For integral x each right factor lies in the pro-unipotent Iwahori with
+zero simple-root residues and a zero corner digit, and right translation
+by such a factor keeps the Whittaker invariant of u M k.  So each
+integral decomposes one lead matrix per shell v and leading digit a0,
+whatever the depth, and caches it as an unsolved row weighted by the
+points it stands for.  The rows of every shell are summed; one solver
+turns them into the rows of a pi_unit, dropping those off its support,
+and one assembly routine evaluates a datum's character of the
+invariants and the twist on them.
 
-The principal integral runs over diag(h, 1, ..., 1); its rows are the
-points of the support at each depth.  The dual integral runs over the
-matrices with superdiagonal identity block and bottom row
-(1/h, 0, -x_{n-2}/h, ..., -x_1/h).  Its integrand vanishes unless every
-x_i is integral and 1/h is in pi(1+p).  Up to a size cap the direct
-integrator enumerates every point and evaluates the Whittaker function
-there, which checks this pointwise.  Above the cap it assembles the
-cached shared support table, which sums the surviving region in coarse
-x-classes and spot-checks both the claimed vanishing and the claimed
-class-constancy on fixed-seed random points, for every pi_unit.
+The dual integrand's vanishing for non-integral x is the one claim still
+spot-checked, on fixed-seed random points, for every pi_unit.  Up to a
+size cap the direct dual integrator enumerates every point, non-integral
+x included, and evaluates the Whittaker function there, which checks all
+of this pointwise.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ from .monomials import EpsMonomial, EpsPolynomial, LambdaGraded
 from .supercuspidal import SSCDatum
 
 # above this many integrand evaluations the dual integral switches from
-# full enumeration to the support-pruned sum
+# full enumeration to the lead-matrix rows
 FULL_ENUM_CAP = 20000
 SPOT_CHECKS = 40
-# fixed seeds of the support audits: AUDIT_SEED at the working depth,
+# fixed seeds of the non-integral-x audits: AUDIT_SEED at the working depth,
 # AUDIT_SEED + 1 one depth higher
 AUDIT_SEED = 71
 
@@ -86,19 +90,14 @@ def _two_depths(at_depth, m: int, what: str, measure_scale: Fraction) -> EpsPoly
 def _psi_points(q: int, n: int, m: int, B: int) -> Counter:
     """The principal integral's unsolved rows at depth m.
 
-    The invariant of diag(h, 1, ..., 1) sees neither the datum nor the
-    uniformizer, so one decomposition per point serves every pi_unit.
-    The twist enters as lam(h) = lam(1/h)^-1, so the rows carry 1/h and
-    assemble exactly like the dual integral's."""
-    F = LocalField.base_field(q)
-    ff, one = F.residue, F.one()
+    diag(h, 1, ..., 1) has the invariant of diag(a0 t^v, 1, ..., 1), so
+    the row of (v, a0) stands for the q^(m-1) unit cosets with that
+    leading digit.  The twist enters as lam(h) = lam(1/h)^-1, so the rows
+    carry 1/h and assemble exactly like the dual integral's."""
+    ff = LocalField.base_field(q).residue
     points = Counter()
-    for v in range(-B, B + 1):
-        q_exp = Fraction(v * (n - 1), 2) - m
-        for w in F.unit_reps(m):
-            h = w.shift(v)
-            inv = WhittakerInvariant.of(*decompose(diagonal(F, [h] + [one] * (n - 1))))
-            points[ZetaRow(v, q_exp, -v, ff.inv(h.coeff_at(v)), inv)] += 1
+    for (v, a0), inv in _lead_invariants(q, n, B, _principal_lead).items():
+        points[ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, ff.inv(a0), inv)] = q ** (m - 1)
     return points
 
 
@@ -141,7 +140,7 @@ def zeta_psi_tilde(
     def at_depth(k: int) -> EpsPolynomial:
         if _enumerates_fully(F, n, k, B):
             return _tilde_points(d, lam, k, B)
-        # depth m enumerates but m + 1 does not: audited, class-pruned rows
+        # depth m enumerates but m + 1 does not: the audited lead-matrix rows
         return _assemble_rows(d, lam, _table_rows(d.q, n, d.pi_unit, k, B, AUDIT_SEED + 1))
 
     return _two_depths(at_depth, m, "dual integral", measure_scale)
@@ -176,22 +175,40 @@ def _tilde_points(d: SSCDatum, lam: TameChar, m: int, B: int) -> EpsPolynomial:
 
 # ----- shared-decomposition tables ------------------------------------
 #
-# The Bruhat decomposition of an integration point depends only on
-# (q, n), the depth and the shell bound; whether the point lies on the
-# Whittaker support depends on pi_unit too.  The choices of zeta, omega
-# and the twist enter afterwards, as characters of the solved
-# invariants.  Every point is decomposed once per (q, n, depth, shell
-# bound) and kept as an unsolved row; _solve_rows solves each distinct
-# one for a uniformizer, and assembling the integral for a particular
-# datum and twist is then a quick pass of root-of-unity arithmetic over
-# the rows.
+# A lead invariant sees neither the datum nor the uniformizer.  Whether
+# its row lies on the Whittaker support depends on pi_unit, and zeta,
+# omega and the twist enter afterwards as characters of the solved
+# invariants, so assembling an integral for a datum and twist is a quick
+# pass of root-of-unity arithmetic over the rows of its pi_unit.
 #
-# A row contributes q^(-s x_power) q^q_exp times the datum's root at the
-# solved `invariant` times lam(t^arg_val arg_lead)^-1.  arg is h in the
-# dual integral and 1/h in the principal one.  An unsolved row holds the
-# WhittakerInvariant itself; the rows of one pi_unit hold what it solves to.
+# A row contributes its count times q^(-s x_power) q^q_exp times the
+# datum's root at the solved `invariant` times lam(t^arg_val arg_lead)^-1.
+# arg is h in the dual integral and 1/h in the principal one.  An
+# unsolved row holds the WhittakerInvariant itself; the rows of one
+# pi_unit hold what it solves to.
 
 ZetaRow = namedtuple("ZetaRow", "x_power q_exp arg_val arg_lead invariant")
+
+
+def _dual_lead(F: LocalField, n: int, h: LaurentElem) -> MatG:
+    return dual_matrix(F, [F.zero()] * (n - 2), h)
+
+
+def _principal_lead(F: LocalField, n: int, h: LaurentElem) -> MatG:
+    return diagonal(F, [h] + [F.one()] * (n - 1))
+
+
+@lru_cache(maxsize=None)
+def _lead_invariants(q: int, n: int, B: int, lead) -> dict:
+    """(v, a0) -> the invariant of lead(F, n, a0 t^v) for every shell v
+    in -B..B and residue unit a0: one decomposition each, which every
+    depth shares."""
+    F = LocalField.base_field(q)
+    return {
+        (v, a0): WhittakerInvariant.of(*decompose(lead(F, n, F.elem(v, (a0,)))))
+        for v in range(-B, B + 1)
+        for a0 in F.residue.units()
+    }
 
 
 def _solve_rows(points: Counter, pi_unit: int) -> Counter:
@@ -206,9 +223,8 @@ def _solve_rows(points: Counter, pi_unit: int) -> Counter:
 
 
 # the dual integral's unsolved rows at one depth, and the invariants of
-# its audit points: (val(h), invariant) off shell -1, invariants with a
-# non-integral x, and (base, refined) pairs inside one x-class
-DualPoints = namedtuple("DualPoints", "points off_shell non_integral class_pairs")
+# its audit points, each with a non-integral x
+DualPoints = namedtuple("DualPoints", "points non_integral")
 
 
 def _random_elem(rng: random.Random, F: LocalField, lo: int, hi: int) -> LaurentElem:
@@ -217,48 +233,29 @@ def _random_elem(rng: random.Random, F: LocalField, lo: int, hi: int) -> Laurent
 
 @lru_cache(maxsize=None)
 def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
-    """Decompose the dual integral's points at depth m once for every pi_unit.
+    """The dual integral's unsolved rows at depth m, for every pi_unit.
 
-    Up to FULL_ENUM_CAP these are all the points and there is no audit.
-    Above it they are the x-class representatives on shell -1, and the
-    audit points drawn from random.Random(seed)."""
+    Every integral x has the invariant of A(a0 t^v), so the row of
+    (v, a0) stands for the q^(m-1) unit cosets with that leading digit
+    times the q^(m(n-2)) integral x-cosets.  The audit points, with a
+    non-integral x, are drawn from random.Random(seed)."""
     F = LocalField.base_field(q)
-
-    def invariant(xs, h: LaurentElem) -> WhittakerInvariant:
-        return WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))
-
-    unit_rs = F.unit_reps(m)
+    # the count holds the integral x as classes mod p at depth 2 and as
+    # one class deeper, the rest of their volume rides in q_exp; row_count
+    # is read in these units
+    x_digits = 1 if m == 2 else 0
+    count = q ** (m - 1 + x_digits * (n - 2))
     points = Counter()
-    if _enumerates_fully(F, n, m, B):
-        x_reps = F.integer_reps(-B, m)
-        for v in range(-B, B + 1):
-            q_exp = _point_weight(n, m, v)
-            for w in unit_rs:
-                h = w.shift(v)
-                for xs in itertools.product(x_reps, repeat=n - 2):
-                    points[ZetaRow(-v, q_exp, v, h.coeff_at(v), invariant(xs, h))] += 1
-        return DualPoints(points, (), (), ())
-    delta = 1 if m <= 2 else 0
-    class_reps = F.integer_reps(0, delta)
-    q_exp = _point_weight(n, m, -1) + (m - delta) * (n - 2)
-    for w in unit_rs:
-        h = w.shift(-1)
-        for xs in itertools.product(class_reps, repeat=n - 2):
-            points[ZetaRow(1, q_exp, -1, h.coeff_at(-1), invariant(xs, h))] += 1
+    for (v, a0), inv in _lead_invariants(q, n, B, _dual_lead).items():
+        q_exp = _point_weight(n, m, v) + (m - x_digits) * (n - 2)
+        points[ZetaRow(-v, q_exp, v, a0, inv)] = count
 
-    # the audit points: off shell -1, a non-integral x, and pairs whose
-    # digits differ only below the class depth
-    rng = random.Random(seed)
-    other_shells = [v for v in range(-B, B + 1) if v != -1]
-    off_shell, non_integral, class_pairs = [], [], []
-    for _ in range(SPOT_CHECKS):
-        v = rng.choice(other_shells)
-        h = rng.choice(unit_rs).shift(v)
-        xs = [_random_elem(rng, F, -B, m) for _ in range(n - 2)]
-        off_shell.append((v, invariant(xs, h)))
+    non_integral = []
     if n > 2:
+        rng = random.Random(seed)
+        unit_rs = F.unit_reps(m)
         for _ in range(SPOT_CHECKS):
-            h = rng.choice(unit_rs).shift(-1)
+            h = rng.choice(unit_rs).shift(rng.randrange(-B, B + 1))
             xs = [_random_elem(rng, F, 0, m) for _ in range(n - 2)]
             j = rng.randrange(n - 2)
             bad_val = rng.randrange(-B, 0)
@@ -266,30 +263,19 @@ def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
                 bad_val,
                 [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)],
             )
-            non_integral.append(invariant(xs, h))
-        for _ in range(SPOT_CHECKS // 2):
-            h = rng.choice(unit_rs).shift(-1)
-            base = [_random_elem(rng, F, 0, delta) if delta else F.zero() for _ in range(n - 2)]
-            refined = [b + _random_elem(rng, F, delta, m) for b in base]
-            class_pairs.append((invariant(base, h), invariant(refined, h)))
-    return DualPoints(points, tuple(off_shell), tuple(non_integral), tuple(class_pairs))
+            non_integral.append(WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h))))
+    return DualPoints(points, tuple(non_integral))
 
 
 def _table_rows(q: int, n: int, pi_unit: int, m: int, B: int, seed: int) -> Counter:
     """The dual integral's rows for one uniformizer at depth m.
 
-    Above the cap the pruned rows rest on two facts, vanishing off the
-    proven support and x-class constancy on it.  The audit checks both on
-    the invariants solved for this pi_unit, so it certifies the rows for
-    every datum and twist at once."""
+    The rows sum every integral x exactly.  That the integrand vanishes
+    for non-integral x is audited on the invariants solved for this
+    pi_unit, which certifies the rows for every datum and twist at once."""
     pts = _dual_points(q, n, m, B, seed)
-    for v, inv in pts.off_shell:
-        if inv.solve(pi_unit) is not None:
-            raise LLCError(f"table audit failed: val(h) = {v} contributed")
     if any(inv.solve(pi_unit) is not None for inv in pts.non_integral):
         raise LLCError("table audit failed: non-integral x contributed")
-    if any(base.solve(pi_unit) != refined.solve(pi_unit) for base, refined in pts.class_pairs):
-        raise LLCError("table audit failed: invariants moved inside an x-class")
     return _solve_rows(pts.points, pi_unit)
 
 
@@ -336,7 +322,7 @@ def dual_support_table(
     q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2
 ) -> DualSupportTable:
     """The dual integral's rows for one uniformizer choice, solved from
-    points decomposed once for every uniformizer."""
+    lead matrices decomposed once for every uniformizer."""
     if m < 2 or shell_bound < 1:
         raise ValueError("need depth m >= 2 and a positive shell bound")
     # support and invariants do not see zeta or omega, so a throwaway

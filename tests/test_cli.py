@@ -40,6 +40,20 @@ def test_epsilon_sides_print_one_normal_form(capsys, q, n, zeta):
     assert len(shown) == 3 and shown.count(shown[0]) == 3
 
 
+def test_epsilon_all_sides_at_thirteen_six(capsys):
+    # the automorphic side at (13, 6) decomposes one lead matrix per shell
+    # and leading digit, not the millions of x-classes of the cell
+    code, payload = run_json(
+        capsys,
+        ["epsilon", "--q", "13", "--n", "6", "--u0", "7", "--zeta", "5/36", "--twist-e", "3",
+         "--side", "all"],
+    )
+    assert code == 0 and payload["equal"] is True
+    assert sorted(payload["sides"]) == ["automorphic", "closed", "galois"]
+    shown = [(side["unit"], side["q_exp"]) for side in payload["sides"].values()]
+    assert shown.count(shown[0]) == 3
+
+
 def test_epsilon_single_engine(capsys):
     code, payload = run_json(
         capsys, ["epsilon", "--q", "5", "--n", "2", "--u0", "3", "--zeta", "1/4", "--side", "closed"]

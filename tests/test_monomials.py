@@ -53,7 +53,7 @@ def test_malformed_operands_raise_llc_errors():
 def test_eps_monomial_equality_folds_q_powers():
     a = mono(5, 1, Fraction(3, 2), -1)
     b = mono(5, 5, Fraction(1, 2), -1)
-    assert a == b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != mono(5, 1, Fraction(1, 2), -1)
     assert a != mono(5, 1, Fraction(3, 2), 0)
     # normal form: every factor of a prime q leaves the rational
@@ -84,6 +84,7 @@ def test_eps_monomial_square_q_half_powers():
     # every even f folds through q^(1/2) = p^(f/2): 81^(1/2) = 9 and
     # 729^(1/2) = 27, while 9 = 3^2 is a valid remainder at q = 81
     assert mono(81, 9, Fraction(0), -1) == mono(81, 1, Fraction(1, 2), -1)
+    assert hash(mono(81, 9, Fraction(0), -1)) == hash(mono(81, 1, Fraction(1, 2), -1))
     assert mono(729, 27, Fraction(0), -1) == mono(729, 1, Fraction(1, 2), -1)
     for q, unit, const, rational, q_const in [
         (81, 1, Fraction(1, 2), 9, 0),
@@ -106,6 +107,7 @@ def test_eps_monomial_square_q_half_powers():
         got = p.collapse_to_monomial()
         want = mono(q, 1, Fraction(1, 2), -1)
         assert got == want and got.to_json() == want.to_json()
+        assert hash(got) == hash(want) and len({got, want}) == 1
 
 
 def test_eps_monomial_mul_div():

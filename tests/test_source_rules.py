@@ -51,9 +51,53 @@ def test_only_the_recogniser_module_imports_cmath():
     assert found == ["cyclotomic.py"]
 
 
+def _callee(call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _names(node) -> set[str]:
+    """The callees and plain names that node mentions."""
+    out = set()
+    for c in ast.walk(node):
+        if isinstance(c, ast.Call):
+            out.add(_callee(c))
+        elif isinstance(c, ast.Name):
+            out.add(c.id)
+    return out
+
+
+def test_zeta_decomposes_no_point_in_a_point_loop():
+    # right translation by the pro-unipotent Iwahori gives every point the
+    # invariant of its lead matrix, one per (shell, leading digit): no
+    # decompose in zeta.py, direct or through a zeta function that calls
+    # it, may sit in a loop over unit cosets, digit windows or x-tuples,
+    # which would decompose point by point again
+    tree = ast.parse((SRC / "zeta.py").read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    decomposers = {"decompose"}
+    while more := {f.name for f in functions if decomposers & _names(f)} - decomposers:
+        decomposers |= more
+    point_loops = {"unit_reps", "integer_reps", "product"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and point_loops & _names(node.value):
+            point_loops |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            iters = [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            iters = [g.iter for g in node.generators]
+        else:
+            continue
+        if any(point_loops & _names(it) for it in iters) and decomposers & _names(node):
+            found.append(f"zeta.py:{node.lineno}")
+    assert found == []
+
+
 def test_zeta_decomposes_no_point_per_uniformizer():
     # a point's decomposition does not see the uniformizer: zeta decomposes
-    # once per (q, n, depth, shell bound) and solves per pi_unit, so no
+    # once per (q, n, shell bound) and solves per pi_unit, so no
     # function that takes a pi_unit may call decompose
     tree = ast.parse((SRC / "zeta.py").read_text())
     found = []
@@ -63,10 +107,6 @@ def test_zeta_decomposes_no_point_per_uniformizer():
         if "pi_unit" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs]:
             continue
         for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if callee == "decompose":
+            if isinstance(node, ast.Call) and _callee(node) == "decompose":
                 found.append(f"zeta.py:{node.lineno}")
     assert found == []

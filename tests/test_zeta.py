@@ -411,32 +411,75 @@ def test_rows_match_per_uniformizer_oracle(q, n):
             assert zeta._psi_rows(q, n, u, m, 2) == _per_unit_psi_rows(q, n, u, m)
 
 
-def test_each_dual_point_decomposes_once(monkeypatch):
-    # fresh caches: the first uniformizer decomposes every point, table
-    # and audit, of both depths once; the other three only solve them
-    monkeypatch.setattr(zeta, "_dual_points", lru_cache(maxsize=None)(zeta._dual_points.__wrapped__))
-    fresh_table = lru_cache(maxsize=None)(zeta.cached_dual_table.__wrapped__)
-    monkeypatch.setattr(zeta, "cached_dual_table", fresh_table)
+def _count_decompositions(monkeypatch, *cached):
+    """Fresh caches for the lead invariants and the named cached
+    functions of zeta, and the list that every decompose call in zeta
+    appends to."""
+    for name in ("_lead_invariants",) + cached:
+        fresh = lru_cache(maxsize=None)(getattr(zeta, name).__wrapped__)
+        monkeypatch.setattr(zeta, name, fresh)
     calls = []
     real = zeta.decompose
     monkeypatch.setattr(zeta, "decompose", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_each_dual_point_decomposes_once(monkeypatch):
+    # fresh caches: the first uniformizer decomposes A(a0 t^v) once per
+    # shell and leading digit, 5 * 4 lead matrices shared by both depths,
+    # and the 40 non-integral audit points of each depth; the other three
+    # only solve them
+    calls = _count_decompositions(monkeypatch, "_dual_points", "cached_dual_table")
     per_unit = []
     for u in range(1, 5):
         before = len(calls)
-        fresh_table(5, 3, u)
+        zeta.cached_dual_table(5, 3, u)
         per_unit.append(len(calls) - before)
-    points = 0
-    for m, seed in ((2, zeta.AUDIT_SEED), (3, zeta.AUDIT_SEED + 1)):
-        P = zeta._dual_points(5, 3, m, 2, seed)
-        points += sum(P.points.values()) + len(P.off_shell) + len(P.non_integral)
-        points += 2 * len(P.class_pairs)
-    assert per_unit == [points, 0, 0, 0]
+    assert per_unit == [5 * 4 + 2 * zeta.SPOT_CHECKS, 0, 0, 0] == [100, 0, 0, 0]
+
+
+def test_each_principal_lead_decomposes_once(monkeypatch):
+    # diag(a0 t^v, 1, 1) once per shell and leading digit serves both
+    # depths and every uniformizer
+    calls = _count_decompositions(monkeypatch, "_psi_points", "_psi_rows")
+    per_unit = []
+    for u in range(1, 5):
+        before = len(calls)
+        for m in (2, 3):
+            assert zeta._psi_rows(5, 3, u, m, 2)
+        per_unit.append(len(calls) - before)
+    assert per_unit == [5 * 4, 0, 0, 0]
+
+
+@pytest.mark.parametrize("q,n,depths", [(3, 2, (2, 3)), (5, 2, (2, 3)), (3, 4, (2,)), (5, 3, (2,))])
+def test_every_integral_point_has_its_lead_invariant(q, n, depths):
+    # right translation by I+: every point with integral x, at every
+    # shell and unit coset, solves like A(a0 t^v) for every uniformizer,
+    # so x-class constancy and the vanishing off shell -1 need no audit
+    F = LocalField.base_field(q)
+    lead = zeta._lead_invariants(q, n, 2, zeta._dual_lead)
+    for m in depths:
+        x_reps = F.integer_reps(0, m)
+        for v in range(-2, 3):
+            for w in F.unit_reps(m):
+                h = w.shift(v)
+                want = [lead[v, w.coeff_at(0)].solve(u) for u in range(1, q)]
+                for xs in itertools.product(x_reps, repeat=n - 2):
+                    inv = WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))
+                    assert [inv.solve(u) for u in range(1, q)] == want
+
+
+def test_every_principal_point_has_its_lead_invariant():
+    lead = zeta._lead_invariants(5, 3, 2, zeta._principal_lead)
+    for v, h, inv in _principal_points(5, 3, 3):
+        want = lead[v, h.coeff_at(v)]
+        assert [inv.solve(u) for u in range(1, 5)] == [want.solve(u) for u in range(1, 5)]
 
 
 def test_table_audit_runs_per_uniformizer(monkeypatch):
-    # an off-shell audit point that contributes at pi_unit 2 only must
+    # a non-integral audit point that contributes at pi_unit 2 only must
     # fail that uniformizer's table and leave pi_unit 1's alone
-    v, planted = zeta._dual_points(5, 3, 2, 2, zeta.AUDIT_SEED).off_shell[0]
+    planted = zeta._dual_points(5, 3, 2, 2, zeta.AUDIT_SEED).non_integral[0]
     real = WhittakerInvariant.solve
 
     def solve(self, pi_unit):
@@ -445,7 +488,7 @@ def test_table_audit_runs_per_uniformizer(monkeypatch):
         return real(self, pi_unit)
 
     monkeypatch.setattr(WhittakerInvariant, "solve", solve)
-    with pytest.raises(LLCError, match=rf"table audit failed: val\(h\) = {v} contributed"):
+    with pytest.raises(LLCError, match="table audit failed: non-integral x contributed"):
         dual_support_table(5, 3, 2)
     assert dual_support_table(5, 3, 1).row_count == 5 * 5
 
