@@ -2,10 +2,16 @@
 
 Words in the group generated by both affine rotations, the center and
 the pro-unipotent Iwahori are kept in the form M * k with M a monomial
-class and k an Iwahori matrix truncated at precision 2, which is exact
+class and k an Iwahori matrix mod t^N (N = 2 by default), which is exact
 in the congruence quotient the Whittaker value reads; the inverse word
 is carried along in the same form, and each word is its own witness of
-membership.
+membership.  KWalk holds k and k^-1 as flat lists of residue digits at
+t^0..t^(N-1) with one precision per entry, updated by the rule a
+LaurentElem computation of the entry follows, so its matrices equal the
+series ones; a conjugation by a monomial permutes, scales and shifts
+digits, an I+ generator is one multiply-add per touched entry, and the
+Iwahori test reads the t^0 digits of the entries a step moved.  Series
+and matrices are built only where a word leaves the walk.
 
 Both checks read the WhittakerInvariant of bruhat, which does not see
 zeta, omega or the uniformizer unit, and on the support the value
@@ -29,7 +35,7 @@ from functools import lru_cache
 from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
 from .errors import InsufficientPrecision, LLCError, ZeroInput
-from .laurent import LocalField
+from .laurent import LocalField, _convolve_into
 from .matrices import MatG
 from .supercuspidal import SSCDatum
 
@@ -65,6 +71,9 @@ WalkSamples = namedtuple(
 )
 
 
+_LEFT_IWAHORI = "walk state left the Iwahori subgroup"
+
+
 class KWalk:
     """One growing word; every prefix can be snapshotted as a sample.
 
@@ -72,7 +81,22 @@ class KWalk:
     the inverse pair (Mi, ki) to (g^-1 Mi, ki); appending an Iwahori
     element h sends k to kh and ki to (Mi^-1 h^-1 Mi) ki.  All monomials
     reachable here normalize the Iwahori subgroup, so both k-parts stay
-    inside it; this is asserted after every step.
+    inside it.
+
+    M and Mi are MonomialClass objects.  k and ki are flat lists of n*n
+    entries, entry (i, j) at index i*n + j, each a tuple of the residue
+    digits at t^0..t^(N-1) with a parallel list of precisions: p means
+    the digits below t^p are known (those at and above it are stored as
+    0), None that the entry is exact.  Every push computes the digits and
+    the precision a LaurentElem computation of the same entry would give
+    (the rule is spelled out at _mul_add), so the k and ki views are ==
+    to the matrices a walk on series computes.
+
+    The Iwahori test runs on digits after every push, over the entries
+    the push can move: all of k after a conjugation, the touched column
+    of k and row of ki after an I+ push, nothing after a central push.
+    A nonzero digit pushed below t^0, or a bad digit at t^0, raises
+    LLCError; a precision too low to decide raises InsufficientPrecision.
     """
 
     def __init__(self, q: int, n: int, u1: int, u2: int, precision: int = 2, seed: int = 0):
@@ -86,42 +110,107 @@ class KWalk:
             1: MonomialClass.rotation(self.F, n, u1),
             2: MonomialClass.rotation(self.F, n, u2),
         }
-        ident = MatG.identity(self.F, n)
+        self._rot_moves = {w: self._monomial_move(cls) for w, cls in self.rot.items()}
+        self._central_moves: dict[tuple[int, int], tuple] = {}
         self.M = MonomialClass.identity(self.F, n)
-        self.k = ident
         self.Mi = MonomialClass.identity(self.F, n)
-        self.ki = ident
+        one, zero = (1,) + (0,) * (precision - 1), (0,) * precision
+        self._k = [one if i == j else zero for i in range(n) for j in range(n)]
+        self._kp = [None] * (n * n)
+        self._ki = list(self._k)
+        self._kip = [None] * (n * n)
+        # per entry: the lowest precision that decides its Iwahori test,
+        # and the t^0 digit it needs (None when any digit will do)
+        self._shape = [
+            (1, 1) if i == j else (0, None) if i < j else (1, 0)
+            for i in range(n)
+            for j in range(n)
+        ]
+        self._superdiag = [i * n + i + 1 for i in range(n - 1)]
+        self._corner = (n - 1) * n
         self.used1 = False
         self.used2 = False
 
-    def _check_iwahori(self) -> None:
-        if not self.k.in_pro_unipotent_iwahori() or not self.ki.in_pro_unipotent_iwahori():
-            raise LLCError("walk state left the Iwahori subgroup")
+    # ----- views at the boundary ----------------------------------------
+    @property
+    def k(self) -> MatG:
+        return _digit_matrix(self.F, self.n, self._k, self._kp)
 
-    def _conj_by(self, cls: MonomialClass, A: MatG) -> MatG:
-        """cls^-1 A cls in O(n^2): entry (i,j) moves to (cols_i, cols_j)
-        scaled by units_j/units_i and shifted by exps_j - exps_i."""
-        F, ff, n, N = self.F, self.F.residue, self.n, self.N
+    @property
+    def ki(self) -> MatG:
+        return _digit_matrix(self.F, self.n, self._ki, self._kip)
+
+    def forward_matrix(self) -> MatG:
+        return self.M.as_matrix() * self.k
+
+    def inverse_matrix(self) -> MatG:
+        return self.Mi.as_matrix() * self.ki
+
+    # ----- the digit test -----------------------------------------------
+    def _check(self, digits: list, precs: list, idxs, below) -> None:
+        """The Iwahori test of the entries idxs, in row-major order; below
+        holds the entries with a nonzero digit pushed under t^0."""
+        shape = self._shape
+        for idx in idxs:
+            if idx in below:
+                raise LLCError(_LEFT_IWAHORI)
+            floor, lead = shape[idx]
+            p = precs[idx]
+            if p is not None and p < floor:
+                raise InsufficientPrecision(f"cannot decide valuation >= {floor} from O(t^{p})")
+            if lead is not None and digits[idx][0] != lead:
+                raise LLCError(_LEFT_IWAHORI)
+
+    # ----- monomial generators ------------------------------------------
+    def _monomial_move(self, cls: MonomialClass) -> tuple:
+        """(cls, its inverse, conjugation plan): the plan sends entry (i, j)
+        to (cols_i, cols_j) with the _mul row of units_j / units_i and
+        the shift exps_j - exps_i."""
+        ff, n = self.F.residue, self.n
         cols, exps, units = cls.cols, cls.exps, cls.units
-        rows = [[F.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                e = A.entry(i, j)
-                if e.is_exact_zero():
-                    continue
-                c = ff.mul(units[j], ff.inv(units[i]))
-                rows[cols[i]][cols[j]] = e.scale(c).shift(exps[j] - exps[i]).truncate(N)
-        return MatG(F, rows)
+        plan = [
+            (i * n + j, cols[i] * n + cols[j], ff._mul[ff.mul(units[j], ff.inv(units[i]))],
+             exps[j] - exps[i])
+            for i in range(n)
+            for j in range(n)
+        ]
+        return cls, cls.inverse(), plan
 
-    def _push_monomial(self, cls: MonomialClass, conj_is_trivial: bool = False) -> None:
-        if not conj_is_trivial:
-            self.k = self._conj_by(cls, self.k)
+    def _conjugate(self, plan) -> set:
+        """k becomes cls^-1 k cls; returns the entries pushed below t^0."""
+        k, kp, N = self._k, self._kp, self.N
+        zero = (0,) * N
+        out, outp = [zero] * len(k), [None] * len(k)
+        below = set()
+        for src, dst, row, s in plan:
+            d, p = k[src], kp[src]
+            if p is None and not any(d):
+                continue  # an exact zero stays exact
+            if s == 0:
+                nd = tuple([row[c] for c in d])
+            elif s > 0:
+                nd = zero if s >= N else zero[:s] + tuple([row[c] for c in d[: N - s]])
+            else:
+                if any(d[:-s]):
+                    below.add(dst)
+                nd = tuple([row[c] for c in d[-s:]]) + zero[: min(-s, N)]
+            out[dst] = nd
+            outp[dst] = N if p is None or p + s > N else p + s
+        self._k, self._kp = out, outp
+        return below
+
+    def _push_monomial(self, move) -> None:
+        """move is (cls, its inverse, conjugation plan or None for a scalar)."""
+        cls, inv, plan = move
+        below = None if plan is None else self._conjugate(plan)
         self.M = self.M.compose(cls)
-        self.Mi = cls.inverse().compose(self.Mi)
-        self._check_iwahori()
+        self.Mi = inv.compose(self.Mi)
+        # ki is untouched and a scalar leaves k alone: nothing new to test
+        if below is not None:
+            self._check(self._k, self._kp, range(len(self._k)), below)
 
     def push_rotation(self, which: int) -> None:
-        self._push_monomial(self.rot[which])
+        self._push_monomial(self._rot_moves[which])
         if which == 1:
             self.used1 = True
         else:
@@ -129,48 +218,76 @@ class KWalk:
 
     def push_central(self, s: int, d: int) -> None:
         # scalars commute: the k-part conjugation is the identity map
-        self._push_monomial(MonomialClass.central(self.F, self.n, s, d), conj_is_trivial=True)
+        move = self._central_moves.get((s, d))
+        if move is None:
+            cls = MonomialClass.central(self.F, self.n, s, d)
+            move = self._central_moves[s, d] = (cls, cls.inverse(), None)
+        self._push_monomial(move)
 
+    # ----- pro-unipotent Iwahori generators -------------------------------
     def push_elementary(self, a: int, b: int, x) -> None:
         """Append I + x E_ab (a != b); x must respect the Iwahori shape."""
-        n, N, ff = self.n, self.N, self.F.residue
-        krows = [list(r) for r in self.k.rows]
-        for i in range(n):
-            krows[i][b] = (krows[i][b] + krows[i][a] * x).truncate(N)
-        self.k = MatG(self.F, krows)
+        self._push_elementary(a, b, (x.val, x.coeffs, x.prec))
+
+    def _push_elementary(self, a: int, b: int, x: tuple) -> None:
+        n, ff = self.n, self.F.residue
         # inverse generator I - x E_ab conjugated through Mi, applied left
         cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
-        xi = (-x).scale(ff.mul(units[b], ff.inv(units[a]))).shift(exps[b] - exps[a])
-        ap, bp = cols[a], cols[b]
-        kirows = [list(r) for r in self.ki.rows]
-        for j in range(n):
-            kirows[ap][j] = (kirows[ap][j] + xi * kirows[bp][j]).truncate(N)
-        self.ki = MatG(self.F, kirows)
-        self._check_iwahori()
+        xv, xc, xp = x
+        s = exps[b] - exps[a]
+        row, neg = ff._mul[ff.mul(units[b], ff.inv(units[a]))], ff._neg
+        xi = (xv + s, tuple([row[neg[c]] for c in xc]), None if xp is None else xp + s)
+        ap, bp = cols[a] * n, cols[b] * n
+        self._push_iplus(
+            [(i, i - b + a) for i in range(b, n * n, n)], x,
+            [(i, i - ap + bp) for i in range(ap, ap + n)], xi,
+            add=True,
+        )
 
     def push_one_unit_diag(self, a: int, e) -> None:
         """Append the diagonal matrix with one-unit e in slot a."""
-        n, N = self.n, self.N
-        einv = e.inverse(rel_prec=N + 1)
-        krows = [list(r) for r in self.k.rows]
-        for i in range(n):
-            krows[i][a] = (krows[i][a] * e).truncate(N)
-        self.k = MatG(self.F, krows)
+        einv = e.inverse(rel_prec=self.N + 1)
+        self._push_one_unit_diag(a, (e.val, e.coeffs, e.prec), (einv.val, einv.coeffs, einv.prec))
+
+    def _push_one_unit_diag(self, a: int, e: tuple, einv: tuple) -> None:
+        n = self.n
         # units cancel in the conjugation of a diagonal, only the slot moves
-        ap = self.Mi.cols[a]
-        kirows = [list(r) for r in self.ki.rows]
-        for j in range(n):
-            kirows[ap][j] = (kirows[ap][j] * einv).truncate(N)
-        self.ki = MatG(self.F, kirows)
-        self._check_iwahori()
+        ap = self.Mi.cols[a] * n
+        self._push_iplus(
+            [(i, i) for i in range(a, n * n, n)], e,
+            [(i, i) for i in range(ap, ap + n)], einv,
+            add=False,
+        )
+
+    def _push_iplus(self, k_moves, x: tuple, ki_moves, xi: tuple, add: bool) -> None:
+        """Entry dst of k becomes (dst if add else 0) + src * x for each
+        (dst, src) in k_moves, the same in ki with xi; then the touched
+        column of k and row of ki are tested, as listed."""
+        ff, N = self.F.residue, self.N
+        mul, add_table = ff._mul, ff._add
+        zero = (0,) * N
+        state = ((self._k, self._kp, k_moves, x), (self._ki, self._kip, ki_moves, xi))
+        pushed_below = []
+        for digits, precs, moves, y in state:
+            below = set()
+            for dst, src in moves:
+                b, bp = (digits[dst], precs[dst]) if add else (zero, None)
+                digits[dst], precs[dst], under = _mul_add(
+                    mul, add_table, N, b, bp, digits[src], precs[src], y
+                )
+                if under:
+                    below.add(dst)
+            pushed_below.append(below)
+        for (digits, precs, moves, _), below in zip(state, pushed_below):
+            self._check(digits, precs, [dst for dst, _ in moves], below)
 
     def push_random_iplus(self) -> None:
-        rng, F, n, q, N = self.rng, self.F, self.n, self.q, self.N
+        rng, n, q, N = self.rng, self.n, self.q, self.N
         kind = rng.randrange(3)
         if kind == 0:
             a = rng.randrange(n)
             j = rng.randrange(1, N)
-            self.push_one_unit_diag(a, F.one() + F.elem(j, (rng.randrange(1, q),)))
+            self._push_one_unit_diag(a, *_one_units(self.F, N)[j, rng.randrange(1, q)])
             return
         if kind == 1:
             a = rng.randrange(n - 1)
@@ -180,7 +297,7 @@ class KWalk:
             b = rng.randrange(n - 1)
             a = rng.randrange(b + 1, n)
             j = rng.randrange(1, N)
-        self.push_elementary(a, b, F.elem(j, (rng.randrange(1, q),)))
+        self._push_elementary(a, b, (j, (rng.randrange(1, q),), None))
 
     def random_step(self) -> None:
         roll = self.rng.randrange(6)
@@ -193,16 +310,84 @@ class KWalk:
         else:
             self.push_random_iplus()
 
+    # ----- samples ------------------------------------------------------
+    def _invariant(self, mono: MonomialClass, digits: list, precs: list) -> WhittakerInvariant:
+        """The invariant of mono * k read off k's digits: the superdiagonal
+        t^0 digits summed, and the t^1 digit of the corner entry."""
+        add = self.F.residue._add
+        total = 0
+        for idx in self._superdiag:
+            p = precs[idx]
+            if p is not None and p <= 0:
+                raise InsufficientPrecision(f"coefficient at t^0 lies beyond O(t^{p})")
+            total = add[total][digits[idx][0]]
+        p = precs[self._corner]
+        if p is not None and p <= 1:
+            raise InsufficientPrecision(f"coefficient at t^1 lies beyond O(t^{p})")
+        return WhittakerInvariant(mono, total, digits[self._corner][1])
+
     def snapshot(self) -> KWord:
-        fwd = WhittakerInvariant.of(None, self.M, self.k)
-        inv = WhittakerInvariant.of(None, self.Mi, self.ki)
+        fwd = self._invariant(self.M, self._k, self._kp)
+        inv = self._invariant(self.Mi, self._ki, self._kip)
         return KWord(self.used1, self.used2, fwd, inv)
 
-    def forward_matrix(self) -> MatG:
-        return self.M.as_matrix() * self.k
 
-    def inverse_matrix(self) -> MatG:
-        return self.Mi.as_matrix() * self.ki
+
+def _mul_add(mul, add, N: int, b: tuple, bp, a: tuple, ap, x: tuple):
+    """(digits, precision, pushed below t^0) of b + a*x cut at t^N.
+
+    a and b are digit tuples of t^0..t^(N-1) with precisions ap and bp,
+    x is (val, coeffs, prec) as a LaurentElem stores it.  The precision
+    is LaurentElem's: the product knows min(ap + vb(x), xp + vb(a)) with
+    vb the valuation, or the precision where no term is visible, and
+    None as infinity; the sum the smaller of that and bp; the cut at N
+    the smaller again.  Every known digit is then the series' digit.
+    """
+    xv, xc, xp = x
+    av = ap
+    for s, c in enumerate(a):
+        if c:
+            av = s
+            break
+    prec = N if bp is None or bp > N else bp
+    if ap is not None:
+        xb = xv if xc else xp
+        if xb is not None and ap + xb < prec:
+            prec = ap + xb
+    if xp is not None and av is not None and xp + av < prec:
+        prec = xp + av
+    # coefficients at lo..prec-1; only a negative x reaches below t^0
+    lo = xv if xv < 0 else 0
+    width = prec - lo
+    if width <= 0:
+        return (0,) * N, prec, False
+    out = [0] * width
+    if prec > 0:
+        out[-lo:] = b[:prec]
+    _convolve_into(out, xv - lo, a, xc, mul, add)
+    under = lo < 0 and any(out[:-lo])
+    if prec <= 0:
+        return (0,) * N, prec, under
+    return tuple(out[-lo:]) + (0,) * (N - prec), prec, under
+
+
+@lru_cache(maxsize=None)
+def _one_units(F: LocalField, N: int) -> dict:
+    """(j, c) -> the one-unit 1 + c t^j and its inverse to relative
+    precision N + 1, as (val, coeffs, prec): the random I+ diagonal
+    generators, converted once per field and precision."""
+    out = {}
+    for j in range(1, N):
+        for c in F.residue.units():
+            e = F.one() + F.elem(j, (c,))
+            einv = e.inverse(rel_prec=N + 1)
+            out[j, c] = (e.val, e.coeffs, e.prec), (einv.val, einv.coeffs, einv.prec)
+    return out
+
+
+def _digit_matrix(F: LocalField, n: int, digits: list, precs: list) -> MatG:
+    """The walk's digit entries as a matrix of series."""
+    return MatG(F, [[F.elem(0, digits[i * n + j], precs[i * n + j]) for j in range(n)] for i in range(n)])
 
 
 def solved_product(ff, a: SolvedInvariant, b: SolvedInvariant) -> SolvedInvariant:

@@ -14,6 +14,7 @@ seconds.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -419,6 +420,10 @@ def criterion_pairs(scale: str | None = None) -> dict:
     cells = PAIR_CELLS if scale == "full" else ((3, 2), (5, 2))
     steps = 10_000 if scale == "full" else 2_000
     pairs, k_runs, failures = 0, 0, []
+    # seconds spent building walks, on mirabolic tables and agreement,
+    # and on the conjugation checks
+    phases = dict.fromkeys(("walks", "mirabolic", "k_check"), 0.0)
+    clock = time.perf_counter
     for q, n in cells:
         # central characters agree as characters of the base field, so
         # the grouping key is the unit exponent plus the value at t
@@ -436,7 +441,9 @@ def criterion_pairs(scale: str | None = None) -> dict:
                 for j in range(i + 1, len(ds)):
                     d1, d2 = ds[i], ds[j]
                     pairs += 1
+                    t = clock()
                     rep = mirabolic_agreement(PairConfig(d1, d2))
+                    phases["mirabolic"] += clock() - t
                     if not (rep["all_equal"] and rep["support_ok"]):
                         failures.append(
                             {"first": _datum_key(d1), "second": _datum_key(d2),
@@ -444,9 +451,13 @@ def criterion_pairs(scale: str | None = None) -> dict:
                              "first_class": (rep["mismatches"] + rep["support_violations"])[0]}
                         )
                     ulo, uhi = sorted((d1.pi_unit, d2.pi_unit))
+                    t = clock()
                     words = cached_k_words(q, n, ulo, uhi, steps=steps)
+                    phases["walks"] += clock() - t
                     for d in (d1, d2):
+                        t = clock()
                         krep = k_special_check(d, words)
+                        phases["k_check"] += clock() - t
                         k_runs += 1
                         if not krep["ok"]:
                             failures.append(
@@ -464,6 +475,8 @@ def criterion_pairs(scale: str | None = None) -> dict:
         cells=list(cells),
         steps=steps,
         conjugation_runs=k_runs,
+        # whole milliseconds, rounded down, so they sum to at most seconds
+        phases={name: math.floor(v * 1000) / 1000 for name, v in phases.items()},
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 from llclab import pairs, selftest
 from llclab.bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from llclab.cyclotomic import RootOfUnity
-from llclab.errors import InsufficientPrecision, ZeroInput
+from llclab.errors import InsufficientPrecision, LLCError, ZeroInput
 from llclab.laurent import LocalField
 from llclab.matrices import MatG
 from llclab.pairs import (
@@ -119,6 +119,228 @@ def test_walk_invariants_match_decomposition():
                     assert kept == read
                     pinned += 1
     assert supported > 0 and pinned > 0
+
+
+class ReferenceWalk:
+    """The walk on series: k and ki as MatGs of LaurentElem, each entry
+    truncated at t^N, the whole of both tested for Iwahori membership
+    after every step.  KWalk's digit state must match it step for step,
+    the random stream included."""
+
+    def __init__(self, q, n, u1, u2, precision=2, seed=0):
+        self.F = LocalField.base_field(q)
+        self.q, self.n, self.u1, self.u2 = q, n, u1, u2
+        self.N = precision
+        self.rng = random.Random(seed)
+        self.rot = {1: MonomialClass.rotation(self.F, n, u1), 2: MonomialClass.rotation(self.F, n, u2)}
+        ident = MatG.identity(self.F, n)
+        self.M = MonomialClass.identity(self.F, n)
+        self.k = ident
+        self.Mi = MonomialClass.identity(self.F, n)
+        self.ki = ident
+        self.used1 = False
+        self.used2 = False
+
+    def _check_iwahori(self):
+        if not self.k.in_pro_unipotent_iwahori() or not self.ki.in_pro_unipotent_iwahori():
+            raise LLCError("walk state left the Iwahori subgroup")
+
+    def _conj_by(self, cls, A):
+        F, ff, n, N = self.F, self.F.residue, self.n, self.N
+        rows = [[F.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                e = A.entry(i, j)
+                if e.is_exact_zero():
+                    continue
+                c = ff.mul(cls.units[j], ff.inv(cls.units[i]))
+                shifted = e.scale(c).shift(cls.exps[j] - cls.exps[i]).truncate(N)
+                rows[cls.cols[i]][cls.cols[j]] = shifted
+        return MatG(F, rows)
+
+    def _push_monomial(self, cls, conj_is_trivial=False):
+        if not conj_is_trivial:
+            self.k = self._conj_by(cls, self.k)
+        self.M = self.M.compose(cls)
+        self.Mi = cls.inverse().compose(self.Mi)
+        self._check_iwahori()
+
+    def push_rotation(self, which):
+        self._push_monomial(self.rot[which])
+        if which == 1:
+            self.used1 = True
+        else:
+            self.used2 = True
+
+    def push_central(self, s, d):
+        self._push_monomial(MonomialClass.central(self.F, self.n, s, d), conj_is_trivial=True)
+
+    def push_elementary(self, a, b, x):
+        n, N, ff = self.n, self.N, self.F.residue
+        krows = [list(r) for r in self.k.rows]
+        for i in range(n):
+            krows[i][b] = (krows[i][b] + krows[i][a] * x).truncate(N)
+        self.k = MatG(self.F, krows)
+        cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
+        xi = (-x).scale(ff.mul(units[b], ff.inv(units[a]))).shift(exps[b] - exps[a])
+        ap, bp = cols[a], cols[b]
+        kirows = [list(r) for r in self.ki.rows]
+        for j in range(n):
+            kirows[ap][j] = (kirows[ap][j] + xi * kirows[bp][j]).truncate(N)
+        self.ki = MatG(self.F, kirows)
+        self._check_iwahori()
+
+    def push_one_unit_diag(self, a, e):
+        n, N = self.n, self.N
+        einv = e.inverse(rel_prec=N + 1)
+        krows = [list(r) for r in self.k.rows]
+        for i in range(n):
+            krows[i][a] = (krows[i][a] * e).truncate(N)
+        self.k = MatG(self.F, krows)
+        ap = self.Mi.cols[a]
+        kirows = [list(r) for r in self.ki.rows]
+        for j in range(n):
+            kirows[ap][j] = (kirows[ap][j] * einv).truncate(N)
+        self.ki = MatG(self.F, kirows)
+        self._check_iwahori()
+
+    def push_random_iplus(self):
+        rng, F, n, q, N = self.rng, self.F, self.n, self.q, self.N
+        kind = rng.randrange(3)
+        if kind == 0:
+            a = rng.randrange(n)
+            j = rng.randrange(1, N)
+            self.push_one_unit_diag(a, F.one() + F.elem(j, (rng.randrange(1, q),)))
+            return
+        if kind == 1:
+            a = rng.randrange(n - 1)
+            b = rng.randrange(a + 1, n)
+            j = rng.randrange(0, N)
+        else:
+            b = rng.randrange(n - 1)
+            a = rng.randrange(b + 1, n)
+            j = rng.randrange(1, N)
+        self.push_elementary(a, b, F.elem(j, (rng.randrange(1, q),)))
+
+    def random_step(self):
+        roll = self.rng.randrange(6)
+        if roll == 0:
+            self.push_rotation(1)
+        elif roll == 1:
+            self.push_rotation(2)
+        elif roll == 2:
+            self.push_central(self.rng.randrange(1, self.q), self.rng.choice((-1, 0, 1)))
+        else:
+            self.push_random_iplus()
+
+    def snapshot(self):
+        fwd = WhittakerInvariant.of(None, self.M, self.k)
+        inv = WhittakerInvariant.of(None, self.Mi, self.ki)
+        return pairs.KWord(self.used1, self.used2, fwd, inv)
+
+    def forward_matrix(self):
+        return self.M.as_matrix() * self.k
+
+    def inverse_matrix(self):
+        return self.Mi.as_matrix() * self.ki
+
+
+def _assert_same_state(walk, ref):
+    assert walk.snapshot() == ref.snapshot()
+    assert walk.forward_matrix() == ref.forward_matrix()
+    assert walk.inverse_matrix() == ref.inverse_matrix()
+    # == on matrices of series compares every entry's precision too
+    assert walk.k == ref.k and walk.ki == ref.ki
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (5, 3), (3, 4), (5, 4), (7, 3)])
+def test_walk_matches_reference_walk(q, n):
+    # every unordered unit pair, u1 = u2 included, both precisions, two
+    # seeds: the digit state equals the series walk at every prefix
+    for u1 in range(1, q):
+        for u2 in range(u1, q):
+            for N in (2, 3):
+                for seed in (0, 1):
+                    walk, ref = KWalk(q, n, u1, u2, N, seed), ReferenceWalk(q, n, u1, u2, N, seed)
+                    for _ in range(80):
+                        walk.random_step()
+                        ref.random_step()
+                        _assert_same_state(walk, ref)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_hand_built_words_match_reference_walk(N):
+    # generators the random steps never draw: multi-digit x above and
+    # below the diagonal, an x with finite precision, a multi-digit
+    # one-unit e and one with finite precision, around rotations
+    q, n = 5, 3
+    walk, ref = KWalk(q, n, 1, 2, N), ReferenceWalk(q, n, 1, 2, N)
+    F = walk.F
+    word = [
+        ("push_elementary", 0, 2, F.elem(0, (2, 3, 4))),
+        ("push_rotation", 1),
+        ("push_elementary", 2, 1, F.elem(1, (4, 0, 1))),
+        ("push_one_unit_diag", 1, F.one() + F.elem(1, (3, 2, 1))),
+        ("push_rotation", 2),
+        ("push_central", 3, -1),
+        ("push_elementary", 1, 2, F.elem(0, (1, 1), prec=2)),
+        ("push_one_unit_diag", 0, F.one() + F.elem(1, (4,), prec=2)),
+        ("push_rotation", 1),
+        ("push_elementary", 2, 0, F.elem(2, (3, 3))),
+        ("push_rotation", 2),
+        ("push_elementary", 1, 0, F.elem(1, (2,), prec=3)),
+        ("push_one_unit_diag", 2, F.one() + F.elem(2, (1, 4))),
+        ("push_rotation", 1),
+    ]
+    for name, *args in word:
+        getattr(walk, name)(*args)
+        getattr(ref, name)(*args)
+        _assert_same_state(walk, ref)
+
+
+@pytest.mark.parametrize("a,b,prec", [(2, 0, 0), (0, 2, -1)])
+def test_undecidable_push_raises_like_reference_walk(a, b, prec):
+    # an x known only below t^prec leaves the touched entries too coarse
+    # for the Iwahori test: both walks refuse to guess
+    for cls in (KWalk, ReferenceWalk):
+        walk = cls(5, 3, 1, 2)
+        walk.push_rotation(1)
+        with pytest.raises(InsufficientPrecision):
+            walk.push_elementary(a, b, walk.F.zero(prec=prec))
+
+
+def test_sampler_matches_reference_walk(monkeypatch):
+    samples = sample_k_words(5, 4, 1, 2, steps=2000)
+    monkeypatch.setattr(pairs, "KWalk", ReferenceWalk)
+    ref = sample_k_words(5, 4, 1, 2, steps=2000)
+    assert samples.tables == ref.tables
+    assert samples.audit_misses == ref.audit_misses
+    assert samples == ref
+
+
+@pytest.mark.parametrize("warmup", [0, 30])
+@pytest.mark.parametrize("side", ["k", "ki"])
+@pytest.mark.parametrize("a,b,val", [(2, 0, 0), (0, 2, -1)])
+def test_push_outside_iwahori_raises(monkeypatch, warmup, side, a, b, val):
+    # below the diagonal with a unit x, above it with a pole: the step
+    # leaves I+ on both sides, and the digit test of each side alone,
+    # the other switched off, must catch it.  From the identity the pole
+    # lands in one entry only, whose t^0 digit is free: only the digit
+    # pushed below t^0 shows it
+    walk = KWalk(5, 3, 1, 2, seed=3)
+    for _ in range(warmup):
+        walk.random_step()
+    check = KWalk._check
+
+    def one_side(self, digits, precs, idxs, below):
+        if (digits is self._k) == (side == "k"):
+            check(self, digits, precs, idxs, below)
+
+    monkeypatch.setattr(KWalk, "_check", one_side)
+    with pytest.raises(LLCError) as err:
+        walk.push_elementary(a, b, walk.F.elem(val, (3, 1)))
+    assert type(err.value) is LLCError
+    assert str(err.value) == "walk state left the Iwahori subgroup"
 
 
 def test_sampler_shapes():
@@ -370,6 +592,17 @@ def test_pair_failure_records_replay(monkeypatch):
     assert conj and all(
         (f["seed"], f["steps"], f["first_violation"]) == (2024, 2000, violation) for f in conj
     )
+    json.dumps(rep)
+
+
+def test_pair_criterion_reports_phases():
+    rep = selftest.criterion_pairs("small")
+    assert rep["ok"]
+    phases = rep["phases"]
+    assert set(phases) == {"walks", "mirabolic", "k_check"}
+    assert all(v >= 0 for v in phases.values())
+    # whole milliseconds rounded down; the tolerance is float summation's
+    assert sum(phases.values()) <= rep["seconds"] + 1e-9
     json.dumps(rep)
 
 

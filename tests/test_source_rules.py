@@ -110,3 +110,44 @@ def test_zeta_decomposes_no_point_per_uniformizer():
             if isinstance(node, ast.Call) and _callee(node) == "decompose":
                 found.append(f"zeta.py:{node.lineno}")
     assert found == []
+
+
+def _uses(node) -> set[str]:
+    """Which of the series-level names the walk keeps out of its steps
+    node uses: MatG construction, LaurentElem, truncation and the
+    matrix Iwahori test."""
+    banned = {"MatG", "LaurentElem", "truncate", "in_pro_unipotent_iwahori"}
+    out = set()
+    for c in ast.walk(node):
+        if isinstance(c, ast.Name) and c.id in banned:
+            out.add(c.id)
+        elif isinstance(c, ast.Attribute) and c.attr in banned:
+            out.add(c.attr)
+    return out
+
+
+def test_walk_steps_build_no_series():
+    # KWalk keeps k and k^-1 as residue digits: only the matrix views at
+    # the boundary may build MatG or LaurentElem, truncate, or run the
+    # matrix Iwahori test, directly, through a module function of
+    # pairs.py that does, or by reading a view
+    tree = ast.parse((SRC / "pairs.py").read_text())
+    helpers = {
+        f.name for f in tree.body if isinstance(f, ast.FunctionDef) and _uses(f)
+    }
+    walk = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "KWalk")
+    views = {"forward_matrix", "inverse_matrix", "k", "ki"}
+    found = []
+    for fn in walk.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in views:
+            continue
+        used = _uses(fn) | (helpers & _names(fn))
+        used |= {
+            c.attr for c in ast.walk(fn)
+            if isinstance(c, ast.Attribute) and c.attr in views
+            and isinstance(c.value, ast.Name) and c.value.id == "self"
+        }
+        if used:
+            found.append(f"KWalk.{fn.name}: {sorted(used)}")
+    assert found == []
+    assert "_digit_matrix" in helpers

@@ -179,6 +179,21 @@ def test_principal_rows_match_oracle_on_synthetic_support(monkeypatch):
                 assert got == want and got.to_json() == want.to_json()
 
 
+@pytest.mark.parametrize("q,n", [(5, 3), (7, 2)])
+def test_principal_rows_carry_the_inverse_of_h(q, n):
+    # a principal row stores arg = 1/h: rebuilding h from it must give
+    # back the lead matrix whose invariant the row holds.  Storing the
+    # leading digit of h itself swaps a0 and 1/a0, which these residue
+    # fields tell apart, and every shell is covered, not just a0 = 1
+    F = LocalField.base_field(q)
+    for m in (2, 3):
+        rows = zeta._psi_points(q, n, m, 2)
+        assert {row.arg_lead for row in rows} == set(F.residue.units())
+        for row in rows:
+            h = F.elem(row.arg_val, (row.arg_lead,)).inverse()
+            assert WhittakerInvariant.of(*decompose(zeta._principal_lead(F, n, h))) == row.invariant
+
+
 def test_principal_two_depth_check_fires(monkeypatch):
     real = zeta._psi_rows
 
