@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .errors import EmptyFacet
 
@@ -115,23 +116,29 @@ class FacetSpec:
 
 
 class ApartmentPoint:
-    """A point of the standard apartment with exact rational coordinates."""
+    """A point of the standard apartment with exact rational coordinates.
 
-    __slots__ = ("coords",)
+    Besides the coordinates it keeps their integer numerators over one
+    common denominator: coords[i] == nums[i] / den.  Every kernel below
+    works on those integers; Fractions appear only in what it returns."""
+
+    __slots__ = ("coords", "den", "nums")
 
     def __init__(self, coords):
         self.coords = tuple(Fraction(c) for c in coords)
         if not self.coords:
             raise ValueError("need at least one coordinate")
+        self.den = lcm(*(c.denominator for c in self.coords))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in self.coords)
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
     def in_closed_alcove(self) -> bool:
-        x = self.coords
-        descending = all(x[i] >= x[i + 1] for i in range(len(x) - 1))
-        return descending and x[-1] >= x[0] - 1
+        x = self.nums
+        descending = all(a >= b for a, b in zip(x, x[1:]))
+        return descending and x[-1] >= x[0] - self.den
 
     def translate(self, a) -> ApartmentPoint:
         return ApartmentPoint([c + Fraction(a) for c in self.coords])
@@ -152,17 +159,19 @@ class ApartmentPoint:
         return cls([Fraction(s) for s in text.replace(" ", "").split(",")])
 
 
+def jump_numerator(x: ApartmentPoint) -> int:
+    """r(x) * x.den: the smallest positive (x_i - x_j) modulo 1 over all
+    pairs of coordinates, in units of 1/x.den, the torus grades capping it
+    at x.den."""
+    D = x.den
+    residues = {v % D for v in x.nums}
+    return min(((a - b) % D for a in residues for b in residues if a != b), default=D)
+
+
 def r_of_x(x: ApartmentPoint) -> Fraction:
     """First positive filtration jump: the smallest positive alpha(x) + m,
     the torus grades capping it at 1."""
-    jumps = {Fraction(1)}
-    for i, xi in enumerate(x.coords):
-        for j, xj in enumerate(x.coords):
-            if i != j:
-                d = (xi - xj) % 1
-                if d != 0:
-                    jumps.add(d)
-    return min(jumps)
+    return Fraction(jump_numerator(x), x.den)
 
 
 def facet_of(x: ApartmentPoint) -> FacetSpec:
@@ -171,22 +180,24 @@ def facet_of(x: ApartmentPoint) -> FacetSpec:
         raise ValueError(f"{x} is outside the closed fundamental alcove")
     blocks = []
     run = 1
-    for i in range(1, x.n):
-        if x.coords[i] == x.coords[i - 1]:
+    for a, b in zip(x.nums, x.nums[1:]):
+        if a == b:
             run += 1
         else:
             blocks.append(run)
             run = 1
     blocks.append(run)
-    t = 1 if x.coords[-1] == x.coords[0] - 1 else 0
+    t = 1 if x.nums[-1] == x.nums[0] - x.den else 0
     return FacetSpec(t, blocks)
 
 
 def is_barycenter(x: ApartmentPoint) -> bool:
-    """Whether x matches its facet's barycenter up to a global shift."""
-    b = facet_of(x).barycenter()
-    shift = x.coords[0] - b.coords[0]
-    return all(xc == bc + shift for xc, bc in zip(x.coords, b.coords))
+    """Whether x matches its facet's barycenter up to a global shift, that
+    is, whether consecutive runs of equal coordinates are 1/k apart for a
+    facet with k runs (1/(k-1) when the wrap-around wall holds)."""
+    f = facet_of(x)
+    step = f.k if f.t == 0 else f.k - 1
+    return all(step * (a - b) == x.den for a, b in zip(x.nums, x.nums[1:]) if a != b)
 
 
 class GradedQuotient:
@@ -240,19 +251,22 @@ class GradedQuotient:
 def graded_quotient(x: ApartmentPoint) -> GradedQuotient:
     if not x.in_closed_alcove():
         raise ValueError(f"{x} is outside the closed fundamental alcove")
-    # class key: distance below x_1 modulo 1, so key 0 is the class of x_1
-    # and ascending keys walk the classes in descending value order
-    keys = [(x.coords[0] - c) % 1 for c in x.coords]
+    # class key: distance below x_1 modulo 1 in units of 1/den, so key 0 is
+    # the class of x_1 and ascending keys walk the classes in descending
+    # value order
+    D = x.den
+    first = x.nums[0]
+    keys = [(first - v) % D for v in x.nums]
     distinct = sorted(set(keys))
     sizes = tuple(keys.count(kappa) for kappa in distinct)
     K = len(distinct)
-    spacings = tuple(
-        (distinct[a + 1] - distinct[a]) if a + 1 < K else (1 - distinct[K - 1])
-        for a in range(K)
-    )
+    spacings = [b - a for a, b in zip(distinct, distinct[1:])]
+    spacings.append(D - distinct[-1])
     r = min(spacings)
     arrows = tuple((a, (a + 1) % K) for a in range(K) if spacings[a] == r)
-    return GradedQuotient(x, r, sizes, arrows, spacings)
+    return GradedQuotient(
+        x, Fraction(r, D), sizes, arrows, tuple(Fraction(s, D) for s in spacings)
+    )
 
 
 def enumerate_facets(n: int) -> list[FacetSpec]:

@@ -330,6 +330,21 @@ def criterion_determination(scale: str | None = None) -> dict:
 # ----- 6: facets, dimensions, stability certificates ---------------------
 
 
+def _census_failure(f) -> str | None:
+    """Why facet f fails its barycenter round trip or its dimension
+    counts, or None."""
+    b = f.barycenter()
+    if facet_of(b) != f:
+        return "barycenter round trip"
+    gq = graded_quotient(b)
+    dims = root_count_dims(b)
+    if (gq.dim_g, gq.dim_v) != dims:
+        return "dimension formulas disagree with root count"
+    if f.dim_gap() != dims[0] - dims[1]:
+        return "gap formula disagrees with dimension difference"
+    return None
+
+
 def criterion_stability(scale: str | None = None) -> dict:
     """Facet census, dimension formulas against direct root counting,
     certificates at every barycenter, and destabilizing cocharacters at
@@ -339,28 +354,28 @@ def criterion_stability(scale: str | None = None) -> dict:
     ns = range(2, 9) if scale == "full" else range(2, 5)
     samples = 12 if scale == "full" else 5
     checked, points_checked, functionals_checked, guarded, failures = 0, 0, 0, 0, []
+    # seconds spent on facets, barycenters and dimension counts, on
+    # building and verifying certificates, and on the brute-force
+    # contraction of every functional
+    phases = dict.fromkeys(("census", "certificates", "contraction"), 0.0)
+    clock = time.perf_counter
     for n in ns:
+        t = clock()
         facets = enumerate_facets(n)
         if len(facets) != 2**n - 1 or len(set(facets)) != len(facets):
             failures.append({"n": n, "facet_count": len(facets)})
+        phases["census"] += clock() - t
         for f in facets:
             checked += 1
             label = {"n": n, "facet": repr(f)}
-            b = f.barycenter()
-            if facet_of(b) != f:
-                label["reason"] = "barycenter round trip"
+            t = clock()
+            reason = _census_failure(f)
+            phases["census"] += clock() - t
+            if reason is not None:
+                label["reason"] = reason
                 failures.append(label)
                 continue
-            gq = graded_quotient(b)
-            dims = root_count_dims(b)
-            if (gq.dim_g, gq.dim_v) != dims:
-                label["reason"] = "dimension formulas disagree with root count"
-                failures.append(label)
-                continue
-            if f.dim_gap() != dims[0] - dims[1]:
-                label["reason"] = "gap formula disagrees with dimension difference"
-                failures.append(label)
-                continue
+            t = clock()
             try:
                 cert = stability_certificate(f, 3)
                 if isinstance(cert, StableExists) != f.is_alcove():
@@ -370,15 +385,19 @@ def criterion_stability(scale: str | None = None) -> dict:
             except Exception as exc:
                 label["reason"] = repr(exc)
                 failures.append(label)
+            phases["certificates"] += clock() - t
         for x in sample_alcove_points(n, samples):
             if is_barycenter(x):
                 continue
             points_checked += 1
             label = {"n": n, "point": repr(x)}
+            t = clock()
             try:
                 cert = destabilizing_cocharacter(x)
                 if not verify_certificate(cert):
                     raise ValueError("cocharacter certificate failed verification")
+                phases["certificates"] += clock() - t
+                t = clock()
                 # brute contraction only at guarded sizes; the certificate
                 # check above is unconditional
                 gq = graded_quotient(x)
@@ -389,6 +408,7 @@ def criterion_stability(scale: str | None = None) -> dict:
                         if not contracts_functional(cert, lam):
                             raise ValueError(f"functional not contracted: {lam!r}")
                         functionals_checked += 1
+                phases["contraction"] += clock() - t
             except Exception as exc:
                 label["reason"] = repr(exc)
                 failures.append(label)
@@ -402,6 +422,8 @@ def criterion_stability(scale: str | None = None) -> dict:
         nonbarycenter_points=points_checked,
         functionals=functionals_checked,
         guarded_quotients=guarded,
+        # whole milliseconds, rounded down, so they sum to at most seconds
+        phases={name: math.floor(v * 1000) / 1000 for name, v in phases.items()},
     )
 
 

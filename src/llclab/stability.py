@@ -35,7 +35,7 @@ from .building import (
     GradedQuotient,
     graded_quotient,
     is_barycenter,
-    r_of_x,
+    jump_numerator,
 )
 from .errors import EmptyFacet, LLCError, NotNonBarycenter, SizeGuardExceeded
 from .finitefield import field_of_size
@@ -133,26 +133,40 @@ def _rank_profile(ff, A):
 
 # ----- functionals -------------------------------------------------------
 
+def _checked_matrix(gq: GradedQuotient, q: int, arrow, M) -> tuple:
+    """M as a tuple of row tuples, once it is a matrix of residue
+    representatives of the shape of a present arrow."""
+    if arrow not in gq.arrows:
+        raise ValueError(f"arrow {arrow} is not present at this point")
+    rows, cols = gq.arrow_shape(arrow)
+    if len(M) != rows or any(len(r) != cols for r in M):
+        raise ValueError(f"matrix for arrow {arrow} must be {rows}x{cols}")
+    for r in M:
+        for v in r:
+            if not 0 <= v < q:
+                raise ValueError("entries must be residue representatives")
+    return tuple(tuple(r) for r in M)
+
+
 class FunctionalOverFq:
     """A point of the graded dual over F_q: one matrix per present arrow."""
 
     __slots__ = ("gq", "q", "mats")
 
     def __init__(self, gq: GradedQuotient, q: int, mats: dict):
-        ff = field_of_size(q)
-        for arrow, M in mats.items():
-            if arrow not in gq.arrows:
-                raise ValueError(f"arrow {arrow} is not present at this point")
-            rows, cols = gq.arrow_shape(arrow)
-            if len(M) != rows or any(len(r) != cols for r in M):
-                raise ValueError(f"matrix for arrow {arrow} must be {rows}x{cols}")
-            for r in M:
-                for v in r:
-                    if not 0 <= v < ff.q:
-                        raise ValueError("entries must be residue representatives")
+        field_of_size(q)  # rejects a q that is not an odd prime power
         self.gq = gq
         self.q = q
-        self.mats = {a: tuple(tuple(r) for r in m) for a, m in mats.items()}
+        self.mats = {a: _checked_matrix(gq, q, a, M) for a, M in mats.items()}
+
+    @classmethod
+    def _of_checked(cls, gq: GradedQuotient, q: int, mats: dict) -> FunctionalOverFq:
+        """A functional whose matrices have each passed _checked_matrix."""
+        lam = cls.__new__(cls)
+        lam.gq = gq
+        lam.q = q
+        lam.mats = mats
+        return lam
 
     @classmethod
     def all_ones(cls, gq: GradedQuotient, q: int) -> FunctionalOverFq:
@@ -167,20 +181,24 @@ class FunctionalOverFq:
 
 
 def enumerate_functionals(gq: GradedQuotient, q: int, cap: int = BRUTE_FORCE_GUARD):
-    """Every functional over F_q, entry by entry; guarded by total count."""
+    """Every functional over F_q, guarded by total count.
+
+    The order is arrow-major, row-major and lexicographic in the entries.
+    Each present arrow's q^(rows*cols) matrices are built and checked
+    once; every functional is assembled from those checked matrices."""
     dim = gq.dim_v
     if q**dim > cap:
         raise SizeGuardExceeded(f"{q}^{dim} functionals exceed the guard {cap}")
-    shapes = [(a, *gq.arrow_shape(a)) for a in gq.arrows]
-    for entries in itertools.product(range(q), repeat=dim):
-        mats = {}
-        pos = 0
-        for a, rows, cols in shapes:
-            mats[a] = tuple(
-                tuple(entries[pos + r * cols + c] for c in range(cols)) for r in range(rows)
-            )
-            pos += rows * cols
-        yield FunctionalOverFq(gq, q, mats)
+    field_of_size(q)  # rejects a q that is not an odd prime power
+    per_arrow = []
+    for a in gq.arrows:
+        rows, cols = gq.arrow_shape(a)
+        per_arrow.append([
+            _checked_matrix(gq, q, a, [entries[r * cols:(r + 1) * cols] for r in range(rows)])
+            for entries in itertools.product(range(q), repeat=rows * cols)
+        ])
+    for combo in itertools.product(*per_arrow):
+        yield FunctionalOverFq._of_checked(gq, q, dict(zip(gq.arrows, combo)))
 
 
 # ----- certificate payloads ----------------------------------------------
@@ -464,23 +482,16 @@ def destabilizing_cocharacter(x: ApartmentPoint) -> UnstableCocharacter:
 def root_count_dims(x: ApartmentPoint) -> tuple[int, int]:
     """(dim G, dim V) by direct affine-root counting at the point: pairs
     with integral difference for grade zero plus the torus, pairs landing
-    on r modulo 1 for grade r, the torus again when r is integral."""
-    n = x.n
-    r = r_of_x(x)
-    g = sum(
-        1
-        for i in range(n)
-        for j in range(n)
-        if i != j and (x.coords[i] - x.coords[j]) % 1 == 0
-    ) + n
-    v = sum(
-        1
-        for i in range(n)
-        for j in range(n)
-        if i != j and (x.coords[i] - x.coords[j] - r) % 1 == 0
-    )
-    if r.denominator == 1:
-        v += n
+    on r modulo 1 for grade r, the torus again when r is integral.
+
+    Counted over all ordered pairs (i, j), i == j included, of the
+    numerators over x.den: a diagonal pair stands for the torus grade
+    x_i - x_i = 0, which lands on r modulo 1 exactly when r is integral."""
+    D = x.den
+    R = jump_numerator(x)
+    nums = x.nums
+    g = sum(1 for a in nums for b in nums if (a - b) % D == 0)
+    v = sum(1 for a in nums for b in nums if (a - b - R) % D == 0)
     return g, v
 
 
@@ -549,8 +560,8 @@ def verify_certificate(cert, recheck_brute_force: bool = True) -> bool:
         _require(not is_barycenter(x), "point must not be a barycenter")
         gq = graded_quotient(x)
         _require(cert.missing_arrow in gq.missing_arrows(), "cited arrow is present")
-        K = gq.num_nodes
         b = cert.weights
+        _require(len(b) == gq.num_nodes, "one weight per node")
         for (a, bb) in gq.arrows:
             if b[a] - b[bb] <= 0:
                 raise LLCError(f"certificate rejected: arrow {(a, bb)} does not contract")
@@ -571,6 +582,6 @@ def contracts_functional(cert: UnstableCocharacter, lam: FunctionalOverFq) -> bo
     every arrow the functional touches must scale with positive exponent."""
     b = cert.weights
     for (a, bb), M in lam.mats.items():
-        if any(v != 0 for row in M for v in row) and b[a] - b[bb] <= 0:
+        if b[a] - b[bb] <= 0 and any(map(any, M)):
             return False
     return True

@@ -48,7 +48,7 @@ def test_criterion_5_determination_round_trip():
 
 
 def test_criterion_6_facets_and_stability():
-    rep = _gate(selftest.criterion_stability, budget=600)
+    rep = _gate(selftest.criterion_stability, budget=60)
     assert rep["checked"] == 501
     assert rep["nonbarycenter_points"] == 67
     assert rep["functionals"] == 77436

@@ -14,6 +14,65 @@ from llclab.building import (
 )
 from llclab.errors import EmptyFacet
 
+# Oracles: the kernels written on the Fraction coordinates, against which
+# the library's kernels on integer numerators must agree with ==.
+
+
+def _fraction_r_of_x(x):
+    jumps = {Fraction(1)}
+    for i, xi in enumerate(x.coords):
+        for j, xj in enumerate(x.coords):
+            if i != j:
+                d = (xi - xj) % 1
+                if d != 0:
+                    jumps.add(d)
+    return min(jumps)
+
+
+def _fraction_graded_quotient(x):
+    """(r, sizes, arrows, spacings) from Fraction class keys."""
+    keys = [(x.coords[0] - c) % 1 for c in x.coords]
+    distinct = sorted(set(keys))
+    sizes = tuple(keys.count(kappa) for kappa in distinct)
+    K = len(distinct)
+    spacings = tuple(
+        (distinct[a + 1] - distinct[a]) if a + 1 < K else (1 - distinct[K - 1])
+        for a in range(K)
+    )
+    r = min(spacings)
+    arrows = tuple((a, (a + 1) % K) for a in range(K) if spacings[a] == r)
+    return r, sizes, arrows, spacings
+
+
+def _fraction_facet_of(x):
+    blocks = []
+    run = 1
+    for i in range(1, x.n):
+        if x.coords[i] == x.coords[i - 1]:
+            run += 1
+        else:
+            blocks.append(run)
+            run = 1
+    blocks.append(run)
+    t = 1 if x.coords[-1] == x.coords[0] - 1 else 0
+    return FacetSpec(t, blocks)
+
+
+def _fraction_is_barycenter(x):
+    b = _fraction_facet_of(x).barycenter()
+    shift = x.coords[0] - b.coords[0]
+    return all(xc == bc + shift for xc, bc in zip(x.coords, b.coords))
+
+
+def oracle_points():
+    """Sampled points of every n = 2..8 and their translates by
+    non-integer shifts, which change the common denominator."""
+    for n in range(2, 9):
+        for x in sample_alcove_points(n, 120, max_den=40, seed=400 + n):
+            yield x
+            for shift in (Fraction(2, 7), Fraction(-5, 3), Fraction(13, 40)):
+                yield x.translate(shift)
+
 
 def _scan_r(x):
     """Independent jump oracle: sweep explicit integer offsets."""
@@ -194,3 +253,26 @@ def test_sampler_stays_in_alcove():
         assert x.coords[0] == 0
         assert all(c.denominator <= 12 for c in x.coords)
     assert len(set(pts)) == 50
+
+
+def test_integer_kernels_match_fraction_oracles():
+    seen = 0
+    for x in oracle_points():
+        seen += 1
+        assert x.coords == tuple(Fraction(v, x.den) for v in x.nums)
+        assert x.in_closed_alcove()
+        assert r_of_x(x) == _fraction_r_of_x(x)
+        gq = graded_quotient(x)
+        assert (gq.r, gq.sizes, gq.arrows, gq.spacings) == _fraction_graded_quotient(x)
+        assert all(type(s) is Fraction for s in (gq.r, *gq.spacings))
+        assert facet_of(x) == _fraction_facet_of(x)
+        assert is_barycenter(x) == _fraction_is_barycenter(x)
+    assert seen == 7 * 120 * 4
+
+
+def test_alcove_test_on_integers():
+    assert ApartmentPoint.parse("1/2,0,-1/2").in_closed_alcove()
+    assert not ApartmentPoint.parse("1/2,0,-2/3").in_closed_alcove()
+    assert not ApartmentPoint.parse("0,1/3,-1/2").in_closed_alcove()
+    with pytest.raises(ValueError):
+        graded_quotient(ApartmentPoint.parse("0,1/3,-1/2"))

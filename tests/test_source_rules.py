@@ -151,3 +151,24 @@ def test_walk_steps_build_no_series():
             found.append(f"KWalk.{fn.name}: {sorted(used)}")
     assert found == []
     assert "_digit_matrix" in helpers
+
+
+def _mod_one(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+    )
+
+
+def test_building_kernels_take_no_fraction_modulus():
+    # points keep integer numerators over one common denominator, and the
+    # building and stability kernels reduce those modulo the denominator;
+    # "% 1" is the Fraction idiom those integer kernels replace
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _library_nodes()
+        if name in ("building.py", "stability.py") and _mod_one(node)
+    ]
+    assert found == []

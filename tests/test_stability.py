@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import llclab
+from llclab import selftest, stability
 from llclab.building import (
     ApartmentPoint,
     FacetSpec,
@@ -18,11 +20,13 @@ from llclab.errors import EmptyFacet, LLCError, NotNonBarycenter, SizeGuardExcee
 from llclab.finitefield import field_of_size
 from llclab.stability import (
     FunctionalOverFq,
+    UnstableCocharacter,
     contracts_functional,
     destabilizing_cocharacter,
     enumerate_functionals,
     group_size,
     kernel_of_action,
+    root_count_dims,
     stability_certificate,
     verify_certificate,
 )
@@ -42,6 +46,53 @@ def _stabilizer_count_by_product(q, gq, f):
         if ok:
             count += 1
     return count
+
+
+def _fraction_root_count_dims(x):
+    """Oracle: the Fraction form of the affine-root count."""
+    n = x.n
+    jumps = {Fraction(1)}
+    for i in range(n):
+        for j in range(n):
+            d = (x.coords[i] - x.coords[j]) % 1
+            if d != 0:
+                jumps.add(d)
+    r = min(jumps)
+    g = sum(
+        1
+        for i in range(n)
+        for j in range(n)
+        if i != j and (x.coords[i] - x.coords[j]) % 1 == 0
+    ) + n
+    v = sum(
+        1
+        for i in range(n)
+        for j in range(n)
+        if i != j and (x.coords[i] - x.coords[j] - r) % 1 == 0
+    )
+    if r.denominator == 1:
+        v += n
+    return g, v
+
+
+def _entrywise_functionals(gq, q):
+    """Oracle: every functional entry by entry, each matrix cut out of one
+    flat tuple of all dim_v entries, through the public constructor."""
+    shapes = [(a, *gq.arrow_shape(a)) for a in gq.arrows]
+    for entries in itertools.product(range(q), repeat=gq.dim_v):
+        mats = {}
+        pos = 0
+        for a, rows, cols in shapes:
+            mats[a] = tuple(
+                tuple(entries[pos + r * cols + c] for c in range(cols)) for r in range(rows)
+            )
+            pos += rows * cols
+        yield FunctionalOverFq(gq, q, mats)
+
+
+def _oracle_points():
+    for n in range(2, 9):
+        yield from sample_alcove_points(n, 120, max_den=40, seed=400 + n)
 
 
 def test_alcove_certificates_small():
@@ -249,3 +300,95 @@ def test_group_size_formula():
     assert group_size((1,), 5) == 4
     assert group_size((2,), 3) == 48
     assert group_size((2, 1), 3) == 96
+
+
+def test_root_count_matches_fraction_oracle():
+    seen = 0
+    for x in _oracle_points():
+        for y in (x, x.translate(Fraction(2, 7)), x.translate(Fraction(-5, 3))):
+            assert root_count_dims(y) == _fraction_root_count_dims(y)
+            seen += 1
+    for n in range(2, 9):
+        for f in enumerate_facets(n):
+            b = f.barycenter()
+            assert root_count_dims(b) == _fraction_root_count_dims(b)
+            seen += 1
+    assert seen == 3 * 840 + sum(2**n - 1 for n in range(2, 9))
+
+
+def test_functionals_match_entrywise_oracle():
+    points = functionals = 0
+    for x in _oracle_points():
+        gq = graded_quotient(x)
+        if 3**gq.dim_v > 3**8:
+            continue
+        points += 1
+        got = [lam.mats for lam in enumerate_functionals(gq, 3)]
+        assert got == [lam.mats for lam in _entrywise_functionals(gq, 3)]
+        for mats in got:
+            assert FunctionalOverFq(gq, 3, mats).mats == mats
+        functionals += len(got)
+    assert (points, functionals) == (792, 103_908)
+
+
+def test_enumerated_matrices_passed_the_check(monkeypatch):
+    checked = []
+
+    def spy(*args):
+        M = real(*args)
+        checked.append(M)
+        return M
+
+    real = stability._checked_matrix
+    monkeypatch.setattr(stability, "_checked_matrix", spy)
+    for x in ("0,-1/4,-3/4", "0,0,-1/3", "0,-1/2,-1/2,-3/4"):
+        gq = graded_quotient(ApartmentPoint.parse(x))
+        checked.clear()
+        lams = list(enumerate_functionals(gq, 3))
+        assert len(lams) == 3**gq.dim_v
+        # each arrow's matrices are checked once, not once per functional
+        assert len(checked) == sum(3 ** (r * c) for r, c in map(gq.arrow_shape, gq.arrows))
+        ids = {id(M) for M in checked}
+        assert all(id(M) in ids for lam in lams for M in lam.mats.values())
+
+
+def test_functional_rejects_malformed_matrices():
+    gq = graded_quotient(FacetSpec(0, (1, 2)).barycenter())
+    assert gq.arrows == ((0, 1), (1, 0))
+    good = {(0, 1): ((1, 2),), (1, 0): ((0,), (2,))}
+    assert FunctionalOverFq(gq, 3, good).mats == good
+    bad = [
+        ({(1, 1): ((1, 1), (1, 1))}, "not present"),
+        ({(0, 1): ((1,), (2,))}, "must be 1x2"),
+        ({(0, 1): ((1, 2, 0),)}, "must be 1x2"),
+        ({(1, 0): ((0, 1), (2, 0))}, "must be 2x1"),
+        ({(0, 1): ((1, 3),)}, "residue representatives"),
+        ({(1, 0): ((-1,), (0,))}, "residue representatives"),
+    ]
+    for mats, message in bad:
+        with pytest.raises(ValueError, match=message):
+            FunctionalOverFq(gq, 3, good | mats)
+    # an arrow missing at a nonbarycenter
+    x = graded_quotient(ApartmentPoint.parse("0,-1/4,-3/4"))
+    assert x.missing_arrows() == ((1, 2),)
+    with pytest.raises(ValueError, match="not present"):
+        FunctionalOverFq(x, 3, {(1, 2): ((1,),)})
+
+
+def test_verifier_rejects_weights_of_the_wrong_length():
+    x = ApartmentPoint.parse("0,-1/4,-3/4")
+    c = destabilizing_cocharacter(x)
+    for weights in (c.weights[:1], c.weights + (0,)):
+        with pytest.raises(LLCError, match="certificate rejected"):
+            verify_certificate(UnstableCocharacter(x, c.missing_arrow, weights))
+
+
+def test_stability_criterion_reports_phases():
+    rep = selftest.criterion_stability("small")
+    assert rep["ok"]
+    phases = rep["phases"]
+    assert set(phases) == {"census", "certificates", "contraction"}
+    assert all(v >= 0 for v in phases.values())
+    # whole milliseconds rounded down; the tolerance is float summation's
+    assert sum(phases.values()) <= rep["seconds"] + 1e-9
+    json.dumps(rep)
