@@ -14,6 +14,14 @@ one of strictly larger valuation (coefficient in the maximal ideal);
 those are precisely the constraints Iwahori membership of k puts on the
 column operations, so no other pivot choice closes.
 
+The elimination runs on laurent's (val, coeffs, prec) triples: each
+row's pivot is inverted once, every column op, row op and fold into u or
+k is one fused z + c*y update (skipped where y is an exact zero), and
+LaurentElem is built only for the returned u and k.  The Iwahori checks
+on the column factors and on the final k both go through
+laurent.val_at_least_t, so they raise InsufficientPrecision when the
+known digits cannot decide.
+
 On its support the Whittaker value is psi(residue) zeta^r omega(s t^d).
 WhittakerInvariant reads what that needs off a factorization once, for
 every datum; solve() then fits M = rotation^r * central(s, d) for one
@@ -26,8 +34,19 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InsufficientPrecision, LLCError, ZeroInput
-from .laurent import LocalField
-from .matrices import MatG
+from .laurent import (
+    ONE_T,
+    ZERO_T,
+    LocalField,
+    addmul_t,
+    dot_t,
+    inverse_t,
+    mul_t,
+    neg_t,
+    val_at_least_t,
+    wrap,
+)
+from .matrices import MatG, in_iplus_t
 
 
 class MonomialClass:
@@ -49,6 +68,18 @@ class MonomialClass:
         self.cols = cols
         self.exps = exps
         self.units = units
+
+    @classmethod
+    def _of_checked(
+        cls, field: LocalField, cols: tuple, exps: tuple, units: tuple
+    ) -> MonomialClass:
+        """A class whose tuples are already known to pass __init__'s checks."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.cols = cols
+        out.exps = exps
+        out.units = units
+        return out
 
     @property
     def n(self) -> int:
@@ -80,7 +111,7 @@ class MonomialClass:
             cols.append(other.cols[c])
             exps.append(self.exps[i] + other.exps[c])
             units.append(ff.mul(self.units[i], other.units[c]))
-        return MonomialClass(self.field, cols, exps, units)
+        return MonomialClass._of_checked(self.field, tuple(cols), tuple(exps), tuple(units))
 
     def __pow__(self, k: int) -> MonomialClass:
         base = self if k >= 0 else self.inverse()
@@ -98,7 +129,7 @@ class MonomialClass:
             cols[self.cols[i]] = i
             exps[self.cols[i]] = -self.exps[i]
             units[self.cols[i]] = ff.inv(self.units[i])
-        return MonomialClass(self.field, cols, exps, units)
+        return MonomialClass._of_checked(self.field, tuple(cols), tuple(exps), tuple(units))
 
     def as_matrix(self) -> MatG:
         f = self.field
@@ -215,27 +246,28 @@ def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, Ma
     """
     field = g.field
     n = g.n
+    ff, var = field.residue, field.var
     if prec is not None:
         g = g.truncate(prec)
-    A = [list(row) for row in g.rows]
-    one, zero = field.one(), field.zero()
-    u_rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    k_rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    A = [[(e.val, e.coeffs, e.prec) for e in row] for row in g.rows]
+    u_rows = [[ONE_T if i == j else ZERO_T for j in range(n)] for i in range(n)]
+    k_rows = [[ONE_T if i == j else ZERO_T for j in range(n)] for i in range(n)]
     used: set[int] = set()
-    pivots: dict[int, int] = {}
+    cols = [0] * n
 
     for i in range(n - 1, -1, -1):
+        row = A[i]
         best_val, piv = None, None
         fuzzy = []
         for j in range(n):
             if j in used:
                 continue
-            e = A[i][j]
-            if e.coeffs:
-                if best_val is None or e.val < best_val:
-                    best_val, piv = e.val, j
-            elif e.prec is not None:
-                fuzzy.append((e.prec, j))
+            v, cs, p = row[j]
+            if cs:
+                if best_val is None or v < best_val:
+                    best_val, piv = v, j
+            elif p is not None:
+                fuzzy.append((p, j))
         if piv is None:
             if fuzzy:
                 raise InsufficientPrecision(
@@ -248,46 +280,63 @@ def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, Ma
                     f"entry ({i},{j}) is O(t^{bound}) and could undercut the "
                     f"pivot of valuation {best_val}"
                 )
-        pe = A[i][piv]
+        # the pivot entry stays fixed while its row and column are cleared
+        pinv = inverse_t(ff, row[piv], None, var)
         for j in range(n):
-            if j == piv or j in used:
+            if j == piv or j in used or not row[j][1]:
                 continue
-            e = A[i][j]
-            if e.is_zero_at_prec():
-                continue
-            c = e / pe
-            if not c.has_val_at_least(1 if j < piv else 0):
+            c = mul_t(ff, row[j], pinv)
+            if not val_at_least_t(c, 1 if j < piv else 0, var):
                 raise LLCError(
                     f"internal: clearing column {j} against pivot column {piv} "
                     "needs a factor outside the Iwahori subgroup"
                 )
-            for r2 in range(n):
-                A[r2][j] = A[r2][j] - c * A[r2][piv]
+            minus_c = neg_t(ff, c)
+            for r in A:
+                y = r[piv]
+                if y[1] or y[2] is not None:
+                    r[j] = addmul_t(ff, r[j], minus_c, y)
             # column op was R = I - c E(piv,j); fold R^-1 into k from the left
-            k_rows[piv] = [k_rows[piv][m] + c * k_rows[j][m] for m in range(n)]
+            k_rows[piv] = _addmul_row(ff, k_rows[piv], c, k_rows[j])
         for i2 in range(i):
             e = A[i2][piv]
-            if e.is_zero_at_prec():
+            if not e[1]:
                 continue
-            c = e / pe
-            for m in range(n):
-                A[i2][m] = A[i2][m] - c * A[i][m]
+            c = mul_t(ff, e, pinv)
+            A[i2] = _addmul_row(ff, A[i2], neg_t(ff, c), row)
             # row op was L = I - c E(i2,i); fold L^-1 into u from the right
-            for r2 in range(n):
-                u_rows[r2][i] = u_rows[r2][i] + c * u_rows[r2][i2]
+            for r in u_rows:
+                y = r[i2]
+                if y[1] or y[2] is not None:
+                    r[i] = addmul_t(ff, r[i], c, y)
         used.add(piv)
-        pivots[i] = piv
+        cols[i] = piv
 
-    cols = [pivots[i] for i in range(n)]
     exps, units = [], []
+    # row cols[i] of mono^-1 * A is row i of A over its pivot's leading term
+    k2 = [None] * n
     for i in range(n):
-        v, c = A[i][cols[i]].leading()
+        v, cs, _ = A[i][cols[i]]
         exps.append(v)
-        units.append(c)
-    mono = MonomialClass(field, cols, exps, units)
+        units.append(cs[0])
+        lead_inv = (-v, (ff.inv(cs[0]),), None)
+        k2[cols[i]] = [mul_t(ff, lead_inv, y) for y in A[i]]
+    mono = MonomialClass._of_checked(field, tuple(cols), tuple(exps), tuple(units))
     # whatever tail the pivots carry beyond their leading term belongs to k
-    k2 = mono.inverse_matrix() * MatG(field, A)
-    k_total = k2 * MatG(field, k_rows)
-    if not k_total.in_pro_unipotent_iwahori():
+    k_cols = list(zip(*k_rows))
+    k_total = [[dot_t(ff, r, col) for col in k_cols] for r in k2]
+    if not in_iplus_t(ff, k_total, var):
         raise LLCError("internal: k factor left the Iwahori subgroup")
-    return MatG(field, u_rows), mono, k_total
+    return _matrix(field, u_rows), mono, _matrix(field, k_total)
+
+
+def _addmul_row(ff, z: list, c: tuple, y: list) -> list:
+    """The row z + c*y of triples; where y is an exact zero, z stays."""
+    return [
+        addmul_t(ff, zm, c, ym) if ym[1] or ym[2] is not None else zm
+        for zm, ym in zip(z, y)
+    ]
+
+
+def _matrix(field: LocalField, rows) -> MatG:
+    return MatG(field, [[wrap(field, t) for t in row] for row in rows])

@@ -14,16 +14,21 @@ InsufficientPrecision instead of guessing.
 
 Representation and kernels.  An element stores the dense tuple of its
 coefficients from its valuation ``val`` up to its last nonzero term, with
-no zero at either end and nothing at or beyond ``prec``.  Sums and
-products work on one mutable list over the exponent window of the result,
-[lo, hi), sized from the operands and cut at the result's precision
-before any coefficient is computed.  Residue arithmetic reads the
-FiniteField lookup tables directly: a product takes the row
+no zero at either end and nothing at or beyond ``prec``.  The arithmetic
+lives in kernels on bare (val, coeffs, prec) triples, the same three
+fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
+``dot_t``, the fused ``addmul_t`` (z + c*y in one list) and
+``val_at_least_t``.  They hold the one copy of the window and precision
+rules.  ``LaurentElem``'s operators are thin wrappers over them,
+``MatG``'s product calls ``dot_t`` per entry, and ``bruhat.decompose``
+eliminates on triples and builds elements only for what it returns.
+Sums and products work on one mutable list over the exponent window of
+the result, [lo, hi), sized from the operands and cut at the result's
+precision before any coefficient is computed.  Residue arithmetic reads
+the FiniteField lookup tables directly: a product takes the row
 ``_mul[a]`` once per coefficient a of the left factor and adds it along
 the right factor through ``_add``; a difference reads ``_neg``.  The
 result is normalized once, by scanning the list ends for zeros.
-``dot`` accumulates several products into one list the same way, which is
-what a matrix entry needs.
 """
 
 from __future__ import annotations
@@ -54,42 +59,43 @@ def _shift_prec(p: int | None, k: int | None) -> int | None:
     return p + k
 
 
-def _product_prec(x: LaurentElem, y: LaurentElem) -> int | None:
+# ----- triple kernels ----------------------------------------------------
+# A triple (val, coeffs, prec) holds exactly the normalized fields of a
+# LaurentElem, without its field.  These kernels are the one copy of the
+# window and precision rules; LaurentElem's arithmetic wraps them,
+# MatG's product and bruhat.decompose work on triples directly.
+
+ZERO_T = (0, (), None)
+ONE_T = (0, (1,), None)
+
+
+def _product_prec(x: tuple, y: tuple) -> int | None:
     """Precision of x*y: each factor's prec shifted by the other's
     val_bound(), the smaller of the two."""
-    xp, yp = x.prec, y.prec
+    xv, xc, xp = x
+    yv, yc, yp = y
     if xp is None:
-        if yp is None or not x.coeffs:
+        if yp is None or not xc:
             return None
-        return yp + x.val
-    p = None if not y.coeffs and yp is None else xp + (y.val if y.coeffs else yp)
+        return yp + xv
+    p = None if not yc and yp is None else xp + (yv if yc else yp)
     if yp is None:
         return p
-    r = yp + (x.val if x.coeffs else xp)
+    r = yp + (xv if xc else xp)
     return r if p is None or r < p else p
 
 
-def _raw(field: LocalField, val: int, coeffs: tuple, prec: int | None) -> LaurentElem:
-    """Wrap a coefficient tuple that is already normalized."""
-    out = object.__new__(LaurentElem)
-    out.field = field
-    out.val = val
-    out.coeffs = coeffs
-    out.prec = prec
-    return out
-
-
-def _pack(field: LocalField, lo: int, out: list, prec: int | None) -> LaurentElem:
-    """Element whose coefficient at lo + i is out[i]; out is already cut
-    at prec, zeros at either end are stripped here."""
+def _cut(lo: int, out: list, prec: int | None) -> tuple:
+    """Triple whose coefficient at lo + i is out[i]; out is already cut at
+    prec, zeros at either end are stripped here."""
     i, j = 0, len(out)
     while i < j and not out[i]:
         i += 1
     if i == j:
-        return _raw(field, 0, (), prec)
+        return (0, (), prec)
     while not out[j - 1]:
         j -= 1
-    return _raw(field, lo + i, tuple(out[i:j]), prec)
+    return (lo + i, tuple(out[i:j]), prec)
 
 
 def _convolve_into(out: list, start: int, a: tuple, b: tuple, mul, add) -> None:
@@ -111,6 +117,189 @@ def _convolve_into(out: list, start: int, a: tuple, b: tuple, mul, add) -> None:
                     break
                 out[k] = add[out[k]][row[y]]
                 k += 1
+
+
+def add_t(ff: FiniteField, x: tuple, y: tuple, bmap: list | None = None) -> tuple:
+    """x + bmap(y) coefficientwise; bmap None is the identity, the
+    negation table gives the difference."""
+    av, a, ap = x
+    bv, b, bp = y
+    prec = _min_prec(ap, bp)
+    if a:
+        lo, hi = av, av + len(a)
+        if b:
+            if bv < lo:
+                lo = bv
+            if bv + len(b) > hi:
+                hi = bv + len(b)
+    elif b:
+        lo, hi = bv, bv + len(b)
+    else:
+        return (0, (), prec)
+    if prec is not None and hi > prec:
+        hi = prec
+        if hi <= lo:
+            return (0, (), prec)
+    n = hi - lo
+    out = [0] * n
+    i = av - lo
+    if a and i < n:
+        out[i : i + len(a)] = a[: n - i]
+    add = ff._add
+    i = bv - lo
+    if bmap is None:
+        for c in b:
+            if i >= n:
+                break
+            out[i] = add[out[i]][c]
+            i += 1
+    else:
+        for c in b:
+            if i >= n:
+                break
+            out[i] = add[out[i]][bmap[c]]
+            i += 1
+    return _cut(lo, out, prec)
+
+
+def neg_t(ff: FiniteField, x: tuple) -> tuple:
+    neg = ff._neg
+    return (x[0], tuple([neg[c] for c in x[1]]), x[2])
+
+
+def mul_t(ff: FiniteField, x: tuple, y: tuple) -> tuple:
+    prec = _product_prec(x, y)
+    xv, a, _ = x
+    yv, b, _ = y
+    if not a or not b:
+        return (0, (), prec)
+    lo = xv + yv
+    n = len(a) + len(b) - 1
+    if prec is not None and prec - lo < n:
+        n = prec - lo
+        if n <= 0:
+            return (0, (), prec)
+    out = [0] * n
+    _convolve_into(out, 0, a, b, ff._mul, ff._add)
+    return _cut(lo, out, prec)
+
+
+def addmul_t(ff: FiniteField, z: tuple, c: tuple, y: tuple) -> tuple:
+    """z + c*y in one list: the coefficients and precision of z + (c*y),
+    without building the product first."""
+    p = _product_prec(c, y)
+    zv, a, zp = z
+    prec = zp if p is None else p if zp is None or p < zp else zp
+    cv, cc, _ = c
+    yv, yc, _ = y
+    if cc and yc:
+        lo = cv + yv
+        hi = lo + len(cc) + len(yc) - 1
+        if a:
+            if zv < lo:
+                start, lo = lo - zv, zv
+            else:
+                start = 0
+            if zv + len(a) > hi:
+                hi = zv + len(a)
+        else:
+            start = 0
+    elif a:
+        lo, hi = zv, zv + len(a)
+    else:
+        return (0, (), prec)
+    if prec is not None and hi > prec:
+        hi = prec
+        if hi <= lo:
+            return (0, (), prec)
+    n = hi - lo
+    out = [0] * n
+    if a:
+        i = zv - lo
+        if i < n:
+            out[i : i + len(a)] = a[: n - i]
+    if cc and yc:
+        _convolve_into(out, start, cc, yc, ff._mul, ff._add)
+    return _cut(lo, out, prec)
+
+
+def inverse_t(ff: FiniteField, x: tuple, rel_prec: int | None, var: str) -> tuple:
+    """Multiplicative inverse, by LaurentElem.inverse's rules; var only
+    names the variable in the error messages."""
+    v, cs, p = x
+    if not cs:
+        if p is None:
+            raise ZeroInput("exact zero has no leading term")
+        raise InsufficientPrecision(f"no visible term below O({var}^{p})")
+    inv0 = ff.inv(cs[0])
+    if len(cs) == 1 and p is None:
+        return (-v, (inv0,), None)
+    if p is not None:
+        rel = p - v
+    else:
+        rel = rel_prec if rel_prec is not None else DEFAULT_REL_PREC
+    # write x = c0 * var^v * (1 + w), invert the one-unit by the
+    # recurrence b_0 = 1, b_k = -sum_{j>=1} w_j b_{k-j}; w_j = 0 past
+    # the stored coefficients, so the sum stops at the last of them
+    mul, add, neg = ff._mul, ff._add, ff._neg
+    row0 = mul[inv0]
+    w_rows = [mul[row0[c]] for c in cs[:rel]]
+    top = len(w_rows) - 1
+    b = [1]
+    for k in range(1, rel):
+        acc = 0
+        for j in range(1, min(k, top) + 1):
+            acc = add[acc][w_rows[j][b[k - j]]]
+        b.append(neg[acc])
+    return _cut(-v, [row0[e] for e in b[:rel]], -v + rel)
+
+
+def dot_t(ff: FiniteField, xs, ys) -> tuple:
+    """Sum of x*y over the pairs of xs and ys.
+
+    The result carries the precision a chain of additions of the products
+    would give, the minimum of the products' precisions, and is built in
+    one coefficient list over the window of all products.
+    """
+    prec = None
+    terms = []
+    for x, y in zip(xs, ys):
+        p = _product_prec(x, y)
+        if p is not None and (prec is None or p < prec):
+            prec = p
+        if x[1] and y[1]:
+            terms.append((x[0] + y[0], x[1], y[1]))
+    if not terms:
+        return (0, (), prec)
+    lo = min(v for v, _, _ in terms)
+    hi = max(v + len(a) + len(b) - 1 for v, a, b in terms)
+    if prec is not None and hi > prec:
+        hi = prec
+    if hi <= lo:
+        return (0, (), prec)
+    out = [0] * (hi - lo)
+    mul, add = ff._mul, ff._add
+    for v, a, b in terms:
+        _convolve_into(out, v - lo, a, b, mul, add)
+    return _cut(lo, out, prec)
+
+
+def val_at_least_t(x: tuple, k: int, var: str) -> bool:
+    """Decide val >= k, or raise if the known digits cannot decide."""
+    v, cs, p = x
+    if cs:
+        return v >= k
+    if p is None or p >= k:
+        return True
+    raise InsufficientPrecision(f"cannot decide valuation >= {k} from O({var}^{p})")
+
+
+def wrap(field: LocalField, t: tuple) -> LaurentElem:
+    """The element of field with the triple t, already normalized."""
+    out = object.__new__(LaurentElem)
+    out.field = field
+    out.val, out.coeffs, out.prec = t
+    return out
 
 
 class LaurentElem:
@@ -162,13 +351,7 @@ class LaurentElem:
 
     def has_val_at_least(self, k: int) -> bool:
         """Decide val >= k, or raise if the known digits cannot decide."""
-        if self.coeffs:
-            return self.val >= k
-        if self.prec is None or self.prec >= k:
-            return True
-        raise InsufficientPrecision(
-            f"cannot decide valuation >= {k} from O({self.field.var}^{self.prec})"
-        )
+        return val_at_least_t((self.val, self.coeffs, self.prec), k, self.field.var)
 
     def coeff_at(self, k: int) -> int:
         if self.prec is not None and k >= self.prec:
@@ -186,77 +369,34 @@ class LaurentElem:
         if not isinstance(other, LaurentElem) or other.field is not self.field:
             raise TypeError("operands live in different fields")
 
-    def _add_mapped(self, other: LaurentElem, bmap: list | None) -> LaurentElem:
-        """self + bmap(other) coefficientwise; bmap None is the identity,
-        the negation table gives the difference."""
-        self._require_same(other)
-        field = self.field
-        prec = _min_prec(self.prec, other.prec)
-        a, b = self.coeffs, other.coeffs
-        av, bv = self.val, other.val
-        if a:
-            lo, hi = av, av + len(a)
-            if b:
-                if bv < lo:
-                    lo = bv
-                if bv + len(b) > hi:
-                    hi = bv + len(b)
-        elif b:
-            lo, hi = bv, bv + len(b)
-        else:
-            return _raw(field, 0, (), prec)
-        if prec is not None and hi > prec:
-            hi = prec
-            if hi <= lo:
-                return _raw(field, 0, (), prec)
-        n = hi - lo
-        out = [0] * n
-        i = av - lo
-        if a and i < n:
-            out[i : i + len(a)] = a[: n - i]
-        add = field.residue._add
-        i = bv - lo
-        if bmap is None:
-            for c in b:
-                if i >= n:
-                    break
-                out[i] = add[out[i]][c]
-                i += 1
-        else:
-            for c in b:
-                if i >= n:
-                    break
-                out[i] = add[out[i]][bmap[c]]
-                i += 1
-        return _pack(field, lo, out, prec)
-
     def __add__(self, other: LaurentElem) -> LaurentElem:
-        return self._add_mapped(other, None)
+        field = self.field
+        if not isinstance(other, LaurentElem) or other.field is not field:
+            raise TypeError("operands live in different fields")
+        return wrap(field, add_t(
+            field.residue, (self.val, self.coeffs, self.prec), (other.val, other.coeffs, other.prec)
+        ))
 
     def __sub__(self, other: LaurentElem) -> LaurentElem:
-        return self._add_mapped(other, self.field.residue._neg)
+        field = self.field
+        if not isinstance(other, LaurentElem) or other.field is not field:
+            raise TypeError("operands live in different fields")
+        ff = field.residue
+        return wrap(field, add_t(
+            ff, (self.val, self.coeffs, self.prec), (other.val, other.coeffs, other.prec), ff._neg
+        ))
 
     def __neg__(self) -> LaurentElem:
-        neg = self.field.residue._neg
-        return _raw(self.field, self.val, tuple([neg[c] for c in self.coeffs]), self.prec)
+        field = self.field
+        return wrap(field, neg_t(field.residue, (self.val, self.coeffs, self.prec)))
 
     def __mul__(self, other: LaurentElem) -> LaurentElem:
-        self._require_same(other)
         field = self.field
-        prec = _product_prec(self, other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _raw(field, 0, (), prec)
-        lo = self.val + other.val
-        n = len(a) + len(b) - 1
-        if prec is not None and prec - lo < n:
-            n = prec - lo
-            if n <= 0:
-                return _raw(field, 0, (), prec)
-        out = [0] * n
-        ff = field.residue
-        _convolve_into(out, 0, a, b, ff._mul, ff._add)
-        return _pack(field, lo, out, prec)
+        if not isinstance(other, LaurentElem) or other.field is not field:
+            raise TypeError("operands live in different fields")
+        return wrap(field, mul_t(
+            field.residue, (self.val, self.coeffs, self.prec), (other.val, other.coeffs, other.prec)
+        ))
 
     def scale(self, c: int) -> LaurentElem:
         """Multiply by the residue element c."""
@@ -274,29 +414,10 @@ class LaurentElem:
         finite precision: all the input offers, or DEFAULT_REL_PREC
         relative digits for exact input (override with rel_prec).
         """
-        v, c0 = self.leading()
-        ff = self.field.residue
-        inv0 = ff.inv(c0)
-        if len(self.coeffs) == 1 and self.prec is None:
-            return LaurentElem(self.field, -v, (inv0,), None)
-        if self.prec is not None:
-            rel = self.prec - v
-        else:
-            rel = rel_prec if rel_prec is not None else DEFAULT_REL_PREC
-        # write self = c0 * var^v * (1 + w), invert the one-unit by the
-        # recurrence b_0 = 1, b_k = -sum_{j>=1} w_j b_{k-j}; w_j = 0 past
-        # the stored coefficients, so the sum stops at the last of them
-        mul, add, neg = ff._mul, ff._add, ff._neg
-        row0 = mul[inv0]
-        w_rows = [mul[row0[c]] for c in self.coeffs[:rel]]
-        top = len(w_rows) - 1
-        b = [1]
-        for k in range(1, rel):
-            acc = 0
-            for j in range(1, min(k, top) + 1):
-                acc = add[acc][w_rows[j][b[k - j]]]
-            b.append(neg[acc])
-        return LaurentElem(self.field, -v, [row0[x] for x in b], -v + rel)
+        field = self.field
+        return wrap(field, inverse_t(
+            field.residue, (self.val, self.coeffs, self.prec), rel_prec, field.var
+        ))
 
     def __truediv__(self, other: LaurentElem) -> LaurentElem:
         self._require_same(other)
@@ -357,56 +478,29 @@ class LaurentElem:
         return f"<{body}{tail}>"
 
 
-def dot(field: LocalField, xs, ys) -> LaurentElem:
-    """Sum of x*y over the pairs of xs and ys, all in field.
-
-    The result carries the precision a chain of additions of the products
-    would give, the minimum of the products' precisions, and is built in
-    one coefficient list over the window of all products.
-    """
-    prec = None
-    terms = []
-    for x, y in zip(xs, ys):
-        if x.field is not field or y.field is not field:
-            raise TypeError("operands live in different fields")
-        p = _product_prec(x, y)
-        if p is not None and (prec is None or p < prec):
-            prec = p
-        if x.coeffs and y.coeffs:
-            terms.append((x.val + y.val, x.coeffs, y.coeffs))
-    if not terms:
-        return _raw(field, 0, (), prec)
-    lo = min(v for v, _, _ in terms)
-    hi = max(v + len(a) + len(b) - 1 for v, a, b in terms)
-    if prec is not None and hi > prec:
-        hi = prec
-    if hi <= lo:
-        return _raw(field, 0, (), prec)
-    out = [0] * (hi - lo)
-    ff = field.residue
-    mul, add = ff._mul, ff._add
-    for v, a, b in terms:
-        _convolve_into(out, v - lo, a, b, mul, add)
-    return _pack(field, lo, out, prec)
-
-
 def leibniz_det(field: LocalField, rows) -> LaurentElem:
     """Determinant of a square matrix of series in field, as the signed sum
     over permutations of the products of its entries, in the order and
     with the precision that chain of products and sums gives."""
     n = len(rows)
-    total = field.zero()
+    ff = field.residue
+    t = []
+    for row in rows:
+        if any(e.field is not field for e in row):
+            raise TypeError("operands live in different fields")
+        t.append([(e.val, e.coeffs, e.prec) for e in row])
+    total = ZERO_T
     for perm in itertools.permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        prod = field.one()
+        prod = ONE_T
         for i in range(n):
-            prod = prod * rows[i][perm[i]]
-        total = total + (prod if sign == 1 else -prod)
-    return total
+            prod = mul_t(ff, prod, t[i][perm[i]])
+        total = add_t(ff, total, prod, None if sign == 1 else ff._neg)
+    return wrap(field, total)
 
 
 class LocalField:

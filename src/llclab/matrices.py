@@ -8,7 +8,16 @@ is the naive one.  Precision rides along on the entries.
 from __future__ import annotations
 
 from .errors import ZeroInput
-from .laurent import LaurentElem, LocalField, dot, leibniz_det
+from .laurent import (
+    ONE_T,
+    LaurentElem,
+    LocalField,
+    add_t,
+    dot_t,
+    leibniz_det,
+    val_at_least_t,
+    wrap,
+)
 
 
 class MatG:
@@ -46,8 +55,10 @@ class MatG:
         if other.n != self.n:
             raise ValueError("size mismatch")
         field = self.field
-        cols = list(zip(*other.rows))
-        return MatG(field, [[dot(field, row, col) for col in cols] for row in self.rows])
+        ff = field.residue
+        rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in self.rows]
+        cols = [[(e.val, e.coeffs, e.prec) for e in col] for col in zip(*other.rows)]
+        return MatG(field, [[wrap(field, dot_t(ff, row, col)) for col in cols] for row in rows])
 
     def scale(self, x: LaurentElem) -> MatG:
         return MatG(self.field, [[x * e for e in row] for row in self.rows])
@@ -87,21 +98,9 @@ class MatG:
 
         Raises InsufficientPrecision when the known digits cannot decide.
         """
-        n = self.n
-        one = self.field.one()
-        for i in range(n):
-            for j in range(n):
-                e = self.rows[i][j]
-                if i == j:
-                    if not (e - one).has_val_at_least(1):
-                        return False
-                elif i < j:
-                    if not e.has_val_at_least(0):
-                        return False
-                else:
-                    if not e.has_val_at_least(1):
-                        return False
-        return True
+        field = self.field
+        rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in self.rows]
+        return in_iplus_t(field.residue, rows, field.var)
 
     def superdiagonal_residues(self) -> list[int]:
         return [self.rows[i][i + 1].coeff_at(0) for i in range(self.n - 1)]
@@ -115,6 +114,20 @@ class MatG:
             "size": self.n,
             "entries": [[self.field.elem_to_json(e) for e in row] for row in self.rows],
         }
+
+
+def in_iplus_t(ff, rows, var: str) -> bool:
+    """MatG.in_pro_unipotent_iwahori on a square list of rows of
+    (val, coeffs, prec) triples, entries checked in row-major order."""
+    neg = ff._neg
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if i == j:
+                if not val_at_least_t(add_t(ff, e, ONE_T, neg), 1, var):
+                    return False
+            elif not val_at_least_t(e, 0 if i < j else 1, var):
+                return False
+    return True
 
 
 def upper_unipotent(field: LocalField, n: int, above: dict[tuple[int, int], LaurentElem]) -> MatG:

@@ -581,6 +581,8 @@ def contracts_functional(cert: UnstableCocharacter, lam: FunctionalOverFq) -> bo
     """Whether the cocharacter limit kills this particular functional:
     every arrow the functional touches must scale with positive exponent."""
     b = cert.weights
+    if len(b) != lam.gq.num_nodes:
+        raise LLCError("certificate rejected: one weight per node")
     for (a, bb), M in lam.mats.items():
         if b[a] - b[bb] <= 0 and any(map(any, M)):
             return False

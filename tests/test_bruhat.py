@@ -9,8 +9,8 @@ import pytest
 import llclab
 from llclab.bruhat import MonomialClass, decompose
 from llclab.cyclotomic import RootOfUnity
-from llclab.errors import InsufficientPrecision, ZeroInput
-from llclab.laurent import LocalField
+from llclab.errors import InsufficientPrecision, LLCError, ZeroInput
+from llclab.laurent import LaurentElem, LocalField
 from llclab.matrices import MatG, diagonal, upper_unipotent
 from llclab.supercuspidal import SSCDatum
 
@@ -353,17 +353,22 @@ def test_pivot_search_and_operation_order_independence():
 
 
 OPTIMIZED_IWAHORI_CHECK = """
-from llclab.bruhat import decompose
+import sys
+
+from llclab import bruhat, matrices
 from llclab.errors import LLCError
-from llclab.laurent import LaurentElem, LocalField
+from llclab.laurent import LocalField
 from llclab.matrices import MatG
 
 assert False, "assert statements must be stripped in this interpreter"
 F = LocalField.base_field(5)
-g = MatG(F, [[F.one(), F.one()], [F.one(), F.variable()]])
-LaurentElem.has_val_at_least = lambda self, k: False
+if sys.argv[1] == "column":
+    g = MatG(F, [[F.one(), F.one()], [F.one(), F.variable()]])
+else:
+    g = MatG(F, [[F.one(), F.zero()], [F.zero(), F.variable()]])
+bruhat.val_at_least_t = matrices.val_at_least_t = lambda x, k, var: False
 try:
-    decompose(g)
+    bruhat.decompose(g)
 except LLCError as exc:
     print("raised", type(exc).__name__, exc)
 else:
@@ -371,13 +376,236 @@ else:
 """
 
 
-def test_iwahori_check_on_column_factors_survives_optimize():
+def _optimized_decompose(seam: str) -> str:
     # under python -O an assert would vanish and the bad factor would pass
     src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_IWAHORI_CHECK],
+        [sys.executable, "-O", "-c", OPTIMIZED_IWAHORI_CHECK, seam],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised LLCError internal: clearing column"), out.stdout
+    return out.stdout
+
+
+def test_iwahori_check_on_column_factors_survives_optimize():
+    out = _optimized_decompose("column")
+    assert out.startswith("raised LLCError internal: clearing column"), out
+
+
+def test_iwahori_check_on_final_k_survives_optimize():
+    # the diagonal input has no column to clear, so only the final check runs
+    out = _optimized_decompose("final")
+    assert out.startswith("raised LLCError internal: k factor left the Iwahori subgroup"), out
+
+
+def _series_decompose(g, prec=None):
+    """The elimination as it ran on LaurentElem arithmetic: every clear
+    divides by the pivot afresh, k is mono^-1 * A times the folded
+    column operations, and the Iwahori test is MatG's."""
+    field = g.field
+    n = g.n
+    if prec is not None:
+        g = g.truncate(prec)
+    A = [list(row) for row in g.rows]
+    one, zero = field.one(), field.zero()
+    u_rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    k_rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    used = set()
+    pivots = {}
+    for i in range(n - 1, -1, -1):
+        best_val, piv = None, None
+        fuzzy = []
+        for j in range(n):
+            if j in used:
+                continue
+            e = A[i][j]
+            if e.coeffs:
+                if best_val is None or e.val < best_val:
+                    best_val, piv = e.val, j
+            elif e.prec is not None:
+                fuzzy.append((e.prec, j))
+        if piv is None:
+            if fuzzy:
+                raise InsufficientPrecision(f"row {i}")
+            raise ZeroInput(f"row {i}")
+        for bound, j in fuzzy:
+            if bound <= best_val:
+                raise InsufficientPrecision(f"entry ({i},{j})")
+        pe = A[i][piv]
+        for j in range(n):
+            if j == piv or j in used:
+                continue
+            e = A[i][j]
+            if e.is_zero_at_prec():
+                continue
+            c = e / pe
+            if not c.has_val_at_least(1 if j < piv else 0):
+                raise LLCError("internal: clearing column")
+            for r2 in range(n):
+                A[r2][j] = A[r2][j] - c * A[r2][piv]
+            k_rows[piv] = [k_rows[piv][m] + c * k_rows[j][m] for m in range(n)]
+        for i2 in range(i):
+            e = A[i2][piv]
+            if e.is_zero_at_prec():
+                continue
+            c = e / pe
+            for m in range(n):
+                A[i2][m] = A[i2][m] - c * A[i][m]
+            for r2 in range(n):
+                u_rows[r2][i] = u_rows[r2][i] + c * u_rows[r2][i2]
+        used.add(piv)
+        pivots[i] = piv
+    cols = [pivots[i] for i in range(n)]
+    lead = [A[i][cols[i]].leading() for i in range(n)]
+    mono = MonomialClass(field, cols, [v for v, _ in lead], [c for _, c in lead])
+    k_total = mono.inverse_matrix() * MatG(field, A) * MatG(field, k_rows)
+    if not k_total.in_pro_unipotent_iwahori():
+        raise LLCError("internal: k factor left the Iwahori subgroup")
+    return MatG(field, u_rows), mono, k_total
+
+
+def _assert_matches_series(g, prec=None):
+    """decompose(g, prec) is == to the series elimination, entry
+    precisions included, or raises the same exception type."""
+    try:
+        want = _series_decompose(g, prec)
+    except LLCError as exc:
+        with pytest.raises(LLCError) as got:
+            decompose(g, prec)
+        assert type(got.value) is type(exc)
+        return False
+    got = decompose(g, prec)
+    assert got == want
+    assert all(
+        a.prec == b.prec
+        for mg, mw in ((got[0], want[0]), (got[2], want[2]))
+        for ra, rb in zip(mg.rows, mw.rows)
+        for a, b in zip(ra, rb)
+    )
+    return True
+
+
+def _shell(rng, F):
+    # an entry over the shells t^-1 .. t^1, as the Whittaker benchmark draws
+    return F.elem(-1, [rng.randrange(F.residue.q) for _ in range(3)])
+
+
+def _planted_point(rng, F, n):
+    q = F.residue.q
+    above = {(i, j): _shell(rng, F) for i in range(n) for j in range(i + 1, n)}
+    u0 = upper_unipotent(F, n, above)
+    mono = (MonomialClass.rotation(F, n, rng.randrange(1, q)) ** rng.randrange(2 * n)).compose(
+        MonomialClass.central(F, n, rng.randrange(1, q), rng.randrange(-1, 2))
+    )
+    k_rows = [
+        [F.elem(1 if i > j else 0, [rng.randrange(q) for _ in range(2)]) for j in range(n)]
+        for i in range(n)
+    ]
+    for i in range(n):
+        k_rows[i][i] = F.one() + F.elem(1, [rng.randrange(q) for _ in range(2)])
+    return u0 * mono.as_matrix() * MatG(F, k_rows)
+
+
+def _dense_point(rng, F, n):
+    while True:
+        g = MatG(F, [[_shell(rng, F) for _ in range(n)] for _ in range(n)])
+        if not g.det().is_exact_zero():
+            return g
+
+
+def test_decompose_matches_series_oracle_on_whittaker_points():
+    rng = random.Random(1414)
+    for q, n in [(3, 4), (5, 3), (5, 4)]:
+        F = LocalField.base_field(q)
+        for _ in range(25):
+            assert _assert_matches_series(_planted_point(rng, F, n))
+            g = _dense_point(rng, F, n)
+            assert _assert_matches_series(g)
+            _assert_matches_series(g, rng.randrange(0, 4))
+
+
+def test_decompose_matches_series_oracle_on_sandwiches():
+    rng = random.Random(1415)
+    for q in (3, 5, 7, 9, 13, 25):
+        F = LocalField.base_field(q)
+        for n in range(2, 7):
+            for _ in range(3):
+                g = random_unipotent(rng, F, n) * random_monomial(rng, F, n).as_matrix()
+                g = g * random_iplus(rng, F, n)
+                assert _assert_matches_series(g)
+                _assert_matches_series(g, rng.randrange(1, 8))
+
+
+def test_decompose_matches_series_oracle_on_table_matrices():
+    from llclab import pairs, zeta
+
+    rng = random.Random(1416)
+    for q, n in [(3, 2), (3, 4), (5, 3), (7, 3), (5, 5)]:
+        F = LocalField.base_field(q)
+        for v in range(-2, 3):
+            for a0 in F.residue.units():
+                for h in (F.elem(v, (a0,)), F.elem(v, (a0, rng.randrange(q), 1))):
+                    assert _assert_matches_series(zeta._dual_lead(F, n, h))
+                    assert _assert_matches_series(zeta._principal_lead(F, n, h))
+        for _ in range(10):
+            block = _dense_point(rng, F, n - 1)
+            assert _assert_matches_series(pairs._embed(F, block))
+            polar = {(i, j): rng.randrange(q) for i in range(n - 1) for j in range(i)}
+            k_res = [rng.randrange(q) for _ in range(n - 2)]
+            polar_block = pairs._polar_block(F, n - 1, polar, k_res)
+            assert _assert_matches_series(pairs._embed(F, polar_block))
+
+
+def test_decompose_raises_as_the_series_oracle():
+    F = LocalField.base_field(5)
+    raising = [
+        (MatG(F, [[F.zero(0), F.one()], [F.one(), F.zero()]]), None),
+        (MatG(F, [[F.one(), F.one()], [F.one(), F.one()]]), None),
+        (MatG(F, [[F.zero(), F.zero()], [F.one(), F.one()]]), None),
+    ]
+    for n in (2, 3):
+        for i in range(n):
+            for prec in (1, 2, 3):
+                for k in (prec, prec + 1):
+                    entries = [F.one()] * n
+                    entries[i] = F.elem(k, (1,))
+                    raising.append((diagonal(F, entries), prec))
+    for g, prec in raising:
+        assert not _assert_matches_series(g, prec)
+
+
+def test_decompose_does_no_series_arithmetic(monkeypatch):
+    F = LocalField.base_field(5)
+    g = _dense_point(random.Random(1417), F, 4)
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse"):
+        method = getattr(LaurentElem, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(LaurentElem, name, counted)
+    u, mono, k = decompose(g)
+    assert calls == []
+    monkeypatch.undo()
+    assert (u * mono.as_matrix() * k).agrees(g)
+    # a pivot with a tail was inverted: the elimination did series work
+    assert any(len(e.coeffs) > 3 for row in k.rows for e in row)
+
+
+def test_unchecked_monomial_results_equal_validated_ones():
+    rng = random.Random(1418)
+    for q in (3, 7):
+        F = LocalField.base_field(q)
+        for n in range(1, 6):
+            for perm in itertools.permutations(range(n)):
+                a = MonomialClass(
+                    F, perm, [rng.randrange(-3, 4) for _ in range(n)],
+                    [rng.randrange(1, q) for _ in range(n)],
+                )
+                b = random_monomial(rng, F, n)
+                for got in (a.compose(b), b.compose(a), a.inverse(), a**3, a**-2):
+                    twin = MonomialClass(F, got.cols, got.exps, got.units)
+                    assert got == twin and hash(got) == hash(twin)

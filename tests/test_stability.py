@@ -383,6 +383,18 @@ def test_verifier_rejects_weights_of_the_wrong_length():
             verify_certificate(UnstableCocharacter(x, c.missing_arrow, weights))
 
 
+def test_contraction_rejects_weights_of_the_wrong_length():
+    x = ApartmentPoint.parse("0,-1/4,-3/4")
+    c = destabilizing_cocharacter(x)
+    lams = list(enumerate_functionals(graded_quotient(x), 3))
+    assert contracts_functional(c, lams[-1])
+    for weights in (c.weights[:1], c.weights + (0,)):
+        cert = UnstableCocharacter(x, c.missing_arrow, weights)
+        for lam in (lams[0], lams[-1]):
+            with pytest.raises(LLCError, match="one weight per node"):
+                contracts_functional(cert, lam)
+
+
 def test_stability_criterion_reports_phases():
     rep = selftest.criterion_stability("small")
     assert rep["ok"]
