@@ -44,9 +44,8 @@ from .laurent import (
     mul_t,
     neg_t,
     val_at_least_t,
-    wrap,
 )
-from .matrices import MatG, in_iplus_t
+from .matrices import MatG, in_iplus_t, wrap_matrix
 
 
 class MonomialClass:
@@ -327,7 +326,7 @@ def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, Ma
     k_total = [[dot_t(ff, r, col) for col in k_cols] for r in k2]
     if not in_iplus_t(ff, k_total, var):
         raise LLCError("internal: k factor left the Iwahori subgroup")
-    return _matrix(field, u_rows), mono, _matrix(field, k_total)
+    return wrap_matrix(field, u_rows), mono, wrap_matrix(field, k_total)
 
 
 def _addmul_row(ff, z: list, c: tuple, y: list) -> list:
@@ -336,7 +335,3 @@ def _addmul_row(ff, z: list, c: tuple, y: list) -> list:
         addmul_t(ff, zm, c, ym) if ym[1] or ym[2] is not None else zm
         for zm, ym in zip(z, y)
     ]
-
-
-def _matrix(field: LocalField, rows) -> MatG:
-    return MatG(field, [[wrap(field, t) for t in row] for row in rows])

@@ -17,11 +17,12 @@ coefficients from its valuation ``val`` up to its last nonzero term, with
 no zero at either end and nothing at or beyond ``prec``.  The arithmetic
 lives in kernels on bare (val, coeffs, prec) triples, the same three
 fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
-``dot_t``, the fused ``addmul_t`` (z + c*y in one list) and
-``val_at_least_t``.  They hold the one copy of the window and precision
-rules.  ``LaurentElem``'s operators are thin wrappers over them,
-``MatG``'s product calls ``dot_t`` per entry, and ``bruhat.decompose``
-eliminates on triples and builds elements only for what it returns.
+``dot_t``, the fused ``addmul_t`` (z + c*y in one list), ``truncate_t``,
+``coeff_at_t`` and ``val_at_least_t``.  They hold the one copy of the
+window and precision rules.  ``LaurentElem``'s operators are thin
+wrappers over them, ``MatG``'s product calls ``dot_t`` per entry,
+``bruhat.decompose`` eliminates on triples and builds elements only for
+what it returns, and ``pairs.KWalk`` keeps its state as triples.
 Sums and products work on one mutable list over the exponent window of
 the result, [lo, hi), sized from the operands and cut at the result's
 precision before any coefficient is computed.  Residue arithmetic reads
@@ -284,6 +285,34 @@ def dot_t(ff: FiniteField, xs, ys) -> tuple:
     return _cut(lo, out, prec)
 
 
+def truncate_t(x: tuple, prec: int) -> tuple:
+    """x known only below prec, in LaurentElem.truncate's normal form; a
+    zero comes back as (0, (), p) whatever val it was given."""
+    v, cs, p = x
+    if not cs:
+        return (0, (), prec if p is None or p > prec else p)
+    if p is not None and p <= prec:
+        return x
+    hi = prec - v
+    if hi >= len(cs):
+        return (v, cs, prec)
+    if hi <= 0:
+        return (0, (), prec)
+    # cs[0] is nonzero, so the scan stops at hi = 1
+    while not cs[hi - 1]:
+        hi -= 1
+    return (v, cs[:hi], prec)
+
+
+def coeff_at_t(x: tuple, k: int, var: str) -> int:
+    """The coefficient at var^k, or raise if it lies beyond the precision."""
+    v, cs, p = x
+    if p is not None and k >= p:
+        raise InsufficientPrecision(f"coefficient at {var}^{k} lies beyond O({var}^{p})")
+    i = k - v
+    return cs[i] if 0 <= i < len(cs) else 0
+
+
 def val_at_least_t(x: tuple, k: int, var: str) -> bool:
     """Decide val >= k, or raise if the known digits cannot decide."""
     v, cs, p = x
@@ -354,15 +383,7 @@ class LaurentElem:
         return val_at_least_t((self.val, self.coeffs, self.prec), k, self.field.var)
 
     def coeff_at(self, k: int) -> int:
-        if self.prec is not None and k >= self.prec:
-            raise InsufficientPrecision(
-                f"coefficient at {self.field.var}^{k} lies beyond "
-                f"O({self.field.var}^{self.prec})"
-            )
-        if not self.coeffs or k < self.val:
-            return 0
-        i = k - self.val
-        return self.coeffs[i] if i < len(self.coeffs) else 0
+        return coeff_at_t((self.val, self.coeffs, self.prec), k, self.field.var)
 
     # ----- arithmetic ---------------------------------------------------
     def _require_same(self, other: LaurentElem) -> None:
@@ -438,7 +459,7 @@ class LaurentElem:
         return out
 
     def truncate(self, prec: int) -> LaurentElem:
-        return LaurentElem(self.field, self.val, self.coeffs, _min_prec(self.prec, prec))
+        return wrap(self.field, truncate_t((self.val, self.coeffs, self.prec), prec))
 
     # ----- comparison ---------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -15,6 +15,7 @@ from .laurent import (
     add_t,
     dot_t,
     leibniz_det,
+    truncate_t,
     val_at_least_t,
     wrap,
 )
@@ -58,13 +59,15 @@ class MatG:
         ff = field.residue
         rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in self.rows]
         cols = [[(e.val, e.coeffs, e.prec) for e in col] for col in zip(*other.rows)]
-        return MatG(field, [[wrap(field, dot_t(ff, row, col)) for col in cols] for row in rows])
+        return wrap_matrix(field, [[dot_t(ff, row, col) for col in cols] for row in rows])
 
     def scale(self, x: LaurentElem) -> MatG:
         return MatG(self.field, [[x * e for e in row] for row in self.rows])
 
     def truncate(self, prec: int) -> MatG:
-        return MatG(self.field, [[e.truncate(prec) for e in row] for row in self.rows])
+        return wrap_matrix(
+            self.field, [[truncate_t((e.val, e.coeffs, e.prec), prec) for e in row] for row in self.rows]
+        )
 
     def det(self) -> LaurentElem:
         return leibniz_det(self.field, self.rows)
@@ -114,6 +117,17 @@ class MatG:
             "size": self.n,
             "entries": [[self.field.elem_to_json(e) for e in row] for row in self.rows],
         }
+
+
+def wrap_matrix(field: LocalField, rows) -> MatG:
+    """The matrix over field whose entries are the (val, coeffs, prec)
+    triples of rows, square and already normalized: like laurent.wrap,
+    it skips the constructor's checks, for matrices built from kernel
+    results."""
+    out = object.__new__(MatG)
+    out.field = field
+    out.rows = tuple(tuple([wrap(field, t) for t in row]) for row in rows)
+    return out
 
 
 def in_iplus_t(ff, rows, var: str) -> bool:

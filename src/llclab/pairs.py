@@ -5,13 +5,13 @@ the pro-unipotent Iwahori are kept in the form M * k with M a monomial
 class and k an Iwahori matrix mod t^N (N = 2 by default), which is exact
 in the congruence quotient the Whittaker value reads; the inverse word
 is carried along in the same form, and each word is its own witness of
-membership.  KWalk holds k and k^-1 as flat lists of residue digits at
-t^0..t^(N-1) with one precision per entry, updated by the rule a
-LaurentElem computation of the entry follows, so its matrices equal the
-series ones; a conjugation by a monomial permutes, scales and shifts
-digits, an I+ generator is one multiply-add per touched entry, and the
-Iwahori test reads the t^0 digits of the entries a step moved.  Series
-and matrices are built only where a word leaves the walk.
+membership.  KWalk holds k and k^-1 as flat lists of laurent's
+(val, coeffs, prec) triples, each cut at t^N by truncate_t after the
+kernel that computes it, so its matrices equal the series ones: a
+conjugation by a monomial permutes, scales and shifts entries, an I+
+generator is one addmul_t (or mul_t on the diagonal) per touched entry,
+and the Iwahori test reads the low terms of the entries a step moved.
+Series and matrices are built only where a word leaves the walk.
 
 Both checks read the WhittakerInvariant of bruhat, which does not see
 zeta, omega or the uniformizer unit, and on the support the value
@@ -35,8 +35,8 @@ from functools import lru_cache
 from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
 from .errors import InsufficientPrecision, LLCError, ZeroInput
-from .laurent import LocalField, _convolve_into
-from .matrices import MatG
+from .laurent import ONE_T, ZERO_T, LocalField, addmul_t, coeff_at_t, inverse_t, mul_t, truncate_t
+from .matrices import MatG, wrap_matrix
 from .supercuspidal import SSCDatum
 
 
@@ -84,18 +84,16 @@ class KWalk:
     inside it.
 
     M and Mi are MonomialClass objects.  k and ki are flat lists of n*n
-    entries, entry (i, j) at index i*n + j, each a tuple of the residue
-    digits at t^0..t^(N-1) with a parallel list of precisions: p means
-    the digits below t^p are known (those at and above it are stored as
-    0), None that the entry is exact.  Every push computes the digits and
-    the precision a LaurentElem computation of the same entry would give
-    (the rule is spelled out at _mul_add), so the k and ki views are ==
-    to the matrices a walk on series computes.
+    (val, coeffs, prec) triples, entry (i, j) at index i*n + j.  An entry
+    no step has touched is exact; every other one is cut at t^N by
+    truncate_t, in the normal form LaurentElem.truncate(N) gives, after
+    the laurent kernel that computes it, so the k and ki views are == to
+    the matrices a walk on series computes.
 
-    The Iwahori test runs on digits after every push, over the entries
-    the push can move: all of k after a conjugation, the touched column
-    of k and row of ki after an I+ push, nothing after a central push.
-    A nonzero digit pushed below t^0, or a bad digit at t^0, raises
+    The Iwahori test runs on the triples after every push, over the
+    entries the push can move: all of k after a conjugation, the touched
+    column of k and row of ki after an I+ push, nothing after a central
+    push.  A nonzero coefficient below t^0, or a bad t^0 digit, raises
     LLCError; a precision too low to decide raises InsufficientPrecision.
     """
 
@@ -114,11 +112,8 @@ class KWalk:
         self._central_moves: dict[tuple[int, int], tuple] = {}
         self.M = MonomialClass.identity(self.F, n)
         self.Mi = MonomialClass.identity(self.F, n)
-        one, zero = (1,) + (0,) * (precision - 1), (0,) * precision
-        self._k = [one if i == j else zero for i in range(n) for j in range(n)]
-        self._kp = [None] * (n * n)
+        self._k = [ONE_T if i == j else ZERO_T for i in range(n) for j in range(n)]
         self._ki = list(self._k)
-        self._kip = [None] * (n * n)
         # per entry: the lowest precision that decides its Iwahori test,
         # and the t^0 digit it needs (None when any digit will do)
         self._shape = [
@@ -134,11 +129,13 @@ class KWalk:
     # ----- views at the boundary ----------------------------------------
     @property
     def k(self) -> MatG:
-        return _digit_matrix(self.F, self.n, self._k, self._kp)
+        n = self.n
+        return wrap_matrix(self.F, [self._k[i : i + n] for i in range(0, n * n, n)])
 
     @property
     def ki(self) -> MatG:
-        return _digit_matrix(self.F, self.n, self._ki, self._kip)
+        n = self.n
+        return wrap_matrix(self.F, [self._ki[i : i + n] for i in range(0, n * n, n)])
 
     def forward_matrix(self) -> MatG:
         return self.M.as_matrix() * self.k
@@ -146,19 +143,18 @@ class KWalk:
     def inverse_matrix(self) -> MatG:
         return self.Mi.as_matrix() * self.ki
 
-    # ----- the digit test -----------------------------------------------
-    def _check(self, digits: list, precs: list, idxs, below) -> None:
-        """The Iwahori test of the entries idxs, in row-major order; below
-        holds the entries with a nonzero digit pushed under t^0."""
+    # ----- the entry test -----------------------------------------------
+    def _check(self, entries: list, idxs) -> None:
+        """The Iwahori test of the entries idxs, in row-major order."""
         shape = self._shape
         for idx in idxs:
-            if idx in below:
+            v, cs, p = entries[idx]
+            if cs and v < 0:
                 raise LLCError(_LEFT_IWAHORI)
             floor, lead = shape[idx]
-            p = precs[idx]
             if p is not None and p < floor:
                 raise InsufficientPrecision(f"cannot decide valuation >= {floor} from O(t^{p})")
-            if lead is not None and digits[idx][0] != lead:
+            if lead is not None and (cs[0] if cs and v == 0 else 0) != lead:
                 raise LLCError(_LEFT_IWAHORI)
 
     # ----- monomial generators ------------------------------------------
@@ -176,38 +172,26 @@ class KWalk:
         ]
         return cls, cls.inverse(), plan
 
-    def _conjugate(self, plan) -> set:
-        """k becomes cls^-1 k cls; returns the entries pushed below t^0."""
-        k, kp, N = self._k, self._kp, self.N
-        zero = (0,) * N
-        out, outp = [zero] * len(k), [None] * len(k)
-        below = set()
-        for src, dst, row, s in plan:
-            d, p = k[src], kp[src]
-            if p is None and not any(d):
-                continue  # an exact zero stays exact
-            if s == 0:
-                nd = tuple([row[c] for c in d])
-            elif s > 0:
-                nd = zero if s >= N else zero[:s] + tuple([row[c] for c in d[: N - s]])
-            else:
-                if any(d[:-s]):
-                    below.add(dst)
-                nd = tuple([row[c] for c in d[-s:]]) + zero[: min(-s, N)]
-            out[dst] = nd
-            outp[dst] = N if p is None or p + s > N else p + s
-        self._k, self._kp = out, outp
-        return below
-
     def _push_monomial(self, move) -> None:
-        """move is (cls, its inverse, conjugation plan or None for a scalar)."""
+        """move is (cls, its inverse, conjugation plan or None for a scalar);
+        k becomes cls^-1 k cls by the plan."""
         cls, inv, plan = move
-        below = None if plan is None else self._conjugate(plan)
         self.M = self.M.compose(cls)
         self.Mi = inv.compose(self.Mi)
         # ki is untouched and a scalar leaves k alone: nothing new to test
-        if below is not None:
-            self._check(self._k, self._kp, range(len(self._k)), below)
+        if plan is None:
+            return
+        k, N = self._k, self.N
+        out = [ZERO_T] * len(k)
+        for src, dst, row, s in plan:
+            v, cs, p = k[src]
+            # an exact zero stays exact; truncate_t normalizes a zero's val
+            if cs or p is not None:
+                out[dst] = truncate_t(
+                    (v + s, tuple([row[c] for c in cs]), None if p is None else p + s), N
+                )
+        self._k = out
+        self._check(out, range(len(out)))
 
     def push_rotation(self, which: int) -> None:
         self._push_monomial(self._rot_moves[which])
@@ -230,56 +214,40 @@ class KWalk:
         self._push_elementary(a, b, (x.val, x.coeffs, x.prec))
 
     def _push_elementary(self, a: int, b: int, x: tuple) -> None:
-        n, ff = self.n, self.F.residue
+        n, N, ff = self.n, self.N, self.F.residue
         # inverse generator I - x E_ab conjugated through Mi, applied left
         cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
-        xv, xc, xp = x
-        s = exps[b] - exps[a]
-        row, neg = ff._mul[ff.mul(units[b], ff.inv(units[a]))], ff._neg
-        xi = (xv + s, tuple([row[neg[c]] for c in xc]), None if xp is None else xp + s)
+        c = ff.neg(ff.mul(units[b], ff.inv(units[a])))
+        xi = mul_t(ff, (exps[b] - exps[a], (c,), None), x)
+        k, ki = self._k, self._ki
+        k_col = range(b, n * n, n)
+        for dst in k_col:
+            k[dst] = truncate_t(addmul_t(ff, k[dst], k[dst - b + a], x), N)
         ap, bp = cols[a] * n, cols[b] * n
-        self._push_iplus(
-            [(i, i - b + a) for i in range(b, n * n, n)], x,
-            [(i, i - ap + bp) for i in range(ap, ap + n)], xi,
-            add=True,
-        )
+        ki_row = range(ap, ap + n)
+        for dst in ki_row:
+            ki[dst] = truncate_t(addmul_t(ff, ki[dst], xi, ki[dst - ap + bp]), N)
+        self._check(k, k_col)
+        self._check(ki, ki_row)
 
     def push_one_unit_diag(self, a: int, e) -> None:
         """Append the diagonal matrix with one-unit e in slot a."""
-        einv = e.inverse(rel_prec=self.N + 1)
-        self._push_one_unit_diag(a, (e.val, e.coeffs, e.prec), (einv.val, einv.coeffs, einv.prec))
+        e = (e.val, e.coeffs, e.prec)
+        self._push_one_unit_diag(a, e, inverse_t(self.F.residue, e, self.N + 1, self.F.var))
 
     def _push_one_unit_diag(self, a: int, e: tuple, einv: tuple) -> None:
-        n = self.n
+        n, N, ff = self.n, self.N, self.F.residue
+        k, ki = self._k, self._ki
+        k_col = range(a, n * n, n)
+        for idx in k_col:
+            k[idx] = truncate_t(mul_t(ff, k[idx], e), N)
         # units cancel in the conjugation of a diagonal, only the slot moves
         ap = self.Mi.cols[a] * n
-        self._push_iplus(
-            [(i, i) for i in range(a, n * n, n)], e,
-            [(i, i) for i in range(ap, ap + n)], einv,
-            add=False,
-        )
-
-    def _push_iplus(self, k_moves, x: tuple, ki_moves, xi: tuple, add: bool) -> None:
-        """Entry dst of k becomes (dst if add else 0) + src * x for each
-        (dst, src) in k_moves, the same in ki with xi; then the touched
-        column of k and row of ki are tested, as listed."""
-        ff, N = self.F.residue, self.N
-        mul, add_table = ff._mul, ff._add
-        zero = (0,) * N
-        state = ((self._k, self._kp, k_moves, x), (self._ki, self._kip, ki_moves, xi))
-        pushed_below = []
-        for digits, precs, moves, y in state:
-            below = set()
-            for dst, src in moves:
-                b, bp = (digits[dst], precs[dst]) if add else (zero, None)
-                digits[dst], precs[dst], under = _mul_add(
-                    mul, add_table, N, b, bp, digits[src], precs[src], y
-                )
-                if under:
-                    below.add(dst)
-            pushed_below.append(below)
-        for (digits, precs, moves, _), below in zip(state, pushed_below):
-            self._check(digits, precs, [dst for dst, _ in moves], below)
+        ki_row = range(ap, ap + n)
+        for idx in ki_row:
+            ki[idx] = truncate_t(mul_t(ff, ki[idx], einv), N)
+        self._check(k, k_col)
+        self._check(ki, ki_row)
 
     def push_random_iplus(self) -> None:
         rng, n, q, N = self.rng, self.n, self.q, self.N
@@ -311,83 +279,32 @@ class KWalk:
             self.push_random_iplus()
 
     # ----- samples ------------------------------------------------------
-    def _invariant(self, mono: MonomialClass, digits: list, precs: list) -> WhittakerInvariant:
-        """The invariant of mono * k read off k's digits: the superdiagonal
+    def _invariant(self, mono: MonomialClass, entries: list) -> WhittakerInvariant:
+        """The invariant of mono * k read off k's entries: the superdiagonal
         t^0 digits summed, and the t^1 digit of the corner entry."""
         add = self.F.residue._add
         total = 0
         for idx in self._superdiag:
-            p = precs[idx]
-            if p is not None and p <= 0:
-                raise InsufficientPrecision(f"coefficient at t^0 lies beyond O(t^{p})")
-            total = add[total][digits[idx][0]]
-        p = precs[self._corner]
-        if p is not None and p <= 1:
-            raise InsufficientPrecision(f"coefficient at t^1 lies beyond O(t^{p})")
-        return WhittakerInvariant(mono, total, digits[self._corner][1])
+            total = add[total][coeff_at_t(entries[idx], 0, "t")]
+        return WhittakerInvariant(mono, total, coeff_at_t(entries[self._corner], 1, "t"))
 
     def snapshot(self) -> KWord:
-        fwd = self._invariant(self.M, self._k, self._kp)
-        inv = self._invariant(self.Mi, self._ki, self._kip)
+        fwd = self._invariant(self.M, self._k)
+        inv = self._invariant(self.Mi, self._ki)
         return KWord(self.used1, self.used2, fwd, inv)
-
-
-
-def _mul_add(mul, add, N: int, b: tuple, bp, a: tuple, ap, x: tuple):
-    """(digits, precision, pushed below t^0) of b + a*x cut at t^N.
-
-    a and b are digit tuples of t^0..t^(N-1) with precisions ap and bp,
-    x is (val, coeffs, prec) as a LaurentElem stores it.  The precision
-    is LaurentElem's: the product knows min(ap + vb(x), xp + vb(a)) with
-    vb the valuation, or the precision where no term is visible, and
-    None as infinity; the sum the smaller of that and bp; the cut at N
-    the smaller again.  Every known digit is then the series' digit.
-    """
-    xv, xc, xp = x
-    av = ap
-    for s, c in enumerate(a):
-        if c:
-            av = s
-            break
-    prec = N if bp is None or bp > N else bp
-    if ap is not None:
-        xb = xv if xc else xp
-        if xb is not None and ap + xb < prec:
-            prec = ap + xb
-    if xp is not None and av is not None and xp + av < prec:
-        prec = xp + av
-    # coefficients at lo..prec-1; only a negative x reaches below t^0
-    lo = xv if xv < 0 else 0
-    width = prec - lo
-    if width <= 0:
-        return (0,) * N, prec, False
-    out = [0] * width
-    if prec > 0:
-        out[-lo:] = b[:prec]
-    _convolve_into(out, xv - lo, a, xc, mul, add)
-    under = lo < 0 and any(out[:-lo])
-    if prec <= 0:
-        return (0,) * N, prec, under
-    return tuple(out[-lo:]) + (0,) * (N - prec), prec, under
 
 
 @lru_cache(maxsize=None)
 def _one_units(F: LocalField, N: int) -> dict:
     """(j, c) -> the one-unit 1 + c t^j and its inverse to relative
     precision N + 1, as (val, coeffs, prec): the random I+ diagonal
-    generators, converted once per field and precision."""
+    generators, built once per field and precision."""
     out = {}
     for j in range(1, N):
         for c in F.residue.units():
-            e = F.one() + F.elem(j, (c,))
-            einv = e.inverse(rel_prec=N + 1)
-            out[j, c] = (e.val, e.coeffs, e.prec), (einv.val, einv.coeffs, einv.prec)
+            e = (0, (1,) + (0,) * (j - 1) + (c,), None)
+            out[j, c] = e, inverse_t(F.residue, e, N + 1, F.var)
     return out
-
-
-def _digit_matrix(F: LocalField, n: int, digits: list, precs: list) -> MatG:
-    """The walk's digit entries as a matrix of series."""
-    return MatG(F, [[F.elem(0, digits[i * n + j], precs[i * n + j]) for j in range(n)] for i in range(n)])
 
 
 def solved_product(ff, a: SolvedInvariant, b: SolvedInvariant) -> SolvedInvariant:
@@ -419,6 +336,8 @@ def sample_k_words(
     the prefixes whose fresh invariant solves apart from the kept one are
     listed per unit.
     """
+    if steps < 1 or audit_stride < 1:
+        raise ValueError("need at least one step and a positive audit stride")
     walk = KWalk(q, n, u1, u2, precision, seed)
     ff = walk.F.residue
     units = sorted({u1, u2})
@@ -694,6 +613,8 @@ def support_check(
 ) -> dict:
     """Random matrices over the shells: every nonzero value must come with
     a located decomposition into U times the supporting group."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = random.Random(seed)
     F, n, q = d.F, d.n, d.q
     nonzero = zero = 0

@@ -231,6 +231,15 @@ def test_pair_mismatched_central_character_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--steps", "-3"), ("--steps", "0"), ("--support-samples", "-3")])
+def test_pair_rejects_empty_samples(capsys, flag, value):
+    args = ["pair", "--q", "5", "--n", "2", "--zeta", "1/4", "--u0-2", "1", "--zeta-2", "3/4",
+            "--steps", "30", "--support-samples", "8"]
+    args[args.index(flag) + 1] = value
+    assert cli.main(args) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
 def test_selftest_small_scale(capsys):
     code, payload = run_json(capsys, ["selftest", "--scale", "small"])
     assert code == 0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from llclab.errors import InsufficientPrecision, ZeroInput
-from llclab.laurent import DEFAULT_REL_PREC, LocalField
+from llclab.laurent import DEFAULT_REL_PREC, LocalField, coeff_at_t, truncate_t
 
 
 # dict-based polynomial arithmetic, written independently of the series
@@ -235,6 +235,56 @@ def test_truncate():
     x = F.elem(0, (1, 2, 1, 2))
     y = x.truncate(2)
     assert y.coeffs == (1, 2) and y.prec == 2
+
+
+def _triple_grid():
+    # exact and finite precision, zeros exact and at precision, negative
+    # and positive val, zero digits inside, a last digit at the cut
+    for val in (-3, -1, 0, 2):
+        for coeffs in ((), (4,), (1, 0, 3), (2, 0, 0, 1)):
+            for prec in (None, val - 1, val, val + 1, val + 3, val + 6):
+                x = LocalField.base_field(5).elem(val, coeffs, prec)
+                yield x, (x.val, x.coeffs, x.prec)
+
+
+def test_truncate_t_matches_constructor_cut():
+    F = LocalField.base_field(5)
+    seen = 0
+    for x, t in _triple_grid():
+        for N in range(t[0] - 2, t[0] + 6):
+            cut = N if x.prec is None else min(x.prec, N)
+            # the constructor normalizes on its own: the oracle
+            expect = F.elem(x.val, x.coeffs, cut)
+            assert truncate_t(t, N) == (expect.val, expect.coeffs, expect.prec), (t, N)
+            assert x.truncate(N) == expect
+            seen += 1
+    assert seen > 500
+
+
+def test_truncate_t_normal_form_of_zero():
+    # a zero known to t^p comes back as (0, (), p), whatever val it had
+    assert truncate_t((3, (), 5), 7) == (0, (), 5)
+    assert truncate_t((3, (), None), 7) == (0, (), 7)
+    assert truncate_t((-2, (), 9), 4) == (0, (), 4)
+    assert truncate_t((3, (2, 1), None), 2) == (0, (), 2)
+    assert truncate_t((3, (2, 1), 4), 3) == (0, (), 3)
+    assert truncate_t((0, (1, 0, 2), None), 2) == (0, (1,), 2)
+
+
+def test_coeff_at_t_matches_digits_and_precision():
+    seen = 0
+    for x, t in _triple_grid():
+        digits = d_of(x)
+        for k in range(x.val - 3, x.val + 9):
+            if x.prec is not None and k >= x.prec:
+                with pytest.raises(InsufficientPrecision):
+                    coeff_at_t(t, k, "t")
+                with pytest.raises(InsufficientPrecision):
+                    x.coeff_at(k)
+            else:
+                assert coeff_at_t(t, k, "t") == x.coeff_at(k) == digits.get(k, 0)
+            seen += 1
+    assert seen > 500
 
 
 def test_extension_defining_relation():

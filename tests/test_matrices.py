@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from llclab.laurent import LocalField
 from llclab.matrices import MatG
 
@@ -37,3 +39,20 @@ def test_product_matches_entrywise_sum_of_series_products():
                         precs = {(A.rows[i][k] * B.rows[k][j]).prec for k in range(n)}
                         mixed += len(precs) > 1
     assert mixed >= 100
+
+
+def test_constructor_checks_entries_and_shape():
+    # products and decompositions build their matrices unchecked from
+    # kernel results; the public constructor still checks what it gets
+    F, E = LocalField.base_field(5), LocalField.base_field(7)
+    with pytest.raises(TypeError):
+        MatG(F, [[F.one(), F.zero()], [F.zero(), E.one()]])
+    with pytest.raises(TypeError):
+        MatG(F, [[F.one(), 0], [F.zero(), F.one()]])
+    with pytest.raises(ValueError):
+        MatG(F, [[F.one(), F.zero()], [F.zero()]])
+    with pytest.raises(ValueError):
+        MatG(F, [[F.one(), F.zero(), F.zero()], [F.zero(), F.one(), F.zero()]])
+    A = MatG(F, [[F.one(), F.variable()], [F.zero(), F.one()]])
+    assert (A * A).rows[0][1] == F.elem(1, (2,))
+    assert (A * A).truncate(1) == MatG(F, [[F.elem(0, (1,), 1), F.zero(1)], [F.zero(1), F.elem(0, (1,), 1)]])

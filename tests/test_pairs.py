@@ -323,18 +323,18 @@ def test_sampler_matches_reference_walk(monkeypatch):
 @pytest.mark.parametrize("a,b,val", [(2, 0, 0), (0, 2, -1)])
 def test_push_outside_iwahori_raises(monkeypatch, warmup, side, a, b, val):
     # below the diagonal with a unit x, above it with a pole: the step
-    # leaves I+ on both sides, and the digit test of each side alone,
+    # leaves I+ on both sides, and the entry test of each side alone,
     # the other switched off, must catch it.  From the identity the pole
-    # lands in one entry only, whose t^0 digit is free: only the digit
+    # lands in one entry only, whose t^0 digit is free: only the term
     # pushed below t^0 shows it
     walk = KWalk(5, 3, 1, 2, seed=3)
     for _ in range(warmup):
         walk.random_step()
     check = KWalk._check
 
-    def one_side(self, digits, precs, idxs, below):
-        if (digits is self._k) == (side == "k"):
-            check(self, digits, precs, idxs, below)
+    def one_side(self, entries, idxs):
+        if (entries is self._k) == (side == "k"):
+            check(self, entries, idxs)
 
     monkeypatch.setattr(KWalk, "_check", one_side)
     with pytest.raises(LLCError) as err:
@@ -354,6 +354,20 @@ def test_sampler_shapes():
     same = sample_k_words(3, 2, 2, 2, steps=100, seed=7)
     assert list(same.tables) == [2] and same.audited == 0
     assert sum(count for _, (count, _) in same.tables[2]) == 100
+
+
+def test_sample_sizes_must_be_positive():
+    # an empty or negative walk, or a stride that audits nothing, would
+    # report a clean check of no words
+    for steps, stride in [(0, 503), (-3, 503), (10, 0), (10, -1)]:
+        with pytest.raises(ValueError):
+            sample_k_words(3, 2, 1, 2, steps=steps, audit_stride=stride)
+    d = _datum(5, 2, zeta_num=1)
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            support_check(d, samples=samples)
+    assert sample_k_words(3, 2, 1, 2, steps=1, audit_stride=1).audited == 1
+    assert support_check(d, samples=1)["sampled"] == 1
 
 
 def _k_check_per_word(d, words, u1, u2):

@@ -116,7 +116,7 @@ def _uses(node) -> set[str]:
     """Which of the series-level names the walk keeps out of its steps
     node uses: MatG construction, LaurentElem, truncation and the
     matrix Iwahori test."""
-    banned = {"MatG", "LaurentElem", "truncate", "in_pro_unipotent_iwahori"}
+    banned = {"MatG", "wrap_matrix", "LaurentElem", "wrap", "truncate", "in_pro_unipotent_iwahori"}
     out = set()
     for c in ast.walk(node):
         if isinstance(c, ast.Name) and c.id in banned:
@@ -127,10 +127,11 @@ def _uses(node) -> set[str]:
 
 
 def test_walk_steps_build_no_series():
-    # KWalk keeps k and k^-1 as residue digits: only the matrix views at
-    # the boundary may build MatG or LaurentElem, truncate, or run the
-    # matrix Iwahori test, directly, through a module function of
-    # pairs.py that does, or by reading a view
+    # KWalk keeps k and k^-1 as (val, coeffs, prec) triples: only the
+    # matrix views at the boundary may build MatG or LaurentElem,
+    # truncate a series, or run the matrix Iwahori test, directly,
+    # through a module function of pairs.py that does, or by reading a
+    # view
     tree = ast.parse((SRC / "pairs.py").read_text())
     helpers = {
         f.name for f in tree.body if isinstance(f, ast.FunctionDef) and _uses(f)
@@ -150,7 +151,23 @@ def test_walk_steps_build_no_series():
         if used:
             found.append(f"KWalk.{fn.name}: {sorted(used)}")
     assert found == []
-    assert "_digit_matrix" in helpers
+    # the rule sees the views build their matrices
+    views = [fn for fn in walk.body if isinstance(fn, ast.FunctionDef) and fn.name in ("k", "ki")]
+    assert len(views) == 2 and all("wrap_matrix" in _uses(fn) for fn in views)
+
+
+def test_only_laurent_uses_its_private_names():
+    # laurent's kernels are its interface on triples; what it keeps
+    # private (the convolution, the precision rule) has one copy, there
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _library_nodes()
+        if name != "laurent.py"
+        and isinstance(node, ast.ImportFrom)
+        and node.module == "laurent"
+        and any(alias.name.startswith("_") for alias in node.names)
+    ]
+    assert found == []
 
 
 def _mod_one(node) -> bool:
