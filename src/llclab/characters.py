@@ -75,9 +75,6 @@ class TameChar:
     def trivial(cls, field: LocalField) -> TameChar:
         return cls(field, 0)
 
-    def is_trivial(self) -> bool:
-        return self.exp_unit == 0 and self.at_var.is_one()
-
     def of_unit(self, c: int) -> RootOfUnity:
         ff = self.field.residue
         if c == 0:
@@ -149,14 +146,9 @@ class LevelOneCharE:
         if x.field is not self.efield:
             raise TypeError("argument does not live on the extension")
         ff = self.efield.residue
-        n = self.efield.degree
         v, a0 = x.leading()
-        a1 = x.coeff_at(v + 1)
-        c1 = ff.mul(a1, ff.inv(a0))
-        unit_val = self.psi.of_residue(ff.scalar_mul(n, c1)) * RootOfUnity(
-            self.exp_unit * ff.dlog(a0), ff.q - 1
-        )
-        return self.at_pi**v * unit_val
+        c1 = ff.mul(x.coeff_at(v + 1), ff.inv(a0))
+        return self.at_pi**v * self.of_unit_part(a0, c1)
 
     def of_unit_part(self, a0: int, c1: int) -> RootOfUnity:
         """Value on a0 * (1 + c1*u + higher), bypassing series packaging."""

@@ -376,10 +376,6 @@ class CycloNumber:
             "coeffs": {str(e): str(Fraction(c)) for e, c in self.canonical()},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> CycloNumber:
-        return cls(data["order"], {int(e): Fraction(c) for e, c in data["coeffs"].items()})
-
 
 def _norm_rat(c: Rational) -> Rational:
     """Collapse integral Fractions to int so canonical tuples compare well."""

@@ -6,6 +6,12 @@ E = F(pi_E), pi_E^n = pi.  This module assembles that character, the
 quadratic discriminant character of E/F, brute-force Gauss sums over
 unit cosets of E, and the resulting epsilon factor.
 
+The Gauss sums are exact sums over every unit coset of E modulo depth-m
+one-units, computed on residue integers: a coset's term depends only on
+its leading residue pair (a0, a1), so the sum enumerates those pairs,
+each weighted by the q^(m-2) cosets that share it, into one table per
+(q, m) that every degree and uniformizer class of E shares.
+
 The constant attached to the induction step is never given a numeric
 value; it enters as the formal unit Lambda, with the single rewriting
 rule Lambda^n = kappa(pi), which the determinant applies.  Every
@@ -19,9 +25,10 @@ import functools
 from fractions import Fraction
 from math import gcd
 
-from .characters import AdditiveCharPsi, LevelOneCharE, TameChar
+from .characters import LevelOneCharE, TameChar
 from .cyclotomic import CycloNumber, RootOfUnity
 from .errors import ZeroInput
+from .finitefield import field_of_size
 from .laurent import LaurentElem, LocalField
 from .monomials import EpsMonomial, LambdaGraded
 from .supercuspidal import SSCDatum
@@ -89,29 +96,40 @@ def build_parameter(d: SSCDatum) -> ParameterDatum:
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_rows(q: int, n: int, pi_unit: int, m: int) -> tuple[int, ...]:
+def _gauss_rows(q: int, m: int) -> tuple[int, ...]:
     """The part of the depth-m Gauss sum that no tame exponent changes.
 
-    A unit coset x = a0 (1 + c1 pi_E + ...) contributes
-    unitchar^-1(a0) * psi(Tr(x/pi_E)) / psi(n c1) to the inner sum, the
-    last quotient being the wild factor of every depth-one character.
+    A unit coset x = a0 + a1 u + ... + a_(m-1) u^(m-1) contributes
+    unitchar^-1(a0) * psi(Tr(x/pi_E)) / psi(n a1/a0) to the inner sum,
+    the last quotient being the wild factor of every depth-one character.
     Entry dlog(a0) * p + e counts the cosets whose quotient is zeta_p^e.
+
+    Only the residue pair (a0, a1) moves that quotient, whatever the
+    uniformizer unit u0 of u^n = u0 t.  The exponents of x/pi_E are
+    -1..m-2; the trace keeps those divisible by n, exponent kn landing
+    on u0^k t^k with n times its digit.  So exponent 0 gives the constant
+    term n a1 for every u0, while exponents n, 2n, ... land on t^1, t^2,
+    ..., which psi kills.  The digits a2, a3, ... therefore move neither
+    psi nor the wild factor: each pair stands for the q^(m-2) cosets that
+    share it (a1 = 0 alone when m = 1).  The quotient is
+    psi(b) / psi(b/a0) with b = n a1, and as p does not divide n, b runs
+    over F_q exactly when a1 does; so the loop runs over (a0, b) and the
+    table is shared by every degree n and every uniformizer class.
     """
-    E = LocalField.base_field(q).extension(n, pi_unit)
-    ff = E.residue
+    ff = field_of_size(q)
     p = ff.p
-    psi = AdditiveCharPsi.of_field(E.base)
+    dlog, trace, mul, inv = ff._dlog, ff._trace, ff.mul, ff.inv
+    bs, weight = (range(q), q ** (m - 2)) if m >= 2 else ((0,), 1)
     counts = [0] * ((q - 1) * p)
-    for x in E.unit_reps(m):
-        y = x.shift(-1)
-        v, a0 = y.leading()
-        c1 = ff.mul(y.coeff_at(v + 1), ff.inv(a0))
-        wild = psi(E.trace_to_base(y)) * psi.of_residue(ff.scalar_mul(n, c1)).inverse()
-        counts[ff.dlog(a0) * p + wild.num * (p // wild.order)] += 1
+    for b in bs:
+        tr = trace[b]
+        for a0 in ff.units():
+            e = (tr - trace[mul(b, inv(a0))]) % p
+            counts[dlog[a0] * p + e] += weight
     return tuple(counts)
 
 
-def _gauss_histogram(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> CycloNumber:
+def _gauss_histogram(q: int, exp_unit: int, m: int) -> CycloNumber:
     """Sum of unitchar^-1(x) psi(Tr(x/pi_E)) over unit cosets of depth m.
 
     Every term of the full Gauss sum carries the same at_pi^-1 factor, so
@@ -120,20 +138,17 @@ def _gauss_histogram(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> Cyc
 
     Each coset's term is zeta_(q-1)^(-exp_unit dlog a0) zeta_p^e with its
     (dlog a0, e) counted in _gauss_rows; the terms collect in one
-    exponent histogram over the p(q-1)-th roots of unity.  The result has
-    the order the term-by-term sum would reach: the lcm of the orders of
-    the roots that occur.
+    exponent histogram over the p(q-1)-th roots of unity, where the tame
+    root sits at p * (-exp_unit dlog a0 mod q-1).  The result has the
+    order the term-by-term sum would reach: the lcm of the orders of the
+    roots that occur.
     """
-    counts = _gauss_rows(q, n, pi_unit, m)
-    E = LocalField.base_field(q).extension(n, pi_unit)
-    unitchar = LevelOneCharE(E, LambdaGraded.one(), exp_unit)
-    ff = E.residue
-    p = ff.p
+    counts = _gauss_rows(q, m)
+    p = field_of_size(q).p
     big = p * (q - 1)  # lcm(p, q - 1): p does not divide q - 1
     hist = [0] * big
     for dlog in range(q - 1):
-        tame = unitchar.of_unit_part(ff.exp[dlog], 0).inverse()
-        shift = tame.num * (big // tame.order)
+        shift = p * ((-exp_unit * dlog) % (q - 1))
         for e in range(p):
             c = counts[dlog * p + e]
             if c:
@@ -144,20 +159,23 @@ def _gauss_histogram(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> Cyc
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_inner(q: int, n: int, pi_unit: int, exp_unit: int, m: int) -> LambdaGraded:
+def _gauss_inner(q: int, exp_unit: int, m: int) -> LambdaGraded:
     """The histogram of _gauss_histogram as a unit, recognised once per key."""
-    return LambdaGraded.from_cyclo(_gauss_histogram(q, n, pi_unit, exp_unit, m))
+    return LambdaGraded.from_cyclo(_gauss_histogram(q, exp_unit, m))
 
 
 def gauss_sum_bruteforce(xi: LevelOneCharE, m: int = 2) -> LambdaGraded:
     """The exact sum of xi^-1(x/pi_E) psi(Tr(x/pi_E)) over units of E
     modulo depth-m one-units: q^(m-1)(q-1) cyclotomic terms.
 
+    The sum enumerates the (q-1) q leading residue pairs (a0, a1) of the
+    cosets, each weighted by the q^(m-2) cosets sharing it, since the
+    deeper digits move no term (see _gauss_rows).
+
     xi has conductor p_E^2, so below depth 2 the sum is no Gauss sum."""
     if m < 2:
         raise ValueError("need depth m >= 2: below the conductor of xi it is no Gauss sum")
-    E = xi.efield
-    inner = _gauss_inner(E.residue.q, E.degree, E.pi_unit, xi.exp_unit, m)
+    inner = _gauss_inner(xi.efield.residue.q, xi.exp_unit, m)
     # xi(x/pi_E) = at_pi^-1 * unitchar(x) uniformly over the summation range
     return xi.at_pi * inner
 

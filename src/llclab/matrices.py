@@ -85,17 +85,6 @@ class MatG:
         )
 
     # ----- membership tests ---------------------------------------------
-    def is_upper_unipotent(self) -> bool:
-        """Exactly unipotent upper triangular."""
-        one, n = self.field.one(), self.n
-        for i in range(n):
-            if not (self.rows[i][i] == one or self.rows[i][i].agrees(one)):
-                return False
-            for j in range(i):
-                if not self.rows[i][j].is_zero_at_prec():
-                    return False
-        return True
-
     def in_pro_unipotent_iwahori(self) -> bool:
         """Diagonal in 1+p, above-diagonal entries integral, below in p.
 

@@ -74,8 +74,10 @@ class LambdaGraded:
 
     def __mul__(self, other) -> LambdaGraded:
         if isinstance(other, LambdaGraded):
+            # in the Gauss checks one rational is always 1: reuse the other
+            a, b = self.rational, other.rational
             return _unit(self.grade + other.grade, self.root * other.root,
-                         self.rational * other.rational)
+                         b if a == 1 else a if b == 1 else a * b)
         if isinstance(other, RootOfUnity):
             return _unit(self.grade, self.root * other, self.rational)
         if isinstance(other, (int, Fraction)):

@@ -98,6 +98,8 @@ class KWalk:
     """
 
     def __init__(self, q: int, n: int, u1: int, u2: int, precision: int = 2, seed: int = 0):
+        if n < 2:
+            raise ValueError(f"the walk needs matrix size n >= 2, not {n}")
         if precision < 2:
             raise ValueError("need precision at least 2 to read affine residues")
         self.F = LocalField.base_field(q)

@@ -102,6 +102,17 @@ def test_gauss_deeper_depth(capsys):
     assert payload["equal"] is True
 
 
+def test_gauss_deep_depth_at_thirteen(capsys):
+    # depth 6 at q = 13 stands for 13^5 * 12 cosets; the sum reads only
+    # their leading residue pairs
+    code, payload = run_json(
+        capsys,
+        ["gauss", "--q", "13", "--n", "4", "--u0", "3", "--zeta", "1/16", "--depth", "6"],
+    )
+    assert code == 0
+    assert payload["equal"] is True
+
+
 def test_gauss_p_divides_n_rejected(capsys):
     assert cli.main(["gauss", "--q", "5", "--n", "5"]) == 2
 

@@ -13,6 +13,7 @@ from llclab.galois import (
     ParameterDatum,
     _gauss_histogram,
     _gauss_inner,
+    _gauss_rows,
     build_parameter,
     det_parameter,
     disc_unit_residue,
@@ -21,7 +22,7 @@ from llclab.galois import (
     kappa_char,
     kappa_eval,
 )
-from llclab.laurent import LocalField
+from llclab.laurent import LaurentElem, LocalField
 from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.supercuspidal import SSCDatum
 from llclab.zeta import closed_form_epsilon
@@ -238,7 +239,7 @@ def test_gauss_sum_below_the_conductor_is_rejected():
                     gauss_sum_bruteforce(P.xi.twist_by_base(lam), m=1)
                 with pytest.raises(ValueError, match="depth m >= 2"):
                     gauss_sum_bruteforce(P.xi.twist_by_base(lam), m=0)
-    assert [_gauss_histogram(7, 2, 3, e, 1) for e in range(6)] == [6, 0, 0, 0, 0, 0]
+    assert [_gauss_histogram(7, e, 1) for e in range(6)] == [6, 0, 0, 0, 0, 0]
 
 
 def test_inner_sum_vanishing():
@@ -293,16 +294,19 @@ def _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m):
     return total.compact()
 
 
-def _check_inner_against_oracle(q, n, pi_unit, exp_unit, m):
-    got = _gauss_histogram(q, n, pi_unit, exp_unit, m)
-    want = _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m)
-    key = (q, n, pi_unit, exp_unit, m)
-    assert got.order == want.order, key
-    assert got.canonical() == want.canonical(), key
-    assert got.terms == want.terms, key
-    if m >= 2:
-        # at and above the conductor the cached unit is the same value
-        assert _gauss_inner(q, n, pi_unit, exp_unit, m) == LambdaGraded.from_cyclo(want), key
+def _check_inner_against_oracle(q, n, exp_unit, m, u0s=None):
+    # the one value shared by every degree and uniformizer class, against
+    # the term-by-term sum at degree n and each u0 in turn
+    got = _gauss_histogram(q, exp_unit, m)
+    for u0 in range(1, q) if u0s is None else u0s:
+        want = _gauss_inner_term_by_term(q, n, u0, exp_unit, m)
+        key = (q, n, u0, exp_unit, m)
+        assert got.order == want.order, key
+        assert got.canonical() == want.canonical(), key
+        assert got.terms == want.terms, key
+        if m >= 2:
+            # at and above the conductor the cached unit is the same value
+            assert _gauss_inner(q, exp_unit, m) == LambdaGraded.from_cyclo(want), key
 
 
 def _degrees(q):
@@ -314,10 +318,9 @@ def test_gauss_inner_matches_term_by_term_sum():
     # every degree, uniformizer unit and unit exponent, depths 1 to 3
     for q in (3, 5, 7, 9):
         for n in _degrees(q):
-            for u0 in range(1, q):
-                for k in range(q - 1):
-                    for m in (1, 2, 3):
-                        _check_inner_against_oracle(q, n, u0, k, m)
+            for k in range(q - 1):
+                for m in (1, 2, 3):
+                    _check_inner_against_oracle(q, n, k, m)
 
 
 def test_gauss_inner_matches_term_by_term_sum_q25():
@@ -327,15 +330,33 @@ def test_gauss_inner_matches_term_by_term_sum_q25():
     q = 25
     rng = random.Random(25)
     for n in _degrees(q):
-        for u0 in range(1, q):
-            for k in range(q - 1):
-                _check_inner_against_oracle(q, n, u0, k, 1)
-            for k in rng.sample(range(q - 1), 2):
-                _check_inner_against_oracle(q, n, u0, k, 2)
+        for k in range(q - 1):
+            _check_inner_against_oracle(q, n, k, 1)
+        for k in rng.sample(range(q - 1), 2):
+            _check_inner_against_oracle(q, n, k, 2)
         u0 = rng.randrange(1, q)
         for k in range(q - 1):
-            _check_inner_against_oracle(q, n, u0, k, 2)
-        _check_inner_against_oracle(q, n, rng.randrange(1, q), rng.randrange(q - 1), 3)
+            _check_inner_against_oracle(q, n, k, 2, [u0])
+        _check_inner_against_oracle(q, n, rng.randrange(q - 1), 3, [rng.randrange(1, q)])
+
+
+def test_gauss_rows_build_no_series(monkeypatch):
+    # the rows come from residue integers alone, with no series element and
+    # no coset enumeration; they count every coset once, and the sum they
+    # give is the term-by-term sum at a degree and uniformizer unit
+    q, m = 13, 3
+    _gauss_rows.cache_clear()
+
+    def banned(*args, **kwargs):
+        raise AssertionError("the Gauss rows must not build series")
+
+    monkeypatch.setattr(LaurentElem, "__init__", banned)
+    monkeypatch.setattr(LocalField, "unit_reps", banned)
+    rows = _gauss_rows(q, m)
+    monkeypatch.undo()
+    assert sum(rows) == (q - 1) * q ** (m - 1)
+    for k in (0, 5):
+        _check_inner_against_oracle(q, 4, k, m, [3])
 
 
 # ----- epsilon and determinant -------------------------------------------

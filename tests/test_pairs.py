@@ -370,6 +370,16 @@ def test_sample_sizes_must_be_positive():
     assert support_check(d, samples=1)["sampled"] == 1
 
 
+def test_walk_rejects_size_below_two():
+    # n = 1 has no I+ entry to push; the walk must say so, not fail
+    # inside the sampler's random draw
+    for n in (1, 0, -2):
+        with pytest.raises(ValueError, match="n >= 2"):
+            sample_k_words(5, n, 1, 2, steps=50)
+        with pytest.raises(ValueError, match="n >= 2"):
+            KWalk(5, n, 1, 2)
+
+
 def _k_check_per_word(d, words, u1, u2):
     """The per-word conjugation check: every word solved for the datum,
     its verdict taken from the two values, and each audited word's stored
