@@ -131,19 +131,17 @@ class MonomialClass:
         return MonomialClass._of_checked(self.field, tuple(cols), tuple(exps), tuple(units))
 
     def as_matrix(self) -> MatG:
-        f = self.field
-        rows = [[f.zero() for _ in range(self.n)] for _ in range(self.n)]
+        rows = [[ZERO_T] * self.n for _ in range(self.n)]
         for i in range(self.n):
-            rows[i][self.cols[i]] = f.elem(self.exps[i], (self.units[i],))
-        return MatG(f, rows)
+            rows[i][self.cols[i]] = (self.exps[i], (self.units[i],), None)
+        return wrap_matrix(self.field, rows)
 
     def inverse_matrix(self) -> MatG:
-        f = self.field
-        ff = f.residue
-        rows = [[f.zero() for _ in range(self.n)] for _ in range(self.n)]
+        inv = self.field.residue.inv
+        rows = [[ZERO_T] * self.n for _ in range(self.n)]
         for i in range(self.n):
-            rows[self.cols[i]][i] = f.elem(-self.exps[i], (ff.inv(self.units[i]),))
-        return MatG(f, rows)
+            rows[self.cols[i]][i] = (-self.exps[i], (inv(self.units[i]),), None)
+        return wrap_matrix(self.field, rows)
 
     def match_rotation_times_central(self, pi_unit: int) -> tuple[int, int, int] | None:
         """Solve self = rotation^r * central(s, d); None when impossible."""

@@ -96,15 +96,14 @@ def _expected_entry(d: SSCDatum, e: int, b: int) -> EpsMonomial:
     return closed_form_epsilon(d, twist_char(d.F, e, b))
 
 
-def verify_matching(d: SSCDatum, twists=None, include_integral: bool | None = None) -> dict:
-    """Compare the closed form, the Galois side, and optionally the integral
-    path on a set of twists; report per-twist verdicts plus the central
-    character condition.  Failures land in the report, not in exceptions.
+def verify_matching(d: SSCDatum, twists=None, include_integral: bool = True) -> dict:
+    """Compare the closed form, the Galois side, and (unless include_integral
+    is false) the integral path on a set of twists; report per-twist
+    verdicts plus the central character condition.  Failures land in the
+    report, not in exceptions.
     """
     if twists is None:
         twists = [(e, 0) for e in range(d.q - 1)]
-    if include_integral is None:
-        include_integral = d.n <= 3 and d.q <= 5
     P = build_parameter(d)
     rows = []
     all_equal = True

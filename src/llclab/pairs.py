@@ -35,7 +35,17 @@ from functools import lru_cache
 from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
 from .errors import InsufficientPrecision, LLCError, ZeroInput
-from .laurent import ONE_T, ZERO_T, LocalField, addmul_t, coeff_at_t, inverse_t, mul_t, truncate_t
+from .laurent import (
+    ONE_T,
+    ZERO_T,
+    LocalField,
+    add_t,
+    addmul_t,
+    coeff_at_t,
+    inverse_t,
+    mul_t,
+    truncate_t,
+)
 from .matrices import MatG, wrap_matrix
 from .supercuspidal import SSCDatum
 
@@ -441,29 +451,32 @@ MirabolicTable = namedtuple(
 
 
 def _embed(F: LocalField, g: MatG) -> MatG:
-    n = g.n + 1
-    rows = [[F.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(g.n):
-        for j in range(g.n):
-            rows[i][j] = g.entry(i, j)
-    rows[n - 1][n - 1] = F.one()
-    return MatG(F, rows)
+    rows = [[(e.val, e.coeffs, e.prec) for e in row] + [ZERO_T] for row in g.rows]
+    rows.append([ZERO_T] * g.n + [ONE_T])
+    return wrap_matrix(F, rows)
+
+
+def _identity_rows(n: int) -> list:
+    return [[ONE_T if i == j else ZERO_T for j in range(n)] for i in range(n)]
 
 
 def _column_unipotent(F: LocalField, n: int, xs) -> MatG:
-    rows = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
+    rows = _identity_rows(n)
     for i, x in enumerate(xs):
-        rows[i][n - 1] = x
-    return MatG(F, rows)
+        rows[i][n - 1] = (x.val, x.coeffs, x.prec)
+    return wrap_matrix(F, rows)
 
 
 def _polar_block(F: LocalField, m: int, polar, k_res) -> MatG:
-    rows = [[F.one() if i == j else F.zero() for j in range(m)] for i in range(m)]
+    """The identity with the t^-1 digit polar[i, j] at each slot (i, j)
+    and the residues k_res added on the superdiagonal."""
+    rows = _identity_rows(m)
     for (i, j), c in polar.items():
-        rows[i][j] = F.elem(-1, (c,))
+        rows[i][j] = (-1, (c,), None) if c else ZERO_T
     for i, c in enumerate(k_res):
-        rows[i][i + 1] = rows[i][i + 1] + F.scalar(c)
-    return MatG(F, rows)
+        if c:
+            rows[i][i + 1] = add_t(F.residue, rows[i][i + 1], (0, (c,), None))
+    return wrap_matrix(F, rows)
 
 
 # dense GL_{n-1} blocks per table, deep refinements checked per table,

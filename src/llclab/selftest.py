@@ -78,20 +78,12 @@ def _valid_cells(qs, ns):
 # degree up to 6 coprime to the residue characteristic
 GAUSS_QS = (3, 5, 7, 9, 11, 13)
 GAUSS_NS = (2, 3, 4, 5, 6)
-INTEGRAL_QS = (3, 5)
-INTEGRAL_NS = (2, 3, 4)
 
 
 def gauss_cells(scale: str) -> list[tuple[int, int]]:
     if scale == "full":
         return _valid_cells(GAUSS_QS, GAUSS_NS)
     return _valid_cells((3, 5), (2, 3))
-
-
-def integral_cells(scale: str) -> list[tuple[int, int]]:
-    if scale == "full":
-        return _valid_cells(INTEGRAL_QS, INTEGRAL_NS)
-    return [(3, 2), (5, 2)]
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +198,7 @@ def criterion_zeta_collapse(scale: str | None = None) -> dict:
     q^(-1/2) q^(-s), at working depths 2 and 3."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
-    cells = integral_cells(scale)
+    cells = gauss_cells(scale)
     checked, failures = 0, []
     for q, n in cells:
         F = LocalField.base_field(q)
@@ -244,9 +236,9 @@ def criterion_zeta_collapse(scale: str | None = None) -> dict:
 
 
 def criterion_matching(scale: str | None = None) -> dict:
-    """Galois-side epsilon == closed form == integral path (where run),
-    and the reduced determinant character equals the central character,
-    for every datum and every unit twist."""
+    """Galois-side epsilon == closed form == integral path, and the reduced
+    determinant character equals the central character, for every datum
+    and every unit twist."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
     cells = gauss_cells(scale)

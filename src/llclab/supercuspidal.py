@@ -88,7 +88,7 @@ class SSCDatum:
         if solved is None:
             return None
         r, s, d, residue = solved
-        return self.zeta**r * self.omega(self.F.elem(d, (s,))) * self.psi.of_residue(residue)
+        return self.zeta**r * self.omega.of_leading(d, s) * self.psi.of_residue(residue)
 
     def whittaker_root(self, g: MatG, prec: int | None = None) -> RootOfUnity | None:
         """The Whittaker value as a root of unity, or None off the support."""

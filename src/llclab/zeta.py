@@ -22,7 +22,15 @@ whatever the depth, and caches it as an unsolved row weighted by the
 points it stands for.  The rows of every shell are summed; one solver
 turns them into the rows of a pi_unit, dropping those off its support,
 and one assembly routine evaluates a datum's character of the
-invariants and the twist on them.
+invariants and the twist on them, which is each integral as a
+polynomial in q^(-s).
+
+Gamma does not assemble.  Each integral has a single solved row per
+pi_unit, so the ratio of the two integrals is one monomial times the
+datum's character at a quotient invariant and the twist at a quotient
+argument.  _gamma_row builds that ratio row once per (q, n, pi_unit),
+checking there that both rows agree at depths m and m+1, and a call
+evaluates the two character values.
 
 The dual integrand's vanishing for non-integral x is the one claim still
 spot-checked, on fixed-seed random points, for every pi_unit.  Up to a
@@ -39,7 +47,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .bruhat import WhittakerInvariant, decompose
+from .bruhat import SolvedInvariant, WhittakerInvariant, decompose
 from .cyclotomic import CycloNumber, RootOfUnity
 from .characters import TameChar
 from .errors import LLCError, PrecisionNotStabilized
@@ -338,21 +346,90 @@ def cached_dual_table(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int
     return dual_support_table(q, n, pi_unit, m, shell_bound)
 
 
+# The ratio of the dual to the principal integral, for one uniformizer:
+# every datum's value at `invariant` times lam at `arg` times `ratio`.
+GammaRow = namedtuple("GammaRow", "invariant arg ratio")
+
+
+def _single_row(q: int, rows: Counter, what: str, m: int) -> tuple[ZetaRow, EpsMonomial]:
+    """The one solved row of an integral at depth m, and its weight
+    count * q^q_exp * q^(-s x_power) as a monomial in normal form."""
+    if len(rows) != 1:
+        raise LLCError(f"{what} has {len(rows)} solved rows at depth {m}, not one")
+    (row, count), = rows.items()
+    return row, EpsMonomial(q, LambdaGraded.lambda_power(0, count), row.q_exp, -row.x_power)
+
+
+def _stable_row(
+    q: int, rows: Counter, rows_next: Counter, what: str, m: int
+) -> tuple[ZetaRow, EpsMonomial]:
+    """The single row at depth m once depth m + 1 has the same row: the
+    same argument, solved invariant and weight, which make the integral
+    equal at both depths for every datum and twist at once."""
+    row, weight = _single_row(q, rows, what, m)
+    nxt, weight_next = _single_row(q, rows_next, what, m + 1)
+    if (row.arg_val, row.arg_lead, row.invariant, weight) != (
+        nxt.arg_val, nxt.arg_lead, nxt.invariant, weight_next
+    ):
+        raise PrecisionNotStabilized(f"{what} moved between depths {m} and {m + 1}")
+    return row, weight
+
+
+@lru_cache(maxsize=None)
+def _gamma_row(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2) -> GammaRow:
+    """gamma_automorphic's ratio row for one uniformizer.
+
+    Each integral has exactly one solved row.  A row is one lead shell
+    (v, a0), and the support is rotation times centre times I+: in the
+    principal integral only the one-units (v, a0) = (0, 1) meet it, in
+    the dual integral only h in pi^-1 (1 + p), the shell (-1, 1/pi_unit).
+    A table with any other number of rows raises LLCError; depths m and
+    m + 1 must agree row for row, or PrecisionNotStabilized is raised.
+
+    Both characters of a row are multiplicative: the datum's value is a
+    character of the solved invariant (r, s, d, residue), and lam of the
+    argument (val, lead).  So the quotient of the two rows, with
+    lam(-1)^(n-1) folded into the argument, costs one value of each.
+    """
+    T = cached_dual_table(q, n, pi_unit, m, shell_bound)
+    dual, dual_weight = _stable_row(q, T.agg, T.agg_next, "dual integral", m)
+    psi, psi_weight = _stable_row(
+        q,
+        _psi_rows(q, n, pi_unit, m, shell_bound),
+        _psi_rows(q, n, pi_unit, m + 1, shell_bound),
+        "psi integral",
+        m,
+    )
+    ff = LocalField.base_field(q).residue
+    a, b = dual.invariant, psi.invariant
+    invariant = SolvedInvariant(
+        a.rot - b.rot,
+        ff.mul(a.central_unit, ff.inv(b.central_unit)),
+        a.central_val - b.central_val,
+        ff.sub(a.residue, b.residue),
+    )
+    # a row contributes lam(arg)^-1: the quotient is lam(psi arg / dual arg)
+    lead = ff.mul(psi.arg_lead, ff.inv(dual.arg_lead))
+    if (n - 1) % 2:
+        lead = ff.neg(lead)
+    arg = (psi.arg_val - dual.arg_val, lead)
+    return GammaRow(invariant, arg, dual_weight / psi_weight)
+
+
 def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2, shell_bound: int = 2) -> EpsMonomial:
     """lam(-1)^(n-1) times the ratio of the dual to the principal integral.
 
     With the L-factor identically 1 this is also the epsilon factor.  Both
-    integrals assemble from cached support rows.
+    integrals are single rows, checked at depths m and m + 1 once per
+    uniformizer (_gamma_row); a call evaluates the datum at the quotient
+    invariant and lam at the quotient argument.
     """
-    num = cached_dual_table(d.q, d.n, d.pi_unit, m, shell_bound).assemble(d, lam)
-    den = zeta_psi(d, lam, m, shell_bound)
-    ratio = num.collapse_to_monomial() / den.collapse_to_monomial()
-    sign = lam.at_minus_one() ** (d.n - 1)
-    return ratio.scale(sign)
+    row = _gamma_row(d.q, d.n, d.pi_unit, m, shell_bound)
+    return row.ratio.scale(d.invariant_root(row.invariant) * lam.of_leading(*row.arg))
 
 
 def closed_form_epsilon(d: SSCDatum, lam: TameChar) -> EpsMonomial:
     """The epsilon factor without integration:
     lam(-1)^(n-1) lam(pi) zeta q^(1/2 - s)."""
-    unit = (lam.at_minus_one() ** (d.n - 1)) * lam(d.pi_elem()) * d.zeta
+    unit = (lam.at_minus_one() ** (d.n - 1)) * lam.of_leading(1, d.pi_unit) * d.zeta
     return EpsMonomial(d.q, LambdaGraded.from_cyclo(unit), Fraction(1, 2), -1)

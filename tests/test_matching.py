@@ -138,9 +138,13 @@ def test_verify_matching_with_t_valued_twists():
     assert report["all_equal"]
 
 
-def test_verify_matching_skips_integral_when_large():
+def test_verify_matching_runs_integral_when_large():
+    # the integral path runs on every datum unless switched off
     d = _datum(11, 2, 1, 0, 7)
     report = verify_matching(d, twists=[(0, 0), (3, 0)])
+    assert report["all_equal"]
+    assert all(row["automorphic"] == row["closed"] for row in report["twists"])
+    report = verify_matching(d, twists=[(0, 0), (3, 0)], include_integral=False)
     assert report["all_equal"]
     assert all("automorphic" not in row for row in report["twists"])
 

@@ -483,6 +483,37 @@ def test_k_special_rejects_foreign_datum():
         k_special_check(_datum(5, 2, zeta_num=1, u0=3), samples)
 
 
+def _rechecked(F, g):
+    """g rebuilt through the checked constructor, every entry normalized
+    afresh from its fields."""
+    return MatG(F, [[F.elem(e.val, e.coeffs, e.prec) for e in row] for row in g.rows])
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 3)])
+def test_mirabolic_builders_match_the_checked_constructor(q, n):
+    # the blocks skip MatG's checks: each must be a square matrix over F
+    # whose entries carry the fields a fresh series would
+    F = LocalField.base_field(q)
+    m = n - 1
+    slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for digits in itertools.product(range(q), repeat=len(slots)):
+        polar = dict(zip(slots, digits))
+        for k_res in itertools.product(range(q), repeat=m - 1):
+            block = pairs._polar_block(F, m, polar, k_res)
+            want = [[F.one() if i == j else F.zero() for j in range(m)] for i in range(m)]
+            for (i, j), c in polar.items():
+                want[i][j] = F.elem(-1, (c,))
+            for i, c in enumerate(k_res):
+                want[i][i + 1] = want[i][i + 1] + F.scalar(c)
+            assert block == _rechecked(F, block) == MatG(F, want)
+            embedded = pairs._embed(F, block)
+            assert embedded == _rechecked(F, embedded)
+            assert [e.is_exact_zero() for e in embedded.rows[-1][:-1]] == [True] * m
+    xs = [F.zero()] * (m - 1) + [F.elem(-1, (1, 2))]
+    col = pairs._column_unipotent(F, n, xs)
+    assert col == _rechecked(F, col) and col.entry(m - 1, m) == xs[-1]
+
+
 def test_mirabolic_identity_and_pure_column():
     d1 = _datum(5, 3, zeta_num=1)
     d2 = _datum(5, 3, zeta_num=4)
@@ -544,7 +575,7 @@ def _mirabolic_table_per_point(q, n, precision=2, shell_bound=1):
     slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
     classes, nonmember, base_points = Counter(), Counter(), []
     for digits in itertools.product(range(q), repeat=len(slots)):
-        polar = {slot: c for slot, c in zip(slots, digits) if c}
+        polar = dict(zip(slots, digits))
         for k_res in itertools.product(range(q), repeat=m - 1):
             for x_last in F.integer_reps(-shell_bound, 1):
                 point = _mirabolic_point(F, n, polar, k_res, x_last)

@@ -15,7 +15,7 @@ from llclab.errors import LLCError, PrecisionNotStabilized
 from llclab.laurent import LocalField
 from llclab.matrices import diagonal
 from llclab.monomials import EpsMonomial, EpsPolynomial, LambdaGraded
-from llclab.selftest import ZETA_TWISTS, integral_cells
+from llclab.selftest import ZETA_TWISTS, gauss_cells
 from llclab.supercuspidal import SSCDatum
 from llclab.zeta import (
     FULL_ENUM_CAP,
@@ -125,7 +125,7 @@ def _assert_matches_oracle(d, lam, m):
     assert scaled == want.scale(c) and scaled.to_json() == want.scale(c).to_json()
 
 
-@pytest.mark.parametrize("q,n", integral_cells("full"))
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2), (5, 3), (5, 4)])
 def test_principal_rows_match_per_point_oracle(q, n):
     for u0 in range(1, q):
         for zeta_num, e_om in [(0, 0), (1, 1), (n + 1, 0)]:
@@ -194,6 +194,12 @@ def test_principal_rows_carry_the_inverse_of_h(q, n):
             assert WhittakerInvariant.of(*decompose(zeta._principal_lead(F, n, h))) == row.invariant
 
 
+def _fresh_gamma_rows(monkeypatch):
+    # gamma's ratio rows are cached per uniformizer: rebuild them from
+    # whatever rows the test planted
+    monkeypatch.setattr(zeta, "_gamma_row", lru_cache(maxsize=None)(zeta._gamma_row.__wrapped__))
+
+
 def test_principal_two_depth_check_fires(monkeypatch):
     real = zeta._psi_rows
 
@@ -206,6 +212,7 @@ def test_principal_two_depth_check_fires(monkeypatch):
         return +thinner
 
     monkeypatch.setattr(zeta, "_psi_rows", drop_one_row_above)
+    _fresh_gamma_rows(monkeypatch)
     d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
     lam = TameChar(d.F, 1, RootOfUnity(1, 4))
     with pytest.raises(PrecisionNotStabilized):
@@ -535,6 +542,116 @@ def test_closed_form_values():
     assert closed_form_epsilon(d, lam) == EpsMonomial(
         5, LambdaGraded.from_cyclo(expect), Fraction(1, 2), -1
     )
+
+
+def _gamma_oracle(d, lam, m=2, shell_bound=2):
+    """gamma as the ratio of the two collapsed integrals, each assembled
+    as a polynomial and checked at depths m and m + 1 for this datum and
+    twist."""
+    num = cached_dual_table(d.q, d.n, d.pi_unit, m, shell_bound).assemble(d, lam)
+    den = zeta_psi(d, lam, m, shell_bound)
+    ratio = num.collapse_to_monomial() / den.collapse_to_monomial()
+    return ratio.scale(lam.at_minus_one() ** (d.n - 1))
+
+
+@pytest.mark.parametrize("q,n", gauss_cells("full"))
+def test_gamma_matches_integral_ratio_oracle(q, n):
+    for u0 in range(1, q):
+        for zeta_num, e_om in [(0, 0), (1, 1), (n + 1, q - 2)]:
+            d = _datum(q, n, zeta_num=zeta_num, omega_exp=e_om, u0=u0)
+            for e, b in ZETA_TWISTS:
+                lam = TameChar(d.F, e, RootOfUnity(b, q - 1))
+                for m, bound in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+                    got = gamma_automorphic(d, lam, m, bound)
+                    want = _gamma_oracle(d, lam, m, bound)
+                    assert got == want and repr(got) == repr(want)
+
+
+def _replace_row_above(rows, m, **fields):
+    """rows at depth m; above it the one row with fields replaced and its
+    count kept, so the weight does not move."""
+    if m == 2:
+        return rows
+    (row, count), = rows.items()
+    return Counter({row._replace(**fields): count})
+
+
+def _other_arg_lead(row):
+    ff = LocalField.base_field(5).residue
+    return {"arg_lead": ff.mul(row.arg_lead, 2)}
+
+
+def _other_invariant(row):
+    ff = LocalField.base_field(5).residue
+    return {"invariant": row.invariant._replace(residue=ff.add(row.invariant.residue, 1))}
+
+
+def _plant_rows(monkeypatch, side, plant):
+    """Route one integral's solved rows of (5, 3, pi_unit 2) through
+    plant(rows, m), with fresh gamma rows."""
+    if side == "psi":
+        real = zeta._psi_rows
+        monkeypatch.setattr(
+            zeta, "_psi_rows", lambda q, n, u, m, B: plant(real(q, n, u, m, B), m)
+        )
+    else:
+        real = zeta.cached_dual_table(5, 3, 2)
+        planted = zeta.DualSupportTable(
+            5, 3, 2, 2, 2, plant(real.agg, 2), plant(real.agg_next, 3), real.row_count
+        )
+        monkeypatch.setattr(zeta, "cached_dual_table", lambda *a: planted)
+    _fresh_gamma_rows(monkeypatch)
+
+
+@pytest.mark.parametrize("side", ["psi", "dual"])
+@pytest.mark.parametrize("change", [_other_arg_lead, _other_invariant])
+def test_gamma_row_depth_check_sees_more_than_the_weight(monkeypatch, side, change):
+    # the row above differs only in its argument or its solved invariant
+    def plant(rows, m):
+        (row, _), = rows.items()
+        return _replace_row_above(rows, m, **change(row))
+
+    _plant_rows(monkeypatch, side, plant)
+    with pytest.raises(PrecisionNotStabilized):
+        zeta._gamma_row(5, 3, 2)
+
+
+def _no_rows(rows, m):
+    return Counter()
+
+
+def _two_rows(rows, m):
+    # the solved row and a copy on another leading digit
+    (row, count), = rows.items()
+    return Counter({row: count, row._replace(arg_lead=(row.arg_lead % 4) + 1): count})
+
+
+@pytest.mark.parametrize("side", ["psi", "dual"])
+@pytest.mark.parametrize("plant", [_no_rows, _two_rows])
+def test_gamma_row_needs_exactly_one_row(monkeypatch, side, plant):
+    _plant_rows(monkeypatch, side, plant)
+    with pytest.raises(LLCError, match="solved rows at depth 2, not one"):
+        zeta._gamma_row(5, 3, 2)
+
+
+@pytest.mark.parametrize("q,n", [(5, 3), (9, 2)])
+def test_characters_read_without_series(q, n):
+    # the datum's value and the closed form take characters at (val, lead)
+    # pairs; building the series element first gives the same value
+    for u0 in range(1, q):
+        d = _datum(q, n, zeta_num=1, omega_exp=1, u0=u0)
+        F, ff = d.F, d.F.residue
+        for s in ff.units():
+            for v in range(-2, 3):
+                for r, res in [(0, 0), (1, s)]:
+                    old = d.zeta**r * d.omega(F.elem(v, (s,))) * d.psi.of_residue(res)
+                    assert d.invariant_root(SolvedInvariant(r, s, v, res)) == old
+        for e in range(q - 1):
+            lam = TameChar(F, e, RootOfUnity(1, q - 1))
+            old = lam.at_minus_one() ** (n - 1) * lam(d.pi_elem()) * d.zeta
+            assert closed_form_epsilon(d, lam) == EpsMonomial(
+                q, LambdaGraded.from_cyclo(old), Fraction(1, 2), -1
+            )
 
 
 def test_gamma_equals_closed_form():
