@@ -567,15 +567,6 @@ def test_gamma_matches_integral_ratio_oracle(q, n):
                     assert got == want and repr(got) == repr(want)
 
 
-def _replace_row_above(rows, m, **fields):
-    """rows at depth m; above it the one row with fields replaced and its
-    count kept, so the weight does not move."""
-    if m == 2:
-        return rows
-    (row, count), = rows.items()
-    return Counter({row._replace(**fields): count})
-
-
 def _other_arg_lead(row):
     ff = LocalField.base_field(5).residue
     return {"arg_lead": ff.mul(row.arg_lead, 2)}
@@ -606,10 +597,13 @@ def _plant_rows(monkeypatch, side, plant):
 @pytest.mark.parametrize("side", ["psi", "dual"])
 @pytest.mark.parametrize("change", [_other_arg_lead, _other_invariant])
 def test_gamma_row_depth_check_sees_more_than_the_weight(monkeypatch, side, change):
-    # the row above differs only in its argument or its solved invariant
+    # the row above differs only in its argument or its solved invariant,
+    # and keeps its count, so the weight does not move
     def plant(rows, m):
-        (row, _), = rows.items()
-        return _replace_row_above(rows, m, **change(row))
+        if m == 2:
+            return rows
+        (row, count), = rows.items()
+        return Counter({row._replace(**change(row)): count})
 
     _plant_rows(monkeypatch, side, plant)
     with pytest.raises(PrecisionNotStabilized):
