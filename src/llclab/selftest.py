@@ -38,7 +38,7 @@ from .galois import build_parameter, gauss_sum_bruteforce
 from .laurent import LocalField
 from .matching import EpsilonTable, determine_from_table, verify_matching
 from .matrices import MatG
-from .monomials import EpsPolynomial
+from .monomials import EpsMonomial, LambdaGraded
 from .pairs import PairConfig, cached_k_words, k_special_check, mirabolic_agreement
 from .stability import (
     BRUTE_FORCE_GUARD,
@@ -51,7 +51,7 @@ from .stability import (
     verify_certificate,
 )
 from .supercuspidal import SSCDatum
-from .zeta import cached_dual_table, gamma_automorphic, zeta_psi, zeta_psi_tilde
+from .zeta import gamma_automorphic, zeta_psi, zeta_psi_tilde
 
 SCALE_ENV = "LLC_SELFTEST_SCALE"
 
@@ -202,27 +202,23 @@ def criterion_zeta_collapse(scale: str | None = None) -> dict:
     checked, failures = 0, []
     for q, n in cells:
         F = LocalField.base_field(q)
+        principal = EpsMonomial(q, LambdaGraded.one(), Fraction(-1), 0)
         for u0 in range(1, q):
-            T = cached_dual_table(q, n, u0)
             for znum in range(n * n):
                 for e_om in (0, 1):
                     d = _datum(q, n, znum, e_om, u0)
                     pi = d.pi_elem()
                     for e, b in ZETA_TWISTS:
                         lam = TameChar(F, e, RootOfUnity(b, q - 1))
-                        principal = EpsPolynomial(q)
-                        principal.add_term(0, 1, Fraction(-1))
-                        dual = EpsPolynomial(q)
-                        dual.add_term(1, d.zeta * lam(pi), Fraction(-1, 2))
+                        unit = LambdaGraded.from_cyclo(d.zeta * lam(pi))
+                        dual = EpsMonomial(q, unit, Fraction(-1, 2), -1)
                         checked += 1
                         bad = []
                         if zeta_psi(d, lam) != principal:
                             bad.append("principal depth 2")
                         if zeta_psi(d, lam, m=3) != principal:
                             bad.append("principal depth 3")
-                        # the shared table carries both depths and
-                        # compares them while assembling
-                        if T.assemble(d, lam) != dual:
+                        if zeta_psi_tilde(d, lam) != dual:
                             bad.append("dual")
                         if bad:
                             entry = _datum_key(d)
@@ -664,9 +660,7 @@ def criterion_oracles(scale: str | None = None) -> dict:
             num == zeta_psi_tilde(d, lam).scale(c)
             and den == zeta_psi(d, lam).scale(c)
         )
-        ratio = (num.collapse_to_monomial() / den.collapse_to_monomial()).scale(
-            lam.at_minus_one() ** (n - 1)
-        )
+        ratio = (num / den).scale(lam.at_minus_one() ** (n - 1))
         if not (scaled_ok and ratio == gamma_automorphic(d, lam)):
             failures.append({"check": "measure rescale", "q": q, "n": n})
 

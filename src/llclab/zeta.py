@@ -4,8 +4,7 @@ tame characters, and the resulting gamma and epsilon factors.
 Both integrals reduce to finite sums over coset representatives once a
 depth m is fixed: multiplicative cosets h(1 + p^m) carry volume q^-m
 (so the one-units have volume 1/q), additive cosets x + p^m carry volume
-q^(1/2 - m) (so the integers have volume sqrt(q)).  Every evaluation is
-repeated at depth m+1; a mismatch raises instead of averaging away.
+q^(1/2 - m) (so the integers have volume sqrt(q)).
 
 The principal integral runs over diag(h, 1, ..., 1), the dual integral
 over the matrices with superdiagonal identity block and bottom row
@@ -19,46 +18,40 @@ zero simple-root residues and a zero corner digit, and right translation
 by such a factor keeps the Whittaker invariant of u M k.  So each
 integral decomposes one lead matrix per shell v and leading digit a0,
 whatever the depth, and caches it as an unsolved row weighted by the
-points it stands for.  The rows of every shell are summed; one solver
-turns them into the rows of a pi_unit, dropping those off its support,
-and one assembly routine evaluates a datum's character of the
-invariants and the twist on them, which is each integral as a
-polynomial in q^(-s).
+points it stands for.  One solver turns the rows into those of a
+pi_unit, dropping the rows off its support.
 
-Gamma does not assemble.  Each integral has a single solved row per
-pi_unit, so the ratio of the two integrals is one monomial times the
-datum's character at a quotient invariant and the twist at a quotient
-argument.  _gamma_row builds that ratio row once per (q, n, pi_unit),
-checking there that both rows agree at depths m and m+1, and a call
-evaluates the two character values.
+Each integral is then one stable row.  The support is rotation times
+centre times I+, which one lead shell meets per integral, so a pi_unit
+has exactly one solved row at depth m, and depth m + 1 must give the
+same row: argument, solved invariant and weight.  Both are checked once
+per (q, n, pi_unit, m, shell bound) and raise instead of averaging away.
+A call evaluates the datum's character at the row's invariant and the
+twist at its argument, which makes each integral one monomial in q^(-s).
+Gamma is the quotient of the two rows, kept the same way, so it costs
+the same two character values.  There is no size cap and no second
+path: the point-by-point integrals are oracles in the tests.
 
 The dual integrand's vanishing for non-integral x is the one claim still
-spot-checked, on fixed-seed random points, for every pi_unit.  Up to a
-size cap the direct dual integrator enumerates every point, non-integral
-x included, and evaluates the Whittaker function there, which checks all
-of this pointwise.
+spot-checked, on fixed-seed random points, for every pi_unit.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .bruhat import SolvedInvariant, WhittakerInvariant, decompose
-from .cyclotomic import CycloNumber, RootOfUnity
+from .cyclotomic import RootOfUnity
 from .characters import TameChar
 from .errors import LLCError, PrecisionNotStabilized
 from .laurent import LaurentElem, LocalField
 from .matrices import MatG, diagonal
-from .monomials import EpsMonomial, EpsPolynomial, LambdaGraded
+from .monomials import EpsMonomial, LambdaGraded
 from .supercuspidal import SSCDatum
 
-# above this many integrand evaluations the dual integral switches from
-# full enumeration to the lead-matrix rows
-FULL_ENUM_CAP = 20000
 SPOT_CHECKS = 40
 # fixed seeds of the non-integral-x audits: AUDIT_SEED at the working depth,
 # AUDIT_SEED + 1 one depth higher
@@ -71,27 +64,17 @@ def zeta_psi(
     m: int = 2,
     shell_bound: int = 2,
     measure_scale: Fraction = Fraction(1),
-) -> EpsPolynomial:
+) -> EpsMonomial:
     """The principal integral: W on diag(h, 1, ..., 1) against lam(h)|h|^(s-(n-1)/2).
 
-    Raises PrecisionNotStabilized when depths m and m+1 disagree.
+    A row is one lead shell (v, a0), and diag(a0 t^v, 1, ..., 1) lies in
+    rotation times centre times I+ only for (v, a0) = (0, 1), so the one
+    row is the one-units.  Another row count raises LLCError; depths m
+    and m + 1 disagreeing raises PrecisionNotStabilized.
     """
     if m < 2 or shell_bound < 1:
         raise ValueError("need depth m >= 2 and a positive shell bound")
-    return _two_depths(
-        lambda k: _assemble_rows(d, lam, _psi_rows(d.q, d.n, d.pi_unit, k, shell_bound)),
-        m,
-        "psi integral",
-        measure_scale,
-    )
-
-
-def _two_depths(at_depth, m: int, what: str, measure_scale: Fraction) -> EpsPolynomial:
-    """at_depth(m), scaled, once it equals at_depth(m + 1)."""
-    out = at_depth(m)
-    if out != at_depth(m + 1):
-        raise PrecisionNotStabilized(f"{what} moved between depths {m} and {m + 1}")
-    return out.scale(measure_scale)
+    return _value(d, lam, _principal_row(d.q, d.n, d.pi_unit, m, shell_bound)).scale(measure_scale)
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +84,7 @@ def _psi_points(q: int, n: int, m: int, B: int) -> Counter:
     diag(h, 1, ..., 1) has the invariant of diag(a0 t^v, 1, ..., 1), so
     the row of (v, a0) stands for the q^(m-1) unit cosets with that
     leading digit.  The twist enters as lam(h) = lam(1/h)^-1, so the rows
-    carry 1/h and assemble exactly like the dual integral's."""
+    carry 1/h and are evaluated exactly like the dual integral's."""
     ff = LocalField.base_field(q).residue
     points = Counter()
     for (v, a0), inv in _lead_invariants(q, n, B, _principal_lead).items():
@@ -134,51 +117,16 @@ def zeta_psi_tilde(
     m: int = 2,
     shell_bound: int = 2,
     measure_scale: Fraction = Fraction(1),
-) -> EpsPolynomial:
-    """The dual integral as a polynomial in q^(-s), already rewritten in s.
+) -> EpsMonomial:
+    """The dual integral as a monomial in q^(-s), already rewritten in s.
 
-    Raises PrecisionNotStabilized when depths m and m+1 disagree.
+    A row is one lead shell (v, a0), and A(a0 t^v) lies in rotation
+    times centre times I+ only for h in pi^-1 (1 + p), the shell
+    (-1, 1/pi_unit), so the one row is that shell with every integral x.
+    Another row count raises LLCError; depths m and m + 1 disagreeing
+    raises PrecisionNotStabilized.
     """
-    if m < 2 or shell_bound < 1:
-        raise ValueError("need depth m >= 2 and a positive shell bound")
-    F, n, B = d.F, d.n, shell_bound
-    if not _enumerates_fully(F, n, m, B):
-        return cached_dual_table(d.q, n, d.pi_unit, m, B).assemble(d, lam, measure_scale)
-
-    def at_depth(k: int) -> EpsPolynomial:
-        if _enumerates_fully(F, n, k, B):
-            return _tilde_points(d, lam, k, B)
-        # depth m enumerates but m + 1 does not: the audited lead-matrix rows
-        return _assemble_rows(d, lam, _table_rows(d.q, n, d.pi_unit, k, B, AUDIT_SEED + 1))
-
-    return _two_depths(at_depth, m, "dual integral", measure_scale)
-
-
-def _point_weight(n: int, m: int, v: int) -> Fraction:
-    # q-exponent of |h|^(1-s-(n-1)/2) at val(h)=v, times both coset volumes
-    return Fraction(-v) + Fraction(v * (n - 1), 2) - m + (n - 2) * (Fraction(1, 2) - m)
-
-
-def _enumerates_fully(F: LocalField, n: int, m: int, B: int) -> bool:
-    count = (2 * B + 1) * len(F.unit_reps(m)) * F.residue.q ** ((B + m) * (n - 2))
-    return count <= FULL_ENUM_CAP
-
-
-def _tilde_points(d: SSCDatum, lam: TameChar, m: int, B: int) -> EpsPolynomial:
-    """The independent oracle: the Whittaker function at every point."""
-    F, n = d.F, d.n
-    out = EpsPolynomial(d.q)
-    x_reps = F.integer_reps(-B, m)
-    for v in range(-B, B + 1):
-        for w in F.unit_reps(m):
-            h = w.shift(v)
-            lam_h = lam(h).inverse()
-            for xs in itertools.product(x_reps, repeat=n - 2):
-                wv = d.whittaker_root(dual_matrix(F, xs, h))
-                if wv is None:
-                    continue
-                out.add_term(-v, wv * lam_h, _point_weight(n, m, v))
-    return out
+    return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m, shell_bound)).scale(measure_scale)
 
 
 # ----- shared-decomposition tables ------------------------------------
@@ -186,7 +134,7 @@ def _tilde_points(d: SSCDatum, lam: TameChar, m: int, B: int) -> EpsPolynomial:
 # A lead invariant sees neither the datum nor the uniformizer.  Whether
 # its row lies on the Whittaker support depends on pi_unit, and zeta,
 # omega and the twist enter afterwards as characters of the solved
-# invariants, so assembling an integral for a datum and twist is a quick
+# invariants, so evaluating an integral for a datum and twist is a quick
 # pass of root-of-unity arithmetic over the rows of its pi_unit.
 #
 # A row contributes its count times q^(-s x_power) q^q_exp times the
@@ -244,19 +192,16 @@ def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
     """The dual integral's unsolved rows at depth m, for every pi_unit.
 
     Every integral x has the invariant of A(a0 t^v), so the row of
-    (v, a0) stands for the q^(m-1) unit cosets with that leading digit
-    times the q^(m(n-2)) integral x-cosets.  The audit points, with a
-    non-integral x, are drawn from random.Random(seed)."""
+    (v, a0) stands for the q^(m-1) unit cosets with that leading digit,
+    and its q-exponent carries the whole integral-x volume q^((n-2)/2).
+    The audit points, with a non-integral x, are drawn from
+    random.Random(seed)."""
     F = LocalField.base_field(q)
-    # the count holds the integral x as classes mod p at depth 2 and as
-    # one class deeper, the rest of their volume rides in q_exp; row_count
-    # is read in these units
-    x_digits = 1 if m == 2 else 0
-    count = q ** (m - 1 + x_digits * (n - 2))
     points = Counter()
     for (v, a0), inv in _lead_invariants(q, n, B, _dual_lead).items():
-        q_exp = _point_weight(n, m, v) + (m - x_digits) * (n - 2)
-        points[ZetaRow(-v, q_exp, v, a0, inv)] = count
+        # |h|^(1-s-(n-1)/2) at val(h) = v, unit coset volume q^-m, x volume
+        q_exp = Fraction(v * (n - 3) + n - 2, 2) - m
+        points[ZetaRow(-v, q_exp, v, a0, inv)] = q ** (m - 1)
 
     non_integral = []
     if n > 2:
@@ -287,43 +232,11 @@ def _table_rows(q: int, n: int, pi_unit: int, m: int, B: int, seed: int) -> Coun
     return _solve_rows(pts.points, pi_unit)
 
 
-def _assemble_rows(d: SSCDatum, lam: TameChar, agg: Counter) -> EpsPolynomial:
-    out = EpsPolynomial(d.q)
-    for row, count in agg.items():
-        lam_arg = lam.of_leading(row.arg_val, row.arg_lead).inverse()
-        root = d.invariant_root(row.invariant) * lam_arg
-        out.add_term(row.x_power, CycloNumber(root.order, {root.num: count}), row.q_exp)
-    return out
-
-
-class DualSupportTable:
-    """Solved support of the dual integral for one (q, n, pi_unit).
-
-    Holds aggregated rows at the working depth and at depth + 1; every
-    assembly replays the two-depth stabilization contract of the direct
-    integrator on the cached rows.
-    """
-
-    def __init__(self, q, n, pi_unit, m, shell_bound, agg, agg_next, row_count):
-        self.q = q
-        self.n = n
-        self.pi_unit = pi_unit
-        self.m = m
-        self.shell_bound = shell_bound
-        self.agg = agg
-        self.agg_next = agg_next
-        self.row_count = row_count
-
-    def assemble(
-        self, d: SSCDatum, lam: TameChar, measure_scale: Fraction = Fraction(1)
-    ) -> EpsPolynomial:
-        """The dual integral for d twisted by lam, from the cached rows."""
-        if (d.q, d.n, d.pi_unit) != (self.q, self.n, self.pi_unit):
-            raise ValueError("table was built for a different residue field or uniformizer")
-        by_depth = {self.m: self.agg, self.m + 1: self.agg_next}
-        return _two_depths(
-            lambda k: _assemble_rows(d, lam, by_depth[k]), self.m, "dual integral", measure_scale
-        )
+# Solved support of the dual integral for one (q, n, pi_unit): the rows
+# at the working depth m and at m + 1, and the points they stand for.
+DualSupportTable = namedtuple(
+    "DualSupportTable", "q n pi_unit m shell_bound agg agg_next row_count"
+)
 
 
 def dual_support_table(
@@ -346,60 +259,62 @@ def cached_dual_table(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int
     return dual_support_table(q, n, pi_unit, m, shell_bound)
 
 
-# The ratio of the dual to the principal integral, for one uniformizer:
-# every datum's value at `invariant` times lam at `arg` times `ratio`.
-GammaRow = namedtuple("GammaRow", "invariant arg ratio")
+# What an integral, or gamma, is evaluated from: every datum's value at
+# `invariant` times lam(t^arg_val arg_lead)^-1 times `weight`.
+StableRow = namedtuple("StableRow", "invariant arg_val arg_lead weight")
 
 
-def _single_row(q: int, rows: Counter, what: str, m: int) -> tuple[ZetaRow, EpsMonomial]:
-    """The one solved row of an integral at depth m, and its weight
+def _single_row(q: int, rows: Counter, what: str, m: int) -> StableRow:
+    """The one solved row of an integral at depth m, with its weight
     count * q^q_exp * q^(-s x_power) as a monomial in normal form."""
     if len(rows) != 1:
         raise LLCError(f"{what} has {len(rows)} solved rows at depth {m}, not one")
     (row, count), = rows.items()
-    return row, EpsMonomial(q, LambdaGraded.lambda_power(0, count), row.q_exp, -row.x_power)
+    weight = EpsMonomial(q, LambdaGraded.lambda_power(0, count), row.q_exp, -row.x_power)
+    return StableRow(row.invariant, row.arg_val, row.arg_lead, weight)
 
 
-def _stable_row(
-    q: int, rows: Counter, rows_next: Counter, what: str, m: int
-) -> tuple[ZetaRow, EpsMonomial]:
+def _stable_row(q: int, rows: Counter, rows_next: Counter, what: str, m: int) -> StableRow:
     """The single row at depth m once depth m + 1 has the same row: the
     same argument, solved invariant and weight, which make the integral
     equal at both depths for every datum and twist at once."""
-    row, weight = _single_row(q, rows, what, m)
-    nxt, weight_next = _single_row(q, rows_next, what, m + 1)
-    if (row.arg_val, row.arg_lead, row.invariant, weight) != (
-        nxt.arg_val, nxt.arg_lead, nxt.invariant, weight_next
-    ):
+    row = _single_row(q, rows, what, m)
+    if row != _single_row(q, rows_next, what, m + 1):
         raise PrecisionNotStabilized(f"{what} moved between depths {m} and {m + 1}")
-    return row, weight
+    return row
 
 
 @lru_cache(maxsize=None)
-def _gamma_row(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2) -> GammaRow:
-    """gamma_automorphic's ratio row for one uniformizer.
+def _principal_row(q: int, n: int, pi_unit: int, m: int, B: int) -> StableRow:
+    rows = _psi_rows(q, n, pi_unit, m, B)
+    return _stable_row(q, rows, _psi_rows(q, n, pi_unit, m + 1, B), "psi integral", m)
 
-    Each integral has exactly one solved row.  A row is one lead shell
-    (v, a0), and the support is rotation times centre times I+: in the
-    principal integral only the one-units (v, a0) = (0, 1) meet it, in
-    the dual integral only h in pi^-1 (1 + p), the shell (-1, 1/pi_unit).
-    A table with any other number of rows raises LLCError; depths m and
-    m + 1 must agree row for row, or PrecisionNotStabilized is raised.
+
+@lru_cache(maxsize=None)
+def _dual_row(q: int, n: int, pi_unit: int, m: int, B: int) -> StableRow:
+    T = cached_dual_table(q, n, pi_unit, m, B)
+    return _stable_row(q, T.agg, T.agg_next, "dual integral", m)
+
+
+def _value(d: SSCDatum, lam: TameChar, row: StableRow) -> EpsMonomial:
+    """The one evaluator: row.weight times the datum's root at the solved
+    invariant times lam at the argument, inverted."""
+    lam_arg = lam.of_leading(row.arg_val, row.arg_lead).inverse()
+    return row.weight.scale(d.invariant_root(row.invariant) * lam_arg)
+
+
+@lru_cache(maxsize=None)
+def _gamma_row(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2) -> StableRow:
+    """gamma_automorphic's ratio row for one uniformizer.
 
     Both characters of a row are multiplicative: the datum's value is a
     character of the solved invariant (r, s, d, residue), and lam of the
-    argument (val, lead).  So the quotient of the two rows, with
-    lam(-1)^(n-1) folded into the argument, costs one value of each.
+    argument (val, lead).  So the quotient of the dual row by the
+    principal one, with lam(-1)^(n-1) folded into the argument, is again
+    a row, evaluated like an integral's.
     """
-    T = cached_dual_table(q, n, pi_unit, m, shell_bound)
-    dual, dual_weight = _stable_row(q, T.agg, T.agg_next, "dual integral", m)
-    psi, psi_weight = _stable_row(
-        q,
-        _psi_rows(q, n, pi_unit, m, shell_bound),
-        _psi_rows(q, n, pi_unit, m + 1, shell_bound),
-        "psi integral",
-        m,
-    )
+    dual = _dual_row(q, n, pi_unit, m, shell_bound)
+    psi = _principal_row(q, n, pi_unit, m, shell_bound)
     ff = LocalField.base_field(q).residue
     a, b = dual.invariant, psi.invariant
     invariant = SolvedInvariant(
@@ -408,12 +323,12 @@ def _gamma_row(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2) -
         a.central_val - b.central_val,
         ff.sub(a.residue, b.residue),
     )
-    # a row contributes lam(arg)^-1: the quotient is lam(psi arg / dual arg)
-    lead = ff.mul(psi.arg_lead, ff.inv(dual.arg_lead))
+    # lam(dual arg)^-1 / lam(psi arg)^-1 is lam(dual arg / psi arg)^-1,
+    # and lam(-1)^(n-1) is its own inverse
+    lead = ff.mul(dual.arg_lead, ff.inv(psi.arg_lead))
     if (n - 1) % 2:
         lead = ff.neg(lead)
-    arg = (psi.arg_val - dual.arg_val, lead)
-    return GammaRow(invariant, arg, dual_weight / psi_weight)
+    return StableRow(invariant, dual.arg_val - psi.arg_val, lead, dual.weight / psi.weight)
 
 
 def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2, shell_bound: int = 2) -> EpsMonomial:
@@ -421,11 +336,10 @@ def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2, shell_bound: int =
 
     With the L-factor identically 1 this is also the epsilon factor.  Both
     integrals are single rows, checked at depths m and m + 1 once per
-    uniformizer (_gamma_row); a call evaluates the datum at the quotient
-    invariant and lam at the quotient argument.
+    uniformizer; a call evaluates the datum at the quotient invariant and
+    lam at the quotient argument.
     """
-    row = _gamma_row(d.q, d.n, d.pi_unit, m, shell_bound)
-    return row.ratio.scale(d.invariant_root(row.invariant) * lam.of_leading(*row.arg))
+    return _value(d, lam, _gamma_row(d.q, d.n, d.pi_unit, m, shell_bound))
 
 
 def closed_form_epsilon(d: SSCDatum, lam: TameChar) -> EpsMonomial:

@@ -112,6 +112,22 @@ def test_zeta_decomposes_no_point_per_uniformizer():
     assert found == []
 
 
+def test_zeta_evaluates_no_point_and_assembles_no_polynomial():
+    # each integral is one stable row evaluated as a monomial: zeta.py
+    # neither calls the Whittaker function point by point nor sums a
+    # polynomial in q^(-s), so neither name may come back
+    tree = ast.parse((SRC / "zeta.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    assert {"whittaker_root", "EpsPolynomial"} & names == set()
+
+
 def _uses(node) -> set[str]:
     """Which of the series-level names the walk keeps out of its steps
     node uses: MatG construction, LaurentElem, truncation and the

@@ -7,10 +7,10 @@ from functools import lru_cache
 
 import pytest
 
-from llclab import zeta
-from llclab.bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
+from llclab import supercuspidal, zeta
+from llclab.bruhat import SolvedInvariant, WhittakerInvariant, decompose
 from llclab.characters import TameChar
-from llclab.cyclotomic import RootOfUnity
+from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import LLCError, PrecisionNotStabilized
 from llclab.laurent import LocalField
 from llclab.matrices import diagonal
@@ -18,7 +18,6 @@ from llclab.monomials import EpsMonomial, EpsPolynomial, LambdaGraded
 from llclab.selftest import ZETA_TWISTS, gauss_cells
 from llclab.supercuspidal import SSCDatum
 from llclab.zeta import (
-    FULL_ENUM_CAP,
     cached_dual_table,
     closed_form_epsilon,
     dual_matrix,
@@ -47,6 +46,31 @@ def _dual_expected(d, lam):
     return out
 
 
+def _assert_collapses_to(got, oracle):
+    # an integral is one monomial: the oracle's sum must collapse to it,
+    # equal in value and in printed form; NotMonomial if it is spread out
+    want = oracle.collapse_to_monomial()
+    assert got == want and repr(got) == repr(want)
+
+
+def _sum_rows(d, lam, rows):
+    """An integral at one depth as the sum over its solved rows."""
+    out = EpsPolynomial(d.q)
+    for row, count in rows.items():
+        lam_arg = lam.of_leading(row.arg_val, row.arg_lead).inverse()
+        root = d.invariant_root(row.invariant) * lam_arg
+        out.add_term(row.x_power, CycloNumber(root.order, {root.num: count}), row.q_exp)
+    return out
+
+
+def _rows_oracle(d, lam, rows, rows_next):
+    """An integral summed over its rows for this datum and twist, at
+    depth m and again at m + 1, which must agree on every call."""
+    out = _sum_rows(d, lam, rows)
+    assert out == _sum_rows(d, lam, rows_next)
+    return out
+
+
 # ----- principal integral ------------------------------------------------
 
 
@@ -54,14 +78,14 @@ def test_principal_integral_trivial_twist():
     for q, n in [(5, 2), (3, 4), (7, 3)]:
         d = _datum(q, n, zeta_num=1)
         lam = TameChar.trivial(d.F)
-        assert zeta_psi(d, lam) == _const_poly(q, -1)
+        _assert_collapses_to(zeta_psi(d, lam), _const_poly(q, -1))
 
 
 def test_principal_integral_tame_twist():
     # the twisted unit sums still telescope to the one-unit volume
     d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
     lam = TameChar(d.F, 1, RootOfUnity(1, 4))
-    assert zeta_psi(d, lam) == _const_poly(5, -1)
+    _assert_collapses_to(zeta_psi(d, lam), _const_poly(5, -1))
 
 
 def test_principal_integral_ignores_zeta():
@@ -117,12 +141,10 @@ def _oracle_twists(F, q):
 
 
 def _assert_matches_oracle(d, lam, m):
-    got = zeta_psi(d, lam, m=m)
     want = _psi_per_point(d, lam, m, _principal_points(d.q, d.n, m))
-    assert got == want and got.to_json() == want.to_json()
+    _assert_collapses_to(zeta_psi(d, lam, m=m), want)
     c = Fraction(2, 7)
-    scaled = zeta_psi(d, lam, m=m, measure_scale=c)
-    assert scaled == want.scale(c) and scaled.to_json() == want.scale(c).to_json()
+    _assert_collapses_to(zeta_psi(d, lam, m=m, measure_scale=c), want.scale(c))
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2), (5, 3), (5, 4)])
@@ -133,50 +155,6 @@ def test_principal_rows_match_per_point_oracle(q, n):
             for lam in _oracle_twists(d.F, q):
                 for m in (2, 3):
                     _assert_matches_oracle(d, lam, m)
-
-
-@lru_cache(maxsize=None)
-def _synthetic_points(q, n, m, B):
-    """A stand-in point family for the principal integral whose support
-    depends on val(h), on the leading digit of h and on the uniformizer:
-    the point h is given the invariant of h * rotation(u) for one unit u
-    that moves with h, with a corner digit the solve divides by u.  On
-    the genuine support h is a one-unit and every uniformizer sees the
-    same points, so there these three readings cannot be told apart."""
-    F = LocalField.base_field(q)
-    out = []
-    for v in range(-B, B + 1):
-        for w in F.unit_reps(m):
-            h = w.shift(v)
-            u = 1 + (len(out) + v) % (q - 1)
-            lead = h.coeff_at(v)
-            mono = MonomialClass.central(F, n, lead, v).compose(MonomialClass.rotation(F, n, u))
-            out.append((v, h, WhittakerInvariant(mono, len(out) % q, lead)))
-    return tuple(out)
-
-
-def _synthetic_unsolved_rows(q, n, m, B):
-    # the stand-in points as the library caches principal points
-    ff = LocalField.base_field(q).residue
-    points = Counter()
-    for v, h, inv in _synthetic_points(q, n, m, B):
-        lead_inv = ff.inv(h.coeff_at(v))
-        points[zeta.ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, lead_inv, inv)] += 1
-    return points
-
-
-def test_principal_rows_match_oracle_on_synthetic_support(monkeypatch):
-    # fresh caches for the stand-in points; the real ones stay untouched
-    monkeypatch.setattr(zeta, "_psi_points", lru_cache(maxsize=None)(_synthetic_unsolved_rows))
-    monkeypatch.setattr(zeta, "_psi_rows", lru_cache(maxsize=None)(zeta._psi_rows.__wrapped__))
-    for q, n in [(5, 2), (5, 3), (3, 4)]:
-        for u0 in range(1, q):
-            d = _datum(q, n, zeta_num=1, omega_exp=1, u0=u0)
-            assert zeta._psi_rows(q, n, u0, 2, 2)  # every uniformizer has support
-            for lam in _oracle_twists(d.F, q):
-                want = _psi_per_point(d, lam, 2, _synthetic_points(q, n, 2, 2))
-                got = zeta._assemble_rows(d, lam, zeta._psi_rows(q, n, u0, 2, 2))
-                assert got == want and got.to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("q,n", [(5, 3), (7, 2)])
@@ -194,10 +172,12 @@ def test_principal_rows_carry_the_inverse_of_h(q, n):
             assert WhittakerInvariant.of(*decompose(zeta._principal_lead(F, n, h))) == row.invariant
 
 
-def _fresh_gamma_rows(monkeypatch):
-    # gamma's ratio rows are cached per uniformizer: rebuild them from
-    # whatever rows the test planted
-    monkeypatch.setattr(zeta, "_gamma_row", lru_cache(maxsize=None)(zeta._gamma_row.__wrapped__))
+def _fresh_stable_rows(monkeypatch):
+    # the integrals' stable rows and gamma's ratio rows are cached per
+    # uniformizer: rebuild them from whatever rows the test planted
+    for name in ("_principal_row", "_dual_row", "_gamma_row"):
+        fresh = lru_cache(maxsize=None)(getattr(zeta, name).__wrapped__)
+        monkeypatch.setattr(zeta, name, fresh)
 
 
 def test_principal_two_depth_check_fires(monkeypatch):
@@ -212,7 +192,7 @@ def test_principal_two_depth_check_fires(monkeypatch):
         return +thinner
 
     monkeypatch.setattr(zeta, "_psi_rows", drop_one_row_above)
-    _fresh_gamma_rows(monkeypatch)
+    _fresh_stable_rows(monkeypatch)
     d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
     lam = TameChar(d.F, 1, RootOfUnity(1, 4))
     with pytest.raises(PrecisionNotStabilized):
@@ -272,39 +252,85 @@ def test_dual_integral_rank_two_against_shell_oracle():
         d = _datum(q, 2, zeta_num=zeta_num, omega_exp=e % 2, u0=u0)
         lam = TameChar(d.F, e, RootOfUnity(av, q - 1))
         got = zeta_psi_tilde(d, lam)
-        assert got == _rank2_shell_oracle(d, lam, 2, 2)
-        assert got == _rank2_shell_oracle(d, lam, 3, 2)
+        _assert_collapses_to(got, _rank2_shell_oracle(d, lam, 2, 2))
+        _assert_collapses_to(got, _rank2_shell_oracle(d, lam, 3, 2))
 
 
 def test_dual_integral_trivial_twist():
     d = _datum(5, 2, zeta_num=1)
     lam = TameChar.trivial(d.F)
-    assert zeta_psi_tilde(d, lam) == _dual_expected(d, lam)
+    _assert_collapses_to(zeta_psi_tilde(d, lam), _dual_expected(d, lam))
 
 
 def test_dual_integral_tame_twist():
     d = _datum(7, 2, zeta_num=3, omega_exp=2, u0=3)
     lam = TameChar(d.F, 2, RootOfUnity(1, 6))
-    assert zeta_psi_tilde(d, lam) == _dual_expected(d, lam)
+    _assert_collapses_to(zeta_psi_tilde(d, lam), _dual_expected(d, lam))
+
+
+def _point_weight(n, m, v):
+    # q-exponent of |h|^(1-s-(n-1)/2) at val(h)=v, times both coset volumes
+    return Fraction(-v) + Fraction(v * (n - 1), 2) - m + (n - 2) * (Fraction(1, 2) - m)
+
+
+@lru_cache(maxsize=None)
+def _dual_grid_points(q, n, m, B):
+    """Every point (v, h, invariant) of the dual integral at depth m:
+    shells -B..B, unit cosets, and x-tuples with digits from -B up,
+    non-integral x included, each decomposed here."""
+    F = LocalField.base_field(q)
+    x_reps = F.integer_reps(-B, m)
+    out = []
+    for v in range(-B, B + 1):
+        for w in F.unit_reps(m):
+            h = w.shift(v)
+            for xs in itertools.product(x_reps, repeat=n - 2):
+                out.append((v, h, WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _dual_grid_support(q, n, m, B, pi_unit):
+    # the grid points where the Whittaker function of pi_unit is nonzero
+    solved = ((v, h, inv.solve(pi_unit)) for v, h, inv in _dual_grid_points(q, n, m, B))
+    return tuple(p for p in solved if p[2] is not None)
+
+
+def _tilde_per_point(d, lam, m, B):
+    """The independent oracle: the dual integral summed point by point,
+    the Whittaker function (the datum's root at the solved invariant) at
+    every point of the grid."""
+    out = EpsPolynomial(d.q)
+    for v, h, solved in _dual_grid_support(d.q, d.n, m, B, d.pi_unit):
+        out.add_term(-v, d.invariant_root(solved) * lam(h).inverse(), _point_weight(d.n, m, v))
+    return out
 
 
 def test_dual_full_and_pruned_agree():
-    # at shell bound 1 and depth 2 the direct integrator enumerates every
-    # point; the tables at shell bounds 1 and 2 must reproduce it
+    # at shell bound 1 and depth 2 the oracle enumerates every point;
+    # the rows at shell bounds 1 and 2 must reproduce it
     d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
     lam = TameChar(d.F, 1, RootOfUnity(1, 4))
-    assert 3 * 20 * 5**3 <= FULL_ENUM_CAP  # shells x unit cosets x x-points
-    full = zeta_psi_tilde(d, lam, shell_bound=1)
-    narrow = dual_support_table(5, 3, 2, shell_bound=1).assemble(d, lam)
-    wider = dual_support_table(5, 3, 2, shell_bound=2).assemble(d, lam)
-    assert full == narrow == wider
+    full = _tilde_per_point(d, lam, 2, 1)
     assert full == _dual_expected(d, lam)
+    for bound in (1, 2):
+        _assert_collapses_to(zeta_psi_tilde(d, lam, shell_bound=bound), full)
+
+
+@pytest.mark.parametrize("q", [q for q, n in gauss_cells("full") if n == 2])
+def test_dual_integral_matches_per_point_oracle(q):
+    # rank 2 has no x: every shell and unit coset at depths 2 and 3
+    for u0 in range(1, q):
+        d = _datum(q, 2, zeta_num=1 + u0 % 3, omega_exp=u0 % 2, u0=u0)
+        for lam in _oracle_twists(d.F, q):
+            for m in (2, 3):
+                _assert_collapses_to(zeta_psi_tilde(d, lam, m=m), _tilde_per_point(d, lam, m, 2))
 
 
 def test_dual_integral_rank_four_pruned():
     d = _datum(3, 4, zeta_num=5, omega_exp=1, u0=2)
     lam = TameChar(d.F, 1, RootOfUnity(1, 2))
-    assert zeta_psi_tilde(d, lam) == _dual_expected(d, lam)
+    _assert_collapses_to(zeta_psi_tilde(d, lam), _dual_expected(d, lam))
 
 
 def test_dual_support_census():
@@ -330,30 +356,21 @@ def test_dual_support_census():
 
 
 def test_table_matches_direct_integrator():
-    # one decomposition pass, assembled for several data and twists,
-    # must reproduce the direct integral exactly
+    # one decomposition pass, summed over its rows for several data and
+    # twists, must collapse to the integral's one stable row
     for q, n, u0 in [(5, 2, 2), (5, 3, 2), (3, 4, 2)]:
         T = dual_support_table(q, n, u0)
         for zeta_num, e_om, (e, av) in [(0, 0, (0, 0)), (1, 0, (1, 1)), (3, 1, (2, 1))]:
             d = _datum(q, n, zeta_num=zeta_num, omega_exp=e_om, u0=u0)
             lam = TameChar(d.F, e, RootOfUnity(av, q - 1))
-            assert T.assemble(d, lam) == zeta_psi_tilde(d, lam)
-
-
-def test_table_rejects_foreign_datum():
-    T = dual_support_table(5, 2, 1)
-    d = _datum(5, 2, zeta_num=1, u0=2)
-    with pytest.raises(ValueError):
-        T.assemble(d, TameChar.trivial(d.F))
-    d7 = _datum(7, 2, zeta_num=1, u0=1)
-    with pytest.raises(ValueError):
-        T.assemble(d7, TameChar.trivial(d7.F))
+            _assert_collapses_to(zeta_psi_tilde(d, lam), _rows_oracle(d, lam, T.agg, T.agg_next))
 
 
 def test_table_row_budget_matches_support():
-    # pruned depth-2 support: one-unit cosets times integral x classes
+    # pruned depth-2 support: the one-unit cosets of shell -1; the
+    # integral x ride in the q-exponent
     T = dual_support_table(5, 3, 2)
-    assert T.row_count == 5 * 5
+    assert T.row_count == 5
     assert sum(T.agg.values()) == T.row_count
 
 
@@ -363,47 +380,52 @@ def test_table_cache_is_shared():
     assert a is b
 
 
-def test_dual_integral_above_cap_reads_the_cached_table(monkeypatch):
-    # above FULL_ENUM_CAP the dual integral assembles the cached table:
-    # once it is built, no call decomposes a point again
-    T = cached_dual_table(3, 4, 2)
+def test_dual_integral_reads_the_cached_table(monkeypatch):
+    # every dual integral, at n = 2 as at n = 4, reads the cached table:
+    # once it is built, no call decomposes a point again, in zeta or
+    # through a Whittaker value
+    cells = [(3, 4, 5, 2), (5, 2, 1, 2)]
+    tables = [cached_dual_table(q, n, u0) for q, n, _, u0 in cells]
     calls = []
-    real = zeta._table_rows
-    monkeypatch.setattr(zeta, "_table_rows", lambda *a: calls.append(a) or real(*a))
-    d = _datum(3, 4, zeta_num=5, omega_exp=1, u0=2)
-    for lam in (TameChar.trivial(d.F), TameChar(d.F, 1, RootOfUnity(1, 2))):
-        got = zeta_psi_tilde(d, lam)
-        assert got == T.assemble(d, lam) == _dual_expected(d, lam)
+    for module in (zeta, supercuspidal):
+        real = module.decompose
+        monkeypatch.setattr(module, "decompose", lambda *a, real=real: calls.append(a) or real(*a))
+    for (q, n, zeta_num, u0), T in zip(cells, tables):
+        d = _datum(q, n, zeta_num=zeta_num, omega_exp=1, u0=u0)
+        for lam in (TameChar.trivial(d.F), TameChar(d.F, 1, RootOfUnity(1, q - 1))):
+            got = zeta_psi_tilde(d, lam)
+            _assert_collapses_to(got, _rows_oracle(d, lam, T.agg, T.agg_next))
+            _assert_collapses_to(got, _dual_expected(d, lam))
     assert calls == []
 
 
-def _per_unit_dual_rows(q, n, pi_unit, m, B):
-    """The dual table's rows built point by point for one uniformizer,
-    every point decomposed again and solved for pi_unit."""
+@lru_cache(maxsize=None)
+def _dual_class_points(q, n, m, B):
+    """(v, h, invariants) for every shell and unit coset at depth m: the
+    invariants of every integral x class mod p at depth 2, and of x = 0
+    deeper, each decomposed here."""
     F = LocalField.base_field(q)
+    x_reps = F.integer_reps(0, 1 if m == 2 else 0)
+    out = []
+    for v in range(-B, B + 1):
+        for w in F.unit_reps(m):
+            h = w.shift(v)
+            invs = [WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))
+                    for xs in itertools.product(x_reps, repeat=n - 2)]
+            out.append((v, h, invs))
+    return tuple(out)
 
-    def solved(xs, h):
-        return WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h))).solve(pi_unit)
 
-    rows = []
-    if zeta._enumerates_fully(F, n, m, B):
-        x_reps = F.integer_reps(-B, m)
-        for v in range(-B, B + 1):
-            for w in F.unit_reps(m):
-                h = w.shift(v)
-                for xs in itertools.product(x_reps, repeat=n - 2):
-                    s = solved(xs, h)
-                    if s is not None:
-                        rows.append(zeta.ZetaRow(-v, zeta._point_weight(n, m, v), v, h.coeff_at(v), s))
-        return rows
-    delta = 1 if m <= 2 else 0
-    q_exp = zeta._point_weight(n, m, -1) + (m - delta) * (n - 2)
-    for w in F.unit_reps(m):
-        h = w.shift(-1)
-        for xs in itertools.product(F.integer_reps(0, delta), repeat=n - 2):
-            s = solved(xs, h)
-            if s is not None:
-                rows.append(zeta.ZetaRow(1, q_exp, -1, h.coeff_at(-1), s))
+def _per_unit_dual_rows(q, n, pi_unit, m, B):
+    """The dual table's rows built point by point for one uniformizer:
+    every unit coset counted once, its x classes required to solve
+    alike, and the whole integral-x volume in the q-exponent."""
+    rows = Counter()
+    for v, h, invs in _dual_class_points(q, n, m, B):
+        (s,) = {inv.solve(pi_unit) for inv in invs}
+        if s is not None:
+            q_exp = _point_weight(n, m, v) + m * (n - 2)
+            rows[zeta.ZetaRow(-v, q_exp, v, h.coeff_at(v), s)] += 1
     return rows
 
 
@@ -420,15 +442,11 @@ def _per_unit_psi_rows(q, n, pi_unit, m, B=2):
 
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2), (5, 3), (7, 3), (3, 5)])
 def test_rows_match_per_uniformizer_oracle(q, n):
-    # both sides of the cap: n = 2 enumerates fully at depths 2 and 3,
-    # the other cells are class-pruned at both
-    F = LocalField.base_field(q)
-    assert zeta._enumerates_fully(F, n, 2, 2) == zeta._enumerates_fully(F, n, 3, 2) == (n == 2)
     for u in range(1, q):
         T = dual_support_table(q, n, u)
         want = _per_unit_dual_rows(q, n, u, 2, 2)
-        assert T.agg == Counter(want) and T.row_count == len(want)
-        assert T.agg_next == Counter(_per_unit_dual_rows(q, n, u, 3, 2))
+        assert T.agg == want and T.row_count == sum(want.values())
+        assert T.agg_next == _per_unit_dual_rows(q, n, u, 3, 2)
         for m in (2, 3):
             assert zeta._psi_rows(q, n, u, m, 2) == _per_unit_psi_rows(q, n, u, m)
 
@@ -512,7 +530,7 @@ def test_table_audit_runs_per_uniformizer(monkeypatch):
     monkeypatch.setattr(WhittakerInvariant, "solve", solve)
     with pytest.raises(LLCError, match="table audit failed: non-integral x contributed"):
         dual_support_table(5, 3, 2)
-    assert dual_support_table(5, 3, 1).row_count == 5 * 5
+    assert dual_support_table(5, 3, 1).row_count == 5
 
 
 def test_table_measure_scale():
@@ -520,7 +538,9 @@ def test_table_measure_scale():
     d = _datum(5, 2, zeta_num=1, u0=2)
     lam = TameChar.trivial(d.F)
     c = Fraction(2, 3)
-    assert T.assemble(d, lam, measure_scale=c) == zeta_psi_tilde(d, lam).scale(c)
+    got = zeta_psi_tilde(d, lam, measure_scale=c)
+    assert got == zeta_psi_tilde(d, lam).scale(c)
+    _assert_collapses_to(got, _rows_oracle(d, lam, T.agg, T.agg_next).scale(c))
 
 
 # ----- gamma and the closed form ----------------------------------------
@@ -545,11 +565,13 @@ def test_closed_form_values():
 
 
 def _gamma_oracle(d, lam, m=2, shell_bound=2):
-    """gamma as the ratio of the two collapsed integrals, each assembled
-    as a polynomial and checked at depths m and m + 1 for this datum and
-    twist."""
-    num = cached_dual_table(d.q, d.n, d.pi_unit, m, shell_bound).assemble(d, lam)
-    den = zeta_psi(d, lam, m, shell_bound)
+    """gamma as the ratio of the two collapsed integrals, each summed
+    over its rows as a polynomial and checked at depths m and m + 1 for
+    this datum and twist."""
+    q, n, u, B = d.q, d.n, d.pi_unit, shell_bound
+    T = cached_dual_table(q, n, u, m, B)
+    num = _rows_oracle(d, lam, T.agg, T.agg_next)
+    den = _rows_oracle(d, lam, zeta._psi_rows(q, n, u, m, B), zeta._psi_rows(q, n, u, m + 1, B))
     ratio = num.collapse_to_monomial() / den.collapse_to_monomial()
     return ratio.scale(lam.at_minus_one() ** (d.n - 1))
 
@@ -579,7 +601,8 @@ def _other_invariant(row):
 
 def _plant_rows(monkeypatch, side, plant):
     """Route one integral's solved rows of (5, 3, pi_unit 2) through
-    plant(rows, m), with fresh gamma rows."""
+    plant(rows, m), with fresh stable and gamma rows.  Returns a call of
+    that side's integral on a datum and twist of the cell."""
     if side == "psi":
         real = zeta._psi_rows
         monkeypatch.setattr(
@@ -591,7 +614,11 @@ def _plant_rows(monkeypatch, side, plant):
             5, 3, 2, 2, 2, plant(real.agg, 2), plant(real.agg_next, 3), real.row_count
         )
         monkeypatch.setattr(zeta, "cached_dual_table", lambda *a: planted)
-    _fresh_gamma_rows(monkeypatch)
+    _fresh_stable_rows(monkeypatch)
+    d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
+    lam = TameChar(d.F, 1, RootOfUnity(1, 4))
+    integral = zeta_psi if side == "psi" else zeta_psi_tilde
+    return lambda: integral(d, lam)
 
 
 @pytest.mark.parametrize("side", ["psi", "dual"])
@@ -605,9 +632,10 @@ def test_gamma_row_depth_check_sees_more_than_the_weight(monkeypatch, side, chan
         (row, count), = rows.items()
         return Counter({row._replace(**change(row)): count})
 
-    _plant_rows(monkeypatch, side, plant)
-    with pytest.raises(PrecisionNotStabilized):
-        zeta._gamma_row(5, 3, 2)
+    integral = _plant_rows(monkeypatch, side, plant)
+    for call in (lambda: zeta._gamma_row(5, 3, 2), integral):
+        with pytest.raises(PrecisionNotStabilized):
+            call()
 
 
 def _no_rows(rows, m):
@@ -623,9 +651,10 @@ def _two_rows(rows, m):
 @pytest.mark.parametrize("side", ["psi", "dual"])
 @pytest.mark.parametrize("plant", [_no_rows, _two_rows])
 def test_gamma_row_needs_exactly_one_row(monkeypatch, side, plant):
-    _plant_rows(monkeypatch, side, plant)
-    with pytest.raises(LLCError, match="solved rows at depth 2, not one"):
-        zeta._gamma_row(5, 3, 2)
+    integral = _plant_rows(monkeypatch, side, plant)
+    for call in (lambda: zeta._gamma_row(5, 3, 2), integral):
+        with pytest.raises(LLCError, match="solved rows at depth 2, not one"):
+            call()
 
 
 @pytest.mark.parametrize("q,n", [(5, 3), (9, 2)])
@@ -677,7 +706,5 @@ def test_gamma_survives_measure_rescaling():
     den = zeta_psi(d, lam, measure_scale=c)
     assert num == zeta_psi_tilde(d, lam).scale(c)
     assert den == zeta_psi(d, lam).scale(c)
-    rescaled = (num.collapse_to_monomial() / den.collapse_to_monomial()).scale(
-        lam.at_minus_one() ** (d.n - 1)
-    )
+    rescaled = (num / den).scale(lam.at_minus_one() ** (d.n - 1))
     assert rescaled == gamma_automorphic(d, lam)
