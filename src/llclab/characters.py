@@ -15,6 +15,7 @@ Three kinds appear in the epsilon-factor computations:
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .cyclotomic import RootOfUnity
 from .errors import ZeroInput
@@ -87,8 +88,19 @@ class TameChar:
         return self.of_leading(*x.leading())
 
     def of_leading(self, v: int, c: int) -> RootOfUnity:
-        """Value at an element of valuation v with leading residue c."""
-        return self.at_var**v * self.of_unit(c)
+        """Value at an element of valuation v with leading residue c.
+
+        at_var^v * zeta_{q-1}^(exp_unit * dlog c) built as one root: with
+        at_var = a/N and L = lcm(N, q-1) its exponent over L is
+        a*v*(L/N) + exp_unit*dlog(c)*(L/(q-1))."""
+        if c == 0:
+            raise ZeroInput("multiplicative character of zero")
+        ff = self.field.residue
+        at, m = self.at_var, ff.q - 1
+        big = lcm(at.order, m)
+        return RootOfUnity(
+            at.num * v * (big // at.order) + self.exp_unit * ff._dlog[c] * (big // m), big
+        )
 
     def at_minus_one(self) -> RootOfUnity:
         return self.of_unit(self.field.residue.minus_one())

@@ -24,6 +24,7 @@ from .galois import build_parameter, epsilon_galois, gauss_sum_bruteforce
 from .laurent import LocalField
 from .matching import EpsilonTable, determine_from_table, twist_char, verify_matching
 from .matrices import MatG
+from .monomials import EpsMonomial
 from .pairs import PairConfig, k_special_check, mirabolic_agreement, sample_k_words, support_check
 from .stability import destabilizing_cocharacter, root_count_dims, stability_certificate, verify_certificate
 from .supercuspidal import SSCDatum
@@ -272,6 +273,10 @@ def cmd_bruhat(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     d = _config(args).datum()
     payload = verify_matching(d)
+    payload["twists"] = [
+        {k: v.to_json() if isinstance(v, EpsMonomial) else v for k, v in row.items()}
+        for row in payload["twists"]
+    ]
     T = EpsilonTable.of_datum(d)
     res = determine_from_table(T, d.omega, d.n, d.q)
     matches = bool(res.complete and res.zeta == d.zeta and res.pi_unit == d.pi_unit)

@@ -114,8 +114,11 @@ class RootOfUnity:
         if not isinstance(other, RootOfUnity):
             # sums and graded values scale by a root through their __rmul__
             return NotImplemented
-        n = _lcm(self.order, other.order)
-        return RootOfUnity(self.num * (n // self.order) + other.num * (n // other.order), n)
+        a, b = self.order, other.order
+        if a == b:
+            return RootOfUnity(self.num + other.num, a)
+        n = _lcm(a, b)
+        return RootOfUnity(self.num * (n // a) + other.num * (n // b), n)
 
     def __pow__(self, k: int) -> RootOfUnity:
         return RootOfUnity(self.num * k, self.order)

@@ -101,6 +101,10 @@ def verify_matching(d: SSCDatum, twists=None, include_integral: bool = True) -> 
     is false) the integral path on a set of twists; report per-twist
     verdicts plus the central character condition.  Failures land in the
     report, not in exceptions.
+
+    Each row carries the EpsMonomial of every side it compared, under
+    "closed", "galois" and "automorphic"; turning them into JSON is the
+    caller's business.
     """
     if twists is None:
         twists = [(e, 0) for e in range(d.q - 1)]
@@ -111,15 +115,11 @@ def verify_matching(d: SSCDatum, twists=None, include_integral: bool = True) -> 
         lam = twist_char(d.F, e, b)
         closed = closed_form_epsilon(d, lam)
         galois = epsilon_galois(P, lam)
-        row = {
-            "twist": {"e": e, "at_t": b},
-            "closed": closed.to_json(),
-            "galois": galois.to_json(),
-        }
+        row = {"twist": {"e": e, "at_t": b}, "closed": closed, "galois": galois}
         equal = closed == galois
         if include_integral:
             integral = gamma_automorphic(d, lam)
-            row["automorphic"] = integral.to_json()
+            row["automorphic"] = integral
             equal = equal and integral == closed
         row["equal"] = equal
         all_equal = all_equal and equal

@@ -28,16 +28,17 @@ _Scalar = int | Fraction | RootOfUnity | CycloNumber
 class LambdaGraded:
     """The unit root * rational * Lambda^grade, immutable and in normal form.
 
-    The rational is a positive Fraction, its sign folded into the root, so
-    equal values have equal fields: == and hash compare them directly, and
-    products, inverses and powers never touch a cyclotomic sum.  Zero is
-    not a unit and building it raises LLCError.
+    The rational is positive, its sign folded into the root, and kept as
+    an int when it is whole and as a Fraction otherwise (see _rational),
+    so equal values have equal fields: == and hash compare them directly,
+    and products, inverses and powers never touch a cyclotomic sum.  Zero
+    is not a unit and building it raises LLCError.
     """
 
     __slots__ = ("grade", "root", "rational")
 
     def __init__(self, grade: int, root: RootOfUnity, rational: int | Fraction = 1):
-        rational = Fraction(rational)
+        rational = _rational(rational)
         if rational.numerator <= 0:
             if rational.numerator == 0:
                 raise LLCError("zero is not a unit")
@@ -77,7 +78,7 @@ class LambdaGraded:
             # in the Gauss checks one rational is always 1: reuse the other
             a, b = self.rational, other.rational
             return _unit(self.grade + other.grade, self.root * other.root,
-                         b if a == 1 else a if b == 1 else a * b)
+                         b if a == 1 else a if b == 1 else _rational(a * b))
         if isinstance(other, RootOfUnity):
             return _unit(self.grade, self.root * other, self.rational)
         if isinstance(other, (int, Fraction)):
@@ -95,10 +96,15 @@ class LambdaGraded:
         return hash((self.grade, self.root, self.rational))
 
     def inverse(self) -> LambdaGraded:
-        return _unit(-self.grade, self.root.inverse(), 1 / self.rational)
+        r = self.rational
+        inv = _rational(Fraction(r.denominator, r.numerator))
+        return _unit(-self.grade, self.root.inverse(), inv)
 
     def __pow__(self, k: int) -> LambdaGraded:
-        return _unit(self.grade * k, self.root**k, self.rational**k)
+        r = self.rational
+        if k < 0:
+            r = Fraction(r.denominator, r.numerator)
+        return _unit(self.grade * k, self.root**k, _rational(r ** abs(k)))
 
     def reduce_lambda(self, n: int, kappa_pi: int) -> LambdaGraded:
         """Rewrite Lambda^n -> kappa_pi (+-1), folding the grade into 0..n-1."""
@@ -119,7 +125,18 @@ _SET_ROOT = LambdaGraded.root.__set__
 _SET_RATIONAL = LambdaGraded.rational.__set__
 
 
-def _unit(grade: int, root: RootOfUnity, rational: Fraction, out=None) -> LambdaGraded:
+def _rational(x: int | Fraction) -> int | Fraction:
+    """A unit's rational in normal form: an int when it is whole, else a
+    Fraction.  Whole values then stay in int arithmetic, and since
+    5 == Fraction(5) with equal hashes, == and hash see no difference."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _unit(grade: int, root: RootOfUnity, rational: int | Fraction, out=None) -> LambdaGraded:
     """Fill out, or a fresh LambdaGraded, with fields already in normal
     form, past the immutability guard."""
     if out is None:
@@ -163,7 +180,7 @@ def _normal_q_power(q: int, unit: LambdaGraded, q_const: Fraction) -> tuple[Lamb
     shift, rest = divmod(v, f)
     if not (shift or folded):
         return unit, q_const
-    rational = Fraction(num * p**rest, den)
+    rational = _rational(Fraction(num * p**rest, den))
     return _unit(unit.grade, unit.root, rational), Fraction(twice + 2 * shift, 2)
 
 

@@ -74,7 +74,7 @@ def zeta_psi(
     """
     if m < 2 or shell_bound < 1:
         raise ValueError("need depth m >= 2 and a positive shell bound")
-    return _value(d, lam, _principal_row(d.q, d.n, d.pi_unit, m, shell_bound)).scale(measure_scale)
+    return _value(d, lam, _principal_row(d.q, d.n, d.pi_unit, m, shell_bound), measure_scale)
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +126,7 @@ def zeta_psi_tilde(
     Another row count raises LLCError; depths m and m + 1 disagreeing
     raises PrecisionNotStabilized.
     """
-    return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m, shell_bound)).scale(measure_scale)
+    return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m, shell_bound), measure_scale)
 
 
 # ----- shared-decomposition tables ------------------------------------
@@ -296,11 +296,14 @@ def _dual_row(q: int, n: int, pi_unit: int, m: int, B: int) -> StableRow:
     return _stable_row(q, T.agg, T.agg_next, "dual integral", m)
 
 
-def _value(d: SSCDatum, lam: TameChar, row: StableRow) -> EpsMonomial:
+def _value(
+    d: SSCDatum, lam: TameChar, row: StableRow, measure_scale: int | Fraction = 1
+) -> EpsMonomial:
     """The one evaluator: row.weight times the datum's root at the solved
-    invariant times lam at the argument, inverted."""
-    lam_arg = lam.of_leading(row.arg_val, row.arg_lead).inverse()
-    return row.weight.scale(d.invariant_root(row.invariant) * lam_arg)
+    invariant times lam at the argument, inverted, times measure_scale,
+    all in one scale."""
+    root = d.invariant_root(row.invariant) * lam.of_leading(row.arg_val, row.arg_lead).inverse()
+    return row.weight.scale(root if measure_scale == 1 else LambdaGraded(0, root, measure_scale))
 
 
 @lru_cache(maxsize=None)
@@ -344,6 +347,11 @@ def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2, shell_bound: int =
 
 def closed_form_epsilon(d: SSCDatum, lam: TameChar) -> EpsMonomial:
     """The epsilon factor without integration:
-    lam(-1)^(n-1) lam(pi) zeta q^(1/2 - s)."""
-    unit = (lam.at_minus_one() ** (d.n - 1)) * lam.of_leading(1, d.pi_unit) * d.zeta
-    return EpsMonomial(d.q, LambdaGraded.from_cyclo(unit), Fraction(1, 2), -1)
+    lam(-1)^(n-1) lam(pi) zeta q^(1/2 - s).
+
+    lam is multiplicative, so lam(-1)^(n-1) lam(pi) is lam at
+    (-1)^(n-1) pi, of valuation 1 and leading residue +-pi_unit: the unit
+    is one character value times zeta, with no power of lam(-1)."""
+    lead = d.pi_unit if d.n % 2 else d.F.residue.neg(d.pi_unit)
+    unit = lam.of_leading(1, lead) * d.zeta
+    return EpsMonomial(d.q, LambdaGraded(0, unit), Fraction(1, 2), -1)

@@ -7,6 +7,7 @@ from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import InsufficientPrecision, ZeroInput
 from llclab.laurent import LocalField
 from llclab.monomials import LambdaGraded
+from llclab.supercuspidal import SSCDatum
 
 GRID_Q = [3, 5, 7, 9, 11, 13]
 
@@ -129,6 +130,24 @@ def test_tame_char_group_ops():
     assert (a * b)(x) == a(x) * b(x)
     with pytest.raises(ZeroInput):
         a(F.zero())
+
+
+def test_of_leading_matches_power_times_unit_value():
+    # one root per value, against at_var^v * of_unit(c) as three roots;
+    # omega of a datum with zeta of order n^2 has an at_var whose order
+    # does not divide q - 1
+    for q, n in ((5, 3), (9, 5), (13, 5)):
+        F = LocalField.base_field(q)
+        zeta = RootOfUnity(1, n * n)
+        omega = SSCDatum(q, n, zeta, omega_exp=1, omega_at_pi=zeta**n, pi_unit=2).omega
+        assert (q - 1) % omega.at_var.order
+        chars = [TameChar(F, e, RootOfUnity(b, q - 1)) for e in range(q - 1) for b in range(q - 1)]
+        for lam in chars + [omega]:
+            for v in range(-2, 3):
+                for c in F.residue.units():
+                    assert lam.of_leading(v, c) == lam.at_var**v * lam.of_unit(c)
+            with pytest.raises(ZeroInput):
+                lam.of_leading(1, 0)
 
 
 def make_xi(q, n, u0, e_xi=0, lam_exp=-1):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from llclab import cli
+from llclab.matching import twist_char
+from llclab.zeta import closed_form_epsilon
 
 
 def run(capsys, argv):
@@ -219,6 +221,32 @@ def test_match_zeta_of_order_n_times_q_minus_one(capsys):
     assert code == 0
     assert payload["all_equal"] is True
     assert payload["determination"]["matches_input"] is True
+
+
+@pytest.mark.parametrize("config", [
+    cli.RunConfig(q=3, n=2, u0=2, zeta="1/4"),
+    cli.RunConfig(q=7, n=3, u0=3, omega_exp=1, zeta="1/18", omega_at_pi="1/6"),
+])
+def test_match_json_sides_are_closed_form_json(capsys, config):
+    # verify_matching hands back monomials; the command serializes every
+    # side of every twist to the JSON of the closed form
+    argv = ["--q", str(config.q), "--n", str(config.n), "--u0", str(config.u0),
+            "--omega-exp", str(config.omega_exp), "--zeta", config.zeta]
+    if config.omega_at_pi is not None:
+        argv += ["--omega-at-pi", config.omega_at_pi]
+    code, payload = run_json(capsys, ["match", "--format", "json", *argv])
+    assert code == 0
+    d = config.datum()
+    assert [list(row) for row in payload["twists"]] == [
+        ["twist", "closed", "galois", "automorphic", "equal"]
+    ] * (d.q - 1)
+    for row in payload["twists"]:
+        want = closed_form_epsilon(d, twist_char(d.F, row["twist"]["e"], row["twist"]["at_t"])).to_json()
+        assert row["closed"] == row["galois"] == row["automorphic"] == want
+    if d.q == 3:
+        assert payload["twists"][0]["closed"] == {
+            "unit": {"order": 4, "coeffs": {"1": "1"}}, "lambda": 0, "q_exp": {"const": "1/2", "s": -1}
+        }
 
 
 def test_pair_shared_central_character(capsys):

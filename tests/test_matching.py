@@ -15,6 +15,7 @@ from llclab.matching import (
 )
 from llclab.monomials import EpsMonomial
 from llclab.supercuspidal import SSCDatum
+from llclab.zeta import closed_form_epsilon
 
 
 def _datum(q, n, zeta_num=0, omega_exp=0, u0=1):
@@ -129,7 +130,10 @@ def test_verify_matching_all_equal_report():
     for row in report["twists"]:
         assert row["equal"]
         assert "automorphic" in row  # integral path included at this size
-    json.dumps(report)
+        # the rows carry the compared values themselves, no JSON
+        closed = closed_form_epsilon(d, twist_char(d.F, row["twist"]["e"], row["twist"]["at_t"]))
+        for side in ("closed", "galois", "automorphic"):
+            assert type(row[side]) is EpsMonomial and row[side] == closed
 
 
 def test_verify_matching_with_t_valued_twists():

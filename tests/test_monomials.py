@@ -166,10 +166,17 @@ def test_monomial_json_shape():
         assert set(EpsMonomial(7, unit, Fraction(0), 0).to_json()) == {"unit", "lambda", "q_exp"}
 
 
+def _assert_normal_rational(r):
+    # an int exactly when the denominator is 1, a Fraction otherwise, and
+    # positive either way: never a float and never a whole Fraction
+    assert type(r) in (int, Fraction) and r > 0
+    assert (type(r) is int) == (r.denominator == 1)
+
+
 def _assert_same_value(fast, generic):
     assert fast == generic and generic == fast and hash(fast) == hash(generic)
     assert (fast.grade, fast.root, fast.rational) == (generic.grade, generic.root, generic.rational)
-    assert type(fast.rational) is Fraction and fast.rational > 0
+    _assert_normal_rational(fast.rational)
 
 
 def test_graded_scaling_matches_generic_product():
@@ -318,8 +325,43 @@ def test_epsilon_values_are_root_times_rational():
     for u in units:
         assert type(u) is LambdaGraded
         assert type(u.root) is RootOfUnity
-        assert type(u.rational) is Fraction and u.rational > 0
+        _assert_normal_rational(u.rational)
         assert not any(isinstance(getattr(u, f), CycloNumber) for f in LambdaGraded.__slots__)
+
+
+@pytest.mark.parametrize("q,p", [(9, 3), (25, 5)])
+def test_rationals_stay_in_normal_form(q, p):
+    """Products, inverses, powers of either sign, Lambda reduction and
+    EpsMonomial's q-power normalization keep every rational an int when
+    whole and a Fraction otherwise, with the value Fraction arithmetic
+    gives."""
+    rng = random.Random(q)
+    rats = [1, 2, p, q, p**3, Fraction(1, p), Fraction(1, q), Fraction(p, 2),
+            Fraction(-q, 4), -1, Fraction(2, 3), Fraction(4, 2), Fraction(q * q, 1)]
+    units = [LambdaGraded(rng.randint(-4, 4), RootOfUnity(rng.randrange(12), 12), r) for r in rats]
+    for x, r in zip(units, rats):
+        assert x.rational == abs(Fraction(r))
+    seen = []
+    for x in units:
+        fx = Fraction(x.rational)
+        inv = x.inverse()
+        assert inv.rational == 1 / fx
+        seen += [inv, x.reduce_lambda(3, -1), x.reduce_lambda(2, 1)]
+        for k in range(-3, 4):
+            assert (x**k).rational == fx**k
+            seen.append(x**k)
+        for y in units:
+            assert (x * y).rational == fx * Fraction(y.rational)
+            seen += [x * y, x * y.inverse(), x * y.rational, y.rational * x]
+        for const in (0, Fraction(1, 2), Fraction(-3, 2), 2, -1):
+            m = EpsMonomial(q, x, Fraction(const), -1)
+            m2 = EpsMonomial(q, x.inverse(), Fraction(const), 1)
+            seen += [m.unit, (m * m2).unit, (m / m2).unit, m.scale(Fraction(p, 7)).unit]
+            assert m * m2 == EpsMonomial(q, LambdaGraded.one(), 2 * Fraction(const), 0)
+    assert any(type(u.rational) is int for u in seen)
+    assert any(type(u.rational) is Fraction for u in seen)
+    for u in seen:
+        _assert_normal_rational(u.rational)
 
 
 def test_sqrt_q_is_not_a_unit():

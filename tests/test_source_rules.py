@@ -128,6 +128,21 @@ def test_zeta_evaluates_no_point_and_assembles_no_polynomial():
     assert {"whittaker_root", "EpsPolynomial"} & names == set()
 
 
+def test_matching_serializes_nothing():
+    # the library compares and the command line serializes: no code in
+    # matching.py calls to_json except a to_json method handing its
+    # entries to theirs
+    tree = ast.parse((SRC / "matching.py").read_text())
+    serializers = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "to_json"]
+    allowed = {id(c) for f in serializers for c in ast.walk(f)}
+    found = [
+        f"matching.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "to_json" and id(node) not in allowed
+    ]
+    assert found == []
+
+
 def _uses(node) -> set[str]:
     """Which of the series-level names the walk keeps out of its steps
     node uses: MatG construction, LaurentElem, truncation and the

@@ -564,6 +564,25 @@ def test_closed_form_values():
     )
 
 
+def _four_factor_closed_form(d, lam):
+    """The closed form as the product of its four roots lam(-1)^(n-1),
+    lam(t), lam(pi_unit) and zeta."""
+    unit = lam.at_minus_one() ** (d.n - 1) * lam.at_var * lam.of_unit(d.pi_unit) * d.zeta
+    return EpsMonomial(d.q, LambdaGraded.from_cyclo(unit), Fraction(1, 2), -1)
+
+
+@pytest.mark.parametrize("q,n", gauss_cells("full"))
+def test_closed_form_matches_four_factor_oracle(q, n):
+    for u0 in range(1, q):
+        for zeta_num, e_om in [(0, 0), (1, 1), (n + 1, q - 2)]:
+            d = _datum(q, n, zeta_num=zeta_num, omega_exp=e_om, u0=u0)
+            for e in range(q - 1):
+                for b in range(q - 1):
+                    lam = TameChar(d.F, e, RootOfUnity(b, q - 1))
+                    got, want = closed_form_epsilon(d, lam), _four_factor_closed_form(d, lam)
+                    assert got == want and repr(got) == repr(want)
+
+
 def _gamma_oracle(d, lam, m=2, shell_bound=2):
     """gamma as the ratio of the two collapsed integrals, each summed
     over its rows as a polynomial and checked at depths m and m + 1 for
