@@ -23,7 +23,7 @@ from .laurent import LaurentElem, LocalField
 from .monomials import LambdaGraded
 
 
-def _norm_of_variable(efield: LocalField) -> tuple[int, int]:
+def norm_of_variable(efield: LocalField) -> tuple[int, int]:
     """(valuation, leading residue) of the norm of u down to the base: u is
     a root of X^n - u0 t, so its norm is (-1)^(n-1) u0 t."""
     u0 = efield.pi_unit
@@ -77,10 +77,7 @@ class TameChar:
         return cls(field, 0)
 
     def of_unit(self, c: int) -> RootOfUnity:
-        ff = self.field.residue
-        if c == 0:
-            raise ZeroInput("multiplicative character of zero")
-        return RootOfUnity(self.exp_unit * ff.dlog(c), ff.q - 1)
+        return self.of_leading(0, c)
 
     def __call__(self, x: LaurentElem) -> RootOfUnity:
         if x.field is not self.field:
@@ -174,7 +171,7 @@ class LevelOneCharE:
         """Multiply by lam composed with the norm down to the base field."""
         if lam.field is not self.efield.base:
             raise TypeError("twisting character must live on the base field")
-        at_pi = self.at_pi * lam.of_leading(*_norm_of_variable(self.efield))
+        at_pi = self.at_pi * lam.of_leading(*norm_of_variable(self.efield))
         exp_unit = self.exp_unit + self.efield.degree * lam.exp_unit
         return LevelOneCharE(self.efield, at_pi, exp_unit)
 

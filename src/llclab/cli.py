@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .bruhat import decompose
 from .building import ApartmentPoint, FacetSpec, enumerate_facets, facet_of, is_barycenter
+from .characters import norm_of_variable
 from .cyclotomic import RootOfUnity
 from .errors import LLCError
 from .finitefield import field_of_size
@@ -154,9 +155,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     if args.twist_e or args.twist_t:
         lam = twist_char(d.F, args.twist_e, args.twist_t)
         tw = gauss_sum_bruteforce(P.xi.twist_by_base(lam), m=args.depth)
-        ff = d.F.residue
-        u = d.pi_unit if (d.n - 1) % 2 == 0 else ff.neg(d.pi_unit)
-        ratio = lam(d.F.elem(1, (u,)))
+        ratio = lam.of_leading(*norm_of_variable(d.extension_field()))
         matches = tw == tau * ratio
         payload["twist"] = {
             "e": args.twist_e,

@@ -17,15 +17,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import LLCError
 
 Rational = int | Fraction
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _largest_prime_factor(n: int) -> int:
@@ -115,9 +111,7 @@ class RootOfUnity:
             # sums and graded values scale by a root through their __rmul__
             return NotImplemented
         a, b = self.order, other.order
-        if a == b:
-            return RootOfUnity(self.num + other.num, a)
-        n = _lcm(a, b)
+        n = lcm(a, b)
         return RootOfUnity(self.num * (n // a) + other.num * (n // b), n)
 
     def __pow__(self, k: int) -> RootOfUnity:
@@ -255,14 +249,14 @@ class CycloNumber:
                 other = CycloNumber.from_rational(other)
             else:
                 raise TypeError(type(other))
-        n = _lcm(self.order, other.order)
+        n = lcm(self.order, other.order)
         return self.lift(n), other.lift(n)
 
     def _rotate(self, root: RootOfUnity) -> CycloNumber:
         """Product with a root of unity: one shift of the exponents in the
         lcm order.  The shift is a bijection on exponents, so no two terms
         merge and nothing cancels."""
-        n = _lcm(self.order, root.order)
+        n = lcm(self.order, root.order)
         k = n // self.order
         shift = root.num * (n // root.order)
         return CycloNumber._from_clean(
@@ -381,10 +375,16 @@ class CycloNumber:
 
 
 def _norm_rat(c: Rational) -> Rational:
-    """Collapse integral Fractions to int so canonical tuples compare well."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+    """A rational in normal form: an int when it is whole, else a Fraction.
+
+    Canonical tuples and unit rationals then compare field by field, and
+    whole values stay in int arithmetic; since 5 == Fraction(5) with equal
+    hashes, == and hash see no difference."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def match_root(c: CycloNumber) -> tuple[RootOfUnity, Fraction]:
@@ -406,7 +406,7 @@ def match_root(c: CycloNumber) -> tuple[RootOfUnity, Fraction]:
     if num * num != sq.numerator or den * den != sq.denominator:
         raise LLCError(f"|c|^2 = {sq} is not a rational square")
     r = Fraction(num, den)
-    order = _lcm(2, c.order)
+    order = lcm(2, c.order)
     want = reduced.lift(order).canonical()
     try:
         guess = round(cmath.phase(reduced.complex_value()) / (2 * cmath.pi) * order)

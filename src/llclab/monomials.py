@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .cyclotomic import CycloNumber, RootOfUnity, match_root
+from .cyclotomic import CycloNumber, RootOfUnity, _norm_rat, match_root
 from .errors import LLCError, NotMonomial
 from .finitefield import odd_prime_power
 
@@ -29,7 +29,7 @@ class LambdaGraded:
     """The unit root * rational * Lambda^grade, immutable and in normal form.
 
     The rational is positive, its sign folded into the root, and kept as
-    an int when it is whole and as a Fraction otherwise (see _rational),
+    an int when it is whole and as a Fraction otherwise (see cyclotomic._norm_rat),
     so equal values have equal fields: == and hash compare them directly,
     and products, inverses and powers never touch a cyclotomic sum.  Zero
     is not a unit and building it raises LLCError.
@@ -38,7 +38,7 @@ class LambdaGraded:
     __slots__ = ("grade", "root", "rational")
 
     def __init__(self, grade: int, root: RootOfUnity, rational: int | Fraction = 1):
-        rational = _rational(rational)
+        rational = _norm_rat(rational)
         if rational.numerator <= 0:
             if rational.numerator == 0:
                 raise LLCError("zero is not a unit")
@@ -78,7 +78,7 @@ class LambdaGraded:
             # in the Gauss checks one rational is always 1: reuse the other
             a, b = self.rational, other.rational
             return _unit(self.grade + other.grade, self.root * other.root,
-                         b if a == 1 else a if b == 1 else _rational(a * b))
+                         b if a == 1 else a if b == 1 else _norm_rat(a * b))
         if isinstance(other, RootOfUnity):
             return _unit(self.grade, self.root * other, self.rational)
         if isinstance(other, (int, Fraction)):
@@ -97,14 +97,14 @@ class LambdaGraded:
 
     def inverse(self) -> LambdaGraded:
         r = self.rational
-        inv = _rational(Fraction(r.denominator, r.numerator))
+        inv = _norm_rat(Fraction(r.denominator, r.numerator))
         return _unit(-self.grade, self.root.inverse(), inv)
 
     def __pow__(self, k: int) -> LambdaGraded:
         r = self.rational
         if k < 0:
             r = Fraction(r.denominator, r.numerator)
-        return _unit(self.grade * k, self.root**k, _rational(r ** abs(k)))
+        return _unit(self.grade * k, self.root**k, _norm_rat(r ** abs(k)))
 
     def reduce_lambda(self, n: int, kappa_pi: int) -> LambdaGraded:
         """Rewrite Lambda^n -> kappa_pi (+-1), folding the grade into 0..n-1."""
@@ -123,17 +123,6 @@ class LambdaGraded:
 _SET_GRADE = LambdaGraded.grade.__set__
 _SET_ROOT = LambdaGraded.root.__set__
 _SET_RATIONAL = LambdaGraded.rational.__set__
-
-
-def _rational(x: int | Fraction) -> int | Fraction:
-    """A unit's rational in normal form: an int when it is whole, else a
-    Fraction.  Whole values then stay in int arithmetic, and since
-    5 == Fraction(5) with equal hashes, == and hash see no difference."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def _unit(grade: int, root: RootOfUnity, rational: int | Fraction, out=None) -> LambdaGraded:
@@ -180,7 +169,7 @@ def _normal_q_power(q: int, unit: LambdaGraded, q_const: Fraction) -> tuple[Lamb
     shift, rest = divmod(v, f)
     if not (shift or folded):
         return unit, q_const
-    rational = _rational(Fraction(num * p**rest, den))
+    rational = _norm_rat(Fraction(num * p**rest, den))
     return _unit(unit.grade, unit.root, rational), Fraction(twice + 2 * shift, 2)
 
 

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 from .bruhat import SolvedInvariant, WhittakerInvariant, decompose
 from .cyclotomic import RootOfUnity
-from .characters import TameChar
+from .characters import TameChar, norm_of_variable
 from .errors import LLCError, PrecisionNotStabilized
 from .laurent import LaurentElem, LocalField
 from .matrices import MatG, diagonal
@@ -303,7 +303,7 @@ def _value(
     invariant times lam at the argument, inverted, times measure_scale,
     all in one scale."""
     root = d.invariant_root(row.invariant) * lam.of_leading(row.arg_val, row.arg_lead).inverse()
-    return row.weight.scale(root if measure_scale == 1 else LambdaGraded(0, root, measure_scale))
+    return row.weight.scale(LambdaGraded(0, root, measure_scale))
 
 
 @lru_cache(maxsize=None)
@@ -350,8 +350,7 @@ def closed_form_epsilon(d: SSCDatum, lam: TameChar) -> EpsMonomial:
     lam(-1)^(n-1) lam(pi) zeta q^(1/2 - s).
 
     lam is multiplicative, so lam(-1)^(n-1) lam(pi) is lam at
-    (-1)^(n-1) pi, of valuation 1 and leading residue +-pi_unit: the unit
-    is one character value times zeta, with no power of lam(-1)."""
-    lead = d.pi_unit if d.n % 2 else d.F.residue.neg(d.pi_unit)
-    unit = lam.of_leading(1, lead) * d.zeta
+    (-1)^(n-1) pi, the norm of the extension's variable: the unit is one
+    character value times zeta, with no power of lam(-1)."""
+    unit = lam.of_leading(*norm_of_variable(d.extension_field())) * d.zeta
     return EpsMonomial(d.q, LambdaGraded(0, unit), Fraction(1, 2), -1)

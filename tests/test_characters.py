@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar, _norm_of_variable
+from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar, norm_of_variable
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import InsufficientPrecision, ZeroInput
 from llclab.laurent import LocalField
@@ -133,7 +133,8 @@ def test_tame_char_group_ops():
 
 
 def test_of_leading_matches_power_times_unit_value():
-    # one root per value, against at_var^v * of_unit(c) as three roots;
+    # one root per value, against at_var^v times the unit value
+    # zeta_{q-1}^(exp_unit * dlog c) as three roots;
     # omega of a datum with zeta of order n^2 has an at_var whose order
     # does not divide q - 1
     for q, n in ((5, 3), (9, 5), (13, 5)):
@@ -145,7 +146,9 @@ def test_of_leading_matches_power_times_unit_value():
         for lam in chars + [omega]:
             for v in range(-2, 3):
                 for c in F.residue.units():
-                    assert lam.of_leading(v, c) == lam.at_var**v * lam.of_unit(c)
+                    unit = RootOfUnity(lam.exp_unit * F.residue.dlog(c), q - 1)
+                    assert lam.of_leading(v, c) == lam.at_var**v * unit
+                    assert lam.of_unit(c) == unit
             with pytest.raises(ZeroInput):
                 lam.of_leading(1, 0)
 
@@ -225,7 +228,7 @@ def test_norm_of_variable_closed_form_matches_determinant():
                 continue
             for u0 in range(1, q):
                 E = F.extension(n, u0)
-                assert _norm_of_variable(E) == E.norm_to_base(E.variable()).leading()
+                assert norm_of_variable(E) == E.norm_to_base(E.variable()).leading()
                 seen += 1
     assert seen == 226
 
