@@ -23,9 +23,11 @@ from .laurent import LaurentElem, LocalField
 from .monomials import LambdaGraded
 
 
+@lru_cache(maxsize=None)
 def norm_of_variable(efield: LocalField) -> tuple[int, int]:
     """(valuation, leading residue) of the norm of u down to the base: u is
-    a root of X^n - u0 t, so its norm is (-1)^(n-1) u0 t."""
+    a root of X^n - u0 t, so its norm is (-1)^(n-1) u0 t.  Cached per
+    extension, which LocalField.extension hands out shared."""
     u0 = efield.pi_unit
     return 1, (u0 if efield.degree % 2 else efield.residue.neg(u0))
 

@@ -180,16 +180,18 @@ def gauss_sum_bruteforce(xi: LevelOneCharE, m: int = 2) -> LambdaGraded:
     return xi.at_pi * inner
 
 
+_LAMBDA = LambdaGraded.lambda_power(1)
+
+
 def epsilon_galois(P: ParameterDatum, lam: TameChar) -> EpsMonomial:
     """Epsilon factor of the induced parameter twisted by lam.
 
     Induction contributes one factor of Lambda; the extension-level
-    epsilon is (tau/q) q^(1/2-s) with tau the brute-force Gauss sum of
-    xi twisted by lam through the norm.
+    epsilon is (tau/q) q^(1/2-s) = tau q^(-1/2-s) with tau the brute-force
+    Gauss sum of xi twisted by lam through the norm.
     """
     tau = gauss_sum_bruteforce(P.xi.twist_by_base(lam))
-    unit = LambdaGraded.lambda_power(1) * tau * Fraction(1, P.ssc.q)
-    return EpsMonomial(P.ssc.q, unit, Fraction(1, 2), -1)
+    return EpsMonomial(P.ssc.q, _LAMBDA * tau, Fraction(-1, 2), -1)
 
 
 class DetCharacter:

@@ -41,15 +41,9 @@ class EpsilonTable:
         self.entries = dict(entries)
 
     @classmethod
-    def of_datum(cls, d: SSCDatum, at_t_nums=(0,), exponents=None) -> EpsilonTable:
-        """Closed-form table over all residue exponents and the given t-values."""
-        if exponents is None:
-            exponents = range(d.q - 1)
-        entries = {}
-        for e in exponents:
-            for b in at_t_nums:
-                lam = twist_char(d.F, e, b)
-                entries[(e % (d.q - 1), b % (d.q - 1))] = closed_form_epsilon(d, lam)
+    def of_datum(cls, d: SSCDatum) -> EpsilonTable:
+        """Closed-form table over every residue exponent, at the t-value 0."""
+        entries = {(e, 0): closed_form_epsilon(d, twist_char(d.F, e)) for e in range(d.q - 1)}
         return cls(d.q, d.n, entries)
 
     def __eq__(self, other: object) -> bool:
@@ -153,9 +147,14 @@ def determine_from_table(T: EpsilonTable, omega: TameChar, n: int, q: int) -> De
     entry divided by the trivial one gives lam(-1)^(n-1) lam(pi), whose
     discrete log exposes the residue class of the uniformizer.  Every
     other entry is then checked against the closed form; any mismatch, or
-    any entry off the monomial shape, raises InconsistentTable.
+    any entry off the monomial shape, raises InconsistentTable.  A table,
+    or a central character, of another (q, n) raises ValueError.
     """
     ff = omega.field.residue
+    if (T.q, T.n) != (q, n):
+        raise ValueError(f"the table is for (q, n) = ({T.q}, {T.n}), not ({q}, {n})")
+    if ff.q != q:
+        raise ValueError(f"the central character lives over F_{ff.q}, not F_{q}")
     zeta = _entry_root(T.entries[(0, 0)])
     if (1, 0) not in T.entries:
         return DeterminationResult(zeta, None, False, None)

@@ -2,7 +2,7 @@
 
 Words in the group generated by both affine rotations, the center and
 the pro-unipotent Iwahori are kept in the form M * k with M a monomial
-class and k an Iwahori matrix mod t^N (N = 2 by default), which is exact
+class and k an Iwahori matrix mod t^N (N = PRECISION), which is exact
 in the congruence quotient the Whittaker value reads; the inverse word
 is carried along in the same form, and each word is its own witness of
 membership.  KWalk holds k and k^-1 as flat lists of laurent's
@@ -49,24 +49,28 @@ from .laurent import (
 from .matrices import MatG, wrap_matrix
 from .supercuspidal import SSCDatum
 
+# KWalk keeps its state mod t^PRECISION, and the mirabolic and support
+# checks draw PRECISION random t-adic digits per entry, SHELL_BOUND more
+# where an entry may have a pole down to t^-SHELL_BOUND; every
+# AUDIT_STRIDE-th walk prefix is decomposed afresh
+PRECISION = 2
+SHELL_BOUND = 1
+AUDIT_STRIDE = 503
+
 
 class PairConfig:
     """Two data with the same size, residue field and central character."""
 
-    def __init__(self, d1: SSCDatum, d2: SSCDatum, precision: int = 2, shell_bound: int = 1):
+    def __init__(self, d1: SSCDatum, d2: SSCDatum):
         if (d1.q, d1.n) != (d2.q, d2.n):
             raise ValueError("pair must share q and n")
-        if precision < 2 or shell_bound < 1:
-            raise ValueError("need precision >= 2 and a positive shell bound")
         if d1.omega_exp != d2.omega_exp or d1.omega.at_var != d2.omega.at_var:
             raise ValueError("pair must share the central character")
         self.d1 = d1
         self.d2 = d2
-        self.precision = precision
-        self.shell_bound = shell_bound
 
     def __repr__(self) -> str:
-        return f"PairConfig(d1={self.d1!r}, d2={self.d2!r}, precision={self.precision})"
+        return f"PairConfig(d1={self.d1!r}, d2={self.d2!r})"
 
 
 # ----- words in the joint compact group --------------------------------
@@ -77,7 +81,7 @@ KWord = namedtuple("KWord", "uses1 uses2 fwd inv")
 # pairs; audit_misses: pi-unit -> audited words whose decomposition solves
 # apart from the kept invariant
 WalkSamples = namedtuple(
-    "WalkSamples", "q n u1 u2 precision seed steps audited tables audit_misses"
+    "WalkSamples", "q n u1 u2 seed steps audited tables audit_misses"
 )
 
 
@@ -337,20 +341,18 @@ def sample_k_words(
     u1: int,
     u2: int,
     steps: int = 10_000,
-    precision: int = 2,
     seed: int = 2024,
-    audit_stride: int = 503,
 ) -> WalkSamples:
     """Every prefix of one long random word, tabulated per pi-unit.
 
     Each prefix is solved once for each unit of the walk and counted under
-    its key; every audit_stride-th prefix is also decomposed afresh, and
+    its key; every AUDIT_STRIDE-th prefix is also decomposed afresh, and
     the prefixes whose fresh invariant solves apart from the kept one are
     listed per unit.
     """
-    if steps < 1 or audit_stride < 1:
-        raise ValueError("need at least one step and a positive audit stride")
-    walk = KWalk(q, n, u1, u2, precision, seed)
+    if steps < 1:
+        raise ValueError("need at least one step")
+    walk = KWalk(q, n, u1, u2, PRECISION, seed)
     ff = walk.F.residue
     units = sorted({u1, u2})
     tables: dict[int, dict] = {u: {} for u in units}
@@ -359,7 +361,7 @@ def sample_k_words(
         walk.random_step()
         w = walk.snapshot()
         read = None
-        if (idx + 1) % audit_stride == 0:
+        if (idx + 1) % AUDIT_STRIDE == 0:
             read = WhittakerInvariant.of(*decompose(walk.forward_matrix()))
         for u in units:
             a, b = w.fwd.solve(u), w.inv.solve(u)
@@ -377,14 +379,12 @@ def sample_k_words(
     # frozen, since cached walks are shared by every datum that reads them
     tables = {u: tuple(t.items()) for u, t in tables.items()}
     misses = {u: tuple(v) for u, v in misses.items()}
-    return WalkSamples(q, n, u1, u2, precision, seed, steps, steps // audit_stride, tables, misses)
+    return WalkSamples(q, n, u1, u2, seed, steps, steps // AUDIT_STRIDE, tables, misses)
 
 
 @lru_cache(maxsize=None)
-def cached_k_words(
-    q: int, n: int, u1: int, u2: int, steps: int = 10_000, precision: int = 2, seed: int = 2024
-) -> WalkSamples:
-    return sample_k_words(q, n, u1, u2, steps, precision, seed)
+def cached_k_words(q: int, n: int, u1: int, u2: int, steps: int = 10_000) -> WalkSamples:
+    return sample_k_words(q, n, u1, u2, steps)
 
 
 def k_special_check(d: SSCDatum, samples: WalkSamples) -> dict:
@@ -446,7 +446,7 @@ def k_special_check(d: SSCDatum, samples: WalkSamples) -> dict:
 # the Whittaker value reads: classes holds the enumeration and the member
 # dense blocks, nonmember_classes the other dense blocks
 MirabolicTable = namedtuple(
-    "MirabolicTable", "q n precision shell_bound classes nonmember_classes row_count spot_checks"
+    "MirabolicTable", "q n classes nonmember_classes row_count spot_checks"
 )
 
 
@@ -487,12 +487,12 @@ MIRABOLIC_SEED = 9
 
 
 @lru_cache(maxsize=None)
-def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) -> MirabolicTable:
+def mirabolic_table(q: int, n: int) -> MirabolicTable:
     """Count the invariants of mirabolic points once per residue field.
 
     The value-relevant coordinates run in full: polar digits of the
     GL_{n-1} unipotent coset, superdiagonal residues of its Iwahori
-    factor, and the last column's digits down to shell -shell_bound; one
+    factor, and the last column's digits down to shell -SHELL_BOUND; one
     decomposition per GL_{n-1} block serves all its last columns.
     Deeper digits are checked to leave the invariants unchanged on random
     refinements, and random dense GL_{n-1} blocks feed the support claim.
@@ -508,7 +508,7 @@ def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) ->
     # a point is embed(h) u(x) = u(h x) embed(h) with h unipotent, and the
     # one superdiagonal entry of u(h x) is x_last: its invariant is that of
     # embed(h) with the t^0 digit of x_last added to the residue
-    x_reps = F.integer_reps(-shell_bound, 1)
+    x_reps = F.integer_reps(-SHELL_BOUND, 1)
     shifts = Counter(x.coeff_at(0) for x in x_reps)
     blocks = []
     for polar_digits in itertools.product(range(q), repeat=len(polar_slots)):
@@ -530,7 +530,7 @@ def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) ->
         for i in range(n):
             for j in range(i + 1, n):
                 lo = 1 if j == i + 1 else 0
-                rows[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(precision)])
+                rows[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(PRECISION)])
         return MatG(F, rows)
 
     def _deep_right() -> MatG:
@@ -538,13 +538,13 @@ def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) ->
         for i in range(n):
             for j in range(n):
                 if i == j:
-                    rows[i][j] = F.one() + F.elem(1, [rng.randrange(q) for _ in range(precision)])
+                    rows[i][j] = F.one() + F.elem(1, [rng.randrange(q) for _ in range(PRECISION)])
                 elif i < j:
                     lo = 1 if j == i + 1 else 0
-                    rows[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(precision)])
+                    rows[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(PRECISION)])
                 else:
                     lo = 2 if (i, j) == (n - 1, 0) else 1
-                    rows[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(precision)])
+                    rows[i][j] = F.elem(lo, [rng.randrange(q) for _ in range(PRECISION)])
         return MatG(F, rows)
 
     for _ in range(MIRABOLIC_SPOT_CHECKS):
@@ -561,7 +561,7 @@ def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) ->
         while True:
             g_rows = [
                 [
-                    F.elem(-shell_bound, [rng.randrange(q) for _ in range(precision + shell_bound)])
+                    F.elem(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
                     for _ in range(m)
                 ]
                 for _ in range(m)
@@ -580,14 +580,14 @@ def mirabolic_table(q: int, n: int, precision: int = 2, shell_bound: int = 1) ->
         else:
             nonmember[cls] += 1
 
-    return MirabolicTable(q, n, precision, shell_bound, classes, nonmember, rows, MIRABOLIC_SPOT_CHECKS)
+    return MirabolicTable(q, n, classes, nonmember, rows, MIRABOLIC_SPOT_CHECKS)
 
 
 def mirabolic_agreement(cfg: PairConfig) -> dict:
     """Both Whittaker functions, compared point by point on the mirabolic
     enumeration; also witnesses the support containment for dense blocks."""
     d1, d2 = cfg.d1, cfg.d2
-    T = mirabolic_table(d1.q, d1.n, cfg.precision, cfg.shell_bound)
+    T = mirabolic_table(d1.q, d1.n)
     mismatches = []
     support_violations = []
     nonzero = zero = 0
@@ -623,9 +623,7 @@ def mirabolic_agreement(cfg: PairConfig) -> dict:
 # ----- support of a single Whittaker function ---------------------------
 
 
-def support_check(
-    d: SSCDatum, samples: int = 200, shell_bound: int = 1, depth: int = 2, seed: int = 17
-) -> dict:
+def support_check(d: SSCDatum, samples: int = 200, seed: int = 17) -> dict:
     """Random matrices over the shells: every nonzero value must come with
     a located decomposition into U times the supporting group."""
     if samples < 1:
@@ -643,7 +641,7 @@ def support_check(
         rows = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                rows[i][j] = F.elem(-shell_bound, [rng.randrange(q) for _ in range(depth + shell_bound)])
+                rows[i][j] = F.elem(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
         u = MatG(F, rows)
         r = rng.randrange(2 * n)
         mono = d.rotation_class(r).compose(
@@ -652,13 +650,13 @@ def support_check(
         krows = [
             [
                 F.elem(1 if i > j or (i == n - 1 and j == 0) else 0,
-                       [rng.randrange(q) for _ in range(depth)])
+                       [rng.randrange(q) for _ in range(PRECISION)])
                 for j in range(n)
             ]
             for i in range(n)
         ]
         for i in range(n):
-            krows[i][i] = F.one() + F.elem(1, [rng.randrange(q) for _ in range(depth)])
+            krows[i][i] = F.one() + F.elem(1, [rng.randrange(q) for _ in range(PRECISION)])
         g = u * mono.as_matrix() * MatG(F, krows)
         planted += 1
         solved = WhittakerInvariant.of(*decompose(g)).solve(d.pi_unit)
@@ -673,7 +671,7 @@ def support_check(
         while True:
             rows = [
                 [
-                    F.elem(-shell_bound, [rng.randrange(q) for _ in range(depth + shell_bound)])
+                    F.elem(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
                     for _ in range(n)
                 ]
                 for _ in range(n)

@@ -501,7 +501,7 @@ def _require(ok: bool, what: str) -> None:
         raise LLCError(f"certificate rejected: {what}")
 
 
-def verify_certificate(cert, recheck_brute_force: bool = True) -> bool:
+def verify_certificate(cert) -> bool:
     """Independent recheck of any certificate; returns True or raises LLCError."""
     if cert.kind == "stable-exists":
         f = cert.facet
@@ -512,15 +512,14 @@ def verify_certificate(cert, recheck_brute_force: bool = True) -> bool:
             len(values) == f.n and all(v != 0 for v in values),
             "functional must be nonzero on every arrow",
         )
-        if recheck_brute_force:
-            _require(
-                _torus_stabilizer_count(cert.q, values) == cert.stab_count_q,
-                "stabilizer count over F_q is off",
-            )
-            _require(
-                _torus_stabilizer_count(cert.q * cert.q, values) == cert.stab_count_q2,
-                "stabilizer count over F_q^2 is off",
-            )
+        _require(
+            _torus_stabilizer_count(cert.q, values) == cert.stab_count_q,
+            "stabilizer count over F_q is off",
+        )
+        _require(
+            _torus_stabilizer_count(cert.q * cert.q, values) == cert.stab_count_q2,
+            "stabilizer count over F_q^2 is off",
+        )
         _require(cert.stab_count_q == cert.q - 1, "stabilizer over F_q must be the scalars")
         _require(
             cert.stab_count_q2 == cert.q * cert.q - 1, "stabilizer must not grow beyond scalars"

@@ -25,7 +25,7 @@ Each integral is then one stable row.  The support is rotation times
 centre times I+, which one lead shell meets per integral, so a pi_unit
 has exactly one solved row at depth m, and depth m + 1 must give the
 same row: argument, solved invariant and weight.  Both are checked once
-per (q, n, pi_unit, m, shell bound) and raise instead of averaging away.
+per (q, n, pi_unit, m) and raise instead of averaging away.
 A call evaluates the datum's character at the row's invariant and the
 twist at its argument, which makes each integral one monomial in q^(-s).
 Gamma is the quotient of the two rows, kept the same way, so it costs
@@ -52,6 +52,9 @@ from .matrices import MatG, diagonal
 from .monomials import EpsMonomial, LambdaGraded
 from .supercuspidal import SSCDatum
 
+# lead shells -SHELL_BOUND..SHELL_BOUND of both integrals; the support
+# meets only shells 0 and -1
+SHELL_BOUND = 2
 SPOT_CHECKS = 40
 # fixed seeds of the non-integral-x audits: AUDIT_SEED at the working depth,
 # AUDIT_SEED + 1 one depth higher
@@ -62,7 +65,6 @@ def zeta_psi(
     d: SSCDatum,
     lam: TameChar,
     m: int = 2,
-    shell_bound: int = 2,
     measure_scale: Fraction = Fraction(1),
 ) -> EpsMonomial:
     """The principal integral: W on diag(h, 1, ..., 1) against lam(h)|h|^(s-(n-1)/2).
@@ -72,13 +74,13 @@ def zeta_psi(
     row is the one-units.  Another row count raises LLCError; depths m
     and m + 1 disagreeing raises PrecisionNotStabilized.
     """
-    if m < 2 or shell_bound < 1:
-        raise ValueError("need depth m >= 2 and a positive shell bound")
-    return _value(d, lam, _principal_row(d.q, d.n, d.pi_unit, m, shell_bound), measure_scale)
+    if m < 2:
+        raise ValueError("need depth m >= 2")
+    return _value(d, lam, _principal_row(d.q, d.n, d.pi_unit, m), measure_scale)
 
 
 @lru_cache(maxsize=None)
-def _psi_points(q: int, n: int, m: int, B: int) -> Counter:
+def _psi_points(q: int, n: int, m: int) -> Counter:
     """The principal integral's unsolved rows at depth m.
 
     diag(h, 1, ..., 1) has the invariant of diag(a0 t^v, 1, ..., 1), so
@@ -87,15 +89,15 @@ def _psi_points(q: int, n: int, m: int, B: int) -> Counter:
     carry 1/h and are evaluated exactly like the dual integral's."""
     ff = LocalField.base_field(q).residue
     points = Counter()
-    for (v, a0), inv in _lead_invariants(q, n, B, _principal_lead).items():
+    for (v, a0), inv in _lead_invariants(q, n, _principal_lead).items():
         points[ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, ff.inv(a0), inv)] = q ** (m - 1)
     return points
 
 
 @lru_cache(maxsize=None)
-def _psi_rows(q: int, n: int, pi_unit: int, m: int, B: int) -> Counter:
+def _psi_rows(q: int, n: int, pi_unit: int, m: int) -> Counter:
     """The principal integral's support rows for one uniformizer at depth m."""
-    return _solve_rows(_psi_points(q, n, m, B), pi_unit)
+    return _solve_rows(_psi_points(q, n, m), pi_unit)
 
 
 def dual_matrix(F: LocalField, xs, h: LaurentElem) -> MatG:
@@ -115,7 +117,6 @@ def zeta_psi_tilde(
     d: SSCDatum,
     lam: TameChar,
     m: int = 2,
-    shell_bound: int = 2,
     measure_scale: Fraction = Fraction(1),
 ) -> EpsMonomial:
     """The dual integral as a monomial in q^(-s), already rewritten in s.
@@ -126,7 +127,7 @@ def zeta_psi_tilde(
     Another row count raises LLCError; depths m and m + 1 disagreeing
     raises PrecisionNotStabilized.
     """
-    return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m, shell_bound), measure_scale)
+    return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m), measure_scale)
 
 
 # ----- shared-decomposition tables ------------------------------------
@@ -155,14 +156,14 @@ def _principal_lead(F: LocalField, n: int, h: LaurentElem) -> MatG:
 
 
 @lru_cache(maxsize=None)
-def _lead_invariants(q: int, n: int, B: int, lead) -> dict:
+def _lead_invariants(q: int, n: int, lead) -> dict:
     """(v, a0) -> the invariant of lead(F, n, a0 t^v) for every shell v
-    in -B..B and residue unit a0: one decomposition each, which every
-    depth shares."""
+    in -SHELL_BOUND..SHELL_BOUND and residue unit a0: one decomposition
+    each, which every depth shares."""
     F = LocalField.base_field(q)
     return {
         (v, a0): WhittakerInvariant.of(*decompose(lead(F, n, F.elem(v, (a0,)))))
-        for v in range(-B, B + 1)
+        for v in range(-SHELL_BOUND, SHELL_BOUND + 1)
         for a0 in F.residue.units()
     }
 
@@ -188,7 +189,7 @@ def _random_elem(rng: random.Random, F: LocalField, lo: int, hi: int) -> Laurent
 
 
 @lru_cache(maxsize=None)
-def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
+def _dual_points(q: int, n: int, m: int, seed: int) -> DualPoints:
     """The dual integral's unsolved rows at depth m, for every pi_unit.
 
     Every integral x has the invariant of A(a0 t^v), so the row of
@@ -198,7 +199,7 @@ def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
     random.Random(seed)."""
     F = LocalField.base_field(q)
     points = Counter()
-    for (v, a0), inv in _lead_invariants(q, n, B, _dual_lead).items():
+    for (v, a0), inv in _lead_invariants(q, n, _dual_lead).items():
         # |h|^(1-s-(n-1)/2) at val(h) = v, unit coset volume q^-m, x volume
         q_exp = Fraction(v * (n - 3) + n - 2, 2) - m
         points[ZetaRow(-v, q_exp, v, a0, inv)] = q ** (m - 1)
@@ -208,10 +209,10 @@ def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
         rng = random.Random(seed)
         unit_rs = F.unit_reps(m)
         for _ in range(SPOT_CHECKS):
-            h = rng.choice(unit_rs).shift(rng.randrange(-B, B + 1))
+            h = rng.choice(unit_rs).shift(rng.randrange(-SHELL_BOUND, SHELL_BOUND + 1))
             xs = [_random_elem(rng, F, 0, m) for _ in range(n - 2)]
             j = rng.randrange(n - 2)
-            bad_val = rng.randrange(-B, 0)
+            bad_val = rng.randrange(-SHELL_BOUND, 0)
             xs[j] = F.elem(
                 bad_val,
                 [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)],
@@ -220,13 +221,13 @@ def _dual_points(q: int, n: int, m: int, B: int, seed: int) -> DualPoints:
     return DualPoints(points, tuple(non_integral))
 
 
-def _table_rows(q: int, n: int, pi_unit: int, m: int, B: int, seed: int) -> Counter:
+def _table_rows(q: int, n: int, pi_unit: int, m: int, seed: int) -> Counter:
     """The dual integral's rows for one uniformizer at depth m.
 
     The rows sum every integral x exactly.  That the integrand vanishes
     for non-integral x is audited on the invariants solved for this
     pi_unit, which certifies the rows for every datum and twist at once."""
-    pts = _dual_points(q, n, m, B, seed)
+    pts = _dual_points(q, n, m, seed)
     if any(inv.solve(pi_unit) is not None for inv in pts.non_integral):
         raise LLCError("table audit failed: non-integral x contributed")
     return _solve_rows(pts.points, pi_unit)
@@ -234,29 +235,21 @@ def _table_rows(q: int, n: int, pi_unit: int, m: int, B: int, seed: int) -> Coun
 
 # Solved support of the dual integral for one (q, n, pi_unit): the rows
 # at the working depth m and at m + 1, and the points they stand for.
-DualSupportTable = namedtuple(
-    "DualSupportTable", "q n pi_unit m shell_bound agg agg_next row_count"
-)
-
-
-def dual_support_table(
-    q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2
-) -> DualSupportTable:
-    """The dual integral's rows for one uniformizer choice, solved from
-    lead matrices decomposed once for every uniformizer."""
-    if m < 2 or shell_bound < 1:
-        raise ValueError("need depth m >= 2 and a positive shell bound")
-    # support and invariants do not see zeta or omega, so a throwaway
-    # datum with trivial choices only validates (q, n, pi_unit)
-    SSCDatum(q, n, RootOfUnity.one(), 0, None, pi_unit)
-    rows = _table_rows(q, n, pi_unit, m, shell_bound, AUDIT_SEED)
-    rows_next = _table_rows(q, n, pi_unit, m + 1, shell_bound, AUDIT_SEED + 1)
-    return DualSupportTable(q, n, pi_unit, m, shell_bound, rows, rows_next, sum(rows.values()))
+DualSupportTable = namedtuple("DualSupportTable", "q n pi_unit m agg agg_next row_count")
 
 
 @lru_cache(maxsize=None)
-def cached_dual_table(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2) -> DualSupportTable:
-    return dual_support_table(q, n, pi_unit, m, shell_bound)
+def cached_dual_table(q: int, n: int, pi_unit: int, m: int = 2) -> DualSupportTable:
+    """The dual integral's rows for one uniformizer choice, solved from
+    lead matrices decomposed once for every uniformizer."""
+    if m < 2:
+        raise ValueError("need depth m >= 2")
+    # support and invariants do not see zeta or omega, so a throwaway
+    # datum with trivial choices only validates (q, n, pi_unit)
+    SSCDatum(q, n, RootOfUnity.one(), 0, None, pi_unit)
+    rows = _table_rows(q, n, pi_unit, m, AUDIT_SEED)
+    rows_next = _table_rows(q, n, pi_unit, m + 1, AUDIT_SEED + 1)
+    return DualSupportTable(q, n, pi_unit, m, rows, rows_next, sum(rows.values()))
 
 
 # What an integral, or gamma, is evaluated from: every datum's value at
@@ -285,14 +278,14 @@ def _stable_row(q: int, rows: Counter, rows_next: Counter, what: str, m: int) ->
 
 
 @lru_cache(maxsize=None)
-def _principal_row(q: int, n: int, pi_unit: int, m: int, B: int) -> StableRow:
-    rows = _psi_rows(q, n, pi_unit, m, B)
-    return _stable_row(q, rows, _psi_rows(q, n, pi_unit, m + 1, B), "psi integral", m)
+def _principal_row(q: int, n: int, pi_unit: int, m: int) -> StableRow:
+    rows = _psi_rows(q, n, pi_unit, m)
+    return _stable_row(q, rows, _psi_rows(q, n, pi_unit, m + 1), "psi integral", m)
 
 
 @lru_cache(maxsize=None)
-def _dual_row(q: int, n: int, pi_unit: int, m: int, B: int) -> StableRow:
-    T = cached_dual_table(q, n, pi_unit, m, B)
+def _dual_row(q: int, n: int, pi_unit: int, m: int) -> StableRow:
+    T = cached_dual_table(q, n, pi_unit, m)
     return _stable_row(q, T.agg, T.agg_next, "dual integral", m)
 
 
@@ -302,12 +295,14 @@ def _value(
     """The one evaluator: row.weight times the datum's root at the solved
     invariant times lam at the argument, inverted, times measure_scale,
     all in one scale."""
+    if lam.field is not d.F:
+        raise TypeError("twisting character must live on the datum's base field")
     root = d.invariant_root(row.invariant) * lam.of_leading(row.arg_val, row.arg_lead).inverse()
     return row.weight.scale(LambdaGraded(0, root, measure_scale))
 
 
 @lru_cache(maxsize=None)
-def _gamma_row(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2) -> StableRow:
+def _gamma_row(q: int, n: int, pi_unit: int, m: int = 2) -> StableRow:
     """gamma_automorphic's ratio row for one uniformizer.
 
     Both characters of a row are multiplicative: the datum's value is a
@@ -316,8 +311,8 @@ def _gamma_row(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2) -
     principal one, with lam(-1)^(n-1) folded into the argument, is again
     a row, evaluated like an integral's.
     """
-    dual = _dual_row(q, n, pi_unit, m, shell_bound)
-    psi = _principal_row(q, n, pi_unit, m, shell_bound)
+    dual = _dual_row(q, n, pi_unit, m)
+    psi = _principal_row(q, n, pi_unit, m)
     ff = LocalField.base_field(q).residue
     a, b = dual.invariant, psi.invariant
     invariant = SolvedInvariant(
@@ -334,7 +329,7 @@ def _gamma_row(q: int, n: int, pi_unit: int, m: int = 2, shell_bound: int = 2) -
     return StableRow(invariant, dual.arg_val - psi.arg_val, lead, dual.weight / psi.weight)
 
 
-def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2, shell_bound: int = 2) -> EpsMonomial:
+def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
     """lam(-1)^(n-1) times the ratio of the dual to the principal integral.
 
     With the L-factor identically 1 this is also the epsilon factor.  Both
@@ -342,7 +337,7 @@ def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2, shell_bound: int =
     uniformizer; a call evaluates the datum at the quotient invariant and
     lam at the quotient argument.
     """
-    return _value(d, lam, _gamma_row(d.q, d.n, d.pi_unit, m, shell_bound))
+    return _value(d, lam, _gamma_row(d.q, d.n, d.pi_unit, m))
 
 
 def closed_form_epsilon(d: SSCDatum, lam: TameChar) -> EpsMonomial:
@@ -352,5 +347,7 @@ def closed_form_epsilon(d: SSCDatum, lam: TameChar) -> EpsMonomial:
     lam is multiplicative, so lam(-1)^(n-1) lam(pi) is lam at
     (-1)^(n-1) pi, the norm of the extension's variable: the unit is one
     character value times zeta, with no power of lam(-1)."""
+    if lam.field is not d.F:
+        raise TypeError("twisting character must live on the datum's base field")
     unit = lam.of_leading(*norm_of_variable(d.extension_field())) * d.zeta
     return EpsMonomial(d.q, LambdaGraded(0, unit), Fraction(1, 2), -1)

@@ -7,6 +7,7 @@ import pytest
 from llclab.characters import TameChar
 from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InconsistentTable
+from llclab.laurent import LocalField
 from llclab.matching import (
     EpsilonTable,
     determine_from_table,
@@ -50,11 +51,23 @@ def test_round_trip_small_grid():
 
 def test_trivial_only_table_is_partial():
     d = _datum(5, 2, zeta_num=1, u0=3)
-    T = EpsilonTable.of_datum(d, exponents=(0,))
+    T = EpsilonTable(5, 2, {(0, 0): closed_form_epsilon(d, TameChar.trivial(d.F))})
     res = determine_from_table(T, d.omega, 2, 5)
     assert not res.complete
     assert res.zeta == RootOfUnity(1, 4)
     assert res.pi_unit is None and res.datum is None
+
+
+def test_table_read_with_another_size_or_field_raises():
+    # the (5, 2) table read as n = 4 once came back complete with an
+    # n = 4 datum; the table's (q, n) and omega's field must match
+    d = _datum(5, 2)
+    T = EpsilonTable.of_datum(d)
+    assert determine_from_table(T, d.omega, 2, 5).complete
+    other = TameChar(LocalField.base_field(7), 0)
+    for omega, n, q in [(d.omega, 4, 5), (d.omega, 2, 7), (other, 2, 5), (other, 2, 7)]:
+        with pytest.raises(ValueError):
+            determine_from_table(T, omega, n, q)
 
 
 def test_corrupted_entry_raises():
@@ -190,7 +203,12 @@ def test_round_trip_every_zeta_order():
                 u0 = 1 + i % (q - 1)
                 d = SSCDatum(q, n, zeta, omega_exp=i, omega_at_pi=zeta**n, pi_unit=u0)
                 at_t = (0, 1) if i % 3 == 0 else (0,)
-                res = determine_from_table(EpsilonTable.of_datum(d, at_t), d.omega, n, q)
+                entries = {
+                    (e, b): closed_form_epsilon(d, twist_char(d.F, e, b))
+                    for e in range(q - 1)
+                    for b in at_t
+                }
+                res = determine_from_table(EpsilonTable(q, n, entries), d.omega, n, q)
                 assert res.complete, (q, n, zeta)
                 assert (res.zeta, res.pi_unit) == (zeta, u0), (q, n, zeta)
                 assert res.datum.omega_at_pi == d.omega_at_pi

@@ -1,7 +1,10 @@
-"""Rules the library source keeps, checked on its syntax trees."""
+"""Rules the library source keeps, checked on its syntax trees and signatures."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from llclab import matching, pairs, stability, zeta
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "llclab"
 
@@ -97,8 +100,8 @@ def test_zeta_decomposes_no_point_in_a_point_loop():
 
 def test_zeta_decomposes_no_point_per_uniformizer():
     # a point's decomposition does not see the uniformizer: zeta decomposes
-    # once per (q, n, shell bound) and solves per pi_unit, so no
-    # function that takes a pi_unit may call decompose
+    # once per (q, n) and solves per pi_unit, so no function that takes a
+    # pi_unit may call decompose
     tree = ast.parse((SRC / "zeta.py").read_text())
     found = []
     for fn in ast.walk(tree):
@@ -219,4 +222,43 @@ def test_building_kernels_take_no_fraction_modulus():
         for name, node in _library_nodes()
         if name in ("building.py", "stability.py") and _mod_one(node)
     ]
+    assert found == []
+
+
+def test_single_value_options_stay_constants():
+    # each of these took an option that every caller left at its default;
+    # the value is a module constant now, and no parameter or table field
+    # may bring a second value back
+    shells = {"shell_bound", "B"}
+    removed = {
+        zeta.zeta_psi: shells,
+        zeta.zeta_psi_tilde: shells,
+        zeta.gamma_automorphic: shells,
+        zeta.cached_dual_table: shells,
+        zeta._gamma_row: shells,
+        zeta._principal_row: shells,
+        zeta._dual_row: shells,
+        zeta._psi_points: shells,
+        zeta._psi_rows: shells,
+        zeta._lead_invariants: shells,
+        zeta._dual_points: shells,
+        zeta._table_rows: shells,
+        pairs.PairConfig: {"precision", "shell_bound"},
+        pairs.mirabolic_table: {"precision", "shell_bound"},
+        pairs.support_check: {"shell_bound", "depth"},
+        pairs.sample_k_words: {"precision", "audit_stride"},
+        pairs.cached_k_words: {"precision", "seed"},
+        stability.verify_certificate: {"recheck_brute_force"},
+        matching.EpsilonTable.of_datum: {"at_t_nums", "exponents"},
+    }
+    found = [
+        f"{fn.__qualname__}({name})"
+        for fn, names in removed.items()
+        for name in inspect.signature(fn).parameters
+        if name in names
+    ]
+    for table in (zeta.DualSupportTable, pairs.MirabolicTable, pairs.WalkSamples):
+        found += [f"{table.__name__}.{f}" for f in table._fields if f in {"shell_bound", "precision"}]
+    if hasattr(zeta, "dual_support_table"):
+        found.append("zeta.dual_support_table")
     assert found == []

@@ -21,7 +21,6 @@ from llclab.zeta import (
     cached_dual_table,
     closed_form_epsilon,
     dual_matrix,
-    dual_support_table,
     gamma_automorphic,
     zeta_psi,
     zeta_psi_tilde,
@@ -103,8 +102,6 @@ def test_depth_and_mode_guards():
     lam = TameChar.trivial(d.F)
     with pytest.raises(ValueError):
         zeta_psi(d, lam, m=1)
-    with pytest.raises(ValueError):
-        zeta_psi(d, lam, shell_bound=0)
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +162,7 @@ def test_principal_rows_carry_the_inverse_of_h(q, n):
     # fields tell apart, and every shell is covered, not just a0 = 1
     F = LocalField.base_field(q)
     for m in (2, 3):
-        rows = zeta._psi_points(q, n, m, 2)
+        rows = zeta._psi_points(q, n, m)
         assert {row.arg_lead for row in rows} == set(F.residue.units())
         for row in rows:
             h = F.elem(row.arg_val, (row.arg_lead,)).inverse()
@@ -183,8 +180,8 @@ def _fresh_stable_rows(monkeypatch):
 def test_principal_two_depth_check_fires(monkeypatch):
     real = zeta._psi_rows
 
-    def drop_one_row_above(q, n, pi_unit, m, B):
-        rows = real(q, n, pi_unit, m, B)
+    def drop_one_row_above(q, n, pi_unit, m):
+        rows = real(q, n, pi_unit, m)
         if m == 2:
             return rows
         thinner = Counter(rows)
@@ -308,13 +305,12 @@ def _tilde_per_point(d, lam, m, B):
 
 def test_dual_full_and_pruned_agree():
     # at shell bound 1 and depth 2 the oracle enumerates every point;
-    # the rows at shell bounds 1 and 2 must reproduce it
+    # the rows, over shells -2..2, must reproduce it
     d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
     lam = TameChar(d.F, 1, RootOfUnity(1, 4))
     full = _tilde_per_point(d, lam, 2, 1)
     assert full == _dual_expected(d, lam)
-    for bound in (1, 2):
-        _assert_collapses_to(zeta_psi_tilde(d, lam, shell_bound=bound), full)
+    _assert_collapses_to(zeta_psi_tilde(d, lam), full)
 
 
 @pytest.mark.parametrize("q", [q for q, n in gauss_cells("full") if n == 2])
@@ -359,7 +355,7 @@ def test_table_matches_direct_integrator():
     # one decomposition pass, summed over its rows for several data and
     # twists, must collapse to the integral's one stable row
     for q, n, u0 in [(5, 2, 2), (5, 3, 2), (3, 4, 2)]:
-        T = dual_support_table(q, n, u0)
+        T = cached_dual_table(q, n, u0)
         for zeta_num, e_om, (e, av) in [(0, 0, (0, 0)), (1, 0, (1, 1)), (3, 1, (2, 1))]:
             d = _datum(q, n, zeta_num=zeta_num, omega_exp=e_om, u0=u0)
             lam = TameChar(d.F, e, RootOfUnity(av, q - 1))
@@ -369,7 +365,7 @@ def test_table_matches_direct_integrator():
 def test_table_row_budget_matches_support():
     # pruned depth-2 support: the one-unit cosets of shell -1; the
     # integral x ride in the q-exponent
-    T = dual_support_table(5, 3, 2)
+    T = cached_dual_table(5, 3, 2)
     assert T.row_count == 5
     assert sum(T.agg.values()) == T.row_count
 
@@ -443,12 +439,12 @@ def _per_unit_psi_rows(q, n, pi_unit, m, B=2):
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2), (5, 3), (7, 3), (3, 5)])
 def test_rows_match_per_uniformizer_oracle(q, n):
     for u in range(1, q):
-        T = dual_support_table(q, n, u)
+        T = cached_dual_table(q, n, u)
         want = _per_unit_dual_rows(q, n, u, 2, 2)
         assert T.agg == want and T.row_count == sum(want.values())
         assert T.agg_next == _per_unit_dual_rows(q, n, u, 3, 2)
         for m in (2, 3):
-            assert zeta._psi_rows(q, n, u, m, 2) == _per_unit_psi_rows(q, n, u, m)
+            assert zeta._psi_rows(q, n, u, m) == _per_unit_psi_rows(q, n, u, m)
 
 
 def _count_decompositions(monkeypatch, *cached):
@@ -486,7 +482,7 @@ def test_each_principal_lead_decomposes_once(monkeypatch):
     for u in range(1, 5):
         before = len(calls)
         for m in (2, 3):
-            assert zeta._psi_rows(5, 3, u, m, 2)
+            assert zeta._psi_rows(5, 3, u, m)
         per_unit.append(len(calls) - before)
     assert per_unit == [5 * 4, 0, 0, 0]
 
@@ -497,7 +493,7 @@ def test_every_integral_point_has_its_lead_invariant(q, n, depths):
     # shell and unit coset, solves like A(a0 t^v) for every uniformizer,
     # so x-class constancy and the vanishing off shell -1 need no audit
     F = LocalField.base_field(q)
-    lead = zeta._lead_invariants(q, n, 2, zeta._dual_lead)
+    lead = zeta._lead_invariants(q, n, zeta._dual_lead)
     for m in depths:
         x_reps = F.integer_reps(0, m)
         for v in range(-2, 3):
@@ -510,7 +506,7 @@ def test_every_integral_point_has_its_lead_invariant(q, n, depths):
 
 
 def test_every_principal_point_has_its_lead_invariant():
-    lead = zeta._lead_invariants(5, 3, 2, zeta._principal_lead)
+    lead = zeta._lead_invariants(5, 3, zeta._principal_lead)
     for v, h, inv in _principal_points(5, 3, 3):
         want = lead[v, h.coeff_at(v)]
         assert [inv.solve(u) for u in range(1, 5)] == [want.solve(u) for u in range(1, 5)]
@@ -519,7 +515,7 @@ def test_every_principal_point_has_its_lead_invariant():
 def test_table_audit_runs_per_uniformizer(monkeypatch):
     # a non-integral audit point that contributes at pi_unit 2 only must
     # fail that uniformizer's table and leave pi_unit 1's alone
-    planted = zeta._dual_points(5, 3, 2, 2, zeta.AUDIT_SEED).non_integral[0]
+    planted = zeta._dual_points(5, 3, 2, zeta.AUDIT_SEED).non_integral[0]
     real = WhittakerInvariant.solve
 
     def solve(self, pi_unit):
@@ -529,12 +525,12 @@ def test_table_audit_runs_per_uniformizer(monkeypatch):
 
     monkeypatch.setattr(WhittakerInvariant, "solve", solve)
     with pytest.raises(LLCError, match="table audit failed: non-integral x contributed"):
-        dual_support_table(5, 3, 2)
-    assert dual_support_table(5, 3, 1).row_count == 5
+        cached_dual_table.__wrapped__(5, 3, 2)
+    assert cached_dual_table.__wrapped__(5, 3, 1).row_count == 5
 
 
 def test_table_measure_scale():
-    T = dual_support_table(5, 2, 2)
+    T = cached_dual_table(5, 2, 2)
     d = _datum(5, 2, zeta_num=1, u0=2)
     lam = TameChar.trivial(d.F)
     c = Fraction(2, 3)
@@ -583,14 +579,14 @@ def test_closed_form_matches_four_factor_oracle(q, n):
                     assert got == want and repr(got) == repr(want)
 
 
-def _gamma_oracle(d, lam, m=2, shell_bound=2):
+def _gamma_oracle(d, lam, m=2):
     """gamma as the ratio of the two collapsed integrals, each summed
     over its rows as a polynomial and checked at depths m and m + 1 for
     this datum and twist."""
-    q, n, u, B = d.q, d.n, d.pi_unit, shell_bound
-    T = cached_dual_table(q, n, u, m, B)
+    q, n, u = d.q, d.n, d.pi_unit
+    T = cached_dual_table(q, n, u, m)
     num = _rows_oracle(d, lam, T.agg, T.agg_next)
-    den = _rows_oracle(d, lam, zeta._psi_rows(q, n, u, m, B), zeta._psi_rows(q, n, u, m + 1, B))
+    den = _rows_oracle(d, lam, zeta._psi_rows(q, n, u, m), zeta._psi_rows(q, n, u, m + 1))
     ratio = num.collapse_to_monomial() / den.collapse_to_monomial()
     return ratio.scale(lam.at_minus_one() ** (d.n - 1))
 
@@ -602,9 +598,9 @@ def test_gamma_matches_integral_ratio_oracle(q, n):
             d = _datum(q, n, zeta_num=zeta_num, omega_exp=e_om, u0=u0)
             for e, b in ZETA_TWISTS:
                 lam = TameChar(d.F, e, RootOfUnity(b, q - 1))
-                for m, bound in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-                    got = gamma_automorphic(d, lam, m, bound)
-                    want = _gamma_oracle(d, lam, m, bound)
+                for m in (2, 3):
+                    got = gamma_automorphic(d, lam, m)
+                    want = _gamma_oracle(d, lam, m)
                     assert got == want and repr(got) == repr(want)
 
 
@@ -624,13 +620,11 @@ def _plant_rows(monkeypatch, side, plant):
     that side's integral on a datum and twist of the cell."""
     if side == "psi":
         real = zeta._psi_rows
-        monkeypatch.setattr(
-            zeta, "_psi_rows", lambda q, n, u, m, B: plant(real(q, n, u, m, B), m)
-        )
+        monkeypatch.setattr(zeta, "_psi_rows", lambda q, n, u, m: plant(real(q, n, u, m), m))
     else:
         real = zeta.cached_dual_table(5, 3, 2)
         planted = zeta.DualSupportTable(
-            5, 3, 2, 2, 2, plant(real.agg, 2), plant(real.agg_next, 3), real.row_count
+            5, 3, 2, 2, plant(real.agg, 2), plant(real.agg_next, 3), real.row_count
         )
         monkeypatch.setattr(zeta, "cached_dual_table", lambda *a: planted)
     _fresh_stable_rows(monkeypatch)
@@ -694,6 +688,17 @@ def test_characters_read_without_series(q, n):
             assert closed_form_epsilon(d, lam) == EpsMonomial(
                 q, LambdaGraded.from_cyclo(old), Fraction(1, 2), -1
             )
+
+
+@pytest.mark.parametrize("other_q", [3, 7, 25])
+@pytest.mark.parametrize("entry", [closed_form_epsilon, gamma_automorphic, zeta_psi, zeta_psi_tilde])
+def test_twist_over_another_base_field_raises(entry, other_q):
+    # as on the Galois side: a twist over F_3, F_7 or F_25 once gave a
+    # q = 5 datum a monomial, or an IndexError
+    d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
+    lam = TameChar(LocalField.base_field(other_q), 1, RootOfUnity(1, other_q - 1))
+    with pytest.raises(TypeError, match="base field"):
+        entry(d, lam)
 
 
 def test_gamma_equals_closed_form():
