@@ -14,18 +14,26 @@ one of strictly larger valuation (coefficient in the maximal ideal);
 those are precisely the constraints Iwahori membership of k puts on the
 column operations, so no other pivot choice closes.
 
-The elimination runs on laurent's (val, coeffs, prec) triples: each
-row's pivot is inverted once, every column op, row op and fold into u or
-k is one fused z + c*y update (skipped where y is an exact zero), and
-LaurentElem is built only for the returned u and k.  The Iwahori checks
-on the column factors and on the final k both go through
-laurent.val_at_least_t, so they raise InsufficientPrecision when the
-known digits cannot decide.
+The elimination, _eliminate, runs on laurent's (val, coeffs, prec)
+triples: each row's pivot is inverted once, every column op, row op and
+fold into u or k is one fused z + c*y update (skipped where y is an
+exact zero), and decompose builds LaurentElem only for the u and k it
+returns.  The Iwahori checks on the column factors and on the final k
+both go through laurent.val_at_least_t, so they raise
+InsufficientPrecision when the known digits cannot decide.
 
 On its support the Whittaker value is psi(residue) zeta^r omega(s t^d).
-WhittakerInvariant reads what that needs off a factorization once, for
-every datum; solve() then fits M = rotation^r * central(s, d) for one
-uniformizer through a per-(field, n, pi_unit) table of rotation powers.
+WhittakerInvariant reads what that needs once, for every datum; solve()
+then fits M = rotation^r * central(s, d) for one uniformizer through a
+per-(field, n, pi_unit) table of rotation powers.  The library reads it
+with WhittakerInvariant.read(g), which eliminates g cut one digit past
+its last stored digit, exact zeros kept exact, and reads the digits off
+the triples of u and k.  An exact pivot that is not a monomial then
+inverts to the few digits the window holds, where decompose inverts it
+to DEFAULT_REL_PREC digits for the u and k it returns.  Precision
+tracking makes the window's reading that of decompose(g), as g agrees
+with its cut; where the window cannot decide, g is eliminated once more
+as given.
 """
 
 from __future__ import annotations
@@ -39,10 +47,12 @@ from .laurent import (
     ZERO_T,
     LocalField,
     addmul_t,
+    coeff_at_t,
     dot_t,
     inverse_t,
     mul_t,
     neg_t,
+    truncate_t,
     val_at_least_t,
 )
 from .matrices import MatG, in_iplus_t, wrap_matrix
@@ -219,6 +229,41 @@ class WhittakerInvariant(namedtuple("WhittakerInvariant", "mono residue corner")
         corner = 0 if k is None else k.entry(mono.n - 1, 0).coeff_at(1)
         return cls(mono, total, corner)
 
+    @classmethod
+    def read(cls, g: MatG, prec: int | None = None) -> WhittakerInvariant:
+        """The invariant of decompose(g, prec), eliminated at the precision
+        g carries.
+
+        g is first cut one digit past its last stored digit, exact zeros
+        kept exact, so exact non-monomial pivots invert to a few digits
+        instead of DEFAULT_REL_PREC.  Precision tracking makes what that
+        window reads exact, since g agrees with its cut.  Where the window
+        cannot decide a pivot or a digit it raises InsufficientPrecision,
+        and g is eliminated once more as given, unless the cut left g as
+        it was.
+        """
+        rows = _triples(g, prec)
+        cut = _window(rows)
+        if cut != rows:
+            try:
+                return cls._of_rows(g.field, cut)
+            except InsufficientPrecision:
+                pass
+        return cls._of_rows(g.field, rows)
+
+    @classmethod
+    def _of_rows(cls, field: LocalField, rows: list) -> WhittakerInvariant:
+        """The invariant of the elimination of rows, read off the triples
+        of u and k."""
+        u, mono, k = _eliminate(field, rows)
+        ff, var = field.residue, field.var
+        n = len(rows)
+        total = 0
+        for m in (u, k):
+            for i in range(n - 1):
+                total = ff.add(total, coeff_at_t(m[i][i + 1], 0, var))
+        return cls(mono, total, coeff_at_t(k[n - 1][0], 1, var))
+
     def affine_residue(self, pi_unit: int) -> int:
         """The residue psi reads once the corner is divided by pi_unit."""
         ff = self.mono.field.residue
@@ -241,12 +286,37 @@ def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, Ma
     u comes back exactly unipotent upper triangular, k verified inside
     the pro-unipotent Iwahori at the precision the entries carry.
     """
-    field = g.field
-    n = g.n
+    u_rows, mono, k_rows = _eliminate(g.field, _triples(g, prec))
+    return wrap_matrix(g.field, u_rows), mono, wrap_matrix(g.field, k_rows)
+
+
+def _triples(g: MatG, prec: int | None) -> list:
+    """The rows of g as (val, coeffs, prec) triples, cut at t^prec if given."""
+    rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in g.rows]
+    if prec is None:
+        return rows
+    return [[truncate_t(x, prec) for x in row] for row in rows]
+
+
+def _window(rows: list) -> list:
+    """rows known only below one digit past the last digit any entry
+    stores.  Exact zeros stay exact: the elimination skips them, and a
+    row of them is exactly zero."""
+    top = max((v + len(cs) for row in rows for v, cs, _ in row if cs), default=None)
+    if top is None:
+        return rows
+    return [
+        [x if not x[1] and x[2] is None else truncate_t(x, top + 1) for x in row]
+        for row in rows
+    ]
+
+
+def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list]:
+    """decompose on triples: the rows of u and k as triples, and M.  rows
+    is left as it was."""
+    n = len(rows)
     ff, var = field.residue, field.var
-    if prec is not None:
-        g = g.truncate(prec)
-    A = [[(e.val, e.coeffs, e.prec) for e in row] for row in g.rows]
+    A = [list(row) for row in rows]
     u_rows = [[ONE_T if i == j else ZERO_T for j in range(n)] for i in range(n)]
     k_rows = [[ONE_T if i == j else ZERO_T for j in range(n)] for i in range(n)]
     used: set[int] = set()
@@ -324,7 +394,7 @@ def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, Ma
     k_total = [[dot_t(ff, r, col) for col in k_cols] for r in k2]
     if not in_iplus_t(ff, k_total, var):
         raise LLCError("internal: k factor left the Iwahori subgroup")
-    return wrap_matrix(field, u_rows), mono, wrap_matrix(field, k_total)
+    return u_rows, mono, k_total
 
 
 def _addmul_row(ff, z: list, c: tuple, y: list) -> list:

@@ -14,7 +14,12 @@ and the Iwahori test reads the low terms of the entries a step moved.
 Series and matrices are built only where a word leaves the walk.
 
 Both checks read the WhittakerInvariant of bruhat, which does not see
-zeta, omega or the uniformizer unit, and on the support the value
+zeta, omega or the uniformizer unit.  Every matrix the checks
+eliminate (the audited walk prefixes, the mirabolic blocks and their
+refinements, the support draws) is read by WhittakerInvariant.read, at
+the precision it carries and again as given where that cannot decide; a
+singular draw raises what decompose would, so the seeded redraws are
+those of decompose.  On the support the value
 psi(residue) zeta^r omega(s t^d) is a character of the solved tuple
 (r, s, d, residue).  So each check sums over a few keys computed once:
 a walk counts its prefixes per unit under (fwd on support, inv on
@@ -32,7 +37,7 @@ import random
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
+from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant
 from .cyclotomic import RootOfUnity
 from .errors import InsufficientPrecision, LLCError, ZeroInput
 from .laurent import (
@@ -362,7 +367,7 @@ def sample_k_words(
         w = walk.snapshot()
         read = None
         if (idx + 1) % AUDIT_STRIDE == 0:
-            read = WhittakerInvariant.of(*decompose(walk.forward_matrix()))
+            read = WhittakerInvariant.read(walk.forward_matrix())
         for u in units:
             a, b = w.fwd.solve(u), w.inv.solve(u)
             key = (
@@ -516,7 +521,7 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
             slot: c for slot, c in zip(polar_slots, polar_digits) if c
         }
         for k_res in itertools.product(range(q), repeat=m - 1):
-            inv = WhittakerInvariant.of(*decompose(_embed(F, _polar_block(F, m, polar, k_res))))
+            inv = WhittakerInvariant.read(_embed(F, _polar_block(F, m, polar, k_res)))
             for digit, count in shifts.items():
                 classes[inv._replace(residue=ff.add(inv.residue, digit))] += count
             blocks.append((polar, k_res))
@@ -553,7 +558,7 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
         x_elems = [F.zero()] * (m - 1) + [x_reps[x_index]]
         base = _embed(F, _polar_block(F, m, polar, k_res)) * _column_unipotent(F, n, x_elems)
         refined = _deep_left() * base * _deep_right()
-        if WhittakerInvariant.of(*decompose(refined)) != WhittakerInvariant.of(*decompose(base)):
+        if WhittakerInvariant.read(refined) != WhittakerInvariant.read(base):
             raise LLCError("mirabolic invariants moved under a deep refinement")
 
     # dense blocks for the support containment claim
@@ -567,14 +572,14 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
                 for _ in range(m)
             ]
             try:
-                cls = WhittakerInvariant.of(*decompose(_embed(F, MatG(F, g_rows))))
+                cls = WhittakerInvariant.read(_embed(F, MatG(F, g_rows)))
             # a singular draw, exactly or at the precision of its entries
             except (ZeroInput, InsufficientPrecision):
                 continue
             break
         rows += 1
         # the block lies in U I+ of its own size iff the embedding's class
-        # is trivial, since decompose settles the last row first and alone
+        # is trivial, since the elimination settles the last row first and alone
         if cls.mono == MonomialClass.identity(F, n):
             classes[cls] += 1
         else:
@@ -659,7 +664,7 @@ def support_check(d: SSCDatum, samples: int = 200, seed: int = 17) -> dict:
             krows[i][i] = F.one() + F.elem(1, [rng.randrange(q) for _ in range(PRECISION)])
         g = u * mono.as_matrix() * MatG(F, krows)
         planted += 1
-        solved = WhittakerInvariant.of(*decompose(g)).solve(d.pi_unit)
+        solved = WhittakerInvariant.read(g).solve(d.pi_unit)
         if solved is None:
             violations.append({"reason": "constructed support point valued zero", "power": r})
             continue
@@ -677,7 +682,7 @@ def support_check(d: SSCDatum, samples: int = 200, seed: int = 17) -> dict:
                 for _ in range(n)
             ]
             try:
-                solved = WhittakerInvariant.of(*decompose(MatG(F, rows))).solve(d.pi_unit)
+                solved = WhittakerInvariant.read(MatG(F, rows)).solve(d.pi_unit)
             # a singular draw, exactly or at the precision of its entries
             except (ZeroInput, InsufficientPrecision):
                 continue

@@ -10,7 +10,7 @@ the Iwahori, and the Whittaker function supported on U times that group.
 
 from __future__ import annotations
 
-from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
+from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant
 from .characters import AdditiveCharPsi, TameChar
 from .cyclotomic import CycloNumber, RootOfUnity
 from .laurent import LocalField
@@ -91,8 +91,13 @@ class SSCDatum:
         return self.zeta**r * self.omega.of_leading(d, s) * self.psi.of_residue(residue)
 
     def whittaker_root(self, g: MatG, prec: int | None = None) -> RootOfUnity | None:
-        """The Whittaker value as a root of unity, or None off the support."""
-        inv = WhittakerInvariant.of(*decompose(g, prec))
+        """The Whittaker value as a root of unity, or None off the support.
+
+        g, cut at t^prec if given, is eliminated once at the precision it
+        carries, one digit past its last stored digit, and once more as
+        given only where that window cannot decide (WhittakerInvariant.read).
+        """
+        inv = WhittakerInvariant.read(g, prec)
         return self.invariant_root(inv.solve(self.pi_unit))
 
     def whittaker(self, g: MatG, prec: int | None = None) -> CycloNumber:

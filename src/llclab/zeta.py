@@ -16,9 +16,10 @@ and N(x) is upper unipotent with first row (1, 0, -x_{n-2}, ..., -x_1).
 For integral x each right factor lies in the pro-unipotent Iwahori with
 zero simple-root residues and a zero corner digit, and right translation
 by such a factor keeps the Whittaker invariant of u M k.  So each
-integral decomposes one lead matrix per shell v and leading digit a0,
-whatever the depth, and caches it as an unsolved row weighted by the
-points it stands for.  One solver turns the rows into those of a
+integral reads the invariant of one lead matrix per shell v and leading
+digit a0, whatever the depth, and caches it as an unsolved row weighted
+by the points it stands for.  It and the audit points below are read
+with WhittakerInvariant.read, at the precision each matrix carries.  One solver turns the rows into those of a
 pi_unit, dropping the rows off its support.
 
 Each integral is then one stable row.  The support is rotation times
@@ -43,7 +44,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .bruhat import SolvedInvariant, WhittakerInvariant, decompose
+from .bruhat import SolvedInvariant, WhittakerInvariant
 from .cyclotomic import RootOfUnity
 from .characters import TameChar, norm_of_variable
 from .errors import LLCError, PrecisionNotStabilized
@@ -162,7 +163,7 @@ def _lead_invariants(q: int, n: int, lead) -> dict:
     each, which every depth shares."""
     F = LocalField.base_field(q)
     return {
-        (v, a0): WhittakerInvariant.of(*decompose(lead(F, n, F.elem(v, (a0,)))))
+        (v, a0): WhittakerInvariant.read(lead(F, n, F.elem(v, (a0,))))
         for v in range(-SHELL_BOUND, SHELL_BOUND + 1)
         for a0 in F.residue.units()
     }
@@ -217,7 +218,7 @@ def _dual_points(q: int, n: int, m: int, seed: int) -> DualPoints:
                 bad_val,
                 [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)],
             )
-            non_integral.append(WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h))))
+            non_integral.append(WhittakerInvariant.read(dual_matrix(F, xs, h)))
     return DualPoints(points, tuple(non_integral))
 
 

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import llclab
-from llclab.bruhat import MonomialClass, decompose
+from llclab import bruhat, pairs, zeta
+from llclab.bruhat import MonomialClass, WhittakerInvariant, decompose
 from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InsufficientPrecision, LLCError, ZeroInput
 from llclab.laurent import LaurentElem, LocalField
@@ -380,7 +381,10 @@ else:
     g = MatG(F, [[F.one(), F.zero()], [F.zero(), F.variable()]])
 bruhat.val_at_least_t = matrices.val_at_least_t = lambda x, k, var: False
 try:
-    bruhat.decompose(g)
+    if sys.argv[2] == "decompose":
+        bruhat.decompose(g)
+    else:
+        bruhat.WhittakerInvariant.read(g)
 except LLCError as exc:
     print("raised", type(exc).__name__, exc)
 else:
@@ -388,12 +392,12 @@ else:
 """
 
 
-def _optimized_decompose(seam: str) -> str:
+def _optimized_decompose(seam: str, entry: str = "decompose") -> str:
     # under python -O an assert would vanish and the bad factor would pass
     src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_IWAHORI_CHECK, seam],
+        [sys.executable, "-O", "-c", OPTIMIZED_IWAHORI_CHECK, seam, entry],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert out.returncode == 0, out.stderr
@@ -408,6 +412,15 @@ def test_iwahori_check_on_column_factors_survives_optimize():
 def test_iwahori_check_on_final_k_survives_optimize():
     # the diagonal input has no column to clear, so only the final check runs
     out = _optimized_decompose("final")
+    assert out.startswith("raised LLCError internal: k factor left the Iwahori subgroup"), out
+
+
+def test_reader_keeps_both_iwahori_checks_under_optimize():
+    # an internal LLCError is not InsufficientPrecision: the reader passes
+    # it on from its window instead of eliminating again
+    out = _optimized_decompose("column", "read")
+    assert out.startswith("raised LLCError internal: clearing column"), out
+    out = _optimized_decompose("final", "read")
     assert out.startswith("raised LLCError internal: k factor left the Iwahori subgroup"), out
 
 
@@ -621,3 +634,121 @@ def test_unchecked_monomial_results_equal_validated_ones():
                 for got in (a.compose(b), b.compose(a), a.inverse(), a**3, a**-2):
                     twin = MonomialClass(F, got.cols, got.exps, got.units)
                     assert got == twin and hash(got) == hash(twin)
+
+
+# ----- the invariant reader ---------------------------------------------
+
+
+def _count_eliminations(monkeypatch):
+    """The list every elimination in bruhat appends to."""
+    calls = []
+    real = bruhat._eliminate
+    monkeypatch.setattr(bruhat, "_eliminate", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _read_as_decompose(calls, g, prec=None):
+    """WhittakerInvariant.read(g, prec) is the invariant of
+    decompose(g, prec), or raises the same exception type; the number of
+    eliminations the read ran, 1 or 2."""
+    try:
+        want = WhittakerInvariant.of(*decompose(g, prec))
+    except LLCError as exc:
+        want = exc
+    before = len(calls)
+    if isinstance(want, LLCError):
+        with pytest.raises(LLCError) as got:
+            WhittakerInvariant.read(g, prec)
+        assert type(got.value) is type(want)
+    else:
+        assert WhittakerInvariant.read(g, prec) == want
+    runs = len(calls) - before
+    assert runs in (1, 2)
+    return runs
+
+
+def test_read_is_decompose_on_whittaker_points(monkeypatch):
+    # planted and dense points as the Whittaker benchmark draws them, also
+    # over F_9 and F_25, read whole and cut at t^prec, also through
+    # whittaker_root; the window decides all but the pinned few, which
+    # the elimination of g as given then reads
+    calls = _count_eliminations(monkeypatch)
+    rng = random.Random(2121)
+    retried = []
+    for q, n in [(3, 4), (5, 3), (5, 4), (9, 2), (9, 4), (25, 3)]:
+        F = LocalField.base_field(q)
+        root = RootOfUnity(1, n * n)
+        d = SSCDatum(q, n, root, omega_exp=0, omega_at_pi=root**n, pi_unit=rng.randrange(1, q))
+        for i in range(20):
+            for kind, g in (("planted", _planted_point(rng, F, n)), ("dense", _dense_point(rng, F, n))):
+                prec = rng.randrange(0, 4)
+                for p in (None, prec):
+                    if _read_as_decompose(calls, g, p) == 2:
+                        retried.append((q, n, kind, i, p))
+                try:
+                    want = WhittakerInvariant.of(*decompose(g, prec)).solve(d.pi_unit)
+                except InsufficientPrecision:
+                    with pytest.raises(InsufficientPrecision):
+                        d.whittaker_root(g, prec)
+                else:
+                    assert d.whittaker_root(g, prec) == d.invariant_root(want)
+    # the window cannot read a corner digit that g as given decides
+    assert retried == [(3, 4, "dense", 11, None)]
+
+
+def test_read_is_decompose_on_walk_and_table_matrices(monkeypatch):
+    # walk prefixes M * k carry inexact entries; the zeta lead matrices
+    # and the embedded mirabolic blocks carry exact zeros, which the
+    # window keeps exact, so each reads in one elimination
+    calls = _count_eliminations(monkeypatch)
+    runs = []
+    for q, n in [(3, 4), (5, 3), (5, 4)]:
+        F = LocalField.base_field(q)
+        walk = pairs.KWalk(q, n, 1, 2, pairs.PRECISION, 7)
+        for step in range(300):
+            walk.random_step()
+            if step % 15 == 0:
+                runs.append(_read_as_decompose(calls, walk.forward_matrix()))
+        for v in range(-2, 3):
+            for a0 in F.residue.units():
+                h = F.elem(v, (a0,))
+                runs.append(_read_as_decompose(calls, zeta._dual_lead(F, n, h)))
+                runs.append(_read_as_decompose(calls, zeta._principal_lead(F, n, h)))
+        rng = random.Random(q * n)
+        for _ in range(10):
+            polar = {(i, j): rng.randrange(q) for i in range(n - 1) for j in range(i + 1, n - 1)}
+            k_res = [rng.randrange(q) for _ in range(n - 2)]
+            block = pairs._polar_block(F, n - 1, polar, k_res)
+            runs.append(_read_as_decompose(calls, pairs._embed(F, block)))
+            runs.append(_read_as_decompose(calls, pairs._embed(F, _dense_point(rng, F, n - 1))))
+    assert len(runs) == 3 * 20 + 2 * 5 * (2 + 4 + 4) + 3 * 20 and set(runs) == {1}
+
+
+def test_read_raises_as_decompose(monkeypatch):
+    # an exactly zero row is exactly singular in the window too; a
+    # cancellation the window sees only to O(t^k) is read again as given,
+    # which finds it exact; undecidable inputs raise after both
+    calls = _count_eliminations(monkeypatch)
+    F = LocalField.base_field(5)
+    one, zero, t = F.one(), F.zero(), F.variable()
+    cases = [
+        (MatG(F, [[zero, zero], [one, one]]), None, ZeroInput, 1),
+        (MatG(F, [[one, t], [zero, zero]]), None, ZeroInput, 1),
+        (MatG(F, [[one, one], [one, one]]), None, ZeroInput, 2),
+        (MatG(F, [[one + t, t], [one, zero]]) * MatG(F, [[one, one], [zero, zero]]), None, ZeroInput, 2),
+        (MatG(F, [[F.zero(0), one], [one, zero]]), None, InsufficientPrecision, 2),
+    ]
+    for n in (2, 3):
+        for i in range(n):
+            for prec in (1, 2, 3):
+                for k in (prec, prec + 1):
+                    entries = [one] * n
+                    entries[i] = F.elem(k, (1,))
+                    # a cut at t^3 is cut again to the window's t^2, so the
+                    # reader eliminates twice
+                    runs = 1 if prec < 3 else 2
+                    cases.append((diagonal(F, entries), prec, InsufficientPrecision, runs))
+    for g, prec, exc, runs in cases:
+        with pytest.raises(exc):
+            decompose(g, prec)
+        assert _read_as_decompose(calls, g, prec) == runs

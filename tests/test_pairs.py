@@ -624,6 +624,31 @@ def test_mirabolic_table_matches_per_point_loop(q, n):
     assert (T.classes, T.nonmember_classes, T.row_count) == _mirabolic_table_per_point(q, n)
 
 
+@pytest.mark.parametrize("q,n,blocks", [(3, 2, 1), (3, 4, 243), (5, 3, 25)])
+def test_mirabolic_enumeration_reads_only_the_unipotent_group(q, n, blocks):
+    # pins a known gap: every block the enumeration decomposes is upper
+    # unipotent, so it reads the identity class, the summed superdiagonal
+    # residues and a zero corner, and the enumeration compares the two
+    # Whittaker functions only on U, where they agree by construction
+    F = LocalField.base_field(q)
+    m = n - 1
+    identity = MonomialClass.identity(F, n)
+    slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    seen = 0
+    for digits in itertools.product(range(q), repeat=len(slots)):
+        polar = dict(zip(slots, digits))
+        for k_res in itertools.product(range(q), repeat=m - 1):
+            block = pairs._embed(F, pairs._polar_block(F, m, polar, k_res))
+            assert all(not e.coeffs for i, row in enumerate(block.rows) for e in row[:i])
+            assert all(block.entry(i, i) == F.one() for i in range(n))
+            residue = 0
+            for c in k_res:
+                residue = F.residue.add(residue, c)
+            assert WhittakerInvariant.read(block) == (identity, residue, 0)
+            seen += 1
+    assert seen == blocks
+
+
 def test_pair_failure_records_replay(monkeypatch):
     # a failing report must carry what reruns it: the walk's seed and
     # steps with the first violation, and the first mismatching class

@@ -70,6 +70,11 @@ def _names(node) -> set[str]:
     return out
 
 
+# the callees that eliminate a matrix: decompose, and the invariant reader
+# WhittakerInvariant.read
+DECOMPOSERS = {"decompose", "read"}
+
+
 def test_zeta_decomposes_no_point_in_a_point_loop():
     # right translation by the pro-unipotent Iwahori gives every point the
     # invariant of its lead matrix, one per (shell, leading digit): no
@@ -78,7 +83,7 @@ def test_zeta_decomposes_no_point_in_a_point_loop():
     # which would decompose point by point again
     tree = ast.parse((SRC / "zeta.py").read_text())
     functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-    decomposers = {"decompose"}
+    decomposers = set(DECOMPOSERS)
     while more := {f.name for f in functions if decomposers & _names(f)} - decomposers:
         decomposers |= more
     point_loops = {"unit_reps", "integer_reps", "product"}
@@ -110,9 +115,29 @@ def test_zeta_decomposes_no_point_per_uniformizer():
         if "pi_unit" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs]:
             continue
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and _callee(node) == "decompose":
+            if isinstance(node, ast.Call) and _callee(node) in DECOMPOSERS:
                 found.append(f"zeta.py:{node.lineno}")
     assert found == []
+
+
+def _decompose_calls(node) -> bool:
+    return isinstance(node, ast.Call) and _callee(node) == "decompose"
+
+
+def test_invariants_are_read_not_decomposed():
+    # WhittakerInvariant.read eliminates at the precision a matrix carries;
+    # decompose keeps DEFAULT_REL_PREC digits for the u and k it returns,
+    # so no invariant is read off its factors, and it is called only by the
+    # command line and by selftest's cross-check of decompose itself
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _library_nodes()
+        if isinstance(node, ast.Call)
+        and _callee(node) == "of"
+        and any(isinstance(a, ast.Starred) and _decompose_calls(a.value) for a in node.args)
+    ]
+    callers = {name for name, node in _library_nodes() if _decompose_calls(node)}
+    assert found == [] and callers == {"cli.py", "selftest.py"}
 
 
 def test_zeta_evaluates_no_point_and_assembles_no_polynomial():

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from llclab import supercuspidal, zeta
+from llclab import zeta
 from llclab.bruhat import SolvedInvariant, WhittakerInvariant, decompose
 from llclab.characters import TameChar
 from llclab.cyclotomic import CycloNumber, RootOfUnity
@@ -25,6 +25,8 @@ from llclab.zeta import (
     zeta_psi,
     zeta_psi_tilde,
 )
+
+from test_bruhat import _count_eliminations
 
 
 def _datum(q, n, zeta_num=0, omega_exp=0, u0=1):
@@ -378,14 +380,11 @@ def test_table_cache_is_shared():
 
 def test_dual_integral_reads_the_cached_table(monkeypatch):
     # every dual integral, at n = 2 as at n = 4, reads the cached table:
-    # once it is built, no call decomposes a point again, in zeta or
+    # once it is built, no call eliminates a point again, in zeta or
     # through a Whittaker value
     cells = [(3, 4, 5, 2), (5, 2, 1, 2)]
     tables = [cached_dual_table(q, n, u0) for q, n, _, u0 in cells]
-    calls = []
-    for module in (zeta, supercuspidal):
-        real = module.decompose
-        monkeypatch.setattr(module, "decompose", lambda *a, real=real: calls.append(a) or real(*a))
+    calls = _count_eliminations(monkeypatch)
     for (q, n, zeta_num, u0), T in zip(cells, tables):
         d = _datum(q, n, zeta_num=zeta_num, omega_exp=1, u0=u0)
         for lam in (TameChar.trivial(d.F), TameChar(d.F, 1, RootOfUnity(1, q - 1))):
@@ -449,15 +448,11 @@ def test_rows_match_per_uniformizer_oracle(q, n):
 
 def _count_decompositions(monkeypatch, *cached):
     """Fresh caches for the lead invariants and the named cached
-    functions of zeta, and the list that every decompose call in zeta
-    appends to."""
+    functions of zeta, and the list of the reader's eliminations."""
     for name in ("_lead_invariants",) + cached:
         fresh = lru_cache(maxsize=None)(getattr(zeta, name).__wrapped__)
         monkeypatch.setattr(zeta, name, fresh)
-    calls = []
-    real = zeta.decompose
-    monkeypatch.setattr(zeta, "decompose", lambda *a: calls.append(a) or real(*a))
-    return calls
+    return _count_eliminations(monkeypatch)
 
 
 def test_each_dual_point_decomposes_once(monkeypatch):
