@@ -14,7 +14,6 @@ from .errors import (
     InconsistentTable,
     InsufficientPrecision,
     LLCError,
-    NotMonomial,
     NotNonBarycenter,
     PrecisionNotStabilized,
     SizeGuardExceeded,
@@ -26,7 +25,7 @@ from .laurent import LaurentElem, LocalField
 from .matrices import MatG, central, diagonal
 from .bruhat import MonomialClass, decompose
 from .characters import AdditiveCharPsi, LevelOneCharE, TameChar
-from .monomials import EpsMonomial, EpsPolynomial, LambdaGraded
+from .monomials import EpsMonomial, LambdaGraded
 from .supercuspidal import SSCDatum
 from .galois import (
     ParameterDatum,
@@ -92,7 +91,6 @@ __all__ = [
     "DualSupportTable",
     "EmptyFacet",
     "EpsMonomial",
-    "EpsPolynomial",
     "EpsilonTable",
     "FacetSpec",
     "FiniteField",
@@ -109,7 +107,6 @@ __all__ = [
     "MonomialClass",
     "NoStableDimGap",
     "NoStableJordanWitness",
-    "NotMonomial",
     "NotNonBarycenter",
     "PairConfig",
     "ParameterDatum",

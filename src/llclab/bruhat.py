@@ -146,13 +146,6 @@ class MonomialClass:
             rows[i][self.cols[i]] = (self.exps[i], (self.units[i],), None)
         return wrap_matrix(self.field, rows)
 
-    def inverse_matrix(self) -> MatG:
-        inv = self.field.residue.inv
-        rows = [[ZERO_T] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            rows[self.cols[i]][i] = (-self.exps[i], (inv(self.units[i]),), None)
-        return wrap_matrix(self.field, rows)
-
     def match_rotation_times_central(self, pi_unit: int) -> tuple[int, int, int] | None:
         """Solve self = rotation^r * central(s, d); None when impossible."""
         hit = _rotation_table(self.field, self.n, pi_unit).get(self.cols)

@@ -140,9 +140,6 @@ class ApartmentPoint:
         descending = all(a >= b for a, b in zip(x, x[1:]))
         return descending and x[-1] >= x[0] - self.den
 
-    def translate(self, a) -> ApartmentPoint:
-        return ApartmentPoint([c + Fraction(a) for c in self.coords])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ApartmentPoint):
             return NotImplemented
@@ -166,12 +163,6 @@ def jump_numerator(x: ApartmentPoint) -> int:
     D = x.den
     residues = {v % D for v in x.nums}
     return min(((a - b) % D for a in residues for b in residues if a != b), default=D)
-
-
-def r_of_x(x: ApartmentPoint) -> Fraction:
-    """First positive filtration jump: the smallest positive alpha(x) + m,
-    the torus grades capping it at 1."""
-    return Fraction(jump_numerator(x), x.den)
 
 
 def facet_of(x: ApartmentPoint) -> FacetSpec:

@@ -247,10 +247,17 @@ def _matrix_entry(F: LocalField, e):
     if isinstance(e, int):
         return F.from_int(e)
     if isinstance(e, dict):
-        return F.elem_from_json(e)
-    if isinstance(e, (list, tuple)) and len(e) == 2:
-        return F.elem(int(e[0]), [int(c) for c in e[1]])
-    raise ValueError(f"matrix entries are ints, [val, coeffs] or elem objects, got {e!r}")
+        x = F.elem_from_json(e)
+    elif isinstance(e, (list, tuple)) and len(e) == 2:
+        x = F.elem(int(e[0]), [int(c) for c in e[1]])
+    else:
+        raise ValueError(f"matrix entries are ints, [val, coeffs] or elem objects, got {e!r}")
+    # coefficients index the residue tables, so one outside 0..q-1 would
+    # read past them or another residue's row
+    q = F.residue.q
+    if not all(type(c) is int and 0 <= c < q for c in x.coeffs):
+        raise ValueError(f"coefficients of {e!r} must be residues 0..{q - 1}")
+    return x
 
 
 def cmd_bruhat(args: argparse.Namespace) -> int:

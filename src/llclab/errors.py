@@ -9,10 +9,6 @@ class LLCError(Exception):
     """Base class for all package specific errors."""
 
 
-class NotMonomial(LLCError):
-    """A polynomial in q^(-s) was expected to collapse to a single term."""
-
-
 class InsufficientPrecision(LLCError):
     """A computation needs coefficients beyond the stored precision."""
 

@@ -71,8 +71,9 @@ ONE_T = (0, (1,), None)
 
 
 def _product_prec(x: tuple, y: tuple) -> int | None:
-    """Precision of x*y: each factor's prec shifted by the other's
-    val_bound(), the smaller of the two."""
+    """Precision of x*y: each factor's prec shifted by a lower bound for
+    the other's valuation (its first visible exponent, else its prec), the
+    smaller of the two."""
     xv, xc, xp = x
     yv, yc, yp = y
     if xp is None:
@@ -360,12 +361,6 @@ class LaurentElem:
         """No visible term.  Either exact zero or everything below prec is 0."""
         return not self.coeffs
 
-    def val_bound(self) -> int | None:
-        """A lower bound for the valuation; None means +infinity."""
-        if self.coeffs:
-            return self.val
-        return self.prec
-
     def leading(self) -> tuple[int, int]:
         if self.coeffs:
             return self.val, self.coeffs[0]
@@ -606,21 +601,6 @@ class LocalField:
         return LaurentElem(self, 1, (1,))
 
     # ----- extension structure ------------------------------------------
-    def from_base(self, x: LaurentElem) -> LaurentElem:
-        """Image of a base-field element in the extension: t = u0^-1 u^n."""
-        if self.base is None:
-            raise ValueError("base field has no smaller field to embed")
-        if x.field is not self.base:
-            raise TypeError("argument does not live in the base field")
-        ff, n, u0 = self.residue, self.degree, self.pi_unit
-        terms: dict[int, int] = {}
-        for i, c in enumerate(x.coeffs):
-            k = x.val + i
-            if c:
-                terms[n * k] = ff.mul(c, ff.pow(u0, -k))
-        prec = None if x.prec is None else n * x.prec
-        return self._from_dict(terms, prec)
-
     def trace_to_base(self, x: LaurentElem) -> LaurentElem:
         """Trace to the base field via the regular representation.
 

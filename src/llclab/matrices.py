@@ -133,16 +133,6 @@ def in_iplus_t(ff, rows, var: str) -> bool:
     return True
 
 
-def upper_unipotent(field: LocalField, n: int, above: dict[tuple[int, int], LaurentElem]) -> MatG:
-    """Unipotent upper triangular matrix with given above-diagonal entries."""
-    rows = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
-    for (i, j), x in above.items():
-        if not i < j:
-            raise ValueError("entries must sit above the diagonal")
-        rows[i][j] = x
-    return MatG(field, rows)
-
-
 def diagonal(field: LocalField, entries) -> MatG:
     entries = list(entries)
     n = len(entries)

@@ -6,10 +6,9 @@ the Langlands constant Lambda attached to the ramified degree-n extension,
 the shape lam(-1)^(n-1) lam(pi) zeta q^(1/2-s) of every epsilon factor in
 the theory.  We never evaluate Lambda numerically, we only track its
 exponent; reduce_lambda collapses Lambda^n to the value kappa(pi) = +-1 of
-the quadratic discriminant character at the uniformizer.  Zeta integrals
-produce polynomials in q^(-s) whose coefficients are genuine cyclotomic
-sums; the closed forms assert they collapse back to a single monomial,
-whose coefficient match_root splits into a root and a rational.
+the quadratic discriminant character at the uniformizer.  A cyclotomic
+coefficient enters a unit through match_root, which splits it into a root
+and a rational.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .cyclotomic import CycloNumber, RootOfUnity, _norm_rat, match_root
-from .errors import LLCError, NotMonomial
+from .errors import LLCError
 from .finitefield import odd_prime_power
 
 _Scalar = int | Fraction | RootOfUnity | CycloNumber
@@ -66,9 +65,6 @@ class LambdaGraded:
         """Read-only {grade: root * rational} view, the coefficient as a
         one-term sum; perfbench's microbench multiplies its values."""
         return {self.grade: CycloNumber(self.root.order, {self.root.num: self.rational})}
-
-    def is_lambda_free(self) -> bool:
-        return self.grade == 0
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaGraded is immutable")
@@ -222,90 +218,3 @@ class EpsMonomial:
     def to_json(self) -> dict:
         return {**self.unit.to_json(), "q_exp": {"const": str(self.q_const), "s": self.s_coeff}}
 
-
-class EpsPolynomial:
-    """Exact polynomial in X = q^(-s) with cyclotomic q-power coefficients.
-
-    Coefficients are genuine sums at grade 0, so they are kept as
-    CycloNumber.  Terms are keyed by the power of X together with the
-    fractional class of the accompanying q-exponent; like terms merge by
-    rebasing to the smaller exponent.  For square q the half powers of q are
-    integers and fold away at insertion, so canonical forms stay comparable
-    across all grid sizes.
-    """
-
-    __slots__ = ("q", "terms")
-
-    def __init__(self, q: int):
-        self.q = q
-        self.terms: dict[tuple[int, Fraction], tuple[CycloNumber, Fraction]] = {}
-
-    def add_term(self, x_power: int, coeff: _Scalar, q_exp: Fraction) -> None:
-        """Add coeff * q^q_exp * X^x_power."""
-        q_exp = Fraction(q_exp)
-        if 2 % q_exp.denominator:
-            raise ValueError("q-exponents are half-integers in this theory")
-        if not isinstance(coeff, CycloNumber):
-            coeff = CycloNumber.one() * coeff
-        half = _half_power(self.q)
-        if half is not None and q_exp.denominator == 2:
-            coeff = coeff * half
-            q_exp = q_exp - Fraction(1, 2)
-        frac = q_exp - (q_exp.numerator // q_exp.denominator)
-        key = (x_power, frac)
-        if key not in self.terms:
-            self.terms[key] = (coeff, q_exp)
-            return
-        c0, e0 = self.terms[key]
-        e = min(e0, q_exp)
-        self.terms[key] = (c0 * self.q ** int(e0 - e) + coeff * self.q ** int(q_exp - e), e)
-
-    def cleaned(self) -> dict[tuple[int, Fraction], tuple[CycloNumber, Fraction]]:
-        return {k: v for k, v in self.terms.items() if not v[0].is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.cleaned()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EpsPolynomial):
-            return NotImplemented
-        if self.q != other.q:
-            return False
-        a, b = self.cleaned(), other.cleaned()
-        if set(a) != set(b):
-            return False
-        for key in a:
-            ca, ea = a[key]
-            cb, eb = b[key]
-            delta = ea - eb
-            if delta.denominator != 1:
-                raise LLCError(f"q-exponents of one term differ by {delta}")
-            if ca * (Fraction(self.q) ** delta.numerator) != cb:
-                return False
-        return True
-
-    __hash__ = None
-
-    def scale(self, c) -> EpsPolynomial:
-        out = EpsPolynomial(self.q)
-        for (v, _), (coeff, e) in self.terms.items():
-            out.add_term(v, coeff * c, e)
-        return out
-
-    def collapse_to_monomial(self) -> EpsMonomial:
-        """The value as a single monomial; NotMonomial if zero or spread out."""
-        live = self.cleaned()
-        if len(live) != 1:
-            raise NotMonomial(f"{len(live)} surviving terms")
-        (v, _), (coeff, e) = next(iter(live.items()))
-        return EpsMonomial(self.q, LambdaGraded.from_cyclo(coeff), e, -v)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"X^{v}: {c!r}*q^{e}" for (v, _), (c, e) in sorted(self.terms.items()))
-        return f"EpsPolynomial(q={self.q}; {body})"
-
-    def to_json(self) -> dict:
-        out = []
-        for (v, _), (c, e) in sorted(self.cleaned().items()):
-            out.append({"x_power": v, "coeff": c.to_json(), "q_exp": str(e)})
-        return {"q": self.q, "terms": out}

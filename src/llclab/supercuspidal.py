@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant
 from .characters import AdditiveCharPsi, TameChar
-from .cyclotomic import CycloNumber, RootOfUnity
+from .cyclotomic import RootOfUnity
 from .laurent import LocalField
 from .matrices import MatG
 
@@ -63,14 +63,7 @@ class SSCDatum:
     def rotation_class(self, r: int = 1) -> MonomialClass:
         return MonomialClass.rotation(self.F, self.n, self.pi_unit) ** r
 
-    def rotation_matrix(self) -> MatG:
-        return self.rotation_class().as_matrix()
-
     # ----- characters ----------------------------------------------------
-    def affine_generic(self, k: MatG) -> RootOfUnity:
-        """psi of the sum of the n affine simple residues of k in I+."""
-        return self.extended_char(0, 1, 0, k)
-
     def extended_char(self, r: int, s: int, d: int, k: MatG) -> RootOfUnity:
         """Value at rotation^r * (s t^d) * k of the extension by zeta."""
         inv = WhittakerInvariant.of(None, MonomialClass.identity(self.F, self.n), k)
@@ -99,10 +92,6 @@ class SSCDatum:
         """
         inv = WhittakerInvariant.read(g, prec)
         return self.invariant_root(inv.solve(self.pi_unit))
-
-    def whittaker(self, g: MatG, prec: int | None = None) -> CycloNumber:
-        w = self.whittaker_root(g, prec)
-        return CycloNumber.zero() if w is None else w.as_cyclo()
 
     def __repr__(self) -> str:
         return (

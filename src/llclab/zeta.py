@@ -19,8 +19,9 @@ by such a factor keeps the Whittaker invariant of u M k.  So each
 integral reads the invariant of one lead matrix per shell v and leading
 digit a0, whatever the depth, and caches it as an unsolved row weighted
 by the points it stands for.  It and the audit points below are read
-with WhittakerInvariant.read, at the precision each matrix carries.  One solver turns the rows into those of a
-pi_unit, dropping the rows off its support.
+with WhittakerInvariant.read, at the precision each matrix carries.
+One solver turns the rows into those of a pi_unit, dropping the rows
+off its support.
 
 Each integral is then one stable row.  The support is rotation times
 centre times I+, which one lead shell meets per integral, so a pi_unit

@@ -1,6 +1,9 @@
 """Exit codes and payload shapes of the command line."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +208,17 @@ def test_bruhat_malformed_json_rejected(capsys):
     assert cli.main(["bruhat", "--q", "3", "--matrix", "[[0,1],["]) == 2
 
 
+@pytest.mark.parametrize("coeff", [5, -1])
+@pytest.mark.parametrize("form", ["pair", "object"])
+def test_bruhat_coefficient_outside_residues_rejected(capsys, form, coeff):
+    # a coefficient indexes the residue tables: q reads past them, and a
+    # negative one reads another residue's row
+    entry = [0, [coeff]] if form == "pair" else {"field": "F", "n": 1, "val": 0, "coeffs": [coeff]}
+    mat = json.dumps([[entry, 1], [1, 0]])
+    assert cli.main(["bruhat", "--q", "5", "--matrix", mat]) == 2
+    assert "residues 0..4" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_match_round_trip(capsys):
     code, payload = run_json(capsys, ["match", "--q", "3", "--n", "2", "--u0", "2", "--zeta", "1/4"])
     assert code == 0
@@ -310,3 +324,23 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["transmogrify"])
     assert exc.value.code == 2
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(block, {})
+
+
+def test_readme_command_lines_exit_0(capsys):
+    lines = re.findall(r"^llclab (.*)$", README, re.M)
+    assert len(lines) == 9
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if argv[0] != "selftest":  # test_selftest_small_scale runs it
+            assert cli.main(argv) == 0, line
+            capsys.readouterr()

@@ -24,13 +24,10 @@ from llclab.galois import (
 )
 from llclab.laurent import LaurentElem, LocalField
 from llclab.monomials import EpsMonomial, LambdaGraded
-from llclab.supercuspidal import SSCDatum
 from llclab.zeta import closed_form_epsilon
 
-
-def _datum(q, n, zeta_num=0, omega_exp=0, u0=1):
-    zeta = RootOfUnity(zeta_num, n * n)
-    return SSCDatum(q, n, zeta, omega_exp=omega_exp, omega_at_pi=zeta**n, pi_unit=u0)
+from test_laurent import from_base
+from test_supercuspidal import _datum
 
 
 # ----- quadratic discriminant character ----------------------------------
@@ -167,7 +164,7 @@ def test_xi_at_embedded_uniformizer():
     for q, n, znum, e_om, u0 in [(5, 2, 3, 2, 1), (7, 3, 4, 1, 2), (5, 4, 5, 3, 3)]:
         d = _datum(q, n, znum, e_om, u0)
         P = build_parameter(d)
-        emb = P.efield.from_base(d.pi_elem())
+        emb = from_base(P.efield, d.pi_elem())
         want = LambdaGraded.lambda_power(-n, d.omega(d.pi_elem()))
         assert P.xi(emb) == want
 
@@ -368,7 +365,7 @@ def test_epsilon_galois_untwisted():
         P = build_parameter(d)
         got = epsilon_galois(P, TameChar.trivial(d.F))
         assert got == EpsMonomial(q, LambdaGraded.from_cyclo(d.zeta), Fraction(1, 2), -1)
-        assert got.unit.is_lambda_free()
+        assert got.unit.grade == 0
 
 
 def test_epsilon_galois_matches_closed_form():
@@ -385,7 +382,7 @@ def test_epsilon_galois_matches_closed_form():
         lam = TameChar(d.F, e, RootOfUnity(av, q - 1))
         got = epsilon_galois(P, lam)
         assert got == closed_form_epsilon(d, lam)
-        assert got.unit.is_lambda_free()
+        assert got.unit.grade == 0
 
 
 def test_det_parameter_reduced_is_central_character():

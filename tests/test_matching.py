@@ -18,10 +18,7 @@ from llclab.monomials import EpsMonomial
 from llclab.supercuspidal import SSCDatum
 from llclab.zeta import closed_form_epsilon
 
-
-def _datum(q, n, zeta_num=0, omega_exp=0, u0=1):
-    zeta = RootOfUnity(zeta_num, n * n)
-    return SSCDatum(q, n, zeta, omega_exp=omega_exp, omega_at_pi=zeta**n, pi_unit=u0)
+from test_supercuspidal import _datum
 
 
 def test_round_trip_reference_case():

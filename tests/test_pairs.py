@@ -23,14 +23,9 @@ from llclab.pairs import (
     solved_product,
     support_check,
 )
-from llclab.supercuspidal import SSCDatum
 
 from test_bruhat import random_iplus, random_unipotent
-
-
-def _datum(q, n, zeta_num=0, omega_exp=0, u0=1):
-    zeta = RootOfUnity(zeta_num, n * n)
-    return SSCDatum(q, n, zeta, omega_exp=omega_exp, omega_at_pi=zeta**n, pi_unit=u0)
+from test_supercuspidal import _datum
 
 
 def test_config_validation():
@@ -701,7 +696,8 @@ def test_support_pins():
         d = _datum(q, n, zeta_num=1, u0=u0)
         F = d.F
         # squared rotation sits at power two
-        sq = d.rotation_matrix() * d.rotation_matrix()
+        rot = d.rotation_class().as_matrix()
+        sq = rot * rot
         assert d.whittaker_root(sq) == d.zeta**2
         # a permutation that is not a cyclic shift is off the support
         if n == 3:
@@ -712,8 +708,8 @@ def test_support_pins():
         # dressed generator: the value factors through the three pieces
         u = random_unipotent(rng, F, n)
         k = random_iplus(rng, F, n)
-        got = d.whittaker_root(u * d.rotation_matrix() * k)
+        got = d.whittaker_root(u * rot * k)
         total = 0
         for i in range(n - 1):
             total = F.residue.add(total, u.entry(i, i + 1).coeff_at(0))
-        assert got == d.psi.of_residue(total) * d.zeta * d.affine_generic(k)
+        assert got == d.psi.of_residue(total) * d.zeta * d.extended_char(0, 1, 0, k)

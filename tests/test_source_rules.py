@@ -2,8 +2,10 @@
 
 import ast
 import inspect
+from functools import reduce
 from pathlib import Path
 
+import llclab
 from llclab import matching, pairs, stability, zeta
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "llclab"
@@ -287,3 +289,54 @@ def test_single_value_options_stay_constants():
     if hasattr(zeta, "dual_support_table"):
         found.append("zeta.dual_support_table")
     assert found == []
+
+
+def test_test_only_helpers_stay_out_of_the_library():
+    # each of these had no caller in src/, the command line or perfbench/:
+    # the helpers the remaining API covers are gone, and the oracles live
+    # in the test modules that use them; none may be defined or exported
+    removed = {"LaurentElem.val_bound", "LocalField.from_base", "upper_unipotent", "r_of_x",
+               "MonomialClass.inverse_matrix", "LambdaGraded.is_lambda_free", "EpsPolynomial",
+               "NotMonomial", "ApartmentPoint.translate", "SSCDatum.rotation_matrix",
+               "SSCDatum.affine_generic", "SSCDatum.whittaker"}
+    defined = set(llclab.__all__)
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            defined.add(getattr(node, "name", None))
+            if isinstance(node, ast.ClassDef):
+                defined |= {f"{node.name}.{f.name}" for f in node.body if isinstance(f, ast.FunctionDef)}
+    assert removed & defined == set()
+
+
+def _perfbench_names(tree) -> set[str]:
+    """The llclab names a benchmark module reads, without the "llclab."
+    prefix: the attribute chains off the package, which it binds to L
+    (also as tracing's parameter) or llclab, and the names it imports
+    from the package's modules."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "llclab":
+            out |= {".".join([*node.module.split(".")[1:], a.name]) for a in node.names}
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.insert(0, base.attr)
+            base = base.value
+        if chain and isinstance(base, ast.Name) and base.id in ("L", "llclab"):
+            out.add(".".join(chain))
+    return out
+
+
+def test_perfbench_names_resolve_on_the_package():
+    # the benchmark's files change only with the benchmark; a name removed
+    # from the library that one of them reads fails here, before a run
+    names = set()
+    for path in SRC.parents[1].glob("perfbench/*.py"):
+        names |= _perfbench_names(ast.parse(path.read_text()))
+    assert {"FacetSpec.barycenter", "pairs.mirabolic_table", "SSCDatum.whittaker_root"} <= names
+    missing = []
+    for name in names:
+        try:
+            reduce(getattr, name.split("."), llclab)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

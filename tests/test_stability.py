@@ -31,6 +31,8 @@ from llclab.stability import (
     verify_certificate,
 )
 
+from test_building import translate
+
 
 def _stabilizer_count_by_product(q, gq, f):
     """Oracle: unpruned enumeration of diagonal-torus stabilizers."""
@@ -305,7 +307,7 @@ def test_group_size_formula():
 def test_root_count_matches_fraction_oracle():
     seen = 0
     for x in _oracle_points():
-        for y in (x, x.translate(Fraction(2, 7)), x.translate(Fraction(-5, 3))):
+        for y in (x, translate(x, Fraction(2, 7)), translate(x, Fraction(-5, 3))):
             assert root_count_dims(y) == _fraction_root_count_dims(y)
             seen += 1
     for n in range(2, 9):

@@ -14,9 +14,8 @@ from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import LLCError, PrecisionNotStabilized
 from llclab.laurent import LocalField
 from llclab.matrices import diagonal
-from llclab.monomials import EpsMonomial, EpsPolynomial, LambdaGraded
+from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.selftest import ZETA_TWISTS, gauss_cells
-from llclab.supercuspidal import SSCDatum
 from llclab.zeta import (
     cached_dual_table,
     closed_form_epsilon,
@@ -27,11 +26,8 @@ from llclab.zeta import (
 )
 
 from test_bruhat import _count_eliminations
-
-
-def _datum(q, n, zeta_num=0, omega_exp=0, u0=1):
-    zeta = RootOfUnity(zeta_num, n * n)
-    return SSCDatum(q, n, zeta, omega_exp=omega_exp, omega_at_pi=zeta**n, pi_unit=u0)
+from test_monomials import EpsPolynomial
+from test_supercuspidal import _datum
 
 
 def _const_poly(q, value_exp):
