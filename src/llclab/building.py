@@ -20,13 +20,20 @@ grade-r piece is a cyclic quiver on those classes.  An arrow is present
 exactly when the spacing to the next class equals r; for barycenters all
 arrows are present, and a single class gives the full matrix algebra as
 a loop, diagonal included.
+
+A point is stored as integer numerators over their least common
+denominator, and every kernel here works on those integers.  Fractions are
+built only in the read-outs that return them (ApartmentPoint.coords,
+GradedQuotient.r and .spacings, FacetSpec.dim_gap, and the reprs that print
+them) and when a point is made from arbitrary rationals
+(ApartmentPoint(coords), ApartmentPoint.parse).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import EmptyFacet
 
@@ -74,10 +81,10 @@ class FacetSpec:
         if self.is_empty():
             raise EmptyFacet(f"{self} has no points")
         den = self.k if self.t == 0 else self.k - 1
-        coords = []
+        nums = []
         for i, m in enumerate(self.blocks, start=1):
-            coords.extend([Fraction(-i, den)] * m)
-        return ApartmentPoint(coords)
+            nums.extend([-i] * m)
+        return ApartmentPoint._of_ints(nums, den)
 
     def dim_gap(self) -> Fraction:
         """dim G - dim V at the barycenter, via the class-size differences."""
@@ -118,22 +125,40 @@ class FacetSpec:
 class ApartmentPoint:
     """A point of the standard apartment with exact rational coordinates.
 
-    Besides the coordinates it keeps their integer numerators over one
-    common denominator: coords[i] == nums[i] / den.  Every kernel below
-    works on those integers; Fractions appear only in what it returns."""
+    It stores only integer numerators over their least common denominator,
+    coords[i] == nums[i] / den, so (den, nums) is canonical: two points are
+    equal exactly when their coordinates are.  Every kernel below works on
+    those integers; coords builds the Fractions when a caller reads them."""
 
-    __slots__ = ("coords", "den", "nums")
+    __slots__ = ("den", "nums")
 
     def __init__(self, coords):
-        self.coords = tuple(Fraction(c) for c in coords)
-        if not self.coords:
+        coords = [Fraction(c) for c in coords]
+        if not coords:
             raise ValueError("need at least one coordinate")
-        self.den = lcm(*(c.denominator for c in self.coords))
-        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in self.coords)
+        self.den = lcm(*(c.denominator for c in coords))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in coords)
+
+    @classmethod
+    def _of_ints(cls, nums, den: int) -> ApartmentPoint:
+        """The point with coordinates nums[i] / den, for den >= 1; dividing
+        by the gcd of den and the numerators leaves the least common
+        denominator."""
+        if den < 1 or not nums:
+            raise ValueError("need a positive denominator and at least one numerator")
+        g = gcd(den, *nums)
+        x = cls.__new__(cls)
+        x.den = den // g
+        x.nums = tuple(v // g for v in nums)
+        return x
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
 
     def in_closed_alcove(self) -> bool:
         x = self.nums
@@ -143,10 +168,10 @@ class ApartmentPoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ApartmentPoint):
             return NotImplemented
-        return self.coords == other.coords
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"ApartmentPoint({', '.join(str(c) for c in self.coords)})"
@@ -201,14 +226,22 @@ class GradedQuotient:
     arrow whose space is the full matrix algebra.
     """
 
-    __slots__ = ("point", "r", "sizes", "arrows", "spacings")
+    __slots__ = ("point", "sizes", "arrows", "gaps")
 
-    def __init__(self, point, r, sizes, arrows, spacings):
+    def __init__(self, point, sizes, arrows, gaps):
         self.point = point
-        self.r = r
         self.sizes = sizes
         self.arrows = arrows
-        self.spacings = spacings
+        # spacings to the next class in units of 1/point.den
+        self.gaps = gaps
+
+    @property
+    def r(self) -> Fraction:
+        return Fraction(min(self.gaps), self.point.den)
+
+    @property
+    def spacings(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, self.point.den) for s in self.gaps)
 
     @property
     def num_nodes(self) -> int:
@@ -251,13 +284,11 @@ def graded_quotient(x: ApartmentPoint) -> GradedQuotient:
     distinct = sorted(set(keys))
     sizes = tuple(keys.count(kappa) for kappa in distinct)
     K = len(distinct)
-    spacings = [b - a for a, b in zip(distinct, distinct[1:])]
-    spacings.append(D - distinct[-1])
-    r = min(spacings)
-    arrows = tuple((a, (a + 1) % K) for a in range(K) if spacings[a] == r)
-    return GradedQuotient(
-        x, Fraction(r, D), sizes, arrows, tuple(Fraction(s, D) for s in spacings)
-    )
+    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
+    gaps.append(D - distinct[-1])
+    r = min(gaps)
+    arrows = tuple((a, (a + 1) % K) for a in range(K) if gaps[a] == r)
+    return GradedQuotient(x, sizes, arrows, tuple(gaps))
 
 
 def enumerate_facets(n: int) -> list[FacetSpec]:
@@ -286,6 +317,10 @@ def sample_alcove_points(n: int, count: int, max_den: int = 12, seed: int = 2024
     """Seeded sample of rational points of the closed alcove with bounded
     denominators, deduplicated modulo the center direction by pinning
     x_1 = 0."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if max_den < 1:
+        raise ValueError("max_den must be positive")
     rng = random.Random(seed)
     seen = set()
     out = []
@@ -293,10 +328,10 @@ def sample_alcove_points(n: int, count: int, max_den: int = 12, seed: int = 2024
     while len(out) < count and attempts < 200 * count:
         attempts += 1
         den = rng.randint(1, max_den)
-        rest = sorted((Fraction(-rng.randint(0, den), den) for _ in range(n - 1)), reverse=True)
-        coords = (Fraction(0), *rest)
-        if coords in seen:
+        rest = sorted((-rng.randint(0, den) for _ in range(n - 1)), reverse=True)
+        x = ApartmentPoint._of_ints((0, *rest), den)
+        if x in seen:
             continue
-        seen.add(coords)
-        out.append(ApartmentPoint(coords))
+        seen.add(x)
+        out.append(x)
     return out

@@ -57,26 +57,24 @@ def _jordan_block(m):
     return tuple(tuple(1 if j == i + 1 else 0 for j in range(m)) for i in range(m))
 
 
+# the kernels below read the field's operation tables directly, as
+# laurent does: sub(a, b) is _add[a][_neg[b]]
+
 def _mmul(ff, A, B):
-    cols = len(B[0])
-    inner = len(B)
-    return tuple(
-        tuple(
-            _dot(ff, row, B, c, inner)
-            for c in range(cols)
-        )
-        for row in A
-    )
+    mul, add = ff._mul, ff._add
+    cols = tuple(zip(*B))
+    return tuple(tuple(_dot(mul, add, row, col) for col in cols) for row in A)
 
 
-def _dot(ff, row, B, c, inner):
+def _dot(mul, add, row, col):
     acc = 0
-    for j in range(inner):
-        acc = ff.add(acc, ff.mul(row[j], B[j][c]))
+    for a, b in zip(row, col):
+        acc = add[acc][mul[a][b]]
     return acc
 
 
 def _rank(ff, rows):
+    mul, add, neg = ff._mul, ff._add, ff._neg
     mat = [list(r) for r in rows]
     if not mat:
         return 0
@@ -89,18 +87,19 @@ def _rank(ff, rows):
             col += 1
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = ff.inv(mat[rank][col])
-        mat[rank] = [ff.mul(inv, v) for v in mat[rank]]
+        scale = mul[ff.inv(mat[rank][col])]
+        mat[rank] = [scale[v] for v in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col] != 0:
-                c0 = mat[r][col]
-                mat[r] = [ff.sub(v, ff.mul(c0, w)) for v, w in zip(mat[r], mat[rank])]
+                by = mul[mat[r][col]]
+                mat[r] = [add[v][neg[by[w]]] for v, w in zip(mat[r], mat[rank])]
         rank += 1
         col += 1
     return rank
 
 
 def _det(ff, A):
+    mul, add, neg = ff._mul, ff._add, ff._neg
     mat = [list(r) for r in A]
     m = len(mat)
     det = 1
@@ -110,13 +109,13 @@ def _det(ff, A):
             return 0
         if pivot != col:
             mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = ff.neg(det)
-        det = ff.mul(det, mat[col][col])
+            det = neg[det]
+        det = mul[det][mat[col][col]]
         inv = ff.inv(mat[col][col])
         for r in range(col + 1, m):
             if mat[r][col] != 0:
-                c0 = ff.mul(mat[r][col], inv)
-                mat[r] = [ff.sub(v, ff.mul(c0, w)) for v, w in zip(mat[r], mat[col])]
+                by = mul[mul[mat[r][col]][inv]]
+                mat[r] = [add[v][neg[by[w]]] for v, w in zip(mat[r], mat[col])]
     return det
 
 

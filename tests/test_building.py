@@ -1,6 +1,12 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import llclab
 
 from llclab.building import (
     ApartmentPoint,
@@ -68,6 +74,25 @@ def _fraction_is_barycenter(x):
     b = _fraction_facet_of(x).barycenter()
     shift = x.coords[0] - b.coords[0]
     return all(xc == bc + shift for xc, bc in zip(x.coords, b.coords))
+
+
+def _fraction_sample_alcove_points(n, count, max_den=12, seed=20240815):
+    """The sampler written on Fraction coordinates: the same draws, sorted
+    and deduplicated as Fraction tuples."""
+    rng = random.Random(seed)
+    seen = set()
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 200 * count:
+        attempts += 1
+        den = rng.randint(1, max_den)
+        rest = sorted((Fraction(-rng.randint(0, den), den) for _ in range(n - 1)), reverse=True)
+        coords = (Fraction(0), *rest)
+        if coords in seen:
+            continue
+        seen.add(coords)
+        out.append(ApartmentPoint(coords))
+    return out
 
 
 def oracle_points():
@@ -266,12 +291,15 @@ def test_integer_kernels_match_fraction_oracles():
     seen = 0
     for x in oracle_points():
         seen += 1
-        assert x.coords == tuple(Fraction(v, x.den) for v in x.nums)
+        y = ApartmentPoint(x.coords)
+        assert (y.den, y.nums) == (x.den, x.nums)
         assert x.in_closed_alcove()
         assert Fraction(jump_numerator(x), x.den) == _fraction_r_of_x(x)
         gq = graded_quotient(x)
-        assert (gq.r, gq.sizes, gq.arrows, gq.spacings) == _fraction_graded_quotient(x)
+        r, sizes, arrows, spacings = _fraction_graded_quotient(x)
+        assert (gq.r, gq.sizes, gq.arrows, gq.spacings) == (r, sizes, arrows, spacings)
         assert all(type(s) is Fraction for s in (gq.r, *gq.spacings))
+        assert repr(gq) == f"GradedQuotient(r={r}, sizes={sizes}, arrows={arrows})"
         assert facet_of(x) == _fraction_facet_of(x)
         assert is_barycenter(x) == _fraction_is_barycenter(x)
     assert seen == 7 * 120 * 4
@@ -283,3 +311,74 @@ def test_alcove_test_on_integers():
     assert not ApartmentPoint.parse("0,1/3,-1/2").in_closed_alcove()
     with pytest.raises(ValueError):
         graded_quotient(ApartmentPoint.parse("0,1/3,-1/2"))
+
+
+# seeded pool sizes per n of the building benchmark's point queries
+POOL_SIZES = {2: 30, 3: 150, 4: 300, 5: 300, 6: 600, 7: 600, 8: 600}
+
+
+def test_sampler_matches_fraction_oracle():
+    for n, count in POOL_SIZES.items():
+        for max_den in (12, 40):
+            for seed in (0, 1, 2, 20240815):
+                got = sample_alcove_points(n, count, max_den=max_den, seed=seed)
+                want = _fraction_sample_alcove_points(n, count, max_den=max_den, seed=seed)
+                assert [x.coords for x in got] == [x.coords for x in want]
+                assert [(x.den, x.nums) for x in got] == [(x.den, x.nums) for x in want]
+                assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+def test_integer_constructor_normalizes():
+    x = ApartmentPoint._of_ints((0, -2), 4)
+    y = ApartmentPoint([0, Fraction(-1, 2)])
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == "ApartmentPoint(0, -1/2)"
+    assert (x.den, x.nums) == (2, (0, -1))
+    origin = ApartmentPoint._of_ints((0, 0, 0), 6)
+    assert (origin.den, origin.nums) == (1, (0, 0, 0))
+    assert origin == ApartmentPoint([0, 0, 0])
+    # a coordinate need not be reduced over the common denominator
+    z = ApartmentPoint._of_ints((3, 2, -6), 12)
+    assert z == ApartmentPoint([Fraction(1, 4), Fraction(1, 6), Fraction(-1, 2)])
+    assert repr(z) == "ApartmentPoint(1/4, 1/6, -1/2)"
+    assert x != ApartmentPoint([0, Fraction(-1, 4)])
+    for nums, den in (((0, 1), 0), ((0, 1), -3), ((), 5)):
+        with pytest.raises(ValueError):
+            ApartmentPoint._of_ints(nums, den)
+
+
+def test_sampler_rejects_bad_arguments():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be positive"):
+            sample_alcove_points(n, 3)
+    for max_den in (0, -1):
+        with pytest.raises(ValueError, match="max_den must be positive"):
+            sample_alcove_points(3, 3, max_den=max_den)
+
+
+OPTIMIZED_SAMPLER = """
+from llclab.building import sample_alcove_points
+
+assert False, "assert statements must be stripped in this interpreter"
+for args in ((0, 3), (-2, 3), (3, 3, 0)):
+    try:
+        sample_alcove_points(*args)
+    except ValueError as exc:
+        print("rejected", exc)
+    else:
+        print("accepted", args)
+"""
+
+
+def test_sampler_rejects_bad_arguments_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SAMPLER],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "rejected n must be positive",
+        "rejected n must be positive",
+        "rejected max_den must be positive",
+    ], out.stdout

@@ -252,6 +252,41 @@ def test_building_kernels_take_no_fraction_modulus():
     assert found == []
 
 
+def _fraction_builders(tree) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each Fraction(...)
+    call in a module tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and _callee(child) == "Fraction":
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_building_builds_fractions_only_in_read_outs():
+    # a point is its integer numerators over one denominator; Fractions are
+    # built only where a caller reads them, and where a point is made from
+    # arbitrary rationals
+    read_outs = {
+        "ApartmentPoint.__init__",
+        "ApartmentPoint.parse",
+        "ApartmentPoint.coords",
+        "GradedQuotient.r",
+        "GradedQuotient.spacings",
+        "FacetSpec.dim_gap",
+    }
+    found = _fraction_builders(ast.parse((SRC / "building.py").read_text()))
+    assert "ApartmentPoint.coords" in {scope for scope, _ in found}
+    assert [f"building.py:{line} in {scope}" for scope, line in found if scope not in read_outs] == []
+
+
 def test_single_value_options_stay_constants():
     # each of these took an option that every caller left at its default;
     # the value is a module constant now, and no parameter or table field

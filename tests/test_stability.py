@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -296,6 +297,109 @@ def test_verifier_survives_optimize():
     assert len(lines) == 2, out.stdout
     assert lines[0].startswith("rejected unstable-cocharacter"), out.stdout
     assert lines[1].startswith("rejected no-stable-dim-gap"), out.stdout
+
+
+# Oracles: the matrix kernels written with the field's element methods,
+# against which the library's kernels on its operation tables must agree.
+
+
+def _method_mmul(ff, A, B):
+    out = []
+    for row in A:
+        new = []
+        for c in range(len(B[0])):
+            acc = 0
+            for j in range(len(B)):
+                acc = ff.add(acc, ff.mul(row[j], B[j][c]))
+            new.append(acc)
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def _method_rank(ff, rows):
+    mat = [list(r) for r in rows]
+    rank = col = 0
+    while mat and rank < len(mat) and col < len(mat[0]):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = ff.inv(mat[rank][col])
+        mat[rank] = [ff.mul(inv, v) for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                c0 = mat[r][col]
+                mat[r] = [ff.sub(v, ff.mul(c0, w)) for v, w in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _method_det(ff, A):
+    mat = [list(r) for r in A]
+    det = 1
+    for col in range(len(mat)):
+        pivot = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = ff.neg(det)
+        det = ff.mul(det, mat[col][col])
+        inv = ff.inv(mat[col][col])
+        for r in range(col + 1, len(mat)):
+            if mat[r][col] != 0:
+                c0 = ff.mul(mat[r][col], inv)
+                mat[r] = [ff.sub(v, ff.mul(c0, w)) for v, w in zip(mat[r], mat[col])]
+    return det
+
+
+def test_table_kernels_match_method_oracles():
+    rng = random.Random(23)
+    for q in (3, 5, 7, 9, 25):
+        ff = field_of_size(q)
+        for m in range(1, 6):
+            for _ in range(40):
+                # sparse draws make singular matrices and row swaps common
+                A, B = (
+                    tuple(tuple(rng.choice((0, 0, rng.randrange(q))) for _ in range(m)) for _ in range(m))
+                    for _ in range(2)
+                )
+                assert stability._mmul(ff, A, B) == _method_mmul(ff, A, B)
+                assert stability._det(ff, A) == _method_det(ff, A)
+                assert stability._rank(ff, A) == _method_rank(ff, A)
+                wide = A + B
+                assert stability._rank(ff, wide) == _method_rank(ff, wide)
+
+
+def test_jordan_witnesses_keep_their_profiles():
+    # every witness criterion 6 builds, with the determinants and rank
+    # profiles the method oracles give its block products
+    witnesses = 0
+    for q in (3, 5):
+        ff = field_of_size(q)
+        for n in range(2, 9):
+            for f in enumerate_facets(n):
+                cert = stability_certificate(f, q)
+                if cert.kind != "no-stable-jordan":
+                    continue
+                witnesses += 1
+                assert verify_certificate(cert)
+                for blocks in (cert.x_blocks, cert.w_blocks):
+                    P = oracle = blocks[0]
+                    for X in blocks[1:]:
+                        P = stability._mmul(ff, P, X)
+                        oracle = _method_mmul(ff, oracle, X)
+                    assert P == oracle
+                    assert stability._det(ff, P) == _method_det(ff, P)
+                    profile = []
+                    power = oracle
+                    for _ in range(len(oracle)):
+                        profile.append(_method_rank(ff, power))
+                        power = _method_mmul(ff, power, oracle)
+                    assert stability._rank_profile(ff, P) == tuple(profile)
+    assert witnesses == 2 * 48
 
 
 def test_group_size_formula():
