@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import llclab
-
 from llclab.building import (
     ApartmentPoint,
     FacetSpec,
@@ -325,7 +324,6 @@ def test_sampler_matches_fraction_oracle():
                 want = _fraction_sample_alcove_points(n, count, max_den=max_den, seed=seed)
                 assert [x.coords for x in got] == [x.coords for x in want]
                 assert [(x.den, x.nums) for x in got] == [(x.den, x.nums) for x in want]
-                assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
 def test_integer_constructor_normalizes():
