@@ -314,9 +314,9 @@ def enumerate_facets(n: int) -> list[FacetSpec]:
 
 
 def sample_alcove_points(n: int, count: int, max_den: int = 12, seed: int = 20240815):
-    """Seeded sample of rational points of the closed alcove with bounded
-    denominators, deduplicated modulo the center direction by pinning
-    x_1 = 0."""
+    """Seeded sample of count rational points of the closed alcove with
+    bounded denominators, deduplicated modulo the center direction by
+    pinning x_1 = 0; raises ValueError when 200 * count draws find fewer."""
     if n < 1:
         raise ValueError("n must be positive")
     if max_den < 1:
@@ -334,4 +334,9 @@ def sample_alcove_points(n: int, count: int, max_den: int = 12, seed: int = 2024
             continue
         seen.add(x)
         out.append(x)
+    if len(out) < count:
+        raise ValueError(
+            f"sample_alcove_points(n={n}, max_den={max_den}) found only {len(out)} "
+            f"distinct points of the {count} asked for in {attempts} draws"
+        )
     return out

@@ -20,9 +20,9 @@ fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
 ``dot_t``, the fused ``addmul_t`` (z + c*y in one list), ``truncate_t``,
 ``coeff_at_t`` and ``val_at_least_t``.  They hold the one copy of the
 window and precision rules.  ``LaurentElem``'s operators are thin
-wrappers over them, ``MatG``'s product calls ``dot_t`` per entry,
+wrappers over them, ``MatG``'s product calls ``dot_t`` per entry, and
 ``bruhat.decompose`` eliminates on triples and builds elements only for
-what it returns, and ``pairs.KWalk`` keeps its state as triples.
+what it returns.
 Sums and products work on one mutable list over the exponent window of
 the result, [lo, hi), sized from the operands and cut at the result's
 precision before any coefficient is computed.  Residue arithmetic reads

@@ -1,21 +1,16 @@
 """Special-pair checks for two supercuspidal data on the same group.
 
 Words in the group generated by both affine rotations, the center and
-the pro-unipotent Iwahori are kept in the form M * k with M a monomial
-class and k an Iwahori matrix mod t^N (N = PRECISION), which is exact
-in the congruence quotient the Whittaker value reads; the inverse word
-is carried along in the same form, and each word is its own witness of
-membership.  KWalk holds k and k^-1 as flat lists of laurent's
-(val, coeffs, prec) triples, each cut at t^N by truncate_t after the
-kernel that computes it, so its matrices equal the series ones: a
-conjugation by a monomial permutes, scales and shifts entries, an I+
-generator is one addmul_t (or mul_t on the diagonal) per touched entry,
-and the Iwahori test reads the low terms of the entries a step moved.
-Series and matrices are built only where a word leaves the walk.
+the pro-unipotent Iwahori I+ are kept as M * k, M monomial and k in I+,
+the inverse word in the same form, so each word is its own witness of
+membership.  A simple supercuspidal is induced from a character trivial
+on I++, which every monomial here normalizes, so KWalk keeps only the
+images of k and of the inverse's k in I+/I++ = F_q^n; no step builds a
+series or a matrix, and a prefix becomes one only as the lift M * k(r).
 
 Both checks read the WhittakerInvariant of bruhat, which does not see
 zeta, omega or the uniformizer unit.  Every matrix the checks
-eliminate (the audited walk prefixes, the mirabolic blocks and their
+eliminate (the audited walk lifts, the mirabolic blocks and their
 refinements, the support draws) is read by WhittakerInvariant.read, at
 the precision it carries and again as given where that cannot decide; a
 singular draw raises what decompose would, so the seeded redraws are
@@ -40,24 +35,14 @@ from functools import lru_cache
 from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant
 from .cyclotomic import RootOfUnity
 from .errors import InsufficientPrecision, LLCError, ZeroInput
-from .laurent import (
-    ONE_T,
-    ZERO_T,
-    LocalField,
-    add_t,
-    addmul_t,
-    coeff_at_t,
-    inverse_t,
-    mul_t,
-    truncate_t,
-)
+from .laurent import ONE_T, ZERO_T, LocalField, add_t
 from .matrices import MatG, wrap_matrix
 from .supercuspidal import SSCDatum
 
-# KWalk keeps its state mod t^PRECISION, and the mirabolic and support
-# checks draw PRECISION random t-adic digits per entry, SHELL_BOUND more
-# where an entry may have a pole down to t^-SHELL_BOUND; every
-# AUDIT_STRIDE-th walk prefix is decomposed afresh
+# the walk draws its I+ generators to t-adic depth PRECISION, and the
+# mirabolic and support checks draw PRECISION random t-adic digits per
+# entry, SHELL_BOUND more where an entry may have a pole down to
+# t^-SHELL_BOUND; every AUDIT_STRIDE-th walk prefix is decomposed afresh
 PRECISION = 2
 SHELL_BOUND = 1
 AUDIT_STRIDE = 503
@@ -96,24 +81,23 @@ _LEFT_IWAHORI = "walk state left the Iwahori subgroup"
 class KWalk:
     """One growing word; every prefix can be snapshotted as a sample.
 
-    Appending a monomial generator g sends (M, k) to (Mg, g^-1 k g) and
-    the inverse pair (Mi, ki) to (g^-1 Mi, ki); appending an Iwahori
-    element h sends k to kh and ki to (Mi^-1 h^-1 Mi) ki.  All monomials
-    reachable here normalize the Iwahori subgroup, so both k-parts stay
-    inside it.
+    Appending a monomial g sends (M, k) to (Mg, g^-1 k g) and the inverse
+    pair (Mi, ki) to (g^-1 Mi, ki); appending h in I+ sends k to kh and ki
+    to (Mi^-1 h^-1 Mi) ki.  The walk keeps r and ri, the images of k and
+    ki in I+/I++: coordinate i < n-1 is the t^0 digit at (i, i+1), n-1
+    the t^1 digit at (n-1, 0).  A monomial permutes and scales them by a
+    plan read off its class; h adds its digit at its simple affine root,
+    and a one-unit diagonal or a non-simple root lies in I++.
 
-    M and Mi are MonomialClass objects.  k and ki are flat lists of n*n
-    (val, coeffs, prec) triples, entry (i, j) at index i*n + j.  An entry
-    no step has touched is exact; every other one is cut at t^N by
-    truncate_t, in the normal form LaurentElem.truncate(N) gives, after
-    the laurent kernel that computes it, so the k and ki views are == to
-    the matrices a walk on series computes.
+    M is (class, unit, exp): classes[class] * central(unit, exp), each
+    class normalized to exps[0] = 0, units[0] = 1; Mi = M^-1 is read off
+    the inverse class.  The class times each rotation, the inverse class
+    and the rotation solves per pi-unit are tables filled as reached.
 
-    The Iwahori test runs on the triples after every push, over the
-    entries the push can move: all of k after a conjugation, the touched
-    column of k and row of ki after an I+ push, nothing after a central
-    push.  A nonzero coefficient below t^0, or a bad t^0 digit, raises
-    LLCError; a precision too low to decide raises InsufficientPrecision.
+    A pushed generator is tested for I+ from its digits, which decides
+    the new k since the old one lies in I+: a digit outside the shape
+    raises LLCError, digits too coarse to decide the shape or the digit
+    the generator adds raise InsufficientPrecision, and nothing moves.
     """
 
     def __init__(self, q: int, n: int, u1: int, u2: int, precision: int = 2, seed: int = 0):
@@ -125,168 +109,129 @@ class KWalk:
         self.q, self.n, self.u1, self.u2 = q, n, u1, u2
         self.N = precision
         self.rng = random.Random(seed)
-        self.rot = {
-            1: MonomialClass.rotation(self.F, n, u1),
-            2: MonomialClass.rotation(self.F, n, u2),
-        }
-        self._rot_moves = {w: self._monomial_move(cls) for w, cls in self.rot.items()}
-        self._central_moves: dict[tuple[int, int], tuple] = {}
-        self.M = MonomialClass.identity(self.F, n)
-        self.Mi = MonomialClass.identity(self.F, n)
-        self._k = [ONE_T if i == j else ZERO_T for i in range(n) for j in range(n)]
-        self._ki = list(self._k)
-        # per entry: the lowest precision that decides its Iwahori test,
-        # and the t^0 digit it needs (None when any digit will do)
-        self._shape = [
-            (1, 1) if i == j else (0, None) if i < j else (1, 0)
-            for i in range(n)
-            for j in range(n)
+        self._ff = self.F.residue
+        # the coordinates of I+/I++ as (row, column, t-adic depth)
+        self._coords = [(i, i + 1, 0) for i in range(n - 1)] + [(n - 1, 0, 1)]
+        self._simple = {(a, b): i for i, (a, b, _) in enumerate(self._coords)}
+        self.rot = {w: MonomialClass.rotation(self.F, n, u) for w, u in ((1, u1), (2, u2))}
+        self._rot_plans = {w: self._plan(cls, 1) for w, cls in self.rot.items()}
+        self.classes: list[MonomialClass] = []
+        self._index: dict[tuple, int] = {}
+        self._locate(MonomialClass.identity(self.F, n))
+        self._times: dict[int, dict] = {1: {}, 2: {}}
+        self._inverses: dict[int, tuple] = {}
+        self._solves: dict[tuple, tuple | None] = {}
+        self._pairs: dict[tuple, tuple] = {}
+        self.M = (0, 1, 0)
+        self.r, self.ri = [0] * n, [0] * n
+        self.used1 = self.used2 = False
+
+    # ----- the tables ---------------------------------------------------
+    def _plan(self, cls: MonomialClass, sign: int) -> list:
+        """Per coordinate, where k -> cls^-1 k cls sends it and the _mul
+        row of its scale times sign.  Every monomial the walk reaches
+        normalizes I+, so it sends simple affine roots to simple ones."""
+        ff = self._ff
+        return [
+            (self._simple[cls.cols[a], cls.cols[b]],
+             ff._mul[ff.mul(sign, ff.mul(cls.units[b], ff.inv(cls.units[a])))])
+            for a, b, _ in self._coords
         ]
-        self._superdiag = [i * n + i + 1 for i in range(n - 1)]
-        self._corner = (n - 1) * n
-        self.used1 = False
-        self.used2 = False
 
-    # ----- views at the boundary ----------------------------------------
-    @property
-    def k(self) -> MatG:
-        n = self.n
-        return wrap_matrix(self.F, [self._k[i : i + n] for i in range(0, n * n, n)])
+    def _locate(self, cls: MonomialClass) -> tuple[int, int, int]:
+        """(index, unit, exp) with cls = classes[index] * central(unit, exp)."""
+        ff = self._ff
+        unit, exp = cls.units[0], cls.exps[0]
+        row = ff._mul[ff._inv[unit]]
+        key = (cls.cols, tuple([e - exp for e in cls.exps]), tuple([row[u] for u in cls.units]))
+        idx = self._index.get(key)
+        if idx is None:
+            idx = self._index[key] = len(self.classes)
+            self.classes.append(MonomialClass(self.F, *key))
+        return idx, unit, exp
 
-    @property
-    def ki(self) -> MatG:
-        n = self.n
-        return wrap_matrix(self.F, [self._ki[i : i + n] for i in range(0, n * n, n)])
-
-    def forward_matrix(self) -> MatG:
-        return self.M.as_matrix() * self.k
-
-    def inverse_matrix(self) -> MatG:
-        return self.Mi.as_matrix() * self.ki
-
-    # ----- the entry test -----------------------------------------------
-    def _check(self, entries: list, idxs) -> None:
-        """The Iwahori test of the entries idxs, in row-major order."""
-        shape = self._shape
-        for idx in idxs:
-            v, cs, p = entries[idx]
-            if cs and v < 0:
-                raise LLCError(_LEFT_IWAHORI)
-            floor, lead = shape[idx]
-            if p is not None and p < floor:
-                raise InsufficientPrecision(f"cannot decide valuation >= {floor} from O(t^{p})")
-            if lead is not None and (cs[0] if cs and v == 0 else 0) != lead:
-                raise LLCError(_LEFT_IWAHORI)
+    def _inverse(self, c: int) -> tuple:
+        """classes[c]^-1 located, and the plan that conjugates h^-1 by it."""
+        hit = self._inverses.get(c)
+        if hit is None:
+            inv = self.classes[c].inverse()
+            hit = self._inverses[c] = (*self._locate(inv), self._plan(inv, self._ff.neg(1)))
+        return hit
 
     # ----- monomial generators ------------------------------------------
-    def _monomial_move(self, cls: MonomialClass) -> tuple:
-        """(cls, its inverse, conjugation plan): the plan sends entry (i, j)
-        to (cols_i, cols_j) with the _mul row of units_j / units_i and
-        the shift exps_j - exps_i."""
-        ff, n = self.F.residue, self.n
-        cols, exps, units = cls.cols, cls.exps, cls.units
-        plan = [
-            (i * n + j, cols[i] * n + cols[j], ff._mul[ff.mul(units[j], ff.inv(units[i]))],
-             exps[j] - exps[i])
-            for i in range(n)
-            for j in range(n)
-        ]
-        return cls, cls.inverse(), plan
-
-    def _push_monomial(self, move) -> None:
-        """move is (cls, its inverse, conjugation plan or None for a scalar);
-        k becomes cls^-1 k cls by the plan."""
-        cls, inv, plan = move
-        self.M = self.M.compose(cls)
-        self.Mi = inv.compose(self.Mi)
-        # ki is untouched and a scalar leaves k alone: nothing new to test
-        if plan is None:
-            return
-        k, N = self._k, self.N
-        out = [ZERO_T] * len(k)
-        for src, dst, row, s in plan:
-            v, cs, p = k[src]
-            # an exact zero stays exact; truncate_t normalizes a zero's val
-            if cs or p is not None:
-                out[dst] = truncate_t(
-                    (v + s, tuple([row[c] for c in cs]), None if p is None else p + s), N
-                )
-        self._k = out
-        self._check(out, range(len(out)))
-
     def push_rotation(self, which: int) -> None:
-        self._push_monomial(self._rot_moves[which])
+        plan = self._rot_plans[which]
+        c, unit, exp = self.M
+        step = self._times[which].get(c)
+        if step is None:
+            step = self._times[which][c] = self._locate(self.classes[c].compose(self.rot[which]))
+        self.M = (step[0], self._ff._mul[unit][step[1]], exp + step[2])
+        r = [0] * self.n
+        for x, (dst, row) in zip(self.r, plan):
+            r[dst] = row[x]
+        self.r = r
         if which == 1:
             self.used1 = True
         else:
             self.used2 = True
 
     def push_central(self, s: int, d: int) -> None:
-        # scalars commute: the k-part conjugation is the identity map
-        move = self._central_moves.get((s, d))
-        if move is None:
-            cls = MonomialClass.central(self.F, self.n, s, d)
-            move = self._central_moves[s, d] = (cls, cls.inverse(), None)
-        self._push_monomial(move)
+        # scalars commute with k: only the central part of M moves
+        if not 1 <= s < self.q:
+            raise ValueError("units must be nonzero residues")
+        c, unit, exp = self.M
+        self.M = (c, self._ff._mul[unit][s], exp + d)
 
     # ----- pro-unipotent Iwahori generators -------------------------------
     def push_elementary(self, a: int, b: int, x) -> None:
         """Append I + x E_ab (a != b); x must respect the Iwahori shape."""
-        self._push_elementary(a, b, (x.val, x.coeffs, x.prec))
-
-    def _push_elementary(self, a: int, b: int, x: tuple) -> None:
-        n, N, ff = self.n, self.N, self.F.residue
-        # inverse generator I - x E_ab conjugated through Mi, applied left
-        cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
-        c = ff.neg(ff.mul(units[b], ff.inv(units[a])))
-        xi = mul_t(ff, (exps[b] - exps[a], (c,), None), x)
-        k, ki = self._k, self._ki
-        k_col = range(b, n * n, n)
-        for dst in k_col:
-            k[dst] = truncate_t(addmul_t(ff, k[dst], k[dst - b + a], x), N)
-        ap, bp = cols[a] * n, cols[b] * n
-        ki_row = range(ap, ap + n)
-        for dst in ki_row:
-            ki[dst] = truncate_t(addmul_t(ff, ki[dst], xi, ki[dst - ap + bp]), N)
-        self._check(k, k_col)
-        self._check(ki, ki_row)
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise ValueError(f"no entry ({a}, {b}) at matrix size n = {self.n}")
+        _test_entry(x, *((0, None) if a < b else (1, 0)))
+        coord = self._simple.get((a, b))
+        if coord is None:
+            return
+        depth, (v, cs, p) = self._coords[coord][2], (x.val, x.coeffs, x.prec)
+        if p is not None and p <= depth:
+            raise InsufficientPrecision(f"cannot read the t^{depth} digit from O(t^{p})")
+        if 0 <= depth - v < len(cs):
+            self._add_digit(coord, cs[depth - v])
 
     def push_one_unit_diag(self, a: int, e) -> None:
         """Append the diagonal matrix with one-unit e in slot a."""
-        e = (e.val, e.coeffs, e.prec)
-        self._push_one_unit_diag(a, e, inverse_t(self.F.residue, e, self.N + 1, self.F.var))
+        if not 0 <= a < self.n:
+            raise ValueError(f"no diagonal slot {a} at matrix size n = {self.n}")
+        _test_entry(e, 1, 1)
 
-    def _push_one_unit_diag(self, a: int, e: tuple, einv: tuple) -> None:
-        n, N, ff = self.n, self.N, self.F.residue
-        k, ki = self._k, self._ki
-        k_col = range(a, n * n, n)
-        for idx in k_col:
-            k[idx] = truncate_t(mul_t(ff, k[idx], e), N)
-        # units cancel in the conjugation of a diagonal, only the slot moves
-        ap = self.Mi.cols[a] * n
-        ki_row = range(ap, ap + n)
-        for idx in ki_row:
-            ki[idx] = truncate_t(mul_t(ff, ki[idx], einv), N)
-        self._check(k, k_col)
-        self._check(ki, ki_row)
+    def _add_digit(self, i: int, c: int) -> None:
+        """Append the element of I+ with digit c at coordinate i and none
+        at the others."""
+        add = self._ff._add
+        self.r[i] = add[self.r[i]][c]
+        dst, row = self._inverse(self.M[0])[3][i]
+        self.ri[dst] = add[self.ri[dst]][row[c]]
 
     def push_random_iplus(self) -> None:
+        # a one-unit diagonal, an entry above or one below the diagonal:
+        # each is drawn in full, and only a simple root at its depth moves
         rng, n, q, N = self.rng, self.n, self.q, self.N
         kind = rng.randrange(3)
         if kind == 0:
-            a = rng.randrange(n)
-            j = rng.randrange(1, N)
-            self._push_one_unit_diag(a, *_one_units(self.F, N)[j, rng.randrange(1, q)])
+            rng.randrange(n), rng.randrange(1, N), rng.randrange(1, q)
             return
         if kind == 1:
             a = rng.randrange(n - 1)
             b = rng.randrange(a + 1, n)
             j = rng.randrange(0, N)
+            coord = a if (b, j) == (a + 1, 0) else None
         else:
             b = rng.randrange(n - 1)
             a = rng.randrange(b + 1, n)
             j = rng.randrange(1, N)
-        self._push_elementary(a, b, (j, (rng.randrange(1, q),), None))
+            coord = n - 1 if (a, b, j) == (n - 1, 0, 1) else None
+        c = rng.randrange(1, q)
+        if coord is not None:
+            self._add_digit(coord, c)
 
     def random_step(self) -> None:
         roll = self.rng.randrange(6)
@@ -300,32 +245,93 @@ class KWalk:
             self.push_random_iplus()
 
     # ----- samples ------------------------------------------------------
-    def _invariant(self, mono: MonomialClass, entries: list) -> WhittakerInvariant:
-        """The invariant of mono * k read off k's entries: the superdiagonal
-        t^0 digits summed, and the t^1 digit of the corner entry."""
-        add = self.F.residue._add
+    def _residue(self, r: list) -> int:
+        """The superdiagonal digits of k(r), summed."""
+        add = self._ff._add
         total = 0
-        for idx in self._superdiag:
-            total = add[total][coeff_at_t(entries[idx], 0, "t")]
-        return WhittakerInvariant(mono, total, coeff_at_t(entries[self._corner], 1, "t"))
+        for x in r[:-1]:
+            total = add[total][x]
+        return total
+
+    def _solve(self, c: int, pi_unit: int) -> tuple | None:
+        hit = self._solves.get((c, pi_unit), False)
+        if hit is False:
+            hit = self._solves[c, pi_unit] = self.classes[c].match_rotation_times_central(pi_unit)
+        return hit
+
+    def _pair(self, c: int, pi_unit: int) -> tuple:
+        """For M of class c: whether M and M^-1 solve for pi_unit, and the
+        product of their solves at central part 1 and digits 0, or None."""
+        hit = self._pairs.get((c, pi_unit))
+        if hit is None:
+            ic, iunit, iexp, _ = self._inverse(c)
+            a, b = self._solve(c, pi_unit), self._solve(ic, pi_unit)
+            product = None
+            if a is not None and b is not None:
+                # M^-1 = classes[ic] * central(iunit, iexp) when M = classes[c]
+                inv = SolvedInvariant(b[0], self._ff.mul(b[1], iunit), b[2] + iexp, 0)
+                product = solved_product(self._ff, SolvedInvariant(*a, 0), inv)
+            hit = self._pairs[c, pi_unit] = (a is not None, b is not None, product)
+        return hit
+
+    def products(self, units) -> list[tuple]:
+        """Per pi-unit in units: whether snapshot().fwd and snapshot().inv
+        solve, and solved_product of their solves (None unless both do),
+        read off the state.  The central parts of M and Mi cancel in the
+        product, which reads only the class of M and the digits."""
+        ff = self._ff
+        total = ff._add[self._residue(self.r)][self._residue(self.ri)]
+        corner = ff._add[self.r[-1]][self.ri[-1]]
+        out = []
+        for u in units:
+            fwd_on, inv_on, product = self._pair(self.M[0], u)
+            if product is not None:
+                product = SolvedInvariant(*product[:3], ff._add[total][ff._mul[corner][ff._inv[u]]])
+            out.append((fwd_on, inv_on, product))
+        return out
+
+    def _monomial(self) -> MonomialClass:
+        c, unit, exp = self.M
+        return self.classes[c].compose(MonomialClass.central(self.F, self.n, unit, exp))
 
     def snapshot(self) -> KWord:
-        fwd = self._invariant(self.M, self._k)
-        inv = self._invariant(self.Mi, self._ki)
+        M = self._monomial()
+        fwd = WhittakerInvariant(M, self._residue(self.r), self.r[-1])
+        inv = WhittakerInvariant(M.inverse(), self._residue(self.ri), self.ri[-1])
         return KWord(self.used1, self.used2, fwd, inv)
 
+    # ----- lifts at the boundary ----------------------------------------
+    def forward_matrix(self) -> MatG:
+        """The lift M k(r) of the prefix."""
+        return _lift(self._monomial(), self.r)
 
-@lru_cache(maxsize=None)
-def _one_units(F: LocalField, N: int) -> dict:
-    """(j, c) -> the one-unit 1 + c t^j and its inverse to relative
-    precision N + 1, as (val, coeffs, prec): the random I+ diagonal
-    generators, built once per field and precision."""
-    out = {}
-    for j in range(1, N):
-        for c in F.residue.units():
-            e = (0, (1,) + (0,) * (j - 1) + (c,), None)
-            out[j, c] = e, inverse_t(F.residue, e, N + 1, F.var)
-    return out
+    def inverse_matrix(self) -> MatG:
+        """The lift Mi k(ri) of the inverse prefix."""
+        return _lift(self._monomial().inverse(), self.ri)
+
+
+def _test_entry(x, floor: int, lead: int | None) -> None:
+    """x has no digit below t^0, is known below t^floor, and has t^0
+    digit lead (any, for None): the I+ test of a generator's entry."""
+    v, cs, p = x.val, x.coeffs, x.prec
+    if cs and v < 0:
+        raise LLCError(_LEFT_IWAHORI)
+    if p is not None and p < floor:
+        raise InsufficientPrecision(f"cannot decide valuation >= {floor} from O(t^{p})")
+    if lead is not None and (cs[0] if cs and v == 0 else 0) != lead:
+        raise LLCError(_LEFT_IWAHORI)
+
+
+def _lift(mono: MonomialClass, r: list) -> MatG:
+    """mono * k(r), k(r) = I + sum_i r_i E_(i,i+1) + r_(n-1) t E_(n-1,0)."""
+    n = len(r)
+    rows = _identity_rows(n)
+    for i in range(n - 1):
+        if r[i]:
+            rows[i][i + 1] = (0, (r[i],), None)
+    if r[-1]:
+        rows[-1][0] = (1, (r[-1],), None)
+    return mono.as_matrix() * wrap_matrix(mono.field, rows)
 
 
 def solved_product(ff, a: SolvedInvariant, b: SolvedInvariant) -> SolvedInvariant:
@@ -350,36 +356,29 @@ def sample_k_words(
 ) -> WalkSamples:
     """Every prefix of one long random word, tabulated per pi-unit.
 
-    Each prefix is solved once for each unit of the walk and counted under
-    its key; every AUDIT_STRIDE-th prefix is also decomposed afresh, and
-    the prefixes whose fresh invariant solves apart from the kept one are
-    listed per unit.
+    Each prefix is solved off the walk's state once for each unit of the
+    walk and counted under its key; every AUDIT_STRIDE-th prefix's lift
+    is also decomposed afresh, and the prefixes whose fresh invariant
+    solves apart from the kept one are listed per unit.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     walk = KWalk(q, n, u1, u2, PRECISION, seed)
-    ff = walk.F.residue
     units = sorted({u1, u2})
     tables: dict[int, dict] = {u: {} for u in units}
     misses: dict[int, list] = {u: [] for u in units}
     for idx in range(steps):
         walk.random_step()
-        w = walk.snapshot()
-        read = None
-        if (idx + 1) % AUDIT_STRIDE == 0:
-            read = WhittakerInvariant.read(walk.forward_matrix())
-        for u in units:
-            a, b = w.fwd.solve(u), w.inv.solve(u)
-            key = (
-                a is not None,
-                b is not None,
-                None if a is None or b is None else solved_product(ff, a, b),
-                (w.uses1 and u1 != u) or (w.uses2 and u2 != u),
-                w.uses1 and w.uses2,
-            )
+        audit = (idx + 1) % AUDIT_STRIDE == 0
+        if audit:
+            read, kept = WhittakerInvariant.read(walk.forward_matrix()), walk.snapshot().fwd
+        uses1, uses2 = walk.used1, walk.used2
+        for u, (fwd_on, inv_on, product) in zip(units, walk.products(units)):
+            uses_other = (uses1 and u1 != u) or (uses2 and u2 != u)
+            key = (fwd_on, inv_on, product, uses_other, uses1 and uses2)
             count, first = tables[u].get(key, (0, idx))
             tables[u][key] = (count + 1, first)
-            if read is not None and read.solve(u) != a:
+            if audit and read.solve(u) != kept.solve(u):
                 misses[u].append(idx)
     # frozen, since cached walks are shared by every datum that reads them
     tables = {u: tuple(t.items()) for u, t in tables.items()}

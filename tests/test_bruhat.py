@@ -15,6 +15,8 @@ from llclab.laurent import LaurentElem, LocalField
 from llclab.matrices import MatG, diagonal
 from llclab.supercuspidal import SSCDatum
 
+from reference_walk import ReferenceWalk
+
 
 def upper_unipotent(F, n, above):
     """Unipotent upper triangular matrix with given above-diagonal entries."""
@@ -703,14 +705,14 @@ def test_read_is_decompose_on_whittaker_points(monkeypatch):
 
 
 def test_read_is_decompose_on_walk_and_table_matrices(monkeypatch):
-    # walk prefixes M * k carry inexact entries; the zeta lead matrices
-    # and the embedded mirabolic blocks carry exact zeros, which the
-    # window keeps exact, so each reads in one elimination
+    # series walk prefixes M * k carry inexact entries; the zeta lead
+    # matrices and the embedded mirabolic blocks carry exact zeros, which
+    # the window keeps exact, so each reads in one elimination
     calls = _count_eliminations(monkeypatch)
     runs = []
     for q, n in [(3, 4), (5, 3), (5, 4)]:
         F = LocalField.base_field(q)
-        walk = pairs.KWalk(q, n, 1, 2, pairs.PRECISION, 7)
+        walk = ReferenceWalk(q, n, 1, 2, pairs.PRECISION, 7)
         for step in range(300):
             walk.random_step()
             if step % 15 == 0:

@@ -253,8 +253,9 @@ def test_facet_round_trip():
 
 
 def test_nonbarycenters_lose_arrows():
-    for n in (2, 3, 4, 5):
-        for x in sample_alcove_points(n, 60, seed=100 + n):
+    # n = 2 holds only 47 points of denominator at most 12: all of them
+    for n, count in ((2, 47), (3, 60), (4, 60), (5, 60)):
+        for x in sample_alcove_points(n, count, seed=100 + n):
             if is_barycenter(x):
                 continue
             gq = graded_quotient(x)
@@ -379,4 +380,43 @@ def test_sampler_rejects_bad_arguments_under_optimize():
         "rejected n must be positive",
         "rejected n must be positive",
         "rejected max_den must be positive",
+    ], out.stdout
+
+
+# (n, count, max_den, points the closed alcove holds at that denominator)
+SHORT_POOLS = ((1, 2, 12, 1), (2, 50, 2, 3), (3, 40, 2, 6))
+
+
+def test_sampler_rejects_a_short_pool():
+    # the closed alcove holds finitely many points of bounded denominator:
+    # asking for more must fail, not return fewer
+    for n, count, max_den, found in SHORT_POOLS:
+        with pytest.raises(ValueError) as err:
+            sample_alcove_points(n, count, max_den=max_den)
+        assert str(err.value) == (
+            f"sample_alcove_points(n={n}, max_den={max_den}) found only {found} "
+            f"distinct points of the {count} asked for in {200 * count} draws"
+        )
+
+
+def test_sampler_rejects_a_short_pool_under_optimize():
+    script = (
+        "from llclab.building import sample_alcove_points\n"
+        "assert False, 'assert statements must be stripped in this interpreter'\n"
+        f"for n, count, max_den, _ in {SHORT_POOLS!r}:\n"
+        "    try:\n"
+        "        print('accepted', len(sample_alcove_points(n, count, max_den=max_den)))\n"
+        "    except ValueError as exc:\n"
+        "        print('rejected', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"rejected sample_alcove_points(n={n}, max_den={max_den}) found only {found} "
+        f"distinct points of the {count} asked for in {200 * count} draws"
+        for n, count, max_den, found in SHORT_POOLS
     ], out.stdout

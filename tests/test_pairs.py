@@ -24,6 +24,7 @@ from llclab.pairs import (
     support_check,
 )
 
+from reference_walk import ReferenceWalk
 from test_bruhat import random_iplus, random_unipotent
 from test_supercuspidal import _datum
 
@@ -72,8 +73,8 @@ def test_mixed_uniformizer_word_vanishes_for_both():
 
 
 def test_tracked_inverse_is_exact():
-    # the inverse word must multiply back to the identity; at precision 3
-    # every value-relevant digit of the product is known
+    # the lifts of a word and of its inverse multiply to an element of
+    # I++: the identity class, with every value-relevant digit zero
     for seed in (1, 5):
         walk = KWalk(5, 3, 1, 2, precision=3, seed=seed)
         for _ in range(20):
@@ -114,142 +115,11 @@ def test_walk_invariants_match_decomposition():
     assert supported > 0 and pinned > 0
 
 
-class ReferenceWalk:
-    """The walk on series: k and ki as MatGs of LaurentElem, each entry
-    truncated at t^N, the whole of both tested for Iwahori membership
-    after every step.  KWalk's digit state must match it step for step,
-    the random stream included."""
-
-    def __init__(self, q, n, u1, u2, precision=2, seed=0):
-        self.F = LocalField.base_field(q)
-        self.q, self.n, self.u1, self.u2 = q, n, u1, u2
-        self.N = precision
-        self.rng = random.Random(seed)
-        self.rot = {1: MonomialClass.rotation(self.F, n, u1), 2: MonomialClass.rotation(self.F, n, u2)}
-        ident = MatG.identity(self.F, n)
-        self.M = MonomialClass.identity(self.F, n)
-        self.k = ident
-        self.Mi = MonomialClass.identity(self.F, n)
-        self.ki = ident
-        self.used1 = False
-        self.used2 = False
-
-    def _check_iwahori(self):
-        if not self.k.in_pro_unipotent_iwahori() or not self.ki.in_pro_unipotent_iwahori():
-            raise LLCError("walk state left the Iwahori subgroup")
-
-    def _conj_by(self, cls, A):
-        F, ff, n, N = self.F, self.F.residue, self.n, self.N
-        rows = [[F.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                e = A.entry(i, j)
-                if e.is_exact_zero():
-                    continue
-                c = ff.mul(cls.units[j], ff.inv(cls.units[i]))
-                shifted = e.scale(c).shift(cls.exps[j] - cls.exps[i]).truncate(N)
-                rows[cls.cols[i]][cls.cols[j]] = shifted
-        return MatG(F, rows)
-
-    def _push_monomial(self, cls, conj_is_trivial=False):
-        if not conj_is_trivial:
-            self.k = self._conj_by(cls, self.k)
-        self.M = self.M.compose(cls)
-        self.Mi = cls.inverse().compose(self.Mi)
-        self._check_iwahori()
-
-    def push_rotation(self, which):
-        self._push_monomial(self.rot[which])
-        if which == 1:
-            self.used1 = True
-        else:
-            self.used2 = True
-
-    def push_central(self, s, d):
-        self._push_monomial(MonomialClass.central(self.F, self.n, s, d), conj_is_trivial=True)
-
-    def push_elementary(self, a, b, x):
-        n, N, ff = self.n, self.N, self.F.residue
-        krows = [list(r) for r in self.k.rows]
-        for i in range(n):
-            krows[i][b] = (krows[i][b] + krows[i][a] * x).truncate(N)
-        self.k = MatG(self.F, krows)
-        cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
-        xi = (-x).scale(ff.mul(units[b], ff.inv(units[a]))).shift(exps[b] - exps[a])
-        ap, bp = cols[a], cols[b]
-        kirows = [list(r) for r in self.ki.rows]
-        for j in range(n):
-            kirows[ap][j] = (kirows[ap][j] + xi * kirows[bp][j]).truncate(N)
-        self.ki = MatG(self.F, kirows)
-        self._check_iwahori()
-
-    def push_one_unit_diag(self, a, e):
-        n, N = self.n, self.N
-        einv = e.inverse(rel_prec=N + 1)
-        krows = [list(r) for r in self.k.rows]
-        for i in range(n):
-            krows[i][a] = (krows[i][a] * e).truncate(N)
-        self.k = MatG(self.F, krows)
-        ap = self.Mi.cols[a]
-        kirows = [list(r) for r in self.ki.rows]
-        for j in range(n):
-            kirows[ap][j] = (kirows[ap][j] * einv).truncate(N)
-        self.ki = MatG(self.F, kirows)
-        self._check_iwahori()
-
-    def push_random_iplus(self):
-        rng, F, n, q, N = self.rng, self.F, self.n, self.q, self.N
-        kind = rng.randrange(3)
-        if kind == 0:
-            a = rng.randrange(n)
-            j = rng.randrange(1, N)
-            self.push_one_unit_diag(a, F.one() + F.elem(j, (rng.randrange(1, q),)))
-            return
-        if kind == 1:
-            a = rng.randrange(n - 1)
-            b = rng.randrange(a + 1, n)
-            j = rng.randrange(0, N)
-        else:
-            b = rng.randrange(n - 1)
-            a = rng.randrange(b + 1, n)
-            j = rng.randrange(1, N)
-        self.push_elementary(a, b, F.elem(j, (rng.randrange(1, q),)))
-
-    def random_step(self):
-        roll = self.rng.randrange(6)
-        if roll == 0:
-            self.push_rotation(1)
-        elif roll == 1:
-            self.push_rotation(2)
-        elif roll == 2:
-            self.push_central(self.rng.randrange(1, self.q), self.rng.choice((-1, 0, 1)))
-        else:
-            self.push_random_iplus()
-
-    def snapshot(self):
-        fwd = WhittakerInvariant.of(None, self.M, self.k)
-        inv = WhittakerInvariant.of(None, self.Mi, self.ki)
-        return pairs.KWord(self.used1, self.used2, fwd, inv)
-
-    def forward_matrix(self):
-        return self.M.as_matrix() * self.k
-
-    def inverse_matrix(self):
-        return self.Mi.as_matrix() * self.ki
-
-
-def _assert_same_state(walk, ref):
-    assert walk.snapshot() == ref.snapshot()
-    assert walk.forward_matrix() == ref.forward_matrix()
-    assert walk.inverse_matrix() == ref.inverse_matrix()
-    # == on matrices of series compares every entry's precision too
-    assert walk.k == ref.k and walk.ki == ref.ki
-
-
 @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (5, 3), (3, 4), (5, 4), (7, 3)])
 def test_walk_matches_reference_walk(q, n):
     # every unordered unit pair, u1 = u2 included, both precisions, two
-    # seeds: the digit state equals the series walk at every prefix
+    # seeds: the quotient state reads what the series walk reads, at
+    # every prefix
     for u1 in range(1, q):
         for u2 in range(u1, q):
             for N in (2, 3):
@@ -258,20 +128,23 @@ def test_walk_matches_reference_walk(q, n):
                     for _ in range(80):
                         walk.random_step()
                         ref.random_step()
-                        _assert_same_state(walk, ref)
+                        assert walk.snapshot() == ref.snapshot()
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_hand_built_words_match_reference_walk(N):
     # generators the random steps never draw: multi-digit x above and
-    # below the diagonal, an x with finite precision, a multi-digit
-    # one-unit e and one with finite precision, around rotations
+    # below the diagonal, on simple roots and off them, an x with finite
+    # precision, a multi-digit one-unit e and one with finite precision,
+    # around rotations
     q, n = 5, 3
     walk, ref = KWalk(q, n, 1, 2, N), ReferenceWalk(q, n, 1, 2, N)
     F = walk.F
     word = [
         ("push_elementary", 0, 2, F.elem(0, (2, 3, 4))),
+        ("push_elementary", 0, 1, F.elem(0, (3, 1, 2))),
         ("push_rotation", 1),
+        ("push_elementary", 2, 0, F.elem(1, (4, 2))),
         ("push_elementary", 2, 1, F.elem(1, (4, 0, 1))),
         ("push_one_unit_diag", 1, F.one() + F.elem(1, (3, 2, 1))),
         ("push_rotation", 2),
@@ -288,27 +161,135 @@ def test_hand_built_words_match_reference_walk(N):
     for name, *args in word:
         getattr(walk, name)(*args)
         getattr(ref, name)(*args)
-        _assert_same_state(walk, ref)
+        assert walk.snapshot() == ref.snapshot()
 
 
-@pytest.mark.parametrize("a,b,prec", [(2, 0, 0), (0, 2, -1)])
+@pytest.mark.parametrize("a,b,prec", [(2, 0, 0), (0, 2, -1), (0, 1, 0), (2, 0, 1)])
 def test_undecidable_push_raises_like_reference_walk(a, b, prec):
     # an x known only below t^prec leaves the touched entries too coarse
-    # for the Iwahori test: both walks refuse to guess
-    for cls in (KWalk, ReferenceWalk):
-        walk = cls(5, 3, 1, 2)
-        walk.push_rotation(1)
+    # for the Iwahori test, or on a simple root leaves unknown the digit
+    # the prefix's invariant reads: the series walk raises at the push or
+    # at the snapshot, KWalk at the push, which leaves its state as it was
+    walk, ref = KWalk(5, 3, 1, 2), ReferenceWalk(5, 3, 1, 2)
+    for w in (walk, ref):
+        w.push_rotation(1)
+    before = walk.snapshot()
+    assert before == ref.snapshot()
+    for w in (walk, ref):
         with pytest.raises(InsufficientPrecision):
-            walk.push_elementary(a, b, walk.F.zero(prec=prec))
+            w.push_elementary(a, b, w.F.zero(prec=prec))
+            w.snapshot()
+    assert walk.snapshot() == before
 
 
-def test_sampler_matches_reference_walk(monkeypatch):
-    samples = sample_k_words(5, 4, 1, 2, steps=2000)
-    monkeypatch.setattr(pairs, "KWalk", ReferenceWalk)
-    ref = sample_k_words(5, 4, 1, 2, steps=2000)
-    assert samples.tables == ref.tables
-    assert samples.audit_misses == ref.audit_misses
-    assert samples == ref
+def test_push_rejects_slots_outside_the_matrix():
+    # a slot index past either end would read as a non-simple root of I++
+    walk = KWalk(5, 3, 1, 2)
+    x = walk.F.elem(1, (2,))
+    for a, b in [(3, 0), (0, 3), (-1, 0), (1, -2)]:
+        with pytest.raises(ValueError, match=rf"no entry \({a}, {b}\) at matrix size n = 3"):
+            walk.push_elementary(a, b, x)
+    for a in (3, -1):
+        with pytest.raises(ValueError, match=f"no diagonal slot {a} at matrix size n = 3"):
+            walk.push_one_unit_diag(a, walk.F.one() + x)
+    assert walk.snapshot() == KWalk(5, 3, 1, 2).snapshot()
+
+
+def _sample_per_step(walk, steps, seed):
+    """sample_k_words as a loop over snapshots: every prefix solved off
+    its two invariants, and every AUDIT_STRIDE-th prefix's matrix read
+    afresh."""
+    ff, u1, u2 = walk.F.residue, walk.u1, walk.u2
+    units = sorted({u1, u2})
+    tables = {u: {} for u in units}
+    misses = {u: [] for u in units}
+    for idx in range(steps):
+        walk.random_step()
+        w = walk.snapshot()
+        audit = (idx + 1) % pairs.AUDIT_STRIDE == 0
+        read = WhittakerInvariant.read(walk.forward_matrix()) if audit else None
+        for u in units:
+            a, b = w.fwd.solve(u), w.inv.solve(u)
+            key = (
+                a is not None,
+                b is not None,
+                None if a is None or b is None else solved_product(ff, a, b),
+                (w.uses1 and u1 != u) or (w.uses2 and u2 != u),
+                w.uses1 and w.uses2,
+            )
+            count, first = tables[u].get(key, (0, idx))
+            tables[u][key] = (count + 1, first)
+            if read is not None and read.solve(u) != a:
+                misses[u].append(idx)
+    return pairs.WalkSamples(
+        walk.q, walk.n, u1, u2, seed, steps, steps // pairs.AUDIT_STRIDE,
+        {u: tuple(t.items()) for u, t in tables.items()},
+        {u: tuple(v) for u, v in misses.items()},
+    )
+
+
+def test_sampler_matches_reference_walk():
+    # the sampler's keys, read off the quotient state, against a per-step
+    # sampler over the series walk, whose audits read the series prefix
+    for q, n, u1, u2, steps in [(5, 4, 1, 2, 2000), (3, 4, 2, 2, 1100)]:
+        samples = sample_k_words(q, n, u1, u2, steps=steps, seed=2024)
+        ref = _sample_per_step(ReferenceWalk(q, n, u1, u2, pairs.PRECISION, 2024), steps, 2024)
+        assert samples.tables == ref.tables
+        assert samples.audit_misses == ref.audit_misses
+        assert samples == ref
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 3), (5, 4)])
+def test_lift_reads_solve_like_the_kept_keys(q, n):
+    # the lift M k(r) differs from the series prefix M k by an element
+    # of I++, where every datum's character is trivial: read afresh, the
+    # lifts solve like the series prefixes and like the snapshot, and
+    # their solves make the walk's key, for every unit
+    units = range(1, q)
+    ff = LocalField.base_field(q).residue
+    walk, ref = KWalk(q, n, 1, 2, seed=5), ReferenceWalk(q, n, 1, 2, seed=5)
+    supported = 0
+    for step in range(160):
+        walk.random_step()
+        ref.random_step()
+        if step % 4:
+            continue
+        word = walk.snapshot()
+        lifts = [WhittakerInvariant.read(walk.forward_matrix()), WhittakerInvariant.read(walk.inverse_matrix())]
+        series = [WhittakerInvariant.read(ref.forward_matrix()), WhittakerInvariant.read(ref.inverse_matrix())]
+        for u, key in zip(units, walk.products(units)):
+            a, b = (m.solve(u) for m in lifts)
+            assert [a, b] == [m.solve(u) for m in series] == [word.fwd.solve(u), word.inv.solve(u)]
+            product = None if a is None or b is None else solved_product(ff, a, b)
+            assert key == (a is not None, b is not None, product)
+            supported += product is not None
+    assert supported > 0
+
+
+def test_walk_tables_fill_once_per_class(monkeypatch):
+    # the rotation solve runs at most once per (class mod centre, unit),
+    # and classes are built per class reached, not per step
+    solves, built = Counter(), Counter()
+    match = MonomialClass.match_rotation_times_central
+
+    def counted(self, pi_unit):
+        solves[self, pi_unit] += 1
+        return match(self, pi_unit)
+
+    monkeypatch.setattr(MonomialClass, "match_rotation_times_central", counted)
+    for name in ("__init__", "compose", "inverse"):
+        def wrapped(self, *args, _orig=getattr(MonomialClass, name), _name=name):
+            built[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(MonomialClass, name, wrapped)
+    walk = KWalk(5, 4, 1, 2, seed=2024)
+    for _ in range(2000):
+        walk.random_step()
+        walk.products((1, 2))
+    assert max(solves.values()) == 1
+    assert {cls for cls, _ in solves} <= set(walk.classes) and len(walk.classes) > 20
+    assert sum(built.values()) <= 4 * len(walk.classes) + 3
 
 
 @pytest.mark.parametrize("warmup", [0, 30])
@@ -316,24 +297,26 @@ def test_sampler_matches_reference_walk(monkeypatch):
 @pytest.mark.parametrize("a,b,val", [(2, 0, 0), (0, 2, -1)])
 def test_push_outside_iwahori_raises(monkeypatch, warmup, side, a, b, val):
     # below the diagonal with a unit x, above it with a pole: the step
-    # leaves I+ on both sides, and the entry test of each side alone,
-    # the other switched off, must catch it.  From the identity the pole
-    # lands in one entry only, whose t^0 digit is free: only the term
-    # pushed below t^0 shows it
-    walk = KWalk(5, 3, 1, 2, seed=3)
+    # leaves I+ on both sides, and the series walk's test of each side
+    # alone, the other switched off, catches it.  KWalk tests the
+    # generator's digits, raises the same error and moves nothing
+    def one_side(self):
+        if not getattr(self, side).in_pro_unipotent_iwahori():
+            raise LLCError("walk state left the Iwahori subgroup")
+
+    monkeypatch.setattr(ReferenceWalk, "_check_iwahori", one_side)
+    walk, ref = KWalk(5, 3, 1, 2, seed=3), ReferenceWalk(5, 3, 1, 2, seed=3)
     for _ in range(warmup):
         walk.random_step()
-    check = KWalk._check
-
-    def one_side(self, entries, idxs):
-        if (entries is self._k) == (side == "k"):
-            check(self, entries, idxs)
-
-    monkeypatch.setattr(KWalk, "_check", one_side)
-    with pytest.raises(LLCError) as err:
-        walk.push_elementary(a, b, walk.F.elem(val, (3, 1)))
-    assert type(err.value) is LLCError
-    assert str(err.value) == "walk state left the Iwahori subgroup"
+        ref.random_step()
+        assert walk.snapshot() == ref.snapshot()
+    before = walk.snapshot()
+    for w in (walk, ref):
+        with pytest.raises(LLCError) as err:
+            w.push_elementary(a, b, w.F.elem(val, (3, 1)))
+        assert type(err.value) is LLCError
+        assert str(err.value) == "walk state left the Iwahori subgroup"
+    assert walk.snapshot() == before
 
 
 def test_sampler_shapes():

@@ -173,48 +173,53 @@ def test_matching_serializes_nothing():
     assert found == []
 
 
-def _uses(node) -> set[str]:
-    """Which of the series-level names the walk keeps out of its steps
-    node uses: MatG construction, LaurentElem, truncation and the
-    matrix Iwahori test."""
-    banned = {"MatG", "wrap_matrix", "LaurentElem", "wrap", "truncate", "in_pro_unipotent_iwahori"}
+def _series_builders() -> set[str]:
+    """The names through which code calls a laurent kernel or builds a
+    MatG or a LaurentElem: laurent's public module functions, the
+    LocalField methods that return elements, the two classes, and the
+    matrix builders wrap_matrix and MonomialClass.as_matrix."""
+    tree = ast.parse((SRC / "laurent.py").read_text())
+    names = {f.name for f in tree.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+    field = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "LocalField")
+    names |= {
+        f.name for f in field.body
+        if isinstance(f, ast.FunctionDef) and f.returns is not None and "LaurentElem" in ast.unparse(f.returns)
+    }
+    return names | {"LaurentElem", "MatG", "wrap_matrix", "as_matrix"}
+
+
+def _uses(node, names: set[str]) -> set[str]:
+    """Which of names node mentions, as a plain name or an attribute."""
     out = set()
     for c in ast.walk(node):
-        if isinstance(c, ast.Name) and c.id in banned:
+        if isinstance(c, ast.Name) and c.id in names:
             out.add(c.id)
-        elif isinstance(c, ast.Attribute) and c.attr in banned:
+        elif isinstance(c, ast.Attribute) and c.attr in names:
             out.add(c.attr)
     return out
 
 
 def test_walk_steps_build_no_series():
-    # KWalk keeps k and k^-1 as (val, coeffs, prec) triples: only the
-    # matrix views at the boundary may build MatG or LaurentElem,
-    # truncate a series, or run the matrix Iwahori test, directly,
-    # through a module function of pairs.py that does, or by reading a
-    # view
+    # KWalk keeps its state on the quotient I+/I++: no method but the two
+    # lifts calls a laurent kernel or builds a MatG or a LaurentElem,
+    # directly, through a module function of pairs.py that does, or by
+    # calling a lift
+    builders = _series_builders()
+    assert {"mul_t", "truncate_t", "coeff_at_t", "elem", "one", "LaurentElem", "MatG"} <= builders
     tree = ast.parse((SRC / "pairs.py").read_text())
-    helpers = {
-        f.name for f in tree.body if isinstance(f, ast.FunctionDef) and _uses(f)
-    }
+    helpers = {f.name for f in tree.body if isinstance(f, ast.FunctionDef) and _uses(f, builders)}
     walk = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "KWalk")
-    views = {"forward_matrix", "inverse_matrix", "k", "ki"}
-    found = []
-    for fn in walk.body:
-        if not isinstance(fn, ast.FunctionDef) or fn.name in views:
-            continue
-        used = _uses(fn) | (helpers & _names(fn))
-        used |= {
-            c.attr for c in ast.walk(fn)
-            if isinstance(c, ast.Attribute) and c.attr in views
-            and isinstance(c.value, ast.Name) and c.value.id == "self"
-        }
-        if used:
-            found.append(f"KWalk.{fn.name}: {sorted(used)}")
+    lifts = {"forward_matrix", "inverse_matrix"}
+    methods = [fn for fn in walk.body if isinstance(fn, ast.FunctionDef)]
+    found = [
+        f"KWalk.{fn.name}: {sorted(used)}"
+        for fn in methods
+        if fn.name not in lifts and (used := _uses(fn, builders | helpers | lifts))
+    ]
     assert found == []
-    # the rule sees the views build their matrices
-    views = [fn for fn in walk.body if isinstance(fn, ast.FunctionDef) and fn.name in ("k", "ki")]
-    assert len(views) == 2 and all("wrap_matrix" in _uses(fn) for fn in views)
+    # the rule sees the lifts build their matrices
+    assert all(_uses(fn, builders | helpers) for fn in methods if fn.name in lifts)
+    assert lifts <= {fn.name for fn in methods}
 
 
 def test_only_laurent_uses_its_private_names():
