@@ -17,10 +17,19 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .cyclotomic import RootOfUnity
+from .cyclotomic import RootOfUnity, _root
 from .errors import ZeroInput
 from .laurent import LaurentElem, LocalField
 from .monomials import LambdaGraded
+
+
+def reject_residue(q: int, c: int) -> None:
+    """Raise for a residue c outside the units 1..q-1 of F_q: ZeroInput at
+    0, where a multiplicative character has no value, ValueError for any
+    other integer, which is no residue at all."""
+    if c == 0:
+        raise ZeroInput("multiplicative character of zero")
+    raise ValueError(f"residue {c!r} is not in 1..{q - 1}")
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +57,7 @@ class AdditiveCharPsi:
 
     def of_residue(self, c: int) -> RootOfUnity:
         ff = self.field.residue
-        return RootOfUnity(ff.trace(c), ff.p)
+        return _root(ff.trace(c), ff.p)
 
     def __call__(self, x: LaurentElem) -> RootOfUnity:
         if x.field is not self.field:
@@ -91,15 +100,14 @@ class TameChar:
 
         at_var^v * zeta_{q-1}^(exp_unit * dlog c) built as one root: with
         at_var = a/N and L = lcm(N, q-1) its exponent over L is
-        a*v*(L/N) + exp_unit*dlog(c)*(L/(q-1))."""
-        if c == 0:
-            raise ZeroInput("multiplicative character of zero")
+        a*v*(L/N) + exp_unit*dlog(c)*(L/(q-1)).  A residue outside
+        1..q-1 raises: ZeroInput at 0, ValueError otherwise."""
         ff = self.field.residue
+        if not 0 < c < ff.q:
+            reject_residue(ff.q, c)
         at, m = self.at_var, ff.q - 1
         big = lcm(at.order, m)
-        return RootOfUnity(
-            at.num * v * (big // at.order) + self.exp_unit * ff._dlog[c] * (big // m), big
-        )
+        return _root(at.num * v * (big // at.order) + self.exp_unit * ff._dlog[c] * (big // m), big)
 
     def at_minus_one(self) -> RootOfUnity:
         return self.of_unit(self.field.residue.minus_one())
@@ -165,17 +173,24 @@ class LevelOneCharE:
         """Value on a0 * (1 + c1*u + higher), bypassing series packaging."""
         ff = self.efield.residue
         n = self.efield.degree
-        return self.psi.of_residue(ff.scalar_mul(n, c1)) * RootOfUnity(
+        return self.psi.of_residue(ff.scalar_mul(n, c1)) * _root(
             self.exp_unit * ff.dlog(a0), ff.q - 1
         )
 
     def twist_by_base(self, lam: TameChar) -> LevelOneCharE:
-        """Multiply by lam composed with the norm down to the base field."""
-        if lam.field is not self.efield.base:
+        """Multiply by lam composed with the norm down to the base field.
+
+        The twist keeps this character's checked extension and shared psi,
+        so it is built without re-running __init__."""
+        efield = self.efield
+        if lam.field is not efield.base:
             raise TypeError("twisting character must live on the base field")
-        at_pi = self.at_pi * lam.of_leading(*norm_of_variable(self.efield))
-        exp_unit = self.exp_unit + self.efield.degree * lam.exp_unit
-        return LevelOneCharE(self.efield, at_pi, exp_unit)
+        out = object.__new__(LevelOneCharE)
+        out.efield = efield
+        out.at_pi = self.at_pi * lam.of_leading(*norm_of_variable(efield))
+        out.exp_unit = (self.exp_unit + efield.degree * lam.exp_unit) % (efield.residue.q - 1)
+        out.psi = self.psi
+        return out
 
     def __repr__(self) -> str:
         return f"LevelOneCharE(exp_unit={self.exp_unit}, at_pi={self.at_pi!r})"

@@ -325,7 +325,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    summary = selftest_mod.run_all(args.scale)
+    summary = selftest_mod.run_all(args.scale, args.criterion)
     if args.format == "json":
         _emit(summary, "json")
     else:
@@ -412,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay the acceptance grid; exit 0 iff it passes")
     sp.add_argument("--scale", choices=("small", "full"), default=None,
                     help=f"grid size; default from {selftest_mod.SCALE_ENV} or full")
+    sp.add_argument("--criterion", type=int, action="append", default=None,
+                    help="run only this criterion, 1..8; repeat for several (default all)")
     sp.set_defaults(func=cmd_selftest)
 
     return parser

@@ -111,14 +111,20 @@ class RootOfUnity:
             # sums and graded values scale by a root through their __rmul__
             return NotImplemented
         a, b = self.order, other.order
+        if a == 1:
+            return other
+        if b == 1:
+            return self
+        if a == b:
+            return _root(self.num + other.num, a)
         n = lcm(a, b)
-        return RootOfUnity(self.num * (n // a) + other.num * (n // b), n)
+        return _root(self.num * (n // a) + other.num * (n // b), n)
 
     def __pow__(self, k: int) -> RootOfUnity:
-        return RootOfUnity(self.num * k, self.order)
+        return _root(self.num * k, self.order)
 
     def inverse(self) -> RootOfUnity:
-        return RootOfUnity(-self.num, self.order)
+        return _root(-self.num, self.order)
 
     def is_one(self) -> bool:
         return self.num == 0
@@ -148,6 +154,21 @@ class RootOfUnity:
 
     def as_fraction_of_turn(self) -> str:
         return f"{self.num}/{self.order}"
+
+
+_NEW = object.__new__
+
+
+def _root(num: int, order: int) -> RootOfUnity:
+    """RootOfUnity(num, order) for an order the library computed, so known
+    positive: one gcd to lowest terms and no validation.  Products,
+    powers, inverses and the character values are built here."""
+    num %= order
+    g = gcd(num, order)
+    out = _NEW(RootOfUnity)
+    out.num = num // g
+    out.order = order // g
+    return out
 
 
 @lru_cache(maxsize=None)

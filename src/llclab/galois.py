@@ -22,11 +22,10 @@ the epsilon factor itself comes out Lambda-free.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from math import gcd
 
-from .characters import LevelOneCharE, TameChar
-from .cyclotomic import CycloNumber, RootOfUnity
+from .characters import LevelOneCharE, TameChar, reject_residue
+from .cyclotomic import CycloNumber, RootOfUnity, _root
 from .errors import ZeroInput
 from .finitefield import field_of_size
 from .laurent import LaurentElem, LocalField
@@ -191,7 +190,7 @@ def epsilon_galois(P: ParameterDatum, lam: TameChar) -> EpsMonomial:
     Gauss sum of xi twisted by lam through the norm.
     """
     tau = gauss_sum_bruteforce(P.xi.twist_by_base(lam))
-    return EpsMonomial(P.ssc.q, _LAMBDA * tau, Fraction(-1, 2), -1)
+    return EpsMonomial._of_twice(P.ssc.q, _LAMBDA * tau, -1, -1)
 
 
 class DetCharacter:
@@ -207,8 +206,12 @@ class DetCharacter:
         self.pi_unit = pi_unit
 
     def of_unit(self, a: int) -> RootOfUnity:
+        """Value at a residue unit a; outside 1..q-1 it raises as
+        TameChar.of_leading does."""
         ff = self.field.residue
-        return RootOfUnity(self.exp_unit * ff.dlog(a), ff.q - 1)
+        if not 0 < a < ff.q:
+            reject_residue(ff.q, a)
+        return _root(self.exp_unit * ff._dlog[a], ff.q - 1)
 
     def __call__(self, x: LaurentElem) -> LambdaGraded:
         ff = self.field.residue

@@ -12,8 +12,6 @@ straight off the root of unity that each entry's unit carries.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .characters import TameChar
 from .cyclotomic import RootOfUnity
 from .errors import InconsistentTable
@@ -134,7 +132,7 @@ def verify_matching(d: SSCDatum, twists=None, include_integral: bool = True) -> 
 
 def _entry_root(entry: EpsMonomial) -> RootOfUnity:
     """Shape-check an entry and return the root of unity it carries."""
-    shape = EpsMonomial(entry.q, LambdaGraded(0, entry.unit.root), Fraction(1, 2), -1)
+    shape = EpsMonomial._of_twice(entry.q, LambdaGraded(0, entry.unit.root), 1, -1)
     if entry != shape:
         raise InconsistentTable(f"entry {entry!r} is not a root of unity times q^(1/2 - s)")
     return entry.unit.root

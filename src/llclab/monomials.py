@@ -116,6 +116,7 @@ class LambdaGraded:
         return {"unit": self.terms[self.grade].to_json(), "lambda": self.grade}
 
 
+_NEW = object.__new__
 _SET_GRADE = LambdaGraded.grade.__set__
 _SET_ROOT = LambdaGraded.root.__set__
 _SET_RATIONAL = LambdaGraded.rational.__set__
@@ -125,7 +126,7 @@ def _unit(grade: int, root: RootOfUnity, rational: int | Fraction, out=None) -> 
     """Fill out, or a fresh LambdaGraded, with fields already in normal
     form, past the immutability guard."""
     if out is None:
-        out = object.__new__(LambdaGraded)
+        out = _NEW(LambdaGraded)
     _SET_GRADE(out, grade)
     _SET_ROOT(out, root)
     _SET_RATIONAL(out, rational)
@@ -145,18 +146,17 @@ def _half_power(q: int) -> int | None:
     return root if root * root == q else None
 
 
-def _normal_q_power(q: int, unit: LambdaGraded, q_const: Fraction) -> tuple[LambdaGraded, Fraction]:
-    """unit * q^q_const rewritten in EpsMonomial's normal form."""
+def _normal_q_power(q: int, unit: LambdaGraded, twice: int) -> tuple[LambdaGraded, int]:
+    """unit * q^(twice/2) rewritten in EpsMonomial's normal form, the
+    exponent kept as the integer twice/2 doubled."""
     p, f = odd_prime_power(q)
     num, den = unit.rational.numerator, unit.rational.denominator
-    # work on twice the exponent, an integer since q_const is a half-integer
-    twice = q_const.numerator * (2 // q_const.denominator)
     half = _half_power(q)
     folded = half is not None and twice % 2
     if folded:
         num, twice = num * half, twice - 1
     elif num % p and den % p:
-        return unit, q_const
+        return unit, twice
     v = 0
     while num % p == 0:
         num, v = num // p, v + 1
@@ -164,9 +164,12 @@ def _normal_q_power(q: int, unit: LambdaGraded, q_const: Fraction) -> tuple[Lamb
         den, v = den // p, v - 1
     shift, rest = divmod(v, f)
     if not (shift or folded):
-        return unit, q_const
-    rational = _norm_rat(Fraction(num * p**rest, den))
-    return _unit(unit.grade, unit.root, rational), Fraction(twice + 2 * shift, 2)
+        return unit, twice
+    # num and den are prime to each other and den to p, so this is in
+    # lowest terms already
+    num *= p**rest
+    rational = num if den == 1 else Fraction(num, den)
+    return _unit(unit.grade, unit.root, rational), twice + 2 * shift
 
 
 class EpsMonomial:
@@ -175,46 +178,62 @@ class EpsMonomial:
     Normal form, q = p^f: the unit's rational has p-adic valuation in
     0..f-1, every whole power of q moved into q_const, and for square q
     (f even) a half-integer q_const is folded into the rational through
-    the integer q^(1/2) = p^(f/2) first.  Equal values then have equal
-    fields, which == and hash compare.
+    the integer q^(1/2) = p^(f/2) first.  The half-integer q_const is kept
+    doubled, as the int _twice, so equal values have equal int fields,
+    which == and hash compare; the q_const property reads it as a Fraction.
     """
 
-    __slots__ = ("q", "unit", "q_const", "s_coeff")
+    __slots__ = ("q", "unit", "_twice", "s_coeff")
 
     def __init__(self, q: int, unit: LambdaGraded, q_const: Fraction, s_coeff: int):
         q_const = Fraction(q_const)
         if 2 % q_const.denominator:
             raise ValueError("q-exponents are half-integers in this theory")
         self.q = q
-        self.unit, self.q_const = _normal_q_power(q, unit, q_const)
+        self.unit, self._twice = _normal_q_power(
+            q, unit, q_const.numerator * (2 // q_const.denominator)
+        )
         self.s_coeff = s_coeff
+
+    @classmethod
+    def _of_twice(cls, q: int, unit: LambdaGraded, twice: int, s_coeff: int) -> EpsMonomial:
+        """unit * q^(twice/2 + s_coeff * s): the q-exponent given doubled,
+        as an int, so there is nothing to check or convert."""
+        out = _NEW(cls)
+        out.q = q
+        out.unit, out._twice = _normal_q_power(q, unit, twice)
+        out.s_coeff = s_coeff
+        return out
+
+    @property
+    def q_const(self) -> Fraction:
+        return Fraction(self._twice, 2)
 
     def __mul__(self, other: EpsMonomial) -> EpsMonomial:
         _same_q(self, other)
-        return EpsMonomial(self.q, self.unit * other.unit,
-                           self.q_const + other.q_const, self.s_coeff + other.s_coeff)
+        return EpsMonomial._of_twice(self.q, self.unit * other.unit,
+                                     self._twice + other._twice, self.s_coeff + other.s_coeff)
 
     def __truediv__(self, other: EpsMonomial) -> EpsMonomial:
         _same_q(self, other)
-        return EpsMonomial(self.q, self.unit * other.unit.inverse(),
-                           self.q_const - other.q_const, self.s_coeff - other.s_coeff)
+        return EpsMonomial._of_twice(self.q, self.unit * other.unit.inverse(),
+                                     self._twice - other._twice, self.s_coeff - other.s_coeff)
 
     def scale(self, c) -> EpsMonomial:
-        return EpsMonomial(self.q, self.unit * c, self.q_const, self.s_coeff)
+        return EpsMonomial._of_twice(self.q, self.unit * c, self._twice, self.s_coeff)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EpsMonomial):
             return NotImplemented
-        return (self.q, self.s_coeff, self.q_const, self.unit) == (
-            other.q, other.s_coeff, other.q_const, other.unit
+        return (self.q, self.s_coeff, self._twice, self.unit) == (
+            other.q, other.s_coeff, other._twice, other.unit
         )
 
     def __hash__(self) -> int:
-        return hash((self.q, self.s_coeff, self.q_const, self.unit))
+        return hash((self.q, self.s_coeff, self._twice, self.unit))
 
     def __repr__(self) -> str:
         return f"EpsMonomial({self.unit!r} * {self.q}^({self.q_const} + {self.s_coeff}*s))"
 
     def to_json(self) -> dict:
         return {**self.unit.to_json(), "q_exp": {"const": str(self.q_const), "s": self.s_coeff}}
-

@@ -19,6 +19,7 @@ import os
 import random
 import time
 from collections import defaultdict
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -681,10 +682,16 @@ CRITERIA = (
 )
 
 
-def run_all(scale: str | None = None) -> dict:
+def run_all(scale: str | None = None, criteria: Iterable[int] | None = None) -> dict:
+    """Run the grid, or only the criteria numbered in `criteria`, each once
+    and in grid order; a number outside 1..8 raises ValueError."""
     scale = resolve_scale(scale)
+    wanted = {num for num, _, _ in CRITERIA} if criteria is None else set(criteria)
+    unknown = sorted(wanted - {num for num, _, _ in CRITERIA})
+    if unknown:
+        raise ValueError(f"no criterion {unknown[0]}: criteria are numbered 1..{len(CRITERIA)}")
     t0 = time.perf_counter()
-    reports = [fn(scale) for _, _, fn in CRITERIA]
+    reports = [fn(scale) for num, _, fn in CRITERIA if num in wanted]
     return {
         "scale": scale,
         "ok": all(r["ok"] for r in reports),

@@ -190,6 +190,20 @@ def _random_elem(rng: random.Random, F: LocalField, lo: int, hi: int) -> Laurent
     return F.elem(lo, [rng.randrange(F.residue.q) for _ in range(hi - lo)])
 
 
+def _unit_rep(F: LocalField, m: int, index: int) -> LaurentElem:
+    """F.unit_reps(m)[index] without building the list: the leading digit
+    first, then the m - 1 lower digits, the last one running fastest.
+    A draw of randrange(len) consumes the generator exactly as
+    random.choice on the list does, so the same seed gives the same unit."""
+    ff = F.residue
+    digits = []
+    for _ in range(m - 1):
+        index, d = divmod(index, ff.q)
+        digits.append(d)
+    digits.append(ff.units()[index])
+    return F.elem(0, digits[::-1])
+
+
 @lru_cache(maxsize=None)
 def _dual_points(q: int, n: int, m: int, seed: int) -> DualPoints:
     """The dual integral's unsolved rows at depth m, for every pi_unit.
@@ -209,9 +223,9 @@ def _dual_points(q: int, n: int, m: int, seed: int) -> DualPoints:
     non_integral = []
     if n > 2:
         rng = random.Random(seed)
-        unit_rs = F.unit_reps(m)
         for _ in range(SPOT_CHECKS):
-            h = rng.choice(unit_rs).shift(rng.randrange(-SHELL_BOUND, SHELL_BOUND + 1))
+            h = _unit_rep(F, m, rng.randrange((q - 1) * q ** (m - 1)))
+            h = h.shift(rng.randrange(-SHELL_BOUND, SHELL_BOUND + 1))
             xs = [_random_elem(rng, F, 0, m) for _ in range(n - 2)]
             j = rng.randrange(n - 2)
             bad_val = rng.randrange(-SHELL_BOUND, 0)
@@ -352,4 +366,4 @@ def closed_form_epsilon(d: SSCDatum, lam: TameChar) -> EpsMonomial:
     if lam.field is not d.F:
         raise TypeError("twisting character must live on the datum's base field")
     unit = lam.of_leading(*norm_of_variable(d.extension_field())) * d.zeta
-    return EpsMonomial(d.q, LambdaGraded(0, unit), Fraction(1, 2), -1)
+    return EpsMonomial._of_twice(d.q, LambdaGraded(0, unit), 1, -1)

@@ -1,12 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import llclab
 from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar, norm_of_variable
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import InsufficientPrecision, ZeroInput
+from llclab.galois import DetCharacter, build_parameter
 from llclab.laurent import LocalField
 from llclab.monomials import LambdaGraded
+from llclab.selftest import datum_grid, gauss_cells
 from llclab.supercuspidal import SSCDatum
 
 GRID_Q = [3, 5, 7, 9, 11, 13]
@@ -153,6 +159,76 @@ def test_of_leading_matches_power_times_unit_value():
                 lam.of_leading(1, 0)
 
 
+# residues that are no unit of F_5: negative ones once read as other units
+# through a negative table index, and q and beyond once raised IndexError
+OUT_OF_RANGE = (-1, -4, 5, 6, 25)
+
+
+def _residue_checked_characters():
+    F = LocalField.base_field(5)
+    zeta = RootOfUnity(1, 9)
+    return TameChar(F, 1, RootOfUnity(1, 4)), DetCharacter(F, 3, LambdaGraded(0, zeta), 2)
+
+
+@pytest.mark.parametrize("c", OUT_OF_RANGE)
+def test_characters_reject_residues_outside_the_units(c):
+    lam, det = _residue_checked_characters()
+    for call in (lam.of_unit, lambda c: lam.of_leading(2, c), det.of_unit):
+        with pytest.raises(ValueError):
+            call(c)
+
+
+def test_characters_reject_zero_as_zero_input():
+    lam, det = _residue_checked_characters()
+    for call in (lam.of_unit, lambda c: lam.of_leading(-1, c), det.of_unit):
+        with pytest.raises(ZeroInput):
+            call(0)
+    # every unit still has its value, the same on both characters' rules
+    ff = lam.field.residue
+    for c in ff.units():
+        assert det.of_unit(c) == RootOfUnity(3 * ff.dlog(c), 4)
+        assert lam.of_unit(c) == RootOfUnity(ff.dlog(c), 4)
+
+
+OPTIMIZED_RESIDUES = f"""
+from llclab.characters import TameChar
+from llclab.cyclotomic import RootOfUnity
+from llclab.galois import DetCharacter
+from llclab.laurent import LocalField
+from llclab.monomials import LambdaGraded
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements must be stripped in this interpreter")
+F = LocalField.base_field(5)
+lam = TameChar(F, 1, RootOfUnity(1, 4))
+det = DetCharacter(F, 3, LambdaGraded(0, RootOfUnity(1, 9)), 2)
+for name, call in (("tame", lam.of_unit), ("det", det.of_unit)):
+    for c in {OUT_OF_RANGE!r}:
+        try:
+            call(c)
+        except ValueError:
+            print("rejected", name, c)
+        except Exception as exc:
+            print("raised", type(exc).__name__, name, c)
+        else:
+            print("accepted", name, c)
+"""
+
+
+def test_characters_reject_residues_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RESIDUES],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"rejected {name} {c}" for name in ("tame", "det") for c in OUT_OF_RANGE
+    ], out.stdout
+
+
 def make_xi(q, n, u0, e_xi=0, lam_exp=-1):
     F = LocalField.base_field(q)
     E = F.extension(n, u0)
@@ -215,6 +291,27 @@ def test_twist_by_base_character():
         # the wild part is untouched: one-units of the base are in ker(lam)
         for c1 in range(q):
             assert tw(E.elem(0, (1, c1))) == xi(E.elem(0, (1, c1)))
+
+
+def test_twist_by_base_matches_the_checked_constructor():
+    # the twist is built from its parent's checked fields; against the
+    # character LevelOneCharE.__init__ builds, for every datum and every
+    # tame twist of the small grid
+    for q, n in gauss_cells("small"):
+        F = LocalField.base_field(q)
+        lams = [TameChar(F, e, RootOfUnity(b, q - 1)) for e in range(q - 1) for b in range(q - 1)]
+        for d in datum_grid(q, n):
+            xi = build_parameter(d).xi
+            move = norm_of_variable(xi.efield)
+            for lam in lams:
+                got = xi.twist_by_base(lam)
+                want = LevelOneCharE(
+                    xi.efield, xi.at_pi * lam.of_leading(*move), xi.exp_unit + n * lam.exp_unit
+                )
+                assert type(got) is LevelOneCharE
+                assert got.efield is want.efield and got.psi is want.psi
+                assert got.exp_unit == want.exp_unit
+                assert got.at_pi == want.at_pi and hash(got.at_pi) == hash(want.at_pi)
 
 
 def test_norm_of_variable_closed_form_matches_determinant():

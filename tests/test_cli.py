@@ -308,6 +308,25 @@ def test_selftest_table_lines(capsys):
     assert all("PASS" in line for line in lines)
 
 
+def test_selftest_runs_only_the_named_criteria(capsys):
+    args = ["selftest", "--scale", "small", "--criterion", "6", "--criterion", "1",
+            "--criterion", "6"]
+    code, payload = run_json(capsys, args)
+    assert code == 0 and payload["ok"] is True
+    assert [rep["criterion"] for rep in payload["criteria"]] == [1, 6]
+    code, out = run(capsys, args + ["--format", "table"])
+    assert code == 0
+    assert [line.split(" (")[0] for line in out.strip().splitlines()[:-1]] == [
+        "criterion 1", "criterion 6"
+    ]
+
+
+@pytest.mark.parametrize("num", ["0", "9", "-2"])
+def test_selftest_rejects_unknown_criteria(capsys, num):
+    assert cli.main(["selftest", "--scale", "small", "--criterion", num]) == 2
+    assert "criterion" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_table_format_is_aligned(capsys):
     code, out = run(
         capsys, ["epsilon", "--q", "5", "--n", "2", "--zeta", "1/4", "--side", "closed",
@@ -338,9 +357,10 @@ def test_readme_python_examples_run():
 
 def test_readme_command_lines_exit_0(capsys):
     lines = re.findall(r"^llclab (.*)$", README, re.M)
-    assert len(lines) == 9
+    assert len(lines) == 10
     for line in lines:
         argv = shlex.split(line, comments=True)
-        if argv[0] != "selftest":  # test_selftest_small_scale runs it
+        # test_selftest_small_scale runs the whole grid
+        if argv[0] != "selftest" or "--criterion" in argv:
             assert cli.main(argv) == 0, line
             capsys.readouterr()

@@ -5,7 +5,14 @@ from math import gcd
 
 import pytest
 
-from llclab.cyclotomic import CycloNumber, RootOfUnity, cyclotomic_polynomial, euler_phi, match_root
+from llclab.cyclotomic import (
+    CycloNumber,
+    RootOfUnity,
+    _root,
+    cyclotomic_polynomial,
+    euler_phi,
+    match_root,
+)
 from llclab.errors import LLCError
 from llclab.monomials import LambdaGraded
 
@@ -27,6 +34,33 @@ def test_root_of_unity_canonical():
     z = RootOfUnity(3, 7)
     assert z * z.inverse() == RootOfUnity.one()
     assert (z ** 7).is_one()
+
+
+def _same_root(got: RootOfUnity, want: RootOfUnity) -> bool:
+    return type(got) is RootOfUnity and (got.num, got.order, hash(got)) == (
+        want.num, want.order, hash(want)
+    )
+
+
+def test_unchecked_roots_match_the_checked_constructor():
+    # the unchecked constructor and the products, powers and inverses built
+    # through it against RootOfUnity.__init__ on the lcm formula: orders 1,
+    # equal and coprime, negative numerators and numerators past the order
+    orders = (1, 2, 3, 4, 6, 9, 12, 25)
+    nums = (-13, -7, -1, 0, 1, 2, 5, 8, 30)
+    for order in orders:
+        for num in nums:
+            assert _same_root(_root(num, order), RootOfUnity(num, order))
+    roots = [RootOfUnity(num, order) for order in orders for num in nums]
+    for a in roots:
+        for k in (-3, -1, 0, 1, 2, 7):
+            assert _same_root(a**k, RootOfUnity(a.num * k, a.order))
+        assert _same_root(a.inverse(), RootOfUnity(-a.num, a.order))
+        for b in roots:
+            n = a.order * b.order // gcd(a.order, b.order)
+            want = RootOfUnity(a.num * (n // a.order) + b.num * (n // b.order), n)
+            assert _same_root(a * b, want)
+            assert a * b == b * a
 
 
 def test_i_times_i_is_minus_one():

@@ -5,6 +5,7 @@ import pytest
 
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import LLCError
+from llclab.finitefield import odd_prime_power
 from llclab.monomials import EpsMonomial, LambdaGraded, _half_power
 
 
@@ -156,6 +157,96 @@ def test_eps_monomial_square_q_half_powers():
         want = mono(q, 1, Fraction(1, 2), -1)
         assert got == want and got.to_json() == want.to_json()
         assert hash(got) == hash(want) and len({got, want}) == 1
+
+
+class FractionEpsMonomial:
+    """EpsMonomial with q_const kept as a Fraction and folded by Fraction
+    arithmetic: the oracle for the library's doubled int exponent.  Its
+    normal form is the library's: for square q a half-integer exponent
+    folds into the rational through q^(1/2), then every whole power of q
+    leaves the rational."""
+
+    def __init__(self, q, unit, q_const, s_coeff):
+        p, f = odd_prime_power(q)
+        r, q_const = Fraction(unit.rational), Fraction(q_const)
+        assert q_const.denominator in (1, 2)
+        half = _half_power(q)
+        if half is not None and q_const.denominator == 2:
+            r, q_const = r * half, q_const - Fraction(1, 2)
+        v, x = 0, r
+        while x.numerator % p == 0:
+            x, v = x / p, v + 1
+        while x.denominator % p == 0:
+            x, v = x * p, v - 1
+        shift = v // f
+        self.q = q
+        self.unit = LambdaGraded(unit.grade, unit.root, r / Fraction(q) ** shift)
+        self.q_const = q_const + shift
+        self.s_coeff = s_coeff
+
+    def __mul__(self, other):
+        return FractionEpsMonomial(self.q, self.unit * other.unit,
+                                   self.q_const + other.q_const, self.s_coeff + other.s_coeff)
+
+    def __truediv__(self, other):
+        return FractionEpsMonomial(self.q, self.unit * other.unit.inverse(),
+                                   self.q_const - other.q_const, self.s_coeff - other.s_coeff)
+
+    def scale(self, c):
+        return FractionEpsMonomial(self.q, self.unit * c, self.q_const, self.s_coeff)
+
+    def __eq__(self, other):
+        return (self.q, self.s_coeff, self.q_const, self.unit) == (
+            other.q, other.s_coeff, other.q_const, other.unit
+        )
+
+    def __hash__(self):
+        return hash((self.q, self.s_coeff, self.q_const, self.unit))
+
+    def __repr__(self):
+        return f"EpsMonomial({self.unit!r} * {self.q}^({self.q_const} + {self.s_coeff}*s))"
+
+    def to_json(self):
+        return {**self.unit.to_json(), "q_exp": {"const": str(self.q_const), "s": self.s_coeff}}
+
+
+def _agrees_with_oracle(got, want) -> bool:
+    return (
+        type(got.q_const) is Fraction
+        and (got.q, got.unit, got.q_const, got.s_coeff) == (want.q, want.unit, want.q_const, want.s_coeff)
+        and repr(got) == repr(want)
+        and got.to_json() == want.to_json()
+    )
+
+
+@pytest.mark.parametrize("q", [3, 9, 25])
+def test_eps_monomial_int_exponent_matches_fraction_oracle(q):
+    # every half-integer exponent from -3 to 3 against units whose rational
+    # carries powers of p on either side; ==, hash and the set of distinct
+    # values must come out as with the Fraction exponent
+    p = odd_prime_power(q)[0]
+    rationals = (1, 2, p, q, p * q, Fraction(1, p), Fraction(2, q), Fraction(p * p, 4), Fraction(q * q, 7))
+    units = [LambdaGraded(g, RootOfUnity(k, 6), r) for r in rationals for g, k in ((0, 0), (1, 5))]
+    built = []
+    for unit in units:
+        for k in range(-6, 7):
+            for s in (-1, 0):
+                got = EpsMonomial(q, unit, Fraction(k, 2), s)
+                want = FractionEpsMonomial(q, unit, Fraction(k, 2), s)
+                assert _agrees_with_oracle(got, want), (got, want)
+                built.append((got, want))
+    for a, oa in built:
+        for b, ob in built:
+            assert (a == b) == (oa == ob)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len({a for a, _ in built}) == len({oa for _, oa in built})
+    rng = random.Random(q)
+    for (a, oa), (b, ob) in rng.sample([(x, y) for x in built for y in built], 400):
+        assert _agrees_with_oracle(a * b, oa * ob)
+        assert _agrees_with_oracle(a / b, oa / ob)
+        assert _agrees_with_oracle(a.scale(b.unit), oa.scale(ob.unit))
+        assert _agrees_with_oracle(a.scale(Fraction(p, 4)), oa.scale(Fraction(p, 4)))
 
 
 def test_eps_monomial_mul_div():

@@ -292,6 +292,58 @@ def test_building_builds_fractions_only_in_read_outs():
     assert [f"building.py:{line} in {scope}" for scope, line in found if scope not in read_outs] == []
 
 
+def _scope_calls(path: Path) -> dict[str, set[str]]:
+    """Qualified function name -> the callees of the calls in its body."""
+    out = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = (*scope, child.name)
+                if isinstance(child, ast.FunctionDef):
+                    out[".".join(inner)] = {
+                        _callee(c) for c in ast.walk(child) if isinstance(c, ast.Call)
+                    }
+                visit(child, inner)
+
+    visit(ast.parse(path.read_text()), ())
+    return out
+
+
+def test_graded_values_are_built_in_normal_form():
+    # the twist path builds every value already reduced: roots through the
+    # one unchecked constructor, the twisted character from its parent's
+    # checked fields, and epsilon monomials on their doubled int exponent,
+    # whose Fraction form is built only by the q_const read-out and taken
+    # only by the public constructor
+    calls = {}
+    for name in ("cyclotomic.py", "characters.py", "galois.py", "monomials.py"):
+        calls.update(_scope_calls(SRC / name))
+    builders = {"Fraction", "RootOfUnity", "LevelOneCharE", "EpsMonomial"}
+    hot = [
+        "RootOfUnity.__mul__",
+        "RootOfUnity.__pow__",
+        "RootOfUnity.inverse",
+        "_root",
+        "AdditiveCharPsi.of_residue",
+        "TameChar.of_leading",
+        "LevelOneCharE.of_unit_part",
+        "LevelOneCharE.twist_by_base",
+        "DetCharacter.of_unit",
+        "EpsMonomial._of_twice",
+        "EpsMonomial.__mul__",
+        "EpsMonomial.__truediv__",
+        "EpsMonomial.scale",
+        "EpsMonomial.__eq__",
+        "EpsMonomial.__hash__",
+        "epsilon_galois",
+    ]
+    assert [f"{scope}: {sorted(calls[scope] & builders)}" for scope in hot
+            if calls[scope] & builders] == []
+    assert "_root" in calls["RootOfUnity.__mul__"]
+    assert "Fraction" in calls["EpsMonomial.q_const"]
+
+
 def test_single_value_options_stay_constants():
     # each of these took an option that every caller left at its default;
     # the value is a module constant now, and no parameter or table field

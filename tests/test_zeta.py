@@ -1,6 +1,7 @@
 """Integral factors: principal and dual integrals, gamma, closed form."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -501,6 +502,49 @@ def test_every_principal_point_has_its_lead_invariant():
     for v, h, inv in _principal_points(5, 3, 3):
         want = lead[v, h.coeff_at(v)]
         assert [inv.solve(u) for u in range(1, 5)] == [want.solve(u) for u in range(1, 5)]
+
+
+def _materialising_audit(q, n, m, seed):
+    """The dual table's non-integral audit invariants drawn as before the
+    index draw: random.choice over the whole list F.unit_reps(m)."""
+    F = LocalField.base_field(q)
+    rng = random.Random(seed)
+    unit_rs = F.unit_reps(m)
+    out = []
+    for _ in range(zeta.SPOT_CHECKS):
+        h = rng.choice(unit_rs).shift(rng.randrange(-zeta.SHELL_BOUND, zeta.SHELL_BOUND + 1))
+        xs = [F.elem(0, [rng.randrange(q) for _ in range(m)]) for _ in range(n - 2)]
+        j = rng.randrange(n - 2)
+        bad_val = rng.randrange(-zeta.SHELL_BOUND, 0)
+        xs[j] = F.elem(
+            bad_val, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)]
+        )
+        out.append(WhittakerInvariant.read(dual_matrix(F, xs, h)))
+    return tuple(out)
+
+
+def test_dual_audit_draws_the_units_the_list_draw_did():
+    # decoding a drawn index gives the unit random.choice picked from the
+    # list, with the same generator state after it, so every audit point of
+    # criterion 3's cells and depths is what it was
+    seen = 0
+    for q, n in gauss_cells("full"):
+        if n == 2:
+            continue
+        for m, seed in ((2, zeta.AUDIT_SEED), (3, zeta.AUDIT_SEED + 1), (3, zeta.AUDIT_SEED)):
+            assert zeta._dual_points(q, n, m, seed).non_integral == _materialising_audit(q, n, m, seed)
+            seen += 1
+    assert seen == 3 * 19
+
+
+def test_dual_audit_builds_no_unit_list(monkeypatch):
+    # depth 10 at q = 5 has 4 * 5^9 unit cosets; the audit draws 40 of them
+    def banned(*args, **kwargs):
+        raise AssertionError("the audit must not list the unit cosets")
+
+    monkeypatch.setattr(LocalField, "unit_reps", banned)
+    pts = zeta._dual_points.__wrapped__(5, 3, 10, zeta.AUDIT_SEED)
+    assert len(pts.non_integral) == zeta.SPOT_CHECKS
 
 
 def test_table_audit_runs_per_uniformizer(monkeypatch):
