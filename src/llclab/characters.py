@@ -19,17 +19,20 @@ from math import lcm
 
 from .cyclotomic import RootOfUnity, _root
 from .errors import ZeroInput
+from .finitefield import FiniteField
 from .laurent import LaurentElem, LocalField
 from .monomials import LambdaGraded
 
 
-def reject_residue(q: int, c: int) -> None:
-    """Raise for a residue c outside the units 1..q-1 of F_q: ZeroInput at
-    0, where a multiplicative character has no value, ValueError for any
-    other integer, which is no residue at all."""
+def _unit_dlog(ff: FiniteField, c: int) -> int:
+    """Discrete log of a residue unit c in 1..q-1 of ff.  Outside that
+    range it raises: ZeroInput at 0, where a multiplicative character has
+    no value, ValueError for any other integer, which is no residue."""
+    if 0 < c < ff.q:
+        return ff._dlog[c]
     if c == 0:
         raise ZeroInput("multiplicative character of zero")
-    raise ValueError(f"residue {c!r} is not in 1..{q - 1}")
+    raise ValueError(f"residue {c!r} is not in 1..{ff.q - 1}")
 
 
 @lru_cache(maxsize=None)
@@ -103,11 +106,10 @@ class TameChar:
         a*v*(L/N) + exp_unit*dlog(c)*(L/(q-1)).  A residue outside
         1..q-1 raises: ZeroInput at 0, ValueError otherwise."""
         ff = self.field.residue
-        if not 0 < c < ff.q:
-            reject_residue(ff.q, c)
+        dlog = _unit_dlog(ff, c)
         at, m = self.at_var, ff.q - 1
         big = lcm(at.order, m)
-        return _root(at.num * v * (big // at.order) + self.exp_unit * ff._dlog[c] * (big // m), big)
+        return _root(at.num * v * (big // at.order) + self.exp_unit * dlog * (big // m), big)
 
     def at_minus_one(self) -> RootOfUnity:
         return self.of_unit(self.field.residue.minus_one())

@@ -115,8 +115,6 @@ class RootOfUnity:
             return other
         if b == 1:
             return self
-        if a == b:
-            return _root(self.num + other.num, a)
         n = lcm(a, b)
         return _root(self.num * (n // a) + other.num * (n // b), n)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from math import gcd
 
-from .characters import LevelOneCharE, TameChar, reject_residue
+from .characters import LevelOneCharE, TameChar, _unit_dlog
 from .cyclotomic import CycloNumber, RootOfUnity, _root
 from .errors import ZeroInput
 from .finitefield import field_of_size
@@ -209,9 +209,7 @@ class DetCharacter:
         """Value at a residue unit a; outside 1..q-1 it raises as
         TameChar.of_leading does."""
         ff = self.field.residue
-        if not 0 < a < ff.q:
-            reject_residue(ff.q, a)
-        return _root(self.exp_unit * ff._dlog[a], ff.q - 1)
+        return _root(self.exp_unit * _unit_dlog(ff, a), ff.q - 1)
 
     def __call__(self, x: LaurentElem) -> LambdaGraded:
         ff = self.field.residue

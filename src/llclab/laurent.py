@@ -655,17 +655,6 @@ class LocalField:
         return leibniz_det(self.base, self.mult_matrix(x))
 
     # ----- coset representatives ----------------------------------------
-    def unit_reps(self, m: int) -> list[LaurentElem]:
-        """Representatives of the unit group modulo one-units of depth m."""
-        if m < 1:
-            raise ValueError("depth must be at least 1")
-        ff = self.residue
-        out = []
-        for c0 in ff.units():
-            for tail in itertools.product(range(ff.q), repeat=m - 1):
-                out.append(self.elem(0, (c0,) + tail))
-        return out
-
     def integer_reps(self, lo: int, hi: int) -> list[LaurentElem]:
         """All truncated series supported on exponents lo <= e < hi."""
         ff = self.residue

