@@ -60,14 +60,12 @@ from .building import (
     sample_alcove_points,
 )
 from .stability import (
-    KernelIsScalars,
     NoStableDimGap,
     NoStableJordanWitness,
     StableExists,
     UnstableCocharacter,
     destabilizing_cocharacter,
     enumerate_functionals,
-    kernel_of_action,
     root_count_dims,
     stability_certificate,
     verify_certificate,
@@ -97,7 +95,6 @@ __all__ = [
     "GradedQuotient",
     "InconsistentTable",
     "InsufficientPrecision",
-    "KernelIsScalars",
     "LLCError",
     "LambdaGraded",
     "LaurentElem",
@@ -140,7 +137,6 @@ __all__ = [
     "graded_quotient",
     "is_barycenter",
     "k_special_check",
-    "kernel_of_action",
     "mirabolic_agreement",
     "root_count_dims",
     "run_selftest",

@@ -35,6 +35,14 @@ def _unit_dlog(ff: FiniteField, c: int) -> int:
     raise ValueError(f"residue {c!r} is not in 1..{ff.q - 1}")
 
 
+def _residue(ff: FiniteField, c: int) -> int:
+    """c itself once it is a residue in 0..q-1 of ff; any other integer
+    raises ValueError rather than index another residue's entry."""
+    if 0 <= c < ff.q:
+        return c
+    raise ValueError(f"residue {c!r} is not in 0..{ff.q - 1}")
+
+
 @lru_cache(maxsize=None)
 def norm_of_variable(efield: LocalField) -> tuple[int, int]:
     """(valuation, leading residue) of the norm of u down to the base: u is
@@ -59,8 +67,9 @@ class AdditiveCharPsi:
         return AdditiveCharPsi(field)
 
     def of_residue(self, c: int) -> RootOfUnity:
+        """Value at a residue c in 0..q-1; any other integer raises ValueError."""
         ff = self.field.residue
-        return _root(ff.trace(c), ff.p)
+        return _root(ff.trace(_residue(ff, c)), ff.p)
 
     def __call__(self, x: LaurentElem) -> RootOfUnity:
         if x.field is not self.field:
@@ -172,12 +181,14 @@ class LevelOneCharE:
         return self.at_pi**v * self.of_unit_part(a0, c1)
 
     def of_unit_part(self, a0: int, c1: int) -> RootOfUnity:
-        """Value on a0 * (1 + c1*u + higher), bypassing series packaging."""
+        """Value on a0 * (1 + c1*u + higher), bypassing series packaging.
+
+        a0 must be a residue unit (ZeroInput at 0, ValueError outside
+        0..q-1) and c1 a residue in 0..q-1 (ValueError otherwise)."""
         ff = self.efield.residue
-        n = self.efield.degree
-        return self.psi.of_residue(ff.scalar_mul(n, c1)) * _root(
-            self.exp_unit * ff.dlog(a0), ff.q - 1
-        )
+        dlog = _unit_dlog(ff, a0)
+        wild = ff.scalar_mul(self.efield.degree, _residue(ff, c1))
+        return self.psi.of_residue(wild) * _root(self.exp_unit * dlog, ff.q - 1)
 
     def twist_by_base(self, lam: TameChar) -> LevelOneCharE:
         """Multiply by lam composed with the norm down to the base field.

@@ -18,11 +18,6 @@ reduces to, and each has an independent verifier:
 * UnstableCocharacter: integer torus weights strictly decreasing along
   the quiver cycle opened at a missing arrow; every present arrow then
   scales with a positive exponent, driving any functional to zero.
-* KernelIsScalars: the stabilizer equations of the identity-block probe
-  matrices solved exactly over F_q (solution dimension one), confirmed
-  by guarded brute force over the finite group.  Row reduction is
-  defined over the prime field, so the dimension count persists over
-  extensions.
 """
 
 from __future__ import annotations
@@ -263,23 +258,6 @@ class UnstableCocharacter:
         )
 
 
-class KernelIsScalars:
-    kind = "kernel-is-scalars"
-
-    def __init__(self, point, q, group_size, kernel_size, probe_nullity):
-        self.point = point
-        self.q = q
-        self.group_size = group_size
-        self.kernel_size = kernel_size
-        self.probe_nullity = probe_nullity
-
-    def __repr__(self):
-        return (
-            f"KernelIsScalars(q={self.q}, group={self.group_size}, "
-            f"kernel={self.kernel_size})"
-        )
-
-
 # ----- stabilizer counting on the alcove torus ---------------------------
 
 def _torus_stabilizer_count(q: int, functional_values) -> int:
@@ -314,122 +292,6 @@ def _torus_stabilizer_count(q: int, functional_values) -> int:
         return total
 
     return extend([])
-
-
-# ----- kernel of the action ----------------------------------------------
-
-def group_size(sizes, q: int) -> int:
-    total = 1
-    for m in sizes:
-        gl = 1
-        for i in range(m):
-            gl *= q**m - q**i
-        total *= gl
-    return total
-
-
-def probe_matrices(s1: int, s2: int):
-    """Identity-block probes spanning enough of M_{s1 x s2} to pin both
-    intertwiners to the same scalar: shifted identity blocks with the
-    remainder corner, plus the coordinate matrices."""
-    probes = []
-    if s1 <= s2:
-        for off in range(0, s2 - s1 + 1, s1):
-            probes.append(
-                tuple(tuple(1 if c == off + r else 0 for c in range(s2)) for r in range(s1))
-            )
-        r = s2 % s1
-        if r:
-            probes.append(
-                tuple(
-                    tuple(1 if (i < r and c == s2 - r + i) else 0 for c in range(s2))
-                    for i in range(s1)
-                )
-            )
-    else:
-        probes.extend(tuple(zip(*p)) for p in probe_matrices(s2, s1))
-    for i in range(s1):
-        for j in range(s2):
-            probes.append(tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(s2)) for r in range(s1)))
-    return probes
-
-
-def _probe_nullity(gq: GradedQuotient, q: int) -> int:
-    """Dimension of the joint solution space of h_a P = P h_b over all
-    arrows and probes.  Row reduction over F_q certifies the dimension
-    over every extension since the system is defined over the residues."""
-    ff = field_of_size(q)
-    sizes = gq.sizes
-    offsets = []
-    pos = 0
-    for m in sizes:
-        offsets.append(pos)
-        pos += m * m
-    nvars = pos
-    rows = []
-    for (a, b) in gq.arrows:
-        ma, mb = sizes[a], sizes[b]
-        for P in probe_matrices(ma, mb):
-            for r in range(ma):
-                for c in range(mb):
-                    row = [0] * nvars
-                    for j in range(ma):
-                        idx = offsets[a] + r * ma + j
-                        row[idx] = ff.add(row[idx], P[j][c])
-                    for j in range(mb):
-                        idx = offsets[b] + j * mb + c
-                        row[idx] = ff.sub(row[idx], P[r][j])
-                    if any(row):
-                        rows.append(row)
-    return nvars - _rank(ff, rows)
-
-
-def kernel_of_action(gq: GradedQuotient, q: int, guard: int = BRUTE_FORCE_GUARD) -> KernelIsScalars:
-    """Certify that only global scalars act trivially on the graded piece.
-
-    Runs the probe-matrix linear certificate, then confirms by brute
-    force over G(F_q) within the guard.  Raises when the kernel is
-    genuinely larger, which happens at points with missing arrows.
-    """
-    ff = field_of_size(q)
-    sizes = gq.sizes
-    nullity = _probe_nullity(gq, q)
-    if nullity != 1:
-        raise ValueError(f"kernel has dimension {nullity}, not scalars")
-    raw = q ** sum(m * m for m in sizes)
-    if raw > guard:
-        raise SizeGuardExceeded(f"enumerating {raw} tuples exceeds the guard {guard}")
-    bases = []
-    for (a, b) in gq.arrows:
-        ma, mb = gq.arrow_shape((a, b))
-        for i in range(ma):
-            for j in range(mb):
-                E = tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(mb)) for r in range(ma))
-                bases.append(((a, b), E))
-    kernel = []
-    all_mats = [
-        [
-            tuple(tuple(ent[r * m + c] for c in range(m)) for r in range(m))
-            for ent in itertools.product(range(q), repeat=m * m)
-        ]
-        for m in sizes
-    ]
-    invertible = [[M for M in mats if _det(ff, M) != 0] for mats in all_mats]
-    for combo in itertools.product(*invertible):
-        trivial = True
-        for (a, b), E in bases:
-            # test h_a E == E h_b, avoiding inverses
-            if _mmul(ff, combo[a], E) != _mmul(ff, E, combo[b]):
-                trivial = False
-                break
-        if trivial:
-            kernel.append(combo)
-    for combo in kernel:
-        c = combo[0][0][0]
-        for M in combo:
-            if M != tuple(tuple(c if i == j else 0 for j in range(len(M))) for i in range(len(M))):
-                raise ValueError("brute force found a non-scalar kernel element")
-    return KernelIsScalars(gq.point, q, group_size(sizes, q), len(kernel), nullity)
 
 
 # ----- certificates for barycenters --------------------------------------
@@ -563,14 +425,6 @@ def verify_certificate(cert) -> bool:
         for (a, bb) in gq.arrows:
             if b[a] - b[bb] <= 0:
                 raise LLCError(f"certificate rejected: arrow {(a, bb)} does not contract")
-        return True
-    if cert.kind == "kernel-is-scalars":
-        gq = graded_quotient(cert.point)
-        _require(
-            _probe_nullity(gq, cert.q) == cert.probe_nullity == 1, "probe nullity must be 1"
-        )
-        _require(cert.kernel_size == cert.q - 1, "kernel must be exactly the scalars")
-        _require(cert.group_size == group_size(gq.sizes, cert.q), "group size is off")
         return True
     raise ValueError(f"unknown certificate kind {cert.kind}")
 

@@ -63,12 +63,7 @@ SPOT_CHECKS = 40
 AUDIT_SEED = 71
 
 
-def zeta_psi(
-    d: SSCDatum,
-    lam: TameChar,
-    m: int = 2,
-    measure_scale: Fraction = Fraction(1),
-) -> EpsMonomial:
+def zeta_psi(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
     """The principal integral: W on diag(h, 1, ..., 1) against lam(h)|h|^(s-(n-1)/2).
 
     A row is one lead shell (v, a0), and diag(a0 t^v, 1, ..., 1) lies in
@@ -78,7 +73,7 @@ def zeta_psi(
     """
     if m < 2:
         raise ValueError("need depth m >= 2")
-    return _value(d, lam, _principal_row(d.q, d.n, d.pi_unit, m), measure_scale)
+    return _value(d, lam, _principal_row(d.q, d.n, d.pi_unit, m))
 
 
 @lru_cache(maxsize=None)
@@ -115,12 +110,7 @@ def dual_matrix(F: LocalField, xs, h: LaurentElem) -> MatG:
     return MatG(F, rows)
 
 
-def zeta_psi_tilde(
-    d: SSCDatum,
-    lam: TameChar,
-    m: int = 2,
-    measure_scale: Fraction = Fraction(1),
-) -> EpsMonomial:
+def zeta_psi_tilde(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
     """The dual integral as a monomial in q^(-s), already rewritten in s.
 
     A row is one lead shell (v, a0), and A(a0 t^v) lies in rotation
@@ -129,7 +119,7 @@ def zeta_psi_tilde(
     Another row count raises LLCError; depths m and m + 1 disagreeing
     raises PrecisionNotStabilized.
     """
-    return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m), measure_scale)
+    return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m))
 
 
 # ----- shared-decomposition tables ------------------------------------
@@ -307,16 +297,13 @@ def _dual_row(q: int, n: int, pi_unit: int, m: int) -> StableRow:
     return _stable_row(q, T.agg, T.agg_next, "dual integral", m)
 
 
-def _value(
-    d: SSCDatum, lam: TameChar, row: StableRow, measure_scale: int | Fraction = 1
-) -> EpsMonomial:
+def _value(d: SSCDatum, lam: TameChar, row: StableRow) -> EpsMonomial:
     """The one evaluator: row.weight times the datum's root at the solved
-    invariant times lam at the argument, inverted, times measure_scale,
-    all in one scale."""
+    invariant times lam at the argument, inverted, all in one scale."""
     if lam.field is not d.F:
         raise TypeError("twisting character must live on the datum's base field")
     root = d.invariant_root(row.invariant) * lam.of_leading(row.arg_val, row.arg_lead).inverse()
-    return row.weight.scale(LambdaGraded(0, root, measure_scale))
+    return row.weight.scale(LambdaGraded(0, root))
 
 
 @lru_cache(maxsize=None)

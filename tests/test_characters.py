@@ -159,8 +159,9 @@ def test_of_leading_matches_power_times_unit_value():
                 lam.of_leading(1, 0)
 
 
-# residues that are no unit of F_5: negative ones once read as other units
-# through a negative table index, and q and beyond once raised IndexError
+# integers that are no residue of F_5: negative ones once read as other
+# residues through a negative table index, and q and beyond once raised
+# IndexError
 OUT_OF_RANGE = (-1, -4, 5, 6, 25)
 
 
@@ -173,14 +174,28 @@ def _residue_checked_characters():
 @pytest.mark.parametrize("c", OUT_OF_RANGE)
 def test_characters_reject_residues_outside_the_units(c):
     lam, det = _residue_checked_characters()
-    for call in (lam.of_unit, lambda c: lam.of_leading(2, c), det.of_unit):
+    _, xi = make_xi(5, 3, 2)
+    for call in (
+        lam.of_unit,
+        lambda c: lam.of_leading(2, c),
+        det.of_unit,
+        xi.psi.of_residue,
+        lambda c: xi.of_unit_part(c, 0),
+        lambda c: xi.of_unit_part(1, c),
+    ):
         with pytest.raises(ValueError):
             call(c)
 
 
 def test_characters_reject_zero_as_zero_input():
     lam, det = _residue_checked_characters()
-    for call in (lam.of_unit, lambda c: lam.of_leading(-1, c), det.of_unit):
+    _, xi = make_xi(5, 3, 2)
+    for call in (
+        lam.of_unit,
+        lambda c: lam.of_leading(-1, c),
+        det.of_unit,
+        lambda c: xi.of_unit_part(c, 0),
+    ):
         with pytest.raises(ZeroInput):
             call(0)
     # every unit still has its value, the same on both characters' rules
@@ -191,7 +206,7 @@ def test_characters_reject_zero_as_zero_input():
 
 
 OPTIMIZED_RESIDUES = f"""
-from llclab.characters import TameChar
+from llclab.characters import LevelOneCharE, TameChar
 from llclab.cyclotomic import RootOfUnity
 from llclab.galois import DetCharacter
 from llclab.laurent import LocalField
@@ -203,7 +218,15 @@ except AssertionError:
 F = LocalField.base_field(5)
 lam = TameChar(F, 1, RootOfUnity(1, 4))
 det = DetCharacter(F, 3, LambdaGraded(0, RootOfUnity(1, 9)), 2)
-for name, call in (("tame", lam.of_unit), ("det", det.of_unit)):
+xi = LevelOneCharE(F.extension(3, 2), LambdaGraded.one(), 0)
+reads = (
+    ("tame", lam.of_unit),
+    ("det", det.of_unit),
+    ("psi", xi.psi.of_residue),
+    ("unit", lambda c: xi.of_unit_part(c, 0)),
+    ("wild", lambda c: xi.of_unit_part(1, c)),
+)
+for name, call in reads:
     for c in {OUT_OF_RANGE!r}:
         try:
             call(c)
@@ -225,7 +248,9 @@ def test_characters_reject_residues_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        f"rejected {name} {c}" for name in ("tame", "det") for c in OUT_OF_RANGE
+        f"rejected {name} {c}"
+        for name in ("tame", "det", "psi", "unit", "wild")
+        for c in OUT_OF_RANGE
     ], out.stdout
 
 

@@ -25,8 +25,6 @@ from llclab.stability import (
     contracts_functional,
     destabilizing_cocharacter,
     enumerate_functionals,
-    group_size,
-    kernel_of_action,
     root_count_dims,
     stability_certificate,
     verify_certificate,
@@ -158,44 +156,6 @@ def test_every_proper_facet_gets_a_no_stable_certificate():
 def test_empty_facet_rejected():
     with pytest.raises(EmptyFacet):
         stability_certificate(FacetSpec(1, (3,)), 3)
-
-
-def test_kernel_of_action_alcove():
-    gq = graded_quotient(FacetSpec(0, (1, 1)).barycenter())
-    cert = kernel_of_action(gq, 3)
-    assert cert.group_size == 4
-    assert cert.kernel_size == 2
-    assert cert.probe_nullity == 1
-    verify_certificate(cert)
-
-
-def test_kernel_of_action_two_two():
-    gq = graded_quotient(FacetSpec(0, (2, 2)).barycenter())
-    cert = kernel_of_action(gq, 3)
-    assert cert.group_size == group_size((2, 2), 3)
-    assert cert.group_size == 2304
-    assert cert.kernel_size == 2
-    verify_certificate(cert)
-
-
-def test_kernel_guard_trips():
-    gq = graded_quotient(FacetSpec(0, (2, 2, 2, 2)).barycenter())
-    with pytest.raises(SizeGuardExceeded):
-        kernel_of_action(gq, 3)
-
-
-def test_kernel_fails_when_arrow_graph_disconnects():
-    # two spacings above the jump leave node 2 isolated, so its block
-    # scalar is an extra kernel direction
-    x = ApartmentPoint.parse("0,-1/5,-3/5")
-    gq = graded_quotient(x)
-    assert gq.arrows == ((0, 1),)
-    with pytest.raises(ValueError, match="kernel"):
-        kernel_of_action(gq, 3)
-    # one missing arrow keeps the graph connected: still scalars
-    y = ApartmentPoint.parse("0,-1/4,-3/4")
-    cert = kernel_of_action(graded_quotient(y), 3)
-    assert cert.kernel_size == 2
 
 
 def test_destabilizer_middle_arrow_missing():
@@ -400,12 +360,6 @@ def test_jordan_witnesses_keep_their_profiles():
                         power = _method_mmul(ff, power, oracle)
                     assert stability._rank_profile(ff, P) == tuple(profile)
     assert witnesses == 2 * 48
-
-
-def test_group_size_formula():
-    assert group_size((1,), 5) == 4
-    assert group_size((2,), 3) == 48
-    assert group_size((2, 1), 3) == 96
 
 
 def test_root_count_matches_fraction_oracle():

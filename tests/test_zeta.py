@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import pytest
 
-from llclab import zeta
+from llclab import selftest, zeta
 from llclab.bruhat import SolvedInvariant, WhittakerInvariant, decompose
 from llclab.characters import TameChar
 from llclab.cyclotomic import CycloNumber, RootOfUnity
@@ -141,8 +141,6 @@ def _oracle_twists(F, q):
 def _assert_matches_oracle(d, lam, m):
     want = _psi_per_point(d, lam, m, _principal_points(d.q, d.n, m))
     _assert_collapses_to(zeta_psi(d, lam, m=m), want)
-    c = Fraction(2, 7)
-    _assert_collapses_to(zeta_psi(d, lam, m=m, measure_scale=c), want.scale(c))
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2), (5, 3), (5, 4)])
@@ -569,16 +567,6 @@ def test_table_audit_runs_per_uniformizer(monkeypatch):
     assert cached_dual_table.__wrapped__(5, 3, 1).row_count == 5
 
 
-def test_table_measure_scale():
-    T = cached_dual_table(5, 2, 2)
-    d = _datum(5, 2, zeta_num=1, u0=2)
-    lam = TameChar.trivial(d.F)
-    c = Fraction(2, 3)
-    got = zeta_psi_tilde(d, lam, measure_scale=c)
-    assert got == zeta_psi_tilde(d, lam).scale(c)
-    _assert_collapses_to(got, _rows_oracle(d, lam, T.agg, T.agg_next).scale(c))
-
-
 # ----- gamma and the closed form ----------------------------------------
 
 
@@ -761,14 +749,30 @@ def test_gamma_trivial_data_value():
     )
 
 
-def test_gamma_survives_measure_rescaling():
-    # rescaling vol(1+p) multiplies both integrals and cancels in the ratio
+def test_gamma_is_the_ratio_of_the_two_integrals():
+    # each integral at its own row, the ratio times lam(-1)^(n-1), which is
+    # -1 here, against gamma's one quotient row
     d = _datum(5, 2, zeta_num=3, omega_exp=1, u0=2)
     lam = TameChar(d.F, 1, RootOfUnity(1, 4))
-    c = Fraction(3, 7)
-    num = zeta_psi_tilde(d, lam, measure_scale=c)
-    den = zeta_psi(d, lam, measure_scale=c)
-    assert num == zeta_psi_tilde(d, lam).scale(c)
-    assert den == zeta_psi(d, lam).scale(c)
-    rescaled = (num / den).scale(lam.at_minus_one() ** (d.n - 1))
-    assert rescaled == gamma_automorphic(d, lam)
+    assert lam.at_minus_one() ** (d.n - 1) != RootOfUnity.one()
+    ratio = (zeta_psi_tilde(d, lam) / zeta_psi(d, lam)).scale(lam.at_minus_one() ** (d.n - 1))
+    assert ratio == gamma_automorphic(d, lam)
+
+
+def test_oracle_criterion_catches_gamma_without_the_sign(monkeypatch):
+    # negating gamma's argument at even n drops the lam(-1)^(n-1) fold;
+    # criterion 8's ratio check must fail at both of its small cells
+    real = zeta._gamma_row
+
+    def unfolded(q, n, pi_unit, m=2):
+        row = real(q, n, pi_unit, m)
+        if n % 2:
+            return row
+        return row._replace(arg_lead=LocalField.base_field(q).residue.neg(row.arg_lead))
+
+    monkeypatch.setattr(zeta, "_gamma_row", unfolded)
+    rep = selftest.criterion_oracles("small")
+    assert [(f["check"], f["q"], f["n"]) for f in rep["failures"]] == [
+        ("gamma ratio", 3, 2),
+        ("gamma ratio", 5, 2),
+    ]
