@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import EmptyFacet
 
@@ -313,14 +313,37 @@ def enumerate_facets(n: int) -> list[FacetSpec]:
     return out
 
 
+def _alcove_pool_size(n: int, max_den: int) -> int:
+    """How many distinct points sample_alcove_points(n, ..., max_den) can
+    draw: the points of the closed alcove with x_1 = 0 and denominator at
+    most max_den.
+
+    At denominator D they are the C(D+n-1, n-1) descending choices of
+    -x_2..-x_n in {0, 1/D, ..., 1}.  That grid holds the points of every
+    exact denominator dividing D, so taking away the counts of the proper
+    divisors (Moebius inversion, unrolled) leaves exact denominator D."""
+    exact = [0] * (max_den + 1)
+    for D in range(1, max_den + 1):
+        exact[D] = comb(D + n - 1, n - 1) - sum(exact[d] for d in range(1, D) if D % d == 0)
+    return sum(exact)
+
+
 def sample_alcove_points(n: int, count: int, max_den: int = 12, seed: int = 20240815):
     """Seeded sample of count rational points of the closed alcove with
     bounded denominators, deduplicated modulo the center direction by
-    pinning x_1 = 0; raises ValueError when 200 * count draws find fewer."""
+    pinning x_1 = 0.  Raises ValueError before the first draw when the
+    alcove holds fewer than count such points, and when 200 * count draws
+    find fewer."""
     if n < 1:
         raise ValueError("n must be positive")
     if max_den < 1:
         raise ValueError("max_den must be positive")
+    pool = _alcove_pool_size(n, max_den)
+    if count > pool:
+        raise ValueError(
+            f"sample_alcove_points(n={n}, max_den={max_den}) can draw only {pool} "
+            f"distinct points, fewer than the {count} asked for"
+        )
     rng = random.Random(seed)
     seen = set()
     out = []

@@ -23,6 +23,7 @@ reduces to, and each has an independent verifier:
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .building import (
     ApartmentPoint,
@@ -120,26 +121,54 @@ def _rank_profile(ff, A):
     out = []
     P = A
     for _ in range(m):
-        out.append(_rank(ff, P))
+        rank = _rank(ff, P)
+        out.append(rank)
+        if rank == 0:
+            # every higher power is zero too
+            break
         P = _mmul(ff, P, A)
-    return tuple(out)
+    return tuple(out) + (0,) * (m - len(out))
 
 
 # ----- functionals -------------------------------------------------------
 
-def _checked_matrix(gq: GradedQuotient, q: int, arrow, M) -> tuple:
-    """M as a tuple of row tuples, once it is a matrix of residue
-    representatives of the shape of a present arrow."""
+def _present_shape(gq: GradedQuotient, arrow) -> tuple[int, int]:
+    """(rows, cols) of a present arrow."""
     if arrow not in gq.arrows:
         raise ValueError(f"arrow {arrow} is not present at this point")
-    rows, cols = gq.arrow_shape(arrow)
+    return gq.arrow_shape(arrow)
+
+
+def _residue_matrix(M, rows: int, cols: int, q: int) -> tuple:
+    """M as a tuple of row tuples, once it is a rows x cols matrix of
+    residue representatives modulo q."""
     if len(M) != rows or any(len(r) != cols for r in M):
-        raise ValueError(f"matrix for arrow {arrow} must be {rows}x{cols}")
+        raise ValueError(f"matrix must be {rows}x{cols}")
     for r in M:
         for v in r:
             if not 0 <= v < q:
                 raise ValueError("entries must be residue representatives")
     return tuple(tuple(r) for r in M)
+
+
+def _checked_matrix(gq: GradedQuotient, q: int, arrow, M) -> tuple:
+    """M as a tuple of row tuples, once it is a matrix of residue
+    representatives of the shape of a present arrow."""
+    rows, cols = _present_shape(gq, arrow)
+    try:
+        return _residue_matrix(M, rows, cols, q)
+    except ValueError as exc:
+        raise ValueError(f"arrow {arrow}: {exc}") from None
+
+
+@lru_cache(maxsize=None)
+def _all_matrices(rows: int, cols: int, q: int) -> tuple:
+    """Every rows x cols matrix of residues modulo q, row-major and
+    lexicographic in the entries, each through _residue_matrix."""
+    return tuple(
+        _residue_matrix([entries[r * cols:(r + 1) * cols] for r in range(rows)], rows, cols, q)
+        for entries in itertools.product(range(q), repeat=rows * cols)
+    )
 
 
 class FunctionalOverFq:
@@ -152,15 +181,6 @@ class FunctionalOverFq:
         self.gq = gq
         self.q = q
         self.mats = {a: _checked_matrix(gq, q, a, M) for a, M in mats.items()}
-
-    @classmethod
-    def _of_checked(cls, gq: GradedQuotient, q: int, mats: dict) -> FunctionalOverFq:
-        """A functional whose matrices have each passed _checked_matrix."""
-        lam = cls.__new__(cls)
-        lam.gq = gq
-        lam.q = q
-        lam.mats = mats
-        return lam
 
     @classmethod
     def all_ones(cls, gq: GradedQuotient, q: int) -> FunctionalOverFq:
@@ -177,22 +197,24 @@ class FunctionalOverFq:
 def enumerate_functionals(gq: GradedQuotient, q: int, cap: int = BRUTE_FORCE_GUARD):
     """Every functional over F_q, guarded by total count.
 
-    The order is arrow-major, row-major and lexicographic in the entries.
-    Each present arrow's q^(rows*cols) matrices are built and checked
-    once; every functional is assembled from those checked matrices."""
+    The order is arrow-major, row-major and lexicographic in the entries:
+    the last entry of the last arrow moves fastest.  Each present arrow
+    reads the list of all q^(rows*cols) matrices of its shape, built and
+    checked once per process for each (rows, cols, q); every functional
+    is assembled from those checked matrices without a second check."""
     dim = gq.dim_v
     if q**dim > cap:
         raise SizeGuardExceeded(f"{q}^{dim} functionals exceed the guard {cap}")
     field_of_size(q)  # rejects a q that is not an odd prime power
-    per_arrow = []
-    for a in gq.arrows:
-        rows, cols = gq.arrow_shape(a)
-        per_arrow.append([
-            _checked_matrix(gq, q, a, [entries[r * cols:(r + 1) * cols] for r in range(rows)])
-            for entries in itertools.product(range(q), repeat=rows * cols)
-        ])
+    arrows = gq.arrows
+    per_arrow = [_all_matrices(*_present_shape(gq, a), q) for a in arrows]
+    new = object.__new__
     for combo in itertools.product(*per_arrow):
-        yield FunctionalOverFq._of_checked(gq, q, dict(zip(gq.arrows, combo)))
+        lam = new(FunctionalOverFq)
+        lam.gq = gq
+        lam.q = q
+        lam.mats = dict(zip(arrows, combo))
+        yield lam
 
 
 # ----- certificate payloads ----------------------------------------------
@@ -433,9 +455,9 @@ def contracts_functional(cert: UnstableCocharacter, lam: FunctionalOverFq) -> bo
     """Whether the cocharacter limit kills this particular functional:
     every arrow the functional touches must scale with positive exponent."""
     b = cert.weights
-    if len(b) != lam.gq.num_nodes:
+    if len(b) != len(lam.gq.sizes):
         raise LLCError("certificate rejected: one weight per node")
     for (a, bb), M in lam.mats.items():
-        if b[a] - b[bb] <= 0 and any(map(any, M)):
+        if b[a] <= b[bb] and any(map(any, M)):
             return False
     return True

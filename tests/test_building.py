@@ -1,12 +1,15 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import llclab
+from llclab import building
 from llclab.building import (
     ApartmentPoint,
     FacetSpec,
@@ -394,8 +397,8 @@ def test_sampler_rejects_a_short_pool():
         with pytest.raises(ValueError) as err:
             sample_alcove_points(n, count, max_den=max_den)
         assert str(err.value) == (
-            f"sample_alcove_points(n={n}, max_den={max_den}) found only {found} "
-            f"distinct points of the {count} asked for in {200 * count} draws"
+            f"sample_alcove_points(n={n}, max_den={max_den}) can draw only {found} "
+            f"distinct points, fewer than the {count} asked for"
         )
 
 
@@ -416,7 +419,73 @@ def test_sampler_rejects_a_short_pool_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        f"rejected sample_alcove_points(n={n}, max_den={max_den}) found only {found} "
-        f"distinct points of the {count} asked for in {200 * count} draws"
+        f"rejected sample_alcove_points(n={n}, max_den={max_den}) can draw only {found} "
+        f"distinct points, fewer than the {count} asked for"
         for n, count, max_den, found in SHORT_POOLS
     ], out.stdout
+
+
+def _enumerated_pool(n, max_den):
+    """Oracle: every point the sampler can draw, listed grid by grid."""
+    points = set()
+    for den in range(1, max_den + 1):
+        for ks in itertools.combinations_with_replacement(range(den + 1), n - 1):
+            points.add(ApartmentPoint._of_ints((0, *(-k for k in ks)), den))
+    return points
+
+
+def test_pool_size_matches_enumeration():
+    for n in range(1, 5):
+        for max_den in range(1, 9):
+            assert building._alcove_pool_size(n, max_den) == len(_enumerated_pool(n, max_den))
+    assert [building._alcove_pool_size(n, m) for n, _, m, _ in SHORT_POOLS] == [
+        found for *_, found in SHORT_POOLS
+    ]
+    assert building._alcove_pool_size(2, 12) == 47
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randint(self, a, b):
+        type(self).draws += 1
+        return super().randint(a, b)
+
+
+def test_short_pool_rejected_before_any_draw(monkeypatch):
+    monkeypatch.setattr(building, "random", SimpleNamespace(Random=_CountingRandom))
+    _CountingRandom.draws = 0
+    with pytest.raises(ValueError, match="can draw only 1 distinct points"):
+        sample_alcove_points(1, 600)
+    assert _CountingRandom.draws == 0
+    assert len(sample_alcove_points(2, 47)) == 47
+    assert _CountingRandom.draws > 0
+
+
+class _StuckRandom(random.Random):
+    def randint(self, a, b):
+        return a
+
+
+def test_sampler_still_rejects_draws_that_fall_short(monkeypatch):
+    # a pool large enough for count, but draws that keep repeating one
+    # point: the sampler stops after 200 * count draws
+    monkeypatch.setattr(building, "random", SimpleNamespace(Random=_StuckRandom))
+    with pytest.raises(ValueError) as err:
+        sample_alcove_points(2, 2)
+    assert str(err.value) == (
+        "sample_alcove_points(n=2, max_den=12) found only 1 "
+        "distinct points of the 2 asked for in 400 draws"
+    )
+
+
+def test_sampler_unchanged_wherever_the_pool_suffices():
+    for n in range(1, 5):
+        for max_den in range(1, 9):
+            pool = building._alcove_pool_size(n, max_den)
+            for count in sorted({1, (pool + 1) // 2, pool}):
+                for seed in (0, 1):
+                    want = _fraction_sample_alcove_points(n, count, max_den=max_den, seed=seed)
+                    assert len(want) == count
+                    got = sample_alcove_points(n, count, max_den=max_den, seed=seed)
+                    assert [(x.den, x.nums) for x in got] == [(x.den, x.nums) for x in want]

@@ -391,6 +391,9 @@ def test_functionals_match_entrywise_oracle():
     assert (points, functionals) == (792, 103_908)
 
 
+SMALL_QUOTIENTS = ("0,-1/4,-3/4", "0,0,-1/3", "0,-1/2,-1/2,-3/4")
+
+
 def test_enumerated_matrices_passed_the_check(monkeypatch):
     checked = []
 
@@ -399,17 +402,69 @@ def test_enumerated_matrices_passed_the_check(monkeypatch):
         checked.append(M)
         return M
 
-    real = stability._checked_matrix
-    monkeypatch.setattr(stability, "_checked_matrix", spy)
-    for x in ("0,-1/4,-3/4", "0,0,-1/3", "0,-1/2,-1/2,-3/4"):
+    real = stability._residue_matrix
+    monkeypatch.setattr(stability, "_residue_matrix", spy)
+    stability._all_matrices.cache_clear()
+    shapes = set()
+    for x in SMALL_QUOTIENTS:
         gq = graded_quotient(ApartmentPoint.parse(x))
-        checked.clear()
         lams = list(enumerate_functionals(gq, 3))
         assert len(lams) == 3**gq.dim_v
-        # each arrow's matrices are checked once, not once per functional
-        assert len(checked) == sum(3 ** (r * c) for r, c in map(gq.arrow_shape, gq.arrows))
         ids = {id(M) for M in checked}
         assert all(id(M) in ids for lam in lams for M in lam.mats.values())
+        # a second enumeration at the same shapes reads the cached lists
+        # and checks nothing new
+        before, info = len(checked), stability._all_matrices.cache_info()
+        again = list(enumerate_functionals(gq, 3))
+        after = stability._all_matrices.cache_info()
+        assert len(checked) == before
+        assert (after.hits, after.misses) == (info.hits + len(gq.arrows), info.misses)
+        assert [lam.mats for lam in again] == [lam.mats for lam in lams]
+        shapes.update(map(gq.arrow_shape, gq.arrows))
+    # each matrix of each shape is checked once per process
+    assert len(checked) == sum(3 ** (r * c) for r, c in shapes)
+
+
+def test_cached_matrices_are_keyed_by_the_field():
+    # the same shapes at q = 3, 5, 9 and 3 again: a list cached without
+    # its q would hand the first field's matrices to the others
+    for q in (3, 5, 9, 3):
+        for x in SMALL_QUOTIENTS:
+            gq = graded_quotient(ApartmentPoint.parse(x))
+            got = [lam.mats for lam in enumerate_functionals(gq, q)]
+            assert got == [lam.mats for lam in _entrywise_functionals(gq, q)]
+            assert len(got) == q**gq.dim_v
+
+
+def test_guard_fires_before_any_list_is_built():
+    stability._all_matrices.cache_clear()
+    for x in SMALL_QUOTIENTS:
+        gq = graded_quotient(ApartmentPoint.parse(x))
+        with pytest.raises(SizeGuardExceeded):
+            next(enumerate_functionals(gq, 7, cap=7**gq.dim_v - 1))
+    assert stability._all_matrices.cache_info().currsize == 0
+
+
+def test_contraction_fails_on_a_fixed_arrow():
+    # weights that leave one present arrow without a positive exponent:
+    # exactly the functionals that vanish on that arrow are contracted
+    x = ApartmentPoint.parse("0,-1/2,-1/2,-3/4")
+    gq = graded_quotient(x)
+    missing = gq.missing_arrows()[0]
+    assert gq.arrows == ((1, 2), (2, 0))
+    lams = list(enumerate_functionals(gq, 3))
+    for weights, arrow in (
+        ((0, 1, 1), (1, 2)),
+        ((0, 1, 2), (1, 2)),
+        ((1, 2, 1), (2, 0)),
+        ((2, 2, 1), (2, 0)),
+    ):
+        cert = UnstableCocharacter(x, missing, weights)
+        got = [lam.mats for lam in lams if contracts_functional(cert, lam)]
+        want = [lam.mats for lam in lams if not any(map(any, lam.mats[arrow]))]
+        rows, cols = gq.arrow_shape(arrow)
+        assert got == want
+        assert len(got) == 3 ** (gq.dim_v - rows * cols)
 
 
 def test_functional_rejects_malformed_matrices():
