@@ -172,26 +172,38 @@ def _all_matrices(rows: int, cols: int, q: int) -> tuple:
 
 
 class FunctionalOverFq:
-    """A point of the graded dual over F_q: one matrix per present arrow."""
+    """A point of the graded dual over F_q: one matrix per present arrow.
 
-    __slots__ = ("gq", "q", "mats")
+    matrices is a tuple aligned with gq.arrows; an arrow the constructor's
+    dict leaves out holds the zero matrix of its shape.  mats reads the
+    same matrices as a dict keyed by arrow."""
+
+    __slots__ = ("gq", "q", "matrices")
 
     def __init__(self, gq: GradedQuotient, q: int, mats: dict):
         field_of_size(q)  # rejects a q that is not an odd prime power
+        checked = {a: _checked_matrix(gq, q, a, M) for a, M in mats.items()}
         self.gq = gq
         self.q = q
-        self.mats = {a: _checked_matrix(gq, q, a, M) for a, M in mats.items()}
+        self.matrices = tuple(
+            checked[a] if a in checked else _zero(*gq.arrow_shape(a)) for a in gq.arrows
+        )
 
     @classmethod
     def all_ones(cls, gq: GradedQuotient, q: int) -> FunctionalOverFq:
         return cls(gq, q, {a: tuple((1,) * gq.arrow_shape(a)[1] for _ in range(gq.arrow_shape(a)[0])) for a in gq.arrows})
 
-    def arrow_matrix(self, arrow):
-        rows, cols = self.gq.arrow_shape(arrow)
-        return self.mats.get(arrow, _zero(rows, cols))
+    @property
+    def mats(self) -> dict:
+        return dict(zip(self.gq.arrows, self.matrices))
 
-    def is_zero(self) -> bool:
-        return all(all(v == 0 for r in M for v in r) for M in self.mats.values())
+    def arrow_matrix(self, arrow):
+        if arrow in self.gq.arrows:
+            return self.matrices[self.gq.arrows.index(arrow)]
+        return _zero(*self.gq.arrow_shape(arrow))
+
+    def __repr__(self):
+        return f"FunctionalOverFq(q={self.q}, mats={self.mats!r})"
 
 
 def enumerate_functionals(gq: GradedQuotient, q: int, cap: int = BRUTE_FORCE_GUARD):
@@ -200,20 +212,20 @@ def enumerate_functionals(gq: GradedQuotient, q: int, cap: int = BRUTE_FORCE_GUA
     The order is arrow-major, row-major and lexicographic in the entries:
     the last entry of the last arrow moves fastest.  Each present arrow
     reads the list of all q^(rows*cols) matrices of its shape, built and
-    checked once per process for each (rows, cols, q); every functional
-    is assembled from those checked matrices without a second check."""
+    checked once per process for each (rows, cols, q); each functional
+    stores its tuple of those checked matrices, one per arrow in the
+    order of gq.arrows, without a second check."""
     dim = gq.dim_v
     if q**dim > cap:
         raise SizeGuardExceeded(f"{q}^{dim} functionals exceed the guard {cap}")
     field_of_size(q)  # rejects a q that is not an odd prime power
-    arrows = gq.arrows
-    per_arrow = [_all_matrices(*_present_shape(gq, a), q) for a in arrows]
+    per_arrow = [_all_matrices(*_present_shape(gq, a), q) for a in gq.arrows]
     new = object.__new__
     for combo in itertools.product(*per_arrow):
         lam = new(FunctionalOverFq)
         lam.gq = gq
         lam.q = q
-        lam.mats = dict(zip(arrows, combo))
+        lam.matrices = combo
         yield lam
 
 
@@ -271,7 +283,8 @@ class UnstableCocharacter:
     def __init__(self, point, missing_arrow, weights):
         self.point = point
         self.missing_arrow = missing_arrow
-        self.weights = weights
+        # a tuple, so the weights _stuck_arrows remembers cannot change
+        self.weights = tuple(weights)
 
     def __repr__(self):
         return (
@@ -451,13 +464,36 @@ def verify_certificate(cert) -> bool:
     raise ValueError(f"unknown certificate kind {cert.kind}")
 
 
+# the last (weights, gq, positions) _stuck_arrows computed; holding both
+# objects keeps their ids from being reused while the entry is live
+_last_stuck = (None, None, ())
+
+
+def _stuck_arrows(weights: tuple, gq: GradedQuotient) -> tuple[int, ...]:
+    """Positions in gq.arrows of the arrows the weights do not contract,
+    remembered for the last (weights, gq) pair by identity; raises
+    LLCError unless there is one weight per node."""
+    global _last_stuck
+    last_weights, last_gq, stuck = _last_stuck
+    if last_weights is weights and last_gq is gq:
+        return stuck
+    if len(weights) != len(gq.sizes):
+        raise LLCError("certificate rejected: one weight per node")
+    stuck = tuple(i for i, (a, bb) in enumerate(gq.arrows) if weights[a] <= weights[bb])
+    _last_stuck = (weights, gq, stuck)
+    return stuck
+
+
 def contracts_functional(cert: UnstableCocharacter, lam: FunctionalOverFq) -> bool:
     """Whether the cocharacter limit kills this particular functional:
-    every arrow the functional touches must scale with positive exponent."""
-    b = cert.weights
-    if len(b) != len(lam.gq.sizes):
-        raise LLCError("certificate rejected: one weight per node")
-    for (a, bb), M in lam.mats.items():
-        if b[a] <= b[bb] and any(map(any, M)):
+    its matrix on every arrow the weights do not contract must be zero.
+
+    Which arrows those are depends only on the weights and the graded
+    quotient, so it is decided once per (cert.weights, lam.gq) pair and
+    only those matrices are read; for a valid certificate there are
+    none."""
+    mats = lam.matrices
+    for i in _stuck_arrows(cert.weights, lam.gq):
+        if any(map(any, mats[i])):
             return False
     return True

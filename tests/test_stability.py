@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import os
@@ -89,6 +90,18 @@ def _entrywise_functionals(gq, q):
             )
             pos += rows * cols
         yield FunctionalOverFq(gq, q, mats)
+
+
+def _contracts_by_loop(cert, lam):
+    """Oracle: the per-functional loop over every arrow's matrix, testing
+    the weight count and each arrow's weights on every call."""
+    b = cert.weights
+    if len(b) != len(lam.gq.sizes):
+        raise LLCError("certificate rejected: one weight per node")
+    for (a, bb), M in lam.mats.items():
+        if b[a] <= b[bb] and any(map(any, M)):
+            return False
+    return True
 
 
 def _oracle_points():
@@ -502,12 +515,104 @@ def test_contraction_rejects_weights_of_the_wrong_length():
     x = ApartmentPoint.parse("0,-1/4,-3/4")
     c = destabilizing_cocharacter(x)
     lams = list(enumerate_functionals(graded_quotient(x), 3))
-    assert contracts_functional(c, lams[-1])
-    for weights in (c.weights[:1], c.weights + (0,)):
-        cert = UnstableCocharacter(x, c.missing_arrow, weights)
-        for lam in (lams[0], lams[-1]):
-            with pytest.raises(LLCError, match="one weight per node"):
-                contracts_functional(cert, lam)
+    bad = [UnstableCocharacter(x, c.missing_arrow, w) for w in (c.weights[:1], c.weights + (0,))]
+    # on every call, also right after a valid call on the same quotient
+    for lam in lams:
+        for cert in bad:
+            assert contracts_functional(c, lam)
+            for _ in range(2):
+                with pytest.raises(LLCError, match="one weight per node"):
+                    contracts_functional(cert, lam)
+
+
+def test_contraction_memo_follows_alternating_pairs():
+    # the weights of test_contraction_fails_on_a_fixed_arrow on two
+    # quotients, called in turn: a memo keyed by the quotient alone, or
+    # by the weights alone, hands one pair's stuck arrows to another
+    x = ApartmentPoint.parse("0,-1/2,-1/2,-3/4")
+    gx = graded_quotient(x)
+    gy = graded_quotient(ApartmentPoint.parse("0,-1/4,-3/4"))
+    assert (gx.arrows, gy.arrows) == (((1, 2), (2, 0)), ((0, 1), (2, 0)))
+    missing = gx.missing_arrows()[0]
+    fixed_1, fixed_0 = (UnstableCocharacter(x, missing, b) for b in ((1, 2, 1), (0, 1, 1)))
+    lx = list(enumerate_functionals(gx, 3))
+    ly = list(enumerate_functionals(gy, 3))
+    pairs = ((fixed_1, lx), (fixed_0, lx), (fixed_1, ly))
+    counts = [0, 0, 0]
+    for i in range(len(lx)):
+        for k, (cert, lams) in enumerate(pairs):
+            lam = lams[i % len(lams)]
+            got = contracts_functional(cert, lam)
+            assert got == _contracts_by_loop(cert, lam)
+            counts[k] += got
+    # zero on the 1x1 arrow (2, 0) of gx, zero on its 2x1 arrow (1, 2),
+    # and the zero functional of gy, met three times in 27 calls
+    assert counts == [9, 3, 3]
+
+
+def test_contraction_memo_reads_equal_weights_alike():
+    x = ApartmentPoint.parse("0,-1/2,-1/2,-3/4")
+    gq = graded_quotient(x)
+    missing = gq.missing_arrows()[0]
+    lams = list(enumerate_functionals(gq, 3))
+    for b in ([1, 2, 1], [0, 1, 1], [0, 2, 1]):
+        one, two = UnstableCocharacter(x, missing, b), UnstableCocharacter(x, missing, list(b))
+        assert one.weights == two.weights and one.weights is not two.weights
+        for lam in lams:
+            want = _contracts_by_loop(one, lam)
+            assert contracts_functional(one, lam) == contracts_functional(two, lam) == want
+
+
+def test_certificate_keeps_the_weights_it_was_given():
+    # a list changed in place after the certificate is built reaches
+    # neither the verifier nor the contraction memo
+    x = ApartmentPoint.parse("0,-1/2,-1/2,-3/4")
+    gx = graded_quotient(x)
+    gy = graded_quotient(ApartmentPoint.parse("0,-1/4,-3/4"))
+    c = destabilizing_cocharacter(x)
+    b = list(c.weights)
+    cert = UnstableCocharacter(x, c.missing_arrow, b)
+    lx = list(enumerate_functionals(gx, 3))
+    ly = list(enumerate_functionals(gy, 3))
+    assert all(contracts_functional(cert, lam) for lam in lx)
+    b[:] = [0] * len(b)
+    assert cert.weights == c.weights
+    assert verify_certificate(cert)
+    # another quotient in between, so the next call decides afresh
+    assert [contracts_functional(cert, lam) for lam in ly] == [
+        _contracts_by_loop(c, lam) for lam in ly
+    ]
+    assert all(contracts_functional(cert, lam) for lam in lx)
+
+
+def test_functional_repr_names_its_arrows():
+    gq = graded_quotient(ApartmentPoint.parse("0,-1/2,-1/2,-3/4"))
+    lam = list(enumerate_functionals(gq, 3))[7]
+    text = repr(lam)
+    assert text.startswith("FunctionalOverFq(q=3, ")
+    assert lam.mats == {(1, 2): ((0,), (2,)), (2, 0): ((1,),)}
+    for arrow, M in lam.mats.items():
+        assert f"{arrow!r}: {M!r}" in text
+    # the label replays: the matrices read back rebuild the functional
+    mats = ast.literal_eval(text[text.index("{"):text.rindex("}") + 1])
+    assert FunctionalOverFq(gq, 3, mats).matrices == lam.matrices
+
+
+def test_left_out_arrows_read_as_zero():
+    gq = graded_quotient(FacetSpec(0, (1, 2)).barycenter())
+    assert gq.arrows == ((0, 1), (1, 0))
+    lam = FunctionalOverFq(gq, 3, {(0, 1): ((1, 2),)})
+    assert lam.mats == {(0, 1): ((1, 2),), (1, 0): ((0,), (0,))}
+    assert lam.arrow_matrix((1, 0)) == ((0,), (0,))
+    assert lam.arrow_matrix((0, 1)) == ((1, 2),)
+    empty = FunctionalOverFq(gq, 3, {})
+    assert empty.mats == {(0, 1): ((0, 0),), (1, 0): ((0,), (0,))}
+    # an arrow that is not present reads as zero too
+    x = graded_quotient(ApartmentPoint.parse("0,-1/4,-3/4"))
+    lam = FunctionalOverFq(x, 3, {(0, 1): ((2,),)})
+    assert lam.arrow_matrix((1, 2)) == ((0,),)
+    assert lam.arrow_matrix((2, 0)) == ((0,),)
+    assert lam.mats == {(0, 1): ((2,),), (2, 0): ((0,),)}
 
 
 def test_stability_criterion_reports_phases():
