@@ -16,10 +16,12 @@ column operations, so no other pivot choice closes.
 
 The elimination, _eliminate, runs on laurent's (val, coeffs, prec)
 triples: each row's pivot is inverted once, every column op, row op and
-fold into u or k is one fused z + c*y update (skipped where y is an
-exact zero), and decompose builds LaurentElem only for the u and k it
-returns.  The Iwahori checks on the column factors and on the final k
-both go through laurent.val_at_least_t, so they raise
+fold into u is one fused z + c*y update (skipped where y is an exact
+zero), and decompose builds LaurentElem only for the u and k it returns.
+k is not a matrix product: the column ops are recorded and replayed, the
+last one first, on the columns of M^-1 times the eliminated matrix, one
+fused update each.  The Iwahori checks on the column factors and on the
+final k both go through laurent.val_at_least_t, so they raise
 InsufficientPrecision when the known digits cannot decide.
 
 On its support the Whittaker value is psi(residue) zeta^r omega(s t^d).
@@ -48,7 +50,6 @@ from .laurent import (
     LocalField,
     addmul_t,
     coeff_at_t,
-    dot_t,
     inverse_t,
     mul_t,
     neg_t,
@@ -311,7 +312,7 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
     ff, var = field.residue, field.var
     A = [list(row) for row in rows]
     u_rows = [[ONE_T if i == j else ZERO_T for j in range(n)] for i in range(n)]
-    k_rows = [[ONE_T if i == j else ZERO_T for j in range(n)] for i in range(n)]
+    col_ops = []
     used: set[int] = set()
     cols = [0] * n
 
@@ -356,8 +357,8 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
                 y = r[piv]
                 if y[1] or y[2] is not None:
                     r[j] = addmul_t(ff, r[j], minus_c, y)
-            # column op was R = I - c E(piv,j); fold R^-1 into k from the left
-            k_rows[piv] = _addmul_row(ff, k_rows[piv], c, k_rows[j])
+            # column op was R = I - c E(piv,j); k gets R^-1 = I + c E(piv,j)
+            col_ops.append((piv, j, c))
         for i2 in range(i):
             e = A[i2][piv]
             if not e[1]:
@@ -382,12 +383,17 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
         lead_inv = (-v, (ff.inv(cs[0]),), None)
         k2[cols[i]] = [mul_t(ff, lead_inv, y) for y in A[i]]
     mono = MonomialClass._of_checked(field, tuple(cols), tuple(exps), tuple(units))
-    # whatever tail the pivots carry beyond their leading term belongs to k
-    k_cols = list(zip(*k_rows))
-    k_total = [[dot_t(ff, r, col) for col in k_cols] for r in k2]
-    if not in_iplus_t(ff, k_total, var):
+    # whatever tail the pivots carry beyond their leading term belongs to
+    # k, which is k2 times R^-1 of every column op, the last op's first:
+    # replayed on k2's columns in reverse order, column j += c * column piv
+    for piv, j, c in reversed(col_ops):
+        for r in k2:
+            y = r[piv]
+            if y[1] or y[2] is not None:
+                r[j] = addmul_t(ff, r[j], c, y)
+    if not in_iplus_t(ff, k2, var):
         raise LLCError("internal: k factor left the Iwahori subgroup")
-    return u_rows, mono, k_total
+    return u_rows, mono, k2
 
 
 def _addmul_row(ff, z: list, c: tuple, y: list) -> list:

@@ -27,8 +27,8 @@ Sums and products work on one mutable list over the exponent window of
 the result, [lo, hi), sized from the operands and cut at the result's
 precision before any coefficient is computed.  Residue arithmetic reads
 the FiniteField lookup tables directly: a product takes the row
-``_mul[a]`` once per coefficient a of the left factor and adds it along
-the right factor through ``_add``; a difference reads ``_neg``.  The
+``_mul[a]`` once per coefficient a of the shorter factor and adds it
+along the longer one through ``_add``; a difference reads ``_neg``.  The
 result is normalized once, by scanning the list ends for zeros.
 """
 
@@ -104,9 +104,14 @@ def _convolve_into(out: list, start: int, a: tuple, b: tuple, mul, add) -> None:
     """Add the product of coefficient tuples a and b into out, with a[0]*b[0]
     landing at out[start]; terms at or beyond len(out) are dropped.
 
-    Plain loops on purpose: at these lengths a comprehension per row costs
-    more than it saves.
+    The shorter tuple is the outer loop, one table row per coefficient:
+    F_q is commutative and start indexes the product, so which factor
+    runs outside changes nothing but the count of rows read.  Plain loops
+    on purpose: at these lengths a comprehension per row costs more than
+    it saves.
     """
+    if len(a) > len(b):
+        a, b = b, a
     n = len(out)
     for s, x in enumerate(a, start):
         if s >= n:

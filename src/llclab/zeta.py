@@ -35,7 +35,11 @@ the same two character values.  There is no size cap and no second
 path: the point-by-point integrals are oracles in the tests.
 
 The dual integrand's vanishing for non-integral x is the one claim still
-spot-checked, on fixed-seed random points, for every pi_unit.
+spot-checked, on fixed-seed random points, for every pi_unit.  Each
+audit point is a coset, h(1 + p^m) and x + p^m, read at the precision
+that coset fixes: h carries m digits and x is known below t^m, so 1/h
+inverts to m digits and precision tracking makes the read hold for
+every point of the coset, not for one representative.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from .bruhat import SolvedInvariant, WhittakerInvariant
 from .cyclotomic import RootOfUnity
 from .characters import TameChar, norm_of_variable
 from .errors import LLCError, PrecisionNotStabilized
-from .laurent import LaurentElem, LocalField
-from .matrices import MatG, diagonal
+from .laurent import ONE_T, ZERO_T, LaurentElem, LocalField, inverse_t, mul_t, neg_t
+from .matrices import MatG, diagonal, wrap_matrix
 from .monomials import EpsMonomial, LambdaGraded
 from .supercuspidal import SSCDatum
 
@@ -100,14 +104,14 @@ def _psi_rows(q: int, n: int, pi_unit: int, m: int) -> Counter:
 def dual_matrix(F: LocalField, xs, h: LaurentElem) -> MatG:
     """The integration variable of the dual integral, for x list of length n-2."""
     n = len(xs) + 2
-    hinv = h.inverse()
-    rows = [[F.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = F.one()
-    rows[n - 1][0] = hinv
-    for j in range(2, n):
-        rows[n - 1][j] = -(xs[n - j - 1] * hinv)
-    return MatG(F, rows)
+    ff = F.residue
+    hinv = inverse_t(ff, (h.val, h.coeffs, h.prec), None, F.var)
+    rows = [[ONE_T if j == i + 1 else ZERO_T for j in range(n)] for i in range(n - 1)]
+    rows.append(
+        [hinv, ZERO_T]
+        + [neg_t(ff, mul_t(ff, (x.val, x.coeffs, x.prec), hinv)) for x in reversed(xs)]
+    )
+    return wrap_matrix(F, rows)
 
 
 def zeta_psi_tilde(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
@@ -225,6 +229,9 @@ def _dual_points(q: int, n: int, m: int, seed: int) -> DualPoints:
                 bad_val,
                 [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)],
             )
+            # the cosets h(1 + p^m) and x + p^m the draw stands for
+            h = h.truncate(h.val + m)
+            xs = [x.truncate(m) for x in xs]
             non_integral.append(WhittakerInvariant.read(dual_matrix(F, xs, h)))
     return DualPoints(points, tuple(non_integral))
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import llclab
-from llclab import bruhat, pairs, zeta
+from llclab import bruhat, laurent, matrices, pairs, zeta
 from llclab.bruhat import MonomialClass, WhittakerInvariant, decompose
 from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InsufficientPrecision, LLCError, ZeroInput
@@ -626,6 +626,23 @@ def test_decompose_does_no_series_arithmetic(monkeypatch):
     assert (u * mono.as_matrix() * k).agrees(g)
     # a pivot with a tail was inverted: the elimination did series work
     assert any(len(e.coeffs) > 3 for row in k.rows for e in row)
+
+
+def test_decompose_forms_k_without_a_matrix_product(monkeypatch):
+    # k is the replay of the recorded column operations on the columns of
+    # M^-1 times the eliminated matrix, not a product of two matrices
+    F = LocalField.base_field(5)
+    g = _dense_point(random.Random(1419), F, 4)
+    want = _series_decompose(g)
+
+    def no_dot(*args):
+        raise AssertionError("decompose formed a matrix product")
+
+    for module in (bruhat, laurent, matrices):
+        monkeypatch.setattr(module, "dot_t", no_dot, raising=False)
+    got = decompose(g)
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_unchecked_monomial_results_equal_validated_ones():

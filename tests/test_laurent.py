@@ -4,7 +4,15 @@ import random
 import pytest
 
 from llclab.errors import InsufficientPrecision, ZeroInput
-from llclab.laurent import DEFAULT_REL_PREC, LocalField, coeff_at_t, truncate_t
+from llclab.laurent import (
+    DEFAULT_REL_PREC,
+    LocalField,
+    addmul_t,
+    coeff_at_t,
+    dot_t,
+    mul_t,
+    truncate_t,
+)
 
 
 # dict-based polynomial arithmetic, written independently of the series
@@ -302,6 +310,84 @@ def test_coeff_at_t_matches_digits_and_precision():
                 assert coeff_at_t(t, k, "t") == x.coeff_at(k) == digits.get(k, 0)
             seen += 1
     assert seen > 500
+
+
+def _as_triple(terms, prec):
+    """The normalized (val, coeffs, prec) of the oracle's terms."""
+    if not terms:
+        return (0, (), prec)
+    lo, hi = min(terms), max(terms)
+    return (lo, tuple(terms.get(e, 0) for e in range(lo, hi + 1)), prec)
+
+
+def _kernel_operand(rng, F, length, val):
+    """Exactly length stored digits from val, nonzero at both ends; exact,
+    or known one to three digits past the last."""
+    q = F.residue.q
+    coeffs = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(length - 2)]
+    if length > 1:
+        coeffs.append(rng.randrange(1, q))
+    prec = None if rng.random() < 0.5 else val + length + rng.randrange(3)
+    x = F.elem(val, coeffs[:length], prec)
+    assert len(x.coeffs) == length
+    return x
+
+
+def _t(x):
+    return (x.val, x.coeffs, x.prec)
+
+
+def o_addmul(ff, z, x, y):
+    terms, prec = o_mul(ff, x, y)
+    prec = min(o_prec(z), INF if prec is None else prec)
+    return o_result(d_add(ff, d_of(z), terms), prec)
+
+
+def o_dot(ff, xs, ys):
+    terms, prec = {}, INF
+    for x, y in zip(xs, ys):
+        t, p = o_mul(ff, x, y)
+        terms = d_add(ff, terms, t)
+        prec = min(prec, INF if p is None else p)
+    return o_result(terms, prec)
+
+
+@pytest.mark.parametrize("q", [3, 9, 25])
+def test_product_kernels_match_dict_oracle_in_both_orders(q):
+    # every pair of lengths 0..18 in both orders, so each kernel runs with
+    # either factor the shorter one; z starts below c*y, and its precision,
+    # or another product's, cuts the sum inside the shorter factor
+    rng = random.Random(5050 + q)
+    F = LocalField.base_field(q)
+    ff = F.residue
+    seen = {"start": 0, "cut_in_shorter": 0, "dot_cut_in_shorter": 0, "exact": 0}
+    for la in range(19):
+        for lb in range(19):
+            x = _kernel_operand(rng, F, la, rng.randrange(-3, 3))
+            y = _kernel_operand(rng, F, lb, rng.randrange(-3, 3))
+            lo, short = x.val + y.val, min(la, lb)
+            assert mul_t(ff, _t(x), _t(y)) == _as_triple(*o_mul(ff, x, y)), (x, y)
+            seen["exact"] += x.prec is None and y.prec is None
+
+            z = _kernel_operand(rng, F, rng.randrange(1, 6), lo - rng.randrange(1, 4))
+            zp = lo + rng.randrange(short + 1) if rng.random() < 0.7 else None
+            z = z.truncate(zp) if zp is not None else z
+            got = addmul_t(ff, _t(z), _t(x), _t(y))
+            assert got == _as_triple(*o_addmul(ff, z, x, y)), (z, x, y)
+            seen["start"] += bool(la and lb and z.coeffs and z.val < lo)
+            seen["cut_in_shorter"] += bool(
+                short > 1 and z.prec is not None and z.prec - lo < short
+            )
+
+            # a third product of low precision cuts the sum the same way
+            w = F.elem(lo, (1,), lo + rng.randrange(short + 1))
+            xs = [_t(x), _t(z), _t(F.one())]
+            ys = [_t(y), _t(F.variable()), _t(w)]
+            want = o_dot(ff, [x, z, F.one()], [y, F.variable(), w])
+            assert dot_t(ff, xs, ys) == _as_triple(*want), (x, y, z, w)
+            assert dot_t(ff, ys, xs) == _as_triple(*want)
+            seen["dot_cut_in_shorter"] += bool(short > 1 and want[1] - lo < short)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_extension_defining_relation():

@@ -537,6 +537,38 @@ def test_dual_audit_draws_the_units_the_list_draw_did():
     assert seen == 3 * 19
 
 
+def test_dual_audit_reads_cosets_in_one_elimination(monkeypatch):
+    # each audit point is the coset h(1 + p^m), x + p^m: its matrix's
+    # bottom row carries finite precision, 1/h to m digits, so the
+    # reader's window decides every point of criterion 3's grid and no
+    # read falls back to a second elimination
+    built = []
+    real_dual_matrix = zeta.dual_matrix
+
+    def recording(*args):
+        built.append(real_dual_matrix(*args))
+        return built[-1]
+
+    monkeypatch.setattr(zeta, "dual_matrix", recording)
+    calls = _count_eliminations(monkeypatch)
+    seen = 0
+    for q, n in gauss_cells("full"):
+        if n == 2:
+            continue
+        zeta._lead_invariants(q, n, zeta._dual_lead)
+        for m, seed in ((2, zeta.AUDIT_SEED), (3, zeta.AUDIT_SEED + 1)):
+            del built[:], calls[:]
+            zeta._dual_points.__wrapped__(q, n, m, seed)
+            assert len(built) == len(calls) == zeta.SPOT_CHECKS
+            for g in built:
+                bottom = g.rows[-1]
+                assert bottom[1].is_exact_zero()
+                assert all(e.prec is not None for j, e in enumerate(bottom) if j != 1)
+                assert bottom[0].prec - bottom[0].val == m
+            seen += 1
+    assert seen == 2 * 19
+
+
 def test_dual_audit_builds_no_unit_list():
     # depth 10 at q = 5 has 4 * 5^9 unit cosets, gigabytes as a list of
     # series; the audit draws 40 of them and stays within a few megabytes
