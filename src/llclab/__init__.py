@@ -22,7 +22,7 @@ from .errors import (
 from .cyclotomic import CycloNumber, RootOfUnity, cyclotomic_polynomial, euler_phi
 from .finitefield import FiniteField, field_of_size, finite_field
 from .laurent import LaurentElem, LocalField
-from .matrices import MatG, central, diagonal
+from .matrices import MatG
 from .bruhat import MonomialClass, decompose
 from .characters import AdditiveCharPsi, LevelOneCharE, TameChar
 from .monomials import EpsMonomial, LambdaGraded
@@ -117,14 +117,12 @@ __all__ = [
     "ZeroInput",
     "build_parameter",
     "cached_dual_table",
-    "central",
     "closed_form_epsilon",
     "cyclotomic_polynomial",
     "decompose",
     "destabilizing_cocharacter",
     "det_parameter",
     "determine_from_table",
-    "diagonal",
     "enumerate_facets",
     "enumerate_functionals",
     "epsilon_galois",

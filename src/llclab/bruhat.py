@@ -27,15 +27,18 @@ InsufficientPrecision when the known digits cannot decide.
 On its support the Whittaker value is psi(residue) zeta^r omega(s t^d).
 WhittakerInvariant reads what that needs once, for every datum; solve()
 then fits M = rotation^r * central(s, d) for one uniformizer through a
-per-(field, n, pi_unit) table of rotation powers.  The library reads it
-with WhittakerInvariant.read(g), which eliminates g cut one digit past
-its last stored digit, exact zeros kept exact, and reads the digits off
-the triples of u and k.  An exact pivot that is not a monomial then
-inverts to the few digits the window holds, where decompose inverts it
-to DEFAULT_REL_PREC digits for the u and k it returns.  Precision
-tracking makes the window's reading that of decompose(g), as g agrees
-with its cut; where the window cannot decide, g is eliminated once more
-as given.
+per-(field, n, pi_unit) table of rotation powers.  Where a point's
+factorization is known by construction (the monomial lead matrices of
+the zeta integrals, the upper unipotent points of the mirabolic
+enumeration) its invariant is built directly; every other matrix is
+read with WhittakerInvariant.read(g), which eliminates g cut one digit
+past its last stored digit, exact zeros kept exact, and reads the
+digits off the triples of u and k.  An exact pivot that is not a
+monomial then inverts to the few digits the window holds, where
+decompose inverts it to DEFAULT_REL_PREC digits for the u and k it
+returns.  Precision tracking makes the window's reading that of
+decompose(g), as g agrees with its cut; where the window cannot decide,
+g is eliminated once more as given.
 """
 
 from __future__ import annotations
@@ -224,9 +227,9 @@ class WhittakerInvariant(namedtuple("WhittakerInvariant", "mono residue corner")
         return cls(mono, total, corner)
 
     @classmethod
-    def read(cls, g: MatG, prec: int | None = None) -> WhittakerInvariant:
-        """The invariant of decompose(g, prec), eliminated at the precision
-        g carries.
+    def read(cls, g: MatG) -> WhittakerInvariant:
+        """The invariant of decompose(g), eliminated at the precision g
+        carries; a caller that wants g cut at t^prec reads g.truncate(prec).
 
         g is first cut one digit past its last stored digit, exact zeros
         kept exact, so exact non-monomial pivots invert to a few digits
@@ -236,7 +239,7 @@ class WhittakerInvariant(namedtuple("WhittakerInvariant", "mono residue corner")
         and g is eliminated once more as given, unless the cut left g as
         it was.
         """
-        rows = _triples(g, prec)
+        rows = _triples(g, None)
         cut = _window(rows)
         if cut != rows:
             try:
@@ -342,7 +345,7 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
                     f"pivot of valuation {best_val}"
                 )
         # the pivot entry stays fixed while its row and column are cleared
-        pinv = inverse_t(ff, row[piv], None, var)
+        pinv = inverse_t(ff, row[piv], var)
         for j in range(n):
             if j == piv or j in used or not row[j][1]:
                 continue

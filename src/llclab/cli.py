@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .bruhat import decompose
 from .building import ApartmentPoint, FacetSpec, enumerate_facets, facet_of, is_barycenter
@@ -37,43 +36,11 @@ EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated datum parameters shared by the arithmetic subcommands."""
-
-    q: int
-    n: int
-    u0: int = 1
-    omega_exp: int = 0
-    zeta: str = "0/1"
-    omega_at_pi: str | None = None
-
-    def datum(self) -> SSCDatum:
-        zeta = RootOfUnity.parse(self.zeta)
-        at_pi = (
-            zeta**self.n
-            if self.omega_at_pi is None
-            else RootOfUnity.parse(self.omega_at_pi)
-        )
-        return SSCDatum(
-            self.q,
-            self.n,
-            zeta,
-            omega_exp=self.omega_exp,
-            omega_at_pi=at_pi,
-            pi_unit=self.u0,
-        )
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        q=args.q,
-        n=args.n,
-        u0=args.u0,
-        omega_exp=args.omega_exp,
-        zeta=args.zeta,
-        omega_at_pi=args.omega_at_pi,
-    )
+def _datum(args: argparse.Namespace) -> SSCDatum:
+    """The datum the arithmetic subcommands' shared options name."""
+    zeta = RootOfUnity.parse(args.zeta)
+    at_pi = zeta**args.n if args.omega_at_pi is None else RootOfUnity.parse(args.omega_at_pi)
+    return SSCDatum(args.q, args.n, zeta, omega_exp=args.omega_exp, omega_at_pi=at_pi, pi_unit=args.u0)
 
 
 # ----- output ------------------------------------------------------------
@@ -111,7 +78,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def cmd_epsilon(args: argparse.Namespace) -> int:
-    d = _config(args).datum()
+    d = _datum(args)
     lam = twist_char(d.F, args.twist_e, args.twist_t)
     sides = {}
     if args.side in ("auto", "all"):
@@ -137,7 +104,7 @@ def cmd_epsilon(args: argparse.Namespace) -> int:
 
 
 def cmd_gauss(args: argparse.Namespace) -> int:
-    d = _config(args).datum()
+    d = _datum(args)
     P = build_parameter(d)
     tau = gauss_sum_bruteforce(P.xi, m=args.depth)
     formula = P.xi.at_pi * d.q ** (args.depth - 1)
@@ -277,7 +244,7 @@ def cmd_bruhat(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    d = _config(args).datum()
+    d = _datum(args)
     payload = verify_matching(d)
     payload["twists"] = [
         {k: v.to_json() if isinstance(v, EpsMonomial) else v for k, v in row.items()}
@@ -297,7 +264,7 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
-    d1 = _config(args).datum()
+    d1 = _datum(args)
     zeta2 = RootOfUnity.parse(args.zeta2)
     d2 = SSCDatum(
         args.q,

@@ -230,7 +230,7 @@ def addmul_t(ff: FiniteField, z: tuple, c: tuple, y: tuple) -> tuple:
     return _cut(lo, out, prec)
 
 
-def inverse_t(ff: FiniteField, x: tuple, rel_prec: int | None, var: str) -> tuple:
+def inverse_t(ff: FiniteField, x: tuple, var: str) -> tuple:
     """Multiplicative inverse, by LaurentElem.inverse's rules; var only
     names the variable in the error messages."""
     v, cs, p = x
@@ -241,10 +241,7 @@ def inverse_t(ff: FiniteField, x: tuple, rel_prec: int | None, var: str) -> tupl
     inv0 = ff.inv(cs[0])
     if len(cs) == 1 and p is None:
         return (-v, (inv0,), None)
-    if p is not None:
-        rel = p - v
-    else:
-        rel = rel_prec if rel_prec is not None else DEFAULT_REL_PREC
+    rel = p - v if p is not None else DEFAULT_REL_PREC
     # write x = c0 * var^v * (1 + w), invert the one-unit by the
     # recurrence b_0 = 1, b_k = -sum_{j>=1} w_j b_{k-j}; w_j = 0 past
     # the stored coefficients, so the sum stops at the last of them
@@ -428,17 +425,15 @@ class LaurentElem:
         """Multiply by the k-th power of the series variable."""
         return LaurentElem(self.field, self.val + k, self.coeffs, _shift_prec(self.prec, k))
 
-    def inverse(self, rel_prec: int | None = None) -> LaurentElem:
+    def inverse(self) -> LaurentElem:
         """Multiplicative inverse.
 
         Exact monomials invert exactly.  Otherwise the result carries
         finite precision: all the input offers, or DEFAULT_REL_PREC
-        relative digits for exact input (override with rel_prec).
+        relative digits for exact input.
         """
         field = self.field
-        return wrap(field, inverse_t(
-            field.residue, (self.val, self.coeffs, self.prec), rel_prec, field.var
-        ))
+        return wrap(field, inverse_t(field.residue, (self.val, self.coeffs, self.prec), field.var))
 
     def __truediv__(self, other: LaurentElem) -> LaurentElem:
         self._require_same(other)

@@ -7,7 +7,6 @@ is the naive one.  Precision rides along on the entries.
 
 from __future__ import annotations
 
-from .errors import ZeroInput
 from .laurent import (
     ONE_T,
     LaurentElem,
@@ -132,15 +131,3 @@ def in_iplus_t(ff, rows, var: str) -> bool:
                 return False
     return True
 
-
-def diagonal(field: LocalField, entries) -> MatG:
-    entries = list(entries)
-    n = len(entries)
-    rows = [[entries[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
-    return MatG(field, rows)
-
-
-def central(field: LocalField, n: int, z: LaurentElem) -> MatG:
-    if z.is_zero_at_prec():
-        raise ZeroInput("central element must be invertible")
-    return diagonal(field, [z] * n)

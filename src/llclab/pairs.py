@@ -10,8 +10,8 @@ series or a matrix, and a prefix becomes one only as the lift M * k(r).
 
 Both checks read the WhittakerInvariant of bruhat, which does not see
 zeta, omega or the uniformizer unit.  Every matrix the checks
-eliminate (the audited walk lifts, the mirabolic blocks and their
-refinements, the support draws) is read by WhittakerInvariant.read, at
+eliminate (the audited walk lifts, the mirabolic refinements and dense
+blocks, the support draws) is read by WhittakerInvariant.read, at
 the precision it carries and again as given where that cannot decide; a
 singular draw raises what decompose would, so the seeded redraws are
 those of decompose.  On the support the value
@@ -19,10 +19,12 @@ psi(residue) zeta^r omega(s t^d) is a character of the solved tuple
 (r, s, d, residue).  So each check sums over a few keys computed once:
 a walk counts its prefixes per unit under (fwd on support, inv on
 support, product of the two solved tuples, uses the other unit, uses
-both), and W(k) W(k^-1) is a datum's value at the product; a mirabolic
-point embed(h) u(x) equals u(h x) embed(h), so one decomposition per
-GL_{n-1} block serves every last column, whose t^0 digit only shifts the
-residue.  Deeper digits are spot-checked to leave the invariant alone.
+both), and W(k) W(k^-1) is a datum's value at the product; an
+enumerated mirabolic point embed(h) u(x), h upper unipotent, is itself
+upper unipotent, so its invariant is the identity class with its summed
+superdiagonal residues and is counted per residue without an
+elimination.  Deeper digits are spot-checked to leave the invariant
+alone.
 """
 
 from __future__ import annotations
@@ -496,35 +498,34 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
 
     The value-relevant coordinates run in full: polar digits of the
     GL_{n-1} unipotent coset, superdiagonal residues of its Iwahori
-    factor, and the last column's digits down to shell -SHELL_BOUND; one
-    decomposition per GL_{n-1} block serves all its last columns.
+    factor, and the last column's digits down to shell -SHELL_BOUND.
+    Every such point is upper unipotent, so its invariant is counted, not
+    read: each residue of F_q gets rows / q points of the identity class.
     Deeper digits are checked to leave the invariants unchanged on random
-    refinements, and random dense GL_{n-1} blocks feed the support claim.
+    refinements, and random dense GL_{n-1} blocks feed the support claim;
+    only these draws are eliminated.
     """
     rng = random.Random(MIRABOLIC_SEED)
     F = LocalField.base_field(q)
-    ff = F.residue
     m = n - 1
     polar_slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
     classes: Counter = Counter()
     nonmember: Counter = Counter()
 
-    # a point is embed(h) u(x) = u(h x) embed(h) with h unipotent, and the
-    # one superdiagonal entry of u(h x) is x_last: its invariant is that of
-    # embed(h) with the t^0 digit of x_last added to the residue
+    # a point is embed(h) u(x) = u(h x) embed(h) with h upper unipotent,
+    # so it is itself upper unipotent: class identity, corner 0, and the
+    # residue the sum of k_res and the t^0 digit of x_last, which the last
+    # column's digits make uniform over F_q
     x_reps = F.integer_reps(-SHELL_BOUND, 1)
-    shifts = Counter(x.coeff_at(0) for x in x_reps)
-    blocks = []
-    for polar_digits in itertools.product(range(q), repeat=len(polar_slots)):
-        polar = {
-            slot: c for slot, c in zip(polar_slots, polar_digits) if c
-        }
-        for k_res in itertools.product(range(q), repeat=m - 1):
-            inv = WhittakerInvariant.read(_embed(F, _polar_block(F, m, polar, k_res)))
-            for digit, count in shifts.items():
-                classes[inv._replace(residue=ff.add(inv.residue, digit))] += count
-            blocks.append((polar, k_res))
+    blocks = [
+        ({slot: c for slot, c in zip(polar_slots, polar_digits) if c}, k_res)
+        for polar_digits in itertools.product(range(q), repeat=len(polar_slots))
+        for k_res in itertools.product(range(q), repeat=m - 1)
+    ]
     rows = len(blocks) * len(x_reps)
+    identity = MonomialClass.identity(F, n)
+    for r in range(q):
+        classes[WhittakerInvariant(identity, r, 0)] = rows // q
 
     # the reps stand for double cosets: multiplying on the left by a
     # unipotent with zero superdiagonal residues, or on the right by an
@@ -579,7 +580,7 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
         rows += 1
         # the block lies in U I+ of its own size iff the embedding's class
         # is trivial, since the elimination settles the last row first and alone
-        if cls.mono == MonomialClass.identity(F, n):
+        if cls.mono == identity:
             classes[cls] += 1
         else:
             nonmember[cls] += 1

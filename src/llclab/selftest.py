@@ -195,8 +195,9 @@ ZETA_TWISTS = ((0, 0), (1, 0), (0, 1))
 
 
 def criterion_zeta_collapse(scale: str | None = None) -> dict:
-    """Principal integral == q^-1 and dual integral == zeta * lam(pi) *
-    q^(-1/2) q^(-s), at working depths 2 and 3."""
+    """Principal integral == q^-1 at working depths 2 and 3, and dual
+    integral == zeta * lam(pi) * q^(-1/2) q^(-s) at depth 2; the dual's
+    depth 3 is compared inside _dual_row's stable-row check."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
     cells = gauss_cells(scale)

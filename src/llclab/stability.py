@@ -206,7 +206,7 @@ class FunctionalOverFq:
         return f"FunctionalOverFq(q={self.q}, mats={self.mats!r})"
 
 
-def enumerate_functionals(gq: GradedQuotient, q: int, cap: int = BRUTE_FORCE_GUARD):
+def enumerate_functionals(gq: GradedQuotient, q: int):
     """Every functional over F_q, guarded by total count.
 
     The order is arrow-major, row-major and lexicographic in the entries:
@@ -216,8 +216,8 @@ def enumerate_functionals(gq: GradedQuotient, q: int, cap: int = BRUTE_FORCE_GUA
     stores its tuple of those checked matrices, one per arrow in the
     order of gq.arrows, without a second check."""
     dim = gq.dim_v
-    if q**dim > cap:
-        raise SizeGuardExceeded(f"{q}^{dim} functionals exceed the guard {cap}")
+    if q**dim > BRUTE_FORCE_GUARD:
+        raise SizeGuardExceeded(f"{q}^{dim} functionals exceed the guard {BRUTE_FORCE_GUARD}")
     field_of_size(q)  # rejects a q that is not an odd prime power
     per_arrow = [_all_matrices(*_present_shape(gq, a), q) for a in gq.arrows]
     new = object.__new__

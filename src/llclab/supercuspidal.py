@@ -83,14 +83,14 @@ class SSCDatum:
         r, s, d, residue = solved
         return self.zeta**r * self.omega.of_leading(d, s) * self.psi.of_residue(residue)
 
-    def whittaker_root(self, g: MatG, prec: int | None = None) -> RootOfUnity | None:
+    def whittaker_root(self, g: MatG) -> RootOfUnity | None:
         """The Whittaker value as a root of unity, or None off the support.
 
-        g, cut at t^prec if given, is eliminated once at the precision it
-        carries, one digit past its last stored digit, and once more as
-        given only where that window cannot decide (WhittakerInvariant.read).
+        g is eliminated once at the precision it carries, one digit past
+        its last stored digit, and once more as given only where that
+        window cannot decide (WhittakerInvariant.read).
         """
-        inv = WhittakerInvariant.read(g, prec)
+        inv = WhittakerInvariant.read(g)
         return self.invariant_root(inv.solve(self.pi_unit))
 
     def __repr__(self) -> str:

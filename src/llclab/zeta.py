@@ -16,10 +16,12 @@ and N(x) is upper unipotent with first row (1, 0, -x_{n-2}, ..., -x_1).
 For integral x each right factor lies in the pro-unipotent Iwahori with
 zero simple-root residues and a zero corner digit, and right translation
 by such a factor keeps the Whittaker invariant of u M k.  So each
-integral reads the invariant of one lead matrix per shell v and leading
-digit a0, whatever the depth, and caches it as an unsolved row weighted
-by the points it stands for.  It and the audit points below are read
-with WhittakerInvariant.read, at the precision each matrix carries.
+integral has the invariant of one lead matrix per shell v and leading
+digit a0, whatever the depth.  Both lead matrices are monomial, their
+own M with u = k = 1, so that invariant is named, residue and corner 0,
+without an elimination, and cached as an unsolved row weighted by the
+points it stands for.  Only the audit points below are eliminated, read
+with WhittakerInvariant.read at the precision each matrix carries.
 One solver turns the rows into those of a pi_unit, dropping the rows
 off its support.
 
@@ -49,12 +51,12 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .bruhat import SolvedInvariant, WhittakerInvariant
+from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant
 from .cyclotomic import RootOfUnity
 from .characters import TameChar, norm_of_variable
 from .errors import LLCError, PrecisionNotStabilized
 from .laurent import ONE_T, ZERO_T, LaurentElem, LocalField, inverse_t, mul_t, neg_t
-from .matrices import MatG, diagonal, wrap_matrix
+from .matrices import MatG, wrap_matrix
 from .monomials import EpsMonomial, LambdaGraded
 from .supercuspidal import SSCDatum
 
@@ -88,10 +90,13 @@ def _psi_points(q: int, n: int, m: int) -> Counter:
     the row of (v, a0) stands for the q^(m-1) unit cosets with that
     leading digit.  The twist enters as lam(h) = lam(1/h)^-1, so the rows
     carry 1/h and are evaluated exactly like the dual integral's."""
-    ff = LocalField.base_field(q).residue
+    F = LocalField.base_field(q)
+    ff = F.residue
     points = Counter()
-    for (v, a0), inv in _lead_invariants(q, n, _principal_lead).items():
-        points[ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, ff.inv(a0), inv)] = q ** (m - 1)
+    for v in range(-SHELL_BOUND, SHELL_BOUND + 1):
+        for a0 in ff.units():
+            inv = _principal_lead_invariant(F, n, v, a0)
+            points[ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, ff.inv(a0), inv)] = q ** (m - 1)
     return points
 
 
@@ -105,7 +110,7 @@ def dual_matrix(F: LocalField, xs, h: LaurentElem) -> MatG:
     """The integration variable of the dual integral, for x list of length n-2."""
     n = len(xs) + 2
     ff = F.residue
-    hinv = inverse_t(ff, (h.val, h.coeffs, h.prec), None, F.var)
+    hinv = inverse_t(ff, (h.val, h.coeffs, h.prec), F.var)
     rows = [[ONE_T if j == i + 1 else ZERO_T for j in range(n)] for i in range(n - 1)]
     rows.append(
         [hinv, ZERO_T]
@@ -126,7 +131,7 @@ def zeta_psi_tilde(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
     return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m))
 
 
-# ----- shared-decomposition tables ------------------------------------
+# ----- shared row tables ----------------------------------------------
 #
 # A lead invariant sees neither the datum nor the uniformizer.  Whether
 # its row lies on the Whittaker support depends on pi_unit, and zeta,
@@ -143,25 +148,18 @@ def zeta_psi_tilde(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
 ZetaRow = namedtuple("ZetaRow", "x_power q_exp arg_val arg_lead invariant")
 
 
-def _dual_lead(F: LocalField, n: int, h: LaurentElem) -> MatG:
-    return dual_matrix(F, [F.zero()] * (n - 2), h)
+def _principal_lead_invariant(F: LocalField, n: int, v: int, a0: int) -> WhittakerInvariant:
+    """The invariant of diag(a0 t^v, 1, ..., 1), which is its own M."""
+    mono = MonomialClass(F, range(n), [v] + [0] * (n - 1), [a0] + [1] * (n - 1))
+    return WhittakerInvariant(mono, 0, 0)
 
 
-def _principal_lead(F: LocalField, n: int, h: LaurentElem) -> MatG:
-    return diagonal(F, [h] + [F.one()] * (n - 1))
-
-
-@lru_cache(maxsize=None)
-def _lead_invariants(q: int, n: int, lead) -> dict:
-    """(v, a0) -> the invariant of lead(F, n, a0 t^v) for every shell v
-    in -SHELL_BOUND..SHELL_BOUND and residue unit a0: one decomposition
-    each, which every depth shares."""
-    F = LocalField.base_field(q)
-    return {
-        (v, a0): WhittakerInvariant.read(lead(F, n, F.elem(v, (a0,))))
-        for v in range(-SHELL_BOUND, SHELL_BOUND + 1)
-        for a0 in F.residue.units()
-    }
+def _dual_lead_invariant(F: LocalField, n: int, v: int, a0: int) -> WhittakerInvariant:
+    """The invariant of A(a0 t^v), which is its own M: row i < n - 1 is
+    e_(i+1) and the bottom row is t^-v / a0 in column 0."""
+    units = [1] * (n - 1) + [F.residue.inv(a0)]
+    mono = MonomialClass(F, [*range(1, n), 0], [0] * (n - 1) + [-v], units)
+    return WhittakerInvariant(mono, 0, 0)
 
 
 def _solve_rows(points: Counter, pi_unit: int) -> Counter:
@@ -211,10 +209,11 @@ def _dual_points(q: int, n: int, m: int, seed: int) -> DualPoints:
     random.Random(seed)."""
     F = LocalField.base_field(q)
     points = Counter()
-    for (v, a0), inv in _lead_invariants(q, n, _dual_lead).items():
+    for v in range(-SHELL_BOUND, SHELL_BOUND + 1):
         # |h|^(1-s-(n-1)/2) at val(h) = v, unit coset volume q^-m, x volume
         q_exp = Fraction(v * (n - 3) + n - 2, 2) - m
-        points[ZetaRow(-v, q_exp, v, a0, inv)] = q ** (m - 1)
+        for a0 in F.residue.units():
+            points[ZetaRow(-v, q_exp, v, a0, _dual_lead_invariant(F, n, v, a0))] = q ** (m - 1)
 
     non_integral = []
     if n > 2:
@@ -256,7 +255,7 @@ DualSupportTable = namedtuple("DualSupportTable", "q n pi_unit m agg agg_next ro
 @lru_cache(maxsize=None)
 def cached_dual_table(q: int, n: int, pi_unit: int, m: int = 2) -> DualSupportTable:
     """The dual integral's rows for one uniformizer choice, solved from
-    lead matrices decomposed once for every uniformizer."""
+    lead invariants named once for every uniformizer."""
     if m < 2:
         raise ValueError("need depth m >= 2")
     # support and invariants do not see zeta or omega, so a throwaway

@@ -81,7 +81,8 @@ class ReferenceWalk:
 
     def push_one_unit_diag(self, a, e):
         n, N = self.n, self.N
-        einv = e.inverse(rel_prec=N + 1)
+        # e is a one-unit: its inverse cut to N + 1 digits
+        einv = e.inverse().truncate(N + 1)
         krows = [list(r) for r in self.k.rows]
         for i in range(n):
             krows[i][a] = (krows[i][a] * e).truncate(N)

@@ -1,5 +1,6 @@
 """Exit codes and payload shapes of the command line."""
 
+import argparse
 import json
 import re
 import shlex
@@ -238,19 +239,19 @@ def test_match_zeta_of_order_n_times_q_minus_one(capsys):
 
 
 @pytest.mark.parametrize("config", [
-    cli.RunConfig(q=3, n=2, u0=2, zeta="1/4"),
-    cli.RunConfig(q=7, n=3, u0=3, omega_exp=1, zeta="1/18", omega_at_pi="1/6"),
+    dict(q=3, n=2, u0=2, omega_exp=0, zeta="1/4", omega_at_pi=None),
+    dict(q=7, n=3, u0=3, omega_exp=1, zeta="1/18", omega_at_pi="1/6"),
 ])
 def test_match_json_sides_are_closed_form_json(capsys, config):
     # verify_matching hands back monomials; the command serializes every
     # side of every twist to the JSON of the closed form
-    argv = ["--q", str(config.q), "--n", str(config.n), "--u0", str(config.u0),
-            "--omega-exp", str(config.omega_exp), "--zeta", config.zeta]
-    if config.omega_at_pi is not None:
-        argv += ["--omega-at-pi", config.omega_at_pi]
+    argv = ["--q", str(config["q"]), "--n", str(config["n"]), "--u0", str(config["u0"]),
+            "--omega-exp", str(config["omega_exp"]), "--zeta", config["zeta"]]
+    if config["omega_at_pi"] is not None:
+        argv += ["--omega-at-pi", config["omega_at_pi"]]
     code, payload = run_json(capsys, ["match", "--format", "json", *argv])
     assert code == 0
-    d = config.datum()
+    d = cli._datum(argparse.Namespace(**config))
     assert [list(row) for row in payload["twists"]] == [
         ["twist", "closed", "galois", "automorphic", "equal"]
     ] * (d.q - 1)

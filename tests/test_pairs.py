@@ -602,12 +602,13 @@ def test_mirabolic_table_matches_per_point_loop(q, n):
     assert (T.classes, T.nonmember_classes, T.row_count) == _mirabolic_table_per_point(q, n)
 
 
-@pytest.mark.parametrize("q,n,blocks", [(3, 2, 1), (3, 4, 243), (5, 3, 25)])
+@pytest.mark.parametrize("q,n,blocks", [(3, 2, 1), (3, 4, 243), (5, 3, 25), (5, 4, 3125)])
 def test_mirabolic_enumeration_reads_only_the_unipotent_group(q, n, blocks):
-    # pins a known gap: every block the enumeration decomposes is upper
+    # pins a known gap: every block the enumeration counts is upper
     # unipotent, so it reads the identity class, the summed superdiagonal
     # residues and a zero corner, and the enumeration compares the two
-    # Whittaker functions only on U, where they agree by construction
+    # Whittaker functions only on U, where they agree by construction;
+    # (5, 4) is criterion 7's largest cell, which the per-point loop skips
     F = LocalField.base_field(q)
     m = n - 1
     identity = MonomialClass.identity(F, n)
@@ -625,6 +626,29 @@ def test_mirabolic_enumeration_reads_only_the_unipotent_group(q, n, blocks):
             assert WhittakerInvariant.read(block) == (identity, residue, 0)
             seen += 1
     assert seen == blocks
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4)])
+def test_mirabolic_table_reads_only_its_draws(monkeypatch, q, n):
+    # the enumerated points are counted, not read: the table eliminates a
+    # refinement and its base per spot check, and each dense draw, a
+    # singular draw and its redraw each once
+    real = WhittakerInvariant.read
+    reads, raised = [], []
+
+    def counted(cls, g):
+        reads.append(g)
+        try:
+            return real(g)
+        except (ZeroInput, InsufficientPrecision):
+            raised.append(g)
+            raise
+
+    monkeypatch.setattr(WhittakerInvariant, "read", classmethod(counted))
+    T = pairs.mirabolic_table.__wrapped__(q, n)
+    enumerated = q ** ((n - 1) * (n - 2) // 2 + (n - 2) + 2)
+    assert T.row_count == enumerated + pairs.MIRABOLIC_EXTRAS
+    assert len(reads) == 2 * pairs.MIRABOLIC_SPOT_CHECKS + pairs.MIRABOLIC_EXTRAS + len(raised)
 
 
 def test_pair_failure_records_replay(monkeypatch):

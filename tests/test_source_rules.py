@@ -6,7 +6,7 @@ from functools import reduce
 from pathlib import Path
 
 import llclab
-from llclab import matching, pairs, stability, zeta
+from llclab import bruhat, laurent, matching, pairs, stability, supercuspidal, zeta
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "llclab"
 
@@ -360,7 +360,6 @@ def test_single_value_options_stay_constants():
         zeta._dual_row: shells,
         zeta._psi_points: shells,
         zeta._psi_rows: shells,
-        zeta._lead_invariants: shells,
         zeta._dual_points: shells,
         zeta._table_rows: shells,
         pairs.PairConfig: {"precision", "shell_bound"},
@@ -369,6 +368,11 @@ def test_single_value_options_stay_constants():
         pairs.sample_k_words: {"precision", "audit_stride"},
         pairs.cached_k_words: {"precision", "seed"},
         stability.verify_certificate: {"recheck_brute_force"},
+        stability.enumerate_functionals: {"cap"},
+        laurent.LaurentElem.inverse: {"rel_prec"},
+        laurent.inverse_t: {"rel_prec"},
+        bruhat.WhittakerInvariant.read: {"prec"},
+        supercuspidal.SSCDatum.whittaker_root: {"prec"},
         matching.EpsilonTable.of_datum: {"at_t_nums", "exponents"},
     }
     found = [
@@ -393,7 +397,8 @@ def test_test_only_helpers_stay_out_of_the_library():
                "NotMonomial", "ApartmentPoint.translate", "SSCDatum.rotation_matrix",
                "SSCDatum.affine_generic", "SSCDatum.whittaker", "LocalField.unit_reps",
                "kernel_of_action", "KernelIsScalars", "group_size", "probe_matrices",
-               "FunctionalOverFq.is_zero"}
+               "FunctionalOverFq.is_zero", "diagonal", "central", "_lead_invariants", "_dual_lead",
+               "_principal_lead"}
     defined = set(llclab.__all__)
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
@@ -437,13 +442,35 @@ def test_perfbench_names_resolve_on_the_package():
     assert missing == []
 
 
-def _mentions(tree) -> set[str]:
-    """The names a tree mentions: Name ids, Attribute attrs and import aliases."""
+def _module_names(tree, stems: set[str]) -> set[str]:
+    """The names a module tree binds to a module: L and llclab, which the
+    benchmark uses for the package, import aliases, and the package's
+    modules imported by name, as in "from . import selftest as selftest_mod"."""
+    out = {"L", "llclab"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out |= {a.asname or a.name for a in node.names if a.name in stems}
+    return out
+
+
+def _mentions(tree, modules: set[str], stems: set[str]) -> set[str]:
+    """The names a tree mentions: Name ids, import aliases, and the
+    attributes taken off a module, such as L.pairs.mirabolic_table.  An
+    attribute of anything else, such as MonomialClass.central, names a
+    method or field, not a top-level function that shares its name."""
+
+    def is_module(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in modules
+        return isinstance(node, ast.Attribute) and node.attr in stems and is_module(node.value)
+
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and is_module(node.value):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
@@ -454,18 +481,22 @@ def _unreached(src: Path) -> list[str]:
     """The top-level functions and classes of the package at src that
     nothing names: neither the package outside their own definition and
     __init__'s re-exports, nor a benchmark module beside the package."""
+    stems = {path.stem for path in src.glob("*.py")}
     defined, mentions = [], []
     for path in sorted(src.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        modules = _module_names(tree, stems)
+        for stmt in tree.body:
             if path.name == "__init__.py" and isinstance(stmt, ast.ImportFrom):
                 continue
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = (path.stem, stmt.name)
                 defined.append(owner)
-            mentions.append((owner, _mentions(stmt)))
+            mentions.append((owner, _mentions(stmt, modules, stems)))
     for path in src.parents[1].glob("perfbench/*.py"):
-        mentions.append((None, _mentions(ast.parse(path.read_text()))))
+        tree = ast.parse(path.read_text())
+        mentions.append((None, _mentions(tree, _module_names(tree, stems), stems)))
     return [
         f"{module}.{name}"
         for module, name in defined
@@ -488,3 +519,17 @@ def test_reachability_rule_flags_an_orphan(tmp_path):
         "def used():\n    return 1\n\n\ndef orphan(k):\n    return orphan(k - 1) if k else used()\n"
     )
     assert _unreached(pkg) == ["a.orphan"]
+    # a method of the same name reaches nothing either, called in the
+    # package or off a class the benchmark takes from the package
+    other = tmp_path / "other"
+    pkg = other / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .a import central\nfrom .b import Mono\n")
+    (pkg / "a.py").write_text("def central(n):\n    return [n]\n")
+    (pkg / "b.py").write_text(
+        "class Mono:\n    @classmethod\n    def central(cls):\n        return cls()\n\n"
+        "    def twice(self):\n        return Mono.central(), self.central()\n"
+    )
+    (other / "perfbench").mkdir()
+    (other / "perfbench" / "bench.py").write_text("import pkg as L\n\nL.Mono.central().twice()\n")
+    assert _unreached(pkg) == ["a.central"]

@@ -217,9 +217,11 @@ def test_destabilizer_contracts_every_functional():
 
 
 def test_functional_enumeration_guard():
+    # 7^8 functionals exceed BRUTE_FORCE_GUARD
     gq = graded_quotient(FacetSpec(0, (1,) * 8).barycenter())
+    assert 7**gq.dim_v > stability.BRUTE_FORCE_GUARD
     with pytest.raises(SizeGuardExceeded):
-        list(enumerate_functionals(gq, 7, cap=1000))
+        list(enumerate_functionals(gq, 7))
 
 
 def test_verifier_rejects_tampered_weights():
@@ -450,11 +452,14 @@ def test_cached_matrices_are_keyed_by_the_field():
 
 
 def test_guard_fires_before_any_list_is_built():
+    # quotients of dimension 7 and 8 over F_7, one to seven arrows, all
+    # past BRUTE_FORCE_GUARD
     stability._all_matrices.cache_clear()
-    for x in SMALL_QUOTIENTS:
-        gq = graded_quotient(ApartmentPoint.parse(x))
+    for m in ((1, 4), (1, 1, 3), (1, 1, 1, 1, 2), (1,) * 7):
+        gq = graded_quotient(FacetSpec(0, m).barycenter())
+        assert 7**gq.dim_v > stability.BRUTE_FORCE_GUARD
         with pytest.raises(SizeGuardExceeded):
-            next(enumerate_functionals(gq, 7, cap=7**gq.dim_v - 1))
+            next(enumerate_functionals(gq, 7))
     assert stability._all_matrices.cache_info().currsize == 0
 
 

@@ -15,7 +15,6 @@ from llclab.characters import TameChar
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import LLCError, PrecisionNotStabilized
 from llclab.laurent import LocalField
-from llclab.matrices import diagonal
 from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.selftest import ZETA_TWISTS, gauss_cells
 from llclab.zeta import (
@@ -27,7 +26,7 @@ from llclab.zeta import (
     zeta_psi_tilde,
 )
 
-from test_bruhat import _count_eliminations
+from test_bruhat import _count_eliminations, diagonal
 from test_laurent import unit_reps
 from test_monomials import EpsPolynomial
 from test_supercuspidal import _datum
@@ -156,7 +155,7 @@ def test_principal_rows_match_per_point_oracle(q, n):
 @pytest.mark.parametrize("q,n", [(5, 3), (7, 2)])
 def test_principal_rows_carry_the_inverse_of_h(q, n):
     # a principal row stores arg = 1/h: rebuilding h from it must give
-    # back the lead matrix whose invariant the row holds.  Storing the
+    # back the lead matrix whose invariant the row names.  Storing the
     # leading digit of h itself swaps a0 and 1/a0, which these residue
     # fields tell apart, and every shell is covered, not just a0 = 1
     F = LocalField.base_field(q)
@@ -165,7 +164,8 @@ def test_principal_rows_carry_the_inverse_of_h(q, n):
         assert {row.arg_lead for row in rows} == set(F.residue.units())
         for row in rows:
             h = F.elem(row.arg_val, (row.arg_lead,)).inverse()
-            assert WhittakerInvariant.of(*decompose(zeta._principal_lead(F, n, h))) == row.invariant
+            lead = diagonal(F, [h] + [F.one()] * (n - 1))
+            assert WhittakerInvariant.of(*decompose(lead)) == row.invariant
 
 
 def _fresh_stable_rows(monkeypatch):
@@ -443,50 +443,53 @@ def test_rows_match_per_uniformizer_oracle(q, n):
             assert zeta._psi_rows(q, n, u, m) == _per_unit_psi_rows(q, n, u, m)
 
 
-def _count_decompositions(monkeypatch, *cached):
-    """Fresh caches for the lead invariants and the named cached
-    functions of zeta, and the list of the reader's eliminations."""
-    for name in ("_lead_invariants",) + cached:
-        fresh = lru_cache(maxsize=None)(getattr(zeta, name).__wrapped__)
-        monkeypatch.setattr(zeta, name, fresh)
+def _count_decompositions(monkeypatch):
+    """Fresh caches for every cached function of zeta, so no earlier call
+    hides work, and the list of the reader's eliminations."""
+    for name, fn in vars(zeta).items():
+        if hasattr(fn, "cache_clear"):
+            monkeypatch.setattr(zeta, name, lru_cache(maxsize=None)(fn.__wrapped__))
     return _count_eliminations(monkeypatch)
 
 
 def test_each_dual_point_decomposes_once(monkeypatch):
-    # fresh caches: the first uniformizer decomposes A(a0 t^v) once per
-    # shell and leading digit, 5 * 4 lead matrices shared by both depths,
-    # and the 40 non-integral audit points of each depth; the other three
+    # fresh caches: the first uniformizer eliminates only the 40
+    # non-integral audit points of each depth, since each lead matrix
+    # A(a0 t^v) is monomial and its invariant is named; the other three
     # only solve them
-    calls = _count_decompositions(monkeypatch, "_dual_points", "cached_dual_table")
+    calls = _count_decompositions(monkeypatch)
     per_unit = []
     for u in range(1, 5):
         before = len(calls)
         zeta.cached_dual_table(5, 3, u)
         per_unit.append(len(calls) - before)
-    assert per_unit == [5 * 4 + 2 * zeta.SPOT_CHECKS, 0, 0, 0] == [100, 0, 0, 0]
+    assert per_unit == [2 * zeta.SPOT_CHECKS, 0, 0, 0] == [80, 0, 0, 0]
 
 
 def test_each_principal_lead_decomposes_once(monkeypatch):
-    # diag(a0 t^v, 1, 1) once per shell and leading digit serves both
-    # depths and every uniformizer
-    calls = _count_decompositions(monkeypatch, "_psi_points", "_psi_rows")
+    # diag(a0 t^v, 1, 1) is monomial: its invariant is named, not read,
+    # at both depths and for every uniformizer
+    calls = _count_decompositions(monkeypatch)
     per_unit = []
     for u in range(1, 5):
         before = len(calls)
         for m in (2, 3):
             assert zeta._psi_rows(5, 3, u, m)
         per_unit.append(len(calls) - before)
-    assert per_unit == [5 * 4, 0, 0, 0]
+    assert per_unit == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("q,n,depths", [(3, 2, (2, 3)), (5, 2, (2, 3)), (3, 4, (2,)), (5, 3, (2,))])
 def test_every_integral_point_has_its_lead_invariant(q, n, depths):
     # right translation by I+: every point with integral x, at every
-    # shell and unit coset, solves like A(a0 t^v) for every uniformizer,
-    # so x-class constancy and the vanishing off shell -1 need no audit
+    # shell and unit coset, solves like the invariant the library names
+    # for A(a0 t^v) for every uniformizer, so x-class constancy and the
+    # vanishing off shell -1 need no audit
     F = LocalField.base_field(q)
-    lead = zeta._lead_invariants(q, n, zeta._dual_lead)
     for m in depths:
+        rows = zeta._dual_points(q, n, m, zeta.AUDIT_SEED).points
+        lead = {(row.arg_val, row.arg_lead): row.invariant for row in rows}
+        assert len(lead) == len(rows) == 5 * (q - 1)
         x_reps = F.integer_reps(0, m)
         for v in range(-2, 3):
             for w in unit_reps(F, m):
@@ -498,7 +501,11 @@ def test_every_integral_point_has_its_lead_invariant(q, n, depths):
 
 
 def test_every_principal_point_has_its_lead_invariant():
-    lead = zeta._lead_invariants(5, 3, zeta._principal_lead)
+    # the row of (v, a0) carries 1/h, so its argument is (-v, 1/a0)
+    ff = LocalField.base_field(5).residue
+    rows = zeta._psi_points(5, 3, 3)
+    lead = {(-row.arg_val, ff.inv(row.arg_lead)): row.invariant for row in rows}
+    assert len(lead) == len(rows) == 5 * 4
     for v, h, inv in _principal_points(5, 3, 3):
         want = lead[v, h.coeff_at(v)]
         assert [inv.solve(u) for u in range(1, 5)] == [want.solve(u) for u in range(1, 5)]
@@ -555,7 +562,6 @@ def test_dual_audit_reads_cosets_in_one_elimination(monkeypatch):
     for q, n in gauss_cells("full"):
         if n == 2:
             continue
-        zeta._lead_invariants(q, n, zeta._dual_lead)
         for m, seed in ((2, zeta.AUDIT_SEED), (3, zeta.AUDIT_SEED + 1)):
             del built[:], calls[:]
             zeta._dual_points.__wrapped__(q, n, m, seed)
