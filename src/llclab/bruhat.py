@@ -15,9 +15,15 @@ those are precisely the constraints Iwahori membership of k puts on the
 column operations, so no other pivot choice closes.
 
 The elimination, _eliminate, runs on laurent's (val, coeffs, prec)
-triples: each row's pivot is inverted once, every column op, row op and
-fold into u is one fused z + c*y update (skipped where y is an exact
-zero), and decompose builds LaurentElem only for the u and k it returns.
+triples: each row's pivot is inverted once, each column op and fold
+into u is one fused z + c*y update per entry (skipped where y is an
+exact zero), and decompose builds LaurentElem only for the u and k it
+returns.  What cancels is not computed: c is an entry times the pivot's
+inverse, so the entry a column op clears in the pivot row, and the
+pivot-column entry of each row op, are laurent.cancel_t's zero at the
+precision the update would carry.  Once its columns are cleared the
+pivot row is its pivot and zeros, so the rest of a row op only cuts
+precisions where the row holds a zero known to a precision.
 k is not a matrix product: the column ops are recorded and replayed, the
 last one first, on the columns of M^-1 times the eliminated matrix, one
 fused update each.  The Iwahori checks on the column factors and on the
@@ -52,6 +58,7 @@ from .laurent import (
     ZERO_T,
     LocalField,
     addmul_t,
+    cancel_t,
     coeff_at_t,
     inverse_t,
     mul_t,
@@ -344,8 +351,10 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
                     f"entry ({i},{j}) is O(t^{bound}) and could undercut the "
                     f"pivot of valuation {best_val}"
                 )
-        # the pivot entry stays fixed while its row and column are cleared
-        pinv = inverse_t(ff, row[piv], var)
+        # the pivot entry stays fixed while its row and column are cleared;
+        # c is an entry times pinv, so the entry c clears cancels to zero
+        pivot = row[piv]
+        pinv = inverse_t(ff, pivot, var)
         for j in range(n):
             if j == piv or j in used or not row[j][1]:
                 continue
@@ -358,16 +367,24 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
             minus_c = neg_t(ff, c)
             for r in A:
                 y = r[piv]
-                if y[1] or y[2] is not None:
+                if r is not row and (y[1] or y[2] is not None):
                     r[j] = addmul_t(ff, r[j], minus_c, y)
+            row[j] = cancel_t(row[j], minus_c, pivot)
             # column op was R = I - c E(piv,j); k gets R^-1 = I + c E(piv,j)
             col_ops.append((piv, j, c))
+        # the row is now its pivot and zeros: a row op cancels the pivot
+        # column and only cuts the precision where the row holds a zero
+        cuts = [m for m in range(n) if m != piv and row[m][2] is not None]
         for i2 in range(i):
-            e = A[i2][piv]
+            r2 = A[i2]
+            e = r2[piv]
             if not e[1]:
                 continue
             c = mul_t(ff, e, pinv)
-            A[i2] = _addmul_row(ff, A[i2], neg_t(ff, c), row)
+            minus_c = neg_t(ff, c)
+            r2[piv] = cancel_t(e, minus_c, pivot)
+            for m in cuts:
+                r2[m] = addmul_t(ff, r2[m], minus_c, row[m])
             # row op was L = I - c E(i2,i); fold L^-1 into u from the right
             for r in u_rows:
                 y = r[i2]
@@ -397,11 +414,3 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
     if not in_iplus_t(ff, k2, var):
         raise LLCError("internal: k factor left the Iwahori subgroup")
     return u_rows, mono, k2
-
-
-def _addmul_row(ff, z: list, c: tuple, y: list) -> list:
-    """The row z + c*y of triples; where y is an exact zero, z stays."""
-    return [
-        addmul_t(ff, zm, c, ym) if ym[1] or ym[2] is not None else zm
-        for zm, ym in zip(z, y)
-    ]

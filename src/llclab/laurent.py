@@ -17,7 +17,8 @@ coefficients from its valuation ``val`` up to its last nonzero term, with
 no zero at either end and nothing at or beyond ``prec``.  The arithmetic
 lives in kernels on bare (val, coeffs, prec) triples, the same three
 fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
-``dot_t``, the fused ``addmul_t`` (z + c*y in one list), ``truncate_t``,
+``dot_t``, the fused ``addmul_t`` (z + c*y in one list), ``cancel_t``
+(the zero z + c*y is when c = -z * y^-1), ``truncate_t``,
 ``coeff_at_t`` and ``val_at_least_t``.  They hold the one copy of the
 window and precision rules.  ``LaurentElem``'s operators are thin
 wrappers over them, ``MatG``'s product calls ``dot_t`` per entry, and
@@ -193,28 +194,23 @@ def mul_t(ff: FiniteField, x: tuple, y: tuple) -> tuple:
 
 def addmul_t(ff: FiniteField, z: tuple, c: tuple, y: tuple) -> tuple:
     """z + c*y in one list: the coefficients and precision of z + (c*y),
-    without building the product first."""
+    without building the product first.  Where c*y has no visible term
+    the sum is z cut at the product's precision."""
     p = _product_prec(c, y)
     zv, a, zp = z
     prec = zp if p is None else p if zp is None or p < zp else zp
     cv, cc, _ = c
     yv, yc, _ = y
-    if cc and yc:
-        lo = cv + yv
-        hi = lo + len(cc) + len(yc) - 1
-        if a:
-            if zv < lo:
-                start, lo = lo - zv, zv
-            else:
-                start = 0
-            if zv + len(a) > hi:
-                hi = zv + len(a)
-        else:
-            start = 0
-    elif a:
-        lo, hi = zv, zv + len(a)
-    else:
-        return (0, (), prec)
+    if not cc or not yc:
+        return z if prec == zp else truncate_t(z, prec)
+    lo = cv + yv
+    hi = lo + len(cc) + len(yc) - 1
+    start = 0
+    if a:
+        if zv < lo:
+            start, lo = lo - zv, zv
+        if zv + len(a) > hi:
+            hi = zv + len(a)
     if prec is not None and hi > prec:
         hi = prec
         if hi <= lo:
@@ -225,9 +221,15 @@ def addmul_t(ff: FiniteField, z: tuple, c: tuple, y: tuple) -> tuple:
         i = zv - lo
         if i < n:
             out[i : i + len(a)] = a[: n - i]
-    if cc and yc:
-        _convolve_into(out, start, cc, yc, ff._mul, ff._add)
+    _convolve_into(out, start, cc, yc, ff._mul, ff._add)
     return _cut(lo, out, prec)
+
+
+def cancel_t(z: tuple, c: tuple, y: tuple) -> tuple:
+    """z + c*y where c = -z * y^-1, by inverse_t, mul_t and neg_t: the
+    sum cancels below its precision, so it is the zero addmul_t would
+    compute, at that precision, without the product."""
+    return (0, (), _min_prec(z[2], _product_prec(c, y)))
 
 
 def inverse_t(ff: FiniteField, x: tuple, var: str) -> tuple:

@@ -29,7 +29,6 @@ alone.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter, namedtuple
 from functools import lru_cache
@@ -492,6 +491,19 @@ MIRABOLIC_SPOT_CHECKS = 30
 MIRABOLIC_SEED = 9
 
 
+def _mirabolic_block(q: int, m: int, polar_slots: list, index: int) -> tuple[dict, tuple]:
+    """The (polar, k_res) block with this index among the q^(|polar_slots|
+    + m - 1), ordered as itertools.product over the polar digits, then
+    the m - 1 digits of k_res, the last one running fastest."""
+    digits = []
+    for _ in range(len(polar_slots) + m - 1):
+        index, d = divmod(index, q)
+        digits.append(d)
+    digits.reverse()
+    polar = {slot: c for slot, c in zip(polar_slots, digits) if c}
+    return polar, tuple(digits[len(polar_slots):])
+
+
 @lru_cache(maxsize=None)
 def mirabolic_table(q: int, n: int) -> MirabolicTable:
     """Count the invariants of mirabolic points once per residue field.
@@ -517,12 +529,7 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
     # residue the sum of k_res and the t^0 digit of x_last, which the last
     # column's digits make uniform over F_q
     x_reps = F.integer_reps(-SHELL_BOUND, 1)
-    blocks = [
-        ({slot: c for slot, c in zip(polar_slots, polar_digits) if c}, k_res)
-        for polar_digits in itertools.product(range(q), repeat=len(polar_slots))
-        for k_res in itertools.product(range(q), repeat=m - 1)
-    ]
-    rows = len(blocks) * len(x_reps)
+    rows = q ** (len(polar_slots) + m - 1) * len(x_reps)
     identity = MonomialClass.identity(F, n)
     for r in range(q):
         classes[WhittakerInvariant(identity, r, 0)] = rows // q
@@ -554,7 +561,7 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
 
     for _ in range(MIRABOLIC_SPOT_CHECKS):
         block, x_index = divmod(rng.randrange(rows), len(x_reps))
-        polar, k_res = blocks[block]
+        polar, k_res = _mirabolic_block(q, m, polar_slots, block)
         x_elems = [F.zero()] * (m - 1) + [x_reps[x_index]]
         base = _embed(F, _polar_block(F, m, polar, k_res)) * _column_unipotent(F, n, x_elems)
         refined = _deep_left() * base * _deep_right()

@@ -582,8 +582,16 @@ def criterion_oracles(scale: str | None = None) -> dict:
     t0 = time.perf_counter()
     full = scale == "full"
     checked, failures = 0, []
+    # seconds spent on each part: (a), (b), the random matrices of (c)
+    # with their determinants, decompose and the reversed scan in (c),
+    # and (d)
+    phases = dict.fromkeys(
+        ("gauss_modulus", "trace_norm", "draws", "decompose", "reversed_scan", "gamma_ratio"), 0.0
+    )
+    clock = time.perf_counter
 
     # (a) |tau|^2 = q for every nontrivial residue character
+    t = clock()
     for q in GAUSS_QS if full else (3, 5, 7):
         F = LocalField.base_field(q)
         ff = F.residue
@@ -597,6 +605,7 @@ def criterion_oracles(scale: str | None = None) -> dict:
             diff = tau * tau.conj() - CycloNumber.from_rational(Fraction(q))
             if not diff.is_zero():
                 failures.append({"check": "gauss modulus", "q": q, "exp": e})
+    phases["gauss_modulus"] += clock() - t
 
     # (b) trace and norm against the conjugate sum and product; needs the
     # degree to divide q - 1 so the conjugating roots live downstairs
@@ -606,6 +615,7 @@ def criterion_oracles(scale: str | None = None) -> dict:
         else ((3, 2, 2), (5, 4, 2))
     )
     rng = random.Random(20240823)
+    t = clock()
     for q, n, u0 in tn_cells:
         F = LocalField.base_field(q)
         E = F.extension(n, u0)
@@ -626,6 +636,7 @@ def criterion_oracles(scale: str | None = None) -> dict:
                 failures.append({"check": "trace", "q": q, "n": n, "x": repr(x)})
             if _descend_to_base(F, E, prod) != E.norm_to_base(x):
                 failures.append({"check": "norm", "q": q, "n": n, "x": repr(x)})
+    phases["trace_norm"] += clock() - t
 
     # (c) decomposition invariants do not depend on the traversal order
     pivot_cells = [(q, n) for q in (3, 5) for n in (2, 3, 4)]
@@ -634,14 +645,21 @@ def criterion_oracles(scale: str | None = None) -> dict:
         F = LocalField.base_field(q)
         prng = random.Random(4001 + seed_extra)
         for _ in range(trials):
+            t = clock()
             g = _random_invertible(prng, F, n)
+            t1 = clock()
             _, mono, _ = decompose(g)
+            t2 = clock()
+            phases["draws"] += t1 - t
+            phases["decompose"] += t2 - t1
             checked += 1
             try:
                 alt = _reversed_scan_class(F, g)
             except Exception as exc:
                 failures.append({"check": "pivot order", "q": q, "n": n, "error": repr(exc)})
                 continue
+            finally:
+                phases["reversed_scan"] += clock() - t2
             if alt != mono:
                 failures.append({"check": "pivot order", "q": q, "n": n})
 
@@ -652,6 +670,7 @@ def criterion_oracles(scale: str | None = None) -> dict:
         (5, 2, 3, 1, 2, (1, 1)),
         (5, 3, 2, 1, 2, (2, 3)),
     ]
+    t = clock()
     for q, n, znum, e_om, u0, (e, av) in gamma_cases if full else gamma_cases[:2]:
         d = _datum(q, n, znum, e_om, u0)
         lam = TameChar(d.F, e, RootOfUnity(av, q - 1))
@@ -659,8 +678,17 @@ def criterion_oracles(scale: str | None = None) -> dict:
         ratio = (zeta_psi_tilde(d, lam) / zeta_psi(d, lam)).scale(lam.at_minus_one() ** (n - 1))
         if ratio != gamma_automorphic(d, lam):
             failures.append({"check": "gamma ratio", "q": q, "n": n})
+    phases["gamma_ratio"] += clock() - t
 
-    return _report(8, "independent oracles", checked, failures, t0)
+    return _report(
+        8,
+        "independent oracles",
+        checked,
+        failures,
+        t0,
+        # whole milliseconds, rounded down, so they sum to at most seconds
+        phases={name: math.floor(v * 1000) / 1000 for name, v in phases.items()},
+    )
 
 
 # ----- driver ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -7,12 +8,22 @@ import sys
 import pytest
 
 import llclab
-from llclab import bruhat, laurent, matrices, pairs, zeta
+from llclab import bruhat, laurent, matrices, pairs, selftest, zeta
 from llclab.bruhat import MonomialClass, WhittakerInvariant, decompose
 from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InsufficientPrecision, LLCError, ZeroInput
-from llclab.laurent import LaurentElem, LocalField
-from llclab.matrices import MatG
+from llclab.laurent import (
+    ONE_T,
+    ZERO_T,
+    LaurentElem,
+    LocalField,
+    addmul_t,
+    inverse_t,
+    mul_t,
+    neg_t,
+    val_at_least_t,
+)
+from llclab.matrices import MatG, in_iplus_t
 from llclab.supercuspidal import SSCDatum
 
 from reference_walk import ReferenceWalk
@@ -652,6 +663,196 @@ def test_decompose_forms_k_without_a_matrix_product(monkeypatch):
     assert got == want
 
 
+def _all_products_eliminate(field, rows):
+    """bruhat._eliminate with every update a full z + c*y: the pivot
+    row's own entry in each column clear, and every entry of each row op,
+    the pivot column and the pivot row's zeros included."""
+    n = len(rows)
+    ff, var = field.residue, field.var
+    A = [list(row) for row in rows]
+    u_rows = [[ONE_T if i == j else ZERO_T for j in range(n)] for i in range(n)]
+    col_ops = []
+    used = set()
+    cols = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = A[i]
+        best_val, piv = None, None
+        fuzzy = []
+        for j in range(n):
+            if j in used:
+                continue
+            v, cs, p = row[j]
+            if cs:
+                if best_val is None or v < best_val:
+                    best_val, piv = v, j
+            elif p is not None:
+                fuzzy.append((p, j))
+        if piv is None:
+            if fuzzy:
+                raise InsufficientPrecision(
+                    f"row {i} has no visible entry below O(t^{min(fuzzy)[0]})"
+                )
+            raise ZeroInput(f"row {i} is exactly zero; not invertible here")
+        for bound, j in fuzzy:
+            if bound <= best_val:
+                raise InsufficientPrecision(
+                    f"entry ({i},{j}) is O(t^{bound}) and could undercut the "
+                    f"pivot of valuation {best_val}"
+                )
+        pinv = inverse_t(ff, row[piv], var)
+        for j in range(n):
+            if j == piv or j in used or not row[j][1]:
+                continue
+            c = mul_t(ff, row[j], pinv)
+            if not val_at_least_t(c, 1 if j < piv else 0, var):
+                raise LLCError(
+                    f"internal: clearing column {j} against pivot column {piv} "
+                    "needs a factor outside the Iwahori subgroup"
+                )
+            minus_c = neg_t(ff, c)
+            for r in A:
+                y = r[piv]
+                if y[1] or y[2] is not None:
+                    r[j] = addmul_t(ff, r[j], minus_c, y)
+            col_ops.append((piv, j, c))
+        for i2 in range(i):
+            e = A[i2][piv]
+            if not e[1]:
+                continue
+            c = mul_t(ff, e, pinv)
+            minus_c = neg_t(ff, c)
+            A[i2] = [
+                addmul_t(ff, z, minus_c, y) if y[1] or y[2] is not None else z
+                for z, y in zip(A[i2], row)
+            ]
+            for r in u_rows:
+                y = r[i2]
+                if y[1] or y[2] is not None:
+                    r[i] = addmul_t(ff, r[i], c, y)
+        used.add(piv)
+        cols[i] = piv
+    exps, units = [], []
+    k2 = [None] * n
+    for i in range(n):
+        v, cs, _ = A[i][cols[i]]
+        exps.append(v)
+        units.append(cs[0])
+        lead_inv = (-v, (ff.inv(cs[0]),), None)
+        k2[cols[i]] = [mul_t(ff, lead_inv, y) for y in A[i]]
+    mono = MonomialClass(field, cols, exps, units)
+    for piv, j, c in reversed(col_ops):
+        for r in k2:
+            y = r[piv]
+            if y[1] or y[2] is not None:
+                r[j] = addmul_t(ff, r[j], c, y)
+    if not in_iplus_t(ff, k2, var):
+        raise LLCError("internal: k factor left the Iwahori subgroup")
+    return u_rows, mono, k2
+
+
+def _eliminates_as_all_products(field, rows):
+    """bruhat._eliminate(field, rows) is == to the all-products loop, or
+    raises the same error with the same message; the error type or None."""
+    try:
+        want = _all_products_eliminate(field, rows)
+    except LLCError as exc:
+        with pytest.raises(type(exc)) as got:
+            bruhat._eliminate(field, rows)
+        assert str(got.value) == str(exc)
+        return type(exc)
+    assert bruhat._eliminate(field, rows) == want
+    return None
+
+
+def test_elimination_matches_all_products_on_points_and_cuts():
+    # planted and dense points, whole, cut by the reader's window, and
+    # truncated at t^0 .. t^3 with their windows
+    rng = random.Random(3131)
+    outcomes = []
+    for q, n in [(3, 4), (5, 3), (5, 4), (9, 2), (25, 3)]:
+        F = LocalField.base_field(q)
+        for _ in range(12):
+            for g in (_planted_point(rng, F, n), _dense_point(rng, F, n)):
+                for prec in (None, 0, 1, 2, 3):
+                    rows = bruhat._triples(g, prec)
+                    outcomes.append(_eliminates_as_all_products(F, rows))
+                    outcomes.append(_eliminates_as_all_products(F, bruhat._window(rows)))
+    assert outcomes.count(None) > len(outcomes) // 2
+    assert outcomes.count(InsufficientPrecision) >= 50
+
+
+def test_elimination_matches_all_products_on_raising_inputs():
+    F = LocalField.base_field(5)
+    one, zero = F.one(), F.zero()
+    cases = [
+        MatG(F, [[F.zero(0), one], [one, zero]]),
+        MatG(F, [[one, one], [one, one]]),
+        MatG(F, [[zero, zero], [one, one]]),
+        MatG(F, [[one, F.elem(0, (1,), 1)], [one, one]]),
+    ]
+    for n in (2, 3):
+        for i in range(n):
+            for prec in (1, 2, 3):
+                for k in (prec, prec + 1):
+                    entries = [one] * n
+                    entries[i] = F.elem(k, (1,))
+                    cases.append(diagonal(F, entries).truncate(prec))
+    errors = [_eliminates_as_all_products(F, bruhat._triples(g, None)) for g in cases]
+    # a cancellation leaves an O(t) alone in the last row of the fourth;
+    # every cut diagonal has a pivot its precision cannot see
+    assert errors == [InsufficientPrecision, ZeroInput, ZeroInput] + [InsufficientPrecision] * 31
+
+
+def test_elimination_matches_all_products_on_walk_and_mirabolic_matrices():
+    runs = 0
+    for q, n in [(3, 4), (5, 3), (5, 4)]:
+        F = LocalField.base_field(q)
+        walk = ReferenceWalk(q, n, 1, 2, pairs.PRECISION, 7)
+        for step in range(300):
+            walk.random_step()
+            if step % 15 == 0:
+                assert _eliminates_as_all_products(F, bruhat._triples(walk.forward_matrix(), None)) is None
+                runs += 1
+        rng = random.Random(q * n + 1)
+        m = n - 1
+        for _ in range(10):
+            polar = {(i, j): rng.randrange(q) for i in range(m) for j in range(i + 1, m)}
+            k_res = [rng.randrange(q) for _ in range(m - 1)]
+            xs = [F.zero()] * (m - 1) + [F.elem(-1, [rng.randrange(q) for _ in range(2)])]
+            point = pairs._embed(F, pairs._polar_block(F, m, polar, k_res))
+            point = point * pairs._column_unipotent(F, n, xs)
+            block = MatG(F, [
+                [F.elem(-1, [rng.randrange(q) for _ in range(pairs.PRECISION + 1)]) for _ in range(m)]
+                for _ in range(m)
+            ])
+            for g in (point, pairs._embed(F, block)):
+                for rows in (bruhat._triples(g, None), bruhat._window(bruhat._triples(g, None))):
+                    _eliminates_as_all_products(F, rows)
+                    runs += 1
+    assert runs == 3 * 20 + 3 * 10 * 4
+
+
+def test_decompose_skips_the_products_that_cancel(monkeypatch):
+    # one dense 4x4 point over F_5: the pivot row's own entries and each
+    # row op's pivot column cancel, so decompose convolves less than the
+    # all-products loop on the same rows
+    F = LocalField.base_field(5)
+    g = _dense_point(random.Random(1417), F, 4)
+    calls = [0]
+    real = laurent._convolve_into
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(laurent, "_convolve_into", counted)
+    decompose(g)
+    got = calls[0]
+    calls[0] = 0
+    _all_products_eliminate(F, bruhat._triples(g, None))
+    assert (got, calls[0]) == (42, 54)
+
+
 def test_unchecked_monomial_results_equal_validated_ones():
     rng = random.Random(1418)
     for q in (3, 7):
@@ -785,3 +986,16 @@ def test_read_raises_as_decompose(monkeypatch):
         with pytest.raises(exc):
             decompose(g, prec)
         assert _read_as_decompose(calls, g, prec) == runs
+
+
+def test_oracle_criterion_reports_phases():
+    rep = selftest.criterion_oracles("small")
+    assert rep["ok"]
+    phases = rep["phases"]
+    assert set(phases) == {
+        "gauss_modulus", "trace_norm", "draws", "decompose", "reversed_scan", "gamma_ratio"
+    }
+    assert all(v >= 0 for v in phases.values())
+    # whole milliseconds rounded down; the tolerance is float summation's
+    assert sum(phases.values()) <= rep["seconds"] + 1e-9
+    json.dumps(rep)

@@ -8,9 +8,12 @@ from llclab.laurent import (
     DEFAULT_REL_PREC,
     LocalField,
     addmul_t,
+    cancel_t,
     coeff_at_t,
     dot_t,
+    inverse_t,
     mul_t,
+    neg_t,
     truncate_t,
 )
 
@@ -356,11 +359,16 @@ def o_dot(ff, xs, ys):
 def test_product_kernels_match_dict_oracle_in_both_orders(q):
     # every pair of lengths 0..18 in both orders, so each kernel runs with
     # either factor the shorter one; z starts below c*y, and its precision,
-    # or another product's, cuts the sum inside the shorter factor
+    # or another product's, cuts the sum inside the shorter factor; a zero
+    # known only below a precision cuts it without a visible product; and
+    # z + c*y with c = -z * y^-1 cancels to cancel_t's zero
     rng = random.Random(5050 + q)
     F = LocalField.base_field(q)
     ff = F.residue
-    seen = {"start": 0, "cut_in_shorter": 0, "dot_cut_in_shorter": 0, "exact": 0}
+    seen = dict.fromkeys(
+        ("start", "cut_in_shorter", "dot_cut_in_shorter", "exact", "zero_at_prec",
+         "cancel_exact", "cancel_truncated"), 0
+    )
     for la in range(19):
         for lb in range(19):
             x = _kernel_operand(rng, F, la, rng.randrange(-3, 3))
@@ -378,6 +386,21 @@ def test_product_kernels_match_dict_oracle_in_both_orders(q):
             seen["cut_in_shorter"] += bool(
                 short > 1 and z.prec is not None and z.prec - lo < short
             )
+
+            zero = F.zero(lo + rng.randrange(-2, short + 2))
+            for c, y2 in ((zero, y), (x, zero)):
+                assert mul_t(ff, _t(c), _t(y2)) == _as_triple(*o_mul(ff, c, y2)), (c, y2)
+                got = addmul_t(ff, _t(z), _t(c), _t(y2))
+                assert got == _as_triple(*o_addmul(ff, z, c, y2)), (z, c, y2)
+                seen["zero_at_prec"] += 1
+
+            # z as drawn and its digits taken as exact
+            for z2 in (z, F.elem(z.val, z.coeffs)) if y.coeffs else ():
+                c = neg_t(ff, mul_t(ff, _t(z2), inverse_t(ff, _t(y), F.var)))
+                want = addmul_t(ff, _t(z2), c, _t(y))
+                assert not want[1] and cancel_t(_t(z2), c, _t(y)) == want, (z2, y)
+                exact = z2.prec is None and y.prec is None
+                seen["cancel_exact" if exact else "cancel_truncated"] += 1
 
             # a third product of low precision cuts the sum the same way
             w = F.elem(lo, (1,), lo + rng.randrange(short + 1))

@@ -628,6 +628,20 @@ def test_mirabolic_enumeration_reads_only_the_unipotent_group(q, n, blocks):
     assert seen == blocks
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2), (5, 3), (5, 4)])
+def test_mirabolic_block_index_decodes_the_product_order(q, n):
+    # the spot checks draw a block index; decoded, it is the block the
+    # list over itertools.product would hold at that index
+    m = n - 1
+    slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    blocks = [
+        ({slot: c for slot, c in zip(slots, digits) if c}, k_res)
+        for digits in itertools.product(range(q), repeat=len(slots))
+        for k_res in itertools.product(range(q), repeat=m - 1)
+    ]
+    assert [pairs._mirabolic_block(q, m, slots, i) for i in range(len(blocks))] == blocks
+
+
 @pytest.mark.parametrize("q,n", [(3, 4), (5, 4)])
 def test_mirabolic_table_reads_only_its_draws(monkeypatch, q, n):
     # the enumerated points are counted, not read: the table eliminates a
