@@ -86,14 +86,20 @@ class TameChar:
     kernel by construction.
     """
 
-    __slots__ = ("field", "exp_unit", "at_var")
+    __slots__ = ("field", "exp_unit", "at_var", "_big", "_var_step", "_unit_step")
 
     def __init__(self, field: LocalField, exp_unit: int, at_var: RootOfUnity | None = None):
         if field.base is not None:
             raise ValueError("tame characters here live on the base field")
         self.field = field
-        self.exp_unit = exp_unit % (field.residue.q - 1)
-        self.at_var = at_var if at_var is not None else RootOfUnity.one()
+        m = field.residue.q - 1
+        self.exp_unit = exp_unit % m
+        self.at_var = at = at_var if at_var is not None else RootOfUnity.one()
+        # the value at valuation v and unit dlog d is the root
+        # (v * _var_step + d * _unit_step) / _big, _big = lcm(at_var's order, q-1)
+        self._big = big = lcm(at.order, m)
+        self._var_step = at.num * (big // at.order)
+        self._unit_step = self.exp_unit * (big // m)
 
     @classmethod
     def trivial(cls, field: LocalField) -> TameChar:
@@ -112,13 +118,11 @@ class TameChar:
 
         at_var^v * zeta_{q-1}^(exp_unit * dlog c) built as one root: with
         at_var = a/N and L = lcm(N, q-1) its exponent over L is
-        a*v*(L/N) + exp_unit*dlog(c)*(L/(q-1)).  A residue outside
-        1..q-1 raises: ZeroInput at 0, ValueError otherwise."""
-        ff = self.field.residue
-        dlog = _unit_dlog(ff, c)
-        at, m = self.at_var, ff.q - 1
-        big = lcm(at.order, m)
-        return _root(at.num * v * (big // at.order) + self.exp_unit * dlog * (big // m), big)
+        a*v*(L/N) + exp_unit*dlog(c)*(L/(q-1)), both steps and L fixed at
+        construction.  A residue outside 1..q-1 raises: ZeroInput at 0,
+        ValueError otherwise."""
+        dlog = _unit_dlog(self.field.residue, c)
+        return _root(v * self._var_step + dlog * self._unit_step, self._big)
 
     def at_minus_one(self) -> RootOfUnity:
         return self.of_unit(self.field.residue.minus_one())

@@ -10,6 +10,12 @@ cyclotomic polynomial, so equality is decidable and exact.
 match_root turns a sum that is a root of unity times a rational back into
 that pair.  Its guess of the root is the only use of floating point in the
 package, and one exact == confirms it before it is returned.
+
+Roots are canonical objects: one RootOfUnity per value, handed out by
+_root from a dict keyed by the reduced (num, order), so == is identity,
+and each product is computed once and then read from a dict keyed by the
+pair of operands.  The values are few: after acceptance criteria 1-5 in
+one process the two dicts held 584 roots and 5,232 products.
 """
 
 from __future__ import annotations
@@ -86,37 +92,49 @@ def euler_phi(n: int) -> int:
 
 
 class RootOfUnity:
-    """exp(2*pi*i * num / order) in lowest terms.  Hashable and canonical."""
+    """exp(2*pi*i * num / order) in lowest terms, one object per value.
+
+    Every construction path ends in _root, which hands out the interned
+    object for the reduced pair, so == and hash work by identity, and a
+    product is computed once per pair of operands and then looked up.
+    The fields are read-only; copy, deepcopy and pickle rebuild through
+    the constructor and so return the interned object."""
 
     __slots__ = ("num", "order")
 
-    def __init__(self, num: int, order: int):
+    def __new__(cls, num: int, order: int) -> RootOfUnity:
         if order <= 0:
             raise ValueError("order must be positive")
-        num %= order
-        g = gcd(num, order)
-        self.num = num // g
-        self.order = order // g
+        return _root(num, order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootOfUnity is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RootOfUnity is immutable")
+
+    def __reduce__(self):
+        return RootOfUnity, (self.num, self.order)
 
     @classmethod
     def one(cls) -> RootOfUnity:
-        return cls(0, 1)
+        return _root(0, 1)
 
     @classmethod
     def minus_one(cls) -> RootOfUnity:
-        return cls(1, 2)
+        return _root(1, 2)
 
     def __mul__(self, other: RootOfUnity) -> RootOfUnity:
-        if not isinstance(other, RootOfUnity):
+        if other.__class__ is not RootOfUnity:
             # sums and graded values scale by a root through their __rmul__
             return NotImplemented
-        a, b = self.order, other.order
-        if a == 1:
-            return other
-        if b == 1:
-            return self
-        n = lcm(a, b)
-        return _root(self.num * (n // a) + other.num * (n // b), n)
+        key = (self, other)
+        out = _ROOT_PRODUCTS.get(key)
+        if out is None:
+            a, b = self.order, other.order
+            n = lcm(a, b)
+            out = _ROOT_PRODUCTS[key] = _root(self.num * (n // a) + other.num * (n // b), n)
+        return out
 
     def __pow__(self, k: int) -> RootOfUnity:
         return _root(self.num * k, self.order)
@@ -128,12 +146,11 @@ class RootOfUnity:
         return self.num == 0
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RootOfUnity):
+        if other.__class__ is not RootOfUnity:
             return NotImplemented
-        return self.num == other.num and self.order == other.order
+        return self is other
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.order))
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"RootOfUnity({self.num}/{self.order})"
@@ -154,18 +171,27 @@ class RootOfUnity:
         return f"{self.num}/{self.order}"
 
 
-_NEW = object.__new__
+# the interned roots, keyed by their reduced (num, order), and the memoised
+# products, keyed by the pair of operands; neither is ever cleared
+_ROOTS: dict[tuple[int, int], RootOfUnity] = {}
+_ROOT_PRODUCTS: dict[tuple[RootOfUnity, RootOfUnity], RootOfUnity] = {}
+_SET_NUM = RootOfUnity.num.__set__
+_SET_ORDER = RootOfUnity.order.__set__
 
 
 def _root(num: int, order: int) -> RootOfUnity:
     """RootOfUnity(num, order) for an order the library computed, so known
-    positive: one gcd to lowest terms and no validation.  Products,
-    powers, inverses and the character values are built here."""
+    positive: one gcd to lowest terms, no validation, and the interned
+    object for the reduced pair.  Every root is built here."""
     num %= order
     g = gcd(num, order)
-    out = _NEW(RootOfUnity)
-    out.num = num // g
-    out.order = order // g
+    key = (num // g, order // g)
+    out = _ROOTS.get(key)
+    if out is None:
+        out = object.__new__(RootOfUnity)
+        _SET_NUM(out, key[0])
+        _SET_ORDER(out, key[1])
+        _ROOTS[key] = out
     return out
 
 

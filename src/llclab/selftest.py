@@ -39,7 +39,7 @@ from .galois import build_parameter, gauss_sum_bruteforce
 from .laurent import LocalField
 from .matching import EpsilonTable, determine_from_table, verify_matching
 from .matrices import MatG
-from .monomials import EpsMonomial, LambdaGraded
+from .monomials import EpsMonomial, LambdaGraded, interned_counts
 from .pairs import PairConfig, cached_k_words, k_special_check, mirabolic_agreement
 from .stability import (
     BRUTE_FORCE_GUARD,
@@ -136,20 +136,28 @@ def _report(num: int, name: str, checked: int, failures: list, t0: float, **extr
 
 def criterion_gauss_closed_form(scale: str | None = None) -> dict:
     """Brute-force character sum == (value at the uniformizer) * q, for
-    every datum on the full grid."""
+    every datum on the full grid.
+
+    distinct counts the (left, right) value pairs compared, 344 on the
+    full grid; values are interned, so a pair is two object identities.
+    It is a different quantity from the 42 (q, e) keys of the cached
+    inner sum that the checks read."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
     cells = gauss_cells(scale)
-    checked, failures = 0, []
+    checked, failures, compared = 0, [], set()
     for q, n in cells:
         for u0 in range(1, q):
             for e_om in range(q - 1):
                 for znum in range(n * n):
                     P = _parameter(q, n, znum, e_om, u0)
                     checked += 1
-                    if gauss_sum_bruteforce(P.xi) != P.xi.at_pi * q:
+                    left, right = gauss_sum_bruteforce(P.xi), P.xi.at_pi * q
+                    compared.add((left, right))
+                    if left != right:
                         failures.append(_datum_key(P.ssc))
-    return _report(1, "gauss closed form", checked, failures, t0, cells=cells)
+    return _report(1, "gauss closed form", checked, failures, t0, cells=cells,
+                   distinct=len(compared), interned=interned_counts())
 
 
 # ----- 2: twisted Gauss sums ---------------------------------------------
@@ -157,11 +165,15 @@ def criterion_gauss_closed_form(scale: str | None = None) -> dict:
 
 def criterion_gauss_twist(scale: str | None = None) -> dict:
     """Twisting the inducing character by a tame character multiplies the
-    Gauss sum by the twist at the signed uniformizer."""
+    Gauss sum by the twist at the signed uniformizer.
+
+    distinct counts the (left, right) value pairs compared, as in
+    criterion 1: 1,176 on the full grid.  It is a different quantity from
+    the 16,536 input keys (q, n, u0, twist) that fix each comparison."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
     cells = gauss_cells(scale)
-    checked, failures = 0, []
+    checked, failures, compared = 0, [], set()
     for q, n in cells:
         F = LocalField.base_field(q)
         ff = F.residue
@@ -179,12 +191,14 @@ def criterion_gauss_twist(scale: str | None = None) -> dict:
                     base = gauss_sum_bruteforce(P.xi)
                     for lam, move in at_signed:
                         checked += 1
-                        tw = gauss_sum_bruteforce(P.xi.twist_by_base(lam))
-                        if tw != base * move:
+                        tw, want = gauss_sum_bruteforce(P.xi.twist_by_base(lam)), base * move
+                        compared.add((tw, want))
+                        if tw != want:
                             bad = _datum_key(P.ssc)
                             bad["twist"] = [lam.exp_unit, lam.at_var.as_fraction_of_turn()]
                             failures.append(bad)
-    return _report(2, "twisted gauss ratio", checked, failures, t0, cells=cells)
+    return _report(2, "twisted gauss ratio", checked, failures, t0, cells=cells,
+                   distinct=len(compared), interned=interned_counts())
 
 
 # ----- 3: zeta integrals collapse to monomials ---------------------------
@@ -257,6 +271,7 @@ def criterion_matching(scale: str | None = None) -> dict:
         t0,
         cells=cells,
         with_integral_path=with_integral,
+        interned=interned_counts(),
     )
 
 
@@ -313,7 +328,8 @@ def criterion_determination(scale: str | None = None) -> dict:
         if total != (q - 1) ** 2 * n * n:
             failures.append({"q": q, "n": n, "reason": "class sizes do not cover the grid"})
     return _report(
-        5, "determination round trip", checked, failures, t0, cells=cells, classes=classes
+        5, "determination round trip", checked, failures, t0, cells=cells, classes=classes,
+        interned=interned_counts(),
     )
 
 

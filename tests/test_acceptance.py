@@ -21,14 +21,28 @@ def _gate(fn, budget=None):
     return rep
 
 
+def _assert_interned(rep):
+    # the intern and product dicts only grow within a process, so only
+    # their presence is pinned, not their sizes
+    sizes = rep["interned"]
+    assert set(sizes) == {"roots", "root_products", "units", "unit_products"}
+    assert all(v > 0 for v in sizes.values()), sizes
+
+
 def test_criterion_1_gauss_closed_form():
     rep = _gate(selftest.criterion_gauss_closed_form, budget=60)
     assert rep["checked"] == 29300
+    # distinct (left, right) value pairs, not the 42 (q, e) inner-sum keys
+    assert rep["distinct"] == 344
+    _assert_interned(rep)
 
 
 def test_criterion_2_twisted_gauss_ratio():
     rep = _gate(selftest.criterion_gauss_twist, budget=120)
     assert rep["checked"] == 3_084_560
+    # distinct (left, right) value pairs, not the 16,536 input keys
+    assert rep["distinct"] == 1176
+    _assert_interned(rep)
 
 
 def test_criterion_3_zeta_integral_collapse():
@@ -40,11 +54,13 @@ def test_criterion_4_epsilon_matching():
     rep = _gate(selftest.criterion_matching, budget=300)
     assert rep["checked"] == 29300
     assert rep["with_integral_path"] == 29300
+    _assert_interned(rep)
 
 
 def test_criterion_5_determination_round_trip():
     rep = _gate(selftest.criterion_determination, budget=60)
     assert rep["checked"] == 29300
+    _assert_interned(rep)
 
 
 def test_criterion_6_facets_and_stability():

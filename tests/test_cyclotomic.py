@@ -1,11 +1,18 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 import pytest
 
+import llclab
 from llclab.cyclotomic import (
+    _ROOTS,
     CycloNumber,
     RootOfUnity,
     _root,
@@ -61,6 +68,109 @@ def test_unchecked_roots_match_the_checked_constructor():
             want = RootOfUnity(a.num * (n // a.order) + b.num * (n // b.order), n)
             assert _same_root(a * b, want)
             assert a * b == b * a
+
+
+# the grid of the test above
+ORACLE_ORDERS = (1, 2, 3, 4, 6, 9, 12, 25)
+ORACLE_NUMS = (-13, -7, -1, 0, 1, 2, 5, 8, 30)
+
+
+def field_root(num: int, order: int) -> tuple[int, int]:
+    # the fields of exp(2 pi i num/order) in lowest terms, computed on the
+    # spot as the roots were before they were interned
+    num %= order
+    g = gcd(num, order)
+    return num // g, order // g
+
+
+def field_product(a: RootOfUnity, b: RootOfUnity) -> tuple[int, int]:
+    n = a.order * b.order // gcd(a.order, b.order)
+    return field_root(a.num * (n // a.order) + b.num * (n // b.order), n)
+
+
+def _is_field_root(got: RootOfUnity, fields: tuple[int, int]) -> bool:
+    return type(got) is RootOfUnity and (got.num, got.order) == fields and got is _root(*fields)
+
+
+def test_interned_products_match_the_field_oracle():
+    # a memoised product, power or inverse carries the fields the lcm
+    # formula computes, is the one interned root with them, and a second
+    # product of the same operands is the same object again
+    roots = [RootOfUnity(num, order) for order in ORACLE_ORDERS for num in ORACLE_NUMS]
+    for a in roots:
+        assert _is_field_root(a, (a.num % a.order, a.order))
+        for k in (-3, -1, 0, 1, 2, 7):
+            assert _is_field_root(a**k, field_root(a.num * k, a.order))
+        assert _is_field_root(a.inverse(), field_root(-a.num, a.order))
+        for b in roots:
+            got = a * b
+            assert _is_field_root(got, field_product(a, b))
+            assert a * b is got and b * a is got
+
+
+def test_every_construction_path_returns_the_interned_root():
+    want = RootOfUnity(3, 8)
+    made = [
+        RootOfUnity(3, 8), RootOfUnity(-5, 8), RootOfUnity(6, 16), _root(11, 8), _root(-10, 16),
+        RootOfUnity.parse("3/8"), RootOfUnity.parse("-26/16"),
+        match_root(want.as_cyclo() * Fraction(-5, 3))[0] * RootOfUnity.minus_one(),
+        match_root(want.as_cyclo() * 7)[0],
+        copy.copy(want), copy.deepcopy(want), copy.deepcopy({"z": [want]})["z"][0],
+        *(pickle.loads(pickle.dumps(want, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    assert [x is want for x in made] == [True] * len(made)
+    assert RootOfUnity.one() is RootOfUnity(5, 5) and RootOfUnity.minus_one() is _root(3, 6)
+
+
+def test_a_root_of_large_order_adds_one_entry():
+    # one dict keyed by the reduced pair, so no table per order is built
+    size = len(_ROOTS)
+    z = RootOfUnity(1, 10**12)
+    assert len(_ROOTS) == size + 1
+    assert RootOfUnity(10**12 + 1, 10**12) is z and RootOfUnity(2, 2 * 10**12) is z
+    assert len(_ROOTS) == size + 1
+
+
+OPTIMIZED_IMMUTABLE = """
+from llclab.cyclotomic import RootOfUnity
+from llclab.monomials import LambdaGraded
+z = RootOfUnity(1, 4)
+for obj, field, value in ((z, "num", 3), (z, "order", 8), (z, "other", 1),
+                          (LambdaGraded(1, z, 2), "rational", 5),
+                          (LambdaGraded(1, z, 2), "grade", 0)):
+    for name, act in (("set", setattr), ("del", lambda o, f, v: delattr(o, f))):
+        try:
+            act(obj, field, value)
+        except AttributeError:
+            print("refused", name, type(obj).__name__, field)
+        else:
+            print("accepted", name, type(obj).__name__, field)
+print(z.num, z.order, RootOfUnity(1, 4) is z)
+"""
+
+
+def test_roots_and_units_are_immutable_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_IMMUTABLE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    fields = [("RootOfUnity", "num"), ("RootOfUnity", "order"), ("RootOfUnity", "other"),
+              ("LambdaGraded", "rational"), ("LambdaGraded", "grade")]
+    assert out.stdout.splitlines() == [
+        f"refused {name} {kind} {field}" for kind, field in fields for name in ("set", "del")
+    ] + ["1 4 True"], out.stdout
+
+
+def test_roots_compare_by_identity_and_only_with_roots():
+    z = RootOfUnity(1, 3)
+    assert z.__eq__(z.as_cyclo()) is NotImplemented and z.__eq__((1, 3)) is NotImplemented
+    assert z == z.as_cyclo() and z != (1, 3) and z != 1
+    assert hash(z) == object.__hash__(z)
+    with pytest.raises(ValueError):
+        RootOfUnity(1, 0)
 
 
 def test_i_times_i_is_minus_one():

@@ -1,12 +1,15 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from llclab.cyclotomic import CycloNumber, RootOfUnity
+from llclab.cyclotomic import CycloNumber, RootOfUnity, match_root
 from llclab.errors import LLCError
 from llclab.finitefield import odd_prime_power
-from llclab.monomials import EpsMonomial, LambdaGraded, _half_power
+from llclab.monomials import _UNITS, EpsMonomial, LambdaGraded, _half_power, _unit
 
 
 # Oracle: the per-point integrals of test_zeta.py sum into a polynomial in
@@ -439,6 +442,82 @@ def test_root_times_rational_unit_oracle():
         if x == y:
             assert hash(x) == hash(y)
     assert sum(x == y for x in units for y in units) > len(units)
+
+
+def _field_unit(grade, num, order, rational):
+    # the fields of num/order * rational * Lambda^grade in normal form,
+    # computed on the spot as the units were before they were interned:
+    # the sign moved into the root by adding half a turn, both reduced
+    rational = Fraction(rational)
+    if rational < 0:
+        num, order, rational = 2 * num + order, 2 * order, -rational
+    num %= order
+    g = gcd(num, order)
+    whole = rational.numerator if rational.denominator == 1 else rational
+    return grade, num // g, order // g, whole
+
+
+def _field_product(x, y):
+    # x * y for a unit x and a unit, root, int or Fraction y, on fields
+    if isinstance(y, RootOfUnity):
+        y = LambdaGraded(0, y)
+    elif not isinstance(y, LambdaGraded):
+        return _field_unit(x.grade, x.root.num, x.root.order, x.rational * y)
+    a, b = x.root.order, y.root.order
+    n = a * b // gcd(a, b)
+    return _field_unit(x.grade + y.grade, x.root.num * (n // a) + y.root.num * (n // b), n,
+                       x.rational * y.rational)
+
+
+def _is_field_unit(got, fields) -> bool:
+    grade, num, order, rational = fields
+    return (
+        type(got) is LambdaGraded
+        and (got.grade, got.root.num, got.root.order, got.rational) == fields
+        and type(got.rational) is type(rational)
+        and got is _unit(grade, RootOfUnity(num, order), rational)
+    )
+
+
+def test_interned_unit_products_match_the_field_oracle():
+    # graded products with a root, an int, a Fraction or a unit carry the
+    # fields computed on the spot and are the one interned unit with them,
+    # and repeating a product hands back the same object
+    roots = [RootOfUnity(num, order) for order in (1, 2, 3, 4, 6, 9, 12, 25) for num in (-7, 1, 5)]
+    rationals = (1, 2, Fraction(1, 3), Fraction(-4, 9), -6)
+    units = [LambdaGraded(grade, root, r)
+             for grade, root, r in zip((0, 1, -2, 3, 0, 5), roots[::4], rationals * 2)]
+    for x in units:
+        assert _is_field_unit(x, _field_unit(x.grade, x.root.num, x.root.order, x.rational))
+        for y in (*roots, *units, 3, -1, Fraction(5, 2), Fraction(-2, 5), Fraction(4, 2)):
+            got = x * y
+            assert _is_field_unit(got, _field_product(x, y)), (x, y)
+            assert x * y is got and y * x is got
+
+
+def test_every_construction_path_returns_the_interned_unit():
+    z = RootOfUnity(1, 6)
+    want = LambdaGraded(2, z, Fraction(3, 2))
+    made = [
+        LambdaGraded(2, RootOfUnity(7, 6), Fraction(6, 4)),
+        LambdaGraded(2, RootOfUnity(2, 3), Fraction(-3, 2)),
+        LambdaGraded.lambda_power(2, z.as_cyclo() * Fraction(3, 2)),
+        LambdaGraded.lambda_power(2, RootOfUnity(2, 3).as_cyclo() * Fraction(-3, 2)),
+        LambdaGraded(2, *match_root(z.as_cyclo() * Fraction(3, 2))),
+        _unit(2, z, Fraction(3, 2)),
+        LambdaGraded.lambda_power(1, z) * LambdaGraded.lambda_power(1, Fraction(3, 2)),
+        want.inverse().inverse(), (want**3) * want.inverse() ** 2,
+        copy.copy(want), copy.deepcopy(want),
+        *(pickle.loads(pickle.dumps(want, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    assert [x is want for x in made] == [True] * len(made)
+    # a whole rational is stored, and keyed, as an int
+    three = LambdaGraded(0, z, Fraction(6, 2))
+    assert type(three.rational) is int and LambdaGraded(0, z, 3) is three
+    size = len(_UNITS)
+    assert LambdaGraded(0, z, Fraction(3)) is three and len(_UNITS) == size
+    # the grade is part of the key
+    assert LambdaGraded(1, z, 3) is not three and LambdaGraded(1, z, 3).grade == 1
 
 
 def test_epsilon_values_are_root_times_rational():

@@ -344,6 +344,57 @@ def test_graded_values_are_built_in_normal_form():
     assert "Fraction" in calls["EpsMonomial.q_const"]
 
 
+INTERNED = ("RootOfUnity", "LambdaGraded")
+
+
+def _raw_allocations(tree) -> list[tuple[str, str]]:
+    """(function, class) for every X.__new__(C) call with C an interned
+    class, also as cls inside its own class, and ("<alias>", name) for
+    every __new__ taken without being called, which could allocate one."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = []
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, child.name)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name, owner)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "__new__":
+                call = calls.get(id(child))
+                if call is None:
+                    out.append(("<alias>", ast.unparse(child)))
+                elif call.args and isinstance(call.args[0], ast.Name):
+                    name = call.args[0].id
+                    name = owner if name == "cls" else name
+                    if name in INTERNED:
+                        out.append((scope, name))
+            visit(child, scope, owner)
+
+    visit(tree, "<module>", None)
+    return out
+
+
+def test_roots_and_units_are_allocated_only_where_they_are_interned():
+    # one object per value: a RootOfUnity is allocated only in _root and a
+    # LambdaGraded only in _unit, each behind its intern dict, and no
+    # module that names either class keeps __new__ under another name
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        if any(name in text for name in INTERNED):
+            found += [(path.stem, *hit) for hit in _raw_allocations(ast.parse(text))]
+    assert sorted(found) == [("cyclotomic", "_root", "RootOfUnity"), ("monomials", "_unit", "LambdaGraded")]
+    # the rule sees an alias and a classmethod's own allocation
+    bad = ast.parse(
+        "_NEW = object.__new__\n"
+        "class RootOfUnity:\n    @classmethod\n    def one(cls):\n        return object.__new__(cls)\n"
+    )
+    assert _raw_allocations(bad) == [("<alias>", "object.__new__"), ("one", "RootOfUnity")]
+
+
 def test_single_value_options_stay_constants():
     # each of these took an option that every caller left at its default;
     # the value is a module constant now, and no parameter or table field
