@@ -20,7 +20,7 @@ from .errors import (
     ZeroInput,
 )
 from .cyclotomic import CycloNumber, RootOfUnity, cyclotomic_polynomial, euler_phi
-from .finitefield import FiniteField, field_of_size, finite_field
+from .finitefield import FiniteField, field_of_size
 from .laurent import LaurentElem, LocalField
 from .matrices import MatG
 from .bruhat import MonomialClass, decompose
@@ -129,7 +129,6 @@ __all__ = [
     "euler_phi",
     "facet_of",
     "field_of_size",
-    "finite_field",
     "gamma_automorphic",
     "gauss_sum_bruteforce",
     "graded_quotient",

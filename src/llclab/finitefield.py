@@ -1,15 +1,18 @@
 """Residue field arithmetic with full lookup tables.
 
-Residue sizes in this laboratory never exceed a few dozen, so every
-operation table (addition, multiplication, inverse, discrete log against a
-fixed generator, trace to the prime field) is precomputed at construction.
-Elements are plain ints in range(q) encoding polynomial coefficients in
-base p; for prime q that is just the integer itself.
+F_q with q = p^f is F_p[x]/(m) for a monic irreducible m of degree f.
+Every operation table (addition, multiplication, inverse, discrete log
+against a fixed generator, trace to the prime field) is precomputed at
+construction, q^2 entries each for addition and multiplication, with no
+bound on q.  Elements are plain ints in range(q) whose base-p digits,
+constant first, are the coefficients of a polynomial in x; for prime q
+that is just the integer itself.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 from .errors import LLCError
 
@@ -25,84 +28,84 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rem(c: list[int], d: tuple[int, ...], p: int) -> list[int]:
+    """c modulo the monic polynomial whose coefficients below its leading 1
+    are d, over F_p; coefficients constant first."""
+    c, k = list(c), len(d)
+    for top in range(len(c) - 1, k - 1, -1):
+        for i, di in enumerate(d):
+            c[top - k + i] -= c[top] * di
+    return [x % p for x in c[:k]]
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a * b in F_p[x]/(m), on coefficient tuples constant first."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    return tuple(_rem(conv, m, p))
+
+
+def _irreducible(m: tuple[int, ...], p: int) -> bool:
+    # trial division by every monic polynomial of degree at most f/2
+    return all(
+        any(_rem([*m, 1], d, p))
+        for k in range(1, len(m) // 2 + 1)
+        for d in product(range(p), repeat=k)
+    )
+
+
 class FiniteField:
-    """F_q with q = p^f, p an odd prime, f in {1, 2}."""
+    """F_q with q = p^f, p an odd prime and f >= 1, as F_p[x]/(m).
+
+    m is the first monic irreducible of degree f, its coefficients read
+    from x^(f-1) down to the constant in lexicographic order: x at f = 1.
+    modulus holds the f coefficients below its leading 1, constant first."""
 
     def __init__(self, p: int, f: int = 1):
         if not is_prime(p) or p == 2:
             raise ValueError(f"p = {p} must be an odd prime")
-        if f not in (1, 2):
-            raise ValueError("only residue degrees 1 and 2 are supported")
+        if f < 1:
+            raise ValueError(f"residue degree f = {f} must be at least 1")
         self.p = p
         self.f = f
         self.q = p ** f
-        self.modulus = self._find_modulus() if f == 2 else None
         self._build_tables()
-
-    def _find_modulus(self) -> tuple[int, int]:
-        # x^2 + c1*x + c0, first irreducible in lexicographic order
-        p = self.p
-        for c1 in range(p):
-            for c0 in range(p):
-                if all((x * x + c1 * x + c0) % p for x in range(p)):
-                    return (c0, c1)
-        raise LLCError("no irreducible quadratic found")
-
-    def _digits(self, a: int) -> tuple[int, int]:
-        return a % self.p, a // self.p
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        p = self.p
-        if self.f == 1:
-            return (a * b) % p
-        a0, a1 = self._digits(a)
-        b0, b1 = self._digits(b)
-        c0, c1 = self.modulus
-        # (a0 + a1 x)(b0 + b1 x) mod x^2 + c1 x + c0
-        hi = a1 * b1
-        lo = a0 * b0 - hi * c0
-        mid = a0 * b1 + a1 * b0 - hi * c1
-        return (lo % p) + (mid % p) * p
 
     def _build_tables(self) -> None:
         p, q = self.p, self.q
-        if self.f == 1:
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self._neg = [(-a) % p for a in range(q)]
+        # each element's coefficient tuple, constant first, in the order of
+        # the ints: that is the modulus search order too
+        digits = [d[::-1] for d in product(range(p), repeat=self.f)]
+        index = {d: a for a, d in enumerate(digits)}
+        self.modulus = next(m for m in digits if _irreducible(m, p))
+        # digitwise addition, one more digit each round: a = low + n * top
+        self._add = [[0]]
+        for _ in range(self.f):
+            n = len(self._add)
+            self._add = [[row[bl] + n * ((at + bt) % p) for bt in range(p) for bl in range(n)]
+                         for at in range(p) for row in self._add]
+        self._neg = [row.index(0) for row in self._add]
+        # the generator is the smallest g of order q - 1, and its powers are exp
+        for g in range(2, q):
+            exp, x = [1], digits[g]
+            while x != digits[1]:
+                exp.append(index[x])
+                x = _product(x, digits[g], self.modulus, p)
+            if len(exp) == q - 1:
+                break
         else:
-            def add2(a, b):
-                a0, a1 = self._digits(a)
-                b0, b1 = self._digits(b)
-                return (a0 + b0) % p + ((a1 + b1) % p) * p
-            self._add = [[add2(a, b) for b in range(q)] for a in range(q)]
-            self._neg = [((p - a % p) % p) + ((p - a // p) % p) * p for a in range(q)]
-        self._mul = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
-        self.gen = self._find_generator()
-        self.exp = [1]
-        for _ in range(q - 2):
-            self.exp.append(self._mul[self.exp[-1]][self.gen])
+            raise LLCError("no generator found")
+        self.gen, self.exp = g, exp
         self._dlog = [None] * q
         for i, x in enumerate(self.exp):
             self._dlog[x] = i
-        self._inv = [None] * q
-        for x in range(1, q):
-            self._inv[x] = self.exp[(q - 1 - self._dlog[x]) % (q - 1)]
-        # absolute trace to F_p: Tr(x) = x + x^p for f = 2
-        if self.f == 1:
-            self._trace = list(range(q))
-        else:
-            self._trace = [self._add[x][self.pow(x, p)] % p for x in range(q)]
-
-    def _find_generator(self) -> int:
-        q = self.q
-        for g in range(2, q):
-            x, order = g, 1
-            while x != 1:
-                x = self._mul[x][g]
-                order += 1
-            if order == q - 1:
-                return g
-        raise LLCError("no generator found")
+        log, exp2 = self._dlog, self.exp * 2
+        self._mul = [[0] * q] + [[0] + [exp2[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)]
+        self._inv = [None] + [self.exp[-log[a] % (q - 1)] for a in range(1, q)]
+        # absolute trace to F_p: Tr(x) = x + x^p + ... + x^(p^(f-1))
+        self._trace = [reduce(self.add, (self.pow(a, p ** i) for i in range(self.f))) for a in range(q)]
 
     # element operations -------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -162,11 +165,6 @@ class FiniteField:
 
 
 @lru_cache(maxsize=None)
-def finite_field(p: int, f: int = 1) -> FiniteField:
-    return FiniteField(p, f)
-
-
-@lru_cache(maxsize=None)
 def odd_prime_power(q: int) -> tuple[int, int]:
     """(p, f) with q = p^f for an odd prime p, for any f >= 1."""
     for p in range(3, q + 1, 2):
@@ -176,7 +174,7 @@ def odd_prime_power(q: int) -> tuple[int, int]:
             while m % p == 0 and m > 1:
                 m //= p
                 f += 1
-            if m == 1 and f >= 1:
+            if m == 1:
                 return p, f
     raise ValueError(f"q = {q} is not an odd prime power")
 
@@ -184,4 +182,4 @@ def odd_prime_power(q: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def field_of_size(q: int) -> FiniteField:
     """F_q from its size, factoring q as an odd prime power."""
-    return finite_field(*odd_prime_power(q))
+    return FiniteField(*odd_prime_power(q))

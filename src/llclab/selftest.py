@@ -131,6 +131,11 @@ def _report(num: int, name: str, checked: int, failures: list, t0: float, **extr
     return out
 
 
+def _whole_ms(phases: dict) -> dict:
+    # whole milliseconds, rounded down, so they sum to at most seconds
+    return {name: math.floor(v * 1000) / 1000 for name, v in phases.items()}
+
+
 # ----- 1: Gauss sums against the closed value ----------------------------
 
 
@@ -211,11 +216,17 @@ ZETA_TWISTS = ((0, 0), (1, 0), (0, 1))
 def criterion_zeta_collapse(scale: str | None = None) -> dict:
     """Principal integral == q^-1 at working depths 2 and 3, and dual
     integral == zeta * lam(pi) * q^(-1/2) q^(-s) at depth 2; the dual's
-    depth 3 is compared inside _dual_row's stable-row check."""
+    depth 3 is compared inside _dual_row's stable-row check.
+
+    phases splits the time between the zeta_psi calls (principal) and the
+    zeta_psi_tilde calls (dual), the table builds each call triggers
+    included."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
     cells = gauss_cells(scale)
     checked, failures = 0, []
+    phases = dict.fromkeys(("principal", "dual"), 0.0)
+    clock = time.perf_counter
     for q, n in cells:
         F = LocalField.base_field(q)
         principal = EpsMonomial(q, LambdaGraded.one(), Fraction(-1), 0)
@@ -230,18 +241,23 @@ def criterion_zeta_collapse(scale: str | None = None) -> dict:
                         dual = EpsMonomial(q, unit, Fraction(-1, 2), -1)
                         checked += 1
                         bad = []
+                        t = clock()
                         if zeta_psi(d, lam) != principal:
                             bad.append("principal depth 2")
                         if zeta_psi(d, lam, m=3) != principal:
                             bad.append("principal depth 3")
+                        t1 = clock()
                         if zeta_psi_tilde(d, lam) != dual:
                             bad.append("dual")
+                        phases["principal"] += t1 - t
+                        phases["dual"] += clock() - t1
                         if bad:
                             entry = _datum_key(d)
                             entry["twist"] = [e, b]
                             entry["parts"] = bad
                             failures.append(entry)
-    return _report(3, "zeta integral collapse", checked, failures, t0, cells=cells)
+    return _report(3, "zeta integral collapse", checked, failures, t0, cells=cells,
+                   phases=_whole_ms(phases))
 
 
 # ----- 4: the two epsilon computations agree -----------------------------
@@ -428,8 +444,7 @@ def criterion_stability(scale: str | None = None) -> dict:
         nonbarycenter_points=points_checked,
         functionals=functionals_checked,
         guarded_quotients=guarded,
-        # whole milliseconds, rounded down, so they sum to at most seconds
-        phases={name: math.floor(v * 1000) / 1000 for name, v in phases.items()},
+        phases=_whole_ms(phases),
     )
 
 
@@ -503,8 +518,7 @@ def criterion_pairs(scale: str | None = None) -> dict:
         cells=list(cells),
         steps=steps,
         conjugation_runs=k_runs,
-        # whole milliseconds, rounded down, so they sum to at most seconds
-        phases={name: math.floor(v * 1000) / 1000 for name, v in phases.items()},
+        phases=_whole_ms(phases),
     )
 
 
@@ -702,8 +716,7 @@ def criterion_oracles(scale: str | None = None) -> dict:
         checked,
         failures,
         t0,
-        # whole milliseconds, rounded down, so they sum to at most seconds
-        phases={name: math.floor(v * 1000) / 1000 for name, v in phases.items()},
+        phases=_whole_ms(phases),
     )
 
 

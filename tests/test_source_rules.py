@@ -584,3 +584,40 @@ def test_reachability_rule_flags_an_orphan(tmp_path):
     (other / "perfbench").mkdir()
     (other / "perfbench" / "bench.py").write_text("import pkg as L\n\nL.Mono.central().twice()\n")
     assert _unreached(pkg) == ["a.central"]
+
+
+def _degree_comparisons(tree) -> list[str]:
+    """Every comparison of the residue degree, f or self.f, with a
+    literal or a tuple, list or set of literals."""
+
+    def is_degree(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "f") or (
+            isinstance(node, ast.Attribute) and node.attr == "f"
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        )
+
+    def is_literal(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return all(isinstance(e, ast.Constant) for e in node.elts)
+        return isinstance(node, ast.Constant)
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_degree, operands)) and any(map(is_literal, operands)):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_residue_field_does_not_branch_on_its_degree():
+    # one polynomial-basis construction serves every residue degree: the
+    # only comparison of f with a literal is the rejection of f < 1
+    tree = ast.parse((SRC / "finitefield.py").read_text())
+    assert _degree_comparisons(tree) == ["f < 1"]
+    # the rule sees a degree branch and a degree whitelist
+    bad = ast.parse(
+        "if f not in (1, 2):\n    raise ValueError\n"
+        "class K:\n    def m(self):\n        return 1 if self.f == 1 else 2\n"
+    )
+    assert _degree_comparisons(bad) == ["f not in (1, 2)", "self.f == 1"]
