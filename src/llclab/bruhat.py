@@ -246,7 +246,7 @@ class WhittakerInvariant(namedtuple("WhittakerInvariant", "mono residue corner")
         and g is eliminated once more as given, unless the cut left g as
         it was.
         """
-        rows = _triples(g, None)
+        rows = _triples(g)
         cut = _window(rows)
         if cut != rows:
             try:
@@ -284,22 +284,20 @@ class WhittakerInvariant(namedtuple("WhittakerInvariant", "mono residue corner")
         return {"class": self.mono.to_json(), "residue": self.residue, "corner": self.corner}
 
 
-def decompose(g: MatG, prec: int | None = None) -> tuple[MatG, MonomialClass, MatG]:
+def decompose(g: MatG) -> tuple[MatG, MonomialClass, MatG]:
     """Factor g = u * M * k; raises when the precision cannot support it.
+    A caller that wants g cut at t^prec decomposes g.truncate(prec).
 
     u comes back exactly unipotent upper triangular, k verified inside
     the pro-unipotent Iwahori at the precision the entries carry.
     """
-    u_rows, mono, k_rows = _eliminate(g.field, _triples(g, prec))
+    u_rows, mono, k_rows = _eliminate(g.field, _triples(g))
     return wrap_matrix(g.field, u_rows), mono, wrap_matrix(g.field, k_rows)
 
 
-def _triples(g: MatG, prec: int | None) -> list:
-    """The rows of g as (val, coeffs, prec) triples, cut at t^prec if given."""
-    rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in g.rows]
-    if prec is None:
-        return rows
-    return [[truncate_t(x, prec) for x in row] for row in rows]
+def _triples(g: MatG) -> list:
+    """The rows of g as (val, coeffs, prec) triples."""
+    return [[(e.val, e.coeffs, e.prec) for e in row] for row in g.rows]
 
 
 def _window(rows: list) -> list:

@@ -291,23 +291,20 @@ def graded_quotient(x: ApartmentPoint) -> GradedQuotient:
     return GradedQuotient(x, sizes, arrows, tuple(gaps))
 
 
+def compositions(n: int):
+    """Every composition of n >= 1, once each: bit i of the mask cuts after
+    the (i+1)-th unit, masks in increasing order."""
+    for mask in range(1 << (n - 1)):
+        cuts = [i + 1 for i in range(n - 1) if mask >> i & 1]
+        yield tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+
+
 def enumerate_facets(n: int) -> list[FacetSpec]:
     """All nonempty facets of the closed alcove: every composition with
     t = 0, every composition into at least two parts with t = 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    comps = []
-    for mask in range(1 << (n - 1)):
-        parts = []
-        run = 1
-        for i in range(n - 1):
-            if mask & (1 << i):
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        comps.append(tuple(parts))
+    comps = list(compositions(n))
     out = [FacetSpec(0, c) for c in comps]
     out.extend(FacetSpec(1, c) for c in comps if len(c) > 1)
     return out

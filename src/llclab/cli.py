@@ -231,7 +231,7 @@ def cmd_bruhat(args: argparse.Namespace) -> int:
     F = LocalField.base_field(args.q)
     data = json.loads(args.matrix)
     g = MatG(F, [[_matrix_entry(F, e) for e in row] for row in data])
-    u, mono, k = decompose(g, args.prec)
+    u, mono, k = decompose(g if args.prec is None else g.truncate(args.prec))
     payload = {
         "q": args.q,
         "unipotent": u.to_json(),

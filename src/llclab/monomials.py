@@ -188,9 +188,11 @@ def _half_power(q: int) -> int | None:
     return root if root * root == q else None
 
 
+@lru_cache(maxsize=None)
 def _normal_q_power(q: int, unit: LambdaGraded, twice: int) -> tuple[LambdaGraded, int]:
     """unit * q^(twice/2) rewritten in EpsMonomial's normal form, the
-    exponent kept as the integer twice/2 doubled."""
+    exponent kept as the integer twice/2 doubled; memoised, as units are
+    interned and hash by identity."""
     p, f = odd_prime_power(q)
     num, den = unit.rational.numerator, unit.rational.denominator
     half = _half_power(q)

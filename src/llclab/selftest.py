@@ -21,15 +21,16 @@ import time
 from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 from .bruhat import MonomialClass, decompose
 from .building import (
+    ApartmentPoint,
+    compositions,
     enumerate_facets,
     facet_of,
     graded_quotient,
     is_barycenter,
-    sample_alcove_points,
 )
 from .characters import AdditiveCharPsi, TameChar
 from .cyclotomic import CycloNumber, RootOfUnity
@@ -42,11 +43,10 @@ from .matrices import MatG
 from .monomials import EpsMonomial, LambdaGraded, interned_counts
 from .pairs import PairConfig, cached_k_words, k_special_check, mirabolic_agreement
 from .stability import (
-    BRUTE_FORCE_GUARD,
     StableExists,
-    contracts_functional,
+    _mmul,
+    _rank_profile,
     destabilizing_cocharacter,
-    enumerate_functionals,
     root_count_dims,
     stability_certificate,
     verify_certificate,
@@ -367,85 +367,88 @@ def _census_failure(f) -> str | None:
     return None
 
 
+def _quotient_types(n: int):
+    """(sizes, arrows, point) for every graded-quotient type of GL_n: class
+    sizes a composition of n, a nonempty set of present cyclic arrows, and
+    j = 1..sizes[0] of the first class at x_1, the rest at x_1 - 1 across
+    the wrap-around wall; spacing 1 after a present arrow, 2 after a
+    missing one."""
+    for sizes in compositions(n):
+        K = len(sizes)
+        for mask in range(1, 1 << K):
+            arrows = tuple((a, (a + 1) % K) for a in range(K) if mask >> a & 1)
+            gaps = [1 if mask >> a & 1 else 2 for a in range(K)]
+            middle = [-sum(gaps[:a]) for a in range(1, K) for _ in range(sizes[a])]
+            D = sum(gaps)
+            for j in range(1, sizes[0] + 1):
+                nums = [0] * j + middle + [-D] * (sizes[0] - j)
+                yield sizes, arrows, ApartmentPoint._of_ints(nums, D)
+
+
+def _cycle_is_nilpotent(gq) -> bool:
+    """Whether E_00 on every arrow of an all-arrows quotient has a nilpotent
+    cycle product over F_3.  A product that is not nilpotent has a nonzero
+    invariant, so no cocharacter contracts that functional."""
+    ff = field_of_size(3)
+    shapes = map(gq.arrow_shape, gq.arrows)
+    e00 = [tuple(tuple(int(i == j == 0) for j in range(c)) for i in range(r)) for r, c in shapes]
+    return _rank_profile(ff, reduce(partial(_mmul, ff), e00))[-1] == 0
+
+
 def criterion_stability(scale: str | None = None) -> dict:
-    """Facet census, dimension formulas against direct root counting,
-    certificates at every barycenter, and destabilizing cocharacters at
-    sampled nonbarycenter points contracting every functional."""
+    """Every graded-quotient type for n = 2..8 (2..4 at small scale), at
+    each split of its first class: graded_quotient gives the type back,
+    is_barycenter holds exactly when every arrow is present, and a point
+    missing an arrow has a destabilizing cocharacter that verifies.  An
+    all-arrows point is a facet barycenter: its facet passes the census,
+    its certificate verifies, and E_00 on every arrow witnesses that no
+    cocharacter contracts it.  The facets reached are enumerate_facets(n)."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
     ns = range(2, 9) if scale == "full" else range(2, 5)
-    samples = 12 if scale == "full" else 5
-    checked, points_checked, functionals_checked, guarded, failures = 0, 0, 0, 0, []
-    # seconds spent on facets, barycenters and dimension counts, on
-    # building and verifying certificates, and on the brute-force
-    # contraction of every functional
-    phases = dict.fromkeys(("census", "certificates", "contraction"), 0.0)
+    checked, points_checked, failures = 0, 0, []
+    # seconds spent on all-arrows points, their facet census included, and
+    # on points with a missing arrow
+    phases = dict.fromkeys(("barycenters", "nonbarycenters"), 0.0)
     clock = time.perf_counter
     for n in ns:
-        t = clock()
-        facets = enumerate_facets(n)
-        if len(facets) != 2**n - 1 or len(set(facets)) != len(facets):
-            failures.append({"n": n, "facet_count": len(facets)})
-        phases["census"] += clock() - t
-        for f in facets:
-            checked += 1
-            label = {"n": n, "facet": repr(f)}
+        reached = []
+        for sizes, arrows, x in _quotient_types(n):
             t = clock()
-            reason = _census_failure(f)
-            phases["census"] += clock() - t
-            if reason is not None:
-                label["reason"] = reason
-                failures.append(label)
-                continue
-            t = clock()
+            full = len(arrows) == len(sizes)
+            checked += full
+            points_checked += not full
             try:
-                cert = stability_certificate(f, 3)
-                if isinstance(cert, StableExists) != f.is_alcove():
-                    raise ValueError("stable certificate on the wrong facet kind")
-                if not verify_certificate(cert):
-                    raise ValueError("certificate failed verification")
-            except Exception as exc:
-                label["reason"] = repr(exc)
-                failures.append(label)
-            phases["certificates"] += clock() - t
-        for x in sample_alcove_points(n, samples):
-            if is_barycenter(x):
-                continue
-            points_checked += 1
-            label = {"n": n, "point": repr(x)}
-            t = clock()
-            try:
-                cert = destabilizing_cocharacter(x)
-                if not verify_certificate(cert):
-                    raise ValueError("cocharacter certificate failed verification")
-                phases["certificates"] += clock() - t
-                t = clock()
-                # brute contraction only at guarded sizes; the certificate
-                # check above is unconditional
+                if full:
+                    f = facet_of(x)
+                    reached.append(f)
                 gq = graded_quotient(x)
-                if 3**gq.dim_v > BRUTE_FORCE_GUARD:
-                    guarded += 1
+                if (gq.sizes, gq.arrows) != (sizes, arrows):
+                    raise ValueError(f"wrong type {gq!r}")
+                if is_barycenter(x) != full:
+                    raise ValueError("is_barycenter disagrees with the arrows")
+                # verify_certificate raises LLCError unless it accepts
+                if not full:
+                    verify_certificate(destabilizing_cocharacter(x))
+                elif (reason := _census_failure(f)) is not None:
+                    raise ValueError(reason)
                 else:
-                    for lam in enumerate_functionals(gq, 3):
-                        if not contracts_functional(cert, lam):
-                            raise ValueError(f"functional not contracted: {lam!r}")
-                        functionals_checked += 1
-                phases["contraction"] += clock() - t
+                    cert = stability_certificate(f, 3)
+                    if isinstance(cert, StableExists) != f.is_alcove():
+                        raise ValueError("stable certificate on the wrong facet kind")
+                    verify_certificate(cert)
+                    if _cycle_is_nilpotent(gq):
+                        raise ValueError("cycle product of E_00 is nilpotent")
             except Exception as exc:
-                label["reason"] = repr(exc)
-                failures.append(label)
-    return _report(
-        6,
-        "facets and stability",
-        checked,
-        failures,
-        t0,
-        degrees=list(ns),
-        nonbarycenter_points=points_checked,
-        functionals=functionals_checked,
-        guarded_quotients=guarded,
-        phases=_whole_ms(phases),
-    )
+                # the point as llclab facet --point reads it
+                failures.append({"n": n, "point": ",".join(map(str, x.coords)), "reason": repr(exc)})
+            phases["barycenters" if full else "nonbarycenters"] += clock() - t
+        facets = enumerate_facets(n)
+        distinct = set(reached)
+        if not len(distinct) == len(reached) == len(facets) == 2**n - 1 or distinct != set(facets):
+            failures.append({"n": n, "reason": f"reached {len(reached)} of {len(facets)} facets"})
+    return _report(6, "facets and stability", checked, failures, t0, degrees=list(ns),
+                   nonbarycenter_points=points_checked, phases=_whole_ms(phases))
 
 
 # ----- 7: equal-central-character pairs ----------------------------------

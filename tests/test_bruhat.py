@@ -277,7 +277,7 @@ def test_decompose_with_finite_precision():
     m0 = random_monomial(rng, F, n)
     k0 = random_iplus(rng, F, n)
     g = u0 * m0.as_matrix() * k0
-    u, mono, k = decompose(g, prec=9)
+    u, mono, k = decompose(g.truncate(9))
     assert mono == m0
     assert (u * mono.as_matrix() * k).agrees(g.truncate(9))
 
@@ -311,10 +311,10 @@ def test_decompose_row_zero_only_at_precision_is_undecidable(n):
                 entries[i] = F.elem(k, (1,))
                 g = diagonal(F, entries)
                 with pytest.raises(InsufficientPrecision):
-                    decompose(g, prec)
+                    decompose(g.truncate(prec))
                 with pytest.raises(InsufficientPrecision):
                     d.whittaker_root(g.truncate(prec))
-                assert decompose(g, k + 1)[1] == MonomialClass(
+                assert decompose(g.truncate(k + 1))[1] == MonomialClass(
                     F, range(n), [k if j == i else 0 for j in range(n)], [1] * n
                 )
 
@@ -517,16 +517,18 @@ def _series_decompose(g, prec=None):
 
 
 def _assert_matches_series(g, prec=None):
-    """decompose(g, prec) is == to the series elimination, entry
-    precisions included, or raises the same exception type."""
+    """decompose of g cut at t^prec, if given, is == to the series
+    elimination, entry precisions included, or raises the same exception
+    type."""
+    cut = g if prec is None else g.truncate(prec)
     try:
         want = _series_decompose(g, prec)
     except LLCError as exc:
         with pytest.raises(LLCError) as got:
-            decompose(g, prec)
+            decompose(cut)
         assert type(got.value) is type(exc)
         return False
-    got = decompose(g, prec)
+    got = decompose(cut)
     assert got == want
     assert all(
         a.prec == b.prec
@@ -774,7 +776,7 @@ def test_elimination_matches_all_products_on_points_and_cuts():
         for _ in range(12):
             for g in (_planted_point(rng, F, n), _dense_point(rng, F, n)):
                 for prec in (None, 0, 1, 2, 3):
-                    rows = bruhat._triples(g, prec)
+                    rows = bruhat._triples(g if prec is None else g.truncate(prec))
                     outcomes.append(_eliminates_as_all_products(F, rows))
                     outcomes.append(_eliminates_as_all_products(F, bruhat._window(rows)))
     assert outcomes.count(None) > len(outcomes) // 2
@@ -797,7 +799,7 @@ def test_elimination_matches_all_products_on_raising_inputs():
                     entries = [one] * n
                     entries[i] = F.elem(k, (1,))
                     cases.append(diagonal(F, entries).truncate(prec))
-    errors = [_eliminates_as_all_products(F, bruhat._triples(g, None)) for g in cases]
+    errors = [_eliminates_as_all_products(F, bruhat._triples(g)) for g in cases]
     # a cancellation leaves an O(t) alone in the last row of the fourth;
     # every cut diagonal has a pivot its precision cannot see
     assert errors == [InsufficientPrecision, ZeroInput, ZeroInput] + [InsufficientPrecision] * 31
@@ -811,7 +813,7 @@ def test_elimination_matches_all_products_on_walk_and_mirabolic_matrices():
         for step in range(300):
             walk.random_step()
             if step % 15 == 0:
-                assert _eliminates_as_all_products(F, bruhat._triples(walk.forward_matrix(), None)) is None
+                assert _eliminates_as_all_products(F, bruhat._triples(walk.forward_matrix())) is None
                 runs += 1
         rng = random.Random(q * n + 1)
         m = n - 1
@@ -826,7 +828,7 @@ def test_elimination_matches_all_products_on_walk_and_mirabolic_matrices():
                 for _ in range(m)
             ])
             for g in (point, pairs._embed(F, block)):
-                for rows in (bruhat._triples(g, None), bruhat._window(bruhat._triples(g, None))):
+                for rows in (bruhat._triples(g), bruhat._window(bruhat._triples(g))):
                     _eliminates_as_all_products(F, rows)
                     runs += 1
     assert runs == 3 * 20 + 3 * 10 * 4
@@ -849,7 +851,7 @@ def test_decompose_skips_the_products_that_cancel(monkeypatch):
     decompose(g)
     got = calls[0]
     calls[0] = 0
-    _all_products_eliminate(F, bruhat._triples(g, None))
+    _all_products_eliminate(F, bruhat._triples(g))
     assert (got, calls[0]) == (42, 54)
 
 
@@ -882,13 +884,13 @@ def _count_eliminations(monkeypatch):
 
 def _read_as_decompose(calls, g, prec=None):
     """WhittakerInvariant.read of g cut at t^prec, if given, is the
-    invariant of decompose(g, prec), or raises the same exception type;
+    invariant of decompose of that cut, or raises the same exception type;
     the number of eliminations the read ran, 1 or 2."""
+    cut = g if prec is None else g.truncate(prec)
     try:
-        want = WhittakerInvariant.of(*decompose(g, prec))
+        want = WhittakerInvariant.of(*decompose(cut))
     except LLCError as exc:
         want = exc
-    cut = g if prec is None else g.truncate(prec)
     before = len(calls)
     if isinstance(want, LLCError):
         with pytest.raises(LLCError) as got:
@@ -920,7 +922,7 @@ def test_read_is_decompose_on_whittaker_points(monkeypatch):
                     if _read_as_decompose(calls, g, p) == 2:
                         retried.append((q, n, kind, i, p))
                 try:
-                    want = WhittakerInvariant.of(*decompose(g, prec)).solve(d.pi_unit)
+                    want = WhittakerInvariant.of(*decompose(g.truncate(prec))).solve(d.pi_unit)
                 except InsufficientPrecision:
                     with pytest.raises(InsufficientPrecision):
                         d.whittaker_root(g.truncate(prec))
@@ -984,7 +986,7 @@ def test_read_raises_as_decompose(monkeypatch):
                     cases.append((diagonal(F, entries), prec, InsufficientPrecision, runs))
     for g, prec, exc, runs in cases:
         with pytest.raises(exc):
-            decompose(g, prec)
+            decompose(g if prec is None else g.truncate(prec))
         assert _read_as_decompose(calls, g, prec) == runs
 
 

@@ -13,6 +13,7 @@ from llclab import building
 from llclab.building import (
     ApartmentPoint,
     FacetSpec,
+    compositions,
     enumerate_facets,
     facet_of,
     graded_quotient,
@@ -244,6 +245,44 @@ def test_enumerate_facets_small():
         assert len(enumerate_facets(n)) == 2**n - 1
         assert len(set(enumerate_facets(n))) == 2**n - 1
         assert not any(f.is_empty() for f in enumerate_facets(n))
+
+
+def test_compositions_yield_each_composition_once():
+    for n in range(1, 11):
+        comps = list(compositions(n))
+        # a composition is the gaps between the cuts, a subset of 1..n-1
+        want = {
+            tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+            for k in range(n)
+            for cuts in itertools.combinations(range(1, n), k)
+        }
+        assert len(comps) == len(set(comps)) == 2 ** (n - 1)
+        assert set(comps) == want
+
+
+def _inline_enumerate_facets(n):
+    """enumerate_facets as it was written before it shared compositions."""
+    comps = []
+    for mask in range(1 << (n - 1)):
+        parts = []
+        run = 1
+        for i in range(n - 1):
+            if mask & (1 << i):
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        parts.append(run)
+        comps.append(tuple(parts))
+    out = [FacetSpec(0, c) for c in comps]
+    out.extend(FacetSpec(1, c) for c in comps if len(c) > 1)
+    return out
+
+
+def test_enumerate_facets_keeps_its_order():
+    # llclab facet --list and the building census read this order
+    for n in range(1, 11):
+        assert enumerate_facets(n) == _inline_enumerate_facets(n)
 
 
 def test_facet_round_trip():

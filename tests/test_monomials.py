@@ -9,7 +9,7 @@ import pytest
 from llclab.cyclotomic import CycloNumber, RootOfUnity, match_root
 from llclab.errors import LLCError
 from llclab.finitefield import odd_prime_power
-from llclab.monomials import _UNITS, EpsMonomial, LambdaGraded, _half_power, _unit
+from llclab.monomials import _UNITS, EpsMonomial, LambdaGraded, _half_power, _normal_q_power, _unit
 
 
 # Oracle: the per-point integrals of test_zeta.py sum into a polynomial in
@@ -250,6 +250,19 @@ def test_eps_monomial_int_exponent_matches_fraction_oracle(q):
         assert _agrees_with_oracle(a / b, oa / ob)
         assert _agrees_with_oracle(a.scale(b.unit), oa.scale(ob.unit))
         assert _agrees_with_oracle(a.scale(Fraction(p, 4)), oa.scale(Fraction(p, 4)))
+
+
+def test_normal_q_power_memo_reads_what_it_computes():
+    # the memo is keyed by (q, unit, twice); units are interned, so a key
+    # hashes by identity, and a second read returns the first result
+    for q in (3, 9, 25):
+        p = odd_prime_power(q)[0]
+        for r in (1, p, q * p, Fraction(1, p), Fraction(2, q)):
+            unit = LambdaGraded(1, RootOfUnity(1, 4), r)
+            for twice in range(-3, 4):
+                got = _normal_q_power(q, unit, twice)
+                assert got == _normal_q_power.__wrapped__(q, unit, twice)
+                assert _normal_q_power(q, unit, twice) is got
 
 
 def test_eps_monomial_mul_div():

@@ -257,9 +257,9 @@ def test_building_kernels_take_no_fraction_modulus():
     assert found == []
 
 
-def _fraction_builders(tree) -> list[tuple[str, int]]:
-    """(qualified name of the enclosing function, line) of each Fraction(...)
-    call in a module tree."""
+def _builders(tree, callee: str = "Fraction") -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each call to
+    callee, such as Fraction(...) or random.Random(...), in a module tree."""
     found = []
 
     def visit(node, scope):
@@ -267,7 +267,7 @@ def _fraction_builders(tree) -> list[tuple[str, int]]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call) and _callee(child) == "Fraction":
+            if isinstance(child, ast.Call) and _callee(child) == callee:
                 found.append((".".join(scope), child.lineno))
             visit(child, scope)
 
@@ -287,9 +287,46 @@ def test_building_builds_fractions_only_in_read_outs():
         "GradedQuotient.spacings",
         "FacetSpec.dim_gap",
     }
-    found = _fraction_builders(ast.parse((SRC / "building.py").read_text()))
+    found = _builders(ast.parse((SRC / "building.py").read_text()))
     assert "ApartmentPoint.coords" in {scope for scope, _ in found}
     assert [f"building.py:{line} in {scope}" for scope, line in found if scope not in read_outs] == []
+
+
+# the library functions that construct a random.Random; each enumeration
+# that replaces a seeded sample takes its function off, and none may join
+SEEDED = {
+    "building.sample_alcove_points",
+    "pairs.KWalk.__init__",
+    "pairs.mirabolic_table",
+    "pairs.support_check",
+    "selftest.criterion_oracles",
+    "zeta._dual_points",
+}
+
+
+def test_seeded_draws_only_shrink():
+    found = {
+        f"{path.stem}.{scope}"
+        for path in SRC.glob("*.py")
+        for scope, _ in _builders(ast.parse(path.read_text()), "Random")
+    }
+    assert found <= SEEDED
+    # the rule sees a seeded draw inside a method
+    bad = ast.parse("class W:\n    def __init__(self):\n        self.rng = random.Random(1)\n")
+    assert _builders(bad, "Random") == [("W.__init__", 3)]
+    # criterion 6 enumerates every graded-quotient type: it draws no point
+    # and contracts no functional by brute force
+    tree = ast.parse((SRC / "selftest.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    gone = {"sample_alcove_points", "contracts_functional", "enumerate_functionals", "BRUTE_FORCE_GUARD"}
+    assert names & gone == set()
 
 
 def _scope_calls(path: Path) -> dict[str, set[str]]:
@@ -423,6 +460,7 @@ def test_single_value_options_stay_constants():
         laurent.LaurentElem.inverse: {"rel_prec"},
         laurent.inverse_t: {"rel_prec"},
         bruhat.WhittakerInvariant.read: {"prec"},
+        bruhat.decompose: {"prec"},
         supercuspidal.SSCDatum.whittaker_root: {"prec"},
         matching.EpsilonTable.of_datum: {"at_t_nums", "exponents"},
     }

@@ -15,7 +15,9 @@ from llclab.building import (
     ApartmentPoint,
     FacetSpec,
     enumerate_facets,
+    facet_of,
     graded_quotient,
+    is_barycenter,
     sample_alcove_points,
 )
 from llclab.errors import EmptyFacet, LLCError, NotNonBarycenter, SizeGuardExceeded
@@ -623,9 +625,46 @@ def test_left_out_arrows_read_as_zero():
 def test_stability_criterion_reports_phases():
     rep = selftest.criterion_stability("small")
     assert rep["ok"]
+    # one all-arrows point per facet, and every type with a missing arrow
+    assert (rep["checked"], rep["nonbarycenter_points"]) == (25, 64)
     phases = rep["phases"]
-    assert set(phases) == {"census", "certificates", "contraction"}
+    assert set(phases) == {"barycenters", "nonbarycenters"}
     assert all(v >= 0 for v in phases.values())
     # whole milliseconds rounded down; the tolerance is float summation's
     assert sum(phases.values()) <= rep["seconds"] + 1e-9
     json.dumps(rep)
+
+
+def test_quotient_types_cover_every_type_once():
+    # 2 * 3^(n-1) - 2^n types with a missing arrow, each at sizes[0]
+    # points, one per split of the first class; the all-arrows points are
+    # the barycenters of the 2^n - 1 facets, each once
+    nonbary = []
+    for n in range(2, 9):
+        points = list(selftest._quotient_types(n))
+        types = {(sizes, arrows) for sizes, arrows, _ in points}
+        full = [facet_of(x) for sizes, arrows, x in points if len(arrows) == len(sizes)]
+        nonbary.append(len(points) - len(full))
+        assert len(types) == 2 * 3 ** (n - 1) - 2**n + 2 ** (n - 1)
+        assert len({x for _, _, x in points}) == len(points)
+        assert len(full) == len(set(full)) == 2**n - 1 and set(full) == set(enumerate_facets(n))
+    assert nonbary == [2, 12, 50, 180, 602, 1932, 6050]
+
+
+def test_stability_criterion_replays_its_failures(monkeypatch):
+    # an is_barycenter that ignores the wrap-around wall misses exactly the
+    # barycenters of facets with t = 1, which only a first class split
+    # across that wall reaches; each failure names its point as llclab
+    # facet --point reads it
+    def no_wall(x):
+        k = facet_of(x).k
+        return all(k * (a - b) == x.den for a, b in zip(x.nums, x.nums[1:]) if a != b)
+
+    monkeypatch.setattr(selftest, "is_barycenter", no_wall)
+    rep = selftest.criterion_stability("small")
+    assert rep["failure_count"] == sum(2 ** (n - 1) - 1 for n in (2, 3, 4))
+    for rec in rep["failures"]:
+        assert set(rec) == {"n", "point", "reason"}
+        x = ApartmentPoint.parse(rec["point"])
+        assert x.n == rec["n"] and facet_of(x).t == 1 and is_barycenter(x)
+        assert "is_barycenter" in rec["reason"]
