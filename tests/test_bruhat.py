@@ -42,6 +42,24 @@ def upper_unipotent(F, n, above):
     return MatG(F, [[above.get((i, j), one if i == j else zero) for j in range(n)] for i in range(n)])
 
 
+def polar_block(F, m, polar, k_res):
+    """A GL_{n-1} block of the mirabolic enumeration: the identity with the
+    t^-1 digit polar[i, j] at each slot (i, j) and the residues k_res added
+    on the superdiagonal."""
+    above = {slot: F.elem(-1, (c,)) for slot, c in polar.items()}
+    for i, c in enumerate(k_res):
+        above[(i, i + 1)] = above.get((i, i + 1), F.zero()) + F.scalar(c)
+    return upper_unipotent(F, m, above)
+
+
+def mirabolic_point(F, n, polar, k_res, x_last):
+    """A point of the mirabolic enumeration: the embedded polar block
+    times the unipotent with x_last just above the corner."""
+    m = n - 1
+    column = upper_unipotent(F, n, {(m - 1, m): x_last})
+    return pairs._embed(F, polar_block(F, m, polar, k_res)) * column
+
+
 def random_unipotent(rng, F, n):
     q = F.residue.q
     above = {}
@@ -606,8 +624,8 @@ def test_decompose_matches_series_oracle_on_table_matrices():
             assert _assert_matches_series(pairs._embed(F, block))
             polar = {(i, j): rng.randrange(q) for i in range(n - 1) for j in range(i)}
             k_res = [rng.randrange(q) for _ in range(n - 2)]
-            polar_block = pairs._polar_block(F, n - 1, polar, k_res)
-            assert _assert_matches_series(pairs._embed(F, polar_block))
+            block = polar_block(F, n - 1, polar, k_res)
+            assert _assert_matches_series(pairs._embed(F, block))
 
 
 def test_decompose_raises_as_the_series_oracle():
@@ -820,9 +838,7 @@ def test_elimination_matches_all_products_on_walk_and_mirabolic_matrices():
         for _ in range(10):
             polar = {(i, j): rng.randrange(q) for i in range(m) for j in range(i + 1, m)}
             k_res = [rng.randrange(q) for _ in range(m - 1)]
-            xs = [F.zero()] * (m - 1) + [F.elem(-1, [rng.randrange(q) for _ in range(2)])]
-            point = pairs._embed(F, pairs._polar_block(F, m, polar, k_res))
-            point = point * pairs._column_unipotent(F, n, xs)
+            point = mirabolic_point(F, n, polar, k_res, F.elem(-1, [rng.randrange(q) for _ in range(2)]))
             block = MatG(F, [
                 [F.elem(-1, [rng.randrange(q) for _ in range(pairs.PRECISION + 1)]) for _ in range(m)]
                 for _ in range(m)
@@ -954,7 +970,7 @@ def test_read_is_decompose_on_walk_and_table_matrices(monkeypatch):
         for _ in range(10):
             polar = {(i, j): rng.randrange(q) for i in range(n - 1) for j in range(i + 1, n - 1)}
             k_res = [rng.randrange(q) for _ in range(n - 2)]
-            block = pairs._polar_block(F, n - 1, polar, k_res)
+            block = polar_block(F, n - 1, polar, k_res)
             runs.append(_read_as_decompose(calls, pairs._embed(F, block)))
             runs.append(_read_as_decompose(calls, pairs._embed(F, _dense_point(rng, F, n - 1))))
     assert len(runs) == 3 * 20 + 2 * 5 * (2 + 4 + 4) + 3 * 20 and set(runs) == {1}
@@ -988,6 +1004,78 @@ def test_read_raises_as_decompose(monkeypatch):
         with pytest.raises(exc):
             decompose(g if prec is None else g.truncate(prec))
         assert _read_as_decompose(calls, g, prec) == runs
+
+
+def _deep_slots(n):
+    """The least t-adic depth of each entry of I++ off 1: t^1 on the
+    diagonal, the superdiagonal and below it, t^2 at the corner (n-1, 0),
+    t^0 elsewhere above.  Its upper entries are also those of the
+    unipotents with zero superdiagonal residues."""
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            out[(i, j)] = 0 if j > i + 1 else 1
+    out[(n - 1, 0)] = 2
+    return out
+
+
+def _elementary(F, n, i, j, x):
+    """The identity with x added at (i, j)."""
+    rows = [[F.one() if a == b else F.zero() for b in range(n)] for a in range(n)]
+    rows[i][j] = rows[i][j] + x
+    return MatG(F, rows)
+
+
+@pytest.mark.parametrize("q,n", selftest.PAIR_CELLS)
+def test_read_is_invariant_under_deep_generators(q, n):
+    # W(u g k) = psi(u) W(g) for k in I++, and psi(u) = 1 for u upper
+    # unipotent with zero superdiagonal residues; so on one U point per
+    # residue, every elementary generator of either group, at every
+    # nonzero c, must leave the read invariant alone
+    F = LocalField.base_field(q)
+    m = n - 1
+    polar = {(i, j): 1 for i in range(m) for j in range(i + 1, m)}
+    slots = _deep_slots(n)
+    reads = 0
+    for r in range(q):
+        p = mirabolic_point(F, n, polar, [0] * (m - 1), F.elem(-1, (1, r)))
+        base = WhittakerInvariant.read(p)
+        for c in F.residue.units():
+            for (i, j), depth in slots.items():
+                g = _elementary(F, n, i, j, F.elem(depth, (c,)))
+                products = (g * p, p * g) if i < j else (p * g,)
+                for h in products:
+                    assert WhittakerInvariant.read(h) == base, (r, c, i, j)
+                    reads += 1
+        assert base == (MonomialClass.identity(F, n), r, 0)
+    assert reads == q * (q - 1) * (n * n + n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("q,n", selftest.PAIR_CELLS)
+def test_read_is_invariant_under_deep_products(q, n):
+    # products of the generators above, every entry drawn to the working
+    # depth: a unipotent with zero superdiagonal residues on the left of a
+    # random enumerated point, an I++ element on its right
+    F = LocalField.base_field(q)
+    m = n - 1
+    rng = random.Random(q * n)
+    slots = _deep_slots(n)
+
+    def digits():
+        return [rng.randrange(q) for _ in range(pairs.PRECISION)]
+
+    def deep(upper):
+        rows = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
+        for (i, j), depth in slots.items():
+            if i < j or not upper:
+                rows[i][j] = rows[i][j] + F.elem(depth, digits())
+        return MatG(F, rows)
+
+    for _ in range(30):
+        polar = {(i, j): rng.randrange(q) for i in range(m) for j in range(i + 1, m)}
+        k_res = [rng.randrange(q) for _ in range(m - 1)]
+        p = mirabolic_point(F, n, polar, k_res, F.elem(-1, digits()))
+        assert WhittakerInvariant.read(deep(True) * p * deep(False)) == WhittakerInvariant.read(p)
 
 
 def test_oracle_criterion_reports_phases():
