@@ -77,7 +77,6 @@ from .pairs import (
     sample_k_words,
     support_check,
 )
-from .selftest import run_all as run_selftest
 
 __version__ = "0.1.0"
 
@@ -136,7 +135,6 @@ __all__ = [
     "k_special_check",
     "mirabolic_agreement",
     "root_count_dims",
-    "run_selftest",
     "sample_alcove_points",
     "sample_k_words",
     "stability_certificate",

@@ -15,15 +15,17 @@ those are precisely the constraints Iwahori membership of k puts on the
 column operations, so no other pivot choice closes.
 
 The elimination, _eliminate, runs on laurent's (val, coeffs, prec)
-triples: each row's pivot is inverted once, each column op and fold
-into u is one fused z + c*y update per entry (skipped where y is an
-exact zero), and decompose builds LaurentElem only for the u and k it
-returns.  What cancels is not computed: c is an entry times the pivot's
-inverse, so the entry a column op clears in the pivot row, and the
-pivot-column entry of each row op, are laurent.cancel_t's zero at the
-precision the update would carry.  Once its columns are cleared the
-pivot row is its pivot and zeros, so the rest of a row op only cuts
-precisions where the row holds a zero known to a precision.
+triples: each row's pivot is inverted once, each column op is one fused
+z + c*y update per entry (skipped where y is an exact zero), u's
+off-diagonal entries are the row-op coefficients, and decompose builds
+LaurentElem only for the u and k it returns.  What cancels is not
+computed: c is an entry times the pivot's inverse, so the entry a
+column op clears in the pivot row, and the pivot-column entry of each
+row op, are laurent.cancel_t's zero at the precision the update would
+carry.  Once its columns are cleared the pivot row is its pivot and
+zeros, so the rest of a row op only cuts precisions where the row holds
+a zero known to a precision; row ops read only c's valuation and
+precision, so they never negate it.
 k is not a matrix product: the column ops are recorded and replayed, the
 last one first, on the columns of M^-1 times the eliminated matrix, one
 fused update each.  The Iwahori checks on the column factors and on the
@@ -371,7 +373,9 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
             # column op was R = I - c E(piv,j); k gets R^-1 = I + c E(piv,j)
             col_ops.append((piv, j, c))
         # the row is now its pivot and zeros: a row op cancels the pivot
-        # column and only cuts the precision where the row holds a zero
+        # column and only cuts the precision where the row holds a zero.
+        # Both read only the valuation and precision of the row op's
+        # factor -c, which c shares, so c is passed unnegated
         cuts = [m for m in range(n) if m != piv and row[m][2] is not None]
         for i2 in range(i):
             r2 = A[i2]
@@ -379,15 +383,14 @@ def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list
             if not e[1]:
                 continue
             c = mul_t(ff, e, pinv)
-            minus_c = neg_t(ff, c)
-            r2[piv] = cancel_t(e, minus_c, pivot)
+            r2[piv] = cancel_t(e, c, pivot)
             for m in cuts:
-                r2[m] = addmul_t(ff, r2[m], minus_c, row[m])
-            # row op was L = I - c E(i2,i); fold L^-1 into u from the right
-            for r in u_rows:
-                y = r[i2]
-                if y[1] or y[2] is not None:
-                    r[i] = addmul_t(ff, r[i], c, y)
+                r2[m] = addmul_t(ff, r2[m], c, row[m])
+            # row op was L = I - c E(i2,i), and u gets L^-1 = I + c E(i2,i)
+            # from the right: column i += c * column i2.  Rows pivot
+            # bottom-up, so column i2 < i of u is still a unit vector and
+            # column i still zero off the diagonal: the sum is c itself
+            u_rows[i2][i] = c
         used.add(piv)
         cols[i] = piv
 

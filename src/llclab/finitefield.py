@@ -3,8 +3,9 @@
 F_q with q = p^f is F_p[x]/(m) for a monic irreducible m of degree f.
 Every operation table (addition, multiplication, inverse, discrete log
 against a fixed generator, trace to the prime field) is precomputed at
-construction, q^2 entries each for addition and multiplication, with no
-bound on q.  Elements are plain ints in range(q) whose base-p digits,
+construction, q^2 entries each for addition and multiplication, so q
+is bounded by MAX_FIELD_SIZE and checked before anything is factored or
+built.  Elements are plain ints in range(q) whose base-p digits,
 constant first, are the coefficients of a polynomial in x; for prime q
 that is just the integer itself.
 """
@@ -15,6 +16,21 @@ from functools import lru_cache, reduce
 from itertools import product
 
 from .errors import LLCError
+
+# Largest q built: its addition and multiplication tables hold q^2 =
+# 262,144 entries each.  The cost grows as q^2: q = 2187 would need
+# 4,782,969 entries per table, a few hundred MB.
+MAX_FIELD_SIZE = 512
+
+
+def _check_size(q: int) -> None:
+    """Raise ValueError for a q above MAX_FIELD_SIZE, naming the size of
+    the tables it would need."""
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(
+            f"q = {q} is above MAX_FIELD_SIZE = {MAX_FIELD_SIZE}: F_q would need "
+            f"addition and multiplication tables of q^2 = {q * q:,} entries each"
+        )
 
 
 def is_prime(n: int) -> bool:
@@ -57,17 +73,19 @@ def _irreducible(m: tuple[int, ...], p: int) -> bool:
 
 
 class FiniteField:
-    """F_q with q = p^f, p an odd prime and f >= 1, as F_p[x]/(m).
+    """F_q with q = p^f, p an odd prime, f >= 1 and q at most
+    MAX_FIELD_SIZE, as F_p[x]/(m).
 
     m is the first monic irreducible of degree f, its coefficients read
     from x^(f-1) down to the constant in lexicographic order: x at f = 1.
     modulus holds the f coefficients below its leading 1, constant first."""
 
     def __init__(self, p: int, f: int = 1):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p = {p} must be an odd prime")
         if f < 1:
             raise ValueError(f"residue degree f = {f} must be at least 1")
+        _check_size(p ** f)
+        if not is_prime(p) or p == 2:
+            raise ValueError(f"p = {p} must be an odd prime")
         self.p = p
         self.f = f
         self.q = p ** f
@@ -182,4 +200,5 @@ def odd_prime_power(q: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def field_of_size(q: int) -> FiniteField:
     """F_q from its size, factoring q as an odd prime power."""
+    _check_size(q)
     return FiniteField(*odd_prime_power(q))

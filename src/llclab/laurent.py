@@ -29,8 +29,14 @@ the result, [lo, hi), sized from the operands and cut at the result's
 precision before any coefficient is computed.  Residue arithmetic reads
 the FiniteField lookup tables directly: a product takes the row
 ``_mul[a]`` once per coefficient a of the shorter factor and adds it
-along the longer one through ``_add``; a difference reads ``_neg``.  The
-result is normalized once, by scanning the list ends for zeros.
+along the longer one through ``_add``; a difference reads ``_neg``.  A
+factor with a single coefficient scales the other instead, in ``mul_t``
+and in a ``dot_t`` of one product: one row read along it, with no
+additions.  ``dot_t`` skips pairs with an exact zero, which add neither
+digits nor precision.  ``inverse_t`` runs its one-unit recurrence
+forward, pushing each new digit along the series with one row, as a
+product does.  The result is normalized once, by scanning the list ends
+for zeros.
 """
 
 from __future__ import annotations
@@ -127,6 +133,17 @@ def _convolve_into(out: list, start: int, a: tuple, b: tuple, mul, add) -> None:
                 k += 1
 
 
+def _scaled(mul, lo: int, a: tuple, b: tuple, n: int, prec: int | None) -> tuple:
+    """The product of coefficient tuples a and b at lo + i for i < n, cut
+    at prec, where a or b has a single coefficient: one table row read
+    along the other.  A zero digit of the other factor at the cut is
+    stripped by _cut."""
+    if len(a) != 1:
+        a, b = b, a
+    row = mul[a[0]]
+    return _cut(lo, [row[c] for c in b[:n]], prec)
+
+
 def add_t(ff: FiniteField, x: tuple, y: tuple, bmap: list | None = None) -> tuple:
     """x + bmap(y) coefficientwise; bmap None is the identity, the
     negation table gives the difference."""
@@ -182,11 +199,14 @@ def mul_t(ff: FiniteField, x: tuple, y: tuple) -> tuple:
     if not a or not b:
         return (0, (), prec)
     lo = xv + yv
-    n = len(a) + len(b) - 1
+    la, lb = len(a), len(b)
+    n = la + lb - 1
     if prec is not None and prec - lo < n:
         n = prec - lo
         if n <= 0:
             return (0, (), prec)
+    if la == 1 or lb == 1:
+        return _scaled(ff._mul, lo, a, b, n, prec)
     out = [0] * n
     _convolve_into(out, 0, a, b, ff._mul, ff._add)
     return _cut(lo, out, prec)
@@ -226,9 +246,11 @@ def addmul_t(ff: FiniteField, z: tuple, c: tuple, y: tuple) -> tuple:
 
 
 def cancel_t(z: tuple, c: tuple, y: tuple) -> tuple:
-    """z + c*y where c = -z * y^-1, by inverse_t, mul_t and neg_t: the
-    sum cancels below its precision, so it is the zero addmul_t would
-    compute, at that precision, without the product."""
+    """z + c*y where c = -z * y^-1, by inverse_t and mul_t: the sum
+    cancels below its precision, so it is the zero addmul_t would
+    compute, at that precision, without the product.  Only c's
+    valuation and precision are read, which negation keeps, so a caller
+    may pass z * y^-1 itself."""
     return (0, (), _min_prec(z[2], _product_prec(c, y)))
 
 
@@ -245,19 +267,27 @@ def inverse_t(ff: FiniteField, x: tuple, var: str) -> tuple:
         return (-v, (inv0,), None)
     rel = p - v if p is not None else DEFAULT_REL_PREC
     # write x = c0 * var^v * (1 + w), invert the one-unit by the
-    # recurrence b_0 = 1, b_k = -sum_{j>=1} w_j b_{k-j}; w_j = 0 past
-    # the stored coefficients, so the sum stops at the last of them
+    # recurrence b_0 = 1, b_k = -sum_{j>=1} w_j b_{k-j}, run forward:
+    # acc[k] collects that sum, and each new digit b_k is pushed along
+    # w with one table row, as _convolve_into does; w_j = 0 past the
+    # stored coefficients
     mul, add, neg = ff._mul, ff._add, ff._neg
     row0 = mul[inv0]
-    w_rows = [mul[row0[c]] for c in cs[:rel]]
-    top = len(w_rows) - 1
-    b = [1]
+    w = [row0[c] for c in cs[1:rel]]
+    acc = [0, *w] + [0] * (rel - 1 - len(w))  # b_0 = 1, already pushed
+    out = [inv0]
     for k in range(1, rel):
-        acc = 0
-        for j in range(1, min(k, top) + 1):
-            acc = add[acc][w_rows[j][b[k - j]]]
-        b.append(neg[acc])
-    return _cut(-v, [row0[e] for e in b[:rel]], -v + rel)
+        b = neg[acc[k]]
+        out.append(row0[b])
+        if b:
+            row = mul[b]
+            m = k + 1
+            for c in w:
+                if m >= rel:
+                    break
+                acc[m] = add[acc[m]][row[c]]
+                m += 1
+    return _cut(-v, out, -v + rel)
 
 
 def dot_t(ff: FiniteField, xs, ys) -> tuple:
@@ -265,26 +295,44 @@ def dot_t(ff: FiniteField, xs, ys) -> tuple:
 
     The result carries the precision a chain of additions of the products
     would give, the minimum of the products' precisions, and is built in
-    one coefficient list over the window of all products.
+    one coefficient list over the window of all products.  A pair with
+    an exact zero adds nothing, not even a precision, and is skipped.
     """
     prec = None
     terms = []
+    lo = hi = 0
     for x, y in zip(xs, ys):
+        a = x[1]
+        b = y[1]
+        if not a and x[2] is None or not b and y[2] is None:
+            continue
         p = _product_prec(x, y)
         if p is not None and (prec is None or p < prec):
             prec = p
-        if x[1] and y[1]:
-            terms.append((x[0] + y[0], x[1], y[1]))
+        if a and b:
+            v = x[0] + y[0]
+            top = v + len(a) + len(b) - 1
+            if not terms:
+                lo, hi = v, top
+            else:
+                if v < lo:
+                    lo = v
+                if top > hi:
+                    hi = top
+            terms.append((v, a, b))
     if not terms:
         return (0, (), prec)
-    lo = min(v for v, _, _ in terms)
-    hi = max(v + len(a) + len(b) - 1 for v, a, b in terms)
     if prec is not None and hi > prec:
         hi = prec
     if hi <= lo:
         return (0, (), prec)
+    mul = ff._mul
+    if len(terms) == 1:
+        _, a, b = terms[0]
+        if len(a) == 1 or len(b) == 1:
+            return _scaled(mul, lo, a, b, hi - lo, prec)
     out = [0] * (hi - lo)
-    mul, add = ff._mul, ff._add
+    add = ff._add
     for v, a, b in terms:
         _convolve_into(out, v - lo, a, b, mul, add)
     return _cut(lo, out, prec)

@@ -175,6 +175,14 @@ def test_facet_even_fq_rejected(capsys):
     assert cli.main(["facet", "--n", "4", "--list", "--fq", "8"]) == 2
 
 
+def test_residue_fields_above_the_bound_exit_2(capsys):
+    # F_2187 would need two tables of 2187^2 entries; it is refused instead
+    for argv in (["epsilon", "--q", "2187", "--n", "2"], ["facet", "--n", "4", "--list", "--fq", "2187"]):
+        code = cli.main(argv)
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and "4,782,969 entries" in err
+
+
 def test_facet_needs_a_mode(capsys):
     assert cli.main(["facet", "--n", "4"]) == 2
 

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from llclab.finitefield import FiniteField, field_of_size, is_prime
+from llclab import finitefield
+from llclab.finitefield import MAX_FIELD_SIZE, FiniteField, field_of_size, is_prime
 
 GRID_Q = [3, 5, 7, 9, 11, 13]
 
@@ -194,6 +195,24 @@ def test_even_characteristic_rejected():
     # every residue degree f >= 1 is a field; f = 0 is not
     with pytest.raises(ValueError):
         FiniteField(5, 0)
+
+
+def test_sizes_above_the_bound_are_rejected_before_any_work(monkeypatch):
+    # the bound admits every q the grid, the tests and the README use
+    assert max(GRID_Q + WIDE_Q + [343]) <= MAX_FIELD_SIZE
+    assert field_of_size(343).q == 343
+
+    def no_work(*args):
+        raise AssertionError("factored q or built a table")
+
+    monkeypatch.setattr(finitefield, "odd_prime_power", no_work)
+    monkeypatch.setattr(finitefield, "is_prime", no_work)
+    monkeypatch.setattr(FiniteField, "_build_tables", no_work)
+    for make in (lambda: field_of_size(2187), lambda: FiniteField(3, 7), lambda: FiniteField(1031)):
+        with pytest.raises(ValueError, match=r"MAX_FIELD_SIZE = 512: .* entries each"):
+            make()
+    with pytest.raises(ValueError, match="4,782,969 entries"):
+        field_of_size(2187)
 
 
 def _poly_mul(a, b, p):

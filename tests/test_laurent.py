@@ -413,6 +413,102 @@ def test_product_kernels_match_dict_oracle_in_both_orders(q):
     assert min(seen.values()) >= 40, seen
 
 
+# The kernels' fast paths against oracles that share no code with them:
+# o_mul and o_dot only convolve, on dicts, whatever the factors' lengths,
+# and backward_inverse sums the one-unit recurrence digit by digit.
+
+KERNEL_QS = (3, 5, 9, 25, 27)
+
+
+def backward_inverse(ff, x):
+    """inverse_t's result by the recurrence b_0 = 1, b_k = -sum_{j>=1}
+    w_j b_{k-j}, each digit summed from the ones before it, for x with a
+    visible digit."""
+    v, cs, p = x
+    inv0 = ff.inv(cs[0])
+    if len(cs) == 1 and p is None:
+        return (-v, (inv0,), None)
+    rel = p - v if p is not None else DEFAULT_REL_PREC
+    w = [ff.mul(inv0, c) for c in cs[:rel]]
+    b = [1]
+    for k in range(1, rel):
+        acc = 0
+        for j in range(1, min(k, len(w) - 1) + 1):
+            acc = ff.add(acc, ff.mul(w[j], b[k - j]))
+        b.append(ff.neg(acc))
+    return _as_triple({-v + k: ff.mul(inv0, e) for k, e in enumerate(b) if e}, -v + rel)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_inverse_matches_the_backward_recurrence(q):
+    # 400 inputs per field: lengths 1..20, exact or known up to 0..4 digits
+    # past the last, zero digits inside
+    rng = random.Random(6060 + q)
+    F = LocalField.base_field(q)
+    ff = F.residue
+    seen = dict.fromkeys(("exact", "finite", "monomial", "cut_below_length"), 0)
+    for length in range(1, 21):
+        for i in range(20):
+            val = rng.randrange(-3, 4)
+            coeffs = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(length - 1)]
+            prec = None if i % 2 else val + rng.randrange(1, length + 5)
+            x = _t(F.elem(val, coeffs, prec))
+            assert inverse_t(ff, x, F.var) == backward_inverse(ff, x), x
+            seen["exact" if prec is None else "finite"] += 1
+            seen["monomial"] += len(x[1]) == 1
+            seen["cut_below_length"] += prec is not None and prec - val < length
+    assert min(seen.values()) >= 20, seen
+
+
+def _with_zero_at(rng, F, val, length, k):
+    """length digits from val, nonzero at both ends and 0 at index k."""
+    q = F.residue.q
+    coeffs = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(length - 2)] + [rng.randrange(1, q)]
+    coeffs[k] = 0
+    return F.elem(val, coeffs)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_single_coefficient_products_match_the_convolution(q):
+    # a one-digit factor against partners of lengths 1..20, exact or not,
+    # in both orders, and in dot_t beside pairs with an exact zero on
+    # either side; the one-digit factor's precision cuts its partner just
+    # past a zero digit, which the scaled result must strip
+    rng = random.Random(7070 + q)
+    F = LocalField.base_field(q)
+    ff = F.residue
+    zero = F.zero()
+    seen = dict.fromkeys(("exact", "finite", "zero_at_cut", "exact_zero_pairs"), 0)
+    for length in range(1, 21):
+        for _ in range(8):
+            y = _kernel_operand(rng, F, length, rng.randrange(-3, 3))
+            cv = rng.randrange(-2, 3)
+            c = F.elem(cv, (rng.randrange(1, q),), None if rng.random() < 0.5 else cv + rng.randrange(1, length + 3))
+            for a, b in ((c, y), (y, c)):
+                assert mul_t(ff, _t(a), _t(b)) == _as_triple(*o_mul(ff, a, b)), (a, b)
+            seen["exact" if c.prec is None and y.prec is None else "finite"] += 1
+
+            # exact zeros beside the product add no precision
+            other = _kernel_operand(rng, F, rng.randrange(1, 5), rng.randrange(-2, 2))
+            xs, ys = [zero, c, other, zero], [other, y, zero, F.zero(rng.randrange(-2, 3))]
+            want = _as_triple(*o_dot(ff, xs, ys))
+            assert dot_t(ff, [_t(e) for e in xs], [_t(e) for e in ys]) == want, (xs, ys)
+            assert dot_t(ff, [_t(e) for e in ys], [_t(e) for e in xs]) == want
+            seen["exact_zero_pairs"] += 1
+
+            if length >= 3:
+                # c known to cv + k cuts c*y after y's digit k - 1, which is 0
+                k = rng.randrange(2, length)
+                y0 = _with_zero_at(rng, F, y.val, length, k - 1)
+                c0 = F.elem(cv, c.coeffs, cv + k)
+                for a, b in ((c0, y0), (y0, c0)):
+                    want = _as_triple(*o_mul(ff, a, b))
+                    assert mul_t(ff, _t(a), _t(b)) == want, (a, b)
+                    assert dot_t(ff, [_t(zero), _t(a)], [_t(b), _t(b)]) == want, (a, b)
+                seen["zero_at_cut"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_extension_defining_relation():
     for q, n, u0 in [(5, 2, 1), (5, 2, 3), (7, 3, 2), (3, 4, 2), (13, 6, 6)]:
         F = LocalField.base_field(q)

@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -18,6 +20,18 @@ def _library_nodes():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             yield path.name, node
+
+
+def test_import_leaves_the_acceptance_grid_and_cli_unloaded():
+    # importing the package compiles and runs only the library modules;
+    # the command line and the acceptance grid load when asked for
+    code = "import sys, llclab; print(sorted(m for m in sys.modules if m in ('llclab.cli', 'llclab.selftest')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(SRC.parent), "PATH": ""},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_assert_statements_in_library():
