@@ -15,11 +15,12 @@ those are precisely the constraints Iwahori membership of k puts on the
 column operations, so no other pivot choice closes.
 
 The elimination, _eliminate, runs on laurent's (val, coeffs, prec)
-triples: each row's pivot is inverted once, each column op is one fused
-z + c*y update per entry (skipped where y is an exact zero), u's
-off-diagonal entries are the row-op coefficients, and decompose builds
-LaurentElem only for the u and k it returns.  What cancels is not
-computed: c is an entry times the pivot's inverse, so the entry a
+triples, the rows a MatG stores: each row's pivot is inverted once,
+each column op is one fused z + c*y update per entry (skipped where y is
+an exact zero), u's off-diagonal entries are the row-op coefficients,
+and decompose wraps the triple rows of u and k as they come, with no
+LaurentElem built.  What cancels is not computed: c is an entry times
+the pivot's inverse, so the entry a
 column op clears in the pivot row, and the pivot-column entry of each
 row op, are laurent.cancel_t's zero at the precision the update would
 carry.  Once its columns are cleared the pivot row is its pivot and
@@ -40,13 +41,15 @@ factorization is known by construction (the monomial lead matrices of
 the zeta integrals, the upper unipotent points of the mirabolic
 enumeration) its invariant is built directly; every other matrix is
 read with WhittakerInvariant.read(g), which eliminates g cut one digit
-past its last stored digit, exact zeros kept exact, and reads the
-digits off the triples of u and k.  An exact pivot that is not a
-monomial then inverts to the few digits the window holds, where
+past its last stored digit, exact zeros kept exact.  An exact pivot
+that is not a monomial then inverts to the few digits the window holds,
+where
 decompose inverts it to DEFAULT_REL_PREC digits for the u and k it
 returns.  Precision tracking makes the window's reading that of
 decompose(g), as g agrees with its cut; where the window cannot decide,
-g is eliminated once more as given.
+g is eliminated once more as given.  One reader,
+WhittakerInvariant._of_rows, takes the digits off the triple rows of u
+and k, for a read and for WhittakerInvariant.of alike.
 """
 
 from __future__ import annotations
@@ -226,14 +229,7 @@ class WhittakerInvariant(namedtuple("WhittakerInvariant", "mono residue corner")
     @classmethod
     def of(cls, u: MatG | None, mono: MonomialClass, k: MatG | None) -> WhittakerInvariant:
         """Read the invariant of u * mono * k; None stands for the identity."""
-        ff = mono.field.residue
-        total = 0
-        for m in (u, k):
-            if m is not None:
-                for r in m.superdiagonal_residues():
-                    total = ff.add(total, r)
-        corner = 0 if k is None else k.entry(mono.n - 1, 0).coeff_at(1)
-        return cls(mono, total, corner)
+        return cls._of_rows(None if u is None else u.rows, mono, None if k is None else k.rows)
 
     @classmethod
     def read(cls, g: MatG) -> WhittakerInvariant:
@@ -248,27 +244,29 @@ class WhittakerInvariant(namedtuple("WhittakerInvariant", "mono residue corner")
         and g is eliminated once more as given, unless the cut left g as
         it was.
         """
-        rows = _triples(g)
+        rows = g.rows
         cut = _window(rows)
         if cut != rows:
             try:
-                return cls._of_rows(g.field, cut)
+                return cls._of_rows(*_eliminate(g.field, cut))
             except InsufficientPrecision:
                 pass
-        return cls._of_rows(g.field, rows)
+        return cls._of_rows(*_eliminate(g.field, rows))
 
     @classmethod
-    def _of_rows(cls, field: LocalField, rows: list) -> WhittakerInvariant:
-        """The invariant of the elimination of rows, read off the triples
-        of u and k."""
-        u, mono, k = _eliminate(field, rows)
+    def _of_rows(cls, u_rows, mono: MonomialClass, k_rows) -> WhittakerInvariant:
+        """The invariant of u * mono * k from the triple rows of u and k:
+        their summed superdiagonal t^0 digits and k's corner digit at t^1.
+        None stands for the identity."""
+        field = mono.field
         ff, var = field.residue, field.var
-        n = len(rows)
         total = 0
-        for m in (u, k):
-            for i in range(n - 1):
-                total = ff.add(total, coeff_at_t(m[i][i + 1], 0, var))
-        return cls(mono, total, coeff_at_t(k[n - 1][0], 1, var))
+        for rows in (u_rows, k_rows):
+            if rows is not None:
+                for i in range(len(rows) - 1):
+                    total = ff.add(total, coeff_at_t(rows[i][i + 1], 0, var))
+        corner = 0 if k_rows is None else coeff_at_t(k_rows[-1][0], 1, var)
+        return cls(mono, total, corner)
 
     def affine_residue(self, pi_unit: int) -> int:
         """The residue psi reads once the corner is divided by pi_unit."""
@@ -293,26 +291,23 @@ def decompose(g: MatG) -> tuple[MatG, MonomialClass, MatG]:
     u comes back exactly unipotent upper triangular, k verified inside
     the pro-unipotent Iwahori at the precision the entries carry.
     """
-    u_rows, mono, k_rows = _eliminate(g.field, _triples(g))
+    u_rows, mono, k_rows = _eliminate(g.field, g.rows)
     return wrap_matrix(g.field, u_rows), mono, wrap_matrix(g.field, k_rows)
 
 
-def _triples(g: MatG) -> list:
-    """The rows of g as (val, coeffs, prec) triples."""
-    return [[(e.val, e.coeffs, e.prec) for e in row] for row in g.rows]
-
-
-def _window(rows: list) -> list:
-    """rows known only below one digit past the last digit any entry
-    stores.  Exact zeros stay exact: the elimination skips them, and a
-    row of them is exactly zero."""
+def _window(rows: tuple) -> tuple:
+    """rows, a tuple of tuples of triples, known only below one digit past
+    the last digit any entry stores, in the same shape, so that it
+    compares equal to rows where the cut changes nothing.  Exact zeros
+    stay exact: the elimination skips them, and a row of them is exactly
+    zero."""
     top = max((v + len(cs) for row in rows for v, cs, _ in row if cs), default=None)
     if top is None:
         return rows
-    return [
-        [x if not x[1] and x[2] is None else truncate_t(x, top + 1) for x in row]
+    return tuple(
+        tuple([x if not x[1] and x[2] is None else truncate_t(x, top + 1) for x in row])
         for row in rows
-    ]
+    )
 
 
 def _eliminate(field: LocalField, rows: list) -> tuple[list, MonomialClass, list]:

@@ -21,9 +21,10 @@ fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
 (the zero z + c*y is when c = -z * y^-1), ``truncate_t``,
 ``coeff_at_t`` and ``val_at_least_t``.  They hold the one copy of the
 window and precision rules.  ``LaurentElem``'s operators are thin
-wrappers over them, ``MatG``'s product calls ``dot_t`` per entry, and
-``bruhat.decompose`` eliminates on triples and builds elements only for
-what it returns.
+wrappers over them.  ``MatG`` stores its entries as triples, so its
+product calls ``dot_t`` per entry on the stored rows, and
+``bruhat.decompose`` eliminates those rows as they are and returns its u
+and k as triples too: no element is built on the way in or out.
 Sums and products work on one mutable list over the exponent window of
 the result, [lo, hi), sized from the operands and cut at the result's
 precision before any coefficient is computed.  Residue arithmetic reads
@@ -70,8 +71,8 @@ def _shift_prec(p: int | None, k: int | None) -> int | None:
 # ----- triple kernels ----------------------------------------------------
 # A triple (val, coeffs, prec) holds exactly the normalized fields of a
 # LaurentElem, without its field.  These kernels are the one copy of the
-# window and precision rules; LaurentElem's arithmetic wraps them,
-# MatG's product and bruhat.decompose work on triples directly.
+# window and precision rules; LaurentElem's arithmetic wraps them, and
+# MatG stores its entries as triples, which bruhat eliminates directly.
 
 ZERO_T = (0, (), None)
 ONE_T = (0, (1,), None)
@@ -545,16 +546,12 @@ class LaurentElem:
 
 
 def leibniz_det(field: LocalField, rows) -> LaurentElem:
-    """Determinant of a square matrix of series in field, as the signed sum
-    over permutations of the products of its entries, in the order and
-    with the precision that chain of products and sums gives."""
+    """Determinant of a square matrix of (val, coeffs, prec) triples over
+    field, as the signed sum over permutations of the products of its
+    entries, in the order and with the precision that chain of products
+    and sums gives."""
     n = len(rows)
     ff = field.residue
-    t = []
-    for row in rows:
-        if any(e.field is not field for e in row):
-            raise TypeError("operands live in different fields")
-        t.append([(e.val, e.coeffs, e.prec) for e in row])
     total = ZERO_T
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -564,7 +561,7 @@ def leibniz_det(field: LocalField, rows) -> LaurentElem:
                     sign = -sign
         prod = ONE_T
         for i in range(n):
-            prod = mul_t(ff, prod, t[i][perm[i]])
+            prod = mul_t(ff, prod, rows[i][perm[i]])
         total = add_t(ff, total, prod, None if sign == 1 else ff._neg)
     return wrap(field, total)
 
@@ -702,7 +699,8 @@ class LocalField:
         """Norm to the base field: determinant of the regular representation."""
         if self.base is None:
             return x
-        return leibniz_det(self.base, self.mult_matrix(x))
+        rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in self.mult_matrix(x)]
+        return leibniz_det(self.base, rows)
 
     # ----- coset representatives ----------------------------------------
     def integer_reps(self, lo: int, hi: int) -> list[LaurentElem]:

@@ -1,8 +1,13 @@
 """Small dense matrices over a local field.
 
-Group elements in this laboratory are n-by-n with n at most 6, so the
-representation is a plain tuple of tuples of series and every algorithm
-is the naive one.  Precision rides along on the entries.
+Group elements in this laboratory are n-by-n with n at most 6, so every
+algorithm is the naive one.  A matrix stores each entry once, as the
+normalized (val, coeffs, prec) triple laurent's kernels read: the
+product, truncation, determinant and Iwahori test run on the stored
+rows, and bruhat eliminates them as they are.  MatG(field, rows) is the
+checked constructor from series; wrap_matrix builds a matrix from
+kernel triples without it, and entry(i, j) gives one entry as a series.
+Precision rides along on the entries.
 """
 
 from __future__ import annotations
@@ -21,13 +26,15 @@ from .laurent import (
 
 
 class MatG:
-    """An n-by-n matrix with Laurent series entries."""
+    """An n-by-n matrix with Laurent series entries, rows of triples."""
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: LocalField, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
+        if not n:
+            raise ValueError("matrix must have at least one row")
         for r in rows:
             if len(r) != n:
                 raise ValueError("matrix must be square")
@@ -35,38 +42,26 @@ class MatG:
                 if not isinstance(x, LaurentElem) or x.field is not field:
                     raise TypeError("entries must be series over the given field")
         self.field = field
-        self.rows = rows
-
-    @classmethod
-    def identity(cls, field: LocalField, n: int) -> MatG:
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        self.rows = tuple(tuple([(x.val, x.coeffs, x.prec) for x in r]) for r in rows)
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> LaurentElem:
-        return self.rows[i][j]
+        return wrap(self.field, self.rows[i][j])
 
     def __mul__(self, other: MatG) -> MatG:
         if not isinstance(other, MatG) or other.field is not self.field:
             raise TypeError("matrix product requires matching fields")
         if other.n != self.n:
             raise ValueError("size mismatch")
-        field = self.field
-        ff = field.residue
-        rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in self.rows]
-        cols = [[(e.val, e.coeffs, e.prec) for e in col] for col in zip(*other.rows)]
-        return wrap_matrix(field, [[dot_t(ff, row, col) for col in cols] for row in rows])
-
-    def scale(self, x: LaurentElem) -> MatG:
-        return MatG(self.field, [[x * e for e in row] for row in self.rows])
+        ff = self.field.residue
+        cols = list(zip(*other.rows))
+        return wrap_matrix(self.field, [[dot_t(ff, row, col) for col in cols] for row in self.rows])
 
     def truncate(self, prec: int) -> MatG:
-        return wrap_matrix(
-            self.field, [[truncate_t((e.val, e.coeffs, e.prec), prec) for e in row] for row in self.rows]
-        )
+        return wrap_matrix(self.field, [[truncate_t(e, prec) for e in row] for row in self.rows])
 
     def det(self) -> LaurentElem:
         return leibniz_det(self.field, self.rows)
@@ -79,8 +74,17 @@ class MatG:
     __hash__ = None
 
     def agrees(self, other: MatG) -> bool:
-        return self.n == other.n and all(
-            a.agrees(b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
+        """Equality of every digit both sides claim to know, entry by entry."""
+        if self.n != other.n:
+            return False
+        if other.field is not self.field:
+            raise TypeError("operands live in different fields")
+        ff = self.field.residue
+        neg = ff._neg
+        return all(
+            not add_t(ff, a, b, neg)[1]
+            for ra, rb in zip(self.rows, other.rows)
+            for a, b in zip(ra, rb)
         )
 
     # ----- membership tests ---------------------------------------------
@@ -89,21 +93,20 @@ class MatG:
 
         Raises InsufficientPrecision when the known digits cannot decide.
         """
-        field = self.field
-        rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in self.rows]
-        return in_iplus_t(field.residue, rows, field.var)
-
-    def superdiagonal_residues(self) -> list[int]:
-        return [self.rows[i][i + 1].coeff_at(0) for i in range(self.n - 1)]
+        return in_iplus_t(self.field.residue, self.rows, self.field.var)
 
     def __repr__(self) -> str:
-        body = "\n ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.rows)
+        field = self.field
+        body = "\n ".join(
+            "[" + ", ".join(repr(wrap(field, e)) for e in row) + "]" for row in self.rows
+        )
         return f"MatG(\n {body})"
 
     def to_json(self) -> dict:
+        field = self.field
         return {
             "size": self.n,
-            "entries": [[self.field.elem_to_json(e) for e in row] for row in self.rows],
+            "entries": [[field.elem_to_json(wrap(field, e)) for e in row] for row in self.rows],
         }
 
 
@@ -114,7 +117,7 @@ def wrap_matrix(field: LocalField, rows) -> MatG:
     results."""
     out = object.__new__(MatG)
     out.field = field
-    out.rows = tuple(tuple([wrap(field, t) for t in row]) for row in rows)
+    out.rows = tuple(tuple(row) for row in rows)
     return out
 
 
@@ -130,4 +133,3 @@ def in_iplus_t(ff, rows, var: str) -> bool:
             elif not val_at_least_t(e, 0 if i < j else 1, var):
                 return False
     return True
-

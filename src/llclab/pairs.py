@@ -455,8 +455,8 @@ MirabolicTable = namedtuple("MirabolicTable", "q n classes nonmember_classes row
 
 
 def _embed(F: LocalField, g: MatG) -> MatG:
-    rows = [[(e.val, e.coeffs, e.prec) for e in row] + [ZERO_T] for row in g.rows]
-    rows.append([ZERO_T] * g.n + [ONE_T])
+    rows = [row + (ZERO_T,) for row in g.rows]
+    rows.append((ZERO_T,) * g.n + (ONE_T,))
     return wrap_matrix(F, rows)
 
 

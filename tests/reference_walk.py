@@ -8,6 +8,8 @@ from llclab.errors import LLCError
 from llclab.laurent import LocalField
 from llclab.matrices import MatG
 
+from test_matrices import entries
+
 
 class ReferenceWalk:
     """The walk on series: k and ki as MatGs of LaurentElem, each entry
@@ -22,7 +24,7 @@ class ReferenceWalk:
         self.N = precision
         self.rng = random.Random(seed)
         self.rot = {1: MonomialClass.rotation(self.F, n, u1), 2: MonomialClass.rotation(self.F, n, u2)}
-        ident = MatG.identity(self.F, n)
+        ident = MonomialClass.identity(self.F, n).as_matrix()
         self.M = MonomialClass.identity(self.F, n)
         self.k = ident
         self.Mi = MonomialClass.identity(self.F, n)
@@ -66,14 +68,14 @@ class ReferenceWalk:
 
     def push_elementary(self, a, b, x):
         n, N, ff = self.n, self.N, self.F.residue
-        krows = [list(r) for r in self.k.rows]
+        krows = entries(self.k)
         for i in range(n):
             krows[i][b] = (krows[i][b] + krows[i][a] * x).truncate(N)
         self.k = MatG(self.F, krows)
         cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
         xi = (-x).scale(ff.mul(units[b], ff.inv(units[a]))).shift(exps[b] - exps[a])
         ap, bp = cols[a], cols[b]
-        kirows = [list(r) for r in self.ki.rows]
+        kirows = entries(self.ki)
         for j in range(n):
             kirows[ap][j] = (kirows[ap][j] + xi * kirows[bp][j]).truncate(N)
         self.ki = MatG(self.F, kirows)
@@ -83,12 +85,12 @@ class ReferenceWalk:
         n, N = self.n, self.N
         # e is a one-unit: its inverse cut to N + 1 digits
         einv = e.inverse().truncate(N + 1)
-        krows = [list(r) for r in self.k.rows]
+        krows = entries(self.k)
         for i in range(n):
             krows[i][a] = (krows[i][a] * e).truncate(N)
         self.k = MatG(self.F, krows)
         ap = self.Mi.cols[a]
-        kirows = [list(r) for r in self.ki.rows]
+        kirows = entries(self.ki)
         for j in range(n):
             kirows[ap][j] = (kirows[ap][j] * einv).truncate(N)
         self.ki = MatG(self.F, kirows)

@@ -70,7 +70,8 @@ def test_affine_generic_is_a_character():
 def test_whittaker_at_identity_is_one():
     for q, n in [(3, 2), (5, 3), (7, 4)]:
         d = _datum(q, n, zeta_num=1, u0=1)
-        assert d.whittaker_root(MatG.identity(d.F, n)) == RootOfUnity.one()
+        ident = MonomialClass.identity(d.F, n).as_matrix()
+        assert d.whittaker_root(ident) == RootOfUnity.one()
 
 
 def test_whittaker_on_built_support_elements():
@@ -87,7 +88,7 @@ def test_whittaker_on_built_support_elements():
             k = random_iplus(rng, F, n)
             z = F.elem(e, (s,))
             rot_r = d.rotation_class(r).as_matrix()
-            g = rot_r * MatG.identity(F, n).scale(z) * k
+            g = rot_r * MonomialClass.central(F, n, s, e).as_matrix() * k
             expect = d.zeta**r * d.omega(z) * d.extended_char(0, 1, 0, k)
             assert d.whittaker_root(g) == expect
 
@@ -132,7 +133,7 @@ def test_whittaker_central_twist():
         s = rng.randrange(1, 7)
         e = rng.randrange(-1, 2)
         z = F.elem(e, (s,))
-        assert d.whittaker_root(MatG.identity(F, 2).scale(z) * g) == (
+        assert d.whittaker_root(MonomialClass.central(F, 2, s, e).as_matrix() * g) == (
             d.omega(z) * d.whittaker_root(g)
         )
 

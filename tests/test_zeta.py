@@ -30,6 +30,7 @@ from llclab.zeta import (
 from test_bruhat import _count_eliminations, diagonal
 from test_laurent import unit_reps
 from test_monomials import EpsPolynomial
+from test_matrices import entries
 from test_supercuspidal import _datum
 
 
@@ -568,7 +569,7 @@ def test_dual_audit_reads_cosets_in_one_elimination(monkeypatch):
             zeta._dual_points.__wrapped__(q, n, m, seed)
             assert len(built) == len(calls) == zeta.SPOT_CHECKS
             for g in built:
-                bottom = g.rows[-1]
+                bottom = entries(g)[-1]
                 assert bottom[1].is_exact_zero()
                 assert all(e.prec is not None for j, e in enumerate(bottom) if j != 1)
                 assert bottom[0].prec - bottom[0].val == m
