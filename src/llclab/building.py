@@ -24,7 +24,7 @@ a loop, diagonal included.
 A point is stored as integer numerators over their least common
 denominator, and every kernel here works on those integers.  Fractions are
 built only in the read-outs that return them (ApartmentPoint.coords,
-GradedQuotient.r and .spacings, FacetSpec.dim_gap, and the reprs that print
+GradedQuotient.r, FacetSpec.dim_gap, and the reprs that print
 them) and when a point is made from arbitrary rationals
 (ApartmentPoint(coords), ApartmentPoint.parse).
 """
@@ -36,6 +36,17 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import EmptyFacet
+
+# The largest n the facet census and the two parsers admit.  The census
+# lists 2^n - 1 facets, and a facet's root counts cost the square of its
+# largest block, so n = 16 already takes seconds and hundreds of MB.
+# Kernels that take a point or a facet already built do not check it.
+MAX_N = 12
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the facet census bound {MAX_N}")
 
 
 class FacetSpec:
@@ -119,6 +130,7 @@ class FacetSpec:
                 raise ValueError(f"unknown facet field {key!r}")
         if t is None or blocks is None:
             raise ValueError("facet spec needs both t=... and m=...")
+        _check_size(sum(blocks))
         return cls(t, blocks)
 
 
@@ -178,7 +190,9 @@ class ApartmentPoint:
 
     @classmethod
     def parse(cls, text: str) -> ApartmentPoint:
-        return cls([Fraction(s) for s in text.replace(" ", "").split(",")])
+        parts = text.replace(" ", "").split(",")
+        _check_size(len(parts))
+        return cls([Fraction(s) for s in parts])
 
 
 def jump_numerator(x: ApartmentPoint) -> int:
@@ -238,10 +252,6 @@ class GradedQuotient:
     @property
     def r(self) -> Fraction:
         return Fraction(min(self.gaps), self.point.den)
-
-    @property
-    def spacings(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(s, self.point.den) for s in self.gaps)
 
     @property
     def num_nodes(self) -> int:
@@ -304,6 +314,7 @@ def enumerate_facets(n: int) -> list[FacetSpec]:
     t = 0, every composition into at least two parts with t = 1."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_size(n)
     comps = list(compositions(n))
     out = [FacetSpec(0, c) for c in comps]
     out.extend(FacetSpec(1, c) for c in comps if len(c) > 1)

@@ -101,10 +101,6 @@ class TameChar:
         self._var_step = at.num * (big // at.order)
         self._unit_step = self.exp_unit * (big // m)
 
-    @classmethod
-    def trivial(cls, field: LocalField) -> TameChar:
-        return cls(field, 0)
-
     def of_unit(self, c: int) -> RootOfUnity:
         return self.of_leading(0, c)
 

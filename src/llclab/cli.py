@@ -211,25 +211,22 @@ def cmd_facet(args: argparse.Namespace) -> int:
 
 
 def _matrix_entry(F: LocalField, e):
-    if isinstance(e, int):
+    """One --matrix entry: a JSON integer, [val, coeffs], or the object
+    MatG.to_json prints, read as strictly as LocalField.elem_from_json."""
+    if type(e) is int:
         return F.from_int(e)
-    if isinstance(e, dict):
-        x = F.elem_from_json(e)
-    elif isinstance(e, (list, tuple)) and len(e) == 2:
-        x = F.elem(int(e[0]), [int(c) for c in e[1]])
-    else:
-        raise ValueError(f"matrix entries are ints, [val, coeffs] or elem objects, got {e!r}")
-    # coefficients index the residue tables, so one outside 0..q-1 would
-    # read past them or another residue's row
-    q = F.residue.q
-    if not all(type(c) is int and 0 <= c < q for c in x.coeffs):
-        raise ValueError(f"coefficients of {e!r} must be residues 0..{q - 1}")
-    return x
+    if isinstance(e, list) and len(e) == 2:
+        e = {"field": F.name, "n": F.degree, "val": e[0], "coeffs": e[1]}
+    elif not isinstance(e, dict):
+        raise ValueError(f"matrix entries are integers, [val, coeffs] or element objects, got {e!r}")
+    return F.elem_from_json(e)
 
 
 def cmd_bruhat(args: argparse.Namespace) -> int:
     F = LocalField.base_field(args.q)
     data = json.loads(args.matrix)
+    if not isinstance(data, list) or not data or not all(isinstance(row, list) for row in data):
+        raise ValueError("--matrix must be a non-empty JSON list of rows, each a list of entries")
     g = MatG(F, [[_matrix_entry(F, e) for e in row] for row in data])
     u, mono, k = decompose(g if args.prec is None else g.truncate(args.prec))
     payload = {
@@ -356,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="affine decomposition of a JSON matrix")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--matrix", required=True,
-                    help='JSON rows; entries are ints, [val, [coeffs]] or {"val","coeffs"}')
+                    help='JSON rows; entries are integers, [val, [coeffs]] or '
+                         '{"field": "F", "n": 1, "val": v, "coeffs": [...], "prec": p} '
+                         'as the output prints them, prec optional')
     sp.add_argument("--prec", type=int, default=None)
     sp.set_defaults(func=cmd_bruhat)
 

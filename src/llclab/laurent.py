@@ -702,18 +702,6 @@ class LocalField:
         rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in self.mult_matrix(x)]
         return leibniz_det(self.base, rows)
 
-    # ----- coset representatives ----------------------------------------
-    def integer_reps(self, lo: int, hi: int) -> list[LaurentElem]:
-        """All truncated series supported on exponents lo <= e < hi."""
-        ff = self.residue
-        width = hi - lo
-        if width < 0:
-            raise ValueError("empty exponent window")
-        out = []
-        for digits in itertools.product(range(ff.q), repeat=width):
-            out.append(self.elem(lo, digits))
-        return out
-
     # ----- serialization -------------------------------------------------
     def elem_to_json(self, x: LaurentElem) -> dict:
         data = {
@@ -727,9 +715,19 @@ class LocalField:
         return data
 
     def elem_from_json(self, data: dict) -> LaurentElem:
-        if data.get("field") != self.name or data.get("n") != self.degree:
+        """The element elem_to_json encodes.  val and prec are JSON
+        integers and coeffs a list of residues 0..q-1, since a coefficient
+        indexes the residue tables: a bool, float or string stands in for
+        none of them."""
+        if not isinstance(data, dict) or (data.get("field"), data.get("n")) != (self.name, self.degree):
             raise ValueError("element encoding does not match this field")
-        return self.elem(data["val"], data["coeffs"], data.get("prec"))
+        val, coeffs, prec = data.get("val"), data.get("coeffs"), data.get("prec")
+        if type(val) is not int or not (prec is None or type(prec) is int):
+            raise ValueError(f"val and prec must be JSON integers, got {val!r} and {prec!r}")
+        q = self.residue.q
+        if type(coeffs) is not list or not all(type(c) is int and 0 <= c < q for c in coeffs):
+            raise ValueError(f"coeffs must be a list of residues 0..{q - 1}, got {coeffs!r}")
+        return self.elem(val, coeffs, prec)
 
     def __repr__(self) -> str:
         if self.base is None:

@@ -3,8 +3,9 @@
 Group elements in this laboratory are n-by-n with n at most 6, so every
 algorithm is the naive one.  A matrix stores each entry once, as the
 normalized (val, coeffs, prec) triple laurent's kernels read: the
-product, truncation, determinant and Iwahori test run on the stored
-rows, and bruhat eliminates them as they are.  MatG(field, rows) is the
+product, truncation and determinant run on the stored rows, and bruhat
+eliminates them as they are and tests k for Iwahori membership with
+in_iplus_t.  MatG(field, rows) is the
 checked constructor from series; wrap_matrix builds a matrix from
 kernel triples without it, and entry(i, j) gives one entry as a series.
 Precision rides along on the entries.
@@ -87,14 +88,6 @@ class MatG:
             for a, b in zip(ra, rb)
         )
 
-    # ----- membership tests ---------------------------------------------
-    def in_pro_unipotent_iwahori(self) -> bool:
-        """Diagonal in 1+p, above-diagonal entries integral, below in p.
-
-        Raises InsufficientPrecision when the known digits cannot decide.
-        """
-        return in_iplus_t(self.field.residue, self.rows, self.field.var)
-
     def __repr__(self) -> str:
         field = self.field
         body = "\n ".join(
@@ -122,8 +115,10 @@ def wrap_matrix(field: LocalField, rows) -> MatG:
 
 
 def in_iplus_t(ff, rows, var: str) -> bool:
-    """MatG.in_pro_unipotent_iwahori on a square list of rows of
-    (val, coeffs, prec) triples, entries checked in row-major order."""
+    """Membership of a square list of rows of (val, coeffs, prec) triples
+    in the pro-unipotent Iwahori subgroup: diagonal in 1+p, above-diagonal
+    entries integral, below in p, checked in row-major order.  Raises
+    InsufficientPrecision when the known digits cannot decide."""
     neg = ff._neg
     for i, row in enumerate(rows):
         for j, e in enumerate(row):

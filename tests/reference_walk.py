@@ -8,7 +8,7 @@ from llclab.errors import LLCError
 from llclab.laurent import LocalField
 from llclab.matrices import MatG
 
-from test_matrices import entries
+from test_matrices import entries, in_iplus
 
 
 class ReferenceWalk:
@@ -33,7 +33,7 @@ class ReferenceWalk:
         self.used2 = False
 
     def _check_iwahori(self):
-        if not self.k.in_pro_unipotent_iwahori() or not self.ki.in_pro_unipotent_iwahori():
+        if not in_iplus(self.k) or not in_iplus(self.ki):
             raise LLCError("walk state left the Iwahori subgroup")
 
     def _conj_by(self, cls, A):

@@ -27,7 +27,7 @@ from llclab.matrices import MatG, in_iplus_t
 from llclab.supercuspidal import SSCDatum
 
 from reference_walk import ReferenceWalk
-from test_matrices import entries
+from test_matrices import entries, in_iplus
 
 
 def diagonal(F, entries):
@@ -99,7 +99,7 @@ def random_iplus(rng, F, n):
                 row.append(F.elem(1, [rng.randrange(q) for _ in range(2)]))
         rows.append(row)
     m = MatG(F, rows)
-    assert m.in_pro_unipotent_iwahori()
+    assert in_iplus(m)
     return m
 
 
@@ -263,7 +263,7 @@ def test_decompose_sandwich_and_uniqueness():
             u, mono, k = decompose(g)
             assert mono == m0  # the class is an invariant
             assert _is_upper_unipotent(u)
-            assert k.in_pro_unipotent_iwahori()
+            assert in_iplus(k)
             assert (u * mono.as_matrix() * k).agrees(g)
 
 
@@ -532,7 +532,7 @@ def _series_decompose(g, prec=None):
     lead = [A[i][cols[i]].leading() for i in range(n)]
     mono = MonomialClass(field, cols, [v for v, _ in lead], [c for _, c in lead])
     k_total = mono.inverse().as_matrix() * MatG(field, A) * MatG(field, k_rows)
-    if not k_total.in_pro_unipotent_iwahori():
+    if not in_iplus(k_total):
         raise LLCError("internal: k factor left the Iwahori subgroup")
     return MatG(field, u_rows), mono, k_total
 

@@ -247,6 +247,23 @@ def test_enumerate_facets_small():
         assert not any(f.is_empty() for f in enumerate_facets(n))
 
 
+def test_census_bound_is_checked_before_anything_is_built(monkeypatch):
+    # the grid, the tests and the benchmark stay at or below n = 10
+    assert building.MAX_N >= 10
+
+    def boom(*args, **kwargs):
+        raise AssertionError("built past the census bound")
+
+    monkeypatch.setattr(building, "compositions", boom)
+    monkeypatch.setattr(building, "Fraction", boom)
+    monkeypatch.setattr(building.FacetSpec, "__init__", boom)
+    big = building.MAX_N + 1
+    for build in (lambda: enumerate_facets(big), lambda: FacetSpec.parse(f"t=1;m=1,{big - 1}"),
+                  lambda: FacetSpec.parse("t=0;m=4000"), lambda: ApartmentPoint.parse(",".join("0" * big))):
+        with pytest.raises(ValueError, match="census bound"):
+            build()
+
+
 def test_compositions_yield_each_composition_once():
     for n in range(1, 11):
         comps = list(compositions(n))
@@ -339,8 +356,9 @@ def test_integer_kernels_match_fraction_oracles():
         assert Fraction(jump_numerator(x), x.den) == _fraction_r_of_x(x)
         gq = graded_quotient(x)
         r, sizes, arrows, spacings = _fraction_graded_quotient(x)
-        assert (gq.r, gq.sizes, gq.arrows, gq.spacings) == (r, sizes, arrows, spacings)
-        assert all(type(s) is Fraction for s in (gq.r, *gq.spacings))
+        assert (gq.r, gq.sizes, gq.arrows) == (r, sizes, arrows)
+        assert tuple(Fraction(g, x.den) for g in gq.gaps) == spacings
+        assert type(gq.r) is Fraction
         assert repr(gq) == f"GradedQuotient(r={r}, sizes={sizes}, arrows={arrows})"
         assert facet_of(x) == _fraction_facet_of(x)
         assert is_barycenter(x) == _fraction_is_barycenter(x)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from llclab import cli
+from llclab.building import MAX_N
 from llclab.matching import twist_char
 from llclab.zeta import closed_form_epsilon
 
@@ -187,6 +188,19 @@ def test_facet_needs_a_mode(capsys):
     assert cli.main(["facet", "--n", "4"]) == 2
 
 
+def test_facet_above_the_census_bound_rejected(capsys):
+    # 2^13 - 1 facets, or one block of 4,000, would take seconds to
+    # minutes and gigabytes: each is refused before it is built
+    n = str(MAX_N + 1)
+    point = ",".join(["0"] * (MAX_N + 1))
+    for argv in (["--list", "--n", n], ["--spec", f"t=0;m={n}"], ["--spec", "t=0;m=4000"],
+                 ["--spec", "t=1;m=" + ",".join(["1"] * (MAX_N + 1))], ["--point", point]):
+        assert cli.main(["facet", *argv]) == 2, argv
+        assert "census bound" in json.loads(capsys.readouterr().err)["error"]
+    code, payload = run_json(capsys, ["facet", "--spec", f"t=0;m={MAX_N}"])
+    assert code == 0 and payload["n"] == MAX_N
+
+
 def test_bruhat_round_trip(capsys):
     mat = json.dumps([[[0, [1]], [1, [2]]], [[-1, [3]], [0, [4]]]])
     code, payload = run_json(capsys, ["bruhat", "--q", "5", "--matrix", mat])
@@ -214,7 +228,29 @@ def test_bruhat_precision_cut_reports_precision(capsys):
 
 
 def test_bruhat_malformed_json_rejected(capsys):
-    assert cli.main(["bruhat", "--q", "3", "--matrix", "[[0,1],["]) == 2
+    # not JSON; not a non-empty list of lists; an entry of the wrong shape;
+    # a val, coefficient or prec that is not a JSON integer, or a bool
+    obj = {"field": "F", "n": 1, "val": 0, "coeffs": [1]}
+    bad = ["[[0,1],[", "null", "5", "[5]", "[]", "[[]]", "[[[0,5]]]", '[["1"]]',
+           '[[[0,"12"]]]', "[[[0,[1.7]]]]", "[[[0.5,[1]]]]", "[[true]]", "[[[0,[true]]]]",
+           json.dumps([[{**obj, "coeffs": 5}]]), json.dumps([[{**obj, "val": "x"}]]),
+           json.dumps([[{k: v for k, v in obj.items() if k != "val"}]]),
+           json.dumps([[{**obj, "prec": 1.5}]]), json.dumps([[{**obj, "n": 2}]])]
+    for text in bad:
+        assert cli.main(["bruhat", "--q", "3", "--matrix", text]) == 2, text
+        assert json.loads(capsys.readouterr().err)["error"], text
+
+
+def test_bruhat_reads_the_entries_it_prints(capsys):
+    # the help names the object form to_json prints; it reads back as
+    # given, a finite prec included
+    obj = {"field": "F", "n": 1, "val": -1, "coeffs": [1, 2], "prec": 3}
+    code, payload = run_json(capsys, ["bruhat", "--q", "3", "--matrix", json.dumps([[obj, 0], [0, 1]])])
+    assert code == 0 and payload["product_matches"]
+    assert payload["monomial"] == {"perm": [0, 1], "exps": [-1, 0], "units": [1, 1]}
+    with pytest.raises(SystemExit):
+        cli.main(["bruhat", "--help"])
+    assert '"field": "F", "n": 1, "val"' in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("coeff", [5, -1])

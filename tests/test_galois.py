@@ -26,7 +26,7 @@ from llclab.laurent import LaurentElem, LocalField
 from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.zeta import closed_form_epsilon
 
-from test_laurent import from_base, unit_reps
+from test_laurent import from_base, integer_reps, unit_reps
 from test_supercuspidal import _datum
 
 
@@ -42,7 +42,7 @@ def _conic_solvable(F, a, b):
     congruence modulo p^3 decides the equation exactly; the search runs
     over digit vectors modulo p^3 with each coordinate pinned in turn.
     """
-    reps = F.integer_reps(0, 3)
+    reps = integer_reps(F, 0, 3)
     one = F.one()
     for pinned in range(3):
         for s1 in reps:
@@ -231,7 +231,7 @@ def test_gauss_sum_below_the_conductor_is_rejected():
     for q, n, u0 in [(7, 2, 3), (5, 3, 2), (9, 2, 1)]:
         for znum in (0, 1):
             P = build_parameter(_datum(q, n, zeta_num=znum, u0=u0))
-            for lam in (TameChar.trivial(P.ssc.F), TameChar(P.ssc.F, 1)):
+            for lam in (TameChar(P.ssc.F, 0), TameChar(P.ssc.F, 1)):
                 with pytest.raises(ValueError, match="depth m >= 2"):
                     gauss_sum_bruteforce(P.xi.twist_by_base(lam), m=1)
                 with pytest.raises(ValueError, match="depth m >= 2"):
@@ -362,7 +362,7 @@ def test_epsilon_galois_untwisted():
     for q, n, znum, u0 in [(5, 2, 1, 1), (7, 3, 5, 2), (3, 4, 7, 2)]:
         d = _datum(q, n, znum, omega_exp=1, u0=u0)
         P = build_parameter(d)
-        got = epsilon_galois(P, TameChar.trivial(d.F))
+        got = epsilon_galois(P, TameChar(d.F, 0))
         assert got == EpsMonomial(q, LambdaGraded.from_cyclo(d.zeta), Fraction(1, 2), -1)
         assert got.unit.grade == 0
 

@@ -47,6 +47,13 @@ def from_base(E, x):
     return E._from_dict(terms, None if x.prec is None else n * x.prec)
 
 
+def integer_reps(F, lo, hi):
+    """All truncated series supported on exponents lo <= e < hi."""
+    if hi < lo:
+        raise ValueError("empty exponent window")
+    return [F.elem(lo, digits) for digits in itertools.product(range(F.residue.q), repeat=hi - lo)]
+
+
 def unit_reps(F, m):
     """Representatives of the unit group modulo one-units of depth m: the
     leading digit first, then the m - 1 lower digits, the last one running
@@ -675,7 +682,7 @@ def test_unit_reps_census():
 
 def test_integer_reps_census():
     F = LocalField.base_field(3)
-    reps = F.integer_reps(-1, 2)
+    reps = integer_reps(F, -1, 2)
     assert len(reps) == 27
     assert len({d_of(r) and tuple(sorted(d_of(r).items())) or () for r in reps}) == 27
 

@@ -48,7 +48,7 @@ def test_round_trip_small_grid():
 
 def test_trivial_only_table_is_partial():
     d = _datum(5, 2, zeta_num=1, u0=3)
-    T = EpsilonTable(5, 2, {(0, 0): closed_form_epsilon(d, TameChar.trivial(d.F))})
+    T = EpsilonTable(5, 2, {(0, 0): closed_form_epsilon(d, TameChar(d.F, 0))})
     res = determine_from_table(T, d.omega, 2, 5)
     assert not res.complete
     assert res.zeta == RootOfUnity(1, 4)
@@ -98,7 +98,7 @@ def test_mismatched_central_character_raises():
     d = _datum(5, 2, zeta_num=1, u0=2)  # omega(pi) = -1
     T = EpsilonTable.of_datum(d)
     with pytest.raises(InconsistentTable):
-        determine_from_table(T, TameChar.trivial(d.F), 2, 5)
+        determine_from_table(T, TameChar(d.F, 0), 2, 5)
 
 
 def test_tables_separate_distinct_data():

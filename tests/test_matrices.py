@@ -6,13 +6,19 @@ from llclab import pairs, zeta
 from llclab.bruhat import decompose
 from llclab.errors import LLCError
 from llclab.laurent import LocalField
-from llclab.matrices import MatG
+from llclab.matrices import MatG, in_iplus_t
 from llclab.pairs import KWalk
 
 
 def entries(g):
     """The entries of g as series, row by row."""
     return [[g.entry(i, j) for j in range(g.n)] for i in range(g.n)]
+
+
+def in_iplus(g):
+    """g lies in the pro-unipotent Iwahori subgroup; raises where its
+    digits cannot decide."""
+    return in_iplus_t(g.field.residue, g.rows, g.field.var)
 
 
 def rechecked(g):

@@ -26,7 +26,8 @@ from llclab.pairs import (
 
 from reference_walk import ReferenceWalk
 from test_bruhat import mirabolic_point, polar_block, random_iplus, random_unipotent
-from test_matrices import assert_one_representation, entries
+from test_laurent import integer_reps
+from test_matrices import assert_one_representation, entries, in_iplus
 from test_supercuspidal import _datum
 
 
@@ -301,7 +302,7 @@ def test_push_outside_iwahori_raises(monkeypatch, warmup, side, a, b, val):
     # alone, the other switched off, catches it.  KWalk tests the
     # generator's digits, raises the same error and moves nothing
     def one_side(self):
-        if not getattr(self, side).in_pro_unipotent_iwahori():
+        if not in_iplus(getattr(self, side)):
             raise LLCError("walk state left the Iwahori subgroup")
 
     monkeypatch.setattr(ReferenceWalk, "_check_iwahori", one_side)
@@ -538,7 +539,7 @@ def _mirabolic_table_per_point(q, n, precision=2, shell_bound=1):
     for digits in itertools.product(range(q), repeat=len(slots)):
         polar = dict(zip(slots, digits))
         for k_res in itertools.product(range(q), repeat=m - 1):
-            for x_last in F.integer_reps(-shell_bound, 1):
+            for x_last in integer_reps(F, -shell_bound, 1):
                 point = mirabolic_point(F, n, polar, k_res, x_last)
                 classes[WhittakerInvariant.of(*decompose(point))] += 1
                 rows += 1

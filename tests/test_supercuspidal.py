@@ -9,6 +9,7 @@ from llclab.matrices import MatG
 from llclab.supercuspidal import SSCDatum
 
 from test_bruhat import random_iplus, random_unipotent, upper_unipotent
+from test_matrices import in_iplus
 
 
 def _datum(q, n, zeta_num=0, omega_exp=0, u0=1):
@@ -52,7 +53,7 @@ def test_affine_generic_on_elementary_one_units():
             rows = [[F.one() if a == b else F.zero() for b in range(n)] for a in range(n)]
             rows[n - 1][0] = F.elem(1, (c,))
             k = MatG(F, rows)
-            assert k.in_pro_unipotent_iwahori()
+            assert in_iplus(k)
             expect = d.psi.of_residue(ff.mul(c, ff.inv(u0)))
             assert d.extended_char(0, 1, 0, k) == expect
 

@@ -28,7 +28,7 @@ from llclab.zeta import (
 )
 
 from test_bruhat import _count_eliminations, diagonal
-from test_laurent import unit_reps
+from test_laurent import integer_reps, unit_reps
 from test_monomials import EpsPolynomial
 from test_matrices import entries
 from test_supercuspidal import _datum
@@ -78,7 +78,7 @@ def _rows_oracle(d, lam, rows, rows_next):
 def test_principal_integral_trivial_twist():
     for q, n in [(5, 2), (3, 4), (7, 3)]:
         d = _datum(q, n, zeta_num=1)
-        lam = TameChar.trivial(d.F)
+        lam = TameChar(d.F, 0)
         _assert_collapses_to(zeta_psi(d, lam), _const_poly(q, -1))
 
 
@@ -101,7 +101,7 @@ def test_principal_integral_ignores_zeta():
 
 def test_depth_and_mode_guards():
     d = _datum(3, 2, zeta_num=1)
-    lam = TameChar.trivial(d.F)
+    lam = TameChar(d.F, 0)
     with pytest.raises(ValueError):
         zeta_psi(d, lam, m=1)
 
@@ -256,7 +256,7 @@ def test_dual_integral_rank_two_against_shell_oracle():
 
 def test_dual_integral_trivial_twist():
     d = _datum(5, 2, zeta_num=1)
-    lam = TameChar.trivial(d.F)
+    lam = TameChar(d.F, 0)
     _assert_collapses_to(zeta_psi_tilde(d, lam), _dual_expected(d, lam))
 
 
@@ -277,7 +277,7 @@ def _dual_grid_points(q, n, m, B):
     shells -B..B, unit cosets, and x-tuples with digits from -B up,
     non-integral x included, each decomposed here."""
     F = LocalField.base_field(q)
-    x_reps = F.integer_reps(-B, m)
+    x_reps = integer_reps(F, -B, m)
     out = []
     for v in range(-B, B + 1):
         for w in unit_reps(F, m):
@@ -341,7 +341,7 @@ def test_dual_support_census():
         for w in unit_reps(F, 2):
             h = w.shift(v)
             on_h = v == -1 and w.coeff_at(0) == want_res
-            for x in F.integer_reps(-1, 2):
+            for x in integer_reps(F, -1, 2):
                 on_x = x.is_exact_zero() or x.valuation() >= 0
                 got = d.whittaker_root(dual_matrix(F, [x], h))
                 assert (got is not None) == (on_h and on_x)
@@ -386,7 +386,7 @@ def test_dual_integral_reads_the_cached_table(monkeypatch):
     calls = _count_eliminations(monkeypatch)
     for (q, n, zeta_num, u0), T in zip(cells, tables):
         d = _datum(q, n, zeta_num=zeta_num, omega_exp=1, u0=u0)
-        for lam in (TameChar.trivial(d.F), TameChar(d.F, 1, RootOfUnity(1, q - 1))):
+        for lam in (TameChar(d.F, 0), TameChar(d.F, 1, RootOfUnity(1, q - 1))):
             got = zeta_psi_tilde(d, lam)
             _assert_collapses_to(got, _rows_oracle(d, lam, T.agg, T.agg_next))
             _assert_collapses_to(got, _dual_expected(d, lam))
@@ -399,7 +399,7 @@ def _dual_class_points(q, n, m, B):
     invariants of every integral x class mod p at depth 2, and of x = 0
     deeper, each decomposed here."""
     F = LocalField.base_field(q)
-    x_reps = F.integer_reps(0, 1 if m == 2 else 0)
+    x_reps = integer_reps(F, 0, 1 if m == 2 else 0)
     out = []
     for v in range(-B, B + 1):
         for w in unit_reps(F, m):
@@ -492,7 +492,7 @@ def test_every_integral_point_has_its_lead_invariant(q, n, depths):
         rows = zeta._dual_points(q, n, m, zeta.AUDIT_SEED).points
         lead = {(row.arg_val, row.arg_lead): row.invariant for row in rows}
         assert len(lead) == len(rows) == 5 * (q - 1)
-        x_reps = F.integer_reps(0, m)
+        x_reps = integer_reps(F, 0, m)
         for v in range(-2, 3):
             for w in unit_reps(F, m):
                 h = w.shift(v)
@@ -612,12 +612,12 @@ def test_table_audit_runs_per_uniformizer(monkeypatch):
 
 def test_closed_form_values():
     d = _datum(5, 2, zeta_num=0)
-    lam = TameChar.trivial(d.F)
+    lam = TameChar(d.F, 0)
     assert closed_form_epsilon(d, lam) == EpsMonomial(
         5, LambdaGraded.one(), Fraction(1, 2), -1
     )
     d = _datum(5, 2, zeta_num=1)
-    assert closed_form_epsilon(d, TameChar.trivial(d.F)) == EpsMonomial(
+    assert closed_form_epsilon(d, TameChar(d.F, 0)) == EpsMonomial(
         5, LambdaGraded.from_cyclo(RootOfUnity(1, 4)), Fraction(1, 2), -1
     )
     d = _datum(5, 3, zeta_num=2, omega_exp=0, u0=2)
@@ -783,7 +783,7 @@ def test_gamma_equals_closed_form():
 
 def test_gamma_trivial_data_value():
     d = _datum(3, 2, zeta_num=0)
-    lam = TameChar.trivial(d.F)
+    lam = TameChar(d.F, 0)
     assert gamma_automorphic(d, lam) == EpsMonomial(
         3, LambdaGraded.one(), Fraction(1, 2), -1
     )
