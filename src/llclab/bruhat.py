@@ -20,13 +20,12 @@ each column op is one fused z + c*y update per entry (skipped where y is
 an exact zero), u's off-diagonal entries are the row-op coefficients,
 and decompose wraps the triple rows of u and k as they come, with no
 LaurentElem built.  What cancels is not computed: c is an entry times
-the pivot's inverse, so the entry a
-column op clears in the pivot row, and the pivot-column entry of each
-row op, are laurent.cancel_t's zero at the precision the update would
-carry.  Once its columns are cleared the pivot row is its pivot and
-zeros, so the rest of a row op only cuts precisions where the row holds
-a zero known to a precision; row ops read only c's valuation and
-precision, so they never negate it.
+the pivot's inverse, so the entry a column op clears in the pivot row,
+and the pivot-column entry of each row op, are laurent.cancel_t's zero
+at the precision the update would carry.  Once its columns are cleared
+the pivot row is its pivot and zeros, so the rest of a row op only cuts
+precisions where the row holds a zero known to a precision; row ops
+read only c's valuation and precision, so they never negate it.
 k is not a matrix product: the column ops are recorded and replayed, the
 last one first, on the columns of M^-1 times the eliminated matrix, one
 fused update each.  The Iwahori checks on the column factors and on the
@@ -43,9 +42,8 @@ enumeration) its invariant is built directly; every other matrix is
 read with WhittakerInvariant.read(g), which eliminates g cut one digit
 past its last stored digit, exact zeros kept exact.  An exact pivot
 that is not a monomial then inverts to the few digits the window holds,
-where
-decompose inverts it to DEFAULT_REL_PREC digits for the u and k it
-returns.  Precision tracking makes the window's reading that of
+where decompose inverts it to DEFAULT_REL_PREC digits for the u and k
+it returns.  Precision tracking makes the window's reading that of
 decompose(g), as g agrees with its cut; where the window cannot decide,
 g is eliminated once more as given.  One reader,
 WhittakerInvariant._of_rows, takes the digits off the triple rows of u

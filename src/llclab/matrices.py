@@ -5,10 +5,10 @@ algorithm is the naive one.  A matrix stores each entry once, as the
 normalized (val, coeffs, prec) triple laurent's kernels read: the
 product, truncation and determinant run on the stored rows, and bruhat
 eliminates them as they are and tests k for Iwahori membership with
-in_iplus_t.  MatG(field, rows) is the
-checked constructor from series; wrap_matrix builds a matrix from
-kernel triples without it, and entry(i, j) gives one entry as a series.
-Precision rides along on the entries.
+in_iplus_t.  MatG(field, rows) is the checked constructor from series;
+wrap_matrix builds a matrix from kernel triples without it, and
+entry(i, j) gives one entry as a series.  Precision rides along on the
+entries.
 """
 
 from __future__ import annotations

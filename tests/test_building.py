@@ -258,8 +258,13 @@ def test_census_bound_is_checked_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(building, "Fraction", boom)
     monkeypatch.setattr(building.FacetSpec, "__init__", boom)
     big = building.MAX_N + 1
-    for build in (lambda: enumerate_facets(big), lambda: FacetSpec.parse(f"t=1;m=1,{big - 1}"),
-                  lambda: FacetSpec.parse("t=0;m=4000"), lambda: ApartmentPoint.parse(",".join("0" * big))):
+    builds = [
+        lambda: enumerate_facets(big),
+        lambda: FacetSpec.parse(f"t=1;m=1,{big - 1}"),
+        lambda: FacetSpec.parse("t=0;m=4000"),
+        lambda: ApartmentPoint.parse(",".join("0" * big)),
+    ]
+    for build in builds:
         with pytest.raises(ValueError, match="census bound"):
             build()
 

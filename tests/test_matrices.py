@@ -102,9 +102,8 @@ def test_every_builder_stores_normalized_triples():
         for _ in range(10):
             A = MatG(F, [[random_entry(rng, F) for _ in range(n)] for _ in range(n)])
             B = MatG(F, [[random_entry(rng, F) for _ in range(n)] for _ in range(n)])
-            g = MatG(F, [
-                [F.elem(-1, [rng.randrange(q) for _ in range(4)]) for _ in range(n)] for _ in range(n)
-            ])
+            shell = [[F.elem(-1, [rng.randrange(q) for _ in range(4)]) for _ in row] for row in A.rows]
+            g = MatG(F, shell)
             built += [A, A * B, A.truncate(rng.randrange(-1, 4)), g, pairs._embed(F, g)]
             for h in (g, g.truncate(2)):
                 try:
