@@ -719,9 +719,8 @@ class LocalField:
         integers and coeffs a list of residues 0..q-1, since a coefficient
         indexes the residue tables: a bool, float or string stands in for
         none of them."""
-        if not isinstance(data, dict) or (data.get("field"), data.get("n")) != (
-            self.name, self.degree
-        ):
+        tag = (data.get("field"), data.get("n"))
+        if tag != (self.name, self.degree) or type(tag[1]) is not int:
             raise ValueError("element encoding does not match this field")
         val, coeffs, prec = data.get("val"), data.get("coeffs"), data.get("prec")
         if type(val) is not int or not (prec is None or type(prec) is int):

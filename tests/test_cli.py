@@ -235,7 +235,8 @@ def test_bruhat_malformed_json_rejected(capsys):
            '[[[0,"12"]]]', "[[[0,[1.7]]]]", "[[[0.5,[1]]]]", "[[true]]", "[[[0,[true]]]]",
            json.dumps([[{**obj, "coeffs": 5}]]), json.dumps([[{**obj, "val": "x"}]]),
            json.dumps([[{k: v for k, v in obj.items() if k != "val"}]]),
-           json.dumps([[{**obj, "prec": 1.5}]]), json.dumps([[{**obj, "n": 2}]])]
+           json.dumps([[{**obj, "prec": 1.5}]]), json.dumps([[{**obj, "n": 2}]]),
+           json.dumps([[{**obj, "n": True}]])]
     for text in bad:
         assert cli.main(["bruhat", "--q", "3", "--matrix", text]) == 2, text
         assert json.loads(capsys.readouterr().err)["error"], text
