@@ -5,8 +5,9 @@ certificates on the building.
 
 Everything is exact.  Values live in cyclotomic fields with rational
 coefficients, field elements are truncated Laurent series with tracked
-precision, and the one transcendental normalization constant stays a
-formal symbol.
+precision, and the one normalization constant, the Langlands constant
+Lambda, stays a formal symbol: a root of unity of order dividing 2n, as
+Lambda^n = kappa(pi) = +-1, of which only that n-th power is computed.
 """
 
 from .errors import (

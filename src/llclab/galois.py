@@ -222,12 +222,15 @@ class DetCharacter:
         return f"DetCharacter(exp_unit={self.exp_unit}, at_pi={self.at_pi!r})"
 
 
-def det_parameter(P: ParameterDatum) -> DetCharacter:
-    """Determinant of the induced parameter: the restriction of xi to the
-    base field times kappa.  Its value at pi folds Lambda^n = kappa(pi),
-    so it is exactly the central character there."""
+def det_parameter(P: ParameterDatum, lam: TameChar | None = None) -> DetCharacter:
+    """Determinant of the induced parameter, twisted by lam composed with
+    the norm when lam is given: the restriction of xi (or of its twist)
+    to the base field times kappa.  Its value at pi folds
+    Lambda^n = kappa(pi), so untwisted it is exactly the central character
+    there, and twisted it is omega * lam^n."""
     d = P.ssc
-    kp = P.kappa(d.pi_elem())
-    at_pi = ((P.xi.at_pi ** d.n) * kp).reduce_lambda(d.n, 1 if kp.is_one() else -1)
-    e = P.xi.exp_unit + P.kappa.exp_unit
+    xi = P.xi if lam is None else P.xi.twist_by_base(lam)
+    kp = P.kappa.of_leading(1, d.pi_unit)
+    at_pi = ((xi.at_pi ** d.n) * kp).reduce_lambda(d.n, 1 if kp.is_one() else -1)
+    e = xi.exp_unit + P.kappa.exp_unit
     return DetCharacter(d.F, e, at_pi, d.pi_unit)

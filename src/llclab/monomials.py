@@ -15,7 +15,8 @@ per value, handed out by _unit from a dict keyed by the normal (grade,
 root, rational), so == is identity, and each product with a unit or a root
 is computed once and then read from a dict keyed by the pair of operands.
 After acceptance criteria 1-5 in one process the two dicts held 3,704
-units and 7,308 products; interned_counts reads all four sizes.
+units and 7,308 products; interned_counts reads all four sizes,
+and those of the tame characters' intern dict and memo.
 """
 
 from __future__ import annotations
@@ -165,13 +166,19 @@ def _unit(grade: int, root: RootOfUnity, rational: int | Fraction) -> LambdaGrad
 
 def interned_counts() -> dict[str, int]:
     """Sizes of the intern and product dicts of cyclotomic and this
-    module: roots, root products, units, unit products.  They only grow,
-    so a criterion's report shows the process's totals so far."""
+    module: roots, root products, units, unit products; and of characters'
+    tame characters and the values they keep.  They only grow, so a
+    criterion's report shows the process's totals so far."""
+    # characters builds on this module, so its dict is read at call time
+    from .characters import _TAME
+
     return {
         "roots": len(_ROOTS),
         "root_products": len(_ROOT_PRODUCTS),
         "units": len(_UNITS),
         "unit_products": len(_UNIT_PRODUCTS),
+        "tame_chars": len(_TAME),
+        "tame_values": sum(len(lam._values) for lam in _TAME.values()),
     }
 
 

@@ -36,9 +36,9 @@ from .characters import AdditiveCharPsi, TameChar
 from .cyclotomic import CycloNumber, RootOfUnity
 from .errors import InsufficientPrecision, ZeroInput
 from .finitefield import field_of_size
-from .galois import build_parameter, gauss_sum_bruteforce
+from .galois import build_parameter, det_parameter, gauss_sum_bruteforce
 from .laurent import LocalField
-from .matching import EpsilonTable, determine_from_table, verify_matching
+from .matching import EpsilonTable, determine_from_table, twist_char, verify_matching
 from .matrices import MatG
 from .monomials import EpsMonomial, LambdaGraded, interned_counts
 from .pairs import PairConfig, cached_k_words, k_special_check, mirabolic_agreement
@@ -268,19 +268,41 @@ def criterion_zeta_collapse(scale: str | None = None) -> dict:
 def criterion_matching(scale: str | None = None) -> dict:
     """Galois-side epsilon == closed form == integral path, and the reduced
     determinant character equals the central character, for every datum
-    and every unit twist."""
+    and every unit twist.
+
+    twisted_determinants counts the checks that the determinant of each
+    twisted parameter, det(Ind(xi * lam o N)), is omega * lam^n in its
+    unit exponent and its value at pi: 292,520 on the full grid, one per
+    datum and twist.  A Gauss sum of a depth-one character does not see
+    its tame unit exponent, so this is the check that sees a twist which
+    leaves that exponent alone."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
     cells = gauss_cells(scale)
-    checked, with_integral, failures = 0, 0, []
+    checked, with_integral, twisted, failures = 0, 0, 0, []
     for q, n in cells:
+        F = LocalField.base_field(q)
+        # every unit twist, each with its n-th power
+        twists = [(e, 0) for e in range(q - 1)]
+        lams = [twist_char(F, e, b) for e, b in twists]
+        powers = [lam**n for lam in lams]
         for d in datum_grid(q, n):
-            rep = verify_matching(d)
+            rep = verify_matching(d, twists)
             checked += 1
             if any("automorphic" in row for row in rep["twists"]):
                 with_integral += 1
             if not (rep["all_equal"] and rep["central_character_matches"]):
                 failures.append(_datum_key(d))
+            P = build_parameter(d)
+            for twist, lam, lam_n in zip(twists, lams, powers):
+                want, det = d.omega * lam_n, det_parameter(P, lam)
+                twisted += 1
+                if (det.exp_unit != want.exp_unit
+                        or det.at_pi != LambdaGraded(0, want.of_leading(1, d.pi_unit))):
+                    bad = _datum_key(d)
+                    bad["twist"] = list(twist)
+                    bad["check"] = "twisted determinant"
+                    failures.append(bad)
     return _report(
         4,
         "epsilon matching",
@@ -289,6 +311,7 @@ def criterion_matching(scale: str | None = None) -> dict:
         t0,
         cells=cells,
         with_integral_path=with_integral,
+        twisted_determinants=twisted,
         interned=interned_counts(),
     )
 

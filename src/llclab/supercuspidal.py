@@ -41,6 +41,7 @@ class SSCDatum:
         if not 1 <= pi_unit < q:
             raise ValueError("pi_unit must be a nonzero residue")
         self.pi_unit = pi_unit
+        self._extension = self.F.extension(n, pi_unit)
         self.zeta = zeta
         omega_at_pi = omega_at_pi if omega_at_pi is not None else RootOfUnity.one()
         if zeta**n != omega_at_pi:
@@ -48,17 +49,18 @@ class SSCDatum:
         self.omega_exp = omega_exp % (q - 1)
         self.omega_at_pi = omega_at_pi
         # omega as a tame character: value at t adjusted so that the value
-        # at pi = pi_unit * t is the prescribed one
-        at_t = omega_at_pi * RootOfUnity(-self.omega_exp * ff.dlog(pi_unit), q - 1)
-        self.omega = TameChar(self.F, self.omega_exp, at_t)
-        self.psi = AdditiveCharPsi(self.F)
+        # at pi = pi_unit * t is the prescribed one, omega(pi) / omega(pi_unit)
+        unit_part = TameChar(self.F, self.omega_exp).of_unit(pi_unit)
+        self.omega = TameChar(self.F, self.omega_exp, omega_at_pi * unit_part.inverse())
+        self.psi = AdditiveCharPsi.of_field(self.F)
 
     # ----- basic objects -------------------------------------------------
     def pi_elem(self):
         return self.F.elem(1, (self.pi_unit,))
 
     def extension_field(self) -> LocalField:
-        return self.F.extension(self.n, self.pi_unit)
+        """The ramified extension u^n = pi_unit * t, looked up once."""
+        return self._extension
 
     def rotation_class(self, r: int = 1) -> MonomialClass:
         return MonomialClass.rotation(self.F, self.n, self.pi_unit) ** r

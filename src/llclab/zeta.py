@@ -33,7 +33,8 @@ per (q, n, pi_unit, m) and raise instead of averaging away.
 A call evaluates the datum's character at the row's invariant and the
 twist at its argument, which makes each integral one monomial in q^(-s).
 Gamma is the quotient of the two rows, kept the same way, so it costs
-the same two character values.  There is no size cap and no second
+the same two character values.  The one bound is on the working depth,
+2..MAX_DEPTH, checked before any row is built, and there is no second
 path: the point-by-point integrals are oracles in the tests.
 
 The dual integrand's vanishing for non-integral x is the one claim still
@@ -67,6 +68,19 @@ SPOT_CHECKS = 40
 # fixed seeds of the non-integral-x audits: AUDIT_SEED at the working depth,
 # AUDIT_SEED + 1 one depth higher
 AUDIT_SEED = 71
+# the deepest working depth an integral accepts: a call builds rows at m
+# and m + 1, whose cost grows about as m^2 (gamma at q = 5, n = 3 took
+# 0.47 s at depth 200 and 14.5 s at 1,000); the library and its tests
+# use depths 2 and 3
+MAX_DEPTH = 100
+
+
+def _check_depth(m: int) -> None:
+    """Reject a working depth outside 2..MAX_DEPTH before any row is built."""
+    if m < 2:
+        raise ValueError("need depth m >= 2")
+    if m > MAX_DEPTH:
+        raise ValueError(f"depth {m} is above MAX_DEPTH = {MAX_DEPTH}")
 
 
 def zeta_psi(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
@@ -77,8 +91,7 @@ def zeta_psi(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
     row is the one-units.  Another row count raises LLCError; depths m
     and m + 1 disagreeing raises PrecisionNotStabilized.
     """
-    if m < 2:
-        raise ValueError("need depth m >= 2")
+    _check_depth(m)
     return _value(d, lam, _principal_row(d.q, d.n, d.pi_unit, m))
 
 
@@ -128,6 +141,7 @@ def zeta_psi_tilde(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
     Another row count raises LLCError; depths m and m + 1 disagreeing
     raises PrecisionNotStabilized.
     """
+    _check_depth(m)
     return _value(d, lam, _dual_row(d.q, d.n, d.pi_unit, m))
 
 
@@ -256,8 +270,7 @@ DualSupportTable = namedtuple("DualSupportTable", "q n pi_unit m agg agg_next ro
 def cached_dual_table(q: int, n: int, pi_unit: int, m: int = 2) -> DualSupportTable:
     """The dual integral's rows for one uniformizer choice, solved from
     lead invariants named once for every uniformizer."""
-    if m < 2:
-        raise ValueError("need depth m >= 2")
+    _check_depth(m)
     # support and invariants do not see zeta or omega, so a throwaway
     # datum with trivial choices only validates (q, n, pi_unit)
     SSCDatum(q, n, RootOfUnity.one(), 0, None, pi_unit)
@@ -348,6 +361,7 @@ def gamma_automorphic(d: SSCDatum, lam: TameChar, m: int = 2) -> EpsMonomial:
     uniformizer; a call evaluates the datum at the quotient invariant and
     lam at the quotient argument.
     """
+    _check_depth(m)
     return _value(d, lam, _gamma_row(d.q, d.n, d.pi_unit, m))
 
 

@@ -25,7 +25,8 @@ def _assert_interned(rep):
     # the intern and product dicts only grow within a process, so only
     # their presence is pinned, not their sizes
     sizes = rep["interned"]
-    assert set(sizes) == {"roots", "root_products", "units", "unit_products"}
+    assert set(sizes) == {"roots", "root_products", "units", "unit_products",
+                          "tame_chars", "tame_values"}
     assert all(v > 0 for v in sizes.values()), sizes
 
 
@@ -54,6 +55,9 @@ def test_criterion_4_epsilon_matching():
     rep = _gate(selftest.criterion_matching, budget=300)
     assert rep["checked"] == 29300
     assert rep["with_integral_path"] == 29300
+    # det(Ind(xi * lam o N)) == omega * lam^n for every datum and twist:
+    # the sum of q - 1 over the 29,300 data
+    assert rep["twisted_determinants"] == 292_520
     _assert_interned(rep)
 
 

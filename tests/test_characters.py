@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -9,8 +10,9 @@ import llclab
 from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar, norm_of_variable
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import InsufficientPrecision, ZeroInput
-from llclab.galois import DetCharacter, build_parameter
+from llclab.galois import DetCharacter, build_parameter, kappa_char
 from llclab.laurent import LocalField
+from llclab.matching import twist_char
 from llclab.monomials import LambdaGraded
 from llclab.selftest import datum_grid, gauss_cells
 from llclab.supercuspidal import SSCDatum
@@ -159,6 +161,99 @@ def test_of_leading_matches_power_times_unit_value():
                 lam.of_leading(1, 0)
 
 
+def test_every_construction_path_returns_the_interned_tame_char():
+    # one object per (field, exp_unit mod q-1, at_var), however it is built
+    q = 5
+    F = LocalField.base_field(q)
+    at = RootOfUnity(1, 4)
+    a = TameChar(F, 1, at)
+    b = TameChar(F, 3, RootOfUnity(1, 6))
+    assert TameChar(F, 1, at) is a and TameChar(F, 1 + q - 1, at) is a
+    assert TameChar(F, 1 - 3 * (q - 1), RootOfUnity(5, 4)) is a
+    assert TameChar(F, 2) is TameChar(F, 2, RootOfUnity.one())
+    assert a * b is TameChar(F, 4, at * RootOfUnity(1, 6)) and b * a is a * b
+    assert a.inverse() is TameChar(F, -1, at.inverse())
+    assert a * a.inverse() is TameChar(F, 0)
+    for k in (-3, -1, 0, 1, 2, 5):
+        assert a**k is TameChar(F, k, at**k)
+    assert twist_char(F, 3, 2) is TameChar(F, 3, RootOfUnity(2, q - 1))
+    E = F.extension(3, 2)
+    kappa = kappa_char(E)
+    assert kappa_char(E) is kappa
+    assert TameChar(F, kappa.exp_unit, kappa.at_var) is kappa
+    zeta = RootOfUnity(1, 9)
+    d1, d2 = (SSCDatum(q, 3, zeta, omega_exp=1, omega_at_pi=zeta**3, pi_unit=2) for _ in range(2))
+    assert d1 is not d2 and d1.omega is d2.omega
+    assert d1.omega is TameChar(F, 1, d1.omega.at_var)
+    assert d1.psi is d2.psi is AdditiveCharPsi.of_field(F)
+    # the other residue field's character is another object
+    assert TameChar(LocalField.base_field(7), 1) is not TameChar(F, 1)
+
+
+def test_tame_chars_are_immutable_and_hash_by_identity():
+    F = LocalField.base_field(5)
+    lam = TameChar(F, 1, RootOfUnity(1, 4))
+    assert copy.copy(lam) is lam and copy.deepcopy(lam) is lam
+    assert copy.deepcopy({"lam": [lam]})["lam"][0] is lam
+    for name, value in (("exp_unit", 2), ("at_var", RootOfUnity.one()), ("field", None), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(lam, name, value)
+    with pytest.raises(AttributeError):
+        del lam.exp_unit
+    assert lam.exp_unit == 1 and lam.at_var is RootOfUnity(1, 4)
+    assert {lam: 1}[TameChar(F, 5, RootOfUnity(1, 4))] == 1
+    assert lam != TameChar(F, 1) and lam != 1
+    # the field, the exponent and the value at t are still checked
+    with pytest.raises(ValueError):
+        TameChar(F.extension(2, 1), 1)
+    with pytest.raises(TypeError):
+        TameChar(F, 1.0)
+    with pytest.raises(TypeError):
+        TameChar(F, 1, 2)
+
+
+def test_memoised_values_raise_as_the_computation_does():
+    # after of_leading(1, 3) is kept, every call below behaves as it does
+    # without a memo: (1, 3.0) and (1.0, 3) hash like (1, 3) but are no
+    # argument, zero and integers off the residues raise, and a bool is
+    # the int it stands for
+    F = LocalField.base_field(5)
+    lam = TameChar(F, 1, RootOfUnity(1, 4))
+    value = lam.of_leading(1, 3)
+    assert lam._values[(1, 3)] is value and lam.of_leading(1, 3) is value
+    for v, c in ((1, 3.0), (1.0, 3)):
+        with pytest.raises(TypeError):
+            lam.of_leading(v, c)
+    lam.of_leading(0, 1)
+    with pytest.raises(ZeroInput):
+        lam.of_leading(0, 0)
+    for c in (5, -1):
+        with pytest.raises(ValueError):
+            lam.of_leading(0, c)
+    assert lam.of_leading(1, True) is lam.of_leading(1, 1)
+    assert lam.of_leading(True, 1) is lam.of_leading(1, 1)
+    # a rejected argument leaves nothing behind
+    assert {(0, 0), (0, 5), (0, -1)}.isdisjoint(lam._values)
+
+
+def test_of_leading_against_its_formula_on_the_grid():
+    # every twist (e, b) on the q <= 13 grid and every (v, c), fresh and
+    # then read back, against at_var^v * zeta_{q-1}^(e dlog c) built here
+    for q in GRID_Q:
+        F = LocalField.base_field(q)
+        ff = F.residue
+        for e in range(q - 1):
+            for b in range(q - 1):
+                at = RootOfUnity(b, q - 1)
+                lam = TameChar(F, e, at)
+                for v in range(-2, 3):
+                    for c in ff.units():
+                        want = at**v * RootOfUnity(e * ff.dlog(c), q - 1)
+                        assert lam.of_leading(v, c) is want, (q, e, b, v, c)
+                        assert lam.of_leading(v, c) is want
+                        assert (v, c) in lam._values
+
+
 # integers that are no residue of F_5: negative ones once read as other
 # residues through a negative table index, and q and beyond once raised
 # IndexError
@@ -210,6 +305,7 @@ from llclab.characters import LevelOneCharE, TameChar
 from llclab.cyclotomic import RootOfUnity
 from llclab.galois import DetCharacter
 from llclab.laurent import LocalField
+from llclab.matching import twist_char
 from llclab.monomials import LambdaGraded
 try:
     assert False

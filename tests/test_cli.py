@@ -131,6 +131,14 @@ def test_gauss_below_conductor_depth_rejected(capsys):
     assert "depth m >= 2" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_epsilon_depth_above_the_bound_rejected(capsys):
+    # the integrals' cost grows about as depth^2, and depth 100,000 never
+    # returned: a precondition, refused before any row is built
+    argv = ["epsilon", "--q", "5", "--n", "3", "--side", "auto", "--depth", "100000"]
+    assert cli.main(argv) == 2
+    assert "MAX_DEPTH" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_facet_list(capsys):
     code, payload = run_json(capsys, ["facet", "--n", "4", "--list"])
     assert code == 0

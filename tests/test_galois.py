@@ -395,3 +395,22 @@ def test_det_parameter_reduced_is_central_character():
             assert det.of_unit(a) == d.omega.of_unit(a)
         x = d.F.elem(-2, (2, 1, 2))
         assert det(x) == LambdaGraded.from_cyclo(d.omega(x))
+
+
+def test_twisted_det_parameter_is_central_character_times_twist_power():
+    # det(Ind(xi * lam o N)) = omega * lam^n: as a character, on units and
+    # at a deep element, for every twist (e, b); the trivial twist is det
+    for q, n, znum, e_om, u0 in [(5, 2, 1, 2, 2), (7, 3, 4, 3, 1), (3, 4, 5, 1, 2)]:
+        d = _datum(q, n, znum, e_om, u0)
+        P = build_parameter(d)
+        untwisted = det_parameter(P)
+        trivial = det_parameter(P, TameChar(d.F, 0))
+        assert (trivial.exp_unit, trivial.at_pi) == (untwisted.exp_unit, untwisted.at_pi)
+        x = d.F.elem(-2, (2, 1, 2))
+        for e in range(q - 1):
+            for b in range(q - 1):
+                want = d.omega * TameChar(d.F, e, RootOfUnity(b, q - 1)) ** n
+                det = det_parameter(P, TameChar(d.F, e, RootOfUnity(b, q - 1)))
+                assert det.exp_unit == want.exp_unit
+                assert det.at_pi == LambdaGraded.from_cyclo(want(d.pi_elem()))
+                assert det(x) == LambdaGraded.from_cyclo(want(x))

@@ -378,6 +378,7 @@ def test_graded_values_are_built_in_normal_form():
         "_root",
         "AdditiveCharPsi.of_residue",
         "TameChar.of_leading",
+        "TameChar._at",
         "LevelOneCharE.of_unit_part",
         "LevelOneCharE.twist_by_base",
         "DetCharacter.of_unit",
@@ -395,7 +396,7 @@ def test_graded_values_are_built_in_normal_form():
     assert "Fraction" in calls["EpsMonomial.q_const"]
 
 
-INTERNED = ("RootOfUnity", "LambdaGraded")
+INTERNED = ("RootOfUnity", "LambdaGraded", "TameChar")
 
 
 def _raw_allocations(tree) -> list[tuple[str, str]]:
@@ -429,15 +430,20 @@ def _raw_allocations(tree) -> list[tuple[str, str]]:
 
 
 def test_roots_and_units_are_allocated_only_where_they_are_interned():
-    # one object per value: a RootOfUnity is allocated only in _root and a
-    # LambdaGraded only in _unit, each behind its intern dict, and no
-    # module that names either class keeps __new__ under another name
+    # one object per value: a RootOfUnity is allocated only in _root, a
+    # LambdaGraded only in _unit and a TameChar only in _tame, each behind
+    # its intern dict, and no module that names one of the classes keeps
+    # __new__ under another name
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         if any(name in text for name in INTERNED):
             found += [(path.stem, *hit) for hit in _raw_allocations(ast.parse(text))]
-    assert sorted(found) == [("cyclotomic", "_root", "RootOfUnity"), ("monomials", "_unit", "LambdaGraded")]
+    assert sorted(found) == [
+        ("characters", "_tame", "TameChar"),
+        ("cyclotomic", "_root", "RootOfUnity"),
+        ("monomials", "_unit", "LambdaGraded"),
+    ]
     # the rule sees an alias and a classmethod's own allocation
     bad = ast.parse(
         "_NEW = object.__new__\n"

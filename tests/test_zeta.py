@@ -106,6 +106,32 @@ def test_depth_and_mode_guards():
         zeta_psi(d, lam, m=1)
 
 
+def test_depth_bound_is_checked_before_any_row_is_built(monkeypatch):
+    # depth 100,000 once ran without end; every integral entry point now
+    # refuses a depth outside 2..MAX_DEPTH with no row builder called
+    def build(*args, **kwargs):
+        raise AssertionError("a row was built for a rejected depth")
+
+    for name in ("_psi_points", "_psi_rows", "_dual_points", "_table_rows",
+                 "_principal_row", "_dual_row", "_gamma_row", "_stable_row", "_solve_rows"):
+        monkeypatch.setattr(zeta, name, build)
+    d = _datum(5, 3, zeta_num=1)
+    lam = TameChar(d.F, 1)
+    calls = (
+        lambda m: zeta_psi(d, lam, m),
+        lambda m: zeta_psi_tilde(d, lam, m),
+        lambda m: gamma_automorphic(d, lam, m),
+        lambda m: zeta.cached_dual_table(5, 3, 1, m),
+    )
+    for call in calls:
+        for m in (1, zeta.MAX_DEPTH + 1, 100_000):
+            with pytest.raises(ValueError, match="depth"):
+                call(m)
+    # the bound admits every depth the library and its tests use
+    zeta._check_depth(zeta.MAX_DEPTH)
+    assert zeta.MAX_DEPTH >= 3
+
+
 @lru_cache(maxsize=None)
 def _principal_points(q, n, m, B=2):
     """The principal integral's points (v, h, invariant), each decomposed
