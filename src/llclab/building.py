@@ -27,6 +27,17 @@ built only in the read-outs that return them (ApartmentPoint.coords,
 GradedQuotient.r, FacetSpec.dim_gap, and the reprs that print
 them) and when a point is made from arbitrary rationals
 (ApartmentPoint(coords), ApartmentPoint.parse).
+
+Points, facets and graded quotients are immutable, and points and facets
+keep the values computed from them: facet_of and graded_quotient store
+their result on the point, and FacetSpec.barycenter on the facet, the
+first time they are called, and hand the same object back afterwards.
+A point outside the closed alcove stores nothing and raises on every
+call.  The memo lives on the object, so it goes when the object goes; a
+module-level cache keyed by the point would keep every point ever asked
+about alive for the life of the process.  GradedQuotient holds the
+denominator and not the point, so a point and its quotient form no
+reference cycle.
 """
 
 from __future__ import annotations
@@ -50,9 +61,12 @@ def _check_size(n: int) -> None:
 
 
 class FacetSpec:
-    """A facet of the closed alcove: wall pattern (t, composition)."""
+    """A facet of the closed alcove: wall pattern (t, composition).
 
-    __slots__ = ("t", "blocks")
+    Immutable; barycenter() is computed on the first call and kept in
+    _bary."""
+
+    __slots__ = ("t", "blocks", "_bary")
 
     def __init__(self, t: int, blocks):
         blocks = tuple(int(m) for m in blocks)
@@ -60,8 +74,18 @@ class FacetSpec:
             raise ValueError("t must be 0 or 1")
         if not blocks or any(m < 1 for m in blocks):
             raise ValueError("blocks must be positive")
-        self.t = t
-        self.blocks = blocks
+        _SET_T(self, t)
+        _SET_BLOCKS(self, blocks)
+        _SET_BARY(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FacetSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FacetSpec is immutable")
+
+    def __reduce__(self):
+        return FacetSpec, (self.t, self.blocks)
 
     @property
     def n(self) -> int:
@@ -88,14 +112,19 @@ class FacetSpec:
 
     def barycenter(self) -> ApartmentPoint:
         """The equal-spacing point of the facet, normalized so the block
-        values are -i/k (t = 0) resp. -i/(k-1) (t = 1)."""
-        if self.is_empty():
-            raise EmptyFacet(f"{self} has no points")
-        den = self.k if self.t == 0 else self.k - 1
-        nums = []
-        for i, m in enumerate(self.blocks, start=1):
-            nums.extend([-i] * m)
-        return ApartmentPoint._of_ints(nums, den)
+        values are -i/k (t = 0) resp. -i/(k-1) (t = 1); the same object on
+        every call."""
+        b = self._bary
+        if b is None:
+            if self.is_empty():
+                raise EmptyFacet(f"{self} has no points")
+            den = self.k if self.t == 0 else self.k - 1
+            nums = []
+            for i, m in enumerate(self.blocks, start=1):
+                nums.extend([-i] * m)
+            b = ApartmentPoint._of_ints(nums, den)
+            _SET_BARY(self, b)
+        return b
 
     def dim_gap(self) -> Fraction:
         """dim G - dim V at the barycenter, via the class-size differences."""
@@ -140,16 +169,19 @@ class ApartmentPoint:
     It stores only integer numerators over their least common denominator,
     coords[i] == nums[i] / den, so (den, nums) is canonical: two points are
     equal exactly when their coordinates are.  Every kernel below works on
-    those integers; coords builds the Fractions when a caller reads them."""
+    those integers; coords builds the Fractions when a caller reads them.
 
-    __slots__ = ("den", "nums")
+    Immutable; facet_of and graded_quotient keep their results in _facet
+    and _gq."""
+
+    __slots__ = ("den", "nums", "_facet", "_gq")
 
     def __init__(self, coords):
         coords = [Fraction(c) for c in coords]
         if not coords:
             raise ValueError("need at least one coordinate")
-        self.den = lcm(*(c.denominator for c in coords))
-        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in coords)
+        den = lcm(*(c.denominator for c in coords))
+        _set_point(self, den, tuple(c.numerator * (den // c.denominator) for c in coords))
 
     @classmethod
     def _of_ints(cls, nums, den: int) -> ApartmentPoint:
@@ -160,9 +192,17 @@ class ApartmentPoint:
             raise ValueError("need a positive denominator and at least one numerator")
         g = gcd(den, *nums)
         x = cls.__new__(cls)
-        x.den = den // g
-        x.nums = tuple(v // g for v in nums)
+        _set_point(x, den // g, tuple(v // g for v in nums))
         return x
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ApartmentPoint is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ApartmentPoint is immutable")
+
+    def __reduce__(self):
+        return ApartmentPoint._of_ints, (self.nums, self.den)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -195,6 +235,23 @@ class ApartmentPoint:
         return cls([Fraction(s) for s in parts])
 
 
+_SET_T = FacetSpec.t.__set__
+_SET_BLOCKS = FacetSpec.blocks.__set__
+_SET_BARY = FacetSpec._bary.__set__
+_SET_DEN = ApartmentPoint.den.__set__
+_SET_NUMS = ApartmentPoint.nums.__set__
+_SET_FACET = ApartmentPoint._facet.__set__
+_SET_GQ = ApartmentPoint._gq.__set__
+
+
+def _set_point(x: ApartmentPoint, den: int, nums: tuple) -> None:
+    """Fill a new point's slots, the memo slots empty."""
+    _SET_DEN(x, den)
+    _SET_NUMS(x, nums)
+    _SET_FACET(x, None)
+    _SET_GQ(x, None)
+
+
 def jump_numerator(x: ApartmentPoint) -> int:
     """r(x) * x.den: the smallest positive (x_i - x_j) modulo 1 over all
     pairs of coordinates, in units of 1/x.den, the torus grades capping it
@@ -205,20 +262,25 @@ def jump_numerator(x: ApartmentPoint) -> int:
 
 
 def facet_of(x: ApartmentPoint) -> FacetSpec:
-    """The facet of the closed alcove containing x."""
-    if not x.in_closed_alcove():
-        raise ValueError(f"{x} is outside the closed fundamental alcove")
-    blocks = []
-    run = 1
-    for a, b in zip(x.nums, x.nums[1:]):
-        if a == b:
-            run += 1
-        else:
-            blocks.append(run)
-            run = 1
-    blocks.append(run)
-    t = 1 if x.nums[-1] == x.nums[0] - x.den else 0
-    return FacetSpec(t, blocks)
+    """The facet of the closed alcove containing x, the same object on
+    every call."""
+    f = x._facet
+    if f is None:
+        if not x.in_closed_alcove():
+            raise ValueError(f"{x} is outside the closed fundamental alcove")
+        blocks = []
+        run = 1
+        for a, b in zip(x.nums, x.nums[1:]):
+            if a == b:
+                run += 1
+            else:
+                blocks.append(run)
+                run = 1
+        blocks.append(run)
+        t = 1 if x.nums[-1] == x.nums[0] - x.den else 0
+        f = FacetSpec(t, blocks)
+        _SET_FACET(x, f)
+    return f
 
 
 def is_barycenter(x: ApartmentPoint) -> bool:
@@ -237,21 +299,30 @@ class GradedQuotient:
     sizes lists the coordinate classes modulo 1 in descending value order
     starting from the class of x_1; arrows lists the present quiver arrows
     as ordered node pairs (a, a+1 mod K).  A single class carries a loop
-    arrow whose space is the full matrix algebra.
+    arrow whose space is the full matrix algebra.  gaps lists the spacings
+    to the next class in units of 1/den, den the point's denominator.
+
+    Immutable, as graded_quotient hands the same object to every caller.
     """
 
-    __slots__ = ("point", "sizes", "arrows", "gaps")
+    __slots__ = ("den", "sizes", "arrows", "gaps")
 
-    def __init__(self, point, sizes, arrows, gaps):
-        self.point = point
-        self.sizes = sizes
-        self.arrows = arrows
-        # spacings to the next class in units of 1/point.den
-        self.gaps = gaps
+    def __init__(self, den, sizes, arrows, gaps):
+        for setter, value in zip(_SET_QUOTIENT, (den, sizes, arrows, gaps)):
+            setter(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedQuotient is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GradedQuotient is immutable")
+
+    def __reduce__(self):
+        return GradedQuotient, (self.den, self.sizes, self.arrows, self.gaps)
 
     @property
     def r(self) -> Fraction:
-        return Fraction(min(self.gaps), self.point.den)
+        return Fraction(min(self.gaps), self.den)
 
     @property
     def num_nodes(self) -> int:
@@ -282,23 +353,31 @@ class GradedQuotient:
         )
 
 
+_SET_QUOTIENT = tuple(getattr(GradedQuotient, name).__set__ for name in GradedQuotient.__slots__)
+
+
 def graded_quotient(x: ApartmentPoint) -> GradedQuotient:
-    if not x.in_closed_alcove():
-        raise ValueError(f"{x} is outside the closed fundamental alcove")
-    # class key: distance below x_1 modulo 1 in units of 1/den, so key 0 is
-    # the class of x_1 and ascending keys walk the classes in descending
-    # value order
-    D = x.den
-    first = x.nums[0]
-    keys = [(first - v) % D for v in x.nums]
-    distinct = sorted(set(keys))
-    sizes = tuple(keys.count(kappa) for kappa in distinct)
-    K = len(distinct)
-    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
-    gaps.append(D - distinct[-1])
-    r = min(gaps)
-    arrows = tuple((a, (a + 1) % K) for a in range(K) if gaps[a] == r)
-    return GradedQuotient(x, sizes, arrows, tuple(gaps))
+    """The graded quotient at x, the same object on every call."""
+    gq = x._gq
+    if gq is None:
+        if not x.in_closed_alcove():
+            raise ValueError(f"{x} is outside the closed fundamental alcove")
+        # class key: distance below x_1 modulo 1 in units of 1/den, so key 0
+        # is the class of x_1 and ascending keys walk the classes in
+        # descending value order
+        D = x.den
+        first = x.nums[0]
+        keys = [(first - v) % D for v in x.nums]
+        distinct = sorted(set(keys))
+        sizes = tuple(keys.count(kappa) for kappa in distinct)
+        K = len(distinct)
+        gaps = [b - a for a, b in zip(distinct, distinct[1:])]
+        gaps.append(D - distinct[-1])
+        r = min(gaps)
+        arrows = tuple((a, (a + 1) % K) for a in range(K) if gaps[a] == r)
+        gq = GradedQuotient(D, sizes, arrows, tuple(gaps))
+        _SET_GQ(x, gq)
+    return gq
 
 
 def compositions(n: int):

@@ -63,12 +63,17 @@ def norm_of_variable(efield: LocalField) -> tuple[int, int]:
 
 
 class AdditiveCharPsi:
-    """x -> exp(2*pi*i * Tr(c_0(x)) / p), conductor the ring of integers."""
+    """x -> exp(2*pi*i * Tr(c_0(x)) / p), conductor the ring of integers.
+
+    The value at each of the q residues is computed once, when the
+    character is built, and kept in _values."""
 
     def __init__(self, field: LocalField):
         if field.base is not None:
             raise ValueError("the additive character lives on the base field")
         self.field = field
+        ff = field.residue
+        self._values = tuple(_root(ff.trace(c), ff.p) for c in range(ff.q))
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -78,8 +83,7 @@ class AdditiveCharPsi:
 
     def of_residue(self, c: int) -> RootOfUnity:
         """Value at a residue c in 0..q-1; any other integer raises ValueError."""
-        ff = self.field.residue
-        return _root(ff.trace(_residue(ff, c)), ff.p)
+        return self._values[_residue(self.field.residue, c)]
 
     def __call__(self, x: LaurentElem) -> RootOfUnity:
         if x.field is not self.field:

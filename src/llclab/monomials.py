@@ -12,11 +12,12 @@ and a rational.
 
 Units are canonical objects, as roots are in cyclotomic: one LambdaGraded
 per value, handed out by _unit from a dict keyed by the normal (grade,
-root, rational), so == is identity, and each product with a unit or a root
-is computed once and then read from a dict keyed by the pair of operands.
-After acceptance criteria 1-5 in one process the two dicts held 3,704
-units and 7,308 products; interned_counts reads all four sizes,
-and those of the tame characters' intern dict and memo.
+root, rational), so == is identity, and each product with a unit or a root,
+each int power and each Lambda reduction is computed once and then read
+from a dict keyed by the operands.  After acceptance criteria 1-5 in one
+process the two dicts held 3,866 units and 8,572 products, powers and
+reductions; interned_counts reads all four sizes, and those of the tame
+characters' intern dict and memo.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class LambdaGraded:
     an int when it is whole and as a Fraction otherwise (see cyclotomic._norm_rat).
     Every construction path ends in _unit, which hands out the interned
     object for the normal fields, so == and hash work by identity, a
-    product with a unit or a root is computed once per pair of operands,
-    and products, inverses and powers never touch a cyclotomic sum.  Zero
-    is not a unit and building it raises LLCError.
+    product with a unit or a root, an int power and a Lambda reduction are
+    each computed once per tuple of operands, and products, inverses and
+    powers never touch a cyclotomic sum.  Zero is not a unit and building
+    it raises LLCError.
     """
 
     __slots__ = ("grade", "root", "rational")
@@ -120,17 +122,29 @@ class LambdaGraded:
         return _unit(-self.grade, self.root.inverse(), inv)
 
     def __pow__(self, k: int) -> LambdaGraded:
-        r = self.rational
-        if k < 0:
-            r = Fraction(r.denominator, r.numerator)
-        return _unit(self.grade * k, self.root**k, _norm_rat(r ** abs(k)))
+        key = (self, k)
+        out = _UNIT_PRODUCTS.get(key)
+        if out is None or k.__class__ is not int:
+            r = self.rational
+            if k < 0:
+                r = Fraction(r.denominator, r.numerator)
+            out = _unit(self.grade * k, self.root**k, _norm_rat(r ** abs(k)))
+            if k.__class__ is int:
+                _UNIT_PRODUCTS[key] = out
+        return out
 
     def reduce_lambda(self, n: int, kappa_pi: int) -> LambdaGraded:
         """Rewrite Lambda^n -> kappa_pi (+-1), folding the grade into 0..n-1."""
         if kappa_pi not in (1, -1):
             raise LLCError(f"kappa(pi) must be 1 or -1, not {kappa_pi!r}")
-        folds, r = divmod(self.grade, n)
-        return LambdaGraded(r, self.root, self.rational * (kappa_pi if folds % 2 else 1))
+        key = (self, n, kappa_pi)
+        out = _UNIT_PRODUCTS.get(key)
+        if out is None or n.__class__ is not int or kappa_pi.__class__ is not int:
+            folds, r = divmod(self.grade, n)
+            out = LambdaGraded(r, self.root, self.rational * (kappa_pi if folds % 2 else 1))
+            if n.__class__ is int and kappa_pi.__class__ is int:
+                _UNIT_PRODUCTS[key] = out
+        return out
 
     def __repr__(self) -> str:
         return f"LambdaGraded({self.rational}*{self.root!r}*L^{self.grade})"
@@ -140,8 +154,9 @@ class LambdaGraded:
 
 
 # the interned units, keyed by their normal (grade, root, rational), and the
-# memoised products with a unit or a root, keyed by the pair of operands;
-# neither is ever cleared
+# memoised operations on them: products with a unit or a root, keyed by the
+# pair of operands, int powers keyed (unit, k), and Lambda reductions keyed
+# (unit, n, kappa_pi); neither dict is ever cleared
 _UNITS: dict[tuple, LambdaGraded] = {}
 _UNIT_PRODUCTS: dict[tuple, LambdaGraded] = {}
 _SET_GRADE = LambdaGraded.grade.__set__
@@ -166,9 +181,10 @@ def _unit(grade: int, root: RootOfUnity, rational: int | Fraction) -> LambdaGrad
 
 def interned_counts() -> dict[str, int]:
     """Sizes of the intern and product dicts of cyclotomic and this
-    module: roots, root products, units, unit products; and of characters'
-    tame characters and the values they keep.  They only grow, so a
-    criterion's report shows the process's totals so far."""
+    module: roots, root products, units, and unit products (powers and
+    Lambda reductions included); and of characters' tame characters and
+    the values they keep.  They only grow, so a criterion's report shows
+    the process's totals so far."""
     # characters builds on this module, so its dict is read at call time
     from .characters import _TAME
 

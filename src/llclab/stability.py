@@ -23,6 +23,7 @@ reduces to, and each has an independent verifier:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 from .building import (
@@ -305,6 +306,7 @@ def _torus_stabilizer_count(q: int, functional_values) -> int:
     the full product search.
     """
     ff = field_of_size(q)
+    mul = ff._mul
     K = len(functional_values)
     units = list(ff.units())
 
@@ -319,7 +321,7 @@ def _torus_stabilizer_count(q: int, functional_values) -> int:
             for i, v in enumerate(functional_values):
                 b = (i + 1) % K
                 if i < len(trial) and b < len(trial) and v != 0:
-                    if ff.mul(trial[i], v) != ff.mul(v, trial[b]):
+                    if mul[trial[i]][v] != mul[v][trial[b]]:
                         ok = False
                         break
             if ok:
@@ -382,12 +384,17 @@ def root_count_dims(x: ApartmentPoint) -> tuple[int, int]:
 
     Counted over all ordered pairs (i, j), i == j included, of the
     numerators over x.den: a diagonal pair stands for the torus grade
-    x_i - x_i = 0, which lands on r modulo 1 exactly when r is integral."""
+    x_i - x_i = 0, which lands on r modulo 1 exactly when r is integral.
+    The pairs are grouped by residue class mod x.den, cnt[c] numerators
+    in class c.  A pair with its first numerator in class c counts for
+    grade zero when the second is in class c too, and for grade r when
+    the second is in class c - R (mod x.den), R = r * x.den; so
+    g = sum cnt[c]^2 and v = sum cnt[c] * cnt[c - R]."""
     D = x.den
     R = jump_numerator(x)
-    nums = x.nums
-    g = sum(1 for a in nums for b in nums if (a - b) % D == 0)
-    v = sum(1 for a in nums for b in nums if (a - b - R) % D == 0)
+    cnt = Counter(a % D for a in x.nums)
+    g = sum(m * m for m in cnt.values())
+    v = sum(m * cnt[(c - R) % D] for c, m in cnt.items())
     return g, v
 
 

@@ -1,5 +1,8 @@
+import copy
+import gc
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -551,3 +554,114 @@ def test_sampler_unchanged_wherever_the_pool_suffices():
                     assert len(want) == count
                     got = sample_alcove_points(n, count, max_den=max_den, seed=seed)
                     assert [(x.den, x.nums) for x in got] == [(x.den, x.nums) for x in want]
+
+
+def _quotient_fields(gq):
+    return gq.den, gq.sizes, gq.arrows, gq.gaps
+
+
+def _memo_points():
+    for n in range(2, 7):
+        yield from sample_alcove_points(n, 30, max_den=20, seed=700 + n)
+        for f in enumerate_facets(n):
+            yield f.barycenter()
+
+
+def test_point_values_are_computed_once_per_object():
+    # a second call hands back the object the first stored; an equal point
+    # built afresh computes an equal value of its own
+    for x in _memo_points():
+        f, gq = facet_of(x), graded_quotient(x)
+        assert facet_of(x) is f and graded_quotient(x) is gq
+        assert x._facet is f and x._gq is gq
+        y = ApartmentPoint(x.coords)
+        assert y == x and y._facet is None and y._gq is None
+        assert facet_of(y) == f and facet_of(y) is not f
+        assert _quotient_fields(graded_quotient(y)) == _quotient_fields(gq)
+        assert graded_quotient(y) is not gq
+        assert is_barycenter(y) == is_barycenter(x)
+
+
+def test_barycenter_is_computed_once_per_facet():
+    for n in range(1, 7):
+        for f in enumerate_facets(n):
+            b = f.barycenter()
+            assert f.barycenter() is b and f._bary is b
+            g = FacetSpec(f.t, f.blocks)
+            assert g._bary is None and g.barycenter() == b and g.barycenter() is not b
+    empty = FacetSpec(1, (3,))
+    for _ in range(3):
+        with pytest.raises(EmptyFacet):
+            empty.barycenter()
+    assert empty._bary is None
+
+
+def test_points_outside_the_alcove_raise_on_every_call():
+    for text in ("0,1/3,-1/2", "1/2,0,-2/3", "0,-3/2"):
+        x = ApartmentPoint.parse(text)
+        for _ in range(3):
+            for call in (facet_of, graded_quotient, is_barycenter):
+                with pytest.raises(ValueError, match="outside the closed fundamental alcove"):
+                    call(x)
+        assert x._facet is None and x._gq is None
+
+
+def test_quotient_does_not_hold_its_point():
+    # the quotient keeps the denominator, so point and quotient form no
+    # reference cycle and go together
+    x = ApartmentPoint.parse("0,-1/5,-1/2,-3/4")
+    gq = graded_quotient(x)
+    assert gq.den == x.den and not hasattr(gq, "point")
+    assert x not in gc.get_referents(gq)
+    assert gq.r == Fraction(min(gq.gaps), x.den)
+
+
+def _fresh_values(x):
+    return facet_of(x), _quotient_fields(graded_quotient(x))
+
+
+def test_points_facets_and_quotients_are_immutable():
+    x = ApartmentPoint.parse("0,-1/3,-2/3")
+    f = facet_of(x)
+    b = f.barycenter()
+    gq = graded_quotient(x)
+    for obj in (x, ApartmentPoint._of_ints((0, -1), 2), f, FacetSpec(0, (2, 1)), b, gq):
+        for name in (*type(obj).__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert (x.den, x.nums) == (3, (0, -1, -2)) and facet_of(x) is f
+    assert (f.t, f.blocks) == (0, (1, 1, 1)) and f.barycenter() is b
+    assert _quotient_fields(gq) == (3, (1, 1, 1), ((0, 1), (1, 2), (2, 0)), (1, 1, 1))
+    for clone in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+        assert _quotient_fields(clone(gq)) == _quotient_fields(gq)
+
+
+def test_points_and_facets_copy_and_pickle_to_equal_objects():
+    points = [ApartmentPoint.parse("0,-1/3,-2/3"), ApartmentPoint._of_ints((0, 0, -1, -4), 6)]
+    facets = [FacetSpec(0, (2, 2)), FacetSpec(1, (1, 2, 1))]
+    # with their memo slots empty and filled
+    points += [ApartmentPoint.parse("0,-1/4,-1")]
+    facet_of(points[-1])
+    graded_quotient(points[-1])
+    facets += [FacetSpec(0, (1, 3))]
+    facets[-1].barycenter()
+    clones = [copy.copy, copy.deepcopy]
+    clones += [lambda o, p=p: pickle.loads(pickle.dumps(o, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for obj in (*points, *facets):
+        for clone in clones:
+            c = clone(obj)
+            assert type(c) is type(obj) and c == obj and hash(c) == hash(obj)
+            assert repr(c) == repr(obj)
+            with pytest.raises(AttributeError):
+                c.other = 1
+    for x in points:
+        for clone in clones:
+            c = clone(x)
+            assert (c.den, c.nums) == (x.den, x.nums)
+            assert _fresh_values(c) == _fresh_values(x)
+    for f in facets:
+        for clone in clones:
+            c = clone(f)
+            assert (c.t, c.blocks) == (f.t, f.blocks) and c.barycenter() == f.barycenter()

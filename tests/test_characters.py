@@ -8,7 +8,7 @@ import pytest
 
 import llclab
 from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar, norm_of_variable
-from llclab.cyclotomic import CycloNumber, RootOfUnity
+from llclab.cyclotomic import CycloNumber, RootOfUnity, _root
 from llclab.errors import InsufficientPrecision, ZeroInput
 from llclab.galois import DetCharacter, build_parameter, kappa_char
 from llclab.laurent import LocalField
@@ -54,6 +54,23 @@ def test_additive_char_nontrivial_on_integers():
         F = LocalField.base_field(q)
         psi = AdditiveCharPsi(F)
         assert any(not psi.of_residue(c).is_one() for c in range(F.residue.q))
+
+
+def test_additive_char_keeps_the_value_of_every_residue():
+    # the values kept on the shared instance are the ones computed from
+    # the trace on the spot, and a residue out of range still raises
+    for q in (*GRID_Q, 27):
+        F = LocalField.base_field(q)
+        ff = F.residue
+        shared = AdditiveCharPsi.of_field(F)
+        for psi in (shared, AdditiveCharPsi(F)):
+            for c in range(q):
+                assert psi.of_residue(c) is _root(ff.trace(c), ff.p), (q, c)
+                assert psi(F.elem(0, (c, 1))) is psi.of_residue(c)
+            for c in (-1, -q, q, q + 1, 2 * q):
+                with pytest.raises(ValueError):
+                    psi.of_residue(c)
+        assert AdditiveCharPsi.of_field(F) is shared
 
 
 def gauss_sum(F, psi, e):

@@ -9,7 +9,15 @@ import pytest
 from llclab.cyclotomic import CycloNumber, RootOfUnity, match_root
 from llclab.errors import LLCError
 from llclab.finitefield import odd_prime_power
-from llclab.monomials import _UNITS, EpsMonomial, LambdaGraded, _half_power, _normal_q_power, _unit
+from llclab.monomials import (
+    _UNIT_PRODUCTS,
+    _UNITS,
+    EpsMonomial,
+    LambdaGraded,
+    _half_power,
+    _normal_q_power,
+    _unit,
+)
 
 
 # Oracle: the per-point integrals of test_zeta.py sum into a polynomial in
@@ -629,3 +637,34 @@ def test_reduce_lambda_matches_dict_fold():
                 assert got.grade == want_grade, (n, kappa_pi, a)
                 assert got.root.as_cyclo() * got.rational == want_coeff, (n, kappa_pi, a)
                 assert got == LambdaGraded.lambda_power(want_grade, want_coeff)
+
+
+def test_powers_and_reductions_are_computed_once():
+    # an int power is the interned product of its factors, and a second
+    # call reads the memo; a reduction is the interned unit of its fold
+    roots = [RootOfUnity(num, order) for order in (1, 4, 9, 12) for num in (1, 5)]
+    units = [LambdaGraded(grade, root, r)
+             for grade, root, r in zip((0, 1, -2, 3, -1, 5, 2, -4), roots, (1, 2, Fraction(1, 3), -6) * 2)]
+    for x in units:
+        for k in range(-4, 5):
+            want = LambdaGraded.one()
+            for _ in range(abs(k)):
+                want = want * (x if k > 0 else x.inverse())
+            got = x**k
+            assert got is want and x**k is got and _UNIT_PRODUCTS[(x, k)] is got, (x, k)
+        for n in range(1, 7):
+            for kappa_pi in (1, -1):
+                got = x.reduce_lambda(n, kappa_pi)
+                folds, r = divmod(x.grade, n)
+                sign = kappa_pi if folds % 2 else 1
+                assert got is LambdaGraded(r, x.root, x.rational * sign)
+                assert x.reduce_lambda(n, kappa_pi) is got
+                assert _UNIT_PRODUCTS[(x, n, kappa_pi)] is got
+        size = len(_UNIT_PRODUCTS)
+        for bad in (0, 2, -2):
+            for _ in range(2):
+                with pytest.raises(LLCError):
+                    x.reduce_lambda(3, bad)
+        # a bool exponent or sign is computed afresh and never stored
+        assert x ** True is x**1 and x.reduce_lambda(2, True) is x.reduce_lambda(2, 1)
+        assert len(_UNIT_PRODUCTS) == size

@@ -14,10 +14,12 @@ from llclab import selftest, stability
 from llclab.building import (
     ApartmentPoint,
     FacetSpec,
+    GradedQuotient,
     enumerate_facets,
     facet_of,
     graded_quotient,
     is_barycenter,
+    jump_numerator,
     sample_alcove_points,
 )
 from llclab.errors import EmptyFacet, LLCError, NotNonBarycenter, SizeGuardExceeded
@@ -668,3 +670,44 @@ def test_stability_criterion_replays_its_failures(monkeypatch):
         x = ApartmentPoint.parse(rec["point"])
         assert x.n == rec["n"] and facet_of(x).t == 1 and is_barycenter(x)
         assert "is_barycenter" in rec["reason"]
+
+
+def _pairwise_root_count_dims(x):
+    """Oracle: the count over every ordered pair of numerators, as
+    root_count_dims made it before it grouped them by residue class."""
+    D = x.den
+    R = jump_numerator(x)
+    nums = x.nums
+    g = sum(1 for a in nums for b in nums if (a - b) % D == 0)
+    v = sum(1 for a in nums for b in nums if (a - b - R) % D == 0)
+    return g, v
+
+
+def test_root_count_by_residue_class_matches_pairwise_count():
+    seen = 0
+    for n in range(2, 9):
+        points = [x for _, _, x in selftest._quotient_types(n)]
+        points += [f.barycenter() for f in enumerate_facets(n)]
+        for x in points:
+            assert root_count_dims(x) == _pairwise_root_count_dims(x), x
+            seen += 1
+    assert seen == 9329 + 501
+
+
+def test_stability_criterion_builds_one_quotient_per_point(monkeypatch):
+    # one GradedQuotient per quotient-type point and one per facet
+    # barycenter, however many checks read it
+    built = []
+    init = GradedQuotient.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(GradedQuotient, "__init__", counting_init)
+    rep = selftest.criterion_stability("small")
+    assert rep["ok"]
+    points = sum(1 for n in (2, 3, 4) for _ in selftest._quotient_types(n))
+    facets = sum(len(enumerate_facets(n)) for n in (2, 3, 4))
+    assert (points, facets) == (rep["checked"] + rep["nonbarycenter_points"], rep["checked"])
+    assert len(built) == points + facets == 114
