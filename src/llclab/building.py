@@ -171,10 +171,10 @@ class ApartmentPoint:
     equal exactly when their coordinates are.  Every kernel below works on
     those integers; coords builds the Fractions when a caller reads them.
 
-    Immutable; facet_of and graded_quotient keep their results in _facet
-    and _gq."""
+    Immutable; facet_of, graded_quotient and is_barycenter keep their
+    results in _facet, _gq and _is_bary."""
 
-    __slots__ = ("den", "nums", "_facet", "_gq")
+    __slots__ = ("den", "nums", "_facet", "_gq", "_is_bary")
 
     def __init__(self, coords):
         coords = [Fraction(c) for c in coords]
@@ -242,6 +242,7 @@ _SET_DEN = ApartmentPoint.den.__set__
 _SET_NUMS = ApartmentPoint.nums.__set__
 _SET_FACET = ApartmentPoint._facet.__set__
 _SET_GQ = ApartmentPoint._gq.__set__
+_SET_IS_BARY = ApartmentPoint._is_bary.__set__
 
 
 def _set_point(x: ApartmentPoint, den: int, nums: tuple) -> None:
@@ -250,6 +251,7 @@ def _set_point(x: ApartmentPoint, den: int, nums: tuple) -> None:
     _SET_NUMS(x, nums)
     _SET_FACET(x, None)
     _SET_GQ(x, None)
+    _SET_IS_BARY(x, None)
 
 
 def jump_numerator(x: ApartmentPoint) -> int:
@@ -286,10 +288,15 @@ def facet_of(x: ApartmentPoint) -> FacetSpec:
 def is_barycenter(x: ApartmentPoint) -> bool:
     """Whether x matches its facet's barycenter up to a global shift, that
     is, whether consecutive runs of equal coordinates are 1/k apart for a
-    facet with k runs (1/(k-1) when the wrap-around wall holds)."""
-    f = facet_of(x)
-    step = f.k if f.t == 0 else f.k - 1
-    return all(step * (a - b) == x.den for a, b in zip(x.nums, x.nums[1:]) if a != b)
+    facet with k runs (1/(k-1) when the wrap-around wall holds).  The
+    answer is kept on x."""
+    bary = x._is_bary
+    if bary is None:
+        f = facet_of(x)
+        step = f.k if f.t == 0 else f.k - 1
+        bary = all(step * (a - b) == x.den for a, b in zip(x.nums, x.nums[1:]) if a != b)
+        _SET_IS_BARY(x, bary)
+    return bary
 
 
 class GradedQuotient:

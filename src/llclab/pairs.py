@@ -17,15 +17,17 @@ raises what decompose would, so the seeded redraws are those of
 decompose.  On the support the value
 psi(residue) zeta^r omega(s t^d) is a character of the solved tuple
 (r, s, d, residue).  So each check sums over a few keys computed once:
-a walk counts its prefixes per unit under (fwd on support, inv on
-support, product of the two solved tuples, uses the other unit, uses
-both), and W(k) W(k^-1) is a datum's value at the product; an
-enumerated mirabolic point embed(h) u(x), h upper unipotent, is itself
-upper unipotent, so its invariant is the identity class with its summed
-superdiagonal residues and is counted per residue without an
-elimination.  Deeper digits leave the invariant alone, since the value
-is invariant under U with zero superdiagonal residues on the left and
-I++ on the right; the reader's tests check that generator by generator.
+a walk counts its prefixes per state (class of M, summed superdiagonal
+residues, corner digit, rotations used), and after the walk derives once
+per distinct state and unit the key (fwd on support, inv on support,
+product of the two solved tuples, uses the other unit, uses both), and
+W(k) W(k^-1) is a datum's value at the product; an enumerated mirabolic
+point embed(h) u(x), h upper unipotent, is itself upper unipotent, so
+its invariant is the identity class with its summed superdiagonal
+residues and is counted per residue without an elimination.  Deeper
+digits leave the invariant alone, since the value is invariant under U
+with zero superdiagonal residues on the left and I++ on the right; the
+reader's tests check that generator by generator.
 """
 
 from __future__ import annotations
@@ -276,20 +278,32 @@ class KWalk:
             hit = self._pairs[c, pi_unit] = (a is not None, b is not None, product)
         return hit
 
-    def products(self, units) -> list[tuple]:
-        """Per pi-unit in units: whether snapshot().fwd and snapshot().inv
-        solve, and solved_product of their solves (None unless both do),
-        read off the state.  The central parts of M and Mi cancel in the
-        product, which reads only the class of M and the digits."""
+    def state(self) -> tuple:
+        """What the keys of the current prefix read: the class index of M,
+        the superdiagonal digits of k(r) and k(ri) summed, the corner
+        r[-1] + ri[-1], and whether each rotation was used."""
+        add, r, ri = self._ff._add, self.r, self.ri
+        total = 0
+        for x in r[:-1] + ri[:-1]:
+            total = add[total][x]
+        return self.M[0], total, add[r[-1]][ri[-1]], self.used1, self.used2
+
+    def keys(self, state: tuple, units) -> list[tuple]:
+        """Per pi-unit in units, the table key of a prefix in state: whether
+        snapshot().fwd and snapshot().inv solve, solved_product of their
+        solves (None unless both do), whether the prefix uses the other
+        unit's rotation, and whether it uses both.  The central parts of M
+        and Mi cancel in the product, which reads only the class of M and
+        the digits."""
+        c, total, corner, uses1, uses2 = state
         ff = self._ff
-        total = ff._add[self._residue(self.r)][self._residue(self.ri)]
-        corner = ff._add[self.r[-1]][self.ri[-1]]
         out = []
         for u in units:
-            fwd_on, inv_on, product = self._pair(self.M[0], u)
+            fwd_on, inv_on, product = self._pair(c, u)
             if product is not None:
                 product = SolvedInvariant(*product[:3], ff._add[total][ff._mul[corner][ff._inv[u]]])
-            out.append((fwd_on, inv_on, product))
+            uses_other = (uses1 and self.u1 != u) or (uses2 and self.u2 != u)
+            out.append((fwd_on, inv_on, product, uses_other, uses1 and uses2))
         return out
 
     def _monomial(self) -> MonomialClass:
@@ -358,30 +372,41 @@ def sample_k_words(
 ) -> WalkSamples:
     """Every prefix of one long random word, tabulated per pi-unit.
 
-    Each prefix is solved off the walk's state once for each unit of the
-    walk and counted under its key; every AUDIT_STRIDE-th prefix's lift
-    is also decomposed afresh, and the prefixes whose fresh invariant
-    solves apart from the kept one are listed per unit.
+    The walk counts its prefixes per state (KWalk.state), which is all a
+    key reads; after the walk, each distinct state's keys are derived
+    once per unit of the walk, and each key gets the summed count and the
+    first prefix of its states, in order of first occurrence.  Every
+    AUDIT_STRIDE-th prefix's lift is also decomposed afresh during the
+    walk, and the prefixes whose fresh invariant solves apart from the
+    kept one are listed per unit.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     walk = KWalk(q, n, u1, u2, PRECISION, seed)
     units = sorted({u1, u2})
-    tables: dict[int, dict] = {u: {} for u in units}
+    # state -> [prefixes in it, first prefix], in order of first occurrence
+    states: dict[tuple, list] = {}
     misses: dict[int, list] = {u: [] for u in units}
     for idx in range(steps):
         walk.random_step()
-        audit = (idx + 1) % AUDIT_STRIDE == 0
-        if audit:
+        state = walk.state()
+        seen = states.get(state)
+        if seen is None:
+            states[state] = [1, idx]
+        else:
+            seen[0] += 1
+        if (idx + 1) % AUDIT_STRIDE == 0:
             read, kept = WhittakerInvariant.read(walk.forward_matrix()), walk.snapshot().fwd
-        uses1, uses2 = walk.used1, walk.used2
-        for u, (fwd_on, inv_on, product) in zip(units, walk.products(units)):
-            uses_other = (uses1 and u1 != u) or (uses2 and u2 != u)
-            key = (fwd_on, inv_on, product, uses_other, uses1 and uses2)
-            count, first = tables[u].get(key, (0, idx))
-            tables[u][key] = (count + 1, first)
-            if audit and read.solve(u) != kept.solve(u):
-                misses[u].append(idx)
+            for u in units:
+                if read.solve(u) != kept.solve(u):
+                    misses[u].append(idx)
+    tables: dict[int, dict] = {u: {} for u in units}
+    # states come in order of first prefix, so a key's first state is the
+    # one with its first prefix
+    for state, (count, first) in states.items():
+        for u, key in zip(units, walk.keys(state, units)):
+            words, key_first = tables[u].get(key, (0, first))
+            tables[u][key] = (words + count, key_first)
     # frozen, since cached walks are shared by every datum that reads them
     tables = {u: tuple(t.items()) for u, t in tables.items()}
     misses = {u: tuple(v) for u, v in misses.items()}

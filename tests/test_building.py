@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import llclab
-from llclab import building
+from llclab import building, selftest
 from llclab.building import (
     ApartmentPoint,
     FacetSpec,
@@ -575,7 +575,7 @@ def test_point_values_are_computed_once_per_object():
         assert facet_of(x) is f and graded_quotient(x) is gq
         assert x._facet is f and x._gq is gq
         y = ApartmentPoint(x.coords)
-        assert y == x and y._facet is None and y._gq is None
+        assert y == x and y._facet is None and y._gq is None and y._is_bary is None
         assert facet_of(y) == f and facet_of(y) is not f
         assert _quotient_fields(graded_quotient(y)) == _quotient_fields(gq)
         assert graded_quotient(y) is not gq
@@ -603,7 +603,34 @@ def test_points_outside_the_alcove_raise_on_every_call():
             for call in (facet_of, graded_quotient, is_barycenter):
                 with pytest.raises(ValueError, match="outside the closed fundamental alcove"):
                     call(x)
-        assert x._facet is None and x._gq is None
+        assert x._facet is None and x._gq is None and x._is_bary is None
+
+
+def _scan_is_barycenter(x):
+    """is_barycenter as a scan of the point's numerators on every call."""
+    f = facet_of(x)
+    step = f.k if f.t == 0 else f.k - 1
+    return all(step * (a - b) == x.den for a, b in zip(x.nums, x.nums[1:]) if a != b)
+
+
+def test_is_barycenter_is_kept_and_matches_the_scan():
+    # every graded-quotient type point of criterion 6 and every facet
+    # barycenter for n = 2..8: the first call stores the scan's answer on
+    # the point, later calls read it back, and a fresh equal point starts
+    # empty
+    seen = set()
+    for n in range(2, 9):
+        points = [x for _, _, x in selftest._quotient_types(n)]
+        points += [f.barycenter() for f in enumerate_facets(n)]
+        for x in points:
+            want = _scan_is_barycenter(x)
+            assert x._is_bary in (None, want)
+            assert is_barycenter(x) is want and x._is_bary is want
+            assert is_barycenter(x) is want
+            y = ApartmentPoint._of_ints(x.nums, x.den)
+            assert y._is_bary is None and is_barycenter(y) is want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_quotient_does_not_hold_its_point():
@@ -617,7 +644,7 @@ def test_quotient_does_not_hold_its_point():
 
 
 def _fresh_values(x):
-    return facet_of(x), _quotient_fields(graded_quotient(x))
+    return facet_of(x), _quotient_fields(graded_quotient(x)), is_barycenter(x)
 
 
 def test_points_facets_and_quotients_are_immutable():
@@ -645,6 +672,7 @@ def test_points_and_facets_copy_and_pickle_to_equal_objects():
     points += [ApartmentPoint.parse("0,-1/4,-1")]
     facet_of(points[-1])
     graded_quotient(points[-1])
+    is_barycenter(points[-1])
     facets += [FacetSpec(0, (1, 3))]
     facets[-1].barycenter()
     clones = [copy.copy, copy.deepcopy]

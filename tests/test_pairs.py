@@ -240,6 +240,58 @@ def test_sampler_matches_reference_walk():
         assert samples == ref
 
 
+@pytest.mark.parametrize("q,n", selftest.PAIR_CELLS)
+def test_sampler_matches_per_step_oracle(q, n):
+    # every walk of a criterion-7 cell, whose cells hold the four of the
+    # integral-pairs benchmark, at 400 steps and at 1,006, where the audit
+    # reads two prefixes: counted per state, the tables equal the per-step
+    # oracle's, order included, and keys come in order of first prefix
+    for u1 in range(1, q):
+        for u2 in range(u1, q):
+            for steps in (400, 1006):
+                for seed in (1, 7, 2024):
+                    samples = sample_k_words(q, n, u1, u2, steps=steps, seed=seed)
+                    ref = _sample_per_step(KWalk(q, n, u1, u2, pairs.PRECISION, seed), steps, seed)
+                    assert samples == ref
+                    for table in samples.tables.values():
+                        firsts = [first for _, (_, first) in table]
+                        assert firsts == sorted(set(firsts)) and firsts[0] == 0
+                        assert sum(count for _, (count, _) in table) == steps
+                    assert samples.audited == steps // pairs.AUDIT_STRIDE
+
+
+def test_sampler_derives_keys_once_per_state(monkeypatch):
+    # the walk only counts its states; each distinct (state, unit) gets
+    # its key once, after the walk, and the class solves behind the keys
+    # run once per state and unit
+    keyed, paired = Counter(), Counter()
+    keys, pair = KWalk.keys, KWalk._pair
+
+    def counted_keys(self, state, units):
+        keyed.update((state, u) for u in units)
+        return keys(self, state, units)
+
+    def counted_pair(self, c, pi_unit):
+        paired[c, pi_unit] += 1
+        return pair(self, c, pi_unit)
+
+    monkeypatch.setattr(KWalk, "keys", counted_keys)
+    monkeypatch.setattr(KWalk, "_pair", counted_pair)
+    for q, n, u1, u2, steps in [(5, 4, 1, 2, 10_000), (3, 4, 2, 2, 1006), (5, 3, 3, 4, 400)]:
+        keyed.clear()
+        paired.clear()
+        walk = KWalk(q, n, u1, u2, pairs.PRECISION, 2024)
+        states = set()
+        for _ in range(steps):
+            walk.random_step()
+            states.add(walk.state())
+        sample_k_words(q, n, u1, u2, steps=steps, seed=2024)
+        units = sorted({u1, u2})
+        assert set(keyed) == {(state, u) for state in states for u in units}
+        assert max(keyed.values()) == 1
+        assert sum(paired.values()) == len(keyed) < steps * len(units)
+
+
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 3), (5, 4)])
 def test_lift_reads_solve_like_the_kept_keys(q, n):
     # the lift M k(r) differs from the series prefix M k by an element
@@ -258,11 +310,12 @@ def test_lift_reads_solve_like_the_kept_keys(q, n):
         word = walk.snapshot()
         lifts = [WhittakerInvariant.read(walk.forward_matrix()), WhittakerInvariant.read(walk.inverse_matrix())]
         series = [WhittakerInvariant.read(ref.forward_matrix()), WhittakerInvariant.read(ref.inverse_matrix())]
-        for u, key in zip(units, walk.products(units)):
+        for u, key in zip(units, walk.keys(walk.state(), units)):
             a, b = (m.solve(u) for m in lifts)
             assert [a, b] == [m.solve(u) for m in series] == [word.fwd.solve(u), word.inv.solve(u)]
             product = None if a is None or b is None else solved_product(ff, a, b)
-            assert key == (a is not None, b is not None, product)
+            uses_other = (word.uses1 and u != 1) or (word.uses2 and u != 2)
+            assert key == (a is not None, b is not None, product, uses_other, word.uses1 and word.uses2)
             supported += product is not None
     assert supported > 0
 
@@ -287,7 +340,7 @@ def test_walk_tables_fill_once_per_class(monkeypatch):
     walk = KWalk(5, 4, 1, 2, seed=2024)
     for _ in range(2000):
         walk.random_step()
-        walk.products((1, 2))
+        walk.keys(walk.state(), (1, 2))
     assert max(solves.values()) == 1
     assert {cls for cls, _ in solves} <= set(walk.classes) and len(walk.classes) > 20
     assert sum(built.values()) <= 4 * len(walk.classes) + 3

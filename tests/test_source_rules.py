@@ -237,6 +237,54 @@ def test_walk_steps_build_no_series():
     assert lifts <= {fn.name for fn in methods}
 
 
+# what turns a walk state into its keys: the key function, the class
+# solves behind it, and the solved invariants and products they build
+KEY_FUNCTIONS = {"keys", "_pair", "_solve", "solved_product", "SolvedInvariant",
+                 "match_rotation_times_central"}
+
+
+def _step_loop_key_functions(source: str) -> set[str]:
+    """The key functions that the step loop of sample_k_words reaches, by
+    its own calls or through the functions and methods of the module
+    that it calls, by name."""
+    tree = ast.parse(source)
+    callees = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            callees.setdefault(node.name, set()).update(
+                _callee(c) for c in ast.walk(node) if isinstance(c, ast.Call)
+            )
+    sampler = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "sample_k_words")
+    loops = [node for node in sampler.body if isinstance(node, ast.For)]
+    assert len(loops) == 2 and ast.unparse(loops[0].iter) == "range(steps)"
+    reached = {_callee(c) for c in ast.walk(loops[0]) if isinstance(c, ast.Call)}
+    todo = list(reached)
+    while todo:
+        for name in callees.get(todo.pop(), set()) - reached:
+            reached.add(name)
+            todo.append(name)
+    return reached & KEY_FUNCTIONS
+
+
+def test_walk_step_loop_derives_no_keys():
+    # a walk step only moves the state and counts it; keys are derived per
+    # distinct state after the loop, where the rule sees the key function
+    source = (SRC / "pairs.py").read_text()
+    assert _step_loop_key_functions(source) == set()
+    # the rule sees a step loop that derives keys, directly or through a
+    # walk method that builds a solved invariant
+    step = "        walk.random_step()\n"
+    assert source.count(step) == 1
+    mutant = source.replace(step, step + "        walk.keys(walk.state(), units)\n")
+    assert _step_loop_key_functions(mutant) == {"keys", "_pair", "_solve", "SolvedInvariant",
+                                               "solved_product", "match_rotation_times_central"}
+    state = "        return self.M[0], total, "
+    assert source.count(state) == 1
+    mutant = source.replace(state, "        self._pair(self.M[0], self.u1)\n" + state)
+    assert _step_loop_key_functions(mutant) == {"_pair", "_solve", "SolvedInvariant",
+                                               "solved_product", "match_rotation_times_central"}
+
+
 def test_only_laurent_uses_its_private_names():
     # laurent's kernels are its interface on triples; what it keeps
     # private (the convolution, the precision rule) has one copy, there
