@@ -147,18 +147,20 @@ class FacetSpec:
     @classmethod
     def parse(cls, text: str) -> FacetSpec:
         """Parse the CLI form "t=0;m=2,2"."""
-        t = None
-        blocks = None
+        form = f'a facet spec is written "t=0;m=2,2", got {text!r}'
+        fields = {}
         for part in text.replace(" ", "").split(";"):
             key, _, val = part.partition("=")
-            if key == "t":
-                t = int(val)
-            elif key == "m":
-                blocks = tuple(int(s) for s in val.split(","))
-            else:
-                raise ValueError(f"unknown facet field {key!r}")
-        if t is None or blocks is None:
-            raise ValueError("facet spec needs both t=... and m=...")
+            if key not in ("t", "m"):
+                raise ValueError(f"unknown facet field {key!r}: {form}")
+            fields[key] = val
+        if len(fields) < 2:
+            raise ValueError(f"facet spec needs both t=... and m=...: {form}")
+        try:
+            t = int(fields["t"])
+            blocks = tuple(int(s) for s in fields["m"].split(","))
+        except ValueError:
+            raise ValueError(form) from None
         _check_size(sum(blocks))
         return cls(t, blocks)
 

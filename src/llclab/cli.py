@@ -35,6 +35,12 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 
+# the longest walk and the most support samples `pair` runs: at (13, 6)
+# about 2 s of walk and 9 s of support checks per datum; criterion 7
+# walks 10,000 steps
+MAX_STEPS = 100_000
+MAX_SUPPORT_SAMPLES = 10_000
+
 
 def _datum(args: argparse.Namespace) -> SSCDatum:
     """The datum the arithmetic subcommands' shared options name."""
@@ -261,6 +267,10 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
+    for flag, value, bound in (("--steps", args.steps, MAX_STEPS),
+                               ("--support-samples", args.support_samples, MAX_SUPPORT_SAMPLES)):
+        if not 1 <= value <= bound:
+            raise ValueError(f"{flag} must lie in 1..{bound:,}, got {value}")
     d1 = _datum(args)
     zeta2 = RootOfUnity.parse(args.zeta2)
     d2 = SSCDatum(
@@ -369,8 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_datum_args(sp)
     sp.add_argument("--u0-2", type=int, required=True, dest="u0_2")
     sp.add_argument("--zeta-2", required=True, dest="zeta2")
-    sp.add_argument("--steps", type=int, default=2000, help="sampled word length")
-    sp.add_argument("--support-samples", type=int, default=120, dest="support_samples")
+    sp.add_argument("--steps", type=int, default=2000,
+                    help=f"sampled word length, 1..{MAX_STEPS:,}")
+    sp.add_argument("--support-samples", type=int, default=120, dest="support_samples",
+                    help=f"random matrices per support check, 1..{MAX_SUPPORT_SAMPLES:,}")
     sp.add_argument("--seed", type=int, default=2024)
     sp.set_defaults(func=cmd_pair)
 

@@ -163,9 +163,12 @@ class RootOfUnity:
 
     @classmethod
     def parse(cls, text: str) -> RootOfUnity:
-        """Parse 'a/N' as exp(2*pi*i*a/N)."""
-        a, n = text.split("/")
-        return cls(int(a), int(n))
+        """Parse 'a/N', integers a and N > 0, as exp(2*pi*i*a/N)."""
+        a, _, n = text.partition("/")
+        try:
+            return cls(int(a), int(n))
+        except ValueError:
+            raise ValueError(f'a root of unity is written "a/N" with integers a and N > 0, got {text!r}') from None
 
     def as_fraction_of_turn(self) -> str:
         return f"{self.num}/{self.order}"

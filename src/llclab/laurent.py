@@ -19,10 +19,11 @@ lives in kernels on bare (val, coeffs, prec) triples, the same three
 fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
 ``dot_t``, the fused ``addmul_t`` (z + c*y in one list), ``cancel_t``
 (the zero z + c*y is when c = -z * y^-1), ``truncate_t``,
-``coeff_at_t`` and ``val_at_least_t``.  They hold the one copy of the
-window and precision rules.  ``LaurentElem``'s operators are thin
-wrappers over them.  ``MatG`` stores its entries as triples, so its
-product calls ``dot_t`` per entry on the stored rows, and
+``coeff_at_t``, ``val_at_least_t`` and ``det_t``.  They hold the one
+copy of the window and precision rules.  ``LaurentElem``'s operators are
+thin wrappers over them.  ``MatG`` stores its entries as triples, so its
+product calls ``dot_t`` per entry on the stored rows, its determinant
+and the norm to the base field call ``det_t`` on rows of triples, and
 ``bruhat.decompose`` eliminates those rows as they are and returns its u
 and k as triples too: no element is built on the way in or out.
 Sums and products work on one mutable list over the exponent window of
@@ -34,15 +35,17 @@ along the longer one through ``_add``; a difference reads ``_neg``.  A
 factor with a single coefficient scales the other instead, in ``mul_t``
 and in a ``dot_t`` of one product: one row read along it, with no
 additions.  ``dot_t`` skips pairs with an exact zero, which add neither
-digits nor precision.  ``inverse_t`` runs its one-unit recurrence
-forward, pushing each new digit along the series with one row, as a
-product does.  The result is normalized once, by scanning the list ends
+digits nor precision.  ``det_t`` expands along the top row with no
+division: each minor of the rows below is one ``dot_t``, computed once
+under the bitmask of its columns, so an n-by-n determinant takes at
+most n*(2^(n-1) - 1) products, not the n!*n of the sum over
+permutations, and exact entries give the exact determinant.
+``inverse_t`` runs its one-unit recurrence forward, pushing each new
+digit along the series with one row, as a product does.  The result is normalized once, by scanning the list ends
 for zeros.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import InsufficientPrecision, ZeroInput
 from .finitefield import FiniteField, field_of_size
@@ -545,25 +548,44 @@ class LaurentElem:
         return f"<{body}{tail}>"
 
 
-def leibniz_det(field: LocalField, rows) -> LaurentElem:
-    """Determinant of a square matrix of (val, coeffs, prec) triples over
-    field, as the signed sum over permutations of the products of its
-    entries, in the order and with the precision that chain of products
-    and sums gives."""
+def det_t(ff: FiniteField, rows) -> tuple:
+    """Determinant of a square matrix of (val, coeffs, prec) triples,
+    expanded along its top row, with no division.
+
+    The minor on the rows below row k and a set of columns is computed
+    once, kept under the bitmask of those columns, as one dot_t of row k
+    against the minors one row further down.  An exact-zero entry or
+    minor is skipped, so nothing under it is computed.  That is at most
+    n*(2^(n-1) - 1) products, where the sum over permutations takes n!*n.
+    Exact entries give the exact determinant; otherwise each sum carries
+    the smallest precision of its products, as in the chain of products
+    and sums.
+    """
     n = len(rows)
-    ff = field.residue
-    total = ZERO_T
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = ONE_T
-        for i in range(n):
-            prod = mul_t(ff, prod, rows[i][perm[i]])
-        total = add_t(ff, total, prod, None if sign == 1 else ff._neg)
-    return wrap(field, total)
+    signed = [(row, [neg_t(ff, x) for x in row]) for row in rows[:-1]]
+    # minors[mask]: the minor on the last popcount(mask) rows and the
+    # columns in mask, None until computed; the last row's entries seed it
+    minors: list = [None] * (1 << n)
+    for j, x in enumerate(rows[-1]):
+        minors[1 << j] = x
+
+    def minor(k: int, mask: int) -> tuple:
+        row, negs = signed[k]
+        xs, ys = [], []
+        odd = False
+        for j in range(n):
+            bit = 1 << j
+            if mask & bit:
+                x = row[j]
+                if x[1] or x[2] is not None:
+                    rest = mask ^ bit
+                    xs.append(negs[j] if odd else x)
+                    ys.append(minors[rest] or minor(k + 1, rest))
+                odd = not odd
+        out = minors[mask] = dot_t(ff, xs, ys)
+        return out
+
+    return minors[-1] or minor(0, (1 << n) - 1)
 
 
 class LocalField:
@@ -670,37 +692,37 @@ class LocalField:
         prec = None if x.prec is None else -(-x.prec // n)
         return self.base._from_dict(terms, prec)
 
-    def mult_matrix(self, x: LaurentElem) -> list[list[LaurentElem]]:
+    def mult_matrix(self, x: LaurentElem) -> list[list[tuple]]:
         """Matrix of multiplication by x on the basis 1, u, ..., u^{n-1},
-        with entries in the base field."""
+        as rows of (val, coeffs, prec) triples over the base field.
+
+        x * u^j puts the digit c_k of x at u^(v+k+j) = u0^m t^m u^r, so
+        entry (r, j) reads every n-th digit of x, from the one with
+        v + k + j = r mod n on, at consecutive powers t^m, each times
+        u0^m."""
         if self.base is None:
             raise ValueError("multiplication matrices live over the base field")
         if x.field is not self:
             raise TypeError("argument does not live in this field")
         ff, n, u0 = self.residue, self.degree, self.pi_unit
-        dicts = [[{} for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            for k, c in enumerate(x.coeffs):
-                if c == 0:
-                    continue
-                m, r = divmod(x.val + k + j, n)
-                d = dicts[r][j]
-                d[m] = ff.add(d.get(m, 0), ff.mul(c, ff.pow(u0, m)))
-        out = []
+        v, cs, p = x.val, x.coeffs, x.prec
+        mul, power = ff._mul, ff.pow
+        rows = []
         for r in range(n):
             row = []
             for j in range(n):
-                prec = None if x.prec is None else -(-(x.prec + j - r) // n)
-                row.append(self.base._from_dict(dicts[r][j], prec))
-            out.append(row)
-        return out
+                k = (r - j - v) % n
+                m0 = (v + k + j - r) // n
+                digits = [mul[power(u0, m)][c] for m, c in enumerate(cs[k::n], m0)]
+                row.append(_cut(m0, digits, None if p is None else -(-(p + j - r) // n)))
+            rows.append(row)
+        return rows
 
     def norm_to_base(self, x: LaurentElem) -> LaurentElem:
         """Norm to the base field: determinant of the regular representation."""
         if self.base is None:
             return x
-        rows = [[(e.val, e.coeffs, e.prec) for e in row] for row in self.mult_matrix(x)]
-        return leibniz_det(self.base, rows)
+        return wrap(self.base, det_t(self.residue, self.mult_matrix(x)))
 
     # ----- serialization -------------------------------------------------
     def elem_to_json(self, x: LaurentElem) -> dict:

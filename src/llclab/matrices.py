@@ -1,9 +1,10 @@
 """Small dense matrices over a local field.
 
-Group elements in this laboratory are n-by-n with n at most 6, so every
-algorithm is the naive one.  A matrix stores each entry once, as the
-normalized (val, coeffs, prec) triple laurent's kernels read: the
-product, truncation and determinant run on the stored rows, and bruhat
+Group elements in this laboratory are n-by-n with n at most 6.  A
+matrix stores each entry once, as the normalized (val, coeffs, prec)
+triple laurent's kernels read: the product, truncation and determinant
+run on the stored rows, the determinant as laurent.det_t's expansion
+into minors each computed once, with no division, and bruhat
 eliminates them as they are and tests k for Iwahori membership with
 in_iplus_t.  MatG(field, rows) is the checked constructor from series;
 wrap_matrix builds a matrix from kernel triples without it, and
@@ -18,8 +19,8 @@ from .laurent import (
     LaurentElem,
     LocalField,
     add_t,
+    det_t,
     dot_t,
-    leibniz_det,
     truncate_t,
     val_at_least_t,
     wrap,
@@ -65,7 +66,7 @@ class MatG:
         return wrap_matrix(self.field, [[truncate_t(e, prec) for e in row] for row in self.rows])
 
     def det(self) -> LaurentElem:
-        return leibniz_det(self.field, self.rows)
+        return wrap(self.field, det_t(self.field.residue, self.rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatG):

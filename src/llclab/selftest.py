@@ -187,8 +187,8 @@ def criterion_gauss_twist(scale: str | None = None) -> dict:
             for b in range(q - 1)
         ]
         for u0 in range(1, q):
-            # the signed uniformizer (-1)^(n-1) u0 t, as the Leibniz norm
-            # of the ramified variable u, a root of X^n - u0 t
+            # the signed uniformizer (-1)^(n-1) u0 t, as the norm of the
+            # ramified variable u, a root of X^n - u0 t
             E = F.extension(n, u0)
             signed = E.norm_to_base(E.variable())
             at_signed = [(lam, lam(signed)) for lam in lams]
@@ -292,7 +292,16 @@ def criterion_matching(scale: str | None = None) -> dict:
             if any("automorphic" in row for row in rep["twists"]):
                 with_integral += 1
             if not (rep["all_equal"] and rep["central_character_matches"]):
-                failures.append(_datum_key(d))
+                bad = _datum_key(d)
+                bad["central_character_matches"] = rep["central_character_matches"]
+                bad["twists"] = [
+                    {"twist": row["twist"],
+                     **{side: row[side].to_json() for side in ("closed", "galois", "automorphic")
+                        if side in row}}
+                    for row in rep["twists"]
+                    if not row["equal"]
+                ]
+                failures.append(bad)
             P = build_parameter(d)
             for twist, lam, lam_n in zip(twists, lams, powers):
                 want, det = d.omega * lam_n, det_parameter(P, lam)
@@ -713,22 +722,28 @@ def criterion_oracles(scale: str | None = None) -> dict:
     # (c) decomposition invariants do not depend on the traversal order
     pivot_cells = [(q, n) for q in (3, 5) for n in (2, 3, 4)]
     trials = 1000 if full else 150
-    for seed_extra, (q, n) in enumerate(pivot_cells):
+    # a failure record replays: the cell's seed, the draw's index among
+    # the cell's draws and the matrix as to_json prints it
+    for index, (q, n) in enumerate(pivot_cells):
         F = LocalField.base_field(q)
-        prng = random.Random(4001 + seed_extra)
-        for _ in range(trials):
+        seed = 4001 + index
+        prng = random.Random(seed)
+        for draw in range(trials):
             g, mono = _random_decomposed(prng, F, n, phases)
             t = clock()
             checked += 1
+            error = None
             try:
                 alt = _reversed_scan_class(F, g)
             except Exception as exc:
-                failures.append({"check": "pivot order", "q": q, "n": n, "error": repr(exc)})
-                continue
-            finally:
-                phases["reversed_scan"] += clock() - t
-            if alt != mono:
-                failures.append({"check": "pivot order", "q": q, "n": n})
+                error = repr(exc)
+            phases["reversed_scan"] += clock() - t
+            if error is not None or alt != mono:
+                bad = {"check": "pivot order", "q": q, "n": n, "seed": seed, "draw": draw,
+                       "matrix": g.to_json()}
+                if error is not None:
+                    bad["error"] = error
+                failures.append(bad)
 
     # (d) gamma is the ratio of the two integrals, each at its own row,
     # against gamma_automorphic's one quotient row

@@ -79,5 +79,5 @@ def test_criterion_7_whittaker_pair_invariance():
 
 
 def test_criterion_8_independent_oracles():
-    rep = _gate(selftest.criterion_oracles)
+    rep = _gate(selftest.criterion_oracles, budget=60)
     assert rep["checked"] == 6214

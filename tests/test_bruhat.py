@@ -1094,3 +1094,32 @@ def test_oracle_criterion_reports_phases():
     # whole milliseconds rounded down; the tolerance is float summation's
     assert sum(phases.values()) <= rep["seconds"] + 1e-9
     json.dumps(rep)
+
+
+def test_pivot_order_failure_replays_from_its_record(monkeypatch):
+    # the reversed scan disagrees once; the record's matrix, seed and
+    # draw index rebuild the draw and its class
+    reversed_scan = selftest._reversed_scan_class
+    calls = []
+
+    def disagree_once(F, g):
+        calls.append(g)
+        mono = reversed_scan(F, g)
+        return mono.compose(MonomialClass.central(F, g.n, 1, 1)) if len(calls) == 160 else mono
+
+    monkeypatch.setattr(selftest, "_reversed_scan_class", disagree_once)
+    rep = selftest.criterion_oracles("small")
+    assert not rep["ok"] and len(rep["failures"]) == 1
+    bad = json.loads(json.dumps(rep["failures"][0]))
+    # 150 draws a cell at small scale: the 160th is draw 9 of the second
+    assert {k: bad[k] for k in ("check", "q", "n", "seed", "draw")} == {
+        "check": "pivot order", "q": 3, "n": 3, "seed": 4002, "draw": 9
+    }
+    F = LocalField.base_field(bad["q"])
+    g = MatG(F, [[F.elem_from_json(e) for e in row] for row in bad["matrix"]["entries"]])
+    assert g == calls[159]
+    prng = random.Random(bad["seed"])
+    phases = dict.fromkeys(("draws", "decompose"), 0.0)
+    draws = [selftest._random_decomposed(prng, F, bad["n"], phases) for _ in range(bad["draw"] + 1)]
+    assert draws[-1][0] == g
+    assert reversed_scan(F, g) == decompose(g)[1] == draws[-1][1]

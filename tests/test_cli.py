@@ -347,6 +347,51 @@ def test_pair_rejects_empty_samples(capsys, flag, value):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+PAIR_ARGS = ["pair", "--q", "5", "--n", "2", "--zeta", "1/4", "--u0-2", "1", "--zeta-2", "3/4"]
+
+
+@pytest.mark.parametrize("flag,value,bound", [
+    ("--steps", "100001", "100,000"), ("--steps", "1000000000", "100,000"),
+    ("--support-samples", "10001", "10,000"), ("--support-samples", "1000000000", "10,000"),
+])
+def test_pair_bounds_its_samples_before_any_work(capsys, monkeypatch, flag, value, bound):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair started work on an out-of-range option")
+
+    for name in ("_datum", "mirabolic_agreement", "sample_k_words", "support_check"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert cli.main([*PAIR_ARGS, flag, value]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == f"{flag} must lie in 1..{bound}, got {value}"
+
+
+def build_subparser(name):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def test_pair_bounds_keep_the_defaults_and_criterion_seven():
+    pair = build_subparser("pair")
+    assert 1 <= pair.get_default("steps") <= 10_000 <= cli.MAX_STEPS
+    assert 1 <= pair.get_default("support_samples") <= cli.MAX_SUPPORT_SAMPLES
+
+
+@pytest.mark.parametrize("argv,form", [
+    (["epsilon", "--q", "5", "--n", "2", "--zeta", "x"], '"a/N"'),
+    (["epsilon", "--q", "5", "--n", "2", "--omega-at-pi", "abc"], '"a/N"'),
+    (["epsilon", "--q", "5", "--n", "2", "--zeta", "1/0"], '"a/N"'),
+    ([*PAIR_ARGS[:-1], "3"], '"a/N"'),
+    (["facet", "--spec", "t=0;m="], '"t=0;m=2,2"'),
+    (["facet", "--spec", "t=;m=2"], '"t=0;m=2,2"'),
+    (["facet", "--spec", "m=2"], '"t=0;m=2,2"'),
+    (["facet", "--spec", "t=0;m=2;k=1"], '"t=0;m=2,2"'),
+])
+def test_malformed_roots_and_specs_name_the_expected_form(capsys, argv, form):
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert form in err and repr(argv[-1]) in err
+
+
 def test_selftest_small_scale(capsys):
     code, payload = run_json(capsys, ["selftest", "--scale", "small"])
     assert code == 0

@@ -4,18 +4,23 @@ import random
 import pytest
 
 from llclab.errors import InsufficientPrecision, ZeroInput
+from llclab import laurent
 from llclab.laurent import (
     DEFAULT_REL_PREC,
     LocalField,
+    add_t,
     addmul_t,
     cancel_t,
     coeff_at_t,
+    det_t,
     dot_t,
     inverse_t,
     mul_t,
     neg_t,
     truncate_t,
+    wrap,
 )
+from llclab.matrices import wrap_matrix
 
 
 # dict-based polynomial arithmetic, written independently of the series
@@ -665,6 +670,175 @@ def test_cubic_norm_form():
             cross = ff.neg(ff.scalar_mul(3, ff.mul(a, ff.mul(b, c))))
             expect = d_add(ff, expect, d_mul(ff, pi, {0: cross}))
             assert d_of(E.norm_to_base(x)) == expect
+
+
+
+# ----- determinants ------------------------------------------------------
+
+
+def leibniz_det(ff, rows):
+    """The determinant oracle: the signed sum over permutations of the
+    products of the entries, each product taken left to right and added
+    in turn by the kernels, so n!*n products."""
+    n = len(rows)
+    total = (0, (), None)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = (0, (1,), None)
+        for i, j in enumerate(perm):
+            prod = mul_t(ff, prod, rows[i][j])
+        total = add_t(ff, total, prod, ff._neg if inversions % 2 else None)
+    return total
+
+
+def random_rows(rng, F, n, exact=True, zeros=0.15):
+    """n rows of n triples over F, each entry a zero with probability
+    zeros, else up to three digits from t^-2 on.  Inexact entries are
+    known up to a precision from one below their last digit to two past
+    it, and half their zeros are zeros known only below some t^p."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            if rng.random() < zeros:
+                row.append((0, (), None if exact or rng.random() < 0.5 else rng.randrange(-1, 4)))
+                continue
+            v = rng.randrange(-2, 3)
+            cs = [rng.randrange(F.residue.q) for _ in range(rng.randrange(1, 4))]
+            prec = None if exact else v + len(cs) + rng.randrange(-1, 3)
+            x = F.elem(v, cs, prec)
+            row.append((x.val, x.coeffs, x.prec))
+        rows.append(row)
+    return rows
+
+
+def _prec_at_least(p, q):
+    return p is None or (q is not None and p >= q)
+
+
+def _completed(rng, F, rows):
+    """An exact matrix the inexact rows could stand for: each entry's
+    known digits, then three random digits from its precision on."""
+    q = F.residue.q
+    out = []
+    for row in rows:
+        out.append([])
+        for v, cs, p in row:
+            if p is not None:
+                if not cs:
+                    v = p
+                cs = cs + (0,) * (p - v - len(cs)) + tuple(rng.randrange(q) for _ in range(3))
+            x = F.elem(v, cs)
+            out[-1].append((x.val, x.coeffs, x.prec))
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25])
+def test_det_t_equals_the_leibniz_sum_on_exact_matrices(q):
+    # exact entries give the exact determinant: ==, not agreement, for
+    # n = 1..7, with an exact-zero row and singular matrices among them
+    rng = random.Random(2300 + q)
+    F = LocalField.base_field(q)
+    ff = F.residue
+    for n in range(1, 8):
+        for _ in range(12 if n <= 5 else 2 if n == 6 else 1):
+            rows = random_rows(rng, F, n)
+            zero_row = [list(r) for r in rows]
+            zero_row[rng.randrange(n)] = [(0, (), None)] * n
+            # the last row the sum of the others: singular, and exact zero
+            summed = [list(r) for r in rows]
+            summed[-1] = [(0, (), None)] * n
+            for r in rows[:-1]:
+                summed[-1] = [add_t(ff, a, b) for a, b in zip(summed[-1], r)]
+            for m in (rows, zero_row, summed):
+                got = det_t(ff, m)
+                assert got == leibniz_det(ff, m)
+                assert wrap_matrix(F, m).det() == wrap(F, got)
+            assert det_t(ff, zero_row) == (0, (), None)
+            assert det_t(ff, summed) == (0, (), None)
+    assert det_t(ff, [[(3, (1, 2), None)]]) == (3, (1, 2), None)
+
+
+def test_det_t_keeps_every_digit_the_leibniz_sum_knows():
+    # inexact entries: both sides agree on every digit both know, the
+    # expansion into minors never reports less precision than the sum,
+    # and every digit it reports is the determinant's for a completion
+    # of the entries' unknown digits
+    rng = random.Random(4800)
+    for q in (3, 5, 9, 25):
+        F = LocalField.base_field(q)
+        ff = F.residue
+        for n in range(1, 7):
+            for _ in range(40 if n <= 5 else 6):
+                rows = random_rows(rng, F, n, exact=False)
+                got, want = det_t(ff, rows), leibniz_det(ff, rows)
+                assert _prec_at_least(got[2], want[2]), (rows, got, want)
+                if want[2] is not None:
+                    assert truncate_t(got, want[2]) == want
+                if got[2] is not None:
+                    assert truncate_t(leibniz_det(ff, _completed(rng, F, rows)), got[2]) == got
+
+
+def test_det_t_takes_one_product_per_entry_and_minor(monkeypatch):
+    # a dense matrix costs n * (2^(n-1) - 1) products, one per entry of
+    # each minor's top row; a monomial one costs one per row below the
+    # top, since no minor under an exact zero is computed
+    pairs = []
+
+    def counting(ff, xs, ys):
+        xs, ys = list(xs), list(ys)
+        pairs.append(len(xs))
+        return dot_t(ff, xs, ys)
+
+    monkeypatch.setattr(laurent, "dot_t", counting)
+    rng = random.Random(28)
+    F = LocalField.base_field(7)
+    ff = F.residue
+    for n in range(1, 8):
+        pairs.clear()
+        rows = [[(rng.randrange(-2, 3), (rng.randrange(1, 7), rng.randrange(7)), None)
+                 for _ in range(n)] for _ in range(n)]
+        det_t(ff, rows)
+        assert sum(pairs) == n * (2 ** (n - 1) - 1)
+        perm = rng.sample(range(n), n)
+        mono = [[(i, (1 + i % 6,), None) if j == perm[i] else (0, (), None) for j in range(n)]
+                for i in range(n)]
+        pairs.clear()
+        got = det_t(ff, mono)
+        assert sum(pairs) == n - 1 and got == leibniz_det(ff, mono) != (0, (), None)
+
+
+NORM_CELLS = [(3, 2, 2), (5, 3, 4), (5, 4, 3), (7, 5, 6), (9, 4, 5), (11, 5, 7), (13, 6, 2),
+              (25, 3, 8)]
+
+
+@pytest.mark.parametrize("q,n,u0", NORM_CELLS)
+def test_norm_is_the_leibniz_determinant_of_the_multiplication_matrix(q, n, u0):
+    rng = random.Random(360 + 10 * q + n)
+    F = LocalField.base_field(q)
+    E = F.extension(n, u0)
+    ff = F.residue
+    u = E.variable()
+    for _ in range(8):
+        x = random_exact(rng, E, max_len=8)
+        rows = E.mult_matrix(x)
+        # the matrix is multiplication by x: column j rebuilds x * u^j
+        for j in range(n):
+            col = E.zero()
+            for r in range(n):
+                col = col + from_base(E, F.elem(*rows[r][j])) * u**r
+            assert col == x * u**j
+        assert E.norm_to_base(x) == wrap(F, leibniz_det(ff, rows))
+    # inexact elements: the same columns, each known as far as x is
+    for _ in range(4):
+        y = random_exact(rng, E, max_len=8)
+        x = y.truncate(y.val + rng.randrange(1, 9))
+        rows = E.mult_matrix(x)
+        for j in range(n):
+            col = E.zero()
+            for r in range(n):
+                col = col + from_base(E, F.elem(*rows[r][j])) * u**r
+            assert col == x * u**j
 
 
 def test_unit_reps_census():

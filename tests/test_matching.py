@@ -4,9 +4,11 @@ from math import gcd
 
 import pytest
 
+from llclab import matching, selftest
 from llclab.characters import TameChar
 from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InconsistentTable
+from llclab.galois import build_parameter, epsilon_galois
 from llclab.laurent import LocalField
 from llclab.matching import (
     EpsilonTable,
@@ -16,7 +18,7 @@ from llclab.matching import (
 )
 from llclab.monomials import EpsMonomial
 from llclab.supercuspidal import SSCDatum
-from llclab.zeta import closed_form_epsilon
+from llclab.zeta import closed_form_epsilon, gamma_automorphic
 
 from test_supercuspidal import _datum
 
@@ -211,3 +213,30 @@ def test_round_trip_every_zeta_order():
                 assert res.datum.omega_at_pi == d.omega_at_pi
                 assert res.datum.omega_exp == d.omega_exp
                 i += 1
+
+
+def test_matching_failure_names_each_unequal_twist(monkeypatch):
+    # the closed form is off by a sign on one twist of one datum: the
+    # criterion's record names that twist and gives its three values
+    target = list(selftest.datum_grid(5, 2))[3]
+    closed_form = matching.closed_form_epsilon
+
+    def wrong_once(d, lam):
+        out = closed_form(d, lam)
+        if d is target and lam.exp_unit == 2:
+            return out.scale(RootOfUnity.minus_one())
+        return out
+
+    monkeypatch.setattr(matching, "closed_form_epsilon", wrong_once)
+    rep = selftest.criterion_matching("small")
+    lam = twist_char(target.F, 2, 0)
+    assert rep["failures"] == [{
+        "q": 5, "n": 2, "pi_unit": target.pi_unit, "omega_exp": target.omega_exp,
+        "zeta": target.zeta.as_fraction_of_turn(), "central_character_matches": True,
+        "twists": [{
+            "twist": {"e": 2, "at_t": 0},
+            "closed": closed_form(target, lam).scale(RootOfUnity.minus_one()).to_json(),
+            "galois": epsilon_galois(build_parameter(target), lam).to_json(),
+            "automorphic": gamma_automorphic(target, lam).to_json(),
+        }],
+    }]

@@ -558,7 +558,7 @@ def test_test_only_helpers_stay_out_of_the_library():
                "_principal_lead", "_mirabolic_block", "_polar_block", "_column_unipotent",
                "MatG.identity", "MatG.scale", "MatG.superdiagonal_residues", "_triples",
                "LocalField.integer_reps", "TameChar.trivial", "MatG.in_pro_unipotent_iwahori",
-               "GradedQuotient.spacings"}
+               "GradedQuotient.spacings", "leibniz_det"}
     defined = set(llclab.__all__)
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
@@ -566,6 +566,19 @@ def test_test_only_helpers_stay_out_of_the_library():
             if isinstance(node, ast.ClassDef):
                 defined |= {f"{node.name}.{f.name}" for f in node.body if isinstance(f, ast.FunctionDef)}
     assert removed & defined == set()
+
+
+def test_library_sums_over_no_permutations():
+    # a determinant expands into shared minors; the n! sum over
+    # permutations is the oracle in tests/test_laurent.py
+    found = [
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "permutations" in (getattr(node, "attr", None), getattr(node, "id", None),
+                              getattr(node, "name", None))
+    ]
+    assert found == []
 
 
 def _perfbench_names(tree) -> set[str]:
