@@ -7,9 +7,8 @@ run on the stored rows, the determinant as laurent.det_t's expansion
 into minors each computed once, with no division, and bruhat
 eliminates them as they are and tests k for Iwahori membership with
 in_iplus_t.  MatG(field, rows) is the checked constructor from series;
-wrap_matrix builds a matrix from kernel triples without it, and
-entry(i, j) gives one entry as a series.  Precision rides along on the
-entries.
+wrap_matrix builds a matrix from kernel triples without it.  Precision
+rides along on the entries.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ class MatG:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> LaurentElem:
-        return wrap(self.field, self.rows[i][j])
 
     def __mul__(self, other: MatG) -> MatG:
         if not isinstance(other, MatG) or other.field is not self.field:

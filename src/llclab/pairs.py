@@ -621,7 +621,7 @@ def support_check(d: SSCDatum, samples: int = 200, seed: int = 17) -> dict:
             for i in range(n)
         ]
         for i in range(n):
-            krows[i][i] = F.one() + F.elem(1, [rng.randrange(q) for _ in range(PRECISION)])
+            krows[i][i] = F.elem(0, [1, *(rng.randrange(q) for _ in range(PRECISION))])
         g = u * mono.as_matrix() * MatG(F, krows)
         planted += 1
         solved = WhittakerInvariant.read(g).solve(d.pi_unit)

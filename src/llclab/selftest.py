@@ -37,7 +37,7 @@ from .cyclotomic import CycloNumber, RootOfUnity
 from .errors import InsufficientPrecision, ZeroInput
 from .finitefield import field_of_size
 from .galois import build_parameter, det_parameter, gauss_sum_bruteforce
-from .laurent import LocalField
+from .laurent import ZERO_T, LocalField, add_t, inverse_t, mul_t, val_at_least_t, wrap
 from .matching import EpsilonTable, determine_from_table, twist_char, verify_matching
 from .matrices import MatG
 from .monomials import EpsMonomial, LambdaGraded, interned_counts
@@ -592,66 +592,64 @@ def _reversed_scan_class(F: LocalField, g: MatG) -> MonomialClass:
     """Monomial invariants recomputed with every traversal flipped: rows
     bottom-up, pivots found scanning right to left, rows cleared before
     columns, clears in descending index order.  Must land on the class
-    the packaged decomposition reports."""
+    the packaged decomposition reports.  Runs on g's rows of triples with
+    full-row updates x - c*y, each pivot inverted once."""
+    ff, var = F.residue, F.var
+    neg = ff._neg
     n = g.n
-    A = [[g.entry(i, j) for j in range(n)] for i in range(n)]
+    A = [list(row) for row in g.rows]
     taken: set[int] = set()
     cols = [0] * n
     for i in reversed(range(n)):
-        ranked = [
-            (A[i][j].valuation(), j)
-            for j in range(n)
-            if j not in taken and not A[i][j].is_zero_at_prec()
-        ]
+        ranked = [(A[i][j][0], j) for j in range(n) if j not in taken and A[i][j][1]]
         if not ranked:
             raise ZeroInput("no usable pivot in a row of an invertible matrix")
         piv = min(ranked)[1]
         taken.add(piv)
         cols[i] = piv
-        pe = A[i][piv]
+        inv = inverse_t(ff, A[i][piv], var)
         for r in reversed(range(i)):
-            if A[r][piv].is_zero_at_prec():
+            if not A[r][piv][1]:
                 continue
-            c = A[r][piv] / pe
-            A[r] = [A[r][j] - c * A[i][j] for j in range(n)]
+            c = mul_t(ff, A[r][piv], inv)
+            A[r] = [add_t(ff, x, mul_t(ff, c, y), neg) for x, y in zip(A[r], A[i])]
         for j in reversed(range(n)):
-            if j == piv or j in taken or A[i][j].is_zero_at_prec():
+            if j == piv or j in taken or not A[i][j][1]:
                 continue
-            c = A[i][j] / pe
-            if not c.has_val_at_least(1 if j < piv else 0):
+            c = mul_t(ff, A[i][j], inv)
+            if not val_at_least_t(c, 1 if j < piv else 0, var):
                 raise ValueError("column clear leaves the Iwahori side")
-            for r in range(n):
-                A[r][j] = A[r][j] - c * A[r][piv]
-    lead = [A[i][cols[i]].leading() for i in range(n)]
-    return MonomialClass(F, cols, [v for v, _ in lead], [u for _, u in lead])
+            for row in A:
+                row[j] = add_t(ff, row[j], mul_t(ff, c, row[piv]), neg)
+    lead = [A[i][cols[i]] for i in range(n)]
+    return MonomialClass(F, cols, [v for v, _, _ in lead], [cs[0] for _, cs, _ in lead])
 
 
-def _conjugate_by_scaling(E: LocalField, x, c: int):
-    """Image of x under the field map scaling the ramified variable by a
-    root of unity c of the residue field."""
-    ff = E.residue
-    out = E.zero()
-    for k, coeff in enumerate(x.coeffs):
+def _conjugate_by_scaling(ff, x: tuple, c: int) -> tuple:
+    """Image of the triple x under the field map scaling the ramified
+    variable by a root of unity c of the residue field."""
+    out = ZERO_T
+    for k, coeff in enumerate(x[1]):
         if coeff:
-            e = x.val + k
-            out = out + E.elem(e, (ff.mul(coeff, ff.pow(c, e)),))
+            e = x[0] + k
+            out = add_t(ff, out, (e, (ff.mul(coeff, ff.pow(c, e)),), None))
     return out
 
 
-def _descend_to_base(F: LocalField, E: LocalField, y):
-    """Rewrite an extension element supported on powers of the base
+def _descend_to_base(F: LocalField, E: LocalField, y: tuple):
+    """Rewrite an extension triple supported on powers of the base
     variable as a base element, or None if some exponent obstructs."""
     n, u0, ff = E.degree, E.pi_unit, E.residue
-    out = F.zero()
-    for k, coeff in enumerate(y.coeffs):
+    out = ZERO_T
+    for k, coeff in enumerate(y[1]):
         if not coeff:
             continue
-        e = y.val + k
+        e = y[0] + k
         if e % n:
             return None
         m = e // n
-        out = out + F.elem(m, (ff.mul(coeff, ff.pow(u0, m)),))
-    return out
+        out = add_t(ff, out, (m, (ff.mul(coeff, ff.pow(u0, m)),), None))
+    return wrap(F, out)
 
 
 def criterion_oracles(scale: str | None = None) -> dict:
@@ -702,21 +700,23 @@ def criterion_oracles(scale: str | None = None) -> dict:
         E = F.extension(n, u0)
         ff = F.residue
         zroot = ff.pow(ff.gen, (q - 1) // n)
-        for _ in range(25 if full else 8):
+        for draw in range(25 if full else 8):
             x = E.elem(rng.randrange(-2, 3), [rng.randrange(q) for _ in range(4)])
             conjs = [
-                _conjugate_by_scaling(E, x, ff.pow(zroot, i)) for i in range(n)
+                _conjugate_by_scaling(ff, (x.val, x.coeffs, x.prec), ff.pow(zroot, i))
+                for i in range(n)
             ]
-            tr = conjs[0]
-            prod = conjs[0]
+            tr = prod = conjs[0]
             for y in conjs[1:]:
-                tr = tr + y
-                prod = prod * y
+                tr = add_t(ff, tr, y)
+                prod = mul_t(ff, prod, y)
             checked += 1
-            if _descend_to_base(F, E, tr) != E.trace_to_base(x):
-                failures.append({"check": "trace", "q": q, "n": n, "x": repr(x)})
-            if _descend_to_base(F, E, prod) != E.norm_to_base(x):
-                failures.append({"check": "norm", "q": q, "n": n, "x": repr(x)})
+            # a failure record replays: E from (q, n, u0), x as elem_to_json
+            # prints it, and the draw's index in the cell
+            for check, got, want in (("trace", tr, E.trace_to_base), ("norm", prod, E.norm_to_base)):
+                if _descend_to_base(F, E, got) != want(x):
+                    failures.append({"check": check, "q": q, "n": n, "u0": u0, "draw": draw,
+                                     "x": E.elem_to_json(x)})
     phases["trace_norm"] += clock() - t
 
     # (c) decomposition invariants do not depend on the traversal order
@@ -759,7 +759,7 @@ def criterion_oracles(scale: str | None = None) -> dict:
         checked += 1
         ratio = (zeta_psi_tilde(d, lam) / zeta_psi(d, lam)).scale(lam.at_minus_one() ** (n - 1))
         if ratio != gamma_automorphic(d, lam):
-            failures.append({"check": "gamma ratio", "q": q, "n": n})
+            failures.append({"check": "gamma ratio", **_datum_key(d), "twist": [e, av]})
     phases["gamma_ratio"] += clock() - t
 
     return _report(

@@ -8,7 +8,7 @@ from llclab.errors import LLCError
 from llclab.laurent import LocalField
 from llclab.matrices import MatG
 
-from test_matrices import entries, in_iplus
+from test_matrices import entries, in_iplus, sub
 
 
 class ReferenceWalk:
@@ -39,9 +39,8 @@ class ReferenceWalk:
     def _conj_by(self, cls, A):
         F, ff, n, N = self.F, self.F.residue, self.n, self.N
         rows = [[F.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                e = A.entry(i, j)
+        for i, row in enumerate(entries(A)):
+            for j, e in enumerate(row):
                 if e.is_exact_zero():
                     continue
                 c = ff.mul(cls.units[j], ff.inv(cls.units[i]))
@@ -73,7 +72,7 @@ class ReferenceWalk:
             krows[i][b] = (krows[i][b] + krows[i][a] * x).truncate(N)
         self.k = MatG(self.F, krows)
         cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
-        xi = (-x).scale(ff.mul(units[b], ff.inv(units[a]))).shift(exps[b] - exps[a])
+        xi = sub(self.F.zero(), x).scale(ff.mul(units[b], ff.inv(units[a]))).shift(exps[b] - exps[a])
         ap, bp = cols[a], cols[b]
         kirows = entries(self.ki)
         for j in range(n):

@@ -10,6 +10,7 @@ import pytest
 import llclab
 from llclab import bruhat, laurent, matrices, pairs, selftest, zeta
 from llclab.bruhat import MonomialClass, WhittakerInvariant, decompose
+from llclab.characters import TameChar
 from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InsufficientPrecision, LLCError, ZeroInput
 from llclab.laurent import (
@@ -27,7 +28,7 @@ from llclab.matrices import MatG, in_iplus_t
 from llclab.supercuspidal import SSCDatum
 
 from reference_walk import ReferenceWalk
-from test_matrices import entries, in_iplus
+from test_matrices import entries, in_iplus, sub
 
 
 def diagonal(F, entries):
@@ -77,10 +78,10 @@ def _is_upper_unipotent(g):
     one, n = g.field.one(), g.n
     A = entries(g)
     for i in range(n):
-        if not (A[i][i] == one or A[i][i].agrees(one)):
+        if sub(A[i][i], one).coeffs:
             return False
         for j in range(i):
-            if not A[i][j].is_zero_at_prec():
+            if A[i][j].coeffs:
                 return False
     return True
 
@@ -281,7 +282,7 @@ def test_decompose_invariance_under_sandwiching():
                     for _ in range(n)
                 ],
             )
-            if not cand.det().is_zero_at_prec():
+            if cand.det().coeffs:
                 g = cand
         _, mono, _ = decompose(g)
         u1 = random_unipotent(rng, F, n)
@@ -352,54 +353,6 @@ def random_invertible(rng, F, n):
             return g
 
 
-def _flipped_order_class(F, g):
-    """Re-derives the monomial invariants with every traversal choice
-    flipped: the pivot search runs right to left (ties replace, landing on
-    the same forced column through the dual rule), rows above the pivot are
-    cleared before the pivot row, clears run in descending index order, and
-    the class is read off only once the whole matrix is monomial.  Every
-    column-side coefficient is re-checked for Iwahori admissibility."""
-    n = g.n
-    A = [[g.entry(i, j) for j in range(n)] for i in range(n)]
-    used = set()
-    piv_of_row = {}
-    for i in range(n - 1, -1, -1):
-        best = None
-        for j in range(n - 1, -1, -1):
-            if j in used:
-                continue
-            e = A[i][j]
-            if e.is_zero_at_prec():
-                continue
-            v = e.valuation()
-            if best is None or v <= best[0]:
-                best = (v, j)
-        assert best is not None, "no usable pivot in an invertible matrix"
-        piv = best[1]
-        pe = A[i][piv]
-        used.add(piv)
-        piv_of_row[i] = piv
-        for r in range(i - 1, -1, -1):
-            e = A[r][piv]
-            if e.is_zero_at_prec():
-                continue
-            c = e / pe
-            A[r] = [A[r][j2] - c * A[i][j2] for j2 in range(n)]
-        for j in range(n - 1, -1, -1):
-            if j == piv or j in used:
-                continue
-            e = A[i][j]
-            if e.is_zero_at_prec():
-                continue
-            c = e / pe
-            assert c.has_val_at_least(1 if j < piv else 0)
-            for r in range(n):
-                A[r][j] = A[r][j] - c * A[r][piv]
-    cols = [piv_of_row[i] for i in range(n)]
-    lead = [A[i][cols[i]].leading() for i in range(n)]
-    return MonomialClass(F, cols, [v for v, _ in lead], [u for _, u in lead])
-
-
 def test_pivot_search_and_operation_order_independence():
     for q, n, seed in [(3, 2, 101), (5, 3, 102), (3, 4, 103)]:
         F = LocalField.base_field(q)
@@ -407,7 +360,7 @@ def test_pivot_search_and_operation_order_independence():
         for trial in range(1000):
             g = random_invertible(rng, F, n)
             u, mono, k = decompose(g)
-            assert _flipped_order_class(F, g) == mono
+            assert selftest._reversed_scan_class(F, g) == mono
             if trial % 97 == 0:
                 assert (u * (mono.as_matrix() * k)).agrees(g)
 
@@ -472,9 +425,9 @@ def test_reader_keeps_both_iwahori_checks_under_optimize():
 
 
 def _series_decompose(g, prec=None):
-    """The elimination as it ran on LaurentElem arithmetic: every clear
-    divides by the pivot afresh, k is mono^-1 * A times the folded
-    column operations, and the Iwahori test is MatG's."""
+    """The elimination on series: every clear divides by the pivot
+    afresh, k is mono^-1 * A times the folded column operations, and the
+    Iwahori test is MatG's."""
     field = g.field
     n = g.n
     if prec is not None:
@@ -509,21 +462,21 @@ def _series_decompose(g, prec=None):
             if j == piv or j in used:
                 continue
             e = A[i][j]
-            if e.is_zero_at_prec():
+            if not e.coeffs:
                 continue
-            c = e / pe
-            if not c.has_val_at_least(1 if j < piv else 0):
+            c = e * pe.inverse()
+            if not val_at_least_t((c.val, c.coeffs, c.prec), 1 if j < piv else 0, field.var):
                 raise LLCError("internal: clearing column")
             for r2 in range(n):
-                A[r2][j] = A[r2][j] - c * A[r2][piv]
+                A[r2][j] = sub(A[r2][j], c * A[r2][piv])
             k_rows[piv] = [k_rows[piv][m] + c * k_rows[j][m] for m in range(n)]
         for i2 in range(i):
             e = A[i2][piv]
-            if e.is_zero_at_prec():
+            if not e.coeffs:
                 continue
-            c = e / pe
+            c = e * pe.inverse()
             for m in range(n):
-                A[i2][m] = A[i2][m] - c * A[i][m]
+                A[i2][m] = sub(A[i2][m], c * A[i][m])
             for r2 in range(n):
                 u_rows[r2][i] = u_rows[r2][i] + c * u_rows[r2][i2]
         used.add(piv)
@@ -649,11 +602,11 @@ def test_decompose_raises_as_the_series_oracle():
         assert not _assert_matches_series(g, prec)
 
 
-def test_decompose_does_no_series_arithmetic(monkeypatch):
-    F = LocalField.base_field(5)
-    g = _dense_point(random.Random(1417), F, 4)
+def _count_series_arithmetic(monkeypatch) -> list:
+    """The names of LaurentElem's operators, __add__, __mul__ and
+    inverse, each time one is called, in call order."""
     calls = []
-    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse"):
+    for name in ("__add__", "__mul__", "inverse"):
         method = getattr(LaurentElem, name)
 
         def counted(*args, _name=name, _method=method, **kwargs):
@@ -661,6 +614,13 @@ def test_decompose_does_no_series_arithmetic(monkeypatch):
             return _method(*args, **kwargs)
 
         monkeypatch.setattr(LaurentElem, name, counted)
+    return calls
+
+
+def test_decompose_does_no_series_arithmetic(monkeypatch):
+    F = LocalField.base_field(5)
+    g = _dense_point(random.Random(1417), F, 4)
+    calls = _count_series_arithmetic(monkeypatch)
     u, mono, k = decompose(g)
     assert calls == []
     monkeypatch.undo()
@@ -1096,20 +1056,32 @@ def test_oracle_criterion_reports_phases():
     json.dumps(rep)
 
 
+def test_oracles_and_support_check_do_no_series_arithmetic(monkeypatch):
+    # criterion 8 and the support sampler run on the kernels: the
+    # operators LaurentElem keeps serve the benchmark alone
+    calls = _count_series_arithmetic(monkeypatch)
+    assert selftest.criterion_oracles("small")["ok"]
+    assert pairs.support_check(SSCDatum(5, 3, RootOfUnity.one(), pi_unit=2), samples=40)["ok"]
+    assert calls == []
+
+
 def test_pivot_order_failure_replays_from_its_record(monkeypatch):
-    # the reversed scan disagrees once; the record's matrix, seed and
-    # draw index rebuild the draw and its class
-    reversed_scan = selftest._reversed_scan_class
-    calls = []
+    # the mutant the kernel oracle must catch: decompose reports one
+    # draw's class with one unit negated; the record's matrix, seed and
+    # draw index rebuild the draw and its true class
+    real_decompose, calls = decompose, []
 
-    def disagree_once(F, g):
+    def one_unit_negated(g):
+        u, mono, k = real_decompose(g)
         calls.append(g)
-        mono = reversed_scan(F, g)
-        return mono.compose(MonomialClass.central(F, g.n, 1, 1)) if len(calls) == 160 else mono
+        if len(calls) == 160:
+            units = [g.field.residue.neg(mono.units[0]), *mono.units[1:]]
+            mono = MonomialClass(g.field, mono.cols, mono.exps, units)
+        return u, mono, k
 
-    monkeypatch.setattr(selftest, "_reversed_scan_class", disagree_once)
+    monkeypatch.setattr(selftest, "decompose", one_unit_negated)
     rep = selftest.criterion_oracles("small")
-    assert not rep["ok"] and len(rep["failures"]) == 1
+    assert not rep["ok"] and rep["failure_count"] == 1
     bad = json.loads(json.dumps(rep["failures"][0]))
     # 150 draws a cell at small scale: the 160th is draw 9 of the second
     assert {k: bad[k] for k in ("check", "q", "n", "seed", "draw")} == {
@@ -1118,8 +1090,44 @@ def test_pivot_order_failure_replays_from_its_record(monkeypatch):
     F = LocalField.base_field(bad["q"])
     g = MatG(F, [[F.elem_from_json(e) for e in row] for row in bad["matrix"]["entries"]])
     assert g == calls[159]
+    monkeypatch.undo()
     prng = random.Random(bad["seed"])
     phases = dict.fromkeys(("draws", "decompose"), 0.0)
     draws = [selftest._random_decomposed(prng, F, bad["n"], phases) for _ in range(bad["draw"] + 1)]
     assert draws[-1][0] == g
-    assert reversed_scan(F, g) == decompose(g)[1] == draws[-1][1]
+    assert selftest._reversed_scan_class(F, g) == decompose(g)[1] == draws[-1][1]
+
+
+@pytest.mark.parametrize("check,target,index", [
+    ("trace", (LocalField, "trace_to_base"), 11),
+    ("norm", (LocalField, "norm_to_base"), 11),
+    ("gamma ratio", (selftest, "gamma_automorphic"), 2),
+])
+def test_oracle_failures_replay_from_their_records(monkeypatch, check, target, index):
+    # the library's value disagrees once with the oracle's; the record
+    # rebuilds the failing input: the cell (q, n, u0) and x for the trace
+    # and the norm, the datum key and twist (e, av) for gamma
+    real, calls = getattr(*target), []
+
+    def disagree_once(*args):
+        calls.append(args)
+        return None if len(calls) == index else real(*args)
+
+    monkeypatch.setattr(*target, disagree_once)
+    rep = selftest.criterion_oracles("small")
+    assert rep["failure_count"] == 1
+    bad = json.loads(json.dumps(rep["failures"][0]))
+    q, n = bad["q"], bad["n"]
+    assert bad["check"] == check
+    if check == "gamma ratio":
+        zeta = RootOfUnity.parse(bad["zeta"])
+        d = SSCDatum(q, n, zeta, bad["omega_exp"], zeta**n, bad["pi_unit"])
+        e, av = bad["twist"]
+        got, lam = calls[index - 1]
+        want = (selftest._datum_key(d), TameChar(d.F, e, RootOfUnity(av, q - 1)))
+        assert (selftest._datum_key(got), lam) == want
+    else:
+        # 8 draws a cell at small scale: the 11th is draw 2 of (5, 4, 2)
+        assert (q, n, bad["u0"], bad["draw"]) == (5, 4, 2, 2)
+        E = LocalField.base_field(q).extension(n, bad["u0"])
+        assert (E, E.elem_from_json(bad["x"])) == calls[index - 1]

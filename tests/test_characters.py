@@ -109,7 +109,7 @@ def test_tame_char_is_multiplicative():
         for _ in range(25):
             x = F.elem(rng.randrange(-2, 3), [rng.randrange(q) for _ in range(3)])
             y = F.elem(rng.randrange(-2, 3), [rng.randrange(q) for _ in range(3)])
-            if x.is_zero_at_prec() or y.is_zero_at_prec():
+            if not (x.coeffs and y.coeffs):
                 continue
             assert lam(x * y) == lam(x) * lam(y)
 
@@ -409,8 +409,8 @@ def test_level_one_char_at_pi_powers():
     E, xi = make_xi(5, 4, 2, e_xi=1)
     u = E.variable()
     assert xi(u) == xi.at_pi
-    assert xi(u**-1) * xi(u) == LambdaGraded.one()
-    assert xi(u**3) == xi.at_pi * xi.at_pi * xi.at_pi
+    assert xi(E.elem(-1, (1,))) * xi(u) == LambdaGraded.one()
+    assert xi(E.elem(3, (1,))) == xi.at_pi * xi.at_pi * xi.at_pi
 
 
 def test_twist_by_base_character():

@@ -27,6 +27,7 @@ from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.zeta import closed_form_epsilon
 
 from test_laurent import from_base, integer_reps, unit_reps
+from test_matrices import sub
 from test_supercuspidal import _datum
 
 
@@ -48,8 +49,8 @@ def _conic_solvable(F, a, b):
         for s1 in reps:
             for s2 in reps:
                 x, y, z = [(one, s1, s2), (s1, one, s2), (s1, s2, one)][pinned]
-                e = a * x * x + b * y * y - z * z
-                if e.truncate(3).is_zero_at_prec():
+                e = sub(a * x * x + b * y * y, z * z)
+                if not e.truncate(3).coeffs:
                     return True
     return False
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -83,9 +84,10 @@ def test_exact_ring_ops_match_dict_oracle():
         for _ in range(40):
             x = random_exact(rng, F)
             y = random_exact(rng, F)
-            assert d_of(x * y) == d_mul(ff, d_of(x), d_of(y))
-            assert d_of(x + y) == d_add(ff, d_of(x), d_of(y))
-            assert d_of(x - y) == d_add(ff, d_of(x), d_of(-y))
+            minus_y = d_of(wrap(F, neg_t(ff, _t(y))))
+            assert d_of(wrap(F, mul_t(ff, _t(x), _t(y)))) == d_mul(ff, d_of(x), d_of(y))
+            assert d_of(wrap(F, add_t(ff, _t(x), _t(y)))) == d_add(ff, d_of(x), d_of(y))
+            assert d_of(wrap(F, add_t(ff, _t(x), _t(y), ff._neg))) == d_add(ff, d_of(x), minus_y)
 
 
 INF = float("inf")
@@ -121,12 +123,6 @@ def o_mul(ff, x, y):
     return o_result(d_mul(ff, d_of(x), d_of(y)), prec)
 
 
-def o_agrees(x, y):
-    prec = min(o_prec(x), o_prec(y))
-    dx, dy = d_of(x), d_of(y)
-    return all(dx.get(e, 0) == dy.get(e, 0) for e in set(dx) | set(dy) if e < prec)
-
-
 def random_series(rng, field):
     """Exact or truncated, possibly zero at its precision, negative
     valuations included, with zeros sprinkled inside."""
@@ -157,14 +153,14 @@ def test_ring_ops_with_precision_match_dict_oracle():
             x = random_series(rng, F)
             y = random_series(rng, F)
             for got, (terms, prec) in (
-                (x + y, o_add(ff, x, y)),
-                (x - y, o_sub(ff, x, y)),
-                (x * y, o_mul(ff, x, y)),
+                (add_t(ff, _t(x), _t(y)), o_add(ff, x, y)),
+                (add_t(ff, _t(x), _t(y), ff._neg), o_sub(ff, x, y)),
+                (mul_t(ff, _t(x), _t(y)), o_mul(ff, x, y)),
             ):
+                got = wrap(F, got)
                 assert (d_of(got), got.prec) == (terms, prec), (x, y, got)
                 # the stored form is normalized: no zero at either end
                 assert not got.coeffs or (got.coeffs[0] and got.coeffs[-1])
-            assert x.agrees(y) == o_agrees(x, y)
             finite = (x.prec is not None) + (y.prec is not None)
             seen["finite_both"] += finite == 2
             seen["finite_one"] += finite == 1
@@ -196,13 +192,13 @@ def test_normalization_strips_zeros():
     x = F.elem(2, (0, 0, 3, 0, 1, 0, 0))
     assert x.val == 4 and x.coeffs == (3, 0, 1)
     z = F.elem(7, ())
-    assert z.is_zero_at_prec() and z.is_exact_zero()
+    assert not z.coeffs and z.is_exact_zero()
 
 
 def test_precision_of_products():
     F = LocalField.base_field(3)
     a = F.elem(0, (1,), 2)       # 1 + O(t^2)
-    b = F.variable() ** 3
+    b = F.elem(3, (1,))
     assert (a * b).prec == 5 and (a * b).val == 3
     c = F.elem(-1, (1,), 0)      # t^-1 + O(1)
     d = F.elem(1, (1,), 3)       # t + O(t^3)
@@ -218,7 +214,7 @@ def test_zero_at_precision_products():
     a = F.zero(2)
     b = F.zero(3)
     assert (a * b).prec == 5
-    assert (a * b).is_zero_at_prec()
+    assert not (a * b).coeffs
     # exact zero annihilates regardless of the other factor's precision
     assert (F.zero() * F.elem(0, (1,), 1)).is_exact_zero()
 
@@ -253,21 +249,6 @@ def test_inverse_of_exact_monomial_is_exact():
     inv = x.inverse()
     assert inv.prec is None and inv.val == -3
     assert (x * inv) == F.one()
-
-
-def test_division_and_pow():
-    rng = random.Random(404)
-    F = LocalField.base_field(7)
-    for _ in range(20):
-        x = random_exact(rng, F)
-        if x.is_zero_at_prec():
-            continue
-        y = (x * x) / x
-        assert y.agrees(x)
-    t = F.variable()
-    assert t**-2 == F.elem(-2, (1,))
-    x = F.elem(0, (1, 3))
-    assert x**3 == x * x * x
 
 
 def test_truncate():
@@ -527,7 +508,7 @@ def test_extension_defining_relation():
         E = F.extension(n, u0)
         u = E.variable()
         pi = from_base(E, F.elem(1, (u0,)))
-        assert u**n == pi
+        assert math.prod([u] * n, start=E.one()) == pi
 
 
 def test_extension_rejects_wild_degrees():
@@ -560,10 +541,9 @@ def test_trace_of_scalars_and_basis_powers():
         ff = F.residue
         c = 2 % q
         assert E.trace_to_base(from_base(E, F.scalar(c))) == F.scalar(ff.scalar_mul(n, c))
-        u = E.variable()
         for k in range(1, n):
-            assert E.trace_to_base(u**k).is_exact_zero()
-        assert E.trace_to_base(u**n) == F.elem(1, (ff.scalar_mul(n, u0),))
+            assert E.trace_to_base(E.elem(k, (1,))).is_exact_zero()
+        assert E.trace_to_base(E.elem(n, (1,))) == F.elem(1, (ff.scalar_mul(n, u0),))
 
 
 def test_trace_of_inverse_uniformizer_times_unit():
@@ -613,7 +593,7 @@ def test_norm_of_scalars_and_embedded_elements():
         assert E.norm_to_base(from_base(E, F.scalar(c))) == F.scalar(ff.pow(c, 4))
     for _ in range(8):
         y = random_exact(rng, F, min_val=0, max_len=3)
-        assert E.norm_to_base(from_base(E, y)) == y**4
+        assert E.norm_to_base(from_base(E, y)) == y * y * y * y
 
 
 def test_norm_is_multiplicative():
@@ -624,7 +604,7 @@ def test_norm_is_multiplicative():
         for _ in range(8):
             x = random_exact(rng, E, min_val=-2, max_len=4)
             y = random_exact(rng, E, min_val=-2, max_len=4)
-            if x.is_zero_at_prec() or y.is_zero_at_prec():
+            if not (x.coeffs and y.coeffs):
                 continue
             assert E.norm_to_base(x * y) == E.norm_to_base(x) * E.norm_to_base(y)
 
@@ -818,7 +798,6 @@ def test_norm_is_the_leibniz_determinant_of_the_multiplication_matrix(q, n, u0):
     F = LocalField.base_field(q)
     E = F.extension(n, u0)
     ff = F.residue
-    u = E.variable()
     for _ in range(8):
         x = random_exact(rng, E, max_len=8)
         rows = E.mult_matrix(x)
@@ -826,8 +805,8 @@ def test_norm_is_the_leibniz_determinant_of_the_multiplication_matrix(q, n, u0):
         for j in range(n):
             col = E.zero()
             for r in range(n):
-                col = col + from_base(E, F.elem(*rows[r][j])) * u**r
-            assert col == x * u**j
+                col = col + from_base(E, F.elem(*rows[r][j])).shift(r)
+            assert col == x.shift(j)
         assert E.norm_to_base(x) == wrap(F, leibniz_det(ff, rows))
     # inexact elements: the same columns, each known as far as x is
     for _ in range(4):
@@ -837,8 +816,8 @@ def test_norm_is_the_leibniz_determinant_of_the_multiplication_matrix(q, n, u0):
         for j in range(n):
             col = E.zero()
             for r in range(n):
-                col = col + from_base(E, F.elem(*rows[r][j])) * u**r
-            assert col == x * u**j
+                col = col + from_base(E, F.elem(*rows[r][j])).shift(r)
+            assert col == x.shift(j)
 
 
 def test_unit_reps_census():

@@ -30,7 +30,7 @@ from llclab.zeta import (
 from test_bruhat import _count_eliminations, diagonal
 from test_laurent import integer_reps, unit_reps
 from test_monomials import EpsPolynomial
-from test_matrices import entries
+from test_matrices import entries, sub
 from test_supercuspidal import _datum
 
 
@@ -233,13 +233,13 @@ def test_dual_matrix_layout():
     F = d.F
     x1, x2 = F.scalar(2), F.scalar(3)
     h = F.scalar(2)
-    Y = dual_matrix(F, [x1, x2], h)
-    assert Y.entry(0, 1) == F.one() and Y.entry(1, 2) == F.one() and Y.entry(2, 3) == F.one()
+    Y = entries(dual_matrix(F, [x1, x2], h))
+    assert Y[0][1] == F.one() and Y[1][2] == F.one() and Y[2][3] == F.one()
     hinv = F.scalar(3)  # 2 * 3 = 6 = 1 in F_5
-    assert Y.entry(3, 0) == hinv
-    assert Y.entry(3, 1).is_exact_zero()
-    assert Y.entry(3, 2) == -(x2 * hinv)
-    assert Y.entry(3, 3) == -(x1 * hinv)
+    assert Y[3][0] == hinv
+    assert Y[3][1].is_exact_zero()
+    assert Y[3][2] == sub(F.zero(), x2 * hinv)
+    assert Y[3][3] == sub(F.zero(), x1 * hinv)
 
 
 def _rank2_shell_oracle(d, lam, m, B):
