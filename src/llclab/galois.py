@@ -64,8 +64,10 @@ def kappa_eval(efield: LocalField, x: LaurentElem) -> int:
     return 1 if ff.is_square(res) else -1
 
 
+@functools.lru_cache(maxsize=None)
 def kappa_char(efield: LocalField) -> TameChar:
-    """kappa packaged as a tame character of the base field."""
+    """kappa packaged as a tame character of the base field.  Cached per
+    extension, which LocalField.extension hands out shared."""
     F = efield.base
     q = F.residue.q
     e = 0 if (efield.degree - 1) % 2 == 0 else (q - 1) // 2

@@ -19,9 +19,10 @@ lives in kernels on bare (val, coeffs, prec) triples, the same three
 fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
 ``dot_t``, the fused ``addmul_t`` (z + c*y in one list), ``cancel_t``
 (the zero z + c*y is when c = -z * y^-1), ``truncate_t``,
-``coeff_at_t``, ``val_at_least_t`` and ``det_t``.  They hold the one
-copy of the window and precision rules, and the library computes on
-them alone.  ``LaurentElem`` is a value: construction, reading,
+``coeff_at_t``, ``val_at_least_t`` and ``det_t``, and ``digits_t``
+builds an exact triple from drawn digits.  They hold the one copy of
+the window and precision rules, and the library computes on them
+alone.  ``LaurentElem`` is a value: construction, reading,
 ``truncate``, ``shift``, ``scale``, ``==``, ``repr`` and JSON.  Its
 ``+``, ``*`` and ``inverse`` wrap ``add_t``, ``mul_t`` and ``inverse_t``
 only because the benchmark's per-layer timings call them; nothing in
@@ -113,6 +114,12 @@ def _cut(lo: int, out: list, prec: int | None) -> tuple:
     while not out[j - 1]:
         j -= 1
     return (lo + i, tuple(out[i:j]), prec)
+
+
+def digits_t(lo: int, digits: list) -> tuple:
+    """The exact series whose digits from t^lo are digits, normalized as
+    LaurentElem(F, lo, digits) stores it."""
+    return _cut(lo, digits, None)
 
 
 def _convolve_into(out: list, start: int, a: tuple, b: tuple, mul, add) -> None:

@@ -24,10 +24,13 @@ product of the two solved tuples, uses the other unit, uses both), and
 W(k) W(k^-1) is a datum's value at the product; an enumerated mirabolic
 point embed(h) u(x), h upper unipotent, is itself upper unipotent, so
 its invariant is the identity class with its summed superdiagonal
-residues and is counted per residue without an elimination.  Deeper
-digits leave the invariant alone, since the value is invariant under U
-with zero superdiagonal residues on the left and I++ on the right; the
-reader's tests check that generator by generator.
+residues and is counted per residue without an elimination.  The
+mirabolic table's classes are solved once per uniformizer and kept, so
+a pair compares the two data's characters at solved classes only, and
+a class neither datum solves costs nothing.  Deeper digits leave the
+invariant alone, since the value is invariant under U with zero
+superdiagonal residues on the left and I++ on the right; the reader's
+tests check that generator by generator.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from functools import lru_cache
 from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant
 from .cyclotomic import RootOfUnity
 from .errors import InsufficientPrecision, LLCError, ZeroInput
-from .laurent import ONE_T, ZERO_T, LocalField
+from .laurent import ONE_T, ZERO_T, LocalField, digits_t
 from .matrices import MatG, wrap_matrix
 from .supercuspidal import SSCDatum
 
@@ -527,13 +530,13 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
         while True:
             g_rows = [
                 [
-                    F.elem(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
+                    digits_t(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
                     for _ in range(m)
                 ]
                 for _ in range(m)
             ]
             try:
-                cls = WhittakerInvariant.read(_embed(F, MatG(F, g_rows)))
+                cls = WhittakerInvariant.read(_embed(F, wrap_matrix(F, g_rows)))
             # a singular draw, exactly or at the precision of its entries
             except (ZeroInput, InsufficientPrecision):
                 continue
@@ -549,28 +552,46 @@ def mirabolic_table(q: int, n: int) -> MirabolicTable:
     return MirabolicTable(q, n, classes, nonmember, rows)
 
 
+@lru_cache(maxsize=None)
+def _solved_mirabolic(q: int, n: int, pi_unit: int) -> tuple:
+    """(member, class, count, solved) per class of mirabolic_table(q, n),
+    members first, each in the table's order: every class solved once for
+    this uniformizer, None off the support."""
+    T = mirabolic_table(q, n)
+    return tuple(
+        (member, cls, count, cls.solve(pi_unit))
+        for member, classes in ((True, T.classes), (False, T.nonmember_classes))
+        for cls, count in classes.items()
+    )
+
+
 def mirabolic_agreement(cfg: PairConfig) -> dict:
     """Both Whittaker functions, compared point by point on the mirabolic
-    enumeration; also witnesses the support containment for dense blocks."""
+    enumeration; also witnesses the support containment for dense blocks.
+    Each class is solved once per uniformizer (_solved_mirabolic), so a
+    call evaluates each datum's character at the solved classes only."""
     d1, d2 = cfg.d1, cfg.d2
     T = mirabolic_table(d1.q, d1.n)
     mismatches = []
     support_violations = []
     nonzero = zero = 0
-    for member, classes in ((True, T.classes), (False, T.nonmember_classes)):
-        for cls, count in classes.items():
-            v1, v2 = (d.invariant_root(cls.solve(d.pi_unit)) for d in (d1, d2))
-            if v1 != v2:
-                mismatches.append({"class": cls.to_json(), "count": count})
-            if not member:
-                for d, v in ((d1, v1), (d2, v2)):
-                    if v is not None:
-                        support_violations.append({"class": cls.to_json(), "pi_unit": d.pi_unit})
-            elif v1 == v2:
-                if v1 is None:
-                    zero += count
-                else:
-                    nonzero += count
+    for (member, cls, count, s1), (_, _, _, s2) in zip(
+        _solved_mirabolic(d1.q, d1.n, d1.pi_unit), _solved_mirabolic(d1.q, d1.n, d2.pi_unit)
+    ):
+        # off both supports: zero points of a member, nothing to check else
+        if s1 is None and s2 is None:
+            if member:
+                zero += count
+            continue
+        v1, v2 = d1.invariant_root(s1), d2.invariant_root(s2)
+        if v1 != v2:
+            mismatches.append({"class": cls.to_json(), "count": count})
+        if not member:
+            for d, v in ((d1, v1), (d2, v2)):
+                if v is not None:
+                    support_violations.append({"class": cls.to_json(), "pi_unit": d.pi_unit})
+        elif v1 == v2:
+            nonzero += count
     return {
         "q": d1.q,
         "n": d1.n,
@@ -603,26 +624,26 @@ def support_check(d: SSCDatum, samples: int = 200, seed: int = 17) -> dict:
     # quarter of the budget goes to constructed points u * g^r * z * k
     # that are in the support by construction and must be found there
     for _ in range(samples // 4):
-        rows = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
+        rows = _identity_rows(n)
         for i in range(n):
             for j in range(i + 1, n):
-                rows[i][j] = F.elem(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
-        u = MatG(F, rows)
+                rows[i][j] = digits_t(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
+        u = wrap_matrix(F, rows)
         r = rng.randrange(2 * n)
         mono = d.rotation_class(r).compose(
             MonomialClass.central(F, n, 1 + rng.randrange(q - 1), rng.randrange(-1, 2))
         )
         krows = [
             [
-                F.elem(1 if i > j or (i == n - 1 and j == 0) else 0,
-                       [rng.randrange(q) for _ in range(PRECISION)])
+                digits_t(1 if i > j or (i == n - 1 and j == 0) else 0,
+                         [rng.randrange(q) for _ in range(PRECISION)])
                 for j in range(n)
             ]
             for i in range(n)
         ]
         for i in range(n):
-            krows[i][i] = F.elem(0, [1, *(rng.randrange(q) for _ in range(PRECISION))])
-        g = u * mono.as_matrix() * MatG(F, krows)
+            krows[i][i] = digits_t(0, [1, *(rng.randrange(q) for _ in range(PRECISION))])
+        g = u * mono.as_matrix() * wrap_matrix(F, krows)
         planted += 1
         solved = WhittakerInvariant.read(g).solve(d.pi_unit)
         if solved is None:
@@ -636,13 +657,13 @@ def support_check(d: SSCDatum, samples: int = 200, seed: int = 17) -> dict:
         while True:
             rows = [
                 [
-                    F.elem(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
+                    digits_t(-SHELL_BOUND, [rng.randrange(q) for _ in range(PRECISION + SHELL_BOUND)])
                     for _ in range(n)
                 ]
                 for _ in range(n)
             ]
             try:
-                solved = WhittakerInvariant.read(MatG(F, rows)).solve(d.pi_unit)
+                solved = WhittakerInvariant.read(wrap_matrix(F, rows)).solve(d.pi_unit)
             # a singular draw, exactly or at the precision of its entries
             except (ZeroInput, InsufficientPrecision):
                 continue

@@ -14,6 +14,7 @@ from llclab.laurent import (
     cancel_t,
     coeff_at_t,
     det_t,
+    digits_t,
     dot_t,
     inverse_t,
     mul_t,
@@ -193,6 +194,17 @@ def test_normalization_strips_zeros():
     assert x.val == 4 and x.coeffs == (3, 0, 1)
     z = F.elem(7, ())
     assert not z.coeffs and z.is_exact_zero()
+
+
+def test_digits_t_matches_the_constructor():
+    # every digit string of length 0..3 over F_3, zeros at either end
+    # included, from three starting exponents
+    F = LocalField.base_field(3)
+    for lo in (-1, 0, 2):
+        for k in range(4):
+            for digits in itertools.product(range(3), repeat=k):
+                x = F.elem(lo, digits)
+                assert digits_t(lo, list(digits)) == (x.val, x.coeffs, x.prec)
 
 
 def test_precision_of_products():

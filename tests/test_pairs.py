@@ -4,7 +4,8 @@ words and pointwise agreement on the mirabolic slice."""
 import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import lru_cache
 
 import pytest
 
@@ -578,6 +579,128 @@ def test_mirabolic_agreement_distinct_roots(q, n):
 def test_mirabolic_agreement_distinct_uniformizers():
     rep = mirabolic_agreement(PairConfig(_datum(5, 4, zeta_num=1, u0=2), _datum(5, 4, zeta_num=1, u0=3)))
     assert rep["all_equal"] and rep["support_ok"]
+
+
+def _mirabolic_agreement_per_class(cfg):
+    """The report with every class of the table solved afresh for each
+    datum on every call."""
+    d1, d2 = cfg.d1, cfg.d2
+    T = pairs.mirabolic_table(d1.q, d1.n)
+    mismatches, support_violations = [], []
+    nonzero = zero = 0
+    for member, classes in ((True, T.classes), (False, T.nonmember_classes)):
+        for cls, count in classes.items():
+            v1, v2 = (d.invariant_root(cls.solve(d.pi_unit)) for d in (d1, d2))
+            if v1 != v2:
+                mismatches.append({"class": cls.to_json(), "count": count})
+            if not member:
+                for d, v in ((d1, v1), (d2, v2)):
+                    if v is not None:
+                        support_violations.append({"class": cls.to_json(), "pi_unit": d.pi_unit})
+            elif v1 == v2:
+                if v1 is None:
+                    zero += count
+                else:
+                    nonzero += count
+    return {
+        "q": d1.q,
+        "n": d1.n,
+        "points": T.row_count,
+        "classes": len(T.classes) + len(T.nonmember_classes),
+        "nonzero_points": nonzero,
+        "zero_points": zero,
+        "all_equal": not mismatches,
+        "support_ok": not support_violations,
+        "mismatches": mismatches,
+        "support_violations": support_violations,
+    }
+
+
+def _fresh_solved_mirabolic(monkeypatch):
+    """An empty cache for the solved classes, so no earlier call hides work."""
+    monkeypatch.setattr(
+        pairs, "_solved_mirabolic", lru_cache(maxsize=None)(pairs._solved_mirabolic.__wrapped__)
+    )
+
+
+def _count_solves(monkeypatch) -> list:
+    """The (invariant, pi_unit) of every WhittakerInvariant.solve call."""
+    real = WhittakerInvariant.solve
+    calls = []
+
+    def counted(self, pi_unit):
+        calls.append((self, pi_unit))
+        return real(self, pi_unit)
+
+    monkeypatch.setattr(WhittakerInvariant, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q,n", selftest.PAIR_CELLS)
+def test_mirabolic_agreement_matches_per_class_loop(q, n):
+    # every ordered pair of data sharing a central character, a datum with
+    # itself included, so every ordered pair of units, equal ones too
+    groups = defaultdict(list)
+    for d in selftest.datum_grid(q, n):
+        groups[(d.omega_exp, d.omega.at_var)].append(d)
+    units = set()
+    for ds in groups.values():
+        for d1, d2 in itertools.product(ds, repeat=2):
+            cfg = PairConfig(d1, d2)
+            assert mirabolic_agreement(cfg) == _mirabolic_agreement_per_class(cfg)
+            units.add((d1.pi_unit, d2.pi_unit))
+    assert units == set(itertools.product(range(1, q), repeat=2))
+
+
+@pytest.mark.parametrize("q,n", selftest.PAIR_CELLS)
+def test_mirabolic_classes_solve_once_per_uniformizer(monkeypatch, q, n):
+    T = pairs.mirabolic_table(q, n)
+    classes = len(T.classes) + len(T.nonmember_classes)
+    _fresh_solved_mirabolic(monkeypatch)
+    calls = _count_solves(monkeypatch)
+    # data with trivial zeta and omega share the central character for
+    # every uniformizer
+    data = {u: _datum(q, n, u0=u) for u in range(1, q)}
+    seen = set()
+    for u1, u2 in itertools.product(data, repeat=2):
+        before = len(calls)
+        mirabolic_agreement(PairConfig(data[u1], data[u2]))
+        assert len(calls) - before == classes * len({u1, u2} - seen)
+        seen |= {u1, u2}
+        before = len(calls)
+        mirabolic_agreement(PairConfig(data[u1], data[u2]))
+        assert len(calls) == before
+    assert sorted(Counter(calls).values()) == [1] * classes * (q - 1)
+
+
+@pytest.mark.parametrize("q,n,u1,u2", [(5, 3, 1, 2), (5, 3, 2, 2), (3, 4, 1, 2)])
+def test_mirabolic_agreement_reports_planted_mismatches(monkeypatch, q, n, u1, u2):
+    # the real table never reaches these branches: its members solve to
+    # the identity rotation for every unit and its nonmembers never solve;
+    # a planted table holds a member and a nonmember that d1's unit solves
+    # to a rotation, and a member and a nonmember no unit solves
+    F = LocalField.base_field(q)
+    real = pairs.mirabolic_table(q, n)
+    unsolved = next(iter(real.nonmember_classes))
+    assert all(unsolved.solve(u) is None for u in range(1, q))
+    rotation = WhittakerInvariant(MonomialClass.rotation(F, n, u1), 1, 0)
+    assert rotation.solve(u1) is not None
+    planted = pairs.MirabolicTable(
+        q, n,
+        Counter({WhittakerInvariant(MonomialClass.identity(F, n), 1, 0): 5, rotation: 3, unsolved: 2}),
+        Counter({unsolved: 7, rotation: 1}),
+        18,
+    )
+    monkeypatch.setattr(pairs, "mirabolic_table", lambda q, n: planted)
+    _fresh_solved_mirabolic(monkeypatch)
+    d1 = _datum(q, n, zeta_num=1, u0=u1)
+    d2 = _datum(q, n, zeta_num=1 + n, u0=u2)
+    for cfg in (PairConfig(d1, d2), PairConfig(d2, d1)):
+        rep = mirabolic_agreement(cfg)
+        assert rep == _mirabolic_agreement_per_class(cfg)
+        assert rep["mismatches"] and rep["support_violations"]
+        assert rep["nonzero_points"] == 5 and rep["zero_points"] == 2
+        assert rep["classes"] == 5 and rep["points"] == 18
 
 
 def _mirabolic_table_per_point(q, n, precision=2, shell_bound=1):

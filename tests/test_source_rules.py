@@ -243,27 +243,35 @@ KEY_FUNCTIONS = {"keys", "_pair", "_solve", "solved_product", "SolvedInvariant",
                  "match_rotation_times_central"}
 
 
-def _step_loop_key_functions(source: str) -> set[str]:
-    """The key functions that the step loop of sample_k_words reaches, by
-    its own calls or through the functions and methods of the module
-    that it calls, by name."""
-    tree = ast.parse(source)
+def _reached(tree, root) -> set[str]:
+    """The callees that the calls under root reach, by their own calls or
+    through the functions and methods of the module that they call, by
+    name.  An lru_cache'd function runs once per key, not once per call,
+    so the search does not enter it."""
     callees = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, ast.FunctionDef) and not any(
+            "lru_cache" in ast.unparse(dec) for dec in node.decorator_list
+        ):
             callees.setdefault(node.name, set()).update(
                 _callee(c) for c in ast.walk(node) if isinstance(c, ast.Call)
             )
-    sampler = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "sample_k_words")
-    loops = [node for node in sampler.body if isinstance(node, ast.For)]
-    assert len(loops) == 2 and ast.unparse(loops[0].iter) == "range(steps)"
-    reached = {_callee(c) for c in ast.walk(loops[0]) if isinstance(c, ast.Call)}
+    reached = {_callee(c) for c in ast.walk(root) if isinstance(c, ast.Call)}
     todo = list(reached)
     while todo:
         for name in callees.get(todo.pop(), set()) - reached:
             reached.add(name)
             todo.append(name)
-    return reached & KEY_FUNCTIONS
+    return reached
+
+
+def _step_loop_key_functions(source: str) -> set[str]:
+    """The key functions that the step loop of sample_k_words reaches."""
+    tree = ast.parse(source)
+    sampler = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "sample_k_words")
+    loops = [node for node in sampler.body if isinstance(node, ast.For)]
+    assert len(loops) == 2 and ast.unparse(loops[0].iter) == "range(steps)"
+    return _reached(tree, loops[0]) & KEY_FUNCTIONS
 
 
 def test_walk_step_loop_derives_no_keys():
@@ -283,6 +291,30 @@ def test_walk_step_loop_derives_no_keys():
     mutant = source.replace(state, "        self._pair(self.M[0], self.u1)\n" + state)
     assert _step_loop_key_functions(mutant) == {"_pair", "_solve", "SolvedInvariant",
                                                "solved_product", "match_rotation_times_central"}
+
+
+def _agreement_solves(source: str) -> set[str]:
+    """The class solves that mirabolic_agreement reaches."""
+    tree = ast.parse(source)
+    fn = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "mirabolic_agreement")
+    return _reached(tree, fn) & {"solve", "match_rotation_times_central"}
+
+
+def test_mirabolic_agreement_solves_no_class():
+    # each class of the mirabolic table is solved once per uniformizer, by
+    # the cached _solved_mirabolic; a call only evaluates solved classes
+    source = (SRC / "pairs.py").read_text()
+    assert _agreement_solves(source) == set()
+    # the rule sees a solve in the loop, and one behind an uncached builder
+    values = "        v1, v2 = d1.invariant_root(s1), d2.invariant_root(s2)\n"
+    assert source.count(values) == 1
+    mutant = source.replace(
+        values, "        v1, v2 = (d.invariant_root(cls.solve(d.pi_unit)) for d in (d1, d2))\n"
+    )
+    assert _agreement_solves(mutant) == {"solve"}
+    cached = "@lru_cache(maxsize=None)\ndef _solved_mirabolic("
+    assert source.count(cached) == 1
+    assert _agreement_solves(source.replace(cached, "def _solved_mirabolic(")) == {"solve"}
 
 
 def test_only_laurent_uses_its_private_names():
