@@ -259,10 +259,15 @@ def _set_point(x: ApartmentPoint, den: int, nums: tuple) -> None:
 def jump_numerator(x: ApartmentPoint) -> int:
     """r(x) * x.den: the smallest positive (x_i - x_j) modulo 1 over all
     pairs of coordinates, in units of 1/x.den, the torus grades capping it
-    at x.den."""
+    at x.den.
+
+    That is the smallest gap between cyclically consecutive residues of
+    the numerators mod x.den: any other pair spans one of those gaps.  The
+    gap from the largest residue round to the smallest is D minus their
+    difference, and D itself when there is one residue."""
     D = x.den
-    residues = {v % D for v in x.nums}
-    return min(((a - b) % D for a in residues for b in residues if a != b), default=D)
+    rs = sorted({v % D for v in x.nums})
+    return min(b - a for a, b in zip(rs, [*rs[1:], rs[0] + D]))
 
 
 def facet_of(x: ApartmentPoint) -> FacetSpec:

@@ -14,6 +14,7 @@ seconds.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -43,6 +44,7 @@ from .matrices import MatG
 from .monomials import EpsMonomial, LambdaGraded, interned_counts
 from .pairs import PairConfig, cached_k_words, k_special_check, mirabolic_agreement
 from .stability import (
+    NoStableDimGap,
     StableExists,
     _mmul,
     _rank_profile,
@@ -129,6 +131,15 @@ def _report(num: int, name: str, checked: int, failures: list, t0: float, **extr
     }
     out.update(extra)
     return out
+
+
+def answer_digest(records) -> str:
+    """SHA-256, as hex, of records in order.  Each record is a compact
+    tuple of ints, strings and such tuples: their repr depends on neither
+    PYTHONHASHSEED nor the order of any dict, so equal answers give equal
+    digests in every process.  The whole sequence is written out once
+    and hashed in one call."""
+    return hashlib.sha256(repr(tuple(records)).encode()).hexdigest()
 
 
 def _whole_ms(phases: dict) -> dict:
@@ -386,19 +397,29 @@ def criterion_determination(scale: str | None = None) -> dict:
 # ----- 6: facets, dimensions, stability certificates ---------------------
 
 
-def _census_failure(f) -> str | None:
-    """Why facet f fails its barycenter round trip or its dimension
-    counts, or None."""
+def _census(f) -> tuple[tuple[int, int], str | None]:
+    """The root counts (dim G, dim V) at f's barycenter, and why f fails
+    its barycenter round trip or its dimension counts, or None."""
     b = f.barycenter()
-    if facet_of(b) != f:
-        return "barycenter round trip"
-    gq = graded_quotient(b)
     dims = root_count_dims(b)
+    if facet_of(b) != f:
+        return dims, "barycenter round trip"
+    gq = graded_quotient(b)
     if (gq.dim_g, gq.dim_v) != dims:
-        return "dimension formulas disagree with root count"
+        return dims, "dimension formulas disagree with root count"
     if f.dim_gap() != dims[0] - dims[1]:
-        return "gap formula disagrees with dimension difference"
-    return None
+        return dims, "gap formula disagrees with dimension difference"
+    return dims, None
+
+
+def _carried(cert) -> tuple:
+    """What a barycenter certificate carries besides its facet: the
+    stabilizer counts, the two dimensions, or the witness blocks."""
+    if isinstance(cert, StableExists):
+        return cert.q, cert.stab_count_q, cert.stab_count_q2
+    if isinstance(cert, NoStableDimGap):
+        return cert.dim_g, cert.dim_v
+    return cert.q, cert.x_blocks, cert.w_blocks
 
 
 def _quotient_types(n: int):
@@ -436,11 +457,16 @@ def criterion_stability(scale: str | None = None) -> dict:
     missing an arrow has a destabilizing cocharacter that verifies.  An
     all-arrows point is a facet barycenter: its facet passes the census,
     its certificate verifies, and E_00 on every arrow witnesses that no
-    cocharacter contracts it.  The facets reached are enumerate_facets(n)."""
+    cocharacter contracts it.  The facets reached are enumerate_facets(n).
+
+    digest is answer_digest over one record per point that passes, in
+    grid order: a facet's t, blocks, root counts, certificate kind and
+    what the certificate carries; a missing-arrow point's weights and
+    missing arrow."""
     scale = resolve_scale(scale)
     t0 = time.perf_counter()
     ns = range(2, 9) if scale == "full" else range(2, 5)
-    checked, points_checked, failures = 0, 0, []
+    checked, points_checked, failures, answers = 0, 0, [], []
     # seconds spent on all-arrows points, their facet census included, and
     # on points with a missing arrow
     phases = dict.fromkeys(("barycenters", "nonbarycenters"), 0.0)
@@ -463,16 +489,20 @@ def criterion_stability(scale: str | None = None) -> dict:
                     raise ValueError("is_barycenter disagrees with the arrows")
                 # verify_certificate raises LLCError unless it accepts
                 if not full:
-                    verify_certificate(destabilizing_cocharacter(x))
-                elif (reason := _census_failure(f)) is not None:
-                    raise ValueError(reason)
+                    cert = destabilizing_cocharacter(x)
+                    verify_certificate(cert)
+                    answers.append((cert.weights, cert.missing_arrow))
                 else:
+                    dims, reason = _census(f)
+                    if reason is not None:
+                        raise ValueError(reason)
                     cert = stability_certificate(f, 3)
                     if isinstance(cert, StableExists) != f.is_alcove():
                         raise ValueError("stable certificate on the wrong facet kind")
                     verify_certificate(cert)
                     if _cycle_is_nilpotent(gq):
                         raise ValueError("cycle product of E_00 is nilpotent")
+                    answers.append((f.t, f.blocks, dims, cert.kind, _carried(cert)))
             except Exception as exc:
                 # the point as llclab facet --point reads it
                 failures.append({"n": n, "point": ",".join(map(str, x.coords)), "reason": repr(exc)})
@@ -482,7 +512,8 @@ def criterion_stability(scale: str | None = None) -> dict:
         if not len(distinct) == len(reached) == len(facets) == 2**n - 1 or distinct != set(facets):
             failures.append({"n": n, "reason": f"reached {len(reached)} of {len(facets)} facets"})
     return _report(6, "facets and stability", checked, failures, t0, degrees=list(ns),
-                   nonbarycenter_points=points_checked, phases=_whole_ms(phases))
+                   nonbarycenter_points=points_checked, phases=_whole_ms(phases),
+                   digest=answer_digest(answers))
 
 
 # ----- 7: equal-central-character pairs ----------------------------------

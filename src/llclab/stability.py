@@ -8,13 +8,17 @@ reduces to, and each has an independent verifier:
 * StableExists: the all-ones functional on the alcove quiver, with its
   stabilizer counted exhaustively over F_q and over F_{q^2}.  Equal
   counts q-1 and q^2-1 are the finiteness evidence modulo scalars; a
-  positive-dimensional stabilizer would grow with the field.
+  positive-dimensional stabilizer would grow with the field.  The search
+  assigns one node at a time and checks at each node only the arrows
+  that node closes.
 * NoStableDimGap: a positive gap dim G - dim V forces every closed-orbit
   stabilizer to dimension at least 2, one more than the scalars.
 * NoStableJordanWitness: for equal blocks of size m > 1, two functionals
   whose arrow products share a determinant but have different Jordan
   type; both products are nilpotent, so the rank profile of their powers
-  separates the types over any extension field.
+  separates the types over any extension field.  The block products
+  read only nonzero entries: identity, Jordan and nilpotent blocks are
+  mostly zeros.
 * UnstableCocharacter: integer torus weights strictly decreasing along
   the quiver cycle opened at a missing arrow; every present arrow then
   scales with a positive exponent, driving any functional to zero.
@@ -23,7 +27,6 @@ reduces to, and each has an independent verifier:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import lru_cache
 
 from .building import (
@@ -35,7 +38,7 @@ from .building import (
     jump_numerator,
 )
 from .errors import EmptyFacet, LLCError, NotNonBarycenter, SizeGuardExceeded
-from .finitefield import field_of_size
+from .finitefield import MAX_FIELD_SIZE, field_of_size
 
 BRUTE_FORCE_GUARD = 500_000
 
@@ -55,19 +58,26 @@ def _jordan_block(m):
 
 
 # the kernels below read the field's operation tables directly, as
-# laurent does: sub(a, b) is _add[a][_neg[b]]
+# laurent does: sub(a, b) is _add[a][_neg[b]]; a product reads only the
+# nonzero entries of both factors, since the identity, Jordan and
+# nilpotent-power blocks the certificates multiply are mostly zeros
 
 def _mmul(ff, A, B):
+    """A times B, each output row the sum over the nonzero entries a of
+    A's row of a times the nonzero entries of the matching row of B."""
     mul, add = ff._mul, ff._add
-    cols = tuple(zip(*B))
-    return tuple(tuple(_dot(mul, add, row, col) for col in cols) for row in A)
-
-
-def _dot(mul, add, row, col):
-    acc = 0
-    for a, b in zip(row, col):
-        acc = add[acc][mul[a][b]]
-    return acc
+    width = len(B[0]) if B else 0
+    sparse = [[(c, v) for c, v in enumerate(row) if v] for row in B]
+    out = []
+    for row in A:
+        acc = [0] * width
+        for a, terms in zip(row, sparse):
+            if a:
+                by = mul[a]
+                for c, v in terms:
+                    acc[c] = add[acc[c]][by[v]]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _rank(ff, rows):
@@ -300,35 +310,42 @@ def _torus_stabilizer_count(q: int, functional_values) -> int:
     """Exhaustive count, with pruning, of torus elements fixing a scalar
     functional on the cyclic quiver with K one-dimensional nodes.
 
-    The search assigns unit coordinates g_0, g_1, ... in order and cuts a
-    branch as soon as some fully-assigned arrow condition
-    g_a * v = v * g_b fails, which enumerates exactly the solutions of
-    the full product search.
+    The search assigns unit coordinates g_0, g_1, ... in order.  Arrow i
+    runs from node i to node (i + 1) mod K, so assigning g_a completes
+    arrow a - 1 and, at a = K - 1, the closing arrow K - 1 (arrow 0 when
+    K = 1); only those conditions g_i * v = v * g_b are checked at node a,
+    and a branch is cut as soon as one fails.  Every arrow is checked
+    once on every branch that reaches the end, so this enumerates
+    exactly the solutions of the full product search.
     """
     ff = field_of_size(q)
     mul = ff._mul
     K = len(functional_values)
     units = list(ff.units())
+    # closes[a]: (i, b, v) for each arrow i -> b with value v != 0 whose
+    # condition assigning g_a completes, a = max(i, b)
+    closes = [[] for _ in range(K)]
+    for i, v in enumerate(functional_values):
+        b = (i + 1) % K
+        if v != 0:
+            closes[max(i, b)].append((i, b, v))
 
-    def extend(assign):
-        a = len(assign)
+    g = [0] * K
+
+    def extend(a):
         if a == K:
             return 1
         total = 0
-        for g in units:
-            ok = True
-            trial = assign + [g]
-            for i, v in enumerate(functional_values):
-                b = (i + 1) % K
-                if i < len(trial) and b < len(trial) and v != 0:
-                    if mul[trial[i]][v] != mul[v][trial[b]]:
-                        ok = False
-                        break
-            if ok:
-                total += extend(trial)
+        for u in units:
+            g[a] = u
+            for i, b, v in closes[a]:
+                if mul[g[i]][v] != mul[v][g[b]]:
+                    break
+            else:
+                total += extend(a + 1)
         return total
 
-    return extend([])
+    return extend(0)
 
 
 # ----- certificates for barycenters --------------------------------------
@@ -339,6 +356,14 @@ def stability_certificate(f: FacetSpec, q: int):
         raise EmptyFacet(f"{f} has no points")
     gq = graded_quotient(f.barycenter())
     if f.is_alcove():
+        # the stabilizer is counted over F_q and over F_{q^2}; name the q
+        # given, not only the field it leads to
+        field_of_size(q)
+        if q * q > MAX_FIELD_SIZE:
+            raise ValueError(
+                f"q = {q}: an alcove certificate counts the stabilizer over F_(q^2), "
+                f"and q^2 = {q * q} is above MAX_FIELD_SIZE = {MAX_FIELD_SIZE}"
+            )
         lam = FunctionalOverFq.all_ones(gq, q)
         values = [lam.arrow_matrix(a)[0][0] for a in gq.arrows]
         count_q = _torus_stabilizer_count(q, values)
@@ -392,9 +417,12 @@ def root_count_dims(x: ApartmentPoint) -> tuple[int, int]:
     g = sum cnt[c]^2 and v = sum cnt[c] * cnt[c - R]."""
     D = x.den
     R = jump_numerator(x)
-    cnt = Counter(a % D for a in x.nums)
+    cnt: dict[int, int] = {}
+    for a in x.nums:
+        c = a % D
+        cnt[c] = cnt.get(c, 0) + 1
     g = sum(m * m for m in cnt.values())
-    v = sum(m * cnt[(c - R) % D] for c, m in cnt.items())
+    v = sum(m * cnt.get((c - R) % D, 0) for c, m in cnt.items())
     return g, v
 
 

@@ -6,6 +6,12 @@ check counts are pinned so a silently shrunken grid fails loudly.
 """
 
 from llclab import selftest
+from llclab.building import FacetSpec
+
+# selftest.answer_digest of criterion 6's answers, computed on the tree
+# before its certificate kernels read only nonzero entries: the kernels
+# changed, the answers did not
+CRITERION_6_DIGEST = "1baba9321ad020c793289931e7a0dc7fbcb7df1a756af69cf124e55abd5d6682"
 
 
 def _gate(fn, budget=None):
@@ -71,6 +77,34 @@ def test_criterion_6_facets_and_stability():
     rep = _gate(selftest.criterion_stability, budget=60)
     assert rep["checked"] == 501
     assert rep["nonbarycenter_points"] == 8828
+    assert rep["digest"] == CRITERION_6_DIGEST
+
+
+def test_criterion_6_digest_covers_the_root_counts(monkeypatch):
+    # one facet's root counts moved by (1, 1), gap unchanged: the census
+    # rejects the facet, and the digest changes
+    target = FacetSpec(0, (2, 1, 2, 1, 2))
+    count = selftest.root_count_dims
+
+    def moved(b):
+        g, v = count(b)
+        return (g + 1, v + 1) if selftest.facet_of(b) == target else (g, v)
+
+    monkeypatch.setattr(selftest, "root_count_dims", moved)
+    rep = selftest.criterion_stability("full")
+    assert rep["failure_count"] == 1 and rep["digest"] != CRITERION_6_DIGEST
+    # the same move past the census check: every check passes, and the
+    # digest still changes, since each facet's record holds its counts
+    monkeypatch.undo()
+    census = selftest._census
+
+    def moved_after_check(f):
+        (g, v), reason = census(f)
+        return ((g + 1, v + 1) if f == target else (g, v)), reason
+
+    monkeypatch.setattr(selftest, "_census", moved_after_check)
+    rep = selftest.criterion_stability("full")
+    assert rep["ok"] and rep["digest"] != CRITERION_6_DIGEST
 
 
 def test_criterion_7_whittaker_pair_invariance():

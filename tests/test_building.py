@@ -161,6 +161,33 @@ def test_jump_matches_scan_oracle_on_samples():
             assert Fraction(jump_numerator(x), x.den) == _scan_r(x)
 
 
+def _all_pairs_jump_numerator(x):
+    """Oracle: the smallest (a - b) mod x.den over every pair of distinct
+    residues, as jump_numerator took it before it read cyclic gaps."""
+    D = x.den
+    residues = {v % D for v in x.nums}
+    return min(((a - b) % D for a in residues for b in residues if a != b), default=D)
+
+
+def test_jump_numerator_matches_all_pairs_oracle():
+    seen = one_class = 0
+    for n in range(1, 9):
+        points = sample_alcove_points(n, 1 if n == 1 else 120, max_den=40, seed=900 + n)
+        points += [translate(x, Fraction(3, 11)) for x in points]
+        # one residue class: equal coordinates, or coordinates an integer apart
+        points += [ApartmentPoint([Fraction(2, 5)] * n),
+                   ApartmentPoint([Fraction(2, 5) - i % 3 for i in range(n)])]
+        points += [FacetSpec(0, (1,) * n).barycenter()]
+        for x in points:
+            assert jump_numerator(x) == _all_pairs_jump_numerator(x), x
+            seen += 1
+            one_class += len({v % x.den for v in x.nums}) == 1
+    assert seen == 2 * (1 + 7 * 120) + 3 * 8
+    # the sample of n = 1, its translate, GL_1's barycenter and the two
+    # one-class points of every n
+    assert one_class >= 3 + 2 * 8
+
+
 def test_barycenter_coordinates():
     assert FacetSpec(0, (1, 1, 1)).barycenter().coords == (
         Fraction(-1, 3),

@@ -192,6 +192,15 @@ def test_residue_fields_above_the_bound_exit_2(capsys):
         assert code == 2 and "4,782,969 entries" in err
 
 
+def test_alcove_certificate_above_nineteen_names_the_given_q(capsys):
+    # the stabilizer is counted over F_(q^2) too, and 23^2 = 529 is above
+    # the bound: the refusal names the q given as well as q^2
+    code = cli.main(["facet", "--n", "3", "--spec", "t=0;m=1,1,1", "--certify", "--fq", "23"])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert re.search(r"\bq = 23\b", err) and "q^2 = 529" in err, err
+
+
 def test_facet_needs_a_mode(capsys):
     assert cli.main(["facet", "--n", "4"]) == 2
 

@@ -41,17 +41,11 @@ from test_building import translate
 def _stabilizer_count_by_product(q, gq, f):
     """Oracle: unpruned enumeration of diagonal-torus stabilizers."""
     ff = field_of_size(q)
-    count = 0
-    for assign in itertools.product(range(1, q), repeat=gq.num_nodes):
-        ok = True
-        for (a, b), mat in f.mats.items():
-            for row in mat:
-                for v in row:
-                    if ff.mul(assign[a], v) != ff.mul(v, assign[b]):
-                        ok = False
-        if ok:
-            count += 1
-    return count
+    entries = [(a, b, v) for (a, b), mat in f.mats.items() for row in mat for v in row]
+    return sum(
+        all(ff.mul(assign[a], v) == ff.mul(v, assign[b]) for a, b, v in entries)
+        for assign in itertools.product(range(1, q), repeat=gq.num_nodes)
+    )
 
 
 def _fraction_root_count_dims(x):
@@ -134,6 +128,42 @@ def test_alcove_stabilizer_counts_match_oracle():
             gq2 = graded_quotient(f.barycenter())
             func2 = FunctionalOverFq(gq2, q * q, dict(cert.functional.mats))
             assert cert.stab_count_q2 == _stabilizer_count_by_product(q * q, gq2, func2)
+
+
+def test_torus_search_matches_product_oracle_with_zero_values():
+    # a zero value drops its arrow's condition; with arrow i < K - 1 zero,
+    # only the closing arrow K - 1 ties g_(K-1) back to g_0, which the
+    # chain of equalities of an all-nonzero functional already implies
+    rng = random.Random(46)
+    closing = 0
+    for K in range(1, 7):
+        gq = graded_quotient(FacetSpec(0, (1,) * K).barycenter())
+        assert gq.arrows == tuple((i, (i + 1) % K) for i in range(K))
+        for q in (3, 5, 9):
+            draws = [[0] + [1] * (K - 1), [1] * K]
+            draws += [[rng.choice((0, rng.randrange(1, q))) for _ in range(K)] for _ in range(3)]
+            for values in draws:
+                lam = FunctionalOverFq(gq, q, {a: ((v,),) for a, v in zip(gq.arrows, values)})
+                count = stability._torus_stabilizer_count(q, values)
+                assert count == _stabilizer_count_by_product(q, gq, lam), (K, q, values)
+                closing += K > 1 and values[-1] != 0 and 0 in values[:-1]
+    # at least the first draw at every K > 1 and q leans on the closing arrow
+    assert closing >= 5 * 3
+
+
+def test_alcove_certificate_names_the_q_it_was_given(monkeypatch):
+    # over F_23 the stabilizer is also counted over F_529, above the
+    # bound on table sizes; the q given is refused before any count
+    def no_count(q, values):
+        raise AssertionError(f"stabilizer counted over F_{q}")
+
+    monkeypatch.setattr(stability, "_torus_stabilizer_count", no_count)
+    for n in (2, 3):
+        with pytest.raises(ValueError, match=r"q = 23\b.*q\^2 = 529 .* MAX_FIELD_SIZE = 512"):
+            stability_certificate(FacetSpec(0, (1,) * n), 23)
+    # facets without a stabilizer count certify at q = 23
+    for spec in ((0, (2, 1)), (0, (2, 2)), (1, (1, 1, 1))):
+        assert verify_certificate(stability_certificate(FacetSpec(*spec), 23))
 
 
 def test_dim_gap_certificates():
@@ -350,6 +380,13 @@ def test_table_kernels_match_method_oracles():
                 assert stability._rank(ff, A) == _method_rank(ff, A)
                 wide = A + B
                 assert stability._rank(ff, wide) == _method_rank(ff, wide)
+        # rectangular r x k times k x c, as the arrow shapes of a cycle
+        # product are: rows or columns of zeros, and k = 1
+        for _ in range(150):
+            r, k, c = (rng.randint(1, 5) for _ in range(3))
+            A = tuple(tuple(rng.choice((0, 0, rng.randrange(q))) for _ in range(k)) for _ in range(r))
+            B = tuple(tuple(rng.choice((0, 0, rng.randrange(q))) for _ in range(c)) for _ in range(k))
+            assert stability._mmul(ff, A, B) == _method_mmul(ff, A, B)
 
 
 def test_jordan_witnesses_keep_their_profiles():
@@ -634,7 +671,33 @@ def test_stability_criterion_reports_phases():
     assert all(v >= 0 for v in phases.values())
     # whole milliseconds rounded down; the tolerance is float summation's
     assert sum(phases.values()) <= rep["seconds"] + 1e-9
+    assert rep["digest"] == SMALL_CRITERION_6_DIGEST
     json.dumps(rep)
+
+
+# criterion 6's answer digest at small scale, computed before its
+# certificate kernels read only nonzero entries
+SMALL_CRITERION_6_DIGEST = "7531d0a3230c4239dc24c4b5bd48210509c6b3d060ee6e6f6634f7f90628c4ce"
+
+
+def test_stability_digest_ignores_the_hash_seed():
+    # the records are tuples of ints and strings, so neither the string
+    # hash seed nor any set or dict order reaches the digest
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llclab.__file__)))
+    code = "from llclab import selftest; print(selftest.criterion_stability('small')['digest'])"
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == SMALL_CRITERION_6_DIGEST
+
+
+def test_answer_digest_reads_records_in_order():
+    a, b = (1, (2, 3), "stable-exists"), ((0, 1), ((1, 0),))
+    assert selftest.answer_digest([a, b]) == selftest.answer_digest(iter([a, b]))
+    assert selftest.answer_digest([a, b]) != selftest.answer_digest([b, a])
+    assert len(selftest.answer_digest([])) == 64
 
 
 def test_quotient_types_cover_every_type_once():
