@@ -1,10 +1,16 @@
 """Full-grid selftest: every headline identity replayed over the grid it
 is claimed for, with exact equality everywhere.
 
-Each criterion_* runner returns a JSON-ready report carrying an "ok"
-flag, the number of checks performed, and the first few failures.  The
-CLI selftest subcommand and the acceptance test suite are thin shells
-over these runners, so the grids live here in one place.
+A criterion is declared once, by _criterion(num, name, phases=...,
+digest=...) on a body body(scale, tally).  The body only runs checks:
+it counts them in tally.checked, appends failure records to
+tally.failures and answer records to tally.answers, times its phases
+with "with tally.phase(name):", and returns its extra report keys.  The
+runner the declaration returns, criterion_*(scale=None), keeps the
+clock and writes the report: criterion, name, ok, checked,
+failure_count, failures (the first MAX_REPORTED_FAILURES) and seconds,
+then the extras, phases (whole milliseconds) and digest.  CRITERIA is
+the tuple of the runners; the CLI and the acceptance tests call them.
 
 The environment variable LLC_SELFTEST_SCALE (or the scale argument)
 switches between "full" (the default, minutes) and "small", which cuts
@@ -119,20 +125,6 @@ def _datum_key(d: SSCDatum) -> dict:
     }
 
 
-def _report(num: int, name: str, checked: int, failures: list, t0: float, **extra) -> dict:
-    out = {
-        "criterion": num,
-        "name": name,
-        "ok": not failures,
-        "checked": checked,
-        "failure_count": len(failures),
-        "failures": failures[:MAX_REPORTED_FAILURES],
-        "seconds": round(time.perf_counter() - t0, 3),
-    }
-    out.update(extra)
-    return out
-
-
 def answer_digest(records) -> str:
     """SHA-256, as hex, of records in order.  Each record is a compact
     tuple of ints, strings and such tuples: their repr depends on neither
@@ -147,10 +139,62 @@ def _whole_ms(phases: dict) -> dict:
     return {name: math.floor(v * 1000) / 1000 for name, v in phases.items()}
 
 
+class _Tally:
+    """What a criterion body records, as the module docstring describes.
+    Phases do not nest."""
+
+    def __init__(self, phases):
+        self.checked = 0
+        self.failures: list = []
+        self.phases = dict.fromkeys(phases, 0.0)
+        self.answers: list = []
+
+    def phase(self, name: str) -> _Tally:
+        self._open = name
+        return self
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.phases[self._open] += time.perf_counter() - self._start
+
+
+def _criterion(num: int, name: str, phases: tuple = (), digest: bool = False):
+    """Declare criterion num as the module docstring describes; the runner
+    keeps the body's name and docstring."""
+    def declare(body):
+        def run(scale: str | None = None) -> dict:
+            scale = resolve_scale(scale)
+            t0 = time.perf_counter()
+            tally = _Tally(phases)
+            extra = body(scale, tally)
+            if phases:
+                extra["phases"] = _whole_ms(tally.phases)
+            if digest:
+                extra["digest"] = answer_digest(tally.answers)
+            return {
+                "criterion": num,
+                "name": name,
+                "ok": not tally.failures,
+                "checked": tally.checked,
+                "failure_count": len(tally.failures),
+                "failures": tally.failures[:MAX_REPORTED_FAILURES],
+                "seconds": round(time.perf_counter() - t0, 3),
+                **extra,
+            }
+        run.num = num
+        run.__name__, run.__qualname__, run.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        return run
+
+    return declare
+
+
 # ----- 1: Gauss sums against the closed value ----------------------------
 
 
-def criterion_gauss_closed_form(scale: str | None = None) -> dict:
+@_criterion(1, "gauss closed form")
+def criterion_gauss_closed_form(scale: str, tally: _Tally) -> dict:
     """Brute-force character sum == (value at the uniformizer) * q, for
     every datum on the full grid.
 
@@ -158,38 +202,34 @@ def criterion_gauss_closed_form(scale: str | None = None) -> dict:
     full grid; values are interned, so a pair is two object identities.
     It is a different quantity from the 42 (q, e) keys of the cached
     inner sum that the checks read."""
-    scale = resolve_scale(scale)
-    t0 = time.perf_counter()
     cells = gauss_cells(scale)
-    checked, failures, compared = 0, [], set()
+    compared = set()
     for q, n in cells:
         for u0 in range(1, q):
             for e_om in range(q - 1):
                 for znum in range(n * n):
                     P = _parameter(q, n, znum, e_om, u0)
-                    checked += 1
+                    tally.checked += 1
                     left, right = gauss_sum_bruteforce(P.xi), P.xi.at_pi * q
                     compared.add((left, right))
                     if left != right:
-                        failures.append(_datum_key(P.ssc))
-    return _report(1, "gauss closed form", checked, failures, t0, cells=cells,
-                   distinct=len(compared), interned=interned_counts())
+                        tally.failures.append(_datum_key(P.ssc))
+    return {"cells": cells, "distinct": len(compared), "interned": interned_counts()}
 
 
 # ----- 2: twisted Gauss sums ---------------------------------------------
 
 
-def criterion_gauss_twist(scale: str | None = None) -> dict:
+@_criterion(2, "twisted gauss ratio")
+def criterion_gauss_twist(scale: str, tally: _Tally) -> dict:
     """Twisting the inducing character by a tame character multiplies the
     Gauss sum by the twist at the signed uniformizer.
 
     distinct counts the (left, right) value pairs compared, as in
     criterion 1: 1,176 on the full grid.  It is a different quantity from
     the 16,536 input keys (q, n, u0, twist) that fix each comparison."""
-    scale = resolve_scale(scale)
-    t0 = time.perf_counter()
     cells = gauss_cells(scale)
-    checked, failures, compared = 0, [], set()
+    compared = set()
     for q, n in cells:
         F = LocalField.base_field(q)
         lams = [
@@ -207,16 +247,15 @@ def criterion_gauss_twist(scale: str | None = None) -> dict:
                 for znum in range(n * n):
                     P = _parameter(q, n, znum, e_om, u0)
                     base = gauss_sum_bruteforce(P.xi)
+                    tally.checked += len(at_signed)
                     for lam, move in at_signed:
-                        checked += 1
                         tw, want = gauss_sum_bruteforce(P.xi.twist_by_base(lam)), base * move
                         compared.add((tw, want))
                         if tw != want:
                             bad = _datum_key(P.ssc)
                             bad["twist"] = [lam.exp_unit, lam.at_var.as_fraction_of_turn()]
-                            failures.append(bad)
-    return _report(2, "twisted gauss ratio", checked, failures, t0, cells=cells,
-                   distinct=len(compared), interned=interned_counts())
+                            tally.failures.append(bad)
+    return {"cells": cells, "distinct": len(compared), "interned": interned_counts()}
 
 
 # ----- 3: zeta integrals collapse to monomials ---------------------------
@@ -226,7 +265,8 @@ def criterion_gauss_twist(scale: str | None = None) -> dict:
 ZETA_TWISTS = ((0, 0), (1, 0), (0, 1))
 
 
-def criterion_zeta_collapse(scale: str | None = None) -> dict:
+@_criterion(3, "zeta integral collapse", phases=("principal", "dual"))
+def criterion_zeta_collapse(scale: str, tally: _Tally) -> dict:
     """Principal integral == q^-1 at working depths 2 and 3, and dual
     integral == zeta * lam(pi) * q^(-1/2) q^(-s) at depth 2; the dual's
     depth 3 is compared inside _dual_row's stable-row check.
@@ -234,12 +274,7 @@ def criterion_zeta_collapse(scale: str | None = None) -> dict:
     phases splits the time between the zeta_psi calls (principal) and the
     zeta_psi_tilde calls (dual), the table builds each call triggers
     included."""
-    scale = resolve_scale(scale)
-    t0 = time.perf_counter()
     cells = gauss_cells(scale)
-    checked, failures = 0, []
-    phases = dict.fromkeys(("principal", "dual"), 0.0)
-    clock = time.perf_counter
     for q, n in cells:
         F = LocalField.base_field(q)
         principal = EpsMonomial(q, LambdaGraded.one(), Fraction(-1), 0)
@@ -252,31 +287,29 @@ def criterion_zeta_collapse(scale: str | None = None) -> dict:
                         lam = TameChar(F, e, RootOfUnity(b, q - 1))
                         unit = LambdaGraded.from_cyclo(d.zeta * lam(pi))
                         dual = EpsMonomial(q, unit, Fraction(-1, 2), -1)
-                        checked += 1
+                        tally.checked += 1
                         bad = []
-                        t = clock()
-                        if zeta_psi(d, lam) != principal:
-                            bad.append("principal depth 2")
-                        if zeta_psi(d, lam, m=3) != principal:
-                            bad.append("principal depth 3")
-                        t1 = clock()
-                        if zeta_psi_tilde(d, lam) != dual:
-                            bad.append("dual")
-                        phases["principal"] += t1 - t
-                        phases["dual"] += clock() - t1
+                        with tally.phase("principal"):
+                            if zeta_psi(d, lam) != principal:
+                                bad.append("principal depth 2")
+                            if zeta_psi(d, lam, m=3) != principal:
+                                bad.append("principal depth 3")
+                        with tally.phase("dual"):
+                            if zeta_psi_tilde(d, lam) != dual:
+                                bad.append("dual")
                         if bad:
                             entry = _datum_key(d)
                             entry["twist"] = [e, b]
                             entry["parts"] = bad
-                            failures.append(entry)
-    return _report(3, "zeta integral collapse", checked, failures, t0, cells=cells,
-                   phases=_whole_ms(phases))
+                            tally.failures.append(entry)
+    return {"cells": cells}
 
 
 # ----- 4: the two epsilon computations agree -----------------------------
 
 
-def criterion_matching(scale: str | None = None) -> dict:
+@_criterion(4, "epsilon matching")
+def criterion_matching(scale: str, tally: _Tally) -> dict:
     """Galois-side epsilon == closed form == integral path, and the reduced
     determinant character equals the central character, for every datum
     and every unit twist.
@@ -287,10 +320,8 @@ def criterion_matching(scale: str | None = None) -> dict:
     datum and twist.  A Gauss sum of a depth-one character does not see
     its tame unit exponent, so this is the check that sees a twist which
     leaves that exponent alone."""
-    scale = resolve_scale(scale)
-    t0 = time.perf_counter()
     cells = gauss_cells(scale)
-    checked, with_integral, twisted, failures = 0, 0, 0, []
+    with_integral, twisted = 0, 0
     for q, n in cells:
         F = LocalField.base_field(q)
         # every unit twist, each with its n-th power
@@ -299,7 +330,7 @@ def criterion_matching(scale: str | None = None) -> dict:
         powers = [lam**n for lam in lams]
         for d in datum_grid(q, n):
             rep = verify_matching(d, twists)
-            checked += 1
+            tally.checked += 1
             if any("automorphic" in row for row in rep["twists"]):
                 with_integral += 1
             if not (rep["all_equal"] and rep["central_character_matches"]):
@@ -312,7 +343,7 @@ def criterion_matching(scale: str | None = None) -> dict:
                     for row in rep["twists"]
                     if not row["equal"]
                 ]
-                failures.append(bad)
+                tally.failures.append(bad)
             P = build_parameter(d)
             for twist, lam, lam_n in zip(twists, lams, powers):
                 want, det = d.omega * lam_n, det_parameter(P, lam)
@@ -322,37 +353,27 @@ def criterion_matching(scale: str | None = None) -> dict:
                     bad = _datum_key(d)
                     bad["twist"] = list(twist)
                     bad["check"] = "twisted determinant"
-                    failures.append(bad)
-    return _report(
-        4,
-        "epsilon matching",
-        checked,
-        failures,
-        t0,
-        cells=cells,
-        with_integral_path=with_integral,
-        twisted_determinants=twisted,
-        interned=interned_counts(),
-    )
+                    tally.failures.append(bad)
+    return {"cells": cells, "with_integral_path": with_integral,
+            "twisted_determinants": twisted, "interned": interned_counts()}
 
 
 # ----- 5: tables determine the datum -------------------------------------
 
 
-def criterion_determination(scale: str | None = None) -> dict:
+@_criterion(5, "determination round trip")
+def criterion_determination(scale: str, tally: _Tally) -> dict:
     """Round trip datum -> twisted-epsilon table -> datum, and pairwise
     distinctness of the tables among the data sharing a central
     character."""
-    scale = resolve_scale(scale)
-    t0 = time.perf_counter()
     cells = gauss_cells(scale)
-    checked, failures = 0, []
+    failures = tally.failures
     tables: dict[tuple, set] = defaultdict(set)
     sizes: dict[tuple, int] = defaultdict(int)
     for q, n in cells:
         for d in datum_grid(q, n):
             T = EpsilonTable.of_datum(d)
-            checked += 1
+            tally.checked += 1
             try:
                 res = determine_from_table(T, d.omega, n, q)
             except Exception as exc:
@@ -375,10 +396,8 @@ def criterion_determination(scale: str | None = None) -> dict:
             ckey = (q, n, d.omega_exp, at_t.num, at_t.order)
             sizes[ckey] += 1
             tables[ckey].add(tuple(sorted(T.entries.items())))
-    classes = 0
     per_cell: dict[tuple, int] = defaultdict(int)
     for ckey, count in sizes.items():
-        classes += 1
         per_cell[(ckey[0], ckey[1])] += count
         distinct = len(tables[ckey])
         if distinct != count:
@@ -388,10 +407,7 @@ def criterion_determination(scale: str | None = None) -> dict:
     for (q, n), total in per_cell.items():
         if total != (q - 1) ** 2 * n * n:
             failures.append({"q": q, "n": n, "reason": "class sizes do not cover the grid"})
-    return _report(
-        5, "determination round trip", checked, failures, t0, cells=cells, classes=classes,
-        interned=interned_counts(),
-    )
+    return {"cells": cells, "classes": len(sizes), "interned": interned_counts()}
 
 
 # ----- 6: facets, dimensions, stability certificates ---------------------
@@ -450,7 +466,8 @@ def _cycle_is_nilpotent(gq) -> bool:
     return _rank_profile(ff, reduce(partial(_mmul, ff), e00))[-1] == 0
 
 
-def criterion_stability(scale: str | None = None) -> dict:
+@_criterion(6, "facets and stability", phases=("barycenters", "nonbarycenters"), digest=True)
+def criterion_stability(scale: str, tally: _Tally) -> dict:
     """Every graded-quotient type for n = 2..8 (2..4 at small scale), at
     each split of its first class: graded_quotient gives the type back,
     is_barycenter holds exactly when every arrow is present, and a point
@@ -462,58 +479,53 @@ def criterion_stability(scale: str | None = None) -> dict:
     digest is answer_digest over one record per point that passes, in
     grid order: a facet's t, blocks, root counts, certificate kind and
     what the certificate carries; a missing-arrow point's weights and
-    missing arrow."""
-    scale = resolve_scale(scale)
-    t0 = time.perf_counter()
+    missing arrow.  phases splits the time between all-arrows points,
+    their facet census included, and points with a missing arrow."""
     ns = range(2, 9) if scale == "full" else range(2, 5)
-    checked, points_checked, failures, answers = 0, 0, [], []
-    # seconds spent on all-arrows points, their facet census included, and
-    # on points with a missing arrow
-    phases = dict.fromkeys(("barycenters", "nonbarycenters"), 0.0)
-    clock = time.perf_counter
+    points_checked = 0
     for n in ns:
         reached = []
         for sizes, arrows, x in _quotient_types(n):
-            t = clock()
             full = len(arrows) == len(sizes)
-            checked += full
+            tally.checked += full
             points_checked += not full
-            try:
-                if full:
-                    f = facet_of(x)
-                    reached.append(f)
-                gq = graded_quotient(x)
-                if (gq.sizes, gq.arrows) != (sizes, arrows):
-                    raise ValueError(f"wrong type {gq!r}")
-                if is_barycenter(x) != full:
-                    raise ValueError("is_barycenter disagrees with the arrows")
-                # verify_certificate raises LLCError unless it accepts
-                if not full:
-                    cert = destabilizing_cocharacter(x)
-                    verify_certificate(cert)
-                    answers.append((cert.weights, cert.missing_arrow))
-                else:
-                    dims, reason = _census(f)
-                    if reason is not None:
-                        raise ValueError(reason)
-                    cert = stability_certificate(f, 3)
-                    if isinstance(cert, StableExists) != f.is_alcove():
-                        raise ValueError("stable certificate on the wrong facet kind")
-                    verify_certificate(cert)
-                    if _cycle_is_nilpotent(gq):
-                        raise ValueError("cycle product of E_00 is nilpotent")
-                    answers.append((f.t, f.blocks, dims, cert.kind, _carried(cert)))
-            except Exception as exc:
-                # the point as llclab facet --point reads it
-                failures.append({"n": n, "point": ",".join(map(str, x.coords)), "reason": repr(exc)})
-            phases["barycenters" if full else "nonbarycenters"] += clock() - t
+            with tally.phase("barycenters" if full else "nonbarycenters"):
+                try:
+                    if full:
+                        f = facet_of(x)
+                        reached.append(f)
+                    gq = graded_quotient(x)
+                    if (gq.sizes, gq.arrows) != (sizes, arrows):
+                        raise ValueError(f"wrong type {gq!r}")
+                    if is_barycenter(x) != full:
+                        raise ValueError("is_barycenter disagrees with the arrows")
+                    # verify_certificate raises LLCError unless it accepts
+                    if not full:
+                        cert = destabilizing_cocharacter(x)
+                        verify_certificate(cert)
+                        tally.answers.append((cert.weights, cert.missing_arrow))
+                    else:
+                        dims, reason = _census(f)
+                        if reason is not None:
+                            raise ValueError(reason)
+                        cert = stability_certificate(f, 3)
+                        if isinstance(cert, StableExists) != f.is_alcove():
+                            raise ValueError("stable certificate on the wrong facet kind")
+                        verify_certificate(cert)
+                        if _cycle_is_nilpotent(gq):
+                            raise ValueError("cycle product of E_00 is nilpotent")
+                        tally.answers.append((f.t, f.blocks, dims, cert.kind, _carried(cert)))
+                except Exception as exc:
+                    # the point as llclab facet --point reads it
+                    tally.failures.append(
+                        {"n": n, "point": ",".join(map(str, x.coords)), "reason": repr(exc)}
+                    )
         facets = enumerate_facets(n)
         distinct = set(reached)
         if not len(distinct) == len(reached) == len(facets) == 2**n - 1 or distinct != set(facets):
-            failures.append({"n": n, "reason": f"reached {len(reached)} of {len(facets)} facets"})
-    return _report(6, "facets and stability", checked, failures, t0, degrees=list(ns),
-                   nonbarycenter_points=points_checked, phases=_whole_ms(phases),
-                   digest=answer_digest(answers))
+            tally.failures.append(
+                {"n": n, "reason": f"reached {len(reached)} of {len(facets)} facets"})
+    return {"degrees": list(ns), "nonbarycenter_points": points_checked}
 
 
 # ----- 7: equal-central-character pairs ----------------------------------
@@ -521,20 +533,16 @@ def criterion_stability(scale: str | None = None) -> dict:
 PAIR_CELLS = ((3, 2), (3, 4), (5, 2), (5, 3), (5, 4))
 
 
-def criterion_pairs(scale: str | None = None) -> dict:
+@_criterion(7, "whittaker pair invariance", phases=("walks", "mirabolic", "k_check"))
+def criterion_pairs(scale: str, tally: _Tally) -> dict:
     """For every pair of data sharing a central character: the Whittaker
     functions agree on the mirabolic subgroup (full depth-2 enumeration)
     and conjugation symmetry holds along sampled words in the compact
-    group generated by both rotations."""
-    scale = resolve_scale(scale)
-    t0 = time.perf_counter()
+    group generated by both rotations.  phases times the walks, the
+    mirabolic tables and agreement, and the conjugation checks."""
     cells = PAIR_CELLS if scale == "full" else ((3, 2), (5, 2))
     steps = 10_000 if scale == "full" else 2_000
-    pairs, k_runs, failures = 0, 0, []
-    # seconds spent building walks, on mirabolic tables and agreement,
-    # and on the conjugation checks
-    phases = dict.fromkeys(("walks", "mirabolic", "k_check"), 0.0)
-    clock = time.perf_counter
+    k_runs = 0
     for q, n in cells:
         # central characters agree as characters of the base field, so
         # the grouping key is the unit exponent plus the value at t
@@ -546,77 +554,61 @@ def criterion_pairs(scale: str | None = None) -> dict:
         if sum(len(v) for v in groups.values()) != (q - 1) ** 2 * n * n or any(
             len(v) < n for v in groups.values()
         ):
-            failures.append({"q": q, "n": n, "reason": "grid does not partition into classes"})
+            tally.failures.append(
+                {"q": q, "n": n, "reason": "grid does not partition into classes"})
         for ds in groups.values():
             for i in range(len(ds)):
                 for j in range(i + 1, len(ds)):
                     d1, d2 = ds[i], ds[j]
-                    pairs += 1
-                    t = clock()
-                    rep = mirabolic_agreement(PairConfig(d1, d2))
-                    phases["mirabolic"] += clock() - t
+                    tally.checked += 1
+                    with tally.phase("mirabolic"):
+                        rep = mirabolic_agreement(PairConfig(d1, d2))
                     if not (rep["all_equal"] and rep["support_ok"]):
-                        failures.append(
+                        tally.failures.append(
                             {"first": _datum_key(d1), "second": _datum_key(d2),
                              "reason": "mirabolic disagreement",
                              "first_class": (rep["mismatches"] + rep["support_violations"])[0]}
                         )
                     ulo, uhi = sorted((d1.pi_unit, d2.pi_unit))
-                    t = clock()
-                    words = cached_k_words(q, n, ulo, uhi, steps=steps)
-                    phases["walks"] += clock() - t
+                    with tally.phase("walks"):
+                        words = cached_k_words(q, n, ulo, uhi, steps=steps)
                     for d in (d1, d2):
-                        t = clock()
-                        krep = k_special_check(d, words)
-                        phases["k_check"] += clock() - t
+                        with tally.phase("k_check"):
+                            krep = k_special_check(d, words)
                         k_runs += 1
                         if not krep["ok"]:
-                            failures.append(
+                            tally.failures.append(
                                 {"datum": _datum_key(d), "walk_units": [ulo, uhi],
                                  "seed": words.seed, "steps": words.steps,
                                  "first_violation": krep["violations"][0],
                                  "reason": "conjugation symmetry violated"}
                             )
-    return _report(
-        7,
-        "whittaker pair invariance",
-        pairs,
-        failures,
-        t0,
-        cells=list(cells),
-        steps=steps,
-        conjugation_runs=k_runs,
-        phases=_whole_ms(phases),
-    )
+    return {"cells": list(cells), "steps": steps, "conjugation_runs": k_runs}
 
 
 # ----- 8: independent oracles --------------------------------------------
 
 
 def _random_decomposed(
-    rng: random.Random, F: LocalField, n: int, phases: dict
+    rng: random.Random, F: LocalField, n: int, tally: _Tally
 ) -> tuple[MatG, MonomialClass]:
     """A random invertible matrix over the shells and its class.  A
     singular draw, exactly or at the precision of its entries, raises in
-    decompose and is drawn again; phases gains the seconds spent drawing
-    and decomposing."""
+    decompose and is drawn again; the tally's draws and decompose phases
+    gain the seconds spent drawing and decomposing."""
     q = F.residue.q
-    clock = time.perf_counter
     while True:
-        t = clock()
-        rows = [
-            [F.elem(-1, [rng.randrange(q) for _ in range(4)]) for _ in range(n)]
-            for _ in range(n)
-        ]
-        g = MatG(F, rows)
-        t1 = clock()
-        phases["draws"] += t1 - t
-        try:
-            return g, decompose(g)[1]
-        except (ZeroInput, InsufficientPrecision):
-            continue
-        finally:
-            phases["decompose"] += clock() - t1
+        with tally.phase("draws"):
+            rows = [
+                [F.elem(-1, [rng.randrange(q) for _ in range(4)]) for _ in range(n)]
+                for _ in range(n)
+            ]
+            g = MatG(F, rows)
+        with tally.phase("decompose"):
+            try:
+                return g, decompose(g)[1]
+            except (ZeroInput, InsufficientPrecision):
+                continue
 
 
 def _reversed_scan_class(F: LocalField, g: MatG) -> MonomialClass:
@@ -683,39 +675,34 @@ def _descend_to_base(F: LocalField, E: LocalField, y: tuple):
     return wrap(F, out)
 
 
-def criterion_oracles(scale: str | None = None) -> dict:
+@_criterion(8, "independent oracles", digest=True, phases=(
+    "gauss_modulus", "trace_norm", "draws", "decompose", "reversed_scan", "gamma_ratio"))
+def criterion_oracles(scale: str, tally: _Tally) -> dict:
     """Cross-checks against independently derived values: Gauss-sum
     modulus over the residue field, trace and norm via explicit
     conjugates, pivot-order independence of the decomposition, and gamma
-    as the ratio of the two zeta integrals."""
-    scale = resolve_scale(scale)
-    t0 = time.perf_counter()
+    as the ratio of the two zeta integrals.  phases times (a), (b), the
+    draws, decompose calls (singular draws included) and reversed scans
+    of (c), and (d); digest reads (q, n, cols, exps, units) of each class
+    (c) confirms, in draw order."""
     full = scale == "full"
-    checked, failures = 0, []
-    # seconds spent on each part: (a), (b), the random matrices of (c),
-    # decompose (singular draws included) and the reversed scan in (c),
-    # and (d)
-    phases = dict.fromkeys(
-        ("gauss_modulus", "trace_norm", "draws", "decompose", "reversed_scan", "gamma_ratio"), 0.0
-    )
-    clock = time.perf_counter
+    failures = tally.failures
 
     # (a) |tau|^2 = q for every nontrivial residue character
-    t = clock()
-    for q in GAUSS_QS if full else (3, 5, 7):
-        F = LocalField.base_field(q)
-        ff = F.residue
-        psi = AdditiveCharPsi(F)
-        for e in range(1, q - 1):
-            tau = CycloNumber.zero()
-            for a in ff.units():
-                chi = RootOfUnity((e * ff.dlog(a)) % (q - 1), q - 1)
-                tau = tau + chi.as_cyclo() * psi.of_residue(a).as_cyclo()
-            checked += 1
-            diff = tau * tau.conj() - CycloNumber.from_rational(Fraction(q))
-            if not diff.is_zero():
-                failures.append({"check": "gauss modulus", "q": q, "exp": e})
-    phases["gauss_modulus"] += clock() - t
+    with tally.phase("gauss_modulus"):
+        for q in GAUSS_QS if full else (3, 5, 7):
+            F = LocalField.base_field(q)
+            ff = F.residue
+            psi = AdditiveCharPsi(F)
+            for e in range(1, q - 1):
+                tau = CycloNumber.zero()
+                for a in ff.units():
+                    chi = RootOfUnity((e * ff.dlog(a)) % (q - 1), q - 1)
+                    tau = tau + chi.as_cyclo() * psi.of_residue(a).as_cyclo()
+                tally.checked += 1
+                diff = tau * tau.conj() - CycloNumber.from_rational(Fraction(q))
+                if not diff.is_zero():
+                    failures.append({"check": "gauss modulus", "q": q, "exp": e})
 
     # (b) trace and norm against the conjugate sum and product; needs the
     # degree to divide q - 1 so the conjugating roots live downstairs
@@ -725,30 +712,30 @@ def criterion_oracles(scale: str | None = None) -> dict:
         else ((3, 2, 2), (5, 4, 2))
     )
     rng = random.Random(20240823)
-    t = clock()
-    for q, n, u0 in tn_cells:
-        F = LocalField.base_field(q)
-        E = F.extension(n, u0)
-        ff = F.residue
-        zroot = ff.pow(ff.gen, (q - 1) // n)
-        for draw in range(25 if full else 8):
-            x = E.elem(rng.randrange(-2, 3), [rng.randrange(q) for _ in range(4)])
-            conjs = [
-                _conjugate_by_scaling(ff, (x.val, x.coeffs, x.prec), ff.pow(zroot, i))
-                for i in range(n)
-            ]
-            tr = prod = conjs[0]
-            for y in conjs[1:]:
-                tr = add_t(ff, tr, y)
-                prod = mul_t(ff, prod, y)
-            checked += 1
-            # a failure record replays: E from (q, n, u0), x as elem_to_json
-            # prints it, and the draw's index in the cell
-            for check, got, want in (("trace", tr, E.trace_to_base), ("norm", prod, E.norm_to_base)):
-                if _descend_to_base(F, E, got) != want(x):
-                    failures.append({"check": check, "q": q, "n": n, "u0": u0, "draw": draw,
-                                     "x": E.elem_to_json(x)})
-    phases["trace_norm"] += clock() - t
+    with tally.phase("trace_norm"):
+        for q, n, u0 in tn_cells:
+            F = LocalField.base_field(q)
+            E = F.extension(n, u0)
+            ff = F.residue
+            zroot = ff.pow(ff.gen, (q - 1) // n)
+            for draw in range(25 if full else 8):
+                x = E.elem(rng.randrange(-2, 3), [rng.randrange(q) for _ in range(4)])
+                conjs = [
+                    _conjugate_by_scaling(ff, (x.val, x.coeffs, x.prec), ff.pow(zroot, i))
+                    for i in range(n)
+                ]
+                tr = prod = conjs[0]
+                for y in conjs[1:]:
+                    tr = add_t(ff, tr, y)
+                    prod = mul_t(ff, prod, y)
+                tally.checked += 1
+                # a failure record replays: E from (q, n, u0), x as
+                # elem_to_json prints it, and the draw's index in the cell
+                for check, got, want in (("trace", tr, E.trace_to_base),
+                                         ("norm", prod, E.norm_to_base)):
+                    if _descend_to_base(F, E, got) != want(x):
+                        failures.append({"check": check, "q": q, "n": n, "u0": u0,
+                                         "draw": draw, "x": E.elem_to_json(x)})
 
     # (c) decomposition invariants do not depend on the traversal order
     pivot_cells = [(q, n) for q in (3, 5) for n in (2, 3, 4)]
@@ -760,21 +747,22 @@ def criterion_oracles(scale: str | None = None) -> dict:
         seed = 4001 + index
         prng = random.Random(seed)
         for draw in range(trials):
-            g, mono = _random_decomposed(prng, F, n, phases)
-            t = clock()
-            checked += 1
+            g, mono = _random_decomposed(prng, F, n, tally)
+            tally.checked += 1
             error = None
-            try:
-                alt = _reversed_scan_class(F, g)
-            except Exception as exc:
-                error = repr(exc)
-            phases["reversed_scan"] += clock() - t
-            if error is not None or alt != mono:
-                bad = {"check": "pivot order", "q": q, "n": n, "seed": seed, "draw": draw,
-                       "matrix": g.to_json()}
-                if error is not None:
-                    bad["error"] = error
-                failures.append(bad)
+            with tally.phase("reversed_scan"):
+                try:
+                    alt = _reversed_scan_class(F, g)
+                except Exception as exc:
+                    error = repr(exc)
+            if error is None and alt == mono:
+                tally.answers.append((q, n, mono.cols, mono.exps, mono.units))
+                continue
+            bad = {"check": "pivot order", "q": q, "n": n, "seed": seed, "draw": draw,
+                   "matrix": g.to_json()}
+            if error is not None:
+                bad["error"] = error
+            failures.append(bad)
 
     # (d) gamma is the ratio of the two integrals, each at its own row,
     # against gamma_automorphic's one quotient row
@@ -783,50 +771,35 @@ def criterion_oracles(scale: str | None = None) -> dict:
         (5, 2, 3, 1, 2, (1, 1)),
         (5, 3, 2, 1, 2, (2, 3)),
     ]
-    t = clock()
-    for q, n, znum, e_om, u0, (e, av) in gamma_cases if full else gamma_cases[:2]:
-        d = _datum(q, n, znum, e_om, u0)
-        lam = TameChar(d.F, e, RootOfUnity(av, q - 1))
-        checked += 1
-        ratio = (zeta_psi_tilde(d, lam) / zeta_psi(d, lam)).scale(lam.at_minus_one() ** (n - 1))
-        if ratio != gamma_automorphic(d, lam):
-            failures.append({"check": "gamma ratio", **_datum_key(d), "twist": [e, av]})
-    phases["gamma_ratio"] += clock() - t
-
-    return _report(
-        8,
-        "independent oracles",
-        checked,
-        failures,
-        t0,
-        phases=_whole_ms(phases),
-    )
+    with tally.phase("gamma_ratio"):
+        for q, n, znum, e_om, u0, (e, av) in gamma_cases if full else gamma_cases[:2]:
+            d = _datum(q, n, znum, e_om, u0)
+            lam = TameChar(d.F, e, RootOfUnity(av, q - 1))
+            tally.checked += 1
+            ratio = (zeta_psi_tilde(d, lam) / zeta_psi(d, lam)).scale(lam.at_minus_one() ** (n - 1))
+            if ratio != gamma_automorphic(d, lam):
+                failures.append({"check": "gamma ratio", **_datum_key(d), "twist": [e, av]})
+    return {}
 
 
 # ----- driver ------------------------------------------------------------
 
-CRITERIA = (
-    (1, "gauss closed form", criterion_gauss_closed_form),
-    (2, "twisted gauss ratio", criterion_gauss_twist),
-    (3, "zeta integral collapse", criterion_zeta_collapse),
-    (4, "epsilon matching", criterion_matching),
-    (5, "determination round trip", criterion_determination),
-    (6, "facets and stability", criterion_stability),
-    (7, "whittaker pair invariance", criterion_pairs),
-    (8, "independent oracles", criterion_oracles),
-)
+CRITERIA = (criterion_gauss_closed_form, criterion_gauss_twist, criterion_zeta_collapse,
+            criterion_matching, criterion_determination, criterion_stability, criterion_pairs,
+            criterion_oracles)
 
 
 def run_all(scale: str | None = None, criteria: Iterable[int] | None = None) -> dict:
     """Run the grid, or only the criteria numbered in `criteria`, each once
     and in grid order; a number outside 1..8 raises ValueError."""
     scale = resolve_scale(scale)
-    wanted = {num for num, _, _ in CRITERIA} if criteria is None else set(criteria)
-    unknown = sorted(wanted - {num for num, _, _ in CRITERIA})
+    nums = {run.num for run in CRITERIA}
+    wanted = nums if criteria is None else set(criteria)
+    unknown = sorted(wanted - nums)
     if unknown:
         raise ValueError(f"no criterion {unknown[0]}: criteria are numbered 1..{len(CRITERIA)}")
     t0 = time.perf_counter()
-    reports = [fn(scale) for num, _, fn in CRITERIA if num in wanted]
+    reports = [run(scale) for run in CRITERIA if run.num in wanted]
     return {
         "scale": scale,
         "ok": all(r["ok"] for r in reports),

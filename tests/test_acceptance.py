@@ -13,6 +13,10 @@ from llclab.building import FacetSpec
 # changed, the answers did not
 CRITERION_6_DIGEST = "1baba9321ad020c793289931e7a0dc7fbcb7df1a756af69cf124e55abd5d6682"
 
+# selftest.answer_digest of the class of each pivot-order draw criterion 8
+# confirms, computed when the digest was added
+CRITERION_8_DIGEST = "127ecc93268a0c1fd7e9ac3979667bc6d3b1a10b508202ce9b7e22bbc48c23b6"
+
 
 def _gate(fn, budget=None):
     rep = fn("full")
@@ -115,3 +119,4 @@ def test_criterion_7_whittaker_pair_invariance():
 def test_criterion_8_independent_oracles():
     rep = _gate(selftest.criterion_oracles, budget=60)
     assert rep["checked"] == 6214
+    assert rep["digest"] == CRITERION_8_DIGEST

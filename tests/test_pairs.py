@@ -827,17 +827,6 @@ def test_pair_failure_records_replay(monkeypatch):
     json.dumps(rep)
 
 
-def test_pair_criterion_reports_phases():
-    rep = selftest.criterion_pairs("small")
-    assert rep["ok"]
-    phases = rep["phases"]
-    assert set(phases) == {"walks", "mirabolic", "k_check"}
-    assert all(v >= 0 for v in phases.values())
-    # whole milliseconds rounded down; the tolerance is float summation's
-    assert sum(phases.values()) <= rep["seconds"] + 1e-9
-    json.dumps(rep)
-
-
 def test_support_report_random_and_planted():
     for q, n, u0 in [(5, 3, 2), (3, 2, 1)]:
         d = _datum(q, n, zeta_num=1, u0=u0)

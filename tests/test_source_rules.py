@@ -423,6 +423,35 @@ def test_seeded_draws_only_shrink():
     assert names & gone == set()
 
 
+def _selftest_frame(tree) -> tuple[set[str], list[str]]:
+    """The top-level names in selftest's tree that read the clock, and the
+    lines where a criterion_* body names the seconds or failure_count key."""
+    clocks, keys = set(), []
+    for stmt in tree.body:
+        name = getattr(stmt, "name", "")
+        for node in ast.walk(stmt):
+            if "perf_counter" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                clocks.add(name)
+            key = node.value if isinstance(node, ast.Constant) else getattr(node, "arg", None)
+            if name.startswith("criterion_") and key in {"seconds", "failure_count"}:
+                keys.append(f"{name}:{node.lineno}")
+    return clocks, keys
+
+
+def test_only_the_runner_keeps_the_clock():
+    # a criterion body counts checks, records failures and answers and
+    # names its phases; the runner, its tally and run_all read the clock,
+    # and the runner alone writes a report's seconds and failure_count
+    clocks, keys = _selftest_frame(ast.parse((SRC / "selftest.py").read_text()))
+    assert clocks == {"_Tally", "_criterion", "run_all"} and keys == []
+    # the rule sees a body that times itself or writes a common key
+    bad = ast.parse(
+        "def criterion_x(scale, tally):\n    t0 = time.perf_counter()\n"
+        "    return {'seconds': 0, 'failure_count': 0}\n"
+    )
+    assert _selftest_frame(bad) == ({"criterion_x"}, ["criterion_x:3", "criterion_x:3"])
+
+
 def _scope_calls(path: Path) -> dict[str, set[str]]:
     """Qualified function name -> the callees of the calls in its body."""
     out = {}

@@ -1,6 +1,5 @@
 import ast
 import itertools
-import json
 import os
 import random
 import subprocess
@@ -661,18 +660,12 @@ def test_left_out_arrows_read_as_zero():
     assert lam.mats == {(0, 1): ((2,),), (2, 0): ((0,),)}
 
 
-def test_stability_criterion_reports_phases():
+def test_stability_criterion_small_counts_and_digest():
     rep = selftest.criterion_stability("small")
     assert rep["ok"]
     # one all-arrows point per facet, and every type with a missing arrow
     assert (rep["checked"], rep["nonbarycenter_points"]) == (25, 64)
-    phases = rep["phases"]
-    assert set(phases) == {"barycenters", "nonbarycenters"}
-    assert all(v >= 0 for v in phases.values())
-    # whole milliseconds rounded down; the tolerance is float summation's
-    assert sum(phases.values()) <= rep["seconds"] + 1e-9
     assert rep["digest"] == SMALL_CRITERION_6_DIGEST
-    json.dumps(rep)
 
 
 # criterion 6's answer digest at small scale, computed before its

@@ -1,7 +1,6 @@
 """Integral factors: principal and dual integrals, gamma, closed form."""
 
 import itertools
-import json
 import random
 import tracemalloc
 from collections import Counter
@@ -842,16 +841,3 @@ def test_oracle_criterion_catches_gamma_without_the_sign(monkeypatch):
         ("gamma ratio", 3, 2),
         ("gamma ratio", 5, 2),
     ]
-
-
-def test_collapse_criterion_reports_phases():
-    # criterion 3 splits its time between the principal integrals and the
-    # dual ones, each with the table builds its calls trigger
-    rep = selftest.criterion_zeta_collapse("small")
-    assert rep["ok"]
-    phases = rep["phases"]
-    assert set(phases) == {"principal", "dual"}
-    assert all(v >= 0 for v in phases.values())
-    # whole milliseconds rounded down; the tolerance is float summation's
-    assert sum(phases.values()) <= rep["seconds"] + 1e-9
-    json.dumps(rep)
