@@ -19,10 +19,10 @@ lives in kernels on bare (val, coeffs, prec) triples, the same three
 fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
 ``dot_t``, the fused ``addmul_t`` (z + c*y in one list), ``cancel_t``
 (the zero z + c*y is when c = -z * y^-1), ``truncate_t``,
-``coeff_at_t``, ``val_at_least_t`` and ``det_t``, and ``digits_t``
-builds an exact triple from drawn digits.  They hold the one copy of
-the window and precision rules, and the library computes on them
-alone.  ``LaurentElem`` is a value: construction, reading,
+``coeff_at_t``, ``val_at_least_t``, ``minors_t`` and ``det_t``, and
+``digits_t`` builds an exact triple from drawn digits.  They hold the
+one copy of the window and precision rules, and the library computes
+on them alone.  ``LaurentElem`` is a value: construction, reading,
 ``truncate``, ``shift``, ``scale``, ``==``, ``repr`` and JSON.  Its
 ``+``, ``*`` and ``inverse`` wrap ``add_t``, ``mul_t`` and ``inverse_t``
 only because the benchmark's per-layer timings call them; nothing in
@@ -40,11 +40,12 @@ along the longer one through ``_add``; a difference reads ``_neg``.  A
 factor with a single coefficient scales the other instead, in ``mul_t``
 and in a ``dot_t`` of one product: one row read along it, with no
 additions.  ``dot_t`` skips pairs with an exact zero, which add neither
-digits nor precision.  ``det_t`` expands along the top row with no
-division: each minor of the rows below is one ``dot_t``, computed once
-under the bitmask of its columns, so an n-by-n determinant takes at
-most n*(2^(n-1) - 1) products, not the n!*n of the sum over
-permutations, and exact entries give the exact determinant.
+digits nor precision.  One kernel, ``minors_t``, gives the minors on
+the bottom rows of a matrix by the bitmask of their columns, each
+computed once, when first asked for, as one ``dot_t`` with no
+division.  ``det_t`` reads its full minor, at most n*(2^(n-1) - 1)
+products against the n!*n of the sum over permutations, and the
+selftest's class reader reads the rest.
 ``inverse_t`` runs its one-unit recurrence forward, pushing each new
 digit along the series with one row, as a product does.  The result
 is normalized once, by scanning the list ends for zeros.
@@ -513,28 +514,26 @@ class LaurentElem:
         return f"<{body}{tail}>"
 
 
-def det_t(ff: FiniteField, rows) -> tuple:
-    """Determinant of a square matrix of (val, coeffs, prec) triples,
-    expanded along its top row, with no division.
+def minors_t(ff: FiniteField, rows):
+    """The minors of a square matrix of (val, coeffs, prec) triples on
+    its bottom rows: minor(mask), for 0 < mask < 2^n, is the minor on
+    the last popcount(mask) rows and the columns in mask.
 
-    The minor on the rows below row k and a set of columns is computed
-    once, kept under the bitmask of those columns, as one dot_t of row k
-    against the minors one row further down.  An exact-zero entry or
-    minor is skipped, so nothing under it is computed.  That is at most
-    n*(2^(n-1) - 1) products, where the sum over permutations takes n!*n.
-    Exact entries give the exact determinant; otherwise each sum carries
-    the smallest precision of its products, as in the chain of products
-    and sums.
+    Each is computed when first asked for and kept: one dot_t of its top
+    row, expanded with no division, against the minors one row further
+    down, skipping the row's exact zeros and what lies under them.
+    Exact entries give exact minors; otherwise a sum carries the
+    smallest precision of its products, as in the chain of products and
+    sums.
     """
     n = len(rows)
     signed = [(row, [neg_t(ff, x) for x in row]) for row in rows[:-1]]
-    # minors[mask]: the minor on the last popcount(mask) rows and the
-    # columns in mask, None until computed; the last row's entries seed it
+    # minors[mask]: None until computed; the last row's entries seed it
     minors: list = [None] * (1 << n)
     for j, x in enumerate(rows[-1]):
         minors[1 << j] = x
 
-    def minor(k: int, mask: int) -> tuple:
+    def expand(k: int, mask: int) -> tuple:
         row, negs = signed[k]
         xs, ys = [], []
         odd = False
@@ -545,12 +544,17 @@ def det_t(ff: FiniteField, rows) -> tuple:
                 if x[1] or x[2] is not None:
                     rest = mask ^ bit
                     xs.append(negs[j] if odd else x)
-                    ys.append(minors[rest] or minor(k + 1, rest))
+                    ys.append(minors[rest] or expand(k + 1, rest))
                 odd = not odd
         out = minors[mask] = dot_t(ff, xs, ys)
         return out
 
-    return minors[-1] or minor(0, (1 << n) - 1)
+    return lambda mask: minors[mask] or expand(n - mask.bit_count(), mask)
+
+
+def det_t(ff: FiniteField, rows) -> tuple:
+    """Determinant of a square matrix of triples: minors_t's full minor."""
+    return minors_t(ff, rows)((1 << len(rows)) - 1)
 
 
 class LocalField:

@@ -29,6 +29,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import combinations
 
 from .bruhat import MonomialClass, decompose
 from .building import (
@@ -41,10 +42,10 @@ from .building import (
 )
 from .characters import AdditiveCharPsi, TameChar
 from .cyclotomic import CycloNumber, RootOfUnity
-from .errors import InsufficientPrecision, ZeroInput
+from .errors import InsufficientPrecision, LLCError, ZeroInput
 from .finitefield import field_of_size
 from .galois import build_parameter, det_parameter, gauss_sum_bruteforce
-from .laurent import ZERO_T, LocalField, add_t, inverse_t, mul_t, val_at_least_t, wrap
+from .laurent import ZERO_T, LocalField, add_t, minors_t, mul_t, wrap
 from .matching import EpsilonTable, determine_from_table, twist_char, verify_matching
 from .matrices import MatG
 from .monomials import EpsMonomial, LambdaGraded, interned_counts
@@ -611,41 +612,43 @@ def _random_decomposed(
                 continue
 
 
-def _reversed_scan_class(F: LocalField, g: MatG) -> MonomialClass:
-    """Monomial invariants recomputed with every traversal flipped: rows
-    bottom-up, pivots found scanning right to left, rows cleared before
-    columns, clears in descending index order.  Must land on the class
-    the packaged decomposition reports.  Runs on g's rows of triples with
-    full-row updates x - c*y, each pivot inverted once."""
-    ff, var = F.residue, F.var
-    neg = ff._neg
-    n = g.n
-    A = [list(row) for row in g.rows]
-    taken: set[int] = set()
-    cols = [0] * n
-    for i in reversed(range(n)):
-        ranked = [(A[i][j][0], j) for j in range(n) if j not in taken and A[i][j][1]]
+def _minor_class(F: LocalField, g: MatG) -> MonomialClass:
+    """The class of g in U\\GL_n/I+ read off the minors P_S of g on its
+    bottom r rows and the r-sets S of columns, numbered from 0, with no
+    elimination.  For g = u M k, P_S does not see u and, by Cauchy-Binet,
+    is M's minor on those rows times a minor of k; n*v(P_S) + sum(S) is
+    least exactly at T_r, the columns of M's bottom r rows.  T_r adds
+    the column of row n - r to T_(r-1), with exponent v(P_T_r) -
+    v(P_T_(r-1)) and unit the ratio of their leading digits, negated
+    when an odd number of T_r's columns lie left of it.  A minor known
+    only to be O(t^p) weighs at least n*p + sum(S); where that or a tie
+    leaves the least set undecided, InsufficientPrecision is raised."""
+    ff, n = F.residue, g.n
+    minor = minors_t(ff, g.rows)
+    cols, exps, units = [0] * n, [0] * n, [0] * n
+    low, low_val, low_lead = 0, 0, 1
+    for r in range(1, n + 1):
+        ranked = []
+        for S in combinations(range(n), r):
+            mask = sum(1 << j for j in S)
+            v, cs, p = minor(mask)
+            if cs or p is not None:
+                ranked.append((n * (v if cs else p) + sum(S), not cs, mask, v, cs))
         if not ranked:
-            raise ZeroInput("no usable pivot in a row of an invertible matrix")
-        piv = min(ranked)[1]
-        taken.add(piv)
-        cols[i] = piv
-        inv = inverse_t(ff, A[i][piv], var)
-        for r in reversed(range(i)):
-            if not A[r][piv][1]:
-                continue
-            c = mul_t(ff, A[r][piv], inv)
-            A[r] = [add_t(ff, x, mul_t(ff, c, y), neg) for x, y in zip(A[r], A[i])]
-        for j in reversed(range(n)):
-            if j == piv or j in taken or not A[i][j][1]:
-                continue
-            c = mul_t(ff, A[i][j], inv)
-            if not val_at_least_t(c, 1 if j < piv else 0, var):
-                raise ValueError("column clear leaves the Iwahori side")
-            for row in A:
-                row[j] = add_t(ff, row[j], mul_t(ff, c, row[piv]), neg)
-    lead = [A[i][cols[i]] for i in range(n)]
-    return MonomialClass(F, cols, [v for v, _, _ in lead], [cs[0] for _, cs, _ in lead])
+            raise ZeroInput(f"the bottom {r} rows of g are dependent")
+        ranked.sort()
+        weight, fuzzy, mask, v, cs = ranked[0]
+        if fuzzy or ranked[1:] and ranked[1][0] <= weight:
+            raise InsufficientPrecision(f"the least minor on the bottom {r} rows is undecided")
+        if mask & low != low:
+            raise LLCError(f"the least column sets on the bottom {r - 1} and {r} rows do not nest")
+        new = mask ^ low
+        unit = ff.mul(cs[0], ff.inv(low_lead))
+        i = n - r
+        cols[i], exps[i] = new.bit_length() - 1, v - low_val
+        units[i] = ff.neg(unit) if (low & (new - 1)).bit_count() % 2 else unit
+        low, low_val, low_lead = mask, v, cs[0]
+    return MonomialClass(F, cols, exps, units)
 
 
 def _conjugate_by_scaling(ff, x: tuple, c: int) -> tuple:
@@ -676,15 +679,16 @@ def _descend_to_base(F: LocalField, E: LocalField, y: tuple):
 
 
 @_criterion(8, "independent oracles", digest=True, phases=(
-    "gauss_modulus", "trace_norm", "draws", "decompose", "reversed_scan", "gamma_ratio"))
+    "gauss_modulus", "trace_norm", "draws", "decompose", "minor_read", "gamma_ratio"))
 def criterion_oracles(scale: str, tally: _Tally) -> dict:
     """Cross-checks against independently derived values: Gauss-sum
     modulus over the residue field, trace and norm via explicit
-    conjugates, pivot-order independence of the decomposition, and gamma
-    as the ratio of the two zeta integrals.  phases times (a), (b), the
-    draws, decompose calls (singular draws included) and reversed scans
-    of (c), and (d); digest reads (q, n, cols, exps, units) of each class
-    (c) confirms, in draw order."""
+    conjugates, the class decompose reports against the one read off
+    the bottom-row minors, and gamma as the ratio of the two zeta
+    integrals.  phases times (a), (b), the draws, decompose calls
+    (singular draws included) and minor reads of (c), and (d); digest
+    reads (q, n, cols, exps, units) of each class (c) confirms, in draw
+    order."""
     full = scale == "full"
     failures = tally.failures
 
@@ -737,7 +741,7 @@ def criterion_oracles(scale: str, tally: _Tally) -> dict:
                         failures.append({"check": check, "q": q, "n": n, "u0": u0,
                                          "draw": draw, "x": E.elem_to_json(x)})
 
-    # (c) decomposition invariants do not depend on the traversal order
+    # (c) the class decompose eliminates is the one the minors read
     pivot_cells = [(q, n) for q in (3, 5) for n in (2, 3, 4)]
     trials = 1000 if full else 150
     # a failure record replays: the cell's seed, the draw's index among
@@ -750,15 +754,15 @@ def criterion_oracles(scale: str, tally: _Tally) -> dict:
             g, mono = _random_decomposed(prng, F, n, tally)
             tally.checked += 1
             error = None
-            with tally.phase("reversed_scan"):
+            with tally.phase("minor_read"):
                 try:
-                    alt = _reversed_scan_class(F, g)
+                    alt = _minor_class(F, g)
                 except Exception as exc:
                     error = repr(exc)
             if error is None and alt == mono:
                 tally.answers.append((q, n, mono.cols, mono.exps, mono.units))
                 continue
-            bad = {"check": "pivot order", "q": q, "n": n, "seed": seed, "draw": draw,
+            bad = {"check": "minor class", "q": q, "n": n, "seed": seed, "draw": draw,
                    "matrix": g.to_json()}
             if error is not None:
                 bad["error"] = error

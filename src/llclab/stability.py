@@ -80,50 +80,41 @@ def _mmul(ff, A, B):
     return tuple(out)
 
 
-def _rank(ff, rows):
+def _rank_det(ff, rows):
+    """Rank and determinant of a matrix, by one forward elimination on
+    the nonzero entries of its rows.  Each row, kept as column -> value,
+    is reduced by the earlier pivot rows at its leftmost column until
+    that column holds no pivot, where it becomes one.  The pivots then
+    sit in distinct columns, so the determinant is the product of the
+    pivots, signed by the parity of their columns in row order; it is 0
+    unless the matrix is square of full rank."""
     mul, add, neg = ff._mul, ff._add, ff._neg
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        scale = mul[ff.inv(mat[rank][col])]
-        mat[rank] = [scale[v] for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                by = mul[mat[r][col]]
-                mat[r] = [add[v][neg[by[w]]] for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _det(ff, A):
-    mul, add, neg = ff._mul, ff._add, ff._neg
-    mat = [list(r) for r in A]
-    m = len(mat)
+    pivots = {}
+    order = []
     det = 1
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = neg[det]
-        det = mul[det][mat[col][col]]
-        inv = ff.inv(mat[col][col])
-        for r in range(col + 1, m):
-            if mat[r][col] != 0:
-                by = mul[mul[mat[r][col]][inv]]
-                mat[r] = [add[v][neg[by[w]]] for v, w in zip(mat[r], mat[col])]
-    return det
+    for row in rows:
+        acc = {c: v for c, v in enumerate(row) if v}
+        while acc:
+            c = min(acc)
+            hit = pivots.get(c)
+            if hit is None:
+                pivots[c] = (acc, neg[ff.inv(acc[c])])
+                order.append(c)
+                det = mul[det][acc[c]]
+                break
+            prow, minus_inv = hit
+            by = mul[mul[acc[c]][minus_inv]]
+            for j, w in prow.items():
+                x = add[acc.get(j, 0)][by[w]]
+                if x:
+                    acc[j] = x
+                else:
+                    del acc[j]
+    rank = len(order)
+    if rank != len(rows) or rows and rank != len(rows[0]):
+        return rank, 0
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return rank, neg[det] if inversions % 2 else det
 
 
 def _rank_profile(ff, A):
@@ -132,7 +123,7 @@ def _rank_profile(ff, A):
     out = []
     P = A
     for _ in range(m):
-        rank = _rank(ff, P)
+        rank = _rank_det(ff, P)[0]
         out.append(rank)
         if rank == 0:
             # every higher power is zero too
@@ -479,7 +470,7 @@ def verify_certificate(cert) -> bool:
             px = _mmul(ff, px, X)
         for W in cert.w_blocks[1:]:
             pw = _mmul(ff, pw, W)
-        _require(_det(ff, px) == _det(ff, pw), "products must share the determinant")
+        _require(_rank_det(ff, px)[1] == _rank_det(ff, pw)[1], "products must share the determinant")
         prof_x = _rank_profile(ff, px)
         prof_w = _rank_profile(ff, pw)
         _require(prof_x[-1] == prof_w[-1] == 0, "witness products must be nilpotent")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -360,9 +361,79 @@ def test_pivot_search_and_operation_order_independence():
         for trial in range(1000):
             g = random_invertible(rng, F, n)
             u, mono, k = decompose(g)
-            assert selftest._reversed_scan_class(F, g) == mono
+            assert selftest._minor_class(F, g) == mono
             if trial % 97 == 0:
                 assert (u * (mono.as_matrix() * k)).agrees(g)
+
+
+def _planted_dense(rng, F, n):
+    """u * M * k with u and k dense to four digits, u's entries from
+    t^-2 on, and M's exponents in -2..2; and M."""
+    q = F.residue.q
+    one, zero = F.one(), F.zero()
+
+    def digits(v):
+        return F.elem(v, [rng.randrange(q) for _ in range(4)])
+
+    u = MatG(F, [[digits(-2) if i < j else one if i == j else zero for j in range(n)]
+                 for i in range(n)])
+    k = MatG(F, [[one + digits(1) if i == j else digits(0 if i < j else 1) for j in range(n)]
+                 for i in range(n)])
+    mono = random_monomial(rng, F, n)
+    return u * mono.as_matrix() * k, mono
+
+
+def _class_or_none(read, g):
+    try:
+        return read(g)
+    except InsufficientPrecision:
+        return None
+
+
+def test_minor_reader_decides_only_where_decompose_does():
+    # planted u*M*k, whole and cut at t^0..t^11: whole, both readings
+    # give M; cut, where the reader returns a class decompose returns it
+    # too and it is M, and where decompose raises the reader raises.  A
+    # minor carries the precision of the chain of products expanding
+    # it, coarser than the elimination's, so on some cuts decompose
+    # decides and the reader raises; the counts pin that gap
+    rng = random.Random(4949)
+    outcomes = {}
+    for q in (3, 5, 7, 9):
+        F = LocalField.base_field(q)
+        reader = functools.partial(selftest._minor_class, F)
+        for n in range(2, 7):
+            for _ in range(20):
+                g, mono = _planted_dense(rng, F, n)
+                assert decompose(g)[1] == reader(g) == mono
+                h = g.truncate(rng.randrange(12))
+                want = _class_or_none(lambda x: decompose(x)[1], h)
+                got = _class_or_none(reader, h)
+                if got is not None:
+                    assert want == got == mono
+                if want is None:
+                    assert got is None
+                key = (want is not None, got is not None)
+                outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {(True, True): 142, (False, False): 233, (True, False): 25}
+
+
+def test_minor_reader_raises_where_a_minor_could_undercut():
+    # a bottom-row entry known only to be O(t^0) could be a unit left of
+    # the pivot: both readings raise.  Known to be O(t^1), it is not
+    F = LocalField.base_field(5)
+    for prec, raises in ((0, True), (1, False)):
+        g = MatG(F, [[F.one(), F.zero()], [F.zero(prec), F.one()]])
+        if raises:
+            for read in (decompose, functools.partial(selftest._minor_class, F)):
+                with pytest.raises(InsufficientPrecision):
+                    read(g)
+        else:
+            assert selftest._minor_class(F, g) == decompose(g)[1] == MonomialClass.identity(F, 2)
+    # dependent bottom rows: the reader finds no minor, exactly
+    singular = MatG(F, [[F.one(), F.one()], [F.one(), F.one()]])
+    with pytest.raises(ZeroInput):
+        selftest._minor_class(F, singular)
 
 
 OPTIMIZED_IWAHORI_CHECK = """
@@ -1085,7 +1156,7 @@ def test_pivot_order_failure_replays_from_its_record(monkeypatch):
     bad = json.loads(json.dumps(rep["failures"][0]))
     # 150 draws a cell at small scale: the 160th is draw 9 of the second
     assert {k: bad[k] for k in ("check", "q", "n", "seed", "draw")} == {
-        "check": "pivot order", "q": 3, "n": 3, "seed": 4002, "draw": 9
+        "check": "minor class", "q": 3, "n": 3, "seed": 4002, "draw": 9
     }
     F = LocalField.base_field(bad["q"])
     g = MatG(F, [[F.elem_from_json(e) for e in row] for row in bad["matrix"]["entries"]])
@@ -1095,7 +1166,7 @@ def test_pivot_order_failure_replays_from_its_record(monkeypatch):
     tally = selftest._Tally(("draws", "decompose"))
     draws = [selftest._random_decomposed(prng, F, bad["n"], tally) for _ in range(bad["draw"] + 1)]
     assert draws[-1][0] == g
-    assert selftest._reversed_scan_class(F, g) == decompose(g)[1] == draws[-1][1]
+    assert selftest._minor_class(F, g) == decompose(g)[1] == draws[-1][1]
 
 
 @pytest.mark.parametrize("check,target,index", [

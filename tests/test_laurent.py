@@ -17,6 +17,7 @@ from llclab.laurent import (
     digits_t,
     dot_t,
     inverse_t,
+    minors_t,
     mul_t,
     neg_t,
     truncate_t,
@@ -798,6 +799,39 @@ def test_det_t_takes_one_product_per_entry_and_minor(monkeypatch):
         pairs.clear()
         got = det_t(ff, mono)
         assert sum(pairs) == n - 1 and got == leibniz_det(ff, mono) != (0, (), None)
+
+
+def test_minors_t_gives_every_bottom_row_minor_once(monkeypatch):
+    # minor(mask) is the Leibniz sum on the last popcount(mask) rows and
+    # the columns in mask, exact or to every digit the sum knows; asked
+    # for in any order, each minor costs one dot_t, and a minor already
+    # computed under a larger one costs none
+    calls = []
+
+    def counting(ff, xs, ys):
+        calls.append(1)
+        return dot_t(ff, xs, ys)
+
+    monkeypatch.setattr(laurent, "dot_t", counting)
+    rng = random.Random(4901)
+    for q in (3, 5, 9):
+        F = LocalField.base_field(q)
+        ff = F.residue
+        for n in range(1, 6):
+            for exact in (True, False):
+                rows = random_rows(rng, F, n, exact=exact)
+                minor = minors_t(ff, rows)
+                masks = list(range(1, 1 << n))
+                rng.shuffle(masks)
+                calls.clear()
+                for mask in masks:
+                    cols = [j for j in range(n) if mask >> j & 1]
+                    sub = [[row[j] for j in cols] for row in rows[n - len(cols):]]
+                    got, want = minor(mask), leibniz_det(ff, sub)
+                    assert _prec_at_least(got[2], want[2])
+                    assert (got if want[2] is None else truncate_t(got, want[2])) == want
+                    assert minor(mask) is got
+                assert len(calls) <= (1 << n) - 1 - n
 
 
 NORM_CELLS = [(3, 2, 2), (5, 3, 4), (5, 4, 3), (7, 5, 6), (9, 4, 5), (11, 5, 7), (13, 6, 2),

@@ -21,7 +21,7 @@ SHAPES = [
     (selftest.criterion_pairs, ["cells", "steps", "conjugation_runs", "phases"],
      ["walks", "mirabolic", "k_check"]),
     (selftest.criterion_oracles, ["phases", "digest"],
-     ["gauss_modulus", "trace_norm", "draws", "decompose", "reversed_scan", "gamma_ratio"]),
+     ["gauss_modulus", "trace_norm", "draws", "decompose", "minor_read", "gamma_ratio"]),
 ]
 
 

@@ -317,6 +317,31 @@ def test_mirabolic_agreement_solves_no_class():
     assert _agreement_solves(source.replace(cached, "def _solved_mirabolic(")) == {"solve"}
 
 
+ELIMINATION = {"_eliminate", "decompose", "inverse_t", "addmul_t"}
+
+
+def _reader_eliminations(selftest_source: str) -> set[str]:
+    """The elimination names selftest._minor_class reaches, through the
+    functions of selftest and of the modules it reads the minors from."""
+    trees = [ast.parse(selftest_source)] + [
+        ast.parse((SRC / f"{stem}.py").read_text()) for stem in ("laurent", "matrices", "bruhat")
+    ]
+    merged = ast.Module(body=[stmt for tree in trees for stmt in tree.body], type_ignores=[])
+    reader = next(f for f in trees[0].body if isinstance(f, ast.FunctionDef) and f.name == "_minor_class")
+    return _reached(merged, reader) & ELIMINATION
+
+
+def test_minor_reader_shares_no_code_with_the_elimination():
+    # criterion 8(c) checks decompose's class against the minors; an
+    # oracle that eliminated, or inverted, could share decompose's defect
+    source = (SRC / "selftest.py").read_text()
+    assert _reader_eliminations(source) == set()
+    # the rule sees a reader that calls decompose, and through it the rest
+    line = "    minor = minors_t(ff, g.rows)\n"
+    assert source.count(line) == 1
+    assert _reader_eliminations(source.replace(line, line + "    decompose(g)\n")) == ELIMINATION
+
+
 def test_only_laurent_uses_its_private_names():
     # laurent's kernels are its interface on triples; what it keeps
     # private (the convolution, the precision rule) has one copy, there
