@@ -24,8 +24,8 @@ from __future__ import annotations
 import functools
 from math import gcd
 
-from .characters import LevelOneCharE, TameChar, _unit_dlog
-from .cyclotomic import CycloNumber, RootOfUnity, _root
+from .characters import LevelOneCharE, TameChar
+from .cyclotomic import CycloNumber, RootOfUnity
 from .errors import ZeroInput
 from .finitefield import field_of_size
 from .laurent import LaurentElem, LocalField
@@ -196,29 +196,14 @@ def epsilon_galois(P: ParameterDatum, lam: TameChar) -> EpsMonomial:
 
 
 class DetCharacter:
-    """Tame character of the base field whose value at the uniformizer may
-    carry powers of Lambda."""
+    """Tame character of the base field, read by its unit exponent and its
+    value at the uniformizer, which may carry powers of Lambda."""
 
-    __slots__ = ("field", "exp_unit", "at_pi", "pi_unit")
+    __slots__ = ("exp_unit", "at_pi")
 
-    def __init__(self, field: LocalField, exp_unit: int, at_pi: LambdaGraded, pi_unit: int):
-        self.field = field
-        self.exp_unit = exp_unit % (field.residue.q - 1)
+    def __init__(self, q: int, exp_unit: int, at_pi: LambdaGraded):
+        self.exp_unit = exp_unit % (q - 1)
         self.at_pi = at_pi
-        self.pi_unit = pi_unit
-
-    def of_unit(self, a: int) -> RootOfUnity:
-        """Value at a residue unit a; outside 1..q-1 it raises as
-        TameChar.of_leading does."""
-        ff = self.field.residue
-        return _root(self.exp_unit * _unit_dlog(ff, a), ff.q - 1)
-
-    def __call__(self, x: LaurentElem) -> LambdaGraded:
-        ff = self.field.residue
-        v, lead = x.leading()
-        # unit part of x relative to the fixed uniformizer pi = pi_unit * t
-        r = ff.mul(lead, ff.pow(self.pi_unit, -v))
-        return self.at_pi**v * self.of_unit(r)
 
     def __repr__(self) -> str:
         return f"DetCharacter(exp_unit={self.exp_unit}, at_pi={self.at_pi!r})"
@@ -235,4 +220,4 @@ def det_parameter(P: ParameterDatum, lam: TameChar | None = None) -> DetCharacte
     kp = P.kappa.of_leading(1, d.pi_unit)
     at_pi = ((xi.at_pi ** d.n) * kp).reduce_lambda(d.n, 1 if kp.is_one() else -1)
     e = xi.exp_unit + P.kappa.exp_unit
-    return DetCharacter(d.F, e, at_pi, d.pi_unit)
+    return DetCharacter(d.q, e, at_pi)

@@ -50,9 +50,12 @@ def test_criterion_1_gauss_closed_form():
 
 def test_criterion_2_twisted_gauss_ratio():
     rep = _gate(selftest.criterion_gauss_twist, budget=120)
-    assert rep["checked"] == 3_084_560
-    # distinct (left, right) value pairs, not the 16,536 input keys
-    assert rep["distinct"] == 1176
+    # one comparison per (q, n, u0, omega exponent, twist) key, at zeta = 1
+    assert rep["checked"] == 173_520
+    # the (datum, twist) pairs those comparisons cover, n^2 per key
+    assert rep["stands_for"] == 3_084_560
+    # distinct (left, right) value pairs, not the input keys
+    assert rep["distinct"] == 42
     _assert_interned(rep)
 
 

@@ -10,7 +10,7 @@ import llclab
 from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar, norm_of_variable
 from llclab.cyclotomic import CycloNumber, RootOfUnity, _root
 from llclab.errors import InsufficientPrecision, ZeroInput
-from llclab.galois import DetCharacter, build_parameter, kappa_char
+from llclab.galois import build_parameter, kappa_char
 from llclab.laurent import LocalField
 from llclab.matching import twist_char
 from llclab.monomials import LambdaGraded
@@ -277,20 +277,13 @@ def test_of_leading_against_its_formula_on_the_grid():
 OUT_OF_RANGE = (-1, -4, 5, 6, 25)
 
 
-def _residue_checked_characters():
-    F = LocalField.base_field(5)
-    zeta = RootOfUnity(1, 9)
-    return TameChar(F, 1, RootOfUnity(1, 4)), DetCharacter(F, 3, LambdaGraded(0, zeta), 2)
-
-
 @pytest.mark.parametrize("c", OUT_OF_RANGE)
 def test_characters_reject_residues_outside_the_units(c):
-    lam, det = _residue_checked_characters()
+    lam = TameChar(LocalField.base_field(5), 1, RootOfUnity(1, 4))
     _, xi = make_xi(5, 3, 2)
     for call in (
         lam.of_unit,
         lambda c: lam.of_leading(2, c),
-        det.of_unit,
         xi.psi.of_residue,
         lambda c: xi.of_unit_part(c, 0),
         lambda c: xi.of_unit_part(1, c),
@@ -300,27 +293,24 @@ def test_characters_reject_residues_outside_the_units(c):
 
 
 def test_characters_reject_zero_as_zero_input():
-    lam, det = _residue_checked_characters()
+    lam = TameChar(LocalField.base_field(5), 1, RootOfUnity(1, 4))
     _, xi = make_xi(5, 3, 2)
     for call in (
         lam.of_unit,
         lambda c: lam.of_leading(-1, c),
-        det.of_unit,
         lambda c: xi.of_unit_part(c, 0),
     ):
         with pytest.raises(ZeroInput):
             call(0)
-    # every unit still has its value, the same on both characters' rules
+    # every unit still has its value
     ff = lam.field.residue
     for c in ff.units():
-        assert det.of_unit(c) == RootOfUnity(3 * ff.dlog(c), 4)
         assert lam.of_unit(c) == RootOfUnity(ff.dlog(c), 4)
 
 
 OPTIMIZED_RESIDUES = f"""
 from llclab.characters import LevelOneCharE, TameChar
 from llclab.cyclotomic import RootOfUnity
-from llclab.galois import DetCharacter
 from llclab.laurent import LocalField
 from llclab.matching import twist_char
 from llclab.monomials import LambdaGraded
@@ -330,11 +320,9 @@ except AssertionError:
     raise SystemExit("assert statements must be stripped in this interpreter")
 F = LocalField.base_field(5)
 lam = TameChar(F, 1, RootOfUnity(1, 4))
-det = DetCharacter(F, 3, LambdaGraded(0, RootOfUnity(1, 9)), 2)
 xi = LevelOneCharE(F.extension(3, 2), LambdaGraded.one(), 0)
 reads = (
     ("tame", lam.of_unit),
-    ("det", det.of_unit),
     ("psi", xi.psi.of_residue),
     ("unit", lambda c: xi.of_unit_part(c, 0)),
     ("wild", lambda c: xi.of_unit_part(1, c)),
@@ -362,7 +350,7 @@ def test_characters_reject_residues_under_optimize():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         f"rejected {name} {c}"
-        for name in ("tame", "det", "psi", "unit", "wild")
+        for name in ("tame", "psi", "unit", "wild")
         for c in OUT_OF_RANGE
     ], out.stdout
 

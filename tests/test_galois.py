@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from llclab import characters, selftest
 from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import ZeroInput
 from llclab.galois import (
-    DetCharacter,
     ParameterDatum,
     _gauss_histogram,
     _gauss_inner,
@@ -275,6 +275,51 @@ def test_gauss_sum_twist_ratio():
         assert tw == base * lam(signed_pi)
 
 
+def _twist_ratio_oracle(q, n):
+    """Oracle: criterion 2's check at every datum of the (q, n) cell, each
+    root zeta included, against every tame twist.  Returns the number of
+    (datum, twist) pairs whose twisted Gauss sum is not the untwisted one
+    times the twist at the signed uniformizer (-1)^(n-1) u0 t."""
+    F = LocalField.base_field(q)
+    ff = F.residue
+    lams = [TameChar(F, e, RootOfUnity(b, q - 1)) for e in range(q - 1) for b in range(q - 1)]
+    failures = 0
+    for u0 in range(1, q):
+        signed_pi = F.elem(1, (u0 if (n - 1) % 2 == 0 else ff.neg(u0),))
+        for e_om in range(q - 1):
+            for znum in range(n * n):
+                xi = build_parameter(_datum(q, n, znum, e_om, u0)).xi
+                base = gauss_sum_bruteforce(xi)
+                for lam in lams:
+                    tw = gauss_sum_bruteforce(xi.twist_by_base(lam))
+                    failures += tw != base * lam(signed_pi)
+    return failures
+
+
+def _criterion_2_failures(monkeypatch, cell):
+    monkeypatch.setattr(selftest, "gauss_cells", lambda scale: [cell])
+    return selftest.criterion_gauss_twist("small")["failure_count"]
+
+
+def test_twist_ratio_criterion_and_per_datum_oracle_pass(monkeypatch):
+    # criterion 2 compares at zeta = 1 only; the oracle keeps every zeta
+    for cell in selftest.gauss_cells("small"):
+        assert _twist_ratio_oracle(*cell) == 0, cell
+        assert _criterion_2_failures(monkeypatch, cell) == 0, cell
+
+
+def test_twist_ratio_oracle_fails_n_squared_times_per_criterion_failure(monkeypatch):
+    # a twist reading lam at u0 t in place of the norm (-1)^(n-1) u0 t of u
+    # is wrong at even n: each key the criterion fails is n^2 failing data
+    monkeypatch.setattr(characters, "norm_of_variable", lambda E: (1, E.pi_unit))
+    caught = 0
+    for q, n in selftest.gauss_cells("small"):
+        got = _criterion_2_failures(monkeypatch, (q, n))
+        assert _twist_ratio_oracle(q, n) == n * n * got, (q, n)
+        caught += got
+    assert caught
+
+
 def _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m):
     """Oracle: the inner Gauss sum built one CycloNumber term per coset,
     every term read from the character and psi directly."""
@@ -313,12 +358,12 @@ def _degrees(q):
 
 
 def test_gauss_inner_matches_term_by_term_sum():
-    # every degree, uniformizer unit and unit exponent, depths 1 to 3
-    for q in (3, 5, 7, 9):
-        for n in _degrees(q):
-            for k in range(q - 1):
-                for m in (1, 2, 3):
-                    _check_inner_against_oracle(q, n, k, m)
+    # every cell of the selftest grid, every uniformizer unit and unit
+    # exponent: depths 1 to 3 at q <= 9 and n <= 5, depth 2 on the rest
+    for q, n in selftest.gauss_cells("full"):
+        for k in range(q - 1):
+            for m in (1, 2, 3) if q <= 9 and n <= 5 else (2,):
+                _check_inner_against_oracle(q, n, k, m)
 
 
 def test_gauss_inner_matches_term_by_term_sum_q25():
@@ -391,27 +436,20 @@ def test_det_parameter_reduced_is_central_character():
         det = det_parameter(build_parameter(d))
         assert det.exp_unit == d.omega_exp % (q - 1)
         assert det.at_pi == LambdaGraded.from_cyclo(d.omega(d.pi_elem()))
-        ff = d.F.residue
-        for a in ff.units():
-            assert det.of_unit(a) == d.omega.of_unit(a)
-        x = d.F.elem(-2, (2, 1, 2))
-        assert det(x) == LambdaGraded.from_cyclo(d.omega(x))
 
 
 def test_twisted_det_parameter_is_central_character_times_twist_power():
-    # det(Ind(xi * lam o N)) = omega * lam^n: as a character, on units and
-    # at a deep element, for every twist (e, b); the trivial twist is det
+    # det(Ind(xi * lam o N)) = omega * lam^n: in its unit exponent and its
+    # value at pi, for every twist (e, b); the trivial twist is det
     for q, n, znum, e_om, u0 in [(5, 2, 1, 2, 2), (7, 3, 4, 3, 1), (3, 4, 5, 1, 2)]:
         d = _datum(q, n, znum, e_om, u0)
         P = build_parameter(d)
         untwisted = det_parameter(P)
         trivial = det_parameter(P, TameChar(d.F, 0))
         assert (trivial.exp_unit, trivial.at_pi) == (untwisted.exp_unit, untwisted.at_pi)
-        x = d.F.elem(-2, (2, 1, 2))
         for e in range(q - 1):
             for b in range(q - 1):
                 want = d.omega * TameChar(d.F, e, RootOfUnity(b, q - 1)) ** n
                 det = det_parameter(P, TameChar(d.F, e, RootOfUnity(b, q - 1)))
                 assert det.exp_unit == want.exp_unit
                 assert det.at_pi == LambdaGraded.from_cyclo(want(d.pi_elem()))
-                assert det(x) == LambdaGraded.from_cyclo(want(x))

@@ -11,7 +11,7 @@ COMMON = ["criterion", "name", "ok", "checked", "failure_count", "failures", "se
 # per criterion: its runner, the keys after the common ones, and its phases
 SHAPES = [
     (selftest.criterion_gauss_closed_form, ["cells", "distinct", "interned"], []),
-    (selftest.criterion_gauss_twist, ["cells", "distinct", "interned"], []),
+    (selftest.criterion_gauss_twist, ["cells", "stands_for", "distinct", "interned"], []),
     (selftest.criterion_zeta_collapse, ["cells", "phases"], ["principal", "dual"]),
     (selftest.criterion_matching,
      ["cells", "with_integral_path", "twisted_determinants", "interned"], []),

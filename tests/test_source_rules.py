@@ -515,7 +515,6 @@ def test_graded_values_are_built_in_normal_form():
         "TameChar._at",
         "LevelOneCharE.of_unit_part",
         "LevelOneCharE.twist_by_base",
-        "DetCharacter.of_unit",
         "EpsMonomial._of_twice",
         "EpsMonomial.__mul__",
         "EpsMonomial.__truediv__",
