@@ -70,13 +70,6 @@ def _min_prec(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _shift_prec(p: int | None, k: int | None) -> int | None:
-    # p + k with None acting as +infinity
-    if p is None or k is None:
-        return None
-    return p + k
-
-
 # ----- triple kernels ----------------------------------------------------
 # A triple (val, coeffs, prec) holds exactly the normalized fields of a
 # LaurentElem, without its field.  These kernels are the one copy of the
@@ -462,10 +455,6 @@ class LaurentElem:
         """Multiply by the residue element c."""
         row = self.field.residue._mul[c]
         return LaurentElem(self.field, self.val, [row[a] for a in self.coeffs], self.prec)
-
-    def shift(self, k: int) -> LaurentElem:
-        """Multiply by the k-th power of the series variable."""
-        return LaurentElem(self.field, self.val + k, self.coeffs, _shift_prec(self.prec, k))
 
     def inverse(self) -> LaurentElem:
         """Multiplicative inverse.

@@ -61,7 +61,7 @@ from .stability import (
     verify_certificate,
 )
 from .supercuspidal import SSCDatum
-from .zeta import gamma_automorphic, zeta_psi, zeta_psi_tilde
+from .zeta import _chain_classes, gamma_automorphic, zeta_psi, zeta_psi_tilde
 
 SCALE_ENV = "LLC_SELFTEST_SCALE"
 
@@ -199,23 +199,34 @@ def criterion_gauss_closed_form(scale: str, tally: _Tally) -> dict:
     """Brute-force character sum == (value at the uniformizer) * q, for
     every datum on the full grid.
 
-    distinct counts the (left, right) value pairs compared, 344 on the
-    full grid; values are interned, so a pair is two object identities.
-    It is a different quantity from the 42 (q, e) keys of the cached
-    inner sum that the checks read."""
+    It compares once per key (q, n, u0, omega's exponent), at zeta = 1.
+    The root zeta enters both sides only as the common factor of
+    xi(pi_E) = Lambda^-1 zeta, and unit products are exact, so the
+    comparison at zeta is the one at zeta = 1 times zeta: it holds at
+    every zeta or at none.
+
+    checked counts the comparisons made, 1,668 on the full grid;
+    stands_for counts the data they cover, n^2 per comparison, 29,300.
+    distinct counts the (left, right) value pairs compared, 6 on the
+    full grid, one per q: at zeta = 1 both sides are Lambda^-1 q.  Values
+    are interned, so a pair is two object identities.  It is a different
+    quantity from the 42 (q, e) keys of the cached inner sum that the
+    checks read."""
     cells = gauss_cells(scale)
     compared = set()
+    stands_for = 0
     for q, n in cells:
         for u0 in range(1, q):
             for e_om in range(q - 1):
-                for znum in range(n * n):
-                    P = _parameter(q, n, znum, e_om, u0)
-                    tally.checked += 1
-                    left, right = gauss_sum_bruteforce(P.xi), P.xi.at_pi * q
-                    compared.add((left, right))
-                    if left != right:
-                        tally.failures.append(_datum_key(P.ssc))
-    return {"cells": cells, "distinct": len(compared), "interned": interned_counts()}
+                P = _parameter(q, n, 0, e_om, u0)
+                tally.checked += 1
+                stands_for += n * n
+                left, right = gauss_sum_bruteforce(P.xi), P.xi.at_pi * q
+                compared.add((left, right))
+                if left != right:
+                    tally.failures.append(_datum_key(P.ssc))
+    return {"cells": cells, "stands_for": stands_for, "distinct": len(compared),
+            "interned": interned_counts()}
 
 
 # ----- 2: twisted Gauss sums ---------------------------------------------
@@ -284,7 +295,9 @@ def criterion_zeta_collapse(scale: str, tally: _Tally) -> dict:
 
     phases splits the time between the zeta_psi calls (principal) and the
     zeta_psi_tilde calls (dual), the table builds each call triggers
-    included."""
+    included.  non_integral_chains counts the (v(h), valuation chain)
+    representatives whose classes the dual tables audited for
+    non-integral x, 695 on the full grid."""
     cells = gauss_cells(scale)
     for q, n in cells:
         F = LocalField.base_field(q)
@@ -313,7 +326,8 @@ def criterion_zeta_collapse(scale: str, tally: _Tally) -> dict:
                             entry["twist"] = [e, b]
                             entry["parts"] = bad
                             tally.failures.append(entry)
-    return {"cells": cells}
+    chains = sum(len(_chain_classes(q, n)) for q, n in cells)
+    return {"cells": cells, "non_integral_chains": chains}
 
 
 # ----- 4: the two epsilon computations agree -----------------------------

@@ -20,8 +20,8 @@ integral has the invariant of one lead matrix per shell v and leading
 digit a0, whatever the depth.  Both lead matrices are monomial, their
 own M with u = k = 1, so that invariant is named, residue and corner 0,
 without an elimination, and cached as an unsolved row weighted by the
-points it stands for.  Only the audit points below are eliminated, read
-with WhittakerInvariant.read at the precision each matrix carries.
+points it stands for.  Only the non-integral audit below eliminates, one
+exact matrix per valuation chain.
 One solver turns the rows into those of a pi_unit, dropping the rows
 off its support.
 
@@ -37,22 +37,27 @@ the same two character values.  The one bound is on the working depth,
 2..MAX_DEPTH, checked before any row is built, and there is no second
 path: the point-by-point integrals are oracles in the tests.
 
-The dual integrand's vanishing for non-integral x is the one claim still
-spot-checked, on fixed-seed random points, for every pi_unit.  Each
-audit point is a coset, h(1 + p^m) and x + p^m, read at the precision
-that coset fixes: h carries m digits and x is known below t^m, so 1/h
-inverts to m digits and precision tracking makes the read hold for
-every point of the coset, not for one representative.
+The dual integrand's vanishing for non-integral x is checked exactly,
+once per (q, n), on the whole region the shells cover: v(h) in
+-SHELL_BOUND..SHELL_BOUND and each x_j of valuation -SHELL_BOUND..-1 or
+integral.  The monomial class of a dual matrix, read off the minors of
+its bottom rows, has cols and exps that depend only on v(h) and the
+valuation chain of its bottom row (_chain_classes), so one exact
+representative per (v(h), chain) is read, 5 (2(n-2) + C(n-2, 2)) of
+them, and reused at every depth and pi_unit.  rotation^r times
+central(s, d) has the cols of rotation^r and its exps shifted by d,
+whatever s and pi_unit, so a class that misses every such shape is off
+the support for every coset of its chain; one that fits raises.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant
+from .bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, _rotation_table
 from .cyclotomic import RootOfUnity
 from .characters import TameChar, norm_of_variable
 from .errors import LLCError, PrecisionNotStabilized
@@ -64,10 +69,6 @@ from .supercuspidal import SSCDatum
 # lead shells -SHELL_BOUND..SHELL_BOUND of both integrals; the support
 # meets only shells 0 and -1
 SHELL_BOUND = 2
-SPOT_CHECKS = 40
-# fixed seeds of the non-integral-x audits: AUDIT_SEED at the working depth,
-# AUDIT_SEED + 1 one depth higher
-AUDIT_SEED = 71
 # the deepest working depth an integral accepts: a call builds rows at m
 # and m + 1, whose cost grows about as m^2 (gamma at q = 5, n = 3 took
 # 0.47 s at depth 200 and 14.5 s at 1,000); the library and its tests
@@ -187,40 +188,14 @@ def _solve_rows(points: Counter, pi_unit: int) -> Counter:
     return rows
 
 
-# the dual integral's unsolved rows at one depth, and the invariants of
-# its audit points, each with a non-integral x
-DualPoints = namedtuple("DualPoints", "points non_integral")
-
-
-def _random_elem(rng: random.Random, F: LocalField, lo: int, hi: int) -> LaurentElem:
-    return F.elem(lo, [rng.randrange(F.residue.q) for _ in range(hi - lo)])
-
-
-def _unit_rep(F: LocalField, m: int, index: int) -> LaurentElem:
-    """The unit coset modulo one-units of depth m with this index among
-    the (q - 1) * q^(m - 1), ordered by the leading digit first, then the
-    m - 1 lower digits, the last one running fastest.  A draw of
-    randrange((q - 1) * q^(m - 1)) consumes the generator exactly as
-    random.choice on the list of all cosets does, so the same seed gives
-    the same unit without the list."""
-    ff = F.residue
-    digits = []
-    for _ in range(m - 1):
-        index, d = divmod(index, ff.q)
-        digits.append(d)
-    digits.append(ff.units()[index])
-    return F.elem(0, digits[::-1])
-
-
 @lru_cache(maxsize=None)
-def _dual_points(q: int, n: int, m: int, seed: int) -> DualPoints:
+def _dual_points(q: int, n: int, m: int) -> Counter:
     """The dual integral's unsolved rows at depth m, for every pi_unit.
 
     Every integral x has the invariant of A(a0 t^v), so the row of
     (v, a0) stands for the q^(m-1) unit cosets with that leading digit,
     and its q-exponent carries the whole integral-x volume q^((n-2)/2).
-    The audit points, with a non-integral x, are drawn from
-    random.Random(seed)."""
+    Non-integral x are audited in cached_dual_table, on _chain_classes."""
     F = LocalField.base_field(q)
     points = Counter()
     for v in range(-SHELL_BOUND, SHELL_BOUND + 1):
@@ -228,37 +203,50 @@ def _dual_points(q: int, n: int, m: int, seed: int) -> DualPoints:
         q_exp = Fraction(v * (n - 3) + n - 2, 2) - m
         for a0 in F.residue.units():
             points[ZetaRow(-v, q_exp, v, a0, _dual_lead_invariant(F, n, v, a0))] = q ** (m - 1)
-
-    non_integral = []
-    if n > 2:
-        rng = random.Random(seed)
-        for _ in range(SPOT_CHECKS):
-            h = _unit_rep(F, m, rng.randrange((q - 1) * q ** (m - 1)))
-            h = h.shift(rng.randrange(-SHELL_BOUND, SHELL_BOUND + 1))
-            xs = [_random_elem(rng, F, 0, m) for _ in range(n - 2)]
-            j = rng.randrange(n - 2)
-            bad_val = rng.randrange(-SHELL_BOUND, 0)
-            xs[j] = F.elem(
-                bad_val,
-                [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)],
-            )
-            # the cosets h(1 + p^m) and x + p^m the draw stands for
-            h = h.truncate(h.val + m)
-            xs = [x.truncate(m) for x in xs]
-            non_integral.append(WhittakerInvariant.read(dual_matrix(F, xs, h)))
-    return DualPoints(points, tuple(non_integral))
+    return points
 
 
-def _table_rows(q: int, n: int, pi_unit: int, m: int, seed: int) -> Counter:
-    """The dual integral's rows for one uniformizer at depth m.
+def _chains(n: int):
+    """The valuation chains of the dual matrix's bottom row, as tuples of
+    (column, valuation of x there): columns falling, valuations rising
+    through -SHELL_BOUND..-1, so one or two links."""
+    for k in range(1, SHELL_BOUND + 1):
+        for cols in combinations(range(n - 1, 1, -1), k):
+            for vals in combinations(range(-SHELL_BOUND, 0), k):
+                yield tuple(zip(cols, vals))
 
-    The rows sum every integral x exactly.  That the integrand vanishes
-    for non-integral x is audited on the invariants solved for this
-    pi_unit, which certifies the rows for every datum and twist at once."""
-    pts = _dual_points(q, n, m, seed)
-    if any(inv.solve(pi_unit) is not None for inv in pts.non_integral):
-        raise LLCError("table audit failed: non-integral x contributed")
-    return _solve_rows(pts.points, pi_unit)
+
+@lru_cache(maxsize=None)
+def _chain_classes(q: int, n: int) -> dict:
+    """(v(h), chain) -> the cols and exps of the class of the dual matrix
+    at h = t^v, with x = t^val on each (column, val) of the chain and
+    x = 0 elsewhere, read once for every depth and pi_unit.
+
+    Rows 0..n-2 of a dual matrix are e_1..e_(n-1), so a minor on its
+    bottom r rows is nonzero only on columns n-r+1..n-1 and one more
+    column s, where it is +-b_s, b the bottom row: 1/h at s = 0, 0 at
+    s = 1 and -x/h at s >= 2.  The class takes the columns that minimize
+    n v(b_s) + s, so its cols and exps see v(h) and the chain alone: the
+    non-integral column of least weight, then the least-weight
+    non-integral column left of the last link, while there is one.  An
+    integral x never beats column 0, and along a chain the valuations
+    rise, so _chains lists every chain of the region."""
+    F = LocalField.base_field(q)
+    classes = {}
+    for v in range(-SHELL_BOUND, SHELL_BOUND + 1):
+        for chain in _chains(n):
+            xs = [F.zero()] * (n - 2)
+            for col, val in chain:
+                xs[n - 1 - col] = F.elem(val, (1,))
+            mono = WhittakerInvariant.read(dual_matrix(F, xs, F.elem(v, (1,)))).mono
+            classes[v, chain] = (mono.cols, mono.exps)
+    return classes
+
+
+def _table_rows(q: int, n: int, pi_unit: int, m: int) -> Counter:
+    """The dual integral's rows for one uniformizer at depth m: every
+    integral x summed exactly, solved for this pi_unit."""
+    return _solve_rows(_dual_points(q, n, m), pi_unit)
 
 
 # Solved support of the dual integral for one (q, n, pi_unit): the rows
@@ -269,13 +257,26 @@ DualSupportTable = namedtuple("DualSupportTable", "q n pi_unit m agg agg_next ro
 @lru_cache(maxsize=None)
 def cached_dual_table(q: int, n: int, pi_unit: int, m: int = 2) -> DualSupportTable:
     """The dual integral's rows for one uniformizer choice, solved from
-    lead invariants named once for every uniformizer."""
+    lead invariants named once for every uniformizer, once no
+    non-integral chain class can lie on the support."""
     _check_depth(m)
     # support and invariants do not see zeta or omega, so a throwaway
     # datum with trivial choices only validates (q, n, pi_unit)
     SSCDatum(q, n, RootOfUnity.one(), 0, None, pi_unit)
-    rows = _table_rows(q, n, pi_unit, m, AUDIT_SEED)
-    rows_next = _table_rows(q, n, pi_unit, m + 1, AUDIT_SEED + 1)
+    # rotation^r central(s, d) has the cols of rotation^r and its exps
+    # shifted by d; no unit moves either, so a class missing that shape
+    # is off the support for every coset of its chain
+    table = _rotation_table(LocalField.base_field(q), n, pi_unit)
+    shapes = {cols: exps for cols, (_, exps, _) in table.items()}
+    for (v, chain), (cols, exps) in _chain_classes(q, n).items():
+        rot = shapes.get(cols)
+        if rot is not None and len({a - b for a, b in zip(exps, rot)}) == 1:
+            raise LLCError(
+                f"table audit failed: non-integral x contributed at (q, n, v(h), chain) "
+                f"= ({q}, {n}, {v}, {chain})"
+            )
+    rows = _table_rows(q, n, pi_unit, m)
+    rows_next = _table_rows(q, n, pi_unit, m + 1)
     return DualSupportTable(q, n, pi_unit, m, rows, rows_next, sum(rows.values()))
 
 

@@ -8,7 +8,7 @@ from llclab.errors import LLCError
 from llclab.laurent import LocalField
 from llclab.matrices import MatG
 
-from test_matrices import entries, in_iplus, sub
+from test_matrices import entries, in_iplus, shift, sub
 
 
 class ReferenceWalk:
@@ -44,7 +44,7 @@ class ReferenceWalk:
                 if e.is_exact_zero():
                     continue
                 c = ff.mul(cls.units[j], ff.inv(cls.units[i]))
-                shifted = e.scale(c).shift(cls.exps[j] - cls.exps[i]).truncate(N)
+                shifted = shift(e.scale(c), cls.exps[j] - cls.exps[i]).truncate(N)
                 rows[cls.cols[i]][cls.cols[j]] = shifted
         return MatG(F, rows)
 
@@ -72,7 +72,7 @@ class ReferenceWalk:
             krows[i][b] = (krows[i][b] + krows[i][a] * x).truncate(N)
         self.k = MatG(self.F, krows)
         cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
-        xi = sub(self.F.zero(), x).scale(ff.mul(units[b], ff.inv(units[a]))).shift(exps[b] - exps[a])
+        xi = shift(sub(self.F.zero(), x).scale(ff.mul(units[b], ff.inv(units[a]))), exps[b] - exps[a])
         ap, bp = cols[a], cols[b]
         kirows = entries(self.ki)
         for j in range(n):

@@ -42,9 +42,13 @@ def _assert_interned(rep):
 
 def test_criterion_1_gauss_closed_form():
     rep = _gate(selftest.criterion_gauss_closed_form, budget=60)
-    assert rep["checked"] == 29300
-    # distinct (left, right) value pairs, not the 42 (q, e) inner-sum keys
-    assert rep["distinct"] == 344
+    # one comparison per (q, n, u0, omega exponent) key, at zeta = 1
+    assert rep["checked"] == 1668
+    # the data those comparisons cover, n^2 per key
+    assert rep["stands_for"] == 29300
+    # distinct (left, right) value pairs, one per q, not the 42 (q, e)
+    # inner-sum keys
+    assert rep["distinct"] == 6
     _assert_interned(rep)
 
 
@@ -62,6 +66,9 @@ def test_criterion_2_twisted_gauss_ratio():
 def test_criterion_3_zeta_integral_collapse():
     rep = _gate(selftest.criterion_zeta_collapse, budget=60)
     assert rep["checked"] == 19380
+    # the (v(h), valuation chain) representatives audited for non-integral
+    # x, 5 (2(n-2) + C(n-2, 2)) per cell; 10 at small scale
+    assert rep["non_integral_chains"] == 695
 
 
 def test_criterion_4_epsilon_matching():

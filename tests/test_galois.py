@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from llclab import characters, selftest
+from llclab import characters, galois, selftest
 from llclab.characters import AdditiveCharPsi, LevelOneCharE, TameChar
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import ZeroInput
@@ -27,7 +27,7 @@ from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.zeta import closed_form_epsilon
 
 from test_laurent import from_base, integer_reps, unit_reps
-from test_matrices import sub
+from test_matrices import shift, sub
 from test_supercuspidal import _datum
 
 
@@ -220,6 +220,45 @@ def test_gauss_sum_closed_formula_on_grid():
         assert gauss_sum_bruteforce(P.xi) == P.xi.at_pi * q
 
 
+def _closed_form_oracle(q, n):
+    """Oracle: criterion 1's check at every datum of the (q, n) cell, each
+    root zeta included.  Returns the number of data whose brute-force
+    Gauss sum is not xi(pi_E) * q."""
+    failures = 0
+    for u0 in range(1, q):
+        for e_om in range(q - 1):
+            for znum in range(n * n):
+                xi = build_parameter(_datum(q, n, znum, e_om, u0)).xi
+                failures += gauss_sum_bruteforce(xi) != xi.at_pi * q
+    return failures
+
+
+def _criterion_1_failures(monkeypatch, cell):
+    monkeypatch.setattr(selftest, "gauss_cells", lambda scale: [cell])
+    return selftest.criterion_gauss_closed_form("small")["failure_count"]
+
+
+def test_closed_form_criterion_and_per_datum_oracle_pass(monkeypatch):
+    # criterion 1 compares at zeta = 1 only; the oracle keeps every zeta
+    for cell in selftest.gauss_cells("full"):
+        assert _closed_form_oracle(*cell) == 0, cell
+        assert _criterion_1_failures(monkeypatch, cell) == 0, cell
+
+
+def test_closed_form_oracle_fails_n_squared_times_per_criterion_failure(monkeypatch):
+    # the inner sum of the trivial unit exponent read one depth too deep,
+    # q times too large: each key the criterion fails is n^2 failing
+    # data, whatever zeta
+    real = galois._gauss_inner
+    monkeypatch.setattr(galois, "_gauss_inner", lambda q, e, m: real(q, e, m + (e == 0)))
+    caught = 0
+    for q, n in selftest.gauss_cells("small"):
+        got = _criterion_1_failures(monkeypatch, (q, n))
+        assert _closed_form_oracle(q, n) == n * n * got, (q, n)
+        caught += got
+    assert caught
+
+
 def test_gauss_sum_deeper_depth_scales():
     d = _datum(5, 2, zeta_num=1, u0=2)
     P = build_parameter(d)
@@ -329,7 +368,7 @@ def _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m):
     ff = E.residue
     total = CycloNumber.zero()
     for x in unit_reps(E, m):
-        y = x.shift(-1)
+        y = shift(x, -1)
         v, a0 = y.leading()
         c1 = ff.mul(y.coeff_at(v + 1), ff.inv(a0))
         term = unitchar.of_unit_part(a0, c1).inverse() * psi(E.trace_to_base(y))

@@ -25,6 +25,8 @@ from llclab.laurent import (
 )
 from llclab.matrices import wrap_matrix
 
+from test_matrices import shift
+
 
 # dict-based polynomial arithmetic, written independently of the series
 # class, used as the oracle for exact products and the small norm forms
@@ -851,8 +853,8 @@ def test_norm_is_the_leibniz_determinant_of_the_multiplication_matrix(q, n, u0):
         for j in range(n):
             col = E.zero()
             for r in range(n):
-                col = col + from_base(E, F.elem(*rows[r][j])).shift(r)
-            assert col == x.shift(j)
+                col = col + shift(from_base(E, F.elem(*rows[r][j])), r)
+            assert col == shift(x, j)
         assert E.norm_to_base(x) == wrap(F, leibniz_det(ff, rows))
     # inexact elements: the same columns, each known as far as x is
     for _ in range(4):
@@ -862,8 +864,8 @@ def test_norm_is_the_leibniz_determinant_of_the_multiplication_matrix(q, n, u0):
         for j in range(n):
             col = E.zero()
             for r in range(n):
-                col = col + from_base(E, F.elem(*rows[r][j])).shift(r)
-            assert col == x.shift(j)
+                col = col + shift(from_base(E, F.elem(*rows[r][j])), r)
+            assert col == shift(x, j)
 
 
 def test_unit_reps_census():

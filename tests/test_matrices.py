@@ -5,7 +5,7 @@ import pytest
 from llclab import pairs, zeta
 from llclab.bruhat import decompose
 from llclab.errors import LLCError
-from llclab.laurent import LocalField, add_t, wrap
+from llclab.laurent import LaurentElem, LocalField, add_t, wrap
 from llclab.matrices import MatG, in_iplus_t
 from llclab.pairs import KWalk
 
@@ -14,6 +14,12 @@ def entries(g):
     """The entries of g as series, row by row."""
     F = g.field
     return [[wrap(F, e) for e in row] for row in g.rows]
+
+
+def shift(x, k):
+    """x times t^k.  The library multiplies no series by a power of the
+    variable, so LaurentElem has no such method."""
+    return LaurentElem(x.field, x.val + k, x.coeffs, None if x.prec is None else x.prec + k)
 
 
 def sub(x, y):

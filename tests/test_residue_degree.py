@@ -22,7 +22,7 @@ from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.supercuspidal import SSCDatum
 from llclab.zeta import zeta_psi, zeta_psi_tilde
 
-from test_galois import _check_inner_against_oracle, _degrees
+from test_galois import _check_inner_against_oracle, _closed_form_oracle, _degrees
 
 Q = 27
 
@@ -94,7 +94,11 @@ def test_every_odd_prime_power_is_a_residue_size():
 
 def test_criteria_at_27_2_on_every_datum(monkeypatch):
     size = (Q - 1) ** 2 * 2 * 2
-    assert _criterion(monkeypatch, selftest.criterion_gauss_closed_form, 2)["checked"] == size
+    # criterion 1 compares once per key at zeta = 1, and the oracle at
+    # every datum
+    rep = _criterion(monkeypatch, selftest.criterion_gauss_closed_form, 2)
+    assert rep["checked"] == (Q - 1) ** 2 and rep["stands_for"] == size
+    assert _closed_form_oracle(Q, 2) == 0
     rep = _criterion(monkeypatch, selftest.criterion_matching, 2)
     assert rep["checked"] == rep["with_integral_path"] == size
     # criterion 5 also requires distinct tables within each central
@@ -107,7 +111,11 @@ def test_criteria_at_27_2_on_every_datum(monkeypatch):
 
 def test_criteria_at_27_4(monkeypatch):
     size = (Q - 1) ** 2 * 4 * 4
-    assert _criterion(monkeypatch, selftest.criterion_gauss_closed_form, 4)["checked"] == size
+    # criterion 1 compares once per key at zeta = 1, and the oracle at
+    # every datum
+    rep = _criterion(monkeypatch, selftest.criterion_gauss_closed_form, 4)
+    assert rep["checked"] == (Q - 1) ** 2 and rep["stands_for"] == size
+    assert _closed_form_oracle(Q, 4) == 0
     data = list(selftest.datum_grid(Q, 4))
     assert len(data) == size
     assert _collapse_failures(data) == []

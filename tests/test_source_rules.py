@@ -419,7 +419,6 @@ SEEDED = {
     "pairs.mirabolic_table",
     "pairs.support_check",
     "selftest.criterion_oracles",
-    "zeta._dual_points",
 }
 
 
@@ -601,8 +600,8 @@ def test_single_value_options_stay_constants():
         zeta._dual_row: shells,
         zeta._psi_points: shells,
         zeta._psi_rows: shells,
-        zeta._dual_points: shells,
-        zeta._table_rows: shells,
+        zeta._dual_points: shells | {"seed"},
+        zeta._table_rows: shells | {"seed"},
         pairs.PairConfig: {"precision", "shell_bound"},
         pairs.mirabolic_table: {"precision", "shell_bound"},
         pairs.support_check: {"shell_bound", "depth"},

@@ -2,14 +2,13 @@
 
 import itertools
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from llclab import selftest, zeta
+from llclab import bruhat, selftest, zeta
 from llclab.bruhat import SolvedInvariant, WhittakerInvariant, decompose
 from llclab.characters import TameChar
 from llclab.cyclotomic import CycloNumber, RootOfUnity
@@ -29,7 +28,7 @@ from llclab.zeta import (
 from test_bruhat import _count_eliminations, diagonal
 from test_laurent import integer_reps, unit_reps
 from test_monomials import EpsPolynomial
-from test_matrices import entries, sub
+from test_matrices import entries, shift, sub
 from test_supercuspidal import _datum
 
 
@@ -111,7 +110,7 @@ def test_depth_bound_is_checked_before_any_row_is_built(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("a row was built for a rejected depth")
 
-    for name in ("_psi_points", "_psi_rows", "_dual_points", "_table_rows",
+    for name in ("_psi_points", "_psi_rows", "_dual_points", "_chain_classes", "_table_rows",
                  "_principal_row", "_dual_row", "_gamma_row", "_stable_row", "_solve_rows"):
         monkeypatch.setattr(zeta, name, build)
     d = _datum(5, 3, zeta_num=1)
@@ -140,7 +139,7 @@ def _principal_points(q, n, m, B=2):
     out = []
     for v in range(-B, B + 1):
         for w in unit_reps(F, m):
-            h = w.shift(v)
+            h = shift(w, v)
             out.append((v, h, WhittakerInvariant.of(*decompose(diagonal(F, [h] + [one] * (n - 1))))))
     return tuple(out)
 
@@ -261,7 +260,7 @@ def _rank2_shell_oracle(d, lam, m, B):
         for w in unit_reps(F, m):
             if w.coeff_at(0) != want_res:
                 continue
-            h = w.shift(-1)
+            h = shift(w, -1)
             out.add_term(1, d.zeta * lam(h).inverse(), Fraction(1, 2) - m)
     return out
 
@@ -306,7 +305,7 @@ def _dual_grid_points(q, n, m, B):
     out = []
     for v in range(-B, B + 1):
         for w in unit_reps(F, m):
-            h = w.shift(v)
+            h = shift(w, v)
             for xs in itertools.product(x_reps, repeat=n - 2):
                 out.append((v, h, WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))))
     return tuple(out)
@@ -364,7 +363,7 @@ def test_dual_support_census():
     hits = 0
     for v in range(-2, 2):
         for w in unit_reps(F, 2):
-            h = w.shift(v)
+            h = shift(w, v)
             on_h = v == -1 and w.coeff_at(0) == want_res
             for x in integer_reps(F, -1, 2):
                 on_x = x.is_exact_zero() or x.valuation() >= 0
@@ -428,7 +427,7 @@ def _dual_class_points(q, n, m, B):
     out = []
     for v in range(-B, B + 1):
         for w in unit_reps(F, m):
-            h = w.shift(v)
+            h = shift(w, v)
             invs = [WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))
                     for xs in itertools.product(x_reps, repeat=n - 2)]
             out.append((v, h, invs))
@@ -480,17 +479,17 @@ def _count_decompositions(monkeypatch):
 
 
 def test_each_dual_point_decomposes_once(monkeypatch):
-    # fresh caches: the first uniformizer eliminates only the 40
-    # non-integral audit points of each depth, since each lead matrix
-    # A(a0 t^v) is monomial and its invariant is named; the other three
-    # only solve them
+    # fresh caches: the first uniformizer eliminates only the 10
+    # non-integral chain representatives, once for both depths, since
+    # each lead matrix A(a0 t^v) is monomial and its invariant is named;
+    # the other three only solve the rows and audit the same classes
     calls = _count_decompositions(monkeypatch)
     per_unit = []
     for u in range(1, 5):
         before = len(calls)
         zeta.cached_dual_table(5, 3, u)
         per_unit.append(len(calls) - before)
-    assert per_unit == [2 * zeta.SPOT_CHECKS, 0, 0, 0] == [80, 0, 0, 0]
+    assert per_unit == [10, 0, 0, 0]
 
 
 def test_each_principal_lead_decomposes_once(monkeypatch):
@@ -514,13 +513,13 @@ def test_every_integral_point_has_its_lead_invariant(q, n, depths):
     # vanishing off shell -1 need no audit
     F = LocalField.base_field(q)
     for m in depths:
-        rows = zeta._dual_points(q, n, m, zeta.AUDIT_SEED).points
+        rows = zeta._dual_points(q, n, m)
         lead = {(row.arg_val, row.arg_lead): row.invariant for row in rows}
         assert len(lead) == len(rows) == 5 * (q - 1)
         x_reps = integer_reps(F, 0, m)
         for v in range(-2, 3):
             for w in unit_reps(F, m):
-                h = w.shift(v)
+                h = shift(w, v)
                 want = [lead[v, w.coeff_at(0)].solve(u) for u in range(1, q)]
                 for xs in itertools.product(x_reps, repeat=n - 2):
                     inv = WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))
@@ -538,98 +537,121 @@ def test_every_principal_point_has_its_lead_invariant():
         assert [inv.solve(u) for u in range(1, 5)] == [want.solve(u) for u in range(1, 5)]
 
 
+# the draws per depth of the seeded audit the chain audit replaced
+AUDIT_DRAWS = 40
+
+
 def _materialising_audit(q, n, m, seed):
-    """The dual table's non-integral audit invariants drawn as before the
-    index draw: random.choice over the whole list of unit cosets."""
+    """The non-integral cosets the dual table's audit once drew, by
+    random.choice over the whole list of unit cosets: (h, xs, invariant),
+    one x of valuation -2 or -1 and the others integral."""
     F = LocalField.base_field(q)
     rng = random.Random(seed)
     unit_rs = unit_reps(F, m)
     out = []
-    for _ in range(zeta.SPOT_CHECKS):
-        h = rng.choice(unit_rs).shift(rng.randrange(-zeta.SHELL_BOUND, zeta.SHELL_BOUND + 1))
+    for _ in range(AUDIT_DRAWS):
+        h = shift(rng.choice(unit_rs), rng.randrange(-zeta.SHELL_BOUND, zeta.SHELL_BOUND + 1))
         xs = [F.elem(0, [rng.randrange(q) for _ in range(m)]) for _ in range(n - 2)]
         j = rng.randrange(n - 2)
         bad_val = rng.randrange(-zeta.SHELL_BOUND, 0)
         xs[j] = F.elem(
             bad_val, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - bad_val - 1)]
         )
-        out.append(WhittakerInvariant.read(dual_matrix(F, xs, h)))
+        out.append((h, xs, WhittakerInvariant.read(dual_matrix(F, xs, h))))
     return tuple(out)
 
 
-def test_dual_audit_draws_the_units_the_list_draw_did():
-    # decoding a drawn index gives the unit random.choice picked from the
-    # list, with the same generator state after it, so every audit point of
-    # criterion 3's cells and depths is what it was
+def _chain_of(n, h, xs):
+    """The valuation chain of the dual matrix's bottom row at h and xs,
+    worked out here from the weights n v(b_s) + s of its non-integral
+    columns s, b_s = -x/h: the least-weight column, then the
+    least-weight one left of the last link, while there is one."""
+    weights = {}
+    for i, x in enumerate(xs):
+        if not x.is_exact_zero() and x.valuation() < 0:
+            col = n - 1 - i
+            weights[col] = (n * (x.valuation() - h.valuation()) + col, x.valuation())
+    chain = []
+    while weights:
+        col = min(weights, key=weights.get)
+        chain.append((col, weights[col][1]))
+        weights = {c: w for c, w in weights.items() if c < col}
+    return tuple(chain)
+
+
+@pytest.mark.parametrize("q,n", [(5, 3), (3, 4), (5, 4), (7, 5), (5, 6)])
+def test_every_valuation_pattern_has_its_chain_class(q, n):
+    # every shell and every valuation pattern of x, -2, -1 or integral,
+    # with at least one x non-integral: the class of a coset with random
+    # digits has the cols and exps the library read off its chain's
+    # representative, and that chain is one the library enumerates
+    F = LocalField.base_field(q)
+    rng = random.Random(q * 100 + n)
+    classes = zeta._chain_classes(q, n)
+    assert len(classes) == 5 * (2 * (n - 2) + (n - 2) * (n - 3) // 2)
+
+    def digits(val, lead):
+        return F.elem(val, [lead] + [rng.randrange(q) for _ in range(3)])
+
+    seen = 0
+    for v in range(-2, 3):
+        for pattern in itertools.product((-2, -1, None), repeat=n - 2):
+            if pattern.count(None) == n - 2:
+                continue
+            xs = [digits(0, rng.randrange(q)) if val is None else digits(val, rng.randrange(1, q))
+                  for val in pattern]
+            h = digits(v, rng.randrange(1, q))
+            mono = decompose(dual_matrix(F, xs, h))[1]
+            assert (mono.cols, mono.exps) == classes[v, _chain_of(n, h, xs)], (v, pattern)
+            seen += 1
+    assert seen == 5 * (3 ** (n - 2) - 1)
+
+
+def test_drawn_non_integral_cosets_are_off_the_support_and_match_their_chain():
+    # the seeded audit's cosets, at criterion 3's cells and depths: each
+    # solves to None for every uniformizer, and its class has the cols and
+    # exps of its chain's representative
     seen = 0
     for q, n in gauss_cells("full"):
         if n == 2:
             continue
-        for m, seed in ((2, zeta.AUDIT_SEED), (3, zeta.AUDIT_SEED + 1), (3, zeta.AUDIT_SEED)):
-            assert zeta._dual_points(q, n, m, seed).non_integral == _materialising_audit(q, n, m, seed)
-            seen += 1
-    assert seen == 3 * 19
+        classes = zeta._chain_classes(q, n)
+        for m, seed in ((2, 71), (3, 72)):
+            for h, xs, inv in _materialising_audit(q, n, m, seed):
+                assert [inv.solve(u) for u in range(1, q)] == [None] * (q - 1)
+                assert (inv.mono.cols, inv.mono.exps) == classes[h.valuation(), _chain_of(n, h, xs)]
+                seen += 1
+    assert seen == 2 * 19 * AUDIT_DRAWS
 
 
-def test_dual_audit_reads_cosets_in_one_elimination(monkeypatch):
-    # each audit point is the coset h(1 + p^m), x + p^m: its matrix's
-    # bottom row carries finite precision, 1/h to m digits, so the
-    # reader's window decides every point of criterion 3's grid and no
-    # read falls back to a second elimination
-    built = []
-    real_dual_matrix = zeta.dual_matrix
-
-    def recording(*args):
-        built.append(real_dual_matrix(*args))
-        return built[-1]
-
-    monkeypatch.setattr(zeta, "dual_matrix", recording)
-    calls = _count_eliminations(monkeypatch)
-    seen = 0
-    for q, n in gauss_cells("full"):
-        if n == 2:
-            continue
-        for m, seed in ((2, zeta.AUDIT_SEED), (3, zeta.AUDIT_SEED + 1)):
-            del built[:], calls[:]
-            zeta._dual_points.__wrapped__(q, n, m, seed)
-            assert len(built) == len(calls) == zeta.SPOT_CHECKS
-            for g in built:
-                bottom = entries(g)[-1]
-                assert bottom[1].is_exact_zero()
-                assert all(e.prec is not None for j, e in enumerate(bottom) if j != 1)
-                assert bottom[0].prec - bottom[0].val == m
-            seen += 1
-    assert seen == 2 * 19
-
-
-def test_dual_audit_builds_no_unit_list():
-    # depth 10 at q = 5 has 4 * 5^9 unit cosets, gigabytes as a list of
-    # series; the audit draws 40 of them and stays within a few megabytes
-    tracemalloc.start()
-    try:
-        pts = zeta._dual_points.__wrapped__(5, 3, 10, zeta.AUDIT_SEED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(pts.non_integral) == zeta.SPOT_CHECKS
-    assert peak < 8 * 2**20
-
-
-def test_table_audit_runs_per_uniformizer(monkeypatch):
-    # a non-integral audit point that contributes at pi_unit 2 only must
-    # fail that uniformizer's table and leave pi_unit 1's alone
-    planted = zeta._dual_points(5, 3, 2, zeta.AUDIT_SEED).non_integral[0]
-    real = WhittakerInvariant.solve
-
-    def solve(self, pi_unit):
-        if pi_unit == 2 and self == planted:
-            return SolvedInvariant(0, 1, 0, 0)
-        return real(self, pi_unit)
-
-    monkeypatch.setattr(WhittakerInvariant, "solve", solve)
-    with pytest.raises(LLCError, match="table audit failed: non-integral x contributed"):
-        cached_dual_table.__wrapped__(5, 3, 2)
+def test_planted_rotation_shaped_class_fails_every_uniformizer(monkeypatch):
+    # one chain class given the cols of rotation^2 and its exps shifted by
+    # -1: it fits rotation^2 central(s, -1) for some s, so every
+    # uniformizer's table must refuse, naming the chain
+    F = LocalField.base_field(5)
+    (cols, (r, exps, _)), = [
+        item for item in bruhat._rotation_table(F, 3, 1).items() if item[1][0] == 2
+    ]
+    classes = dict(zeta._chain_classes(5, 3))
+    key = (1, ((2, -1),))
+    classes[key] = (cols, tuple(e - 1 for e in exps))
+    monkeypatch.setattr(zeta, "_chain_classes", lambda q, n: classes)
+    for u in range(1, 5):
+        with pytest.raises(LLCError, match=r"non-integral x contributed at .* = \(5, 3, 1, \(\(2, -1\),\)\)"):
+            cached_dual_table.__wrapped__(5, 3, u)
+    # the shape test reads the exps only up to a common shift
+    classes[key] = (cols, (exps[0] - 1, exps[1], exps[2]))
     assert cached_dual_table.__wrapped__(5, 3, 1).row_count == 5
+
+
+def test_chain_audit_grows_polynomially(monkeypatch):
+    # 5 (2(n-2) + C(n-2, 2)) representatives, one elimination each: 945 at
+    # n = 20, where a representative per valuation pattern would be
+    # 5 (3^18 - 1)
+    calls = _count_decompositions(monkeypatch)
+    T = zeta.cached_dual_table(3, 20, 1)
+    assert T.row_count == 3
+    assert len(zeta._chain_classes(3, 20)) == len(calls) == 945
 
 
 # ----- gamma and the closed form ----------------------------------------
