@@ -537,7 +537,7 @@ def test_every_principal_point_has_its_lead_invariant():
         assert [inv.solve(u) for u in range(1, 5)] == [want.solve(u) for u in range(1, 5)]
 
 
-# the draws per depth of the seeded audit the chain audit replaced
+# cosets the seeded oracle draws per depth
 AUDIT_DRAWS = 40
 
 
