@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import pytest
 
-from llclab import bruhat, selftest, zeta
-from llclab.bruhat import SolvedInvariant, WhittakerInvariant, decompose
+from llclab import selftest, zeta
+from llclab.bruhat import MonomialClass, SolvedInvariant, WhittakerInvariant, decompose
 from llclab.characters import TameChar
 from llclab.cyclotomic import CycloNumber, RootOfUnity
 from llclab.errors import LLCError, PrecisionNotStabilized
@@ -628,16 +628,15 @@ def test_planted_rotation_shaped_class_fails_every_uniformizer(monkeypatch):
     # one chain class given the cols of rotation^2 and its exps shifted by
     # -1: it fits rotation^2 central(s, -1) for some s, so every
     # uniformizer's table must refuse, naming the chain
-    F = LocalField.base_field(5)
-    (cols, (r, exps, _)), = [
-        item for item in bruhat._rotation_table(F, 3, 1).items() if item[1][0] == 2
-    ]
+    rot2 = MonomialClass.rotation(LocalField.base_field(5), 3, 1) ** 2
+    cols, exps = rot2.cols, rot2.exps
     classes = dict(zeta._chain_classes(5, 3))
     key = (1, ((2, -1),))
     classes[key] = (cols, tuple(e - 1 for e in exps))
     monkeypatch.setattr(zeta, "_chain_classes", lambda q, n: classes)
+    named = r"non-integral x contributed at .* = \(5, 3, 1, \(\(2, -1\),\)\)"
     for u in range(1, 5):
-        with pytest.raises(LLCError, match=r"non-integral x contributed at .* = \(5, 3, 1, \(\(2, -1\),\)\)"):
+        with pytest.raises(LLCError, match=named):
             cached_dual_table.__wrapped__(5, 3, u)
     # the shape test reads the exps only up to a common shift
     classes[key] = (cols, (exps[0] - 1, exps[1], exps[2]))
