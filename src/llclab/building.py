@@ -24,8 +24,8 @@ a loop, diagonal included.
 A point is stored as integer numerators over their least common
 denominator, and every kernel here works on those integers.  Fractions are
 built only in the read-outs that return them (ApartmentPoint.coords,
-GradedQuotient.r, FacetSpec.dim_gap, and the reprs that print
-them) and when a point is made from arbitrary rationals
+FacetSpec.dim_gap, and the reprs that print them, GradedQuotient's jump
+r among them) and when a point is made from arbitrary rationals
 (ApartmentPoint(coords), ApartmentPoint.parse).
 
 Points, facets and graded quotients are immutable, and points and facets
@@ -210,10 +210,6 @@ class ApartmentPoint:
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.den) for v in self.nums)
 
-    @property
-    def n(self) -> int:
-        return len(self.nums)
-
     def in_closed_alcove(self) -> bool:
         x = self.nums
         descending = all(a >= b for a, b in zip(x, x[1:]))
@@ -335,10 +331,6 @@ class GradedQuotient:
         return GradedQuotient, (self.den, self.sizes, self.arrows, self.gaps)
 
     @property
-    def r(self) -> Fraction:
-        return Fraction(min(self.gaps), self.den)
-
-    @property
     def num_nodes(self) -> int:
         return len(self.sizes)
 
@@ -362,7 +354,7 @@ class GradedQuotient:
 
     def __repr__(self) -> str:
         return (
-            f"GradedQuotient(r={self.r}, sizes={self.sizes}, "
+            f"GradedQuotient(r={Fraction(min(self.gaps), self.den)}, sizes={self.sizes}, "
             f"arrows={self.arrows})"
         )
 

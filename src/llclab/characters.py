@@ -65,8 +65,9 @@ def norm_of_variable(efield: LocalField) -> tuple[int, int]:
 class AdditiveCharPsi:
     """x -> exp(2*pi*i * Tr(c_0(x)) / p), conductor the ring of integers.
 
-    The value at each of the q residues is computed once, when the
-    character is built, and kept in _values."""
+    It reads only the constant digit, so of_residue(c) is its value at
+    every x with c_0(x) = c.  The value at each of the q residues is
+    computed once, when the character is built, and kept in _values."""
 
     def __init__(self, field: LocalField):
         if field.base is not None:
@@ -84,11 +85,6 @@ class AdditiveCharPsi:
     def of_residue(self, c: int) -> RootOfUnity:
         """Value at a residue c in 0..q-1; any other integer raises ValueError."""
         return self._values[_residue(self.field.residue, c)]
-
-    def __call__(self, x: LaurentElem) -> RootOfUnity:
-        if x.field is not self.field:
-            raise TypeError("argument does not live on the base field")
-        return self.of_residue(x.coeff_at(0))
 
 
 class TameChar:
@@ -168,18 +164,8 @@ class TameChar:
             raise TypeError("characters of different fields")
         return _tame(self.field, self.exp_unit + other.exp_unit, self.at_var * other.at_var)
 
-    def inverse(self) -> TameChar:
-        return _tame(self.field, -self.exp_unit, self.at_var.inverse())
-
     def __pow__(self, k: int) -> TameChar:
         return _tame(self.field, self.exp_unit * k, self.at_var**k)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TameChar:
-            return NotImplemented
-        return self is other
-
-    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"TameChar(exp_unit={self.exp_unit}, at_t={self.at_var})"
@@ -223,7 +209,10 @@ class LevelOneCharE:
     the wild factor being psi(Tr(u^-1 * (x_unit - 1))) made explicit: the
     trace of u^-1 * c1*u is n*c1 and every deeper digit traces into the
     maximal ideal.  Values are Lambda-graded because at_pi may carry a
-    formal power of the Langlands constant.
+    formal power of the Langlands constant.  The character keeps the data
+    of this formula; galois's Gauss sums read it one residue coset at a
+    time, and tests/test_characters.py evaluates it on series as their
+    oracle.
     """
 
     __slots__ = ("efield", "at_pi", "exp_unit", "psi")
@@ -235,24 +224,6 @@ class LevelOneCharE:
         self.at_pi = at_pi
         self.exp_unit = exp_unit % (efield.residue.q - 1)
         self.psi = AdditiveCharPsi.of_field(efield.base)
-
-    def __call__(self, x: LaurentElem) -> LambdaGraded:
-        if x.field is not self.efield:
-            raise TypeError("argument does not live on the extension")
-        ff = self.efield.residue
-        v, a0 = x.leading()
-        c1 = ff.mul(x.coeff_at(v + 1), ff.inv(a0))
-        return self.at_pi**v * self.of_unit_part(a0, c1)
-
-    def of_unit_part(self, a0: int, c1: int) -> RootOfUnity:
-        """Value on a0 * (1 + c1*u + higher), bypassing series packaging.
-
-        a0 must be a residue unit (ZeroInput at 0, ValueError outside
-        0..q-1) and c1 a residue in 0..q-1 (ValueError otherwise)."""
-        ff = self.efield.residue
-        dlog = _unit_dlog(ff, a0)
-        wild = ff.scalar_mul(self.efield.degree, _residue(ff, c1))
-        return self.psi.of_residue(wild) * _root(self.exp_unit * dlog, ff.q - 1)
 
     def twist_by_base(self, lam: TameChar) -> LevelOneCharE:
         """Multiply by lam composed with the norm down to the base field.

@@ -158,9 +158,6 @@ class RootOfUnity:
     def as_cyclo(self) -> CycloNumber:
         return CycloNumber(self.order, {self.num: 1})
 
-    def complex_value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.num / self.order)
-
     @classmethod
     def parse(cls, text: str) -> RootOfUnity:
         """Parse 'a/N', integers a and N > 0, as exp(2*pi*i*a/N)."""
@@ -267,10 +264,6 @@ class CycloNumber:
     def zero(cls, order: int = 1) -> CycloNumber:
         return cls(order, {})
 
-    @classmethod
-    def one(cls, order: int = 1) -> CycloNumber:
-        return cls(order, {0: 1})
-
     def lift(self, order: int) -> CycloNumber:
         if order == self.order:
             return self
@@ -300,17 +293,6 @@ class CycloNumber:
         n = lcm(self.order, other.order)
         return self.lift(n), other.lift(n)
 
-    def _rotate(self, root: RootOfUnity) -> CycloNumber:
-        """Product with a root of unity: one shift of the exponents in the
-        lcm order.  The shift is a bijection on exponents, so no two terms
-        merge and nothing cancels."""
-        n = lcm(self.order, root.order)
-        k = n // self.order
-        shift = root.num * (n // root.order)
-        return CycloNumber._from_clean(
-            n, {(e * k + shift) % n: c for e, c in self.terms.items()}
-        )
-
     def __add__(self, other) -> CycloNumber:
         a, b = self._pair(other)
         out = dict(a.terms)
@@ -332,9 +314,7 @@ class CycloNumber:
         return a + (-b)
 
     def __mul__(self, other) -> CycloNumber:
-        if isinstance(other, RootOfUnity):
-            return self._rotate(other)
-        if not isinstance(other, CycloNumber):
+        if not isinstance(other, (CycloNumber, RootOfUnity)):
             if not isinstance(other, (int, Fraction)):
                 # graded values scale by a sum through their __rmul__
                 return NotImplemented

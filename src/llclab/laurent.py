@@ -23,10 +23,9 @@ fields without the field: ``add_t``, ``neg_t``, ``mul_t``, ``inverse_t``,
 ``digits_t`` builds an exact triple from drawn digits.  They hold the
 one copy of the window and precision rules, and the library computes
 on them alone.  ``LaurentElem`` is a value: construction, reading,
-``truncate``, ``shift``, ``scale``, ``==``, ``repr`` and JSON.  Its
-``+``, ``*`` and ``inverse`` wrap ``add_t``, ``mul_t`` and ``inverse_t``
-only because the benchmark's per-layer timings call them; nothing in
-the library does.  ``MatG`` stores its entries as triples, so its
+``==``, ``repr`` and JSON.  Its ``+``, ``*`` and ``inverse`` wrap
+``add_t``, ``mul_t`` and ``inverse_t`` only because the benchmark's
+per-layer timings call them; nothing in the library does.  ``MatG`` stores its entries as triples, so its
 product calls ``dot_t`` per entry on the stored rows, its determinant
 and the norm to the base field call ``det_t`` on rows of triples, and
 ``bruhat.decompose`` eliminates those rows as they are and returns its u
@@ -430,9 +429,6 @@ class LaurentElem:
     def valuation(self) -> int:
         return self.leading()[0]
 
-    def coeff_at(self, k: int) -> int:
-        return coeff_at_t((self.val, self.coeffs, self.prec), k, self.field.var)
-
     # ----- arithmetic ---------------------------------------------------
     # __add__, __mul__ and inverse serve the benchmark's layer timings only
     def __add__(self, other: LaurentElem) -> LaurentElem:
@@ -451,11 +447,6 @@ class LaurentElem:
             field.residue, (self.val, self.coeffs, self.prec), (other.val, other.coeffs, other.prec)
         ))
 
-    def scale(self, c: int) -> LaurentElem:
-        """Multiply by the residue element c."""
-        row = self.field.residue._mul[c]
-        return LaurentElem(self.field, self.val, [row[a] for a in self.coeffs], self.prec)
-
     def inverse(self) -> LaurentElem:
         """Multiplicative inverse.
 
@@ -465,9 +456,6 @@ class LaurentElem:
         """
         field = self.field
         return wrap(field, inverse_t(field.residue, (self.val, self.coeffs, self.prec), field.var))
-
-    def truncate(self, prec: int) -> LaurentElem:
-        return wrap(self.field, truncate_t((self.val, self.coeffs, self.prec), prec))
 
     # ----- comparison ---------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -55,16 +55,6 @@ class EpsilonTable:
 
     __hash__ = None
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "entries": [
-                {"e": e, "at_t": b, "epsilon": v.to_json()}
-                for (e, b), v in sorted(self.entries.items())
-            ],
-        }
-
 
 class DeterminationResult:
     """Outcome of reading a datum back off its epsilon table."""

@@ -273,11 +273,6 @@ class EpsMonomial:
     def q_const(self) -> Fraction:
         return Fraction(self._twice, 2)
 
-    def __mul__(self, other: EpsMonomial) -> EpsMonomial:
-        _same_q(self, other)
-        return EpsMonomial._of_twice(self.q, self.unit * other.unit,
-                                     self._twice + other._twice, self.s_coeff + other.s_coeff)
-
     def __truediv__(self, other: EpsMonomial) -> EpsMonomial:
         _same_q(self, other)
         return EpsMonomial._of_twice(self.q, self.unit * other.unit.inverse(),

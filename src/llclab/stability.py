@@ -195,17 +195,13 @@ class FunctionalOverFq:
     def all_ones(cls, gq: GradedQuotient, q: int) -> FunctionalOverFq:
         return cls(gq, q, {a: tuple((1,) * gq.arrow_shape(a)[1] for _ in range(gq.arrow_shape(a)[0])) for a in gq.arrows})
 
-    @property
-    def mats(self) -> dict:
-        return dict(zip(self.gq.arrows, self.matrices))
-
     def arrow_matrix(self, arrow):
         if arrow in self.gq.arrows:
             return self.matrices[self.gq.arrows.index(arrow)]
         return _zero(*self.gq.arrow_shape(arrow))
 
     def __repr__(self):
-        return f"FunctionalOverFq(q={self.q}, mats={self.mats!r})"
+        return f"FunctionalOverFq(q={self.q}, mats={dict(zip(self.gq.arrows, self.matrices))!r})"
 
 
 def enumerate_functionals(gq: GradedQuotient, q: int):
@@ -258,12 +254,8 @@ class NoStableDimGap:
         self.dim_g = dim_g
         self.dim_v = dim_v
 
-    @property
-    def gap(self):
-        return self.dim_g - self.dim_v
-
     def __repr__(self):
-        return f"NoStableDimGap({self.facet}, gap={self.gap})"
+        return f"NoStableDimGap({self.facet}, gap={self.dim_g - self.dim_v})"
 
 
 class NoStableJordanWitness:

@@ -8,7 +8,7 @@ from llclab.errors import LLCError
 from llclab.laurent import LocalField
 from llclab.matrices import MatG
 
-from test_matrices import entries, in_iplus, shift, sub
+from test_matrices import entries, in_iplus, scale, shift, sub, truncate
 
 
 class ReferenceWalk:
@@ -44,7 +44,7 @@ class ReferenceWalk:
                 if e.is_exact_zero():
                     continue
                 c = ff.mul(cls.units[j], ff.inv(cls.units[i]))
-                shifted = shift(e.scale(c), cls.exps[j] - cls.exps[i]).truncate(N)
+                shifted = truncate(shift(scale(e, c), cls.exps[j] - cls.exps[i]), N)
                 rows[cls.cols[i]][cls.cols[j]] = shifted
         return MatG(F, rows)
 
@@ -69,29 +69,29 @@ class ReferenceWalk:
         n, N, ff = self.n, self.N, self.F.residue
         krows = entries(self.k)
         for i in range(n):
-            krows[i][b] = (krows[i][b] + krows[i][a] * x).truncate(N)
+            krows[i][b] = truncate(krows[i][b] + krows[i][a] * x, N)
         self.k = MatG(self.F, krows)
         cols, exps, units = self.Mi.cols, self.Mi.exps, self.Mi.units
-        xi = shift(sub(self.F.zero(), x).scale(ff.mul(units[b], ff.inv(units[a]))), exps[b] - exps[a])
+        xi = shift(scale(sub(self.F.zero(), x), ff.mul(units[b], ff.inv(units[a]))), exps[b] - exps[a])
         ap, bp = cols[a], cols[b]
         kirows = entries(self.ki)
         for j in range(n):
-            kirows[ap][j] = (kirows[ap][j] + xi * kirows[bp][j]).truncate(N)
+            kirows[ap][j] = truncate(kirows[ap][j] + xi * kirows[bp][j], N)
         self.ki = MatG(self.F, kirows)
         self._check_iwahori()
 
     def push_one_unit_diag(self, a, e):
         n, N = self.n, self.N
         # e is a one-unit: its inverse cut to N + 1 digits
-        einv = e.inverse().truncate(N + 1)
+        einv = truncate(e.inverse(), N + 1)
         krows = entries(self.k)
         for i in range(n):
-            krows[i][a] = (krows[i][a] * e).truncate(N)
+            krows[i][a] = truncate(krows[i][a] * e, N)
         self.k = MatG(self.F, krows)
         ap = self.Mi.cols[a]
         kirows = entries(self.ki)
         for j in range(n):
-            kirows[ap][j] = (kirows[ap][j] * einv).truncate(N)
+            kirows[ap][j] = truncate(kirows[ap][j] * einv, N)
         self.ki = MatG(self.F, kirows)
         self._check_iwahori()
 

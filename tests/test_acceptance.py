@@ -65,7 +65,10 @@ def test_criterion_2_twisted_gauss_ratio():
 
 def test_criterion_3_zeta_integral_collapse():
     rep = _gate(selftest.criterion_zeta_collapse, budget=60)
-    assert rep["checked"] == 19380
+    # one comparison per (q, n, u0, omega exponent, twist) key at zeta = 1,
+    # standing for the n^2 roots zeta of its key
+    assert rep["checked"] == 1116
+    assert rep["stands_for"] == 19380
     # the (v(h), valuation chain) representatives audited for non-integral
     # x, 5 (2(n-2) + C(n-2, 2)) per cell; 10 at small scale
     assert rep["non_integral_chains"] == 695

@@ -26,8 +26,9 @@ from llclab.laurent import LaurentElem, LocalField
 from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.zeta import closed_form_epsilon
 
+from test_characters import psi_at, xi_at, xi_unit_part
 from test_laurent import from_base, integer_reps, unit_reps
-from test_matrices import shift, sub
+from test_matrices import shift, sub, truncate
 from test_supercuspidal import _datum
 
 
@@ -50,7 +51,7 @@ def _conic_solvable(F, a, b):
             for s2 in reps:
                 x, y, z = [(one, s1, s2), (s1, one, s2), (s1, s2, one)][pinned]
                 e = sub(a * x * x + b * y * y, z * z)
-                if not e.truncate(3).coeffs:
+                if not truncate(e, 3).coeffs:
                     return True
     return False
 
@@ -147,11 +148,11 @@ def test_parameter_datum_invariants():
         d = _datum(q, n, znum, e_om, u0)
         P = build_parameter(d)
         E = P.efield
-        assert P.xi(E.variable()) == LambdaGraded.lambda_power(-1, d.zeta)
+        assert xi_at(P.xi, E.variable()) == LambdaGraded.lambda_power(-1, d.zeta)
         ff = d.F.residue
         for a in ff.units():
             want = d.omega.of_unit(a) * P.kappa.of_unit(a).inverse()
-            assert P.xi.of_unit_part(a, 0) == want
+            assert xi_unit_part(P.xi, a, 0) == want
 
 
 def test_build_parameter_reference_case():
@@ -167,7 +168,7 @@ def test_xi_at_embedded_uniformizer():
         P = build_parameter(d)
         emb = from_base(P.efield, d.pi_elem())
         want = LambdaGraded.lambda_power(-n, d.omega(d.pi_elem()))
-        assert P.xi(emb) == want
+        assert xi_at(P.xi, emb) == want
 
 
 def test_xi_wild_part():
@@ -176,7 +177,7 @@ def test_xi_wild_part():
         P = build_parameter(d)
         E, ff = P.efield, d.F.residue
         psi = AdditiveCharPsi(d.F)
-        got = P.xi(E.elem(0, (1, 1)))
+        got = xi_at(P.xi, E.elem(0, (1, 1)))
         assert got == LambdaGraded.from_cyclo(psi.of_residue(ff.scalar(n)))
 
 
@@ -365,13 +366,11 @@ def _gauss_inner_term_by_term(q, n, pi_unit, exp_unit, m):
     E = LocalField.base_field(q).extension(n, pi_unit)
     unitchar = LevelOneCharE(E, LambdaGraded.one(), exp_unit)
     psi = AdditiveCharPsi(E.base)
-    ff = E.residue
     total = CycloNumber.zero()
     for x in unit_reps(E, m):
         y = shift(x, -1)
-        v, a0 = y.leading()
-        c1 = ff.mul(y.coeff_at(v + 1), ff.inv(a0))
-        term = unitchar.of_unit_part(a0, c1).inverse() * psi(E.trace_to_base(y))
+        # at_pi is 1, so xi(y) is the root of its unit part
+        term = xi_at(unitchar, y).root.inverse() * psi_at(psi, E.trace_to_base(y))
         total = total + term.as_cyclo()
     return total.compact()
 

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -168,14 +167,6 @@ def test_verify_matching_runs_integral_when_large():
 def test_table_must_contain_trivial_twist():
     with pytest.raises(ValueError):
         EpsilonTable(5, 2, {})
-
-
-def test_table_json_shape():
-    d = _datum(5, 2, 1)
-    blob = EpsilonTable.of_datum(d).to_json()
-    assert blob["q"] == 5 and blob["n"] == 2
-    assert len(blob["entries"]) == 4
-    json.dumps(blob)
 
 
 def test_round_trip_zeta_of_order_n_times_q_minus_one():

@@ -5,7 +5,7 @@ import pytest
 from llclab import pairs, zeta
 from llclab.bruhat import decompose
 from llclab.errors import LLCError
-from llclab.laurent import LaurentElem, LocalField, add_t, wrap
+from llclab.laurent import LaurentElem, LocalField, add_t, coeff_at_t, truncate_t, wrap
 from llclab.matrices import MatG, in_iplus_t
 from llclab.pairs import KWalk
 
@@ -20,6 +20,24 @@ def shift(x, k):
     """x times t^k.  The library multiplies no series by a power of the
     variable, so LaurentElem has no such method."""
     return LaurentElem(x.field, x.val + k, x.coeffs, None if x.prec is None else x.prec + k)
+
+
+def coeff_at(x, k):
+    """The digit of x at t^k, by laurent's kernel; raises past x's
+    precision."""
+    return coeff_at_t((x.val, x.coeffs, x.prec), k, x.field.var)
+
+
+def truncate(x, prec):
+    """x cut at t^prec, by laurent's kernel."""
+    return wrap(x.field, truncate_t((x.val, x.coeffs, x.prec), prec))
+
+
+def scale(x, c):
+    """x times the residue c.  The library scales series only inside its
+    kernels, so LaurentElem has no such method."""
+    ff = x.field.residue
+    return LaurentElem(x.field, x.val, [ff.mul(c, a) for a in x.coeffs], x.prec)
 
 
 def sub(x, y):

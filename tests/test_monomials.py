@@ -40,7 +40,7 @@ class EpsPolynomial:
     def add_term(self, x_power, coeff, q_exp):
         """Add coeff * q^q_exp * X^x_power."""
         q_exp = Fraction(q_exp)
-        coeff = CycloNumber.one() * coeff
+        coeff = CycloNumber.from_rational(1) * coeff
         half = _half_power(self.q)
         if half is not None and q_exp.denominator == 2:
             coeff, q_exp = coeff * half, q_exp - Fraction(1, 2)
@@ -104,8 +104,6 @@ def test_malformed_operands_raise_llc_errors():
     # explicit raises, so the checks hold under python -O as well
     with pytest.raises(LLCError):
         LambdaGraded.lambda_power(3).reduce_lambda(3, 0)
-    with pytest.raises(LLCError):
-        mono(5, 1, Fraction(1, 2), -1) * mono(7, 1, Fraction(1, 2), -1)
     with pytest.raises(LLCError):
         mono(5, 1, Fraction(1, 2), -1) / mono(7, 1, Fraction(1, 2), -1)
 
@@ -195,10 +193,6 @@ class FractionEpsMonomial:
         self.q_const = q_const + shift
         self.s_coeff = s_coeff
 
-    def __mul__(self, other):
-        return FractionEpsMonomial(self.q, self.unit * other.unit,
-                                   self.q_const + other.q_const, self.s_coeff + other.s_coeff)
-
     def __truediv__(self, other):
         return FractionEpsMonomial(self.q, self.unit * other.unit.inverse(),
                                    self.q_const - other.q_const, self.s_coeff - other.s_coeff)
@@ -254,7 +248,6 @@ def test_eps_monomial_int_exponent_matches_fraction_oracle(q):
     assert len({a for a, _ in built}) == len({oa for _, oa in built})
     rng = random.Random(q)
     for (a, oa), (b, ob) in rng.sample([(x, y) for x in built for y in built], 400):
-        assert _agrees_with_oracle(a * b, oa * ob)
         assert _agrees_with_oracle(a / b, oa / ob)
         assert _agrees_with_oracle(a.scale(b.unit), oa.scale(ob.unit))
         assert _agrees_with_oracle(a.scale(Fraction(p, 4)), oa.scale(Fraction(p, 4)))
@@ -276,9 +269,10 @@ def test_normal_q_power_memo_reads_what_it_computes():
 def test_eps_monomial_mul_div():
     a = mono(5, RootOfUnity(1, 3), Fraction(1, 2), -1)
     b = mono(5, RootOfUnity(2, 3), Fraction(-1), 0)
-    p = a * b
-    assert p == mono(5, 1, Fraction(-1, 2), -1)
-    assert p / b == a
+    p = a.scale(b.unit)
+    assert p == mono(5, 1, Fraction(1, 2), -1)
+    assert a / b == mono(5, RootOfUnity(2, 3), Fraction(3, 2), -1)
+    assert a / (a / b) == b
 
 
 def test_eps_polynomial_merge_and_collapse():
@@ -354,7 +348,7 @@ def test_graded_scaling_matches_generic_product():
             for fast in (g * f, f * g):
                 _assert_same_value(fast, generic)
         # sums are no units: scaling by one, or by zero, is refused
-        for bad in (CycloNumber(4, {0: 1, 3: -2}), CycloNumber.one()):
+        for bad in (CycloNumber(4, {0: 1, 3: -2}), CycloNumber.from_rational(1)):
             with pytest.raises(TypeError):
                 g * bad
             with pytest.raises(TypeError):
@@ -395,7 +389,7 @@ def test_zero_equals_zero_at_every_grade():
     zeros = (0, Fraction(0), CycloNumber.zero(7), w_sum)
     p = EpsPolynomial(5)
     for v, zero in enumerate(zeros):
-        assert CycloNumber.one() * zero == CycloNumber.zero(5) == CycloNumber.one() * zero
+        assert CycloNumber.from_rational(1) * zero == CycloNumber.zero(5) == CycloNumber.from_rational(1) * zero
         p.add_term(v, zero, Fraction(1, 2))
         for a in (2, -1, 0):
             with pytest.raises(LLCError):
@@ -447,7 +441,7 @@ def test_root_times_rational_unit_oracle():
     units = [draw() for _ in range(80)]
     # the same values again, with the sign moved out of the root
     units += [LambdaGraded(x.grade, x.root * RootOfUnity.minus_one(), -x.rational) for x in units[:20]]
-    one = (0, CycloNumber.one())
+    one = (0, CycloNumber.from_rational(1))
     for _ in range(300):
         x, y = rng.choice(units), rng.choice(units)
         ox, oy = old(x), old(y)
@@ -595,8 +589,8 @@ def test_rationals_stay_in_normal_form(q, p):
         for const in (0, Fraction(1, 2), Fraction(-3, 2), 2, -1):
             m = EpsMonomial(q, x, Fraction(const), -1)
             m2 = EpsMonomial(q, x.inverse(), Fraction(const), 1)
-            seen += [m.unit, (m * m2).unit, (m / m2).unit, m.scale(Fraction(p, 7)).unit]
-            assert m * m2 == EpsMonomial(q, LambdaGraded.one(), 2 * Fraction(const), 0)
+            seen += [m.unit, (m / m2).unit, m.scale(Fraction(p, 7)).unit]
+            assert m / m2 == EpsMonomial(q, x * x, Fraction(0), -2)
     assert any(type(u.rational) is int for u in seen)
     assert any(type(u.rational) is Fraction for u in seen)
     for u in seen:

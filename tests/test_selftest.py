@@ -12,7 +12,7 @@ COMMON = ["criterion", "name", "ok", "checked", "failure_count", "failures", "se
 SHAPES = [
     (selftest.criterion_gauss_closed_form, ["cells", "stands_for", "distinct", "interned"], []),
     (selftest.criterion_gauss_twist, ["cells", "stands_for", "distinct", "interned"], []),
-    (selftest.criterion_zeta_collapse, ["cells", "non_integral_chains", "phases"],
+    (selftest.criterion_zeta_collapse, ["cells", "stands_for", "non_integral_chains", "phases"],
      ["principal", "dual"]),
     (selftest.criterion_matching,
      ["cells", "with_integral_path", "twisted_determinants", "interned"], []),

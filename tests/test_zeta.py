@@ -28,7 +28,7 @@ from llclab.zeta import (
 from test_bruhat import _count_eliminations, diagonal
 from test_laurent import integer_reps, unit_reps
 from test_monomials import EpsPolynomial
-from test_matrices import entries, shift, sub
+from test_matrices import coeff_at, entries, shift, sub
 from test_supercuspidal import _datum
 
 
@@ -258,7 +258,7 @@ def _rank2_shell_oracle(d, lam, m, B):
         if v != -1:
             continue
         for w in unit_reps(F, m):
-            if w.coeff_at(0) != want_res:
+            if coeff_at(w, 0) != want_res:
                 continue
             h = shift(w, -1)
             out.add_term(1, d.zeta * lam(h).inverse(), Fraction(1, 2) - m)
@@ -288,6 +288,74 @@ def test_dual_integral_tame_twist():
     d = _datum(7, 2, zeta_num=3, omega_exp=2, u0=3)
     lam = TameChar(d.F, 2, RootOfUnity(1, 6))
     _assert_collapses_to(zeta_psi_tilde(d, lam), _dual_expected(d, lam))
+
+
+def _zeta_collapse_oracle(q, n):
+    """Oracle: criterion 3's checks at every datum of the (q, n) cell, each
+    root zeta included, against its three twists.  Returns the number of
+    (datum, twist) pairs whose principal integral at depth 2 or 3, or
+    whose dual integral, misses its value."""
+    F = LocalField.base_field(q)
+    principal = EpsMonomial(q, LambdaGraded.one(), Fraction(-1), 0)
+    failures = 0
+    for u0 in range(1, q):
+        for znum in range(n * n):
+            for e_om in (0, 1):
+                d = _datum(q, n, znum, e_om, u0)
+                for e, b in ZETA_TWISTS:
+                    lam = TameChar(F, e, RootOfUnity(b, q - 1))
+                    dual = _dual_expected(d, lam).collapse_to_monomial()
+                    failures += (zeta_psi(d, lam) != principal or zeta_psi(d, lam, m=3) != principal
+                                 or zeta_psi_tilde(d, lam) != dual)
+    return failures
+
+
+def _criterion_3(monkeypatch, cell):
+    monkeypatch.setattr(selftest, "gauss_cells", lambda scale: [cell])
+    return selftest.criterion_zeta_collapse("small")
+
+
+@pytest.mark.parametrize("q,n", [*gauss_cells("small"), (7, 3), (5, 4)])
+def test_zeta_enters_the_integrals_only_as_a_factor(q, n):
+    # criterion 3 compares at zeta = 1 only: at every datum and twist the
+    # principal integral is the one at zeta = 1, and the dual integral is
+    # the one at zeta = 1 times zeta
+    F = LocalField.base_field(q)
+    for u0 in range(1, q):
+        for e_om in (0, 1):
+            one = _datum(q, n, 0, e_om, u0)
+            for e, b in ZETA_TWISTS:
+                lam = TameChar(F, e, RootOfUnity(b, q - 1))
+                principal, dual = zeta_psi(one, lam), zeta_psi_tilde(one, lam)
+                for znum in range(1, n * n):
+                    d = _datum(q, n, znum, e_om, u0)
+                    assert zeta_psi(d, lam) == principal
+                    assert zeta_psi_tilde(d, lam) == dual.scale(d.zeta)
+
+
+def test_zeta_collapse_criterion_and_per_datum_oracle_pass(monkeypatch):
+    checked = stands_for = 0
+    for cell in gauss_cells("small"):
+        assert _zeta_collapse_oracle(*cell) == 0, cell
+        rep = _criterion_3(monkeypatch, cell)
+        assert rep["failure_count"] == 0, cell
+        checked += rep["checked"]
+        stands_for += rep["stands_for"]
+    assert (checked, stands_for) == (60, 360)
+
+
+def test_zeta_collapse_oracle_fails_n_squared_times_per_criterion_failure(monkeypatch):
+    # integrals reading lam(h) in place of lam(h)^-1 at their argument are
+    # wrong at some twists whatever zeta is: each key the criterion fails
+    # is n^2 failing data
+    value = zeta._value
+    monkeypatch.setattr(zeta, "_value", lambda d, lam, row: value(d, lam**-1, row))
+    caught = 0
+    for q, n in gauss_cells("small"):
+        got = _criterion_3(monkeypatch, (q, n))["failure_count"]
+        assert _zeta_collapse_oracle(q, n) == n * n * got, (q, n)
+        caught += got
+    assert caught
 
 
 def _point_weight(n, m, v):
@@ -364,7 +432,7 @@ def test_dual_support_census():
     for v in range(-2, 2):
         for w in unit_reps(F, 2):
             h = shift(w, v)
-            on_h = v == -1 and w.coeff_at(0) == want_res
+            on_h = v == -1 and coeff_at(w, 0) == want_res
             for x in integer_reps(F, -1, 2):
                 on_x = x.is_exact_zero() or x.valuation() >= 0
                 got = d.whittaker_root(dual_matrix(F, [x], h))
@@ -443,7 +511,7 @@ def _per_unit_dual_rows(q, n, pi_unit, m, B):
         (s,) = {inv.solve(pi_unit) for inv in invs}
         if s is not None:
             q_exp = _point_weight(n, m, v) + m * (n - 2)
-            rows[zeta.ZetaRow(-v, q_exp, v, h.coeff_at(v), s)] += 1
+            rows[zeta.ZetaRow(-v, q_exp, v, coeff_at(h, v), s)] += 1
     return rows
 
 
@@ -454,7 +522,7 @@ def _per_unit_psi_rows(q, n, pi_unit, m, B=2):
     for v, h, inv in _principal_points(q, n, m, B):
         s = inv.solve(pi_unit)
         if s is not None:
-            rows[zeta.ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, ff.inv(h.coeff_at(v)), s)] += 1
+            rows[zeta.ZetaRow(v, Fraction(v * (n - 1), 2) - m, -v, ff.inv(coeff_at(h, v)), s)] += 1
     return rows
 
 
@@ -520,7 +588,7 @@ def test_every_integral_point_has_its_lead_invariant(q, n, depths):
         for v in range(-2, 3):
             for w in unit_reps(F, m):
                 h = shift(w, v)
-                want = [lead[v, w.coeff_at(0)].solve(u) for u in range(1, q)]
+                want = [lead[v, coeff_at(w, 0)].solve(u) for u in range(1, q)]
                 for xs in itertools.product(x_reps, repeat=n - 2):
                     inv = WhittakerInvariant.of(*decompose(dual_matrix(F, xs, h)))
                     assert [inv.solve(u) for u in range(1, q)] == want
@@ -533,7 +601,7 @@ def test_every_principal_point_has_its_lead_invariant():
     lead = {(-row.arg_val, ff.inv(row.arg_lead)): row.invariant for row in rows}
     assert len(lead) == len(rows) == 5 * 4
     for v, h, inv in _principal_points(5, 3, 3):
-        want = lead[v, h.coeff_at(v)]
+        want = lead[v, coeff_at(h, v)]
         assert [inv.solve(u) for u in range(1, 5)] == [want.solve(u) for u in range(1, 5)]
 
 
