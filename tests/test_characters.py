@@ -32,9 +32,8 @@ def xi_unit_part(xi, a0, c1):
     """The depth-one character xi on a0 * (1 + c1*u + higher):
     zeta_(q-1)^(exp_unit dlog a0) * psi(n c1)."""
     ff = xi.efield.residue
-    return xi.psi.of_residue(ff.scalar_mul(xi.efield.degree, c1)) * RootOfUnity(
-        xi.exp_unit * ff.dlog(a0), ff.q - 1
-    )
+    wild = xi.psi.of_residue(ff.scalar_mul(xi.efield.degree, c1))
+    return wild * RootOfUnity(xi.exp_unit * ff.dlog(a0), ff.q - 1)
 
 
 def xi_at(xi, x):
