@@ -162,6 +162,13 @@ def _facet_info(f: FacetSpec) -> dict:
 
 def cmd_facet(args: argparse.Namespace) -> int:
     field_of_size(args.fq)  # odd prime power guard
+    # a flag the chosen mode would not read exits 2, naming the flag
+    modes = [f"--{m}" for m in ("list", "spec", "point") if getattr(args, m) not in (None, False)]
+    if len(modes) > 1:
+        raise ValueError(f"{modes[1]} cannot go with {modes[0]}")
+    for flag, mode in (("certify", "--spec"), ("destabilize", "--point")):
+        if getattr(args, flag) and modes != [mode]:
+            raise ValueError(f"--{flag} needs {mode}")
     if args.list:
         if args.n is None:
             raise ValueError("--list needs --n")
@@ -192,6 +199,8 @@ def cmd_facet(args: argparse.Namespace) -> int:
         return code
     if args.point is not None:
         x = ApartmentPoint.parse(args.point)
+        if args.n is not None and len(x.nums) != args.n:
+            raise ValueError(f"point has size {len(x.nums)}, --n says {args.n}")
         dims = root_count_dims(x)
         payload = {
             "point": [str(c) for c in x.coords],

@@ -61,7 +61,7 @@ from .stability import (
     verify_certificate,
 )
 from .supercuspidal import SSCDatum
-from .zeta import _chain_classes, gamma_automorphic, zeta_psi, zeta_psi_tilde
+from .zeta import _chain_classes, _gamma_row, gamma_automorphic, zeta_psi, zeta_psi_tilde
 
 SCALE_ENV = "LLC_SELFTEST_SCALE"
 
@@ -340,54 +340,75 @@ def criterion_zeta_collapse(scale: str, tally: _Tally) -> dict:
 # ----- 4: the two epsilon computations agree -----------------------------
 
 
-@_criterion(4, "epsilon matching")
-def criterion_matching(scale: str, tally: _Tally) -> dict:
-    """Galois-side epsilon == closed form == integral path, and the reduced
-    determinant character equals the central character, for every datum
-    and every unit twist.
+def _unit_record(u: LambdaGraded) -> tuple:
+    return u.grade, u.root.num, u.root.order, u.rational
 
-    twisted_determinants counts the checks that the determinant of each
-    twisted parameter, det(Ind(xi * lam o N)), is omega * lam^n in its
-    unit exponent and its value at pi: 292,520 on the full grid, one per
-    datum and twist.  A Gauss sum of a depth-one character does not see
-    its tame unit exponent, so this is the check that sees a twist which
-    leaves that exponent alone."""
+
+@_criterion(4, "epsilon matching", digest=True)
+def criterion_matching(scale: str, tally: _Tally) -> dict:
+    """Galois-side epsilon == closed form == integral path, and the
+    twisted determinant is omega * lam^n, for every datum and unit twist.
+
+    It compares once per key (q, n, u0, omega's exponent), at zeta = 1:
+    zeta enters each engine only as a factor zeta^1, in the closed form's
+    lam(norm) zeta, the Galois side's xi(pi_E) = Lambda^-1 zeta and the
+    integral path's zeta^r omega(s t^d) at a gamma row with r = 1 and
+    d = 0, checked per (q, n, u0).  Both sides of a determinant check
+    carry omega(pi) = zeta^n.  So each check holds at every zeta or none.
+    On the full grid checked counts 1,668 comparisons and
+    twisted_determinants 16,536; stands_for (29,300) and
+    twisted_stands_for (292,520) count the data and (datum, twist) pairs
+    they cover, n^2 per check.  A Gauss sum of a depth-one character does
+    not see its tame unit exponent; the determinant sees a twist that
+    leaves that exponent alone.  digest reads the agreed epsilon at
+    zeta = 1 and the determinant, per key and twist."""
     cells = gauss_cells(scale)
-    with_integral, twisted = 0, 0
+    with_integral = stands_for = twisted = twisted_stands_for = 0
     for q, n in cells:
         F = LocalField.base_field(q)
         # every unit twist, each with its n-th power
         twists = [(e, 0) for e in range(q - 1)]
         lams = [twist_char(F, e, b) for e, b in twists]
         powers = [lam**n for lam in lams]
-        for d in datum_grid(q, n):
-            rep = verify_matching(d, twists)
-            tally.checked += 1
-            if any("automorphic" in row for row in rep["twists"]):
-                with_integral += 1
-            if not (rep["all_equal"] and rep["central_character_matches"]):
-                bad = _datum_key(d)
-                bad["central_character_matches"] = rep["central_character_matches"]
-                bad["twists"] = [
-                    {"twist": row["twist"],
-                     **{side: row[side].to_json() for side in ("closed", "galois", "automorphic")
-                        if side in row}}
-                    for row in rep["twists"]
-                    if not row["equal"]
-                ]
-                tally.failures.append(bad)
-            P = build_parameter(d)
-            for twist, lam, lam_n in zip(twists, lams, powers):
-                want, det = d.omega * lam_n, det_parameter(P, lam)
-                twisted += 1
-                if (det.exp_unit != want.exp_unit
-                        or det.at_pi != LambdaGraded(0, want.of_leading(1, d.pi_unit))):
+        for u0 in range(1, q):
+            inv = _gamma_row(q, n, u0).invariant
+            if (inv.rot, inv.central_val) != (1, 0):
+                tally.failures.append({"q": q, "n": n, "pi_unit": u0, "gamma_row": list(inv)})
+            for e_om in range(q - 1):
+                P = _parameter(q, n, 0, e_om, u0)
+                d = P.ssc
+                rep = verify_matching(d, twists)
+                tally.checked += 1
+                stands_for += n * n
+                if any("automorphic" in row for row in rep["twists"]):
+                    with_integral += 1
+                if not (rep["all_equal"] and rep["central_character_matches"]):
                     bad = _datum_key(d)
-                    bad["twist"] = list(twist)
-                    bad["check"] = "twisted determinant"
+                    bad["central_character_matches"] = rep["central_character_matches"]
+                    bad["twists"] = [
+                        {"twist": row["twist"],
+                         **{side: row[side].to_json() for side in ("closed", "galois", "automorphic")
+                            if side in row}}
+                        for row in rep["twists"]
+                        if not row["equal"]
+                    ]
                     tally.failures.append(bad)
-    return {"cells": cells, "with_integral_path": with_integral,
-            "twisted_determinants": twisted, "interned": interned_counts()}
+                for twist, lam, lam_n, row in zip(twists, lams, powers, rep["twists"]):
+                    want, det = d.omega * lam_n, det_parameter(P, lam)
+                    twisted += 1
+                    twisted_stands_for += n * n
+                    eps = row["closed"]
+                    tally.answers.append((*_unit_record(eps.unit), eps._twice, eps.s_coeff,
+                                          det.exp_unit, *_unit_record(det.at_pi)))
+                    if (det.exp_unit != want.exp_unit
+                            or det.at_pi != LambdaGraded(0, want.of_leading(1, d.pi_unit))):
+                        bad = _datum_key(d)
+                        bad["twist"] = list(twist)
+                        bad["check"] = "twisted determinant"
+                        tally.failures.append(bad)
+    return {"cells": cells, "stands_for": stands_for, "with_integral_path": with_integral,
+            "twisted_determinants": twisted, "twisted_stands_for": twisted_stands_for,
+            "interned": interned_counts()}
 
 
 # ----- 5: tables determine the datum -------------------------------------

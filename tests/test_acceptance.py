@@ -5,13 +5,19 @@ equality and asserts the runtime stays inside the stated budget.  The
 check counts are pinned so a silently shrunken grid fails loudly.
 """
 
-from llclab import selftest
+from llclab import matching, selftest
 from llclab.building import FacetSpec
+from llclab.cyclotomic import RootOfUnity
 
 # selftest.answer_digest of criterion 6's answers, computed on the tree
 # before its certificate kernels read only nonzero entries: the kernels
 # changed, the answers did not
 CRITERION_6_DIGEST = "1baba9321ad020c793289931e7a0dc7fbcb7df1a756af69cf124e55abd5d6682"
+
+# selftest.answer_digest of criterion 4's agreed epsilon at zeta = 1 and
+# twisted determinant per key and twist, computed when the digest was
+# added
+CRITERION_4_DIGEST = "bc1318688024e4ef4a568e2cd6683e9dbe9832fbb488545a030d8af22a756380"
 
 # selftest.answer_digest of the class of each pivot-order draw criterion 8
 # confirms, computed when the digest was added
@@ -75,13 +81,33 @@ def test_criterion_3_zeta_integral_collapse():
 
 
 def test_criterion_4_epsilon_matching():
-    rep = _gate(selftest.criterion_matching, budget=300)
-    assert rep["checked"] == 29300
-    assert rep["with_integral_path"] == 29300
-    # det(Ind(xi * lam o N)) == omega * lam^n for every datum and twist:
-    # the sum of q - 1 over the 29,300 data
-    assert rep["twisted_determinants"] == 292_520
+    rep = _gate(selftest.criterion_matching, budget=60)
+    # one three-engine comparison per (q, n, u0, omega exponent) key, at
+    # zeta = 1, each with the integral path, standing for n^2 data
+    assert rep["checked"] == rep["with_integral_path"] == 1668
+    assert rep["stands_for"] == 29300
+    # det(Ind(xi * lam o N)) == omega * lam^n per key and unit twist,
+    # standing for the 292,520 (datum, twist) pairs
+    assert rep["twisted_determinants"] == 16_536
+    assert rep["twisted_stands_for"] == 292_520
+    assert rep["digest"] == CRITERION_4_DIGEST
     _assert_interned(rep)
+
+
+def test_criterion_4_digest_sees_a_value_all_three_engines_move(monkeypatch):
+    # one epsilon negated in all three engines alike: every comparison
+    # still holds, so only the digest can see it
+    target = selftest._datum(7, 3, 0, 2, 3)
+    for name in ("closed_form_epsilon", "epsilon_galois", "gamma_automorphic"):
+        def moved(x, lam, engine=getattr(matching, name)):
+            out = engine(x, lam)
+            if getattr(x, "ssc", x) is target and lam.exp_unit == 1:
+                return out.scale(RootOfUnity.minus_one())
+            return out
+
+        monkeypatch.setattr(matching, name, moved)
+    rep = selftest.criterion_matching("full")
+    assert rep["ok"] and rep["digest"] != CRITERION_4_DIGEST
 
 
 def test_criterion_5_determination_round_trip():

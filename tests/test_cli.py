@@ -205,6 +205,22 @@ def test_facet_needs_a_mode(capsys):
     assert cli.main(["facet", "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--n", "3", "--point", "0,-1/3,-2/3", "--certify"], "--certify"),
+    (["--n", "4", "--spec", "t=0;m=2,2", "--destabilize"], "--destabilize"),
+    (["--n", "4", "--list", "--spec", "t=0;m=2,2"], "--spec"),
+    (["--n", "3", "--list", "--point", "0,-1/3,-2/3"], "--point"),
+    (["--spec", "t=0;m=1,1,1", "--point", "0,-1/3,-2/3"], "--point"),
+    (["--n", "4", "--point", "0,-1/3,-2/3"], "--n"),
+], ids=["certify-point", "destabilize-spec", "list-spec", "list-point", "spec-point", "n-point"])
+def test_facet_rejects_a_flag_its_mode_does_not_read(capsys, argv, flag):
+    # each of these once exited 0, the flag ignored: --n 4 with a point of
+    # size 3 printed that point's report
+    assert cli.main(["facet", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in json.loads(captured.err)["error"]
+
+
 def test_facet_above_the_census_bound_rejected(capsys):
     # 2^13 - 1 facets, or one block of 4,000, would take seconds to
     # minutes and gigabytes: each is refused before it is built

@@ -253,12 +253,6 @@ def test_parse_root():
     assert RootOfUnity.parse("0/1").is_one()
 
 
-def _generic_product(x, y):
-    # the lcm-order route: lift both factors, then convolve the terms
-    a, b = x._pair(y)
-    return a * b
-
-
 def _generic_equal(x, y):
     a, b = x._pair(y)
     return (a - b).is_zero()
@@ -277,8 +271,13 @@ def test_root_rotation_matches_generic_product(order, root_order):
         for num in nums:
             r = RootOfUnity(num, root_order)
             prod = x * r
-            generic = _generic_product(x, r)
-            assert prod.order == generic.order == order * r.order // gcd(order, r.order)
+            # the product written out by hand, sharing no code with it: at
+            # L = lcm(order, r.order) exponent e moves to e L/order + num
+            # L/r.order, and distinct exponents stay distinct
+            L = order * r.order // gcd(order, r.order)
+            generic = CycloNumber(L, {(e * L // order + r.num * L // r.order) % L: c
+                                      for e, c in x.terms.items()})
+            assert prod.order == generic.order == L
             assert prod.terms == generic.terms
             assert prod.canonical() == generic.canonical()
             assert prod == generic and _generic_equal(prod, generic)

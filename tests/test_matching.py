@@ -3,11 +3,11 @@ from math import gcd
 
 import pytest
 
-from llclab import matching, selftest
+from llclab import characters, matching, selftest
 from llclab.characters import TameChar
 from llclab.cyclotomic import RootOfUnity
 from llclab.errors import InconsistentTable
-from llclab.galois import build_parameter, epsilon_galois
+from llclab.galois import build_parameter, det_parameter, epsilon_galois
 from llclab.laurent import LocalField
 from llclab.matching import (
     EpsilonTable,
@@ -15,9 +15,9 @@ from llclab.matching import (
     twist_char,
     verify_matching,
 )
-from llclab.monomials import EpsMonomial
+from llclab.monomials import EpsMonomial, LambdaGraded
 from llclab.supercuspidal import SSCDatum
-from llclab.zeta import closed_form_epsilon, gamma_automorphic
+from llclab.zeta import _gamma_row, closed_form_epsilon, gamma_automorphic
 
 from test_supercuspidal import _datum
 
@@ -207,9 +207,10 @@ def test_round_trip_every_zeta_order():
 
 
 def test_matching_failure_names_each_unequal_twist(monkeypatch):
-    # the closed form is off by a sign on one twist of one datum: the
-    # criterion's record names that twist and gives its three values
-    target = list(selftest.datum_grid(5, 2))[3]
+    # the closed form is off by a sign on one twist of one key's datum at
+    # zeta = 1: the criterion's record names that twist and gives its
+    # three values
+    target = selftest._datum(5, 2, 0, 1, 3)
     closed_form = matching.closed_form_epsilon
 
     def wrong_once(d, lam):
@@ -231,3 +232,82 @@ def test_matching_failure_names_each_unequal_twist(monkeypatch):
             "automorphic": gamma_automorphic(target, lam).to_json(),
         }],
     }]
+
+
+def _matching_oracle(q, n):
+    """Oracle: criterion 4's checks at every datum of the (q, n) cell, each
+    root zeta included, against every unit twist.  Returns the number of
+    failure records the checks would write: one per datum whose three
+    epsilon factors or central character disagree, and one per (datum,
+    twist) whose twisted determinant is not omega * lam^n."""
+    F = LocalField.base_field(q)
+    lams = [twist_char(F, e) for e in range(q - 1)]
+    failures = 0
+    for d in selftest.datum_grid(q, n):
+        failures += not verify_matching(d)["all_equal"]
+        P = build_parameter(d)
+        for lam in lams:
+            want, det = d.omega * lam**n, det_parameter(P, lam)
+            failures += (det.exp_unit != want.exp_unit
+                         or det.at_pi != LambdaGraded(0, want.of_leading(1, d.pi_unit)))
+    return failures
+
+
+def _criterion_4(monkeypatch, cell):
+    monkeypatch.setattr(selftest, "gauss_cells", lambda scale: [cell])
+    return selftest.criterion_matching("small")
+
+
+@pytest.mark.parametrize("q,n", [*selftest.gauss_cells("small"), (7, 3), (9, 4), (11, 6)])
+def test_matching_criterion_and_per_datum_oracle_pass(monkeypatch, q, n):
+    # criterion 4 compares at zeta = 1 only; the oracle keeps every zeta
+    assert _matching_oracle(q, n) == 0
+    rep = _criterion_4(monkeypatch, (q, n))
+    keys = (q - 1) ** 2
+    assert rep["failure_count"] == 0
+    assert (rep["checked"], rep["stands_for"]) == (keys, keys * n * n)
+    assert (rep["twisted_determinants"], rep["twisted_stands_for"]) == (keys * (q - 1), keys * (q - 1) * n * n)
+
+
+def test_matching_oracle_fails_n_squared_times_per_criterion_failure(monkeypatch):
+    # a twist reading lam at u0 t in place of the norm (-1)^(n-1) u0 t of u
+    # moves the Galois side and the twisted determinant at even n: each
+    # record the criterion writes stands for n^2 the oracle counts
+    monkeypatch.setattr(characters, "norm_of_variable", lambda E: (1, E.pi_unit))
+    caught = 0
+    for q, n in selftest.gauss_cells("small"):
+        got = _criterion_4(monkeypatch, (q, n))["failure_count"]
+        assert _matching_oracle(q, n) == n * n * got, (q, n)
+        caught += got
+    assert caught
+
+
+def test_zeta_is_a_common_factor_of_the_engines():
+    # criterion 4 compares at zeta = 1 only: on every key of the full grid
+    # and every unit twist, each engine's value at a zeta of order n^2 is
+    # its value at zeta = 1 times zeta
+    for q, n in selftest.gauss_cells("full"):
+        lams = [twist_char(LocalField.base_field(q), e) for e in range(q - 1)]
+        for u0 in range(1, q):
+            for e_om in range(q - 1):
+                one, d = selftest._datum(q, n, 0, e_om, u0), selftest._datum(q, n, 1, e_om, u0)
+                P_one, P = build_parameter(one), build_parameter(d)
+                for lam in lams:
+                    assert closed_form_epsilon(d, lam) == closed_form_epsilon(one, lam).scale(d.zeta)
+                    assert epsilon_galois(P, lam) == epsilon_galois(P_one, lam).scale(d.zeta)
+                    assert gamma_automorphic(d, lam) == gamma_automorphic(one, lam).scale(d.zeta)
+
+
+def test_gamma_row_off_zeta_linear_names_its_uniformizer(monkeypatch):
+    # a gamma row at central valuation 1 would read omega(t), and so
+    # zeta^n: the criterion records the row, naming (q, n, u0); the
+    # comparisons read the library's own rows and still pass
+    row = _gamma_row(5, 2, 3)
+    moved = row._replace(invariant=row.invariant._replace(central_val=1))
+
+    def rows(q, n, u0):
+        return moved if (q, n, u0) == (5, 2, 3) else _gamma_row(q, n, u0)
+
+    monkeypatch.setattr(selftest, "_gamma_row", rows)
+    rep = selftest.criterion_matching("small")
+    assert rep["failures"] == [{"q": 5, "n": 2, "pi_unit": 3, "gamma_row": list(moved.invariant)}]

@@ -32,7 +32,7 @@ CALLS = [
     ["epsilon", *DATUM, "--side", "galois", "--twist-e", "1", "--twist-t", "1"],
     ["epsilon", *DATUM, "--side", "closed", "--twist-e", "2", "--twist-t", "3"],
     ["gauss", "--q", "5", "--n", "2", "--zeta", "1/4", "--depth", "3", "--twist-t", "1"],
-    ["facet", "--n", "3", "--point", "0,-1/3,-2/3", "--certify"],
+    ["facet", "--n", "3", "--point", "0,-1/3,-2/3"],
     ["bruhat", "--q", "5", "--matrix", "[[[0,[1,2]],[1,[2]]],[[-1,[3]],[0,[4,1]]]]", "--prec", "4"],
     ["bruhat", "--q", "3", "--matrix", "[[1,[1,[2]]],[[-1,[1]],1]]"],
     ["pair", *DATUM, "--u0-2", "2", "--zeta-2", "3/4", "--steps", "50",
@@ -40,13 +40,14 @@ CALLS = [
     ["selftest", "--scale", "small", "--format", "table"],
     ["selftest", "--scale", "small", "--criterion", "3"],
 ]
-# each is rejected with exit code 2: an even q, p | n, a singular matrix
-# and a malformed facet spec
+# each is rejected with exit code 2: an even q, p | n, a singular matrix,
+# a malformed facet spec and a flag the facet's mode does not read
 REJECTED = [
     ["epsilon", "--q", "6", "--n", "2"],
     ["epsilon", "--q", "3", "--n", "3"],
     ["bruhat", "--q", "3", "--matrix", "[[0,0],[0,0]]"],
     ["facet", "--spec", "t=0;m=2;k=1"],
+    ["facet", "--n", "3", "--point", "0,-1/3,-2/3", "--certify"],
 ]
 
 TRACER = r"""

@@ -23,6 +23,7 @@ from llclab.supercuspidal import SSCDatum
 from llclab.zeta import zeta_psi, zeta_psi_tilde
 
 from test_galois import _check_inner_against_oracle, _closed_form_oracle, _degrees
+from test_matching import _matching_oracle
 
 Q = 27
 
@@ -99,8 +100,11 @@ def test_criteria_at_27_2_on_every_datum(monkeypatch):
     rep = _criterion(monkeypatch, selftest.criterion_gauss_closed_form, 2)
     assert rep["checked"] == (Q - 1) ** 2 and rep["stands_for"] == size
     assert _closed_form_oracle(Q, 2) == 0
+    # criterion 4 likewise, each comparison with the integral path
     rep = _criterion(monkeypatch, selftest.criterion_matching, 2)
-    assert rep["checked"] == rep["with_integral_path"] == size
+    assert rep["checked"] == rep["with_integral_path"] == (Q - 1) ** 2
+    assert rep["stands_for"] == size
+    assert _matching_oracle(Q, 2) == 0
     # criterion 5 also requires distinct tables within each central
     # character class and classes that cover the cell
     assert _criterion(monkeypatch, selftest.criterion_determination, 2)["checked"] == size

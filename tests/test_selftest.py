@@ -15,7 +15,8 @@ SHAPES = [
     (selftest.criterion_zeta_collapse, ["cells", "stands_for", "non_integral_chains", "phases"],
      ["principal", "dual"]),
     (selftest.criterion_matching,
-     ["cells", "with_integral_path", "twisted_determinants", "interned"], []),
+     ["cells", "stands_for", "with_integral_path", "twisted_determinants", "twisted_stands_for",
+      "interned", "digest"], []),
     (selftest.criterion_determination, ["cells", "classes", "interned"], []),
     (selftest.criterion_stability, ["degrees", "nonbarycenter_points", "phases", "digest"],
      ["barycenters", "nonbarycenters"]),
