@@ -161,7 +161,6 @@ def _facet_info(f: FacetSpec) -> dict:
 
 
 def cmd_facet(args: argparse.Namespace) -> int:
-    field_of_size(args.fq)  # odd prime power guard
     # a flag the chosen mode would not read exits 2, naming the flag
     modes = [f"--{m}" for m in ("list", "spec", "point") if getattr(args, m) not in (None, False)]
     if len(modes) > 1:
@@ -169,6 +168,10 @@ def cmd_facet(args: argparse.Namespace) -> int:
     for flag, mode in (("certify", "--spec"), ("destabilize", "--point")):
         if getattr(args, flag) and modes != [mode]:
             raise ValueError(f"--{flag} needs {mode}")
+    if args.fq is not None and not args.certify:
+        raise ValueError("--fq needs --certify")
+    fq = 3 if args.fq is None else args.fq
+    field_of_size(fq)  # odd prime power guard
     if args.list:
         if args.n is None:
             raise ValueError("--list needs --n")
@@ -187,7 +190,7 @@ def cmd_facet(args: argparse.Namespace) -> int:
         payload = _facet_info(f)
         code = EXIT_OK
         if args.certify:
-            cert = stability_certificate(f, args.fq)
+            cert = stability_certificate(f, fq)
             verified = verify_certificate(cert)
             payload["certificate"] = {
                 "kind": type(cert).__name__,
@@ -365,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point", default=None, help='apartment point "0,-1/4,-2/3"')
     sp.add_argument("--certify", action="store_true")
     sp.add_argument("--destabilize", action="store_true")
-    sp.add_argument("--fq", type=int, default=3, help="finite field for certificates")
+    sp.add_argument("--fq", type=int, default=None,
+                    help="finite field for --certify's certificate (default 3)")
     sp.set_defaults(func=cmd_facet)
 
     sp = sub.add_parser("bruhat", parents=[common],

@@ -12,6 +12,9 @@ straight off the root of unity that each entry's unit carries.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import index
+
 from .characters import TameChar
 from .cyclotomic import RootOfUnity
 from .errors import InconsistentTable
@@ -22,8 +25,18 @@ from .zeta import closed_form_epsilon, gamma_automorphic
 
 
 def twist_char(field, e: int, at_t_num: int = 0) -> TameChar:
-    q = field.residue.q
-    return TameChar(field, e, RootOfUnity(at_t_num, q - 1))
+    """The tame character of exponent e with value zeta_{q-1}^at_t_num
+    at t.  Both integers are read mod q-1, as TameChar and RootOfUnity
+    read them, and looked up in the field's table."""
+    m = field.residue.q - 1
+    return _twist_chars(field)[index(e) % m][index(at_t_num) % m]
+
+
+@lru_cache(maxsize=None)
+def _twist_chars(field) -> tuple[tuple[TameChar, ...], ...]:
+    """The (q-1)^2 characters twist_char names, by e and then at_t_num."""
+    m = field.residue.q - 1
+    return tuple(tuple(TameChar(field, e, RootOfUnity(b, m)) for b in range(m)) for e in range(m))
 
 
 class EpsilonTable:

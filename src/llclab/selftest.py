@@ -30,6 +30,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import combinations
+from operator import attrgetter
 
 from .bruhat import MonomialClass, decompose
 from .building import (
@@ -355,6 +356,10 @@ def criterion_matching(scale: str, tally: _Tally) -> dict:
     integral path's zeta^r omega(s t^d) at a gamma row with r = 1 and
     d = 0, checked per (q, n, u0).  Both sides of a determinant check
     carry omega(pi) = zeta^n.  So each check holds at every zeta or none.
+    The closed form and the Galois side are held to that factor per
+    (q, n, u0) as well: at one datum with zeta of order n^2 and the
+    trivial twist, each must be zeta times its value at zeta = 1
+    (zeta_linear counts these keys, 186 on the full grid).
     On the full grid checked counts 1,668 comparisons and
     twisted_determinants 16,536; stands_for (29,300) and
     twisted_stands_for (292,520) count the data and (datum, twist) pairs
@@ -363,7 +368,7 @@ def criterion_matching(scale: str, tally: _Tally) -> dict:
     leaves that exponent alone.  digest reads the agreed epsilon at
     zeta = 1 and the determinant, per key and twist."""
     cells = gauss_cells(scale)
-    with_integral = stands_for = twisted = twisted_stands_for = 0
+    with_integral = stands_for = twisted = twisted_stands_for = zeta_linear = 0
     for q, n in cells:
         F = LocalField.base_field(q)
         # every unit twist, each with its n-th power
@@ -406,27 +411,69 @@ def criterion_matching(scale: str, tally: _Tally) -> dict:
                         bad["twist"] = list(twist)
                         bad["check"] = "twisted determinant"
                         tally.failures.append(bad)
+                if e_om == 0:
+                    at_one = rep["twists"][0]
+            # the closed form and the Galois side at a zeta of order n^2,
+            # trivial twist: each must be zeta times its value at zeta = 1
+            dz = _datum(q, n, 1, 0, u0)
+            row = verify_matching(dz, twists[:1], include_integral=False)["twists"][0]
+            zeta_linear += 1
+            for engine in ("closed", "galois"):
+                if row[engine] != at_one[engine].scale(dz.zeta):
+                    tally.failures.append({"q": q, "n": n, "pi_unit": u0, "engine": engine,
+                                           "check": "zeta linearity"})
     return {"cells": cells, "stands_for": stands_for, "with_integral_path": with_integral,
             "twisted_determinants": twisted, "twisted_stands_for": twisted_stands_for,
-            "interned": interned_counts()}
+            "zeta_linear": zeta_linear, "interned": interned_counts()}
 
 
 # ----- 5: tables determine the datum -------------------------------------
 
 
-@_criterion(5, "determination round trip")
+def _table_text(entries: dict) -> str:
+    """One table's entries as text, in the table's order: e, b, the
+    unit's grade, root and rational, the doubled q-exponent and the
+    s-coefficient, comma-separated, one entry per semicolon."""
+    return ";".join(
+        f"{e},{b},{x.unit.grade},{x.unit.root.num}/{x.unit.root.order},{x.unit.rational},"
+        f"{x._twice},{x.s_coeff}"
+        for (e, b), x in entries.items()
+    )
+
+
+# what an entry's value is made of: its unit is interned, so a tuple of
+# these hashes and compares at C speed, unlike the EpsMonomials
+_ENTRY_VALUE = attrgetter("unit", "_twice", "s_coeff")
+
+
+@_criterion(5, "determination round trip", digest=True)
 def criterion_determination(scale: str, tally: _Tally) -> dict:
     """Round trip datum -> twisted-epsilon table -> datum, and pairwise
     distinctness of the tables among the data sharing a central
-    character."""
+    character.
+
+    digest reads one record per datum, in grid order: (q, n, omega's
+    exponent, omega at t as num and order, the table's text).  The text
+    of each distinct table is written once, keyed by its entries' twists
+    and values, and is also what the distinctness check compares; all
+    tables come from EpsilonTable.of_datum, whose twists come in one
+    order."""
     cells = gauss_cells(scale)
     failures = tally.failures
     tables: dict[tuple, set] = defaultdict(set)
     sizes: dict[tuple, int] = defaultdict(int)
+    texts: dict[tuple, str] = {}
     for q, n in cells:
         for d in datum_grid(q, n):
             T = EpsilonTable.of_datum(d)
             tally.checked += 1
+            at_t = d.omega.at_var
+            ckey = (q, n, d.omega_exp, at_t.num, at_t.order)
+            key = (tuple(T.entries), tuple(map(_ENTRY_VALUE, T.entries.values())))
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = _table_text(T.entries)
+            tally.answers.append((*ckey, text))
             try:
                 res = determine_from_table(T, d.omega, n, q)
             except Exception as exc:
@@ -445,10 +492,8 @@ def criterion_determination(scale: str, tally: _Tally) -> dict:
             )
             if not round_ok:
                 failures.append(_datum_key(d))
-            at_t = d.omega.at_var
-            ckey = (q, n, d.omega_exp, at_t.num, at_t.order)
             sizes[ckey] += 1
-            tables[ckey].add(tuple(sorted(T.entries.items())))
+            tables[ckey].add(text)
     per_cell: dict[tuple, int] = defaultdict(int)
     for ckey, count in sizes.items():
         per_cell[(ckey[0], ckey[1])] += count

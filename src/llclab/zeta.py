@@ -372,8 +372,19 @@ def closed_form_epsilon(d: SSCDatum, lam: TameChar) -> EpsMonomial:
 
     lam is multiplicative, so lam(-1)^(n-1) lam(pi) is lam at
     (-1)^(n-1) pi, the norm of the extension's variable: the unit is one
-    character value times zeta, with no power of lam(-1)."""
+    character value times zeta, with no power of lam(-1).  omega does
+    not enter, so the value is _closed_form's, once per (extension,
+    zeta, lam)."""
     if lam.field is not d.F:
         raise TypeError("twisting character must live on the datum's base field")
-    unit = lam.of_leading(*norm_of_variable(d.extension_field())) * d.zeta
-    return EpsMonomial._of_twice(d.q, LambdaGraded(0, unit), 1, -1)
+    return _closed_form(d.extension_field(), d.zeta, lam)
+
+
+@lru_cache(maxsize=None)
+def _closed_form(efield: LocalField, zeta: RootOfUnity, lam: TameChar) -> EpsMonomial:
+    """closed_form_epsilon behind its field check.  LocalField.extension
+    hands out one object per extension, and roots and tame characters
+    are interned, so each key is three shared objects.  Every caller of
+    a key gets the same EpsMonomial, which nothing mutates."""
+    unit = lam.of_leading(*norm_of_variable(efield)) * zeta
+    return EpsMonomial._of_twice(efield.residue.q, LambdaGraded(0, unit), 1, -1)

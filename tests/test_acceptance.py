@@ -19,6 +19,11 @@ CRITERION_6_DIGEST = "1baba9321ad020c793289931e7a0dc7fbcb7df1a756af69cf124e55abd
 # added
 CRITERION_4_DIGEST = "bc1318688024e4ef4a568e2cd6683e9dbe9832fbb488545a030d8af22a756380"
 
+# selftest.answer_digest of criterion 5's table records, computed before
+# the closed form was cached per (extension, zeta, twist): the cache came
+# in, the tables did not move
+CRITERION_5_DIGEST = "03cbdf2ff6e31ca8001f8da38d23c4b55a51fddc8c26b2be50e3ffa3c8bf8f2d"
+
 # selftest.answer_digest of the class of each pivot-order draw criterion 8
 # confirms, computed when the digest was added
 CRITERION_8_DIGEST = "127ecc93268a0c1fd7e9ac3979667bc6d3b1a10b508202ce9b7e22bbc48c23b6"
@@ -90,6 +95,9 @@ def test_criterion_4_epsilon_matching():
     # standing for the 292,520 (datum, twist) pairs
     assert rep["twisted_determinants"] == 16_536
     assert rep["twisted_stands_for"] == 292_520
+    # the closed form and the Galois side held to zeta times their value
+    # at zeta = 1, once per (q, n, u0)
+    assert rep["zeta_linear"] == 186
     assert rep["digest"] == CRITERION_4_DIGEST
     _assert_interned(rep)
 
@@ -110,10 +118,42 @@ def test_criterion_4_digest_sees_a_value_all_three_engines_move(monkeypatch):
     assert rep["ok"] and rep["digest"] != CRITERION_4_DIGEST
 
 
+def test_criterion_4_sees_a_closed_form_reading_zeta_squared(monkeypatch):
+    # zeta^2 where zeta belongs: every comparison at zeta = 1 still holds,
+    # and only the zeta-linearity guard sees it, once per (q, n, u0)
+    closed = matching.closed_form_epsilon
+    monkeypatch.setattr(matching, "closed_form_epsilon", lambda d, lam: closed(d, lam).scale(d.zeta))
+    rep = selftest.criterion_matching("full")
+    assert rep["failure_count"] == rep["zeta_linear"] == 186
+    assert {(f["engine"], f["check"]) for f in rep["failures"]} == {("closed", "zeta linearity")}
+    assert rep["digest"] == CRITERION_4_DIGEST
+
+
 def test_criterion_5_determination_round_trip():
     rep = _gate(selftest.criterion_determination, budget=60)
     assert rep["checked"] == 29300
+    # one class per (q, n, omega), the data of a class pairwise distinct
+    assert rep["classes"] == 2239
+    assert rep["digest"] == CRITERION_5_DIGEST
     _assert_interned(rep)
+
+
+def test_criterion_5_digest_sees_one_moved_entry(monkeypatch):
+    # one datum's e = 2 entry negated, in its table and in the entry
+    # determine_from_table expects alike: the round trip and the
+    # distinctness check still pass, so only the digest can see it
+    target = selftest._datum(7, 3, 0, 2, 3)
+    closed = matching.closed_form_epsilon
+
+    def moved(d, lam):
+        out = closed(d, lam)
+        if repr(d) == repr(target) and lam.exp_unit == 2:
+            return out.scale(RootOfUnity.minus_one())
+        return out
+
+    monkeypatch.setattr(matching, "closed_form_epsilon", moved)
+    rep = selftest.criterion_determination("full")
+    assert rep["ok"] and rep["digest"] != CRITERION_5_DIGEST
 
 
 def test_criterion_6_facets_and_stability():

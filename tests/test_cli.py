@@ -25,6 +25,16 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def test_epsilon_twist_integers_read_mod_q_minus_one(capsys):
+    # the command line passes --twist-e and --twist-t through as given:
+    # at q = 5, (7, -1) is the twist (3, 3), and the report echoes (7, -1)
+    base = ["epsilon", "--q", "5", "--n", "2", "--zeta", "1/4", "--side", "all"]
+    code, wrapped = run_json(capsys, [*base, "--twist-e", "7", "--twist-t", "-1"])
+    assert code == 0 and wrapped["twist"] == {"e": 7, "at_t": -1}
+    code, reduced = run_json(capsys, [*base, "--twist-e", "3", "--twist-t", "3"])
+    assert code == 0 and wrapped["sides"] == reduced["sides"]
+
+
 def test_epsilon_all_engines_agree(capsys):
     code, payload = run_json(
         capsys, ["epsilon", "--q", "7", "--n", "3", "--zeta", "0/1", "--side", "all"]
@@ -167,7 +177,7 @@ def test_facet_certify_alcove(capsys):
 
 def test_facet_destabilize(capsys):
     code, payload = run_json(
-        capsys, ["facet", "--n", "3", "--point", "0,-1/4,-2/3", "--destabilize", "--fq", "3"]
+        capsys, ["facet", "--n", "3", "--point", "0,-1/4,-2/3", "--destabilize"]
     )
     assert code == 0
     assert payload["certificate"]["kind"] == "UnstableCocharacter"
@@ -181,12 +191,13 @@ def test_facet_destabilize_barycenter_rejected(capsys):
 
 
 def test_facet_even_fq_rejected(capsys):
-    assert cli.main(["facet", "--n", "4", "--list", "--fq", "8"]) == 2
+    assert cli.main(["facet", "--n", "4", "--spec", "t=0;m=2,2", "--certify", "--fq", "8"]) == 2
+    assert "odd prime power" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_residue_fields_above_the_bound_exit_2(capsys):
     # F_2187 would need two tables of 2187^2 entries; it is refused instead
-    for argv in (["epsilon", "--q", "2187", "--n", "2"], ["facet", "--n", "4", "--list", "--fq", "2187"]):
+    for argv in (["epsilon", "--q", "2187", "--n", "2"], ["facet", "--n", "4", "--spec", "t=0;m=2,2", "--certify", "--fq", "2187"]):
         code = cli.main(argv)
         err = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and "4,782,969 entries" in err
@@ -212,7 +223,11 @@ def test_facet_needs_a_mode(capsys):
     (["--n", "3", "--list", "--point", "0,-1/3,-2/3"], "--point"),
     (["--spec", "t=0;m=1,1,1", "--point", "0,-1/3,-2/3"], "--point"),
     (["--n", "4", "--point", "0,-1/3,-2/3"], "--n"),
-], ids=["certify-point", "destabilize-spec", "list-spec", "list-point", "spec-point", "n-point"])
+    (["--n", "4", "--list", "--fq", "3"], "--fq"),
+    (["--n", "4", "--spec", "t=0;m=2,2", "--fq", "5"], "--fq"),
+    (["--n", "3", "--point", "0,-1/4,-2/3", "--destabilize", "--fq", "7"], "--fq"),
+], ids=["certify-point", "destabilize-spec", "list-spec", "list-point", "spec-point", "n-point",
+        "fq-list", "fq-spec", "fq-destabilize"])
 def test_facet_rejects_a_flag_its_mode_does_not_read(capsys, argv, flag):
     # each of these once exited 0, the flag ignored: --n 4 with a point of
     # size 3 printed that point's report

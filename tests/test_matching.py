@@ -47,6 +47,26 @@ def test_round_trip_small_grid():
                     assert res.pi_unit == u0
 
 
+def test_twist_char_reads_its_integers_mod_q_minus_one():
+    # the field's table is read at e and at_t_num mod q - 1, as TameChar
+    # and RootOfUnity read them, so negative values and values of q - 1
+    # or more name the same interned character
+    for q in (3, 5, 9):
+        F = LocalField.base_field(q)
+        m = q - 1
+        for e in range(-m - 1, 2 * m + 1):
+            for b in range(-m - 1, 2 * m + 1):
+                lam = twist_char(F, e, b)
+                assert lam is TameChar(F, e, RootOfUnity(b, m))
+                assert twist_char(F, e + m, b - m) is lam
+    F = LocalField.base_field(5)
+    for e, b in [(1.0, 0), (1, 1.0)]:
+        with pytest.raises(TypeError):
+            twist_char(F, e, b)
+    with pytest.raises(ValueError, match="base field"):
+        twist_char(F.extension(2), 1)
+
+
 def test_trivial_only_table_is_partial():
     d = _datum(5, 2, zeta_num=1, u0=3)
     T = EpsilonTable(5, 2, {(0, 0): closed_form_epsilon(d, TameChar(d.F, 0))})

@@ -115,6 +115,7 @@ GUARD = "immutability guard: no entry point sets, deletes, pickles or copies a v
 REPR = "a read-out for debugging; no output or check prints this repr"
 EQ = "value equality the tests compare with; without it a != assert would pass on identity"
 WALK = "the walk's generator API, which only the tests drive; it goes with the walk (ROADMAP item 1)"
+HASH = "the hash that goes with value equality; the tests hash epsilon values, no entry point does"
 FAILURE = "runs only in a failure record, which a passing run never writes"
 PERFBENCH = "only perfbench/ runs it; it goes with the benchmark's next change (ROADMAP item 5)"
 
@@ -146,6 +147,7 @@ ALLOWLIST = {
     ], REPR),
     **dict.fromkeys(["cyclotomic.CycloNumber.__eq__", "matching.EpsilonTable.__eq__",
                      "matrices.MatG.__eq__"], EQ),
+    "monomials.EpsMonomial.__hash__": HASH,
     **dict.fromkeys(["pairs.KWalk.inverse_matrix", "pairs.KWalk.push_elementary",
                      "pairs.KWalk.push_one_unit_diag", "pairs._test_entry"], WALK),
     **dict.fromkeys(["bruhat.WhittakerInvariant.to_json", "selftest._datum_key"], FAILURE),

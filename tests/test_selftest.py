@@ -16,8 +16,8 @@ SHAPES = [
      ["principal", "dual"]),
     (selftest.criterion_matching,
      ["cells", "stands_for", "with_integral_path", "twisted_determinants", "twisted_stands_for",
-      "interned", "digest"], []),
-    (selftest.criterion_determination, ["cells", "classes", "interned"], []),
+      "zeta_linear", "interned", "digest"], []),
+    (selftest.criterion_determination, ["cells", "classes", "interned", "digest"], []),
     (selftest.criterion_stability, ["degrees", "nonbarycenter_points", "phases", "digest"],
      ["barycenters", "nonbarycenters"]),
     (selftest.criterion_pairs, ["cells", "steps", "conjugation_runs", "phases"],

@@ -872,6 +872,48 @@ def test_characters_read_without_series(q, n):
             )
 
 
+def _uncached_closed_form(d, lam):
+    """The closed form's formula, computed afresh: lam at the norm
+    (-1)^(n-1) u0 t of u, times zeta, times q^(1/2 - s)."""
+    ff = d.F.residue
+    lead = d.pi_unit if d.n % 2 else ff.neg(d.pi_unit)
+    unit = LambdaGraded(0, lam.of_leading(1, lead) * d.zeta)
+    return EpsMonomial(d.q, unit, Fraction(1, 2), -1)
+
+
+@pytest.mark.parametrize("q,n", [*gauss_cells("small"), (7, 3), (11, 6)])
+def test_cached_closed_form_matches_its_formula(q, n):
+    # one value per (extension, zeta, twist): every datum and twist of
+    # the cell gets the formula's value, and data that differ only in
+    # omega get the very same object
+    F = LocalField.base_field(q)
+    m = q - 1
+    lams = [TameChar(F, e, RootOfUnity(b, m)) for e in range(m) for b in range(m)]
+    for u0 in range(1, q):
+        for znum in range(n * n):
+            first = [closed_form_epsilon(selftest._datum(q, n, znum, 0, u0), lam) for lam in lams]
+            for e_om in range(m):
+                d = selftest._datum(q, n, znum, e_om, u0)
+                for lam, shared in zip(lams, first):
+                    got, want = closed_form_epsilon(d, lam), _uncached_closed_form(d, lam)
+                    assert got is shared
+                    assert got == want and repr(got) == repr(want)
+
+
+def test_cached_closed_form_still_checks_the_twist_field():
+    # the field check runs before the cache: a twist over another base
+    # field raises even right after a cached call on the same
+    # (extension, zeta)
+    d = _datum(5, 3, zeta_num=2, omega_exp=1, u0=2)
+    lam = TameChar(d.F, 1, RootOfUnity(1, 4))
+    assert closed_form_epsilon(d, lam) is closed_form_epsilon(d, lam)
+    for q in (3, 7, 25):
+        other = TameChar(LocalField.base_field(q), 1, RootOfUnity(1, q - 1))
+        with pytest.raises(TypeError, match="base field"):
+            closed_form_epsilon(d, other)
+        assert closed_form_epsilon(d, lam) == _uncached_closed_form(d, lam)
+
+
 @pytest.mark.parametrize("other_q", [3, 7, 25])
 @pytest.mark.parametrize("entry", [closed_form_epsilon, gamma_automorphic, zeta_psi, zeta_psi_tilde])
 def test_twist_over_another_base_field_raises(entry, other_q):
